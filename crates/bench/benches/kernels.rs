@@ -203,6 +203,47 @@ fn bench_expectation_kernels(c: &mut Criterion) {
     }
 }
 
+/// One readout per state: a cluster's operator set read out operator by operator
+/// (`per_op`) against one fused `TermBasis` readout plus the contractions (`basis`),
+/// and what a request pays for its basis on an observable-cache miss (`build`) and on
+/// a hit (`lookup`).  Same ids and workloads as the quick suite.
+fn bench_term_basis(c: &mut Criterion) {
+    use treevqa_bench::workloads::{lih6_op, maxcut14_cluster_ops, tfim12_cluster_ops};
+    for (name, ops, plan_rows) in [
+        ("tfim12_9ops", tfim12_cluster_ops(), true),
+        ("maxcut14_5ops", maxcut14_cluster_ops(), false),
+        ("lih6_1op", vec![lih6_op()], true),
+    ] {
+        let refs: Vec<&PauliOp> = ops.iter().collect();
+        let state = dense_state(ops[0].num_qubits());
+        c.bench_function(&format!("expectation/per_op/{name}"), |b| {
+            b.iter(|| {
+                for op in &ops {
+                    std::hint::black_box(op.expectation(&state));
+                }
+            })
+        });
+        let basis = qop::TermBasis::new(&refs);
+        let mut values = Vec::new();
+        c.bench_function(&format!("expectation/basis/{name}"), |b| {
+            b.iter(|| {
+                basis.evaluate(&state, &mut values);
+                for op in 0..basis.num_ops() {
+                    std::hint::black_box(basis.op_value(op, &values));
+                }
+            })
+        });
+        if plan_rows {
+            c.bench_function(&format!("expectation/basis/build/{name}"), |b| {
+                b.iter(|| std::hint::black_box(qop::TermBasis::new(&refs)))
+            });
+            c.bench_function(&format!("expectation/basis/lookup/{name}"), |b| {
+                b.iter(|| std::hint::black_box(basis.is_basis_of(refs.iter().copied())))
+            });
+        }
+    }
+}
+
 fn configure() -> Criterion {
     Criterion::default().sample_size(10)
 }
@@ -218,7 +259,7 @@ criterion_group! {
     name = kernel_comparisons;
     config = configure();
     targets = bench_single_qubit_kernels, bench_cx_ladder_kernels,
-              bench_pauli_rotation_kernels, bench_expectation_kernels
+              bench_pauli_rotation_kernels, bench_expectation_kernels, bench_term_basis
 }
 
 /// Prints the fast-vs-naive speedup table from the recorded results.

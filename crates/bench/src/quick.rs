@@ -125,6 +125,61 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             },
         ));
     }
+    // One readout per state (BENCH_kernels.json): a cluster's operator set read out
+    // operator by operator (`per_op`, what the drivers did before the term basis)
+    // against one fused `TermBasis` readout plus the contractions (`basis`); then what
+    // a request pays for its basis — built on an observable-cache miss (`build`),
+    // recognized on a hit (`lookup`).
+    for (name, ops, iters, plan_rows) in [
+        ("tfim12_9ops", workloads::tfim12_cluster_ops(), 40, true),
+        (
+            "maxcut14_5ops",
+            workloads::maxcut14_cluster_ops(),
+            12,
+            false,
+        ),
+        ("lih6_1op", vec![workloads::lih6_op()], 4000, true),
+    ] {
+        let refs: Vec<&qop::PauliOp> = ops.iter().collect();
+        let state = workloads::dense_state(ops[0].num_qubits());
+        records.push(time_workload(
+            &format!("expectation/per_op/{name}"),
+            iters,
+            || {
+                for op in &ops {
+                    std::hint::black_box(op.expectation(&state));
+                }
+            },
+        ));
+        let basis = qop::TermBasis::new(&refs);
+        let mut values = Vec::new();
+        records.push(time_workload(
+            &format!("expectation/basis/{name}"),
+            iters * 4,
+            || {
+                basis.evaluate(&state, &mut values);
+                for op in 0..basis.num_ops() {
+                    std::hint::black_box(basis.op_value(op, &values));
+                }
+            },
+        ));
+        if plan_rows {
+            records.push(time_workload(
+                &format!("expectation/basis/build/{name}"),
+                4000,
+                || {
+                    std::hint::black_box(qop::TermBasis::new(&refs));
+                },
+            ));
+            records.push(time_workload(
+                &format!("expectation/basis/lookup/{name}"),
+                40000,
+                || {
+                    std::hint::black_box(basis.is_basis_of(refs.iter().copied()));
+                },
+            ));
+        }
+    }
     {
         let circ = workloads::rotation_heavy_ansatz(n, 2);
         let params = workloads::ansatz_params(&circ);

@@ -146,3 +146,37 @@ pub fn zz_ring_hamiltonian(num_qubits: usize) -> PauliOp {
 pub fn bench_noise_model() -> qnoise::PauliNoiseModel {
     qnoise::PauliNoiseModel::ibm_like("bench-device", 5e-4, 4e-3, 1e-3, 0.01)
 }
+
+/// A cluster's operator set `[mixed, members…]` — what one TreeVQA job reads out.
+fn cluster_ops(members: Vec<PauliOp>) -> Vec<PauliOp> {
+    let mixed = PauliOp::mixed(&members.iter().collect::<Vec<_>>());
+    std::iter::once(mixed).chain(members).collect()
+}
+
+/// The root cluster of the 12-site TFIM family (8 fields across the transition): 9
+/// operators × 23 terms over 23 distinct strings.
+pub fn tfim12_cluster_ops() -> Vec<PauliOp> {
+    cluster_ops(
+        (0..8)
+            .map(|k| qchem::transverse_field_ising(12, 1.0, 0.5 + k as f64 / 7.0))
+            .collect(),
+    )
+}
+
+/// The root cluster of the IEEE-14 MaxCut family at 4 load scales: 5 diagonal
+/// operators over the same ZZ strings, on 2^14 amplitudes.
+pub fn maxcut14_cluster_ops() -> Vec<PauliOp> {
+    cluster_ops(
+        qgraph::Ieee14Family::new(0.9, 1.1, 4)
+            .graphs()
+            .iter()
+            .map(qgraph::maxcut_cost_hamiltonian)
+            .collect(),
+    )
+}
+
+/// One 6-qubit, 62-term LiH Hamiltonian: the single-operator request of the
+/// conventional baseline.
+pub fn lih6_op() -> PauliOp {
+    qchem::MoleculeSpec::lih().tasks(1).remove(0).1
+}

@@ -112,6 +112,20 @@ impl SignTable {
     }
 }
 
+/// The fully filled low table of every mask whose low [`SIGN_BLOCK_BITS`] bits equal
+/// `low_mask`: entry `j` is `(−1)^popcount(j & low_mask)`.
+///
+/// There are only 256 such tables, so they are memoized process-wide (filled on first
+/// use, 2 KiB each): plans that are built once and kept — a [`crate::TermBasis`] holds
+/// one sign stream per Pauli string — share them instead of each owning a copy.
+pub fn low_sign_table(low_mask: u8) -> &'static [f64; SIGN_BLOCK] {
+    // Boxed so the static is 256 pointers, not 512 KiB of initialized data.
+    static TABLES: [std::sync::OnceLock<Box<[f64; SIGN_BLOCK]>>; SIGN_BLOCK] =
+        [const { std::sync::OnceLock::new() }; SIGN_BLOCK];
+    TABLES[low_mask as usize]
+        .get_or_init(|| Box::new(SignTable::new(low_mask as u64, SIGN_BLOCK).low))
+}
+
 /// Dispatches `body!(M)` with `M` the compile-time constant `m & 3`.
 ///
 /// The general Pauli kernels pair lane `off` with lane `off ^ xl`; within an aligned
@@ -157,6 +171,14 @@ mod tests {
                     "mask {mask:#x}, b {b:#x}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn memoized_low_tables_match_a_fresh_fill() {
+        for mask in [0u64, 0b1, 0b1010_1100, 0xff] {
+            let fresh = SignTable::new(mask, SIGN_BLOCK);
+            assert_eq!(low_sign_table(mask as u8), fresh.low());
         }
     }
 

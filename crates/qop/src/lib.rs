@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod basis;
 mod complex;
 mod grouping;
 mod lanczos;
@@ -36,6 +37,7 @@ pub mod par;
 mod pauli;
 mod statevector;
 
+pub use basis::{BasisTerm, TermBasis};
 pub use complex::Complex64;
 pub use grouping::{group_qwc, measurement_rotations, num_qwc_groups, QwcGroup};
 pub use lanczos::{ground_energy, ground_state, GroundState, LanczosOptions};

@@ -6,12 +6,12 @@
 //! matrix-free: expectation values and operator application iterate over terms and basis
 //! states rather than materializing the `2^n × 2^n` matrix.
 
+use crate::basis::TermBasis;
 use crate::complex::Complex64;
-use crate::lanes::{i_power, parity_sign, SignTable, LANES, SIGN_BLOCK};
+use crate::lanes::{i_power, parity_sign};
 use crate::par::{self, SendPtr, MIN_PAR_INDICES};
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
-use crate::with_lane_perm;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -362,74 +362,39 @@ impl PauliOp {
 
     /// The expectation value `⟨ψ|H|ψ⟩` (exact, no shot noise).
     ///
-    /// Parallelizes over Hamiltonian terms when `num_terms × 2^n` crosses
-    /// [`crate::parallel_threshold`]; each term uses the branch-free single-string kernel
-    /// with a diagonal fast path (see [`PauliOp::string_expectation`]).
+    /// A thin wrapper over a transient [`TermBasis`]: every term's string is evaluated
+    /// by the fused block kernels (parallel over amplitude ranges when the register
+    /// reaches [`crate::parallel_threshold`] — the gate is the dimension alone, never
+    /// the term count) and the result is the serial fold `Σ_k c_k ⟨P_k⟩` in term order.
+    /// Callers evaluating the same operator (or operator set) on many states should
+    /// build the [`TermBasis`] once instead.
     ///
     /// # Panics
     ///
     /// Panics if the statevector register size differs.
     pub fn expectation(&self, psi: &Statevector) -> f64 {
-        let nterms = self.terms.len();
-        if nterms == 0 {
+        if self.terms.is_empty() {
             return 0.0;
         }
-        if nterms == 1 {
-            // Single term: parallelize over amplitudes instead of terms.
-            let t = &self.terms[0];
-            return t.coefficient * Self::string_expectation(&t.string, psi);
-        }
-        if par::use_parallel(nterms * psi.dim()) {
-            return (0..nterms)
-                .into_par_iter()
-                .map(|i| {
-                    let t = &self.terms[i];
-                    t.coefficient * string_expectation_serial(&t.string, psi)
-                })
-                .sum();
-        }
-        self.terms
-            .iter()
-            .map(|t| t.coefficient * string_expectation_serial(&t.string, psi))
-            .sum()
+        let basis = TermBasis::unpinned(&[self]);
+        let mut values = Vec::new();
+        basis.evaluate(psi, &mut values);
+        basis.op_value(0, &values)
     }
 
-    /// The exact expectation value `⟨ψ|P|ψ⟩` of a single Pauli string.
+    /// The exact expectation value `⟨ψ|P|ψ⟩` of a single Pauli string (a one-string
+    /// [`TermBasis`]).
     ///
     /// Two branch-free paths: diagonal strings (`x_mask == 0`) reduce to
     /// `Σ_b |ψ_b|² · (-1)^popcount(b & z_mask)`, and general strings accumulate
     /// `Re⟨ψ_{b⊕x}| i^{n_Y} (-1)^popcount(b & z) |ψ_b⟩` pairwise.  Large registers are
-    /// split into per-thread chunks (deterministic reduction order for a fixed thread
-    /// count).
+    /// split into per-thread amplitude ranges (deterministic reduction order for a fixed
+    /// thread count).
     pub fn string_expectation(string: &PauliString, psi: &Statevector) -> f64 {
-        let dim = psi.dim();
-        if par::use_parallel(dim) {
-            let x = string.x_mask() as usize;
-            let z = string.z_mask();
-            let (re, im) = psi.lanes();
-            if x == 0 {
-                return (0..dim)
-                    .into_par_iter()
-                    .with_min_len(MIN_PAR_INDICES)
-                    .map(|b| parity_sign(b as u64 & z) * (re[b] * re[b] + im[b] * im[b]))
-                    .sum();
-            }
-            let g = i_power((string.x_mask() & z).count_ones());
-            return (0..dim)
-                .into_par_iter()
-                .with_min_len(MIN_PAR_INDICES)
-                .map(|b| {
-                    // Re(conj(ψ_{b⊕x}) · i^num_y · sgn · ψ_b), with the pair walked from
-                    // both sides (each pair contributes twice, matching the serial 2×).
-                    let s = parity_sign(b as u64 & z);
-                    let p = b ^ x;
-                    let d = re[p] * re[b] + im[p] * im[b];
-                    let e = re[p] * im[b] - im[p] * re[b];
-                    s * (g.re * d - g.im * e)
-                })
-                .sum();
-        }
-        string_expectation_serial(string, psi)
+        let basis = TermBasis::of_strings(string.num_qubits(), vec![*string]);
+        let mut values = Vec::new();
+        basis.evaluate(psi, &mut values);
+        values[0]
     }
 
     /// The original scalar expectation kernel (scan + `apply_to_basis` + zero-amplitude
@@ -459,21 +424,13 @@ impl PauliOp {
     /// post-processing step, which recombines logged per-term expectations with
     /// different coefficient vectors at zero quantum cost).
     pub fn term_expectations(&self, psi: &Statevector) -> Vec<f64> {
-        let nterms = self.terms.len();
-        if nterms == 1 {
-            // Single term: parallelize over amplitudes instead of terms.
-            return vec![Self::string_expectation(&self.terms[0].string, psi)];
+        if self.terms.is_empty() {
+            return Vec::new();
         }
-        if par::use_parallel(nterms * psi.dim()) {
-            return (0..nterms)
-                .into_par_iter()
-                .map(|i| string_expectation_serial(&self.terms[i].string, psi))
-                .collect();
-        }
-        self.terms
-            .iter()
-            .map(|t| string_expectation_serial(&t.string, psi))
-            .collect()
+        let basis = TermBasis::unpinned(&[self]);
+        let mut values = Vec::new();
+        basis.evaluate(psi, &mut values);
+        basis.op_term_values(0, &values)
     }
 
     /// Builds the dense matrix of the operator (row-major, dimension `2^n`).
@@ -512,162 +469,6 @@ impl PauliOp {
             terms,
         }
     }
-}
-
-/// Serial branch-free single-string expectation with the diagonal fast path, in
-/// split-lane (SoA) form with explicitly 4-wide-chunked inner loops.
-///
-/// Off-diagonal strings use the involution-pair identity: the `b` and `b ^ x_mask`
-/// contributions are complex conjugates, so the sum over each pair is
-/// `2·Re(conj(ψ_{b1}) · phase0 · ψ_{b0})` — half the index math and loads of the full
-/// scan.  The phase is factored as the hoisted constant `i^num_y` times a parity sign
-/// served by a [`SignTable`], so the inner loop is pure contiguous FMA work.
-fn string_expectation_serial(string: &PauliString, psi: &Statevector) -> f64 {
-    let (re, im) = psi.lanes();
-    let x = string.x_mask() as usize;
-    let z = string.z_mask();
-    if x == 0 {
-        return diag_expectation_serial(re, im, z);
-    }
-    pair_expectation_serial(re, im, x, z)
-}
-
-/// `⟨P⟩ = Σ_b |ψ_b|² · (-1)^popcount(b & z)` for diagonal strings: the sign factors
-/// through a 256-entry low table (contiguous multiplier stream) with the high-bit sign
-/// hoisted per block.
-fn diag_expectation_serial(re: &[f64], im: &[f64], z: u64) -> f64 {
-    let dim = re.len();
-    if dim < SIGN_BLOCK {
-        // Below one table block, even the capped table fill (the 2 KiB array init) is
-        // larger than the kernel's own work; a direct parity loop wins.
-        let mut acc = 0.0;
-        for (b, (r, i)) in re.iter().zip(im).enumerate() {
-            acc += parity_sign(b as u64 & z) * (r * r + i * i);
-        }
-        return acc;
-    }
-    let table = SignTable::new(z, dim);
-    let mut acc = [0.0f64; LANES];
-    let mut b = 0usize;
-    while b < dim {
-        let end = dim.min(b + SIGN_BLOCK);
-        let hs = table.block_sign(b as u64);
-        let low = &table.low()[..end - b];
-        let (r, i) = (&re[b..end], &im[b..end]);
-        let mut rc = r.chunks_exact(LANES);
-        let mut ic = i.chunks_exact(LANES);
-        let mut lc = low.chunks_exact(LANES);
-        for ((r4, i4), l4) in (&mut rc).zip(&mut ic).zip(&mut lc) {
-            for j in 0..LANES {
-                acc[j] += hs * l4[j] * (r4[j] * r4[j] + i4[j] * i4[j]);
-            }
-        }
-        // Scalar tail (registers with fewer than 4 amplitudes).
-        for ((r1, i1), l1) in rc
-            .remainder()
-            .iter()
-            .zip(ic.remainder())
-            .zip(lc.remainder())
-        {
-            acc[0] += hs * l1 * (r1 * r1 + i1 * i1);
-        }
-        b = end;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Pairwise serial expectation of an off-diagonal string over split lanes.
-///
-/// Walks blocks of `2^(pivot+1)` amplitudes with `i0 = base + off` (pivot bit clear) and
-/// `i1 = base + 2^pivot + (off ^ xl)`; within an aligned 4-chunk the partner lane is a
-/// constant shuffle by `xl & 3` (monomorphized via [`with_lane_perm!`]).
-fn pair_expectation_serial(re: &[f64], im: &[f64], x: usize, z: u64) -> f64 {
-    let dim = re.len();
-    let g = i_power((x as u64 & z).count_ones());
-    let pivot = (63 - (x as u64).leading_zeros()) as usize;
-    let pbit = 1usize << pivot;
-    let xl = x & (pbit - 1);
-    if dim < SIGN_BLOCK {
-        // Tiny registers: the table fill would dominate; walk the pairs with direct
-        // parity signs instead.
-        let mut acc = 0.0;
-        let mut base = 0usize;
-        while base < dim {
-            for off in 0..pbit {
-                let i0 = base + off;
-                let i1 = base + pbit + (off ^ xl);
-                let s = parity_sign(i0 as u64 & z);
-                let d = re[i1] * re[i0] + im[i1] * im[i0];
-                let e = re[i1] * im[i0] - im[i1] * re[i0];
-                acc += s * (g.re * d - g.im * e);
-            }
-            base += pbit << 1;
-        }
-        return 2.0 * acc;
-    }
-    let z_low = z & (pbit as u64 - 1);
-    let table = SignTable::new(z_low, pbit);
-    let mut acc = [0.0f64; LANES];
-    let mut base = 0usize;
-    while base < dim {
-        // Sign of the block base (bits above the pivot), hoisted for the whole block.
-        let base_sign = parity_sign(base as u64 & z);
-        let (r_lo, r_hi) = re[base..base + (pbit << 1)].split_at(pbit);
-        let (i_lo, i_hi) = im[base..base + (pbit << 1)].split_at(pbit);
-        if pbit >= LANES {
-            let xlh = xl & !(LANES - 1);
-            // Explicit 4-wide chunks staged through fixed-size `[f64; 4]` windows (the
-            // shape the vectorizer turns into 4-lane register blocks); the `off ^ xl`
-            // partner permutation is a compile-time shuffle per `with_lane_perm!` arm.
-            macro_rules! body {
-                ($m:literal) => {{
-                    let mut ob = 0usize;
-                    while ob < pbit {
-                        let oe = pbit.min(ob + SIGN_BLOCK);
-                        let mid = base_sign * table.block_sign(ob as u64);
-                        let mut off = ob;
-                        while off < oe {
-                            // off/pb are 4-aligned and < pbit (the half-slice length);
-                            // lo8 is 4-aligned and < 256, so every window is in bounds
-                            // and the try_into calls cannot fail.
-                            let pb = off ^ xlh;
-                            let lo8 = off & (SIGN_BLOCK - 1);
-                            let sg: &[f64; LANES] =
-                                (&table.low()[lo8..lo8 + LANES]).try_into().unwrap();
-                            let rl: &[f64; LANES] = (&r_lo[off..off + LANES]).try_into().unwrap();
-                            let il: &[f64; LANES] = (&i_lo[off..off + LANES]).try_into().unwrap();
-                            let rh: &[f64; LANES] = (&r_hi[pb..pb + LANES]).try_into().unwrap();
-                            let ih: &[f64; LANES] = (&i_hi[pb..pb + LANES]).try_into().unwrap();
-                            for j in 0..LANES {
-                                let s = mid * sg[j];
-                                let (r0, i0) = (rl[j], il[j]);
-                                let (r1, i1) = (rh[j ^ $m], ih[j ^ $m]);
-                                let d = r1 * r0 + i1 * i0;
-                                let e = r1 * i0 - i1 * r0;
-                                acc[j] += s * (g.re * d - g.im * e);
-                            }
-                            off += LANES;
-                        }
-                        ob = oe;
-                    }
-                }};
-            }
-            with_lane_perm!(xl & (LANES - 1), body);
-        } else {
-            // Scalar tail: pivot < 2 leaves half-blocks narrower than one lane chunk.
-            for off in 0..pbit {
-                let s = base_sign * table.lane(off);
-                let partner = off ^ xl;
-                let (r0, i0) = (r_lo[off], i_lo[off]);
-                let (r1, i1) = (r_hi[partner], i_hi[partner]);
-                let d = r1 * r0 + i1 * i0;
-                let e = r1 * i0 - i1 * r0;
-                acc[0] += s * (g.re * d - g.im * e);
-            }
-        }
-        base += pbit << 1;
-    }
-    2.0 * ((acc[0] + acc[1]) + (acc[2] + acc[3]))
 }
 
 impl fmt::Display for PauliOp {

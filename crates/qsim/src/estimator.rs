@@ -13,7 +13,7 @@
 //!   group (slower; used in tests to validate the analytic model).
 
 use crate::shots::ShotLedger;
-use qop::{group_qwc, PauliOp, PauliString, Statevector};
+use qop::{group_qwc, PauliOp, PauliString, Statevector, TermBasis};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -84,17 +84,17 @@ pub fn analytic_sampled_expectation<R: Rng>(
 /// The exact per-term expectations the analytic sampler perturbs (identity terms are
 /// exactly 1).  Split out so batched backends can compute this — the expensive,
 /// state-sized stage — inside a parallel region and draw the noise serially afterwards.
+///
+/// A thin wrapper over a transient [`TermBasis`]; drivers that measure the same
+/// operator set on many states keep the basis and call [`TermBasis::evaluate`] directly.
 pub fn exact_term_expectations(op: &PauliOp, state: &Statevector) -> Vec<f64> {
-    op.terms()
-        .iter()
-        .map(|term| {
-            if term.string.is_identity() {
-                1.0
-            } else {
-                PauliOp::string_expectation(&term.string, state)
-            }
-        })
-        .collect()
+    if op.num_terms() == 0 {
+        return Vec::new();
+    }
+    let basis = TermBasis::new(&[op]);
+    let mut values = Vec::new();
+    basis.evaluate(state, &mut values);
+    basis.op_term_values(0, &values)
 }
 
 /// The noise stage of [`analytic_sampled_expectation`], consuming per-term exact values

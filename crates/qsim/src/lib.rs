@@ -69,7 +69,9 @@ pub use estimator::{
     analytic_sampled_expectation, analytic_sampled_from_expectations, estimate_expectation,
     exact_term_expectations, multinomial_sampled_expectation, EstimatorConfig, SamplingMethod,
 };
-pub use noise::{attenuation_factor, noisy_expectation, CircuitNoiseProfile, NoiseModel};
+pub use noise::{
+    attenuate_readout, attenuation_factor, noisy_expectation, CircuitNoiseProfile, NoiseModel,
+};
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};
 pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};
 pub use simulator::{

@@ -17,7 +17,7 @@
 //! paper identifies for the (slight) reduction of TreeVQA's advantage under noise.
 
 use qcircuit::Circuit;
-use qop::{PauliOp, Statevector};
+use qop::{PauliOp, Statevector, TermBasis};
 use serde::{Deserialize, Serialize};
 
 /// Per-backend noise parameters (synthetic calibrations in the ballpark of the paper's
@@ -152,27 +152,41 @@ pub fn attenuation_factor(
     single * double * readout * layer
 }
 
+/// Attenuates one [`TermBasis`] readout in place: every string's value is multiplied
+/// by the [`attenuation_factor`] of its weight (the identity has weight 0 and passes
+/// through untouched).  Operators contracted from the attenuated vector are the analytic
+/// noisy expectations — one `powf` set per *distinct* string, however many operators
+/// share it.
+pub fn attenuate_readout(
+    basis: &TermBasis,
+    values: &mut [f64],
+    model: &NoiseModel,
+    profile: &CircuitNoiseProfile,
+) {
+    for (value, string) in values.iter_mut().zip(basis.strings()) {
+        *value *= attenuation_factor(model, profile, string.weight());
+    }
+}
+
 /// Exact (shot-noise-free) expectation value of `op` under the analytic noise model.
 ///
 /// Each term's ideal expectation is attenuated by [`attenuation_factor`]; identity terms
-/// are untouched.
+/// are untouched.  A thin wrapper over a transient [`TermBasis`] and
+/// [`attenuate_readout`].
 pub fn noisy_expectation(
     op: &PauliOp,
     state: &Statevector,
     model: &NoiseModel,
     profile: &CircuitNoiseProfile,
 ) -> f64 {
-    op.terms()
-        .iter()
-        .map(|t| {
-            let exact = if t.string.is_identity() {
-                1.0
-            } else {
-                PauliOp::string_expectation(&t.string, state)
-            };
-            t.coefficient * exact * attenuation_factor(model, profile, t.string.weight())
-        })
-        .sum()
+    if op.num_terms() == 0 {
+        return 0.0;
+    }
+    let basis = TermBasis::new(&[op]);
+    let mut values = Vec::new();
+    basis.evaluate(state, &mut values);
+    attenuate_readout(&basis, &mut values, model, profile);
+    basis.op_value(0, &values)
 }
 
 #[cfg(test)]

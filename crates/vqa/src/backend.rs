@@ -17,30 +17,46 @@
 //!
 //! * the circuit is lowered once through a cached [`qsim::CompiledCircuit`] and re-bound
 //!   per request — never re-walked;
-//! * a pool of scratch statevectors (grown on demand, reused across calls) holds one
-//!   state per in-flight request;
+//! * a pool of scratch slots (grown on demand, reused across calls) holds one
+//!   statevector and one readout vector per in-flight request;
 //! * for registers **below** the [`qsim::parallel_threshold`] amplitude count, the batch
 //!   is data-parallelized *across* the pool states (one thread per state, with every
 //!   kernel inside a worker pinned serial via `qop::par::serial_scope`); at or above the
-//!   threshold each state is executed serially in the batch while the gate kernels
-//!   parallelize *within* the state.  One knob (`QSIM_PAR_THRESHOLD`) picks the regime
-//!   and the scope pin guarantees the two levels of parallelism never nest.
+//!   threshold each state is executed serially in the batch while the gate and readout
+//!   kernels parallelize *within* the state.  One knob (`QSIM_PAR_THRESHOLD`) picks the
+//!   regime, every kernel gates on the register dimension alone, and the scope pin
+//!   guarantees the two levels of parallelism never nest.
 //!
-//! Batched evaluation is **bit-identical** to the serial loop: requests are charged and
-//! (for the sampled backend) noise-sampled in request order, so optimizer trajectories do
-//! not depend on whether the caller batches.  Memory is bounded by chunking: at most
-//! [`batch_chunk`] scratch states are live at once (`VQA_BATCH_CHUNK`, default 16).
+//! # One readout per state
+//!
+//! A request's observables `[charged, free…]` are different coefficient vectors over
+//! (nearly) the same Pauli strings — the paper's term padding, Section 5.2.1.  Every
+//! dense driver therefore measures a prepared state through one cached
+//! [`qop::TermBasis`] (the `ObservableCache`, an LRU beside the compiled-circuit cache):
+//! each *distinct* string is evaluated once per state by the fused block kernels, and
+//! the charged and free values are contracted from that one vector of per-string values
+//! with a serial fold in term order.  The single `measure` helper below is the only
+//! place a driver reads a state out.
+//!
+//! Batched evaluation is **bit-identical** to the serial loop, and a request's result is
+//! a function of the request alone — not of batch size, chunking, or which parallel
+//! regime its slate landed in: requests are charged and (for the sampled backend)
+//! noise-sampled in request order, readouts gate on the register dimension only, and
+//! contraction is always serial.  Memory is bounded by chunking: at most
+//! [`batch_chunk`] scratch slots are live at once (`VQA_BATCH_CHUNK`, default 16).
 
 use crate::task::InitialState;
 use qcircuit::Circuit;
 use qop::par::SendPtr;
-use qop::{PauliOp, Statevector};
+use qop::{PauliOp, Statevector, TermBasis};
 use qrng::{CounterRng, SeedPolicy, StreamId};
 use qsim::{
-    analytic_sampled_expectation, attenuation_factor, CircuitNoiseProfile, CompiledCircuit,
-    NoiseModel, PauliPropagator, PauliPropagatorConfig, ShotLedger,
+    attenuate_readout, attenuation_factor, CircuitNoiseProfile, CompiledCircuit, NoiseModel,
+    PauliPropagator, PauliPropagatorConfig, ShotLedger,
 };
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One evaluation of a parameterized ansatz against a charged observable (plus free
 /// tracking observables), submitted to [`Backend::evaluate_batch`].
@@ -63,6 +79,37 @@ pub struct EvalRequest<'a> {
     /// preserves the historical batched-equals-serial request-order semantics for
     /// direct trait callers.
     pub stream: Option<StreamId>,
+}
+
+impl<'a> EvalRequest<'a> {
+    /// A request without a pinned draw stream: what the [`Backend::evaluate`] and
+    /// [`Backend::probe`] entry points submit on the caller's behalf.
+    pub(crate) fn unpinned(
+        circuit: &'a Circuit,
+        params: &'a [f64],
+        initial: &'a InitialState,
+        charged_op: &'a PauliOp,
+        free_ops: &'a [&'a PauliOp],
+    ) -> Self {
+        EvalRequest {
+            circuit,
+            params,
+            initial,
+            charged_op,
+            free_ops,
+            stream: None,
+        }
+    }
+}
+
+/// The draw stream of a request: its pinned stream, or the backend's next
+/// evaluation-order fallback stream (advancing `evals_issued`).
+pub(crate) fn resolve_stream(evals_issued: &mut u64, stream: Option<StreamId>) -> StreamId {
+    stream.unwrap_or_else(|| {
+        let s = StreamId::for_eval(*evals_issued);
+        *evals_issued += 1;
+        s
+    })
 }
 
 /// The outcome of one [`EvalRequest`].
@@ -211,21 +258,93 @@ pub fn batch_chunk() -> usize {
     })
 }
 
-/// A tiny most-recently-used cache of per-circuit derived data, keyed by circuit
-/// equality.
+/// A tiny most-recently-used cache, searched by a caller-supplied entry predicate.
 ///
-/// Optimizer loops evaluate one ansatz at thousands of parameter vectors, so the common
-/// case is a permanent hit on the front entry (one O(gates) equality check per call).
-/// The capacity is a handful rather than one because mitigation wrappers rotate between
-/// a few fixed circuits per logical evaluation (ZNE's 1×/3×/5× gate foldings); an LRU of
-/// that depth keeps each folding's compilation (and trajectory-sampler construction)
-/// amortized instead of thrashing.
+/// Optimizer loops evaluate one ansatz (and one operator set) at thousands of parameter
+/// vectors, so the common case is a permanent hit on the front entry (one equality check
+/// per lookup).  The capacity is a handful rather than one because mitigation wrappers
+/// rotate between a few fixed circuits per logical evaluation (ZNE's 1×/3×/5× gate
+/// foldings) and a TreeVQA round rotates through its active clusters' operator sets; an
+/// LRU of that depth keeps each entry's derived data amortized instead of thrashing.
 #[derive(Debug)]
-pub(crate) struct CircuitCache<V> {
+pub(crate) struct Lru<E> {
     /// Most-recently-used first.
-    entries: Vec<(Circuit, V)>,
+    entries: Vec<E>,
     capacity: usize,
 }
+
+impl<E> Default for Lru<E> {
+    fn default() -> Self {
+        Lru::new(circuit_cache_capacity())
+    }
+}
+
+impl<E> Lru<E> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Lru {
+            entries: Vec::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Returns the entry satisfying `is_entry`, building it with `make` on a miss (and
+    /// evicting the least-recently-used entry past capacity).
+    fn lookup(
+        &mut self,
+        is_entry: impl Fn(&E) -> bool,
+        make: impl FnOnce() -> E,
+        tally: &Tally,
+    ) -> &E {
+        let hit = self.entries.iter().position(is_entry);
+        tally.add(hit.is_some() as u64, hit.is_none() as u64);
+        match hit {
+            Some(pos) => self.entries[..=pos].rotate_right(1),
+            None => {
+                self.entries.insert(0, make());
+                self.entries.truncate(self.capacity);
+            }
+        }
+        &self.entries[0]
+    }
+
+    /// Drops every entry (quarantine recovery rebuilds derived data from scratch; see
+    /// [`Backend::recover`]).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// A process-wide pair of tallies — cache `(hits, misses)`, or strings `(requested,
+/// evaluated)` — recorded only when observability is on ([`qobs::enabled`]) so the
+/// disabled path stays branch-plus-nothing.
+struct Tally([AtomicU64; 2]);
+
+impl Tally {
+    const fn new() -> Self {
+        Tally([AtomicU64::new(0), AtomicU64::new(0)])
+    }
+
+    fn add(&self, first: u64, second: u64) {
+        if qobs::enabled() {
+            self.0[0].fetch_add(first, Ordering::Relaxed);
+            self.0[1].fetch_add(second, Ordering::Relaxed);
+        }
+    }
+
+    fn get(&self) -> (u64, u64) {
+        let [first, second] = &self.0;
+        (
+            first.load(Ordering::Relaxed),
+            second.load(Ordering::Relaxed),
+        )
+    }
+}
+
+static CIRCUIT_TALLY: Tally = Tally::new();
+static OBSERVABLE_TALLY: Tally = Tally::new();
+/// Operator terms the drivers were asked to read out vs distinct strings the term bases
+/// actually evaluated, per readout.
+static STRING_TALLY: Tally = Tally::new();
 
 /// Default cache depth of the dense backends: enough for every folding of a ZNE ladder
 /// up to seven scales plus the unfolded probe circuit.  A mitigation wrapper rotating
@@ -235,13 +354,15 @@ pub(crate) struct CircuitCache<V> {
 /// amortization.
 pub(crate) const DEFAULT_CIRCUIT_CACHE_CAPACITY: usize = 8;
 
-/// Capacity of the dense backends' compiled-circuit (and noise-plan) LRU caches.
+/// Capacity of the dense backends' LRU caches: compiled circuits, noise plans, and the
+/// observable (term-basis) cache.
 ///
 /// Tune with the `VQA_COMPILED_CACHE` environment variable (read once per process,
 /// minimum 1, default [`struct@std::sync::OnceLock`]-cached 8): raise it when a workload
-/// rotates through many distinct circuits per logical evaluation (long ZNE folding
-/// ladders, mixed-ansatz job streams through one executor backend), lower it to bound
-/// memory when circuits are huge.  Capacity only affects amortization, never results.
+/// rotates through many distinct circuits or operator sets per logical evaluation (long
+/// ZNE folding ladders, mixed-ansatz job streams through one executor backend, TreeVQA
+/// runs with more than eight live clusters), lower it to bound memory when circuits are
+/// huge.  Capacity only affects amortization, never results.
 pub fn circuit_cache_capacity() -> usize {
     use std::sync::OnceLock;
     static CAP: OnceLock<usize> = OnceLock::new();
@@ -254,11 +375,6 @@ pub fn circuit_cache_capacity() -> usize {
     })
 }
 
-/// Process-wide circuit-cache hit/miss tallies, recorded only when observability is on
-/// ([`qobs::enabled`]) so the disabled path stays branch-plus-nothing.
-static CACHE_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static CACHE_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// `(hits, misses)` across every backend's circuit-derived-data cache (compiled
 /// circuits, trajectory plans) since process start.
 ///
@@ -267,107 +383,149 @@ static CACHE_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 /// job stream is the signal to raise `VQA_COMPILED_CACHE`
 /// ([`circuit_cache_capacity`]).
 pub fn circuit_cache_stats() -> (u64, u64) {
-    (
-        CACHE_HITS.load(std::sync::atomic::Ordering::Relaxed),
-        CACHE_MISSES.load(std::sync::atomic::Ordering::Relaxed),
-    )
+    CIRCUIT_TALLY.get()
 }
 
-impl<V> CircuitCache<V> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        CircuitCache {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-        }
-    }
+/// `(hits, misses)` across every dense backend's observable cache — the LRU of
+/// [`qop::TermBasis`] plans keyed by a request's ordered operator set — since process
+/// start.  One lookup is counted per run of consecutive equal operator sets in a batch.
+///
+/// Populated under the same condition as [`circuit_cache_stats`], on separate counters.
+pub fn observable_cache_stats() -> (u64, u64) {
+    OBSERVABLE_TALLY.get()
+}
 
-    /// Returns the cached value for `circuit`, building it with `make` on a miss (and
-    /// evicting the least-recently-used entry past capacity).
+/// `(strings requested, strings evaluated)` over every state readout since process
+/// start: the operator terms the drivers were asked for vs the distinct Pauli strings
+/// the term bases evaluated (9 × 23 → 23 for a root cluster of eight 12-site TFIM tasks).
+/// Their ratio is the deduplication factor of the paper's term padding.
+///
+/// Populated under the same condition as [`circuit_cache_stats`].
+pub fn observable_dedup_stats() -> (u64, u64) {
+    STRING_TALLY.get()
+}
+
+/// An LRU of per-circuit derived data, keyed by circuit equality.
+pub(crate) type CircuitCache<V> = Lru<(Circuit, V)>;
+
+impl<V> Lru<(Circuit, V)> {
+    /// Returns the cached value for `circuit`, building it with `make` on a miss.
     pub(crate) fn get_or_insert_with(
         &mut self,
         circuit: &Circuit,
         make: impl FnOnce(&Circuit) -> V,
     ) -> &V {
-        if let Some(pos) = self.entries.iter().position(|(c, _)| c == circuit) {
-            if qobs::enabled() {
-                CACHE_HITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            let entry = self.entries.remove(pos);
-            self.entries.insert(0, entry);
-        } else {
-            if qobs::enabled() {
-                CACHE_MISSES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            let value = make(circuit);
-            self.entries.insert(0, (circuit.clone(), value));
-            self.entries.truncate(self.capacity);
-        }
-        &self.entries[0].1
-    }
-
-    /// Drops every entry (quarantine recovery rebuilds derived data from scratch).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
+        let entry = self.lookup(
+            |(cached, _)| cached == circuit,
+            || (circuit.clone(), make(circuit)),
+            &CIRCUIT_TALLY,
+        );
+        &entry.1
     }
 }
 
-/// The dense backends' compiled-circuit cache.
+/// The dense backends' observable cache: one [`TermBasis`] per ordered operator set
+/// `[charged, free…]`, same LRU shape and capacity as the compiled-circuit cache.
+///
+/// Entries are found by structural equality ([`TermBasis::is_basis_of`]), so jobs that
+/// arrive over the wire (each with its own deserialized copy) hit like jobs that share
+/// an `Arc`.  Within a batch, consecutive requests are first compared by address — jobs
+/// of one cluster share their `Arc<PauliOp>`s — so a uniform batch costs one lookup.
+pub(crate) type ObservableCache = Lru<Arc<TermBasis>>;
+
+/// Whether two requests measure the same ordered operator set (same objects, or equal
+/// operators).
+fn same_observables(a: &EvalRequest<'_>, b: &EvalRequest<'_>) -> bool {
+    let same = |x: &PauliOp, y: &PauliOp| std::ptr::eq(x, y) || x == y;
+    same(a.charged_op, b.charged_op)
+        && a.free_ops.len() == b.free_ops.len()
+        && a.free_ops.iter().zip(b.free_ops).all(|(x, y)| same(x, y))
+}
+
+impl Lru<Arc<TermBasis>> {
+    /// The basis of the ordered set `[charged, free…]`, built on a miss.
+    pub(crate) fn get(&mut self, charged: &PauliOp, free: &[&PauliOp]) -> Arc<TermBasis> {
+        let ops = || std::iter::once(charged).chain(free.iter().copied());
+        let basis = self.lookup(
+            |basis| basis.is_basis_of(ops()),
+            || Arc::new(TermBasis::new(&ops().collect::<Vec<_>>())),
+            &OBSERVABLE_TALLY,
+        );
+        Arc::clone(basis)
+    }
+
+    /// Every request's basis, with one lookup per run of consecutive requests that
+    /// measure the same operator set.
+    pub(crate) fn for_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<Arc<TermBasis>> {
+        let mut bases: Vec<Arc<TermBasis>> = Vec::with_capacity(requests.len());
+        for (i, req) in requests.iter().enumerate() {
+            let basis = match bases.last() {
+                Some(last) if same_observables(&requests[i - 1], req) => Arc::clone(last),
+                _ => self.get(req.charged_op, req.free_ops),
+            };
+            bases.push(basis);
+        }
+        bases
+    }
+}
+
+/// One in-flight request's scratch: the statevector it is prepared into and the
+/// per-string values its readout produces.
 #[derive(Debug)]
-struct CompiledCache {
-    inner: CircuitCache<CompiledCircuit>,
+pub(crate) struct Scratch {
+    pub(crate) state: Statevector,
+    pub(crate) values: Vec<f64>,
 }
 
-impl Default for CompiledCache {
-    fn default() -> Self {
-        CompiledCache {
-            inner: CircuitCache::new(circuit_cache_capacity()),
-        }
-    }
+/// **The** readout: evaluates every distinct string of `basis` once on the slot's
+/// prepared state, into the slot's value vector.  Charged and free values (exact,
+/// sampled, attenuated, trajectory-averaged) are all contracted from that vector.
+pub(crate) fn measure(basis: &TermBasis, slot: &mut Scratch) {
+    basis.evaluate(&slot.state, &mut slot.values);
+    STRING_TALLY.add(basis.num_terms() as u64, basis.num_strings() as u64);
 }
 
-impl CompiledCache {
-    fn get(&mut self, circuit: &Circuit) -> &CompiledCircuit {
-        self.inner
-            .get_or_insert_with(circuit, CompiledCircuit::compile)
-    }
-
-    /// Drops every cached compilation (quarantine recovery; see [`Backend::recover`]).
-    fn clear(&mut self) {
-        self.inner.clear();
-    }
+/// The exact values of a basis's free operators (operators `1..`) from one readout.
+pub(crate) fn free_values(basis: &TermBasis, values: &[f64]) -> Vec<f64> {
+    (1..basis.num_ops())
+        .map(|op| basis.op_value(op, values))
+        .collect()
 }
 
-/// A pool of reusable scratch statevectors, one per in-flight batch request.
+/// A pool of reusable scratch slots, one per in-flight batch request.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
-    states: Vec<Statevector>,
+    slots: Vec<Scratch>,
 }
 
 impl ScratchPool {
-    /// Makes at least `count` scratch states of the right register size available.
+    /// Makes at least `count` scratch slots of the right register size available.
     fn ensure(&mut self, count: usize, num_qubits: usize) {
-        self.states.retain(|s| s.num_qubits() == num_qubits);
-        while self.states.len() < count {
-            self.states.push(Statevector::zero_state(num_qubits));
+        self.slots.retain(|s| s.state.num_qubits() == num_qubits);
+        while self.slots.len() < count {
+            self.slots.push(Scratch {
+                state: Statevector::zero_state(num_qubits),
+                values: Vec::new(),
+            });
         }
     }
 
     /// Direct access for single-state callers (grown on demand).
-    pub(crate) fn state(&mut self, num_qubits: usize) -> &mut Statevector {
+    pub(crate) fn slot(&mut self, num_qubits: usize) -> &mut Scratch {
         self.ensure(1, num_qubits);
-        &mut self.states[0]
+        &mut self.slots[0]
     }
 
-    /// Frees every pooled state (quarantine recovery: a mid-kernel unwind may have left
+    /// Frees every pooled slot (quarantine recovery: a mid-kernel unwind may have left
     /// a scratch state partially written; the pool regrows on demand).
     pub(crate) fn clear(&mut self) {
-        self.states.clear();
+        self.slots.clear();
     }
 }
 
-/// Runs `work(i, state_i)` for `i in 0..count` over the scratch pool, choosing between
+/// Runs `work(i, slot_i)` for `i in 0..count` over the scratch pool, choosing between
 /// across-state parallelism (small registers, large batches: one worker per scratch
-/// state, kernels pinned serial via `qop::par::serial_scope`) and the serial loop whose
+/// slot, kernels pinned serial via `qop::par::serial_scope`) and the serial loop whose
 /// kernels parallelize within each state — the same `QSIM_PAR_THRESHOLD`-driven policy
 /// described in the module docs.  Results come back in index order.
 ///
@@ -382,7 +540,7 @@ pub(crate) fn run_indexed_chunk<T, F>(
 ) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, &mut Statevector) -> T + Sync,
+    F: Fn(usize, &mut Scratch) -> T + Sync,
 {
     pool.ensure(count, num_qubits);
     let dim = 1usize << num_qubits;
@@ -393,82 +551,31 @@ where
         && count * dim >= threshold
         && rayon::current_num_threads() > 1;
     if across_states {
-        let slots = SendPtr(pool.states.as_mut_ptr());
+        let slots = SendPtr(pool.slots.as_mut_ptr());
         (0..count)
             .into_par_iter()
             .with_min_len(1)
             .map(|i| {
-                // Workers own their threads: every kernel `work` reaches (including
-                // multi-term expectations, which would otherwise gate on
-                // `num_terms × dim` and could cross the threshold) is pinned serial so
-                // the two parallelism levels cannot nest.
+                // Workers own their threads.  Every kernel `work` reaches gates on the
+                // register dimension, which is below the threshold here, so it is
+                // serial already; the scope pin makes "the two parallelism levels
+                // cannot nest" a guarantee rather than a consequence.
                 qop::par::serial_scope(|| {
                     // SAFETY: each index i is visited by exactly one worker and maps to
                     // the distinct pool entry i, which outlives the parallel region.
-                    let state = unsafe { &mut *slots.add(i) };
-                    work(i, state)
+                    let slot = unsafe { &mut *slots.add(i) };
+                    work(i, slot)
                 })
             })
             .collect()
     } else {
-        pool.states
+        pool.slots
             .iter_mut()
             .take(count)
             .enumerate()
-            .map(|(i, state)| work(i, state))
+            .map(|(i, slot)| work(i, slot))
             .collect()
     }
-}
-
-/// Prepares `|ψ(θ)⟩` for `req` into `state` and returns the exact charged and free
-/// expectations.
-fn evaluate_exact(
-    compiled: &CompiledCircuit,
-    req: &EvalRequest<'_>,
-    state: &mut Statevector,
-) -> (f64, Vec<f64>) {
-    req.initial.prepare_into(state);
-    compiled.execute_in_place(req.params, state);
-    let charged = req.charged_op.expectation(state);
-    let free = req
-        .free_ops
-        .iter()
-        .map(|op| op.expectation(state))
-        .collect();
-    (charged, free)
-}
-
-/// Runs one chunk of same-circuit requests, preparing request `i`'s final state into
-/// `pool.states[i]` and reducing it with `finish` (which computes whatever per-request
-/// readout the backend needs — expectations are state-sized work, so they belong inside
-/// this, potentially parallel, region).  Results are returned in request order.
-///
-/// Chooses between across-state parallelism (small registers: one thread per scratch
-/// state) and within-state parallelism (large registers: the gate kernels split each
-/// state across threads) based on the shared `QSIM_PAR_THRESHOLD` knob, so the two
-/// regimes never nest.
-fn run_chunk_with<T, F>(
-    compiled: &CompiledCircuit,
-    chunk: &[EvalRequest<'_>],
-    pool: &mut ScratchPool,
-    finish: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&EvalRequest<'_>, &Statevector) -> T + Sync,
-{
-    // Bind the diagonal passes once for the whole chunk when the chunk's bindings
-    // resolve them identically (always for fixed-angle layers; for QAOA batches,
-    // whenever only non-diagonal parameters vary between candidates).  Arithmetic-
-    // identical to per-request binding, so batched-equals-serial is unaffected.
-    let params_list: Vec<&[f64]> = chunk.iter().map(|r| r.params).collect();
-    let tables = compiled.prepare_batch_tables(&params_list);
-    run_indexed_chunk(chunk.len(), compiled.num_qubits(), pool, |i, state| {
-        let req = &chunk[i];
-        req.initial.prepare_into(state);
-        compiled.execute_in_place_cached(req.params, state, &tables);
-        finish(req, state)
-    })
 }
 
 /// The shared circuit of a batch, if all requests reference the same one (pointer
@@ -481,14 +588,103 @@ pub(crate) fn uniform_circuit<'a>(requests: &[EvalRequest<'a>]) -> Option<&'a Ci
         .then_some(first)
 }
 
+/// What every dense driver in this module owns: compiled circuits, term bases and
+/// scratch slots — and the two ways a request becomes a readout.
+#[derive(Debug, Default)]
+struct DenseCore {
+    circuits: CircuitCache<CompiledCircuit>,
+    observables: ObservableCache,
+    pool: ScratchPool,
+}
+
+impl DenseCore {
+    /// Prepares `|ψ(θ)⟩` for `req` in the first scratch slot and reads it out; returns
+    /// the request's basis and the slot holding the per-string values.
+    fn run_one(&mut self, req: &EvalRequest<'_>) -> (Arc<TermBasis>, &mut Scratch) {
+        let basis = self.observables.get(req.charged_op, req.free_ops);
+        let compiled = self
+            .circuits
+            .get_or_insert_with(req.circuit, CompiledCircuit::compile);
+        let slot = self.pool.slot(req.circuit.num_qubits());
+        req.initial.prepare_into(&mut slot.state);
+        compiled.execute_in_place(req.params, &mut slot.state);
+        measure(&basis, slot);
+        (basis, slot)
+    }
+
+    /// The ideal value of `op` on the prepared state (what every dense driver's
+    /// `probe` reports).
+    fn probe(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        op: &PauliOp,
+    ) -> f64 {
+        let (basis, slot) = self.run_one(&EvalRequest::unpinned(circuit, params, initial, op, &[]));
+        basis.op_value(0, &slot.values)
+    }
+
+    /// Runs a batch of same-circuit requests in chunks of [`batch_chunk`], preparing
+    /// each request's state in its own scratch slot, reading it out, and reducing the
+    /// readout with `finish` (inside the potentially parallel region — readouts are
+    /// state-sized work).  Results are returned in request order.
+    fn run_batch<T, F>(
+        &mut self,
+        circuit: &Circuit,
+        requests: &[EvalRequest<'_>],
+        finish: F,
+    ) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&TermBasis, &[f64]) -> T + Sync,
+    {
+        let bases = self.observables.for_batch(requests);
+        let compiled = self
+            .circuits
+            .get_or_insert_with(circuit, CompiledCircuit::compile);
+        let mut results = Vec::with_capacity(requests.len());
+        for (c, chunk) in requests.chunks(batch_chunk()).enumerate() {
+            // Bind the diagonal passes once for the whole chunk when the chunk's
+            // bindings resolve them identically (always for fixed-angle layers; for QAOA
+            // batches, whenever only non-diagonal parameters vary between candidates).
+            // Arithmetic-identical to per-request binding, so batched-equals-serial is
+            // unaffected.
+            let params_list: Vec<&[f64]> = chunk.iter().map(|r| r.params).collect();
+            let tables = compiled.prepare_batch_tables(&params_list);
+            let first = c * batch_chunk();
+            results.extend(run_indexed_chunk(
+                chunk.len(),
+                compiled.num_qubits(),
+                &mut self.pool,
+                |i, slot| {
+                    let req = &chunk[i];
+                    req.initial.prepare_into(&mut slot.state);
+                    compiled.execute_in_place_cached(req.params, &mut slot.state, &tables);
+                    let basis = &bases[first + i];
+                    measure(basis, slot);
+                    finish(basis, &slot.values)
+                },
+            ));
+        }
+        results
+    }
+
+    /// Drops every rebuildable structure (see [`Backend::recover`]).
+    fn recover(&mut self) {
+        self.circuits.clear();
+        self.observables.clear();
+        self.pool.clear();
+    }
+}
+
 /// Exact statevector backend: no sampling noise, but shots are still charged according to
 /// the paper's cost model.  This is the configuration behind all noiseless results.
 #[derive(Debug)]
 pub struct StatevectorBackend {
     shots_per_pauli: u64,
     ledger: ShotLedger,
-    cache: CompiledCache,
-    pool: ScratchPool,
+    core: DenseCore,
 }
 
 impl StatevectorBackend {
@@ -502,8 +698,7 @@ impl StatevectorBackend {
         StatevectorBackend {
             shots_per_pauli,
             ledger: ShotLedger::new(),
-            cache: CompiledCache::default(),
-            pool: ScratchPool::default(),
+            core: DenseCore::default(),
         }
     }
 }
@@ -531,20 +726,14 @@ impl Backend for StatevectorBackend {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let compiled = self.cache.get(circuit);
-        self.pool.ensure(1, circuit.num_qubits());
-        let req = EvalRequest {
-            circuit,
-            params,
-            initial,
-            charged_op,
-            free_ops,
-            stream: None,
-        };
-        let (charged, free) = evaluate_exact(compiled, &req, &mut self.pool.states[0]);
+        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
+        let (basis, slot) = self.core.run_one(&request);
         self.ledger
             .charge_evaluation(self.shots_per_pauli, charged_op.num_terms());
-        (charged, free)
+        (
+            basis.op_value(0, &slot.values),
+            free_values(&basis, &slot.values),
+        )
     }
 
     fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
@@ -553,29 +742,22 @@ impl Backend for StatevectorBackend {
             // through the compiled cache via `evaluate`).
             return default_serial_batch(self, requests);
         };
-        let compiled = self.cache.get(circuit);
-        let mut results = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(batch_chunk()) {
-            let exact = run_chunk_with(compiled, chunk, &mut self.pool, |req, state| {
-                let charged = req.charged_op.expectation(state);
-                let free: Vec<f64> = req
-                    .free_ops
-                    .iter()
-                    .map(|op| op.expectation(state))
-                    .collect();
-                (charged, free)
-            });
-            for (req, (charged, free)) in chunk.iter().zip(exact) {
+        let exact = self.core.run_batch(circuit, requests, |basis, values| {
+            (basis.op_value(0, values), free_values(basis, values))
+        });
+        requests
+            .iter()
+            .zip(exact)
+            .map(|(req, (charged, free))| {
                 self.ledger
                     .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-                results.push(EvalResult {
+                EvalResult {
                     charged,
                     free,
                     shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-                });
-            }
-        }
-        results
+                }
+            })
+            .collect()
     }
 
     fn probe(
@@ -585,12 +767,7 @@ impl Backend for StatevectorBackend {
         initial: &InitialState,
         op: &PauliOp,
     ) -> f64 {
-        let compiled = self.cache.get(circuit);
-        self.pool.ensure(1, circuit.num_qubits());
-        let state = &mut self.pool.states[0];
-        initial.prepare_into(state);
-        compiled.execute_in_place(params, state);
-        op.expectation(state)
+        self.core.probe(circuit, params, initial, op)
     }
 
     fn shots_used(&self) -> u64 {
@@ -619,8 +796,7 @@ impl Backend for StatevectorBackend {
     }
 
     fn recover(&mut self) {
-        self.cache.clear();
-        self.pool.clear();
+        self.core.recover();
     }
 }
 
@@ -662,8 +838,7 @@ pub struct SampledBackend {
     policy: SeedPolicy,
     /// Evaluation-order fallback counter, advanced only by stream-less requests.
     evals_issued: u64,
-    cache: CompiledCache,
-    pool: ScratchPool,
+    core: DenseCore,
 }
 
 impl SampledBackend {
@@ -682,8 +857,7 @@ impl SampledBackend {
             ledger: ShotLedger::new(),
             policy,
             evals_issued: 0,
-            cache: CompiledCache::default(),
-            pool: ScratchPool::default(),
+            core: DenseCore::default(),
         }
     }
 
@@ -692,38 +866,24 @@ impl SampledBackend {
         self.policy
     }
 
-    /// The draw stream of `request`: its pinned stream, or the next
-    /// evaluation-order fallback stream (advancing the instance counter).
-    fn resolve_stream(&mut self, stream: Option<StreamId>) -> StreamId {
-        stream.unwrap_or_else(|| {
-            let s = StreamId::for_eval(self.evals_issued);
-            self.evals_issued += 1;
-            s
-        })
-    }
-
     /// Evaluates one request end to end (used by both the serial and the
     /// mixed-circuit fallback paths, so streams are honored everywhere).
     fn eval_one(&mut self, req: &EvalRequest<'_>) -> EvalResult {
-        let mut rng = self.policy.rng(self.resolve_stream(req.stream));
-        let compiled = self.cache.get(req.circuit);
-        self.pool.ensure(1, req.circuit.num_qubits());
-        let state = &mut self.pool.states[0];
-        req.initial.prepare_into(state);
-        compiled.execute_in_place(req.params, state);
+        let mut rng = self
+            .policy
+            .rng(resolve_stream(&mut self.evals_issued, req.stream));
+        let (basis, slot) = self.core.run_one(req);
         self.ledger
             .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-        let state = &self.pool.states[0];
-        let charged =
-            analytic_sampled_expectation(req.charged_op, state, self.shots_per_pauli, &mut rng);
-        let free = req
-            .free_ops
-            .iter()
-            .map(|op| op.expectation(state))
-            .collect();
+        let charged = qsim::analytic_sampled_from_expectations(
+            req.charged_op,
+            &basis.op_term_values(0, &slot.values),
+            self.shots_per_pauli,
+            &mut rng,
+        );
         EvalResult {
             charged,
-            free,
+            free: free_values(&basis, &slot.values),
             shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
         }
     }
@@ -738,14 +898,8 @@ impl Backend for SampledBackend {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let result = self.eval_one(&EvalRequest {
-            circuit,
-            params,
-            initial,
-            charged_op,
-            free_ops,
-            stream: None,
-        });
+        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
+        let result = self.eval_one(&request);
         (result.charged, result.free)
     }
 
@@ -760,47 +914,37 @@ impl Backend for SampledBackend {
         let keys: Vec<u64> = requests
             .iter()
             .map(|r| {
-                let stream = self.resolve_stream(r.stream);
-                self.policy.key(stream)
+                self.policy
+                    .key(resolve_stream(&mut self.evals_issued, r.stream))
             })
             .collect();
-        let compiled = self.cache.get(circuit);
-        let mut results = Vec::with_capacity(requests.len());
-        for (chunk, chunk_keys) in requests
-            .chunks(batch_chunk())
-            .zip(keys.chunks(batch_chunk()))
-        {
-            // The exact per-term expectations (the state-sized work) are computed inside
-            // the potentially parallel chunk region; the Gaussian noise draws afterwards
-            // are keyed per request, so they are identical whether the batch is chunked,
-            // parallel, reordered, or replayed serially.
-            let exact = run_chunk_with(compiled, chunk, &mut self.pool, |req, state| {
-                let terms = qsim::exact_term_expectations(req.charged_op, state);
-                let free: Vec<f64> = req
-                    .free_ops
-                    .iter()
-                    .map(|op| op.expectation(state))
-                    .collect();
-                (terms, free)
-            });
-            for ((req, (terms, free)), &key) in chunk.iter().zip(exact).zip(chunk_keys) {
+        // The exact per-term expectations (the state-sized work) are computed inside the
+        // potentially parallel batch region; the Gaussian noise draws afterwards are
+        // keyed per request, so they are identical whether the batch is chunked,
+        // parallel, reordered, or replayed serially.
+        let exact = self.core.run_batch(circuit, requests, |basis, values| {
+            (basis.op_term_values(0, values), free_values(basis, values))
+        });
+        requests
+            .iter()
+            .zip(exact)
+            .zip(keys)
+            .map(|((req, (terms, free)), key)| {
                 self.ledger
                     .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-                let mut rng = CounterRng::new(key);
                 let charged = qsim::analytic_sampled_from_expectations(
                     req.charged_op,
                     &terms,
                     self.shots_per_pauli,
-                    &mut rng,
+                    &mut CounterRng::new(key),
                 );
-                results.push(EvalResult {
+                EvalResult {
                     charged,
                     free,
                     shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-                });
-            }
-        }
-        results
+                }
+            })
+            .collect()
     }
 
     fn probe(
@@ -810,12 +954,7 @@ impl Backend for SampledBackend {
         initial: &InitialState,
         op: &PauliOp,
     ) -> f64 {
-        let compiled = self.cache.get(circuit);
-        self.pool.ensure(1, circuit.num_qubits());
-        let state = &mut self.pool.states[0];
-        initial.prepare_into(state);
-        compiled.execute_in_place(params, state);
-        op.expectation(state)
+        self.core.probe(circuit, params, initial, op)
     }
 
     fn shots_used(&self) -> u64 {
@@ -846,8 +985,7 @@ impl Backend for SampledBackend {
     }
 
     fn recover(&mut self) {
-        self.cache.clear();
-        self.pool.clear();
+        self.core.recover();
     }
 }
 
@@ -864,8 +1002,7 @@ pub struct NoisyBackend {
     model: NoiseModel,
     /// Ansatz repetitions used for the per-layer depolarizing channel.
     layers: usize,
-    cache: CompiledCache,
-    pool: ScratchPool,
+    core: DenseCore,
 }
 
 impl NoisyBackend {
@@ -891,8 +1028,7 @@ impl NoisyBackend {
             evals_issued: 0,
             model,
             layers,
-            cache: CompiledCache::default(),
-            pool: ScratchPool::default(),
+            core: DenseCore::default(),
         }
     }
 
@@ -901,50 +1037,30 @@ impl NoisyBackend {
         &self.model
     }
 
-    fn noisy_exact(&self, op: &PauliOp, state: &Statevector, profile: &CircuitNoiseProfile) -> f64 {
-        qsim::noisy_expectation(op, state, &self.model, profile)
-    }
-
-    /// The draw stream of `request`: its pinned stream, or the next
-    /// evaluation-order fallback stream (advancing the instance counter).
-    fn resolve_stream(&mut self, stream: Option<StreamId>) -> StreamId {
-        stream.unwrap_or_else(|| {
-            let s = StreamId::for_eval(self.evals_issued);
-            self.evals_issued += 1;
-            s
-        })
-    }
-
     fn eval_one(&mut self, req: &EvalRequest<'_>) -> EvalResult {
-        let mut rng = self.policy.rng(self.resolve_stream(req.stream));
-        let compiled = self.cache.get(req.circuit);
-        self.pool.ensure(1, req.circuit.num_qubits());
-        let state = &mut self.pool.states[0];
-        req.initial.prepare_into(state);
-        compiled.execute_in_place(req.params, state);
+        let mut rng = self
+            .policy
+            .rng(resolve_stream(&mut self.evals_issued, req.stream));
         let profile = CircuitNoiseProfile::from_circuit(req.circuit, self.layers);
+        let (basis, slot) = self.core.run_one(req);
         self.ledger
             .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-        // Attenuate each term, then add shot noise on top of the attenuated value.
-        let state = &self.pool.states[0];
-        let attenuated = self.noisy_exact(req.charged_op, state, &profile);
-        let shot_noise = {
-            // Sample the *difference* between a sampled and an exact estimate of the
-            // attenuated observable; reusing the analytic sampler on the ideal state and
-            // rescaling keeps the variance model simple and unbiased.
-            let sampled =
-                analytic_sampled_expectation(req.charged_op, state, self.shots_per_pauli, &mut rng);
-            sampled - req.charged_op.expectation(state)
-        };
-        let charged = attenuated + shot_noise;
-        let free = req
-            .free_ops
-            .iter()
-            .map(|op| self.noisy_exact(op, state, &profile))
-            .collect();
+        // Shot noise is the *difference* between a sampled and the exact estimate of the
+        // charged observable on the ideal state; adding it on top of the attenuated
+        // value keeps the variance model simple and unbiased.
+        let sampled = qsim::analytic_sampled_from_expectations(
+            req.charged_op,
+            &basis.op_term_values(0, &slot.values),
+            self.shots_per_pauli,
+            &mut rng,
+        );
+        let shot_noise = sampled - basis.op_value(0, &slot.values);
+        // Attenuate the readout once per distinct string; every operator contracted
+        // from it afterwards is its analytic noisy expectation.
+        attenuate_readout(&basis, &mut slot.values, &self.model, &profile);
         EvalResult {
-            charged,
-            free,
+            charged: basis.op_value(0, &slot.values) + shot_noise,
+            free: free_values(&basis, &slot.values),
             shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
         }
     }
@@ -959,14 +1075,8 @@ impl Backend for NoisyBackend {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let result = self.eval_one(&EvalRequest {
-            circuit,
-            params,
-            initial,
-            charged_op,
-            free_ops,
-            stream: None,
-        });
+        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
+        let result = self.eval_one(&request);
         (result.charged, result.free)
     }
 
@@ -985,12 +1095,7 @@ impl Backend for NoisyBackend {
     ) -> f64 {
         // Probes report the *ideal* energy of the prepared state: fidelity metrics measure
         // how good the optimized state is, independent of readout-time attenuation.
-        let compiled = self.cache.get(circuit);
-        self.pool.ensure(1, circuit.num_qubits());
-        let state = &mut self.pool.states[0];
-        initial.prepare_into(state);
-        compiled.execute_in_place(params, state);
-        op.expectation(state)
+        self.core.probe(circuit, params, initial, op)
     }
 
     fn shots_used(&self) -> u64 {
@@ -1022,8 +1127,7 @@ impl Backend for NoisyBackend {
     }
 
     fn recover(&mut self) {
-        self.cache.clear();
-        self.pool.clear();
+        self.core.recover();
     }
 }
 

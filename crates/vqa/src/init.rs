@@ -56,9 +56,13 @@ pub fn cafqa_initialize(
     // of allocating a fresh state.
     let compiled = qsim::CompiledCircuit::compile(ansatz);
     let mut scratch = init_state.clone();
+    // One term basis for the whole sweep: every evaluation reads the same operator out.
+    let basis = qop::TermBasis::new(&[target]);
+    let mut values = Vec::new();
     let mut evaluate = |params: &[f64]| -> f64 {
         compiled.execute_into(params, &init_state, &mut scratch);
-        target.expectation(&scratch)
+        basis.evaluate(&scratch, &mut values);
+        basis.op_value(0, &values)
     };
 
     let mut params = vec![0.0; num_params];

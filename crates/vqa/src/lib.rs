@@ -31,8 +31,9 @@ mod runner;
 mod task;
 
 pub use backend::{
-    batch_chunk, circuit_cache_capacity, circuit_cache_stats, Backend, BackendCaps, EvalRequest,
-    EvalResult, NoisyBackend, PauliPropagationBackend, SampledBackend, StatevectorBackend,
+    batch_chunk, circuit_cache_capacity, circuit_cache_stats, observable_cache_stats,
+    observable_dedup_stats, Backend, BackendCaps, EvalRequest, EvalResult, NoisyBackend,
+    PauliPropagationBackend, SampledBackend, StatevectorBackend,
 };
 pub use init::{cafqa_initialize, red_qaoa_initial_point, CafqaResult};
 pub use mitigation::{MitigationError, ZneBackend};

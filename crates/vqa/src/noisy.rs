@@ -34,8 +34,8 @@
 //! runs, which is what lets the backend advertise `retry_safe`.
 
 use crate::backend::{
-    batch_chunk, circuit_cache_capacity, run_indexed_chunk, uniform_circuit, Backend, BackendCaps,
-    CircuitCache, EvalRequest, EvalResult, ScratchPool,
+    batch_chunk, free_values, measure, resolve_stream, run_indexed_chunk, uniform_circuit, Backend,
+    BackendCaps, CircuitCache, EvalRequest, EvalResult, ObservableCache, ScratchPool,
 };
 use crate::task::InitialState;
 use qcircuit::Circuit;
@@ -49,6 +49,14 @@ use qsim::{CompiledCircuit, PauliInsertion, ShotLedger};
 struct NoisePlan {
     compiled: CompiledCircuit,
     sampler: TrajectorySampler,
+}
+
+impl NoisePlan {
+    fn new(circuit: &Circuit, model: &PauliNoiseModel) -> Self {
+        let compiled = CompiledCircuit::compile(circuit);
+        let sampler = TrajectorySampler::new(&compiled, model);
+        NoisePlan { compiled, sampler }
+    }
 }
 
 /// Noisy statevector backend: stochastic Pauli-trajectory simulation over the compiled
@@ -69,6 +77,7 @@ pub struct NoisyStatevectorBackend {
     sample_shots: bool,
     ledger: ShotLedger,
     cache: CircuitCache<NoisePlan>,
+    observables: ObservableCache,
     pool: ScratchPool,
 }
 
@@ -93,19 +102,10 @@ impl NoisyStatevectorBackend {
             shots_per_pauli,
             sample_shots: false,
             ledger: ShotLedger::new(),
-            cache: CircuitCache::new(circuit_cache_capacity()),
+            cache: CircuitCache::default(),
+            observables: ObservableCache::default(),
             pool: ScratchPool::default(),
         }
-    }
-
-    /// The draw stream of `request`: its pinned stream, or the next
-    /// evaluation-order fallback stream (advancing the instance counter).
-    fn resolve_stream(&mut self, stream: Option<StreamId>) -> StreamId {
-        stream.unwrap_or_else(|| {
-            let s = StreamId::for_eval(self.evals_issued);
-            self.evals_issued += 1;
-            s
-        })
     }
 
     /// Sets the trajectory count per evaluation (builder style, minimum 1).
@@ -140,18 +140,15 @@ impl NoisyStatevectorBackend {
         // shot sampling — pure functions of the stream, independent of execution order.
         let streams: Vec<StreamId> = requests
             .iter()
-            .map(|req| self.resolve_stream(req.stream))
+            .map(|req| resolve_stream(&mut self.evals_issued, req.stream))
             .collect();
         let eval_seeds: Vec<u64> = streams
             .iter()
             .map(|s| self.policy.key(s.substream(0)))
             .collect();
-        let model = &self.model;
-        let plan = self.cache.get_or_insert_with(circuit, |c| {
-            let compiled = CompiledCircuit::compile(c);
-            let sampler = TrajectorySampler::new(&compiled, model);
-            NoisePlan { compiled, sampler }
-        });
+        let plan = self
+            .cache
+            .get_or_insert_with(circuit, |c| NoisePlan::new(c, &self.model));
         // With no gate noise every trajectory is the identical ideal rollout, so one
         // rollout suffices (readout attenuation is analytic and per-term, not sampled).
         let k = if plan.sampler.is_trivial() {
@@ -168,21 +165,14 @@ impl NoisyStatevectorBackend {
             .map(|req| plan.compiled.prepare_batch_tables(&[req.params]))
             .collect();
 
-        // Accumulators: per request, per charged term and per free-op term, summed in
-        // trajectory order (chunk iteration preserves flat item order, so the sums are
-        // independent of chunk size and worker count).
-        let mut charged_acc: Vec<Vec<f64>> = requests
+        // One term basis per request (one cache lookup per run of equal operator sets),
+        // and per request one accumulator per *distinct string*, summed in trajectory
+        // order (chunk iteration preserves flat item order, so the sums are independent
+        // of chunk size and worker count).
+        let bases = self.observables.for_batch(requests);
+        let mut sums: Vec<Vec<f64>> = bases
             .iter()
-            .map(|r| vec![0.0; r.charged_op.num_terms()])
-            .collect();
-        let mut free_acc: Vec<Vec<Vec<f64>>> = requests
-            .iter()
-            .map(|r| {
-                r.free_ops
-                    .iter()
-                    .map(|op| vec![0.0; op.num_terms()])
-                    .collect()
-            })
+            .map(|basis| vec![0.0; basis.num_strings()])
             .collect();
 
         let total_items = requests.len() * k;
@@ -197,86 +187,53 @@ impl NoisyStatevectorBackend {
                 plan.sampler
                     .sample_into(eval_seeds[req_idx], traj, &mut schedules[slot]);
             }
-            let chunk_results: Vec<(Vec<f64>, Vec<Vec<f64>>)> =
-                run_indexed_chunk(chunk_len, num_qubits, &mut self.pool, |slot, state| {
-                    let item = chunk_start + slot;
-                    let req = &requests[item / k];
-                    req.initial.prepare_into(state);
+            let readouts: Vec<Vec<f64>> =
+                run_indexed_chunk(chunk_len, num_qubits, &mut self.pool, |i, slot| {
+                    let req_idx = (chunk_start + i) / k;
+                    let req = &requests[req_idx];
+                    req.initial.prepare_into(&mut slot.state);
                     plan.compiled.execute_in_place_with_insertions(
                         req.params,
-                        state,
-                        &schedules[slot],
-                        Some(&tables[item / k]),
+                        &mut slot.state,
+                        &schedules[i],
+                        Some(&tables[req_idx]),
                     );
-                    let charged = qsim::exact_term_expectations(req.charged_op, state);
-                    let free = req
-                        .free_ops
-                        .iter()
-                        .map(|op| qsim::exact_term_expectations(op, state))
-                        .collect();
-                    (charged, free)
+                    measure(&bases[req_idx], slot);
+                    std::mem::take(&mut slot.values)
                 });
-            for (slot, (charged, free)) in chunk_results.into_iter().enumerate() {
-                let req_idx = (chunk_start + slot) / k;
-                for (acc, v) in charged_acc[req_idx].iter_mut().zip(charged) {
-                    *acc += v;
-                }
-                for (op_acc, op_vals) in free_acc[req_idx].iter_mut().zip(free) {
-                    for (acc, v) in op_acc.iter_mut().zip(op_vals) {
-                        *acc += v;
-                    }
+            for (i, readout) in readouts.into_iter().enumerate() {
+                for (sum, v) in sums[(chunk_start + i) / k].iter_mut().zip(readout) {
+                    *sum += v;
                 }
             }
         }
 
-        // Reduce: trajectory mean → readout attenuation → (optional) shot sampling,
-        // charging shots in request order.
+        // Reduce per distinct string: trajectory mean → readout attenuation; then map to
+        // operator terms — (optional) shot sampling on the charged operator, plain
+        // contraction for the rest — charging shots in request order.
         let readout = self.model.readout_flip;
         let mut results = Vec::with_capacity(requests.len());
-        for (req_idx, req) in requests.iter().enumerate() {
+        for (req_idx, (req, mut values)) in requests.iter().zip(sums).enumerate() {
             self.ledger
                 .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-            let term_means: Vec<f64> = charged_acc[req_idx]
-                .iter()
-                .zip(req.charged_op.terms())
-                .map(|(sum, term)| {
-                    sum / k as f64 * readout_attenuation(readout, term.string.weight())
-                })
-                .collect();
+            let basis = &bases[req_idx];
+            for (value, string) in values.iter_mut().zip(basis.strings()) {
+                *value = *value / k as f64 * readout_attenuation(readout, string.weight());
+            }
             let charged = if self.sample_shots {
                 let mut rng = self.policy.rng(streams[req_idx].substream(1));
                 qsim::analytic_sampled_from_expectations(
                     req.charged_op,
-                    &term_means,
+                    &basis.op_term_values(0, &values),
                     self.shots_per_pauli,
                     &mut rng,
                 )
             } else {
-                term_means
-                    .iter()
-                    .zip(req.charged_op.terms())
-                    .map(|(mean, term)| term.coefficient * mean)
-                    .sum()
+                basis.op_value(0, &values)
             };
-            let free: Vec<f64> = req
-                .free_ops
-                .iter()
-                .zip(&free_acc[req_idx])
-                .map(|(op, sums)| {
-                    op.terms()
-                        .iter()
-                        .zip(sums)
-                        .map(|(term, sum)| {
-                            term.coefficient
-                                * (sum / k as f64)
-                                * readout_attenuation(readout, term.string.weight())
-                        })
-                        .sum()
-                })
-                .collect();
             results.push(EvalResult {
                 charged,
-                free,
+                free: free_values(basis, &values),
                 shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
             });
         }
@@ -293,15 +250,8 @@ impl Backend for NoisyStatevectorBackend {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let requests = [EvalRequest {
-            circuit,
-            params,
-            initial,
-            charged_op,
-            free_ops,
-            stream: None,
-        }];
-        let mut results = self.run_uniform(circuit, &requests);
+        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
+        let mut results = self.run_uniform(circuit, &[request]);
         let result = results.pop().expect("one result per request");
         (result.charged, result.free)
     }
@@ -329,16 +279,15 @@ impl Backend for NoisyStatevectorBackend {
         // optimization quality, independent of simulated hardware noise.  The cache
         // entry still carries the real model's sampler so a later noisy evaluation of
         // the same circuit hits it unchanged.
-        let model = &self.model;
-        let plan = self.cache.get_or_insert_with(circuit, |c| {
-            let compiled = CompiledCircuit::compile(c);
-            let sampler = TrajectorySampler::new(&compiled, model);
-            NoisePlan { compiled, sampler }
-        });
-        let state = self.pool.state(circuit.num_qubits());
-        initial.prepare_into(state);
-        plan.compiled.execute_in_place(params, state);
-        op.expectation(state)
+        let plan = self
+            .cache
+            .get_or_insert_with(circuit, |c| NoisePlan::new(c, &self.model));
+        let basis = self.observables.get(op, &[]);
+        let slot = self.pool.slot(circuit.num_qubits());
+        initial.prepare_into(&mut slot.state);
+        plan.compiled.execute_in_place(params, &mut slot.state);
+        measure(&basis, slot);
+        basis.op_value(0, &slot.values)
     }
 
     fn shots_used(&self) -> u64 {
@@ -372,6 +321,7 @@ impl Backend for NoisyStatevectorBackend {
 
     fn recover(&mut self) {
         self.cache.clear();
+        self.observables.clear();
         self.pool.clear();
     }
 }

@@ -168,5 +168,15 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // The compiled-pattern profile all those executions fed (hottest first).
     print!("{}", qsim::profile::render_table(8));
+
+    // The drivers' derived-data caches and the readout deduplication, as tallied under
+    // the same process-wide flag.
+    let (requested, evaluated) = vqa::observable_dedup_stats();
+    println!(
+        "  vqa caches (hits, misses): circuits {:?}, observables {:?}; \
+         Pauli strings requested {requested}, evaluated {evaluated}",
+        vqa::circuit_cache_stats(),
+        vqa::observable_cache_stats(),
+    );
     Ok(())
 }

@@ -38,8 +38,8 @@ use vqa::{
     StatevectorBackend, VqaRunConfig, VqaTask,
 };
 
-/// Tests that execute jobs (and therefore advance the process-global
-/// `qrng::total_draws` counter) serialize on this lock, so the draw-count
+/// Tests that execute jobs or generate fuzz frames (and therefore advance the
+/// process-global `qrng::total_draws` counter) serialize on this lock, so the draw-count
 /// comparisons are not polluted by concurrent siblings.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -215,6 +215,7 @@ proptest! {
     /// `PartialEq` on job payloads).
     #[test]
     fn codec_round_trips_every_frame_type(seed in 0u64..u64::MAX, kind in 0u64..5) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = CounterRng::new(qrng::mix(seed, 0x636f_6465));
         let frame = gen_frame(&mut rng, kind);
         let bytes = encode(&frame);
@@ -226,6 +227,7 @@ proptest! {
     /// never a bogus success.
     #[test]
     fn truncated_frames_error_cleanly(seed in 0u64..u64::MAX, kind in 0u64..5, cut in 0.0f64..1.0) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = CounterRng::new(qrng::mix(seed, 0x7472_756e));
         let bytes = encode(&gen_frame(&mut rng, kind));
         let cut = ((bytes.len() - 1) as f64 * cut) as usize;
@@ -237,6 +239,7 @@ proptest! {
     /// return, not crash).
     #[test]
     fn corrupted_frames_never_panic(seed in 0u64..u64::MAX, kind in 0u64..5, pos in 0.0f64..1.0, byte in 0u64..256) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = CounterRng::new(qrng::mix(seed, 0x636f_7272));
         let mut bytes = encode(&gen_frame(&mut rng, kind));
         let pos = ((bytes.len() - 1) as f64 * pos) as usize;
@@ -270,6 +273,7 @@ fn oversized_frames_are_refused_both_ways() {
         other => panic!("expected FrameTooLarge, got {other:?}"),
     }
 
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = CounterRng::new(1);
     let frame = gen_frame(&mut rng, 0);
     let mut buf = Vec::new();

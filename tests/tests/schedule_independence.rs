@@ -7,9 +7,16 @@
 //! here randomize the submission order and sweep `workers ∈ {1, 2, 4}` over a
 //! four-backend executor, for exact, sampled, and noisy-trajectory backends, and
 //! demand bit-identical per-job results plus an identical `qrng::total_draws` delta
-//! against the single-worker in-order baseline.  A final scenario injects transient
+//! against the single-worker in-order baseline.  A further scenario injects transient
 //! faults (rescued by retries) and a permanently dead backend (rescued by failover)
 //! and demands the survivors still match the undisturbed baseline bit-for-bit.
+//!
+//! The last two scenarios close the hole the small registers above leave open: on a
+//! 12-qubit register (4096 amplitudes, 23-term TFIM) the *same* stream-pinned request
+//! must return the same bits in a driver batch of 1, 8 and 17 and in executor slates of
+//! those sizes, at 1, 2 and 4 kernel threads — batch size decides whether the dense
+//! drivers run states side by side or one at a time, and that choice must not reach
+//! the result.
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
@@ -19,7 +26,9 @@ use qnoise::PauliNoiseModel;
 use qop::PauliOp;
 use rand::Rng;
 use std::sync::{Arc, Mutex};
-use vqa::{Backend, InitialState, NoisyStatevectorBackend, SampledBackend, StatevectorBackend};
+use vqa::{
+    Backend, EvalRequest, InitialState, NoisyStatevectorBackend, SampledBackend, StatevectorBackend,
+};
 
 /// Every test in this binary serializes on this lock: the suite compares deltas of the
 /// process-global `qrng::total_draws` counter, which concurrent sibling tests running
@@ -104,6 +113,14 @@ fn scenario_job(
 /// One job's result, reduced to comparable bits.
 type Bits = (u64, Vec<u64>, u64);
 
+fn bits(r: &vqa::EvalResult) -> Bits {
+    (
+        r.charged.to_bits(),
+        r.free.iter().map(|v| v.to_bits()).collect(),
+        r.shots,
+    )
+}
+
 /// Runs the standard scenario — `JOBS` stream-pinned jobs spread round-robin over
 /// `BACKENDS` identically configured backends — submitting in `order`, on an executor
 /// with `workers` execution threads.  Returns per-job result bits (indexed by job id,
@@ -132,14 +149,10 @@ fn run_scenario(
     let results: Vec<Bits> = handles
         .into_iter()
         .map(|h| {
-            let r = h
-                .expect("every job submitted")
-                .wait()
-                .expect("job executes");
-            (
-                r.charged.to_bits(),
-                r.free.iter().map(|v| v.to_bits()).collect(),
-                r.shots,
+            bits(
+                &h.expect("every job submitted")
+                    .wait()
+                    .expect("job executes"),
             )
         })
         .collect();
@@ -241,13 +254,9 @@ fn retries_and_failovers_do_not_disturb_results() {
         executor.resume();
         for (i, handle) in handles.iter().enumerate() {
             let r = handle.wait().expect("retries/failover rescue every job");
-            let bits: Bits = (
-                r.charged.to_bits(),
-                r.free.iter().map(|v| v.to_bits()).collect(),
-                r.shots,
-            );
             assert_eq!(
-                bits, baseline[i],
+                bits(&r),
+                baseline[i],
                 "job {i} diverged from the undisturbed baseline at workers={workers}"
             );
         }
@@ -258,5 +267,121 @@ fn retries_and_failovers_do_not_disturb_results() {
             "the dead backend should have failed over"
         );
         drop(executor);
+    }
+}
+
+/// The register size at which batch size used to leak into results: 12 qubits is below
+/// the kernel threshold (so batches of ≥ 4 run states side by side, kernels pinned
+/// serial) while a 23-term operator on it used to cross the old `terms × dim` gate (so
+/// a batch of one summed per-thread partials instead).
+const BIG_QUBITS: usize = 12;
+const BATCH_SIZES: [usize; 3] = [1, 8, 17];
+
+/// The 12-site TFIM cluster shape: a charged mixed Hamiltonian and two members over the
+/// same 23 strings.
+fn tfim_cluster() -> (Arc<PauliOp>, Vec<Arc<PauliOp>>) {
+    let member = |h: f64| qchem::transverse_field_ising(BIG_QUBITS, 1.0, h);
+    let (a, b) = (member(0.6), member(1.1));
+    let mixed = PauliOp::mixed(&[&a, &b]);
+    (Arc::new(mixed), vec![Arc::new(a), Arc::new(b)])
+}
+
+fn with_kernel_threads(threads: usize, body: impl FnOnce()) {
+    let configure = |n| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global()
+            .expect("the vendored pool accepts reconfiguration")
+    };
+    configure(threads);
+    body();
+    // 0 = back to RAYON_NUM_THREADS / the host's core count.
+    configure(0);
+}
+
+/// The same request returns the same bits in a driver batch of 1, 8 and 17, at every
+/// kernel thread count, for every backend family.
+#[test]
+fn results_do_not_depend_on_batch_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = demo_circuit(BIG_QUBITS);
+    let (charged, free) = tfim_cluster();
+    let free_refs: Vec<&PauliOp> = free.iter().map(|op| op.as_ref()).collect();
+    let params: Vec<f64> = (0..circuit.num_parameters())
+        .map(|p| 0.05 * p as f64 + 0.3)
+        .collect();
+    let request = EvalRequest {
+        circuit: &circuit,
+        params: &params,
+        initial: &InitialState::Basis(0),
+        charged_op: &charged,
+        free_ops: &free_refs,
+        stream: Some(StreamId::named("batch-size")),
+    };
+    for threads in [1usize, 2, 4] {
+        with_kernel_threads(threads, || {
+            for (family, make) in backend_factories() {
+                let mut seen: Vec<Bits> = Vec::new();
+                for size in BATCH_SIZES {
+                    let results = make().evaluate_batch(&vec![request; size]);
+                    assert_eq!(results.len(), size);
+                    seen.extend(results.iter().map(bits));
+                }
+                let odd = seen.iter().find(|other| **other != seen[0]);
+                assert!(
+                    odd.is_none(),
+                    "{family} at {threads} kernel threads: the request's bits depend on \
+                     the batch it was evaluated in: {:x?} vs {odd:x?}",
+                    seen[0]
+                );
+            }
+        });
+    }
+}
+
+/// The same job returns the same bits whatever the size of the executor slate it was
+/// coalesced into.
+#[test]
+fn results_do_not_depend_on_slate_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = demo_circuit(BIG_QUBITS);
+    let (charged, free) = tfim_cluster();
+    let params: Vec<f64> = (0..circuit.num_parameters())
+        .map(|p| 0.05 * p as f64 + 0.3)
+        .collect();
+    for threads in [1usize, 2, 4] {
+        with_kernel_threads(threads, || {
+            for (family, make) in backend_factories() {
+                let mut seen: Vec<Bits> = Vec::new();
+                for size in BATCH_SIZES {
+                    let executor = Executor::builder()
+                        .paused()
+                        .register_boxed("b0", make())
+                        .start();
+                    let client = executor.client();
+                    let handles: Vec<_> = (0..size)
+                        .map(|_| {
+                            let job = EvalJob::new(
+                                Arc::clone(&circuit),
+                                params.clone(),
+                                InitialState::Basis(0),
+                                Arc::clone(&charged),
+                            )
+                            .with_free_ops(free.clone())
+                            .with_rng_stream(StreamId::named("slate-size"));
+                            client.submit(job).expect("well-formed job")
+                        })
+                        .collect();
+                    executor.resume();
+                    for handle in handles {
+                        seen.push(bits(&handle.wait().expect("job executes")));
+                    }
+                }
+                assert!(
+                    seen.iter().all(|other| *other == seen[0]),
+                    "{family} at {threads} kernel threads: the job's bits depend on its slate"
+                );
+            }
+        });
     }
 }

@@ -1,0 +1,660 @@
+//! Property and differential tests of the cached term basis (`qop::TermBasis`) and of
+//! the dense drivers' single readout path built on it.
+//!
+//! Kernel level: random operator sets — fully shared, partly shared and disjoint string
+//! sets; identity terms; duplicate strings inside an unsimplified operator; zero
+//! coefficients; 1–14 qubits, so the sub-`SIGN_BLOCK` kernels, the `pivot < 2` tails
+//! and the parallel threshold are all crossed — must give per-string and per-operator
+//! values **bit-equal** to the serial single-string reference fold at one kernel
+//! thread, and within 1e-12 of the naive scan-and-apply kernel at {1, 2, 4} threads.
+//! A table of golden bits recorded from the pre-basis kernels pins "bit-identical to
+//! the single-string serial kernel" to the code that was replaced, not just to itself.
+//!
+//! Driver level: `evaluate` ≡ `evaluate_batch` ≡ `probe` bits for all four dense
+//! backends, cache hit ≡ miss ≡ `recover()`-then-rebuild, agreement with
+//! `qsim::reference`, and unchanged `qrng::total_draws` deltas.
+
+use proptest::prelude::*;
+use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
+use qnoise::PauliNoiseModel;
+use qop::{Complex64, PauliOp, PauliString, Statevector, TermBasis};
+use qrng::StreamId;
+use qsim::NoiseModel;
+use std::sync::Mutex;
+use vqa::{
+    Backend, EvalRequest, EvalResult, InitialState, NoisyBackend, NoisyStatevectorBackend,
+    SampledBackend, StatevectorBackend,
+};
+
+/// Every test here either switches the process-global kernel thread count or compares
+/// deltas of the process-global `qrng::total_draws` counter, so they all serialize.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn set_kernel_threads(threads: usize) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build_global()
+        .expect("the vendored pool accepts reconfiguration");
+}
+
+/// A stateless generator (`qrng::mix` does not count as a draw, so generating test
+/// inputs never disturbs the draw-count assertions).
+struct Gen {
+    seed: u64,
+    counter: u64,
+}
+
+impl Gen {
+    fn new(seed: u64) -> Self {
+        Gen { seed, counter: 0 }
+    }
+
+    fn next(&mut self) -> u64 {
+        self.counter += 1;
+        qrng::mix(self.seed, self.counter)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+}
+
+fn random_state(gen: &mut Gen, num_qubits: usize) -> Statevector {
+    let mut psi = Statevector::from_amplitudes(
+        (0..1usize << num_qubits)
+            .map(|_| Complex64::new(gen.unit(), gen.unit()))
+            .collect(),
+    );
+    psi.normalize();
+    psi
+}
+
+/// A random string whose shape exercises a particular kernel: diagonal, generic,
+/// a single X/Y (one pivot, `xl == 0`), or an X mask confined to the two lowest qubits
+/// (`pivot < 2`, the scalar tails).
+fn random_string(gen: &mut Gen, n: usize) -> PauliString {
+    let mask = (1u64 << n) - 1;
+    let (x, z) = match gen.below(5) {
+        0 => (0, gen.next() & mask),
+        1 => (gen.next() & mask, gen.next() & mask),
+        2 => (1u64 << gen.below(n as u64), gen.next() & mask),
+        3 => (gen.next() & mask & 0b11, gen.next() & mask),
+        // Same X mask as a sibling is likely: only two bits of freedom.
+        _ => (mask & 0b101, gen.next() & mask),
+    };
+    PauliString::from_masks(x, z, n)
+}
+
+/// 2–5 unsimplified operators drawn from a pool of strings: `sharing == 0` gives every
+/// operator the whole pool (fully shared), `1` a random subset (partly shared), `2` a
+/// private slice (disjoint).  Identity terms, in-operator duplicates and zero
+/// coefficients are sprinkled in.
+fn random_operator_set(gen: &mut Gen, n: usize, sharing: u64) -> Vec<PauliOp> {
+    let num_ops = 2 + gen.below(4) as usize;
+    let per_op = 1 + gen.below(7) as usize;
+    let pool: Vec<PauliString> = (0..num_ops * per_op)
+        .map(|_| random_string(gen, n))
+        .collect();
+    (0..num_ops)
+        .map(|k| {
+            let mut op = PauliOp::zero(n);
+            let picked: Vec<PauliString> = match sharing {
+                0 => pool.clone(),
+                1 => pool.iter().copied().filter(|_| gen.below(2) == 0).collect(),
+                _ => pool[k * per_op..(k + 1) * per_op].to_vec(),
+            };
+            for s in picked {
+                let coefficient = if gen.below(6) == 0 { 0.0 } else { gen.unit() };
+                op.add_term(s, coefficient);
+                if gen.below(5) == 0 {
+                    // A duplicate string inside the unsimplified operator.
+                    op.add_term(s, gen.unit());
+                }
+            }
+            if gen.below(2) == 0 {
+                op.add_term(PauliString::identity(n), gen.unit());
+            }
+            if op.num_terms() == 0 {
+                op.add_term(random_string(gen, n), gen.unit());
+            }
+            op
+        })
+        .collect()
+}
+
+/// The serial reference: each term's string through the single-string kernel (identity
+/// pinned to 1, like the basis), folded in term order.
+fn reference_fold(op: &PauliOp, psi: &Statevector) -> (Vec<f64>, f64) {
+    let terms: Vec<f64> = op
+        .terms()
+        .iter()
+        .map(|t| {
+            if t.string.is_identity() {
+                1.0
+            } else {
+                PauliOp::string_expectation(&t.string, psi)
+            }
+        })
+        .collect();
+    let value = op
+        .terms()
+        .iter()
+        .zip(&terms)
+        .map(|(t, v)| t.coefficient * v)
+        .sum();
+    (terms, value)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One fused readout ≡ the per-string serial reference, bit for bit, at one kernel
+    /// thread — per string, per operator term and per operator value.
+    #[test]
+    fn fused_readout_is_bit_identical_to_the_serial_reference(
+        seed in 0u64..u64::MAX,
+        n in 1usize..15,
+        sharing in 0u64..3,
+    ) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        set_kernel_threads(1);
+        let mut gen = Gen::new(seed);
+        let ops = random_operator_set(&mut gen, n, sharing);
+        let refs: Vec<&PauliOp> = ops.iter().collect();
+        let psi = random_state(&mut gen, n);
+        let basis = TermBasis::new(&refs);
+        prop_assert!(basis.is_basis_of(refs.iter().copied()));
+        prop_assert!(basis.num_strings() <= basis.num_terms());
+        let mut values = Vec::new();
+        basis.evaluate(&psi, &mut values);
+        for (s, v) in basis.strings().iter().zip(&values) {
+            let expected = if s.is_identity() { 1.0 } else { PauliOp::string_expectation(s, &psi) };
+            prop_assert_eq!(v.to_bits(), expected.to_bits(), "{}q string {}", n, s);
+        }
+        for (k, op) in ops.iter().enumerate() {
+            let (terms, value) = reference_fold(op, &psi);
+            let got: Vec<u64> = basis.op_term_values(k, &values).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = terms.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "{}q operator {} terms", n, k);
+            prop_assert_eq!(basis.op_value(k, &values).to_bits(), value.to_bits(), "{}q operator {}", n, k);
+            if !op.terms().iter().any(|t| t.string.is_identity()) {
+                // Without an identity term the general-purpose wrapper is the same fold.
+                prop_assert_eq!(op.expectation(&psi).to_bits(), value.to_bits());
+            }
+        }
+    }
+
+    /// At every kernel thread count — the 14-qubit registers reach the default parallel
+    /// threshold and are range-split — the readout agrees with the naive
+    /// scan-and-apply kernel.
+    #[test]
+    fn fused_readout_matches_the_naive_kernel_at_any_thread_count(
+        seed in 0u64..u64::MAX,
+        n in 1usize..15,
+        sharing in 0u64..3,
+    ) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let mut gen = Gen::new(seed);
+        let ops = random_operator_set(&mut gen, n, sharing);
+        let refs: Vec<&PauliOp> = ops.iter().collect();
+        let psi = random_state(&mut gen, n);
+        let basis = TermBasis::new(&refs);
+        let naive: Vec<f64> = basis
+            .strings()
+            .iter()
+            .map(|s| PauliOp::string_expectation_naive(s, &psi))
+            .collect();
+        let mut per_threads: Vec<Vec<f64>> = Vec::new();
+        for threads in [1usize, 2, 4] {
+            set_kernel_threads(threads);
+            let mut values = Vec::new();
+            basis.evaluate(&psi, &mut values);
+            for ((s, v), expected) in basis.strings().iter().zip(&values).zip(&naive) {
+                prop_assert!((v - expected).abs() < 1e-12, "{}q x{} {}: {} vs {}", n, threads, s, v, expected);
+            }
+            // Deterministic for a fixed thread count.
+            let mut again = Vec::new();
+            basis.evaluate(&psi, &mut again);
+            prop_assert_eq!(&values, &again);
+            per_threads.push(values);
+        }
+        set_kernel_threads(1);
+        if (1usize << n) < qop::parallel_threshold() {
+            // Below the threshold the thread count is irrelevant: one serial regime.
+            prop_assert_eq!(&per_threads[0], &per_threads[1]);
+            prop_assert_eq!(&per_threads[0], &per_threads[2]);
+        }
+    }
+}
+
+/// The structured state the golden bits below were recorded on.
+fn golden_state(n: usize) -> Statevector {
+    let mut psi = Statevector::from_amplitudes(
+        (0..1usize << n)
+            .map(|i| {
+                Complex64::new(
+                    (i as f64 * 0.173).sin() + 0.25,
+                    (i as f64 * 0.311).cos() - 0.1,
+                )
+            })
+            .collect(),
+    );
+    psi.normalize();
+    psi
+}
+
+/// `(qubits, x_mask, z_mask, bits of ⟨P⟩)` recorded at one kernel thread from the
+/// single-string serial kernels (`diag_expectation_serial` / `pair_expectation_serial`)
+/// at the commit before the term basis replaced them.
+const GOLDEN_STRINGS: &[(usize, u64, u64, u64)] = &[
+    (1, 0x0, 0x1, 0xbf923e50736db170),
+    (1, 0x1, 0x0, 0x3fef6cc28a7b6087),
+    (1, 0x1, 0x1, 0xbfc80d24c62ce0be),
+    (2, 0x0, 0x3, 0xbf9943aee6b30570),
+    (2, 0x1, 0x2, 0x3fa7c924f00068b0),
+    (2, 0x3, 0x1, 0xbfc9d48dbec201dd),
+    (2, 0x2, 0x3, 0x3fa633156bc1f43c),
+    (5, 0x0, 0x16, 0x3f831962089edca0),
+    (5, 0x1, 0x18, 0xbfb93a003a1ddb36),
+    (5, 0x12, 0x7, 0x3f7c735f93916c50),
+    (7, 0x0, 0x55, 0x3f7682604de53e43),
+    (7, 0x40, 0x3f, 0x3f86a36187081985),
+    (7, 0x3, 0x62, 0x3fb3cfd4be187472),
+    (8, 0x0, 0xa5, 0xbf7264f4bb490c26),
+    (8, 0x80, 0x7f, 0x3f8f29d11aa381cc),
+    (8, 0x1, 0xfe, 0x3fa577a1fe77a636),
+    (8, 0x36, 0xc3, 0xbf457b6a4d107ab8),
+    (9, 0x0, 0x1ff, 0xbf8c3d30fd104c05),
+    (9, 0x100, 0xaa, 0x3f84266b6a7e14a7),
+    (9, 0x2, 0x155, 0xbfa196a18f82a368),
+    (12, 0x0, 0x3, 0xbf0848a55104a000),
+    (12, 0x0, 0xc00, 0xbf3941a46f675334),
+    (12, 0x1, 0x0, 0x3fef100abd5bdbcf),
+    (12, 0x800, 0x7ff, 0x3f871b3ebd282299),
+    (12, 0xf0, 0xa5a, 0xbf4338c76fc2b640),
+    (14, 0x0, 0x2001, 0xbec03feba8936380),
+    (14, 0x2000, 0x1fff, 0x3f7223b377798ad7),
+    (14, 0x3, 0x3ffc, 0xbf8e1cb41cf9b30b),
+];
+
+/// Bits of the pre-basis serial `PauliOp::expectation` fold of [`golden_operator`].
+const GOLDEN_FOLD: u64 = 0x3fe5d42e480473b1;
+
+/// An unsimplified 12-site TFIM-shaped operator (ZZ chain, then X field).
+fn golden_operator() -> PauliOp {
+    let n = 12;
+    let mut op = PauliOp::zero(n);
+    for q in 0..n - 1 {
+        op.add_term(
+            PauliString::from_masks(0, 0b11 << q, n),
+            -1.0 + 0.01 * q as f64,
+        );
+    }
+    for q in 0..n {
+        op.add_term(PauliString::from_masks(1 << q, 0, n), 0.5 + 0.03 * q as f64);
+    }
+    op
+}
+
+/// The fused kernels reproduce the replaced single-string kernels bit for bit — alone
+/// and fused into one basis with every other string of the same register.
+#[test]
+fn serial_values_match_the_replaced_kernels_bit_for_bit() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_kernel_threads(1);
+    for &(n, x, z, bits) in GOLDEN_STRINGS {
+        let psi = golden_state(n);
+        let s = PauliString::from_masks(x, z, n);
+        assert_eq!(
+            PauliOp::string_expectation(&s, &psi).to_bits(),
+            bits,
+            "{n}q x={x:#x} z={z:#x} alone"
+        );
+    }
+    let mut sizes: Vec<usize> = GOLDEN_STRINGS.iter().map(|g| g.0).collect();
+    sizes.dedup();
+    for n in sizes {
+        let mut op = PauliOp::zero(n);
+        for &(_, x, z, _) in GOLDEN_STRINGS.iter().filter(|g| g.0 == n) {
+            op.add_term(PauliString::from_masks(x, z, n), 1.0);
+        }
+        let fused = op.term_expectations(&golden_state(n));
+        let golden = GOLDEN_STRINGS.iter().filter(|g| g.0 == n);
+        for (v, &(_, x, z, bits)) in fused.iter().zip(golden) {
+            assert_eq!(v.to_bits(), bits, "{n}q x={x:#x} z={z:#x} fused");
+        }
+    }
+    let op = golden_operator();
+    let psi = golden_state(12);
+    assert_eq!(op.expectation(&psi).to_bits(), GOLDEN_FOLD);
+    let basis = TermBasis::new(&[&op]);
+    let mut values = Vec::new();
+    basis.evaluate(&psi, &mut values);
+    assert_eq!(basis.op_value(0, &values).to_bits(), GOLDEN_FOLD);
+}
+
+/// A basis recognizes exactly the ordered operator set it was built from.
+#[test]
+fn a_basis_recognizes_only_its_own_operator_set() {
+    let a = PauliOp::from_labels(3, &[("ZZI", -1.0), ("XII", 0.3)]);
+    let b = PauliOp::from_labels(3, &[("ZZI", -0.8), ("IIY", 0.2)]);
+    let basis = TermBasis::new(&[&a, &b]);
+    assert!(basis.is_basis_of([&a, &b]));
+    assert!(
+        basis.is_basis_of([&a.clone(), &b.clone()]),
+        "structural, not by address"
+    );
+    assert!(!basis.is_basis_of([&b, &a]), "order matters");
+    assert!(!basis.is_basis_of([&a]), "a prefix is a different set");
+    assert!(!basis.is_basis_of([&a, &b, &b]), "so is an extension");
+    let mut scaled = b.clone();
+    scaled.scale(2.0);
+    assert!(!basis.is_basis_of([&a, &scaled]), "coefficients matter");
+    let reordered = PauliOp::from_labels(3, &[("XII", 0.3), ("ZZI", -1.0)]);
+    assert!(!basis.is_basis_of([&reordered, &b]), "term order matters");
+    assert!(
+        !basis.is_basis_of([&a.extended(4), &b.extended(4)]),
+        "register size matters"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Driver level.
+// ---------------------------------------------------------------------------
+
+fn hea(num_qubits: usize) -> Circuit {
+    HardwareEfficientAnsatz::new(num_qubits, 2, Entanglement::Circular).build()
+}
+
+fn params_for(circuit: &Circuit, k: usize) -> Vec<f64> {
+    (0..circuit.num_parameters())
+        .map(|p| 0.05 * p as f64 + 0.017 * k as f64)
+        .collect()
+}
+
+/// A TFIM family with an identity offset: shared strings, different coefficients.
+fn tfim_family(num_qubits: usize, members: usize) -> Vec<PauliOp> {
+    (0..members)
+        .map(|k| {
+            let mut op = qchem::transverse_field_ising(num_qubits, 1.0, 0.5 + 0.2 * k as f64);
+            op.add_term(PauliString::identity(num_qubits), -0.25 * k as f64);
+            op
+        })
+        .collect()
+}
+
+type BackendFactory = Box<dyn Fn() -> Box<dyn Backend>>;
+
+/// The four dense backends, identically configured per call.
+fn dense_backends() -> Vec<(&'static str, BackendFactory)> {
+    let device = NoiseModel::by_name("mumbai").expect("synthetic backend");
+    let trajectory = PauliNoiseModel::ibm_like("term-basis", 0.02, 0.05, 0.01, 0.01);
+    vec![
+        (
+            "statevector",
+            Box::new(|| Box::new(StatevectorBackend::with_shots(64)) as Box<dyn Backend>),
+        ),
+        (
+            "sampled",
+            Box::new(|| Box::new(SampledBackend::new(256, 42)) as Box<dyn Backend>),
+        ),
+        (
+            "noisy",
+            Box::new(move || {
+                Box::new(NoisyBackend::new(device.clone(), 2, 256, 42)) as Box<dyn Backend>
+            }),
+        ),
+        (
+            "noisy-trajectory",
+            Box::new(move || {
+                Box::new(
+                    NoisyStatevectorBackend::new(trajectory.clone(), 50, 3)
+                        .with_trajectories(3)
+                        .with_shot_sampling(),
+                ) as Box<dyn Backend>
+            }),
+        ),
+    ]
+}
+
+fn bits(r: &EvalResult) -> (u64, Vec<u64>, u64) {
+    (
+        r.charged.to_bits(),
+        r.free.iter().map(|v| v.to_bits()).collect(),
+        r.shots,
+    )
+}
+
+/// For every dense backend and register size on both sides of `SIGN_BLOCK`: a
+/// stream-pinned request gives the same bits through `evaluate_batch` of one, inside
+/// batches of mixed operator sets, on a cache hit, after LRU eviction and after
+/// `recover()`; `evaluate` matches its own batch form; probes agree across backends
+/// and with the exact charged value; and none of it changes how many draws are made.
+#[test]
+fn drivers_agree_across_entry_points_cache_states_and_recovery() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_kernel_threads(1);
+    for num_qubits in [3usize, 9] {
+        let circuit = hea(num_qubits);
+        let family = tfim_family(num_qubits, 4);
+        let free: Vec<&PauliOp> = family[1..].iter().collect();
+        let initial = InitialState::Basis(0);
+        // Requests alternate between three operator sets so a batch holds several
+        // runs: [mixed + members], [one member alone], [another member + one free].
+        let sets: [(&PauliOp, &[&PauliOp]); 3] = [
+            (&family[0], &free),
+            (&family[1], &[]),
+            (&family[2], &free[..1]),
+        ];
+        let candidates: Vec<Vec<f64>> = (0..7).map(|k| params_for(&circuit, k)).collect();
+        let request = |k: usize| {
+            let (charged_op, free_ops) = sets[(k / 2) % sets.len()];
+            EvalRequest {
+                circuit: &circuit,
+                params: &candidates[k],
+                initial: &initial,
+                charged_op,
+                free_ops,
+                stream: Some(StreamId::named(&format!("term-basis-{k}"))),
+            }
+        };
+        let batch: Vec<EvalRequest<'_>> = (0..candidates.len()).map(request).collect();
+
+        let mut exact_probe = StatevectorBackend::with_shots(0);
+        for (name, make) in dense_backends() {
+            // Each request alone, on a fresh backend: the reference bits and draws.
+            let mut alone = Vec::new();
+            let mut alone_draws = Vec::new();
+            for req in &batch {
+                let before = qrng::total_draws();
+                let result = make().evaluate_batch(std::slice::from_ref(req)).remove(0);
+                alone_draws.push(qrng::total_draws() - before);
+                alone.push(bits(&result));
+            }
+            // The whole mixed batch at once (cache misses), again (hits), after the
+            // LRU has been thrashed by other operator sets, and after recover().
+            let mut backend = make();
+            let before = qrng::total_draws();
+            let cold: Vec<_> = backend.evaluate_batch(&batch).iter().map(bits).collect();
+            let batch_draws = qrng::total_draws() - before;
+            assert_eq!(cold, alone, "{name} {num_qubits}q: batch vs alone");
+            assert_eq!(
+                batch_draws,
+                alone_draws.iter().sum::<u64>(),
+                "{name}: draw count"
+            );
+            let warm: Vec<_> = backend.evaluate_batch(&batch).iter().map(bits).collect();
+            assert_eq!(warm, alone, "{name} {num_qubits}q: cache hit");
+            for k in 0..2 * vqa::circuit_cache_capacity() {
+                let mut other = family[0].clone();
+                other.scale(1.0 + k as f64);
+                backend.probe(&circuit, &candidates[0], &initial, &other);
+            }
+            let evicted: Vec<_> = backend.evaluate_batch(&batch).iter().map(bits).collect();
+            assert_eq!(evicted, alone, "{name} {num_qubits}q: after eviction");
+            backend.recover();
+            let rebuilt: Vec<_> = backend.evaluate_batch(&batch).iter().map(bits).collect();
+            assert_eq!(rebuilt, alone, "{name} {num_qubits}q: after recover()");
+
+            // `evaluate` (stream-less: the instance's evaluation-order stream) matches
+            // a stream-less batch of one on an identically seeded twin.
+            let (charged_op, free_ops) = sets[0];
+            let (charged, free_values) =
+                make().evaluate(&circuit, &candidates[0], &initial, charged_op, free_ops);
+            let twin = make()
+                .evaluate_batch(&[EvalRequest {
+                    stream: None,
+                    ..request(0)
+                }])
+                .remove(0);
+            assert_eq!(
+                charged.to_bits(),
+                twin.charged.to_bits(),
+                "{name}: evaluate"
+            );
+            assert_eq!(
+                free_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&twin).1,
+                "{name}: evaluate free"
+            );
+
+            // Probes report the ideal value: identical across backends.
+            let probe = backend.probe(&circuit, &candidates[1], &initial, &family[3]);
+            let ideal = exact_probe.probe(&circuit, &candidates[1], &initial, &family[3]);
+            assert_eq!(
+                probe.to_bits(),
+                ideal.to_bits(),
+                "{name} {num_qubits}q: probe"
+            );
+        }
+
+        // Exact backend: probe ≡ evaluate's charged ≡ any free slot of the same
+        // operator, and all of it agrees with the naive reference simulator.
+        let mut exact = StatevectorBackend::with_shots(0);
+        let (charged, free_values) =
+            exact.evaluate(&circuit, &candidates[2], &initial, &family[1], &free);
+        let probe = exact.probe(&circuit, &candidates[2], &initial, &family[1]);
+        assert_eq!(probe.to_bits(), charged.to_bits());
+        assert_eq!(
+            free_values[0].to_bits(),
+            charged.to_bits(),
+            "free[0] is family[1] too"
+        );
+        let state =
+            qsim::reference::run_circuit(&circuit, &candidates[2], &initial.prepare(num_qubits));
+        for (value, op) in std::iter::once(&charged)
+            .chain(&free_values)
+            .zip(std::iter::once(&family[1]).chain(family[1..].iter()))
+        {
+            let naive: f64 = op
+                .terms()
+                .iter()
+                .map(|t| t.coefficient * PauliOp::string_expectation_naive(&t.string, &state))
+                .sum();
+            assert!(
+                (value - naive).abs() < 1e-10,
+                "{value} vs reference {naive}"
+            );
+        }
+    }
+}
+
+/// The sampled drivers draw exactly two uniforms per non-identity charged term, in
+/// term order, whatever the free operators are — the basis changes which strings are
+/// evaluated, never which draws are made.
+#[test]
+fn shot_sampling_draws_depend_only_on_the_charged_operator() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_kernel_threads(1);
+    let circuit = hea(4);
+    let family = tfim_family(4, 3);
+    let free: Vec<&PauliOp> = family[1..].iter().collect();
+    let params = params_for(&circuit, 0);
+    let initial = InitialState::Basis(0);
+    let charged = &family[1];
+    let sampled_terms = charged
+        .terms()
+        .iter()
+        .filter(|t| !t.string.is_identity())
+        .count() as u64;
+    let mut values = Vec::new();
+    for free_ops in [&[][..], &free[..]] {
+        let mut backend = SampledBackend::new(512, 9);
+        let before = qrng::total_draws();
+        let result = backend
+            .evaluate_batch(&[EvalRequest {
+                circuit: &circuit,
+                params: &params,
+                initial: &initial,
+                charged_op: charged,
+                free_ops,
+                stream: Some(StreamId::named("draws")),
+            }])
+            .remove(0);
+        assert_eq!(qrng::total_draws() - before, 2 * sampled_terms);
+        values.push(result.charged.to_bits());
+    }
+    assert_eq!(
+        values[0], values[1],
+        "free operators do not perturb the charged draw"
+    );
+}
+
+/// With observability on, the observable cache and the dedup tallies move on their own
+/// counters and leave the circuit-cache tallies meaning what they meant.
+#[test]
+fn observable_tallies_are_separate_from_circuit_cache_tallies() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = hea(3);
+    let family = tfim_family(3, 3);
+    let free: Vec<&PauliOp> = family[1..].iter().collect();
+    let params = params_for(&circuit, 0);
+    let initial = InitialState::Basis(0);
+    let mut backend = StatevectorBackend::with_shots(0);
+    let requests: Vec<EvalRequest<'_>> = (0..4)
+        .map(|_| EvalRequest {
+            circuit: &circuit,
+            params: &params,
+            initial: &initial,
+            charged_op: &family[0],
+            free_ops: &free,
+            stream: None,
+        })
+        .collect();
+
+    // Off: nothing is recorded.
+    let was_enabled = qexec::qobs::enabled();
+    qexec::qobs::set_enabled(false);
+    let (obs0, dedup0, circ0) = (
+        vqa::observable_cache_stats(),
+        vqa::observable_dedup_stats(),
+        vqa::circuit_cache_stats(),
+    );
+    backend.evaluate_batch(&requests);
+    assert_eq!(vqa::observable_cache_stats(), obs0);
+    assert_eq!(vqa::observable_dedup_stats(), dedup0);
+    assert_eq!(vqa::circuit_cache_stats(), circ0);
+
+    // On: one observable lookup for the uniform batch (a hit: the set is cached), one
+    // circuit lookup, and per readout 3 operators' terms requested vs the distinct
+    // strings evaluated.
+    qexec::qobs::set_enabled(true);
+    backend.evaluate_batch(&requests);
+    qexec::qobs::set_enabled(was_enabled);
+    let basis = TermBasis::new(&[&family[0], &family[1], &family[2]]);
+    let (obs1, dedup1, circ1) = (
+        vqa::observable_cache_stats(),
+        vqa::observable_dedup_stats(),
+        vqa::circuit_cache_stats(),
+    );
+    assert_eq!((obs1.0 - obs0.0, obs1.1 - obs0.1), (1, 0));
+    assert_eq!((circ1.0 - circ0.0, circ1.1 - circ0.1), (1, 0));
+    assert_eq!(dedup1.0 - dedup0.0, 4 * basis.num_terms() as u64);
+    assert_eq!(dedup1.1 - dedup0.1, 4 * basis.num_strings() as u64);
+    assert!(basis.num_strings() * 3 <= basis.num_terms() + 3);
+}
