@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, Criterion};
 use qcircuit::{QaoaAnsatz, QaoaStyle};
-use qexec::{run_single_vqa, Executor};
+use qexec::{run_single_vqa, Executor, SeedPolicy};
 use qgraph::{ieee14_base_graph, maxcut_cost_hamiltonian};
 use qopt::{OptimizerSpec, SpsaConfig};
 use treevqa_bench::workloads::{
@@ -46,7 +46,9 @@ fn bench_trajectory_throughput(c: &mut Criterion) {
         })
     });
     for k in TRAJECTORY_COUNTS {
-        let mut backend = NoisyStatevectorBackend::new(device_model(), 0, 7).with_trajectories(k);
+        let mut backend =
+            NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(7))
+                .with_trajectories(k);
         c.bench_function(&format!("noisy_eval/trajectories/{k}"), |b| {
             b.iter(|| {
                 std::hint::black_box(backend.evaluate(
@@ -59,8 +61,10 @@ fn bench_trajectory_throughput(c: &mut Criterion) {
             })
         });
     }
-    let mut zne =
-        ZneBackend::new(NoisyStatevectorBackend::new(device_model(), 0, 7).with_trajectories(16));
+    let mut zne = ZneBackend::new(
+        NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(7))
+            .with_trajectories(16),
+    );
     c.bench_function("noisy_eval/zne_135_traj16", |b| {
         b.iter(|| {
             std::hint::black_box(zne.evaluate(&circ, &params, &InitialState::Basis(0), &ham, &[]));
@@ -119,14 +123,16 @@ fn quality_study() -> (f64, Vec<QualityArm>) {
     let ideal = StatevectorBackend::with_shots(0)
         .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
         .0;
-    let noisy = NoisyStatevectorBackend::new(device_model(), 0, 11)
+    let noisy = NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(11))
         .with_trajectories(k)
         .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
         .0;
-    let zne =
-        ZneBackend::new(NoisyStatevectorBackend::new(device_model(), 0, 11).with_trajectories(k))
-            .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
-            .0;
+    let zne = ZneBackend::new(
+        NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(11))
+            .with_trajectories(k),
+    )
+    .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
+    .0;
 
     let arm = |name, energy: f64| QualityArm {
         name,
@@ -166,8 +172,7 @@ fn main() {
         );
     }
 
-    // BENCH_noise.json: criterion records plus the quality section, hand-serialized
-    // (the vendored serde does not serialize).
+    // BENCH_noise.json: criterion records plus the quality section, hand-serialized.
     let mut json = String::from("{\n  \"throughput\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(

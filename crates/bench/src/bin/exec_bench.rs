@@ -35,18 +35,12 @@ fn main() {
         "fair round-robin must be exact for a paused slate"
     );
 
-    // jobs/s headlines derived from the slate records (32 jobs per iteration): the
-    // single-worker row anchors the perf gate, the 4-worker row is the multi-worker
-    // throughput headline.
-    let jobs_per_s = |id: &str| {
-        records
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| 32.0 / (r.median_ns * 1e-9))
-            .unwrap_or(f64::NAN)
-    };
-    let jobs_per_s_1w = jobs_per_s("exec/jobs/4clients_32x12q");
-    let jobs_per_s_4w = jobs_per_s("exec/jobs/4workers_32x12q");
+    // jobs/s headline derived from the slate record (32 jobs per iteration).
+    let jobs_per_s = records
+        .iter()
+        .find(|r| r.id == "exec/jobs/4clients_32x12q")
+        .map(|r| 32.0 / (r.median_ns * 1e-9))
+        .unwrap_or(f64::NAN);
 
     let mut out = String::from("{\n  \"throughput\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -56,8 +50,7 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"derived\": {{\"jobs_per_s_12q\": {jobs_per_s_1w:.1}, \
-         \"jobs_per_s_12q_4workers\": {jobs_per_s_4w:.1}}},\n"
+        "  \"derived\": {{\"jobs_per_s_12q\": {jobs_per_s:.1}}},\n"
     ));
     out.push_str(&format!(
         "  \"fairness\": {{\"clients\": {clients}, \"jobs_per_client\": {per_client}, \

@@ -14,7 +14,7 @@
 //! scaling notes.
 
 use qchem::{MoleculeSpec, SpinChainFamily};
-use qexec::Executor;
+use qexec::{Executor, SeedPolicy};
 use qgraph::Ieee14Family;
 use qop::{ground_state, LanczosOptions};
 use qopt::{CobylaConfig, OptimizerSpec};
@@ -449,11 +449,11 @@ fn tab2() {
         let zeros = vec![0.0; app.num_parameters()];
         let model_for_backend = model.clone();
         let comparison = run_comparison_with_backends(&app, &zeros, &config, &mut || {
-            Box::new(NoisyBackend::new(
+            Box::new(NoisyBackend::with_policy(
                 model_for_backend.clone(),
                 5,
                 qsim::DEFAULT_SHOTS_PER_PAULI,
-                29,
+                SeedPolicy::new(29),
             )) as Box<dyn Backend + Send>
         });
         let max_fid =

@@ -15,7 +15,7 @@
 //! artifact on every run, so the perf trajectory accumulates even when the gate passes.
 
 use crate::workloads;
-use qexec::{AdmissionPolicy, EvalJob, Executor, SubmitOptions};
+use qexec::{AdmissionPolicy, EvalJob, Executor, SeedPolicy, SubmitOptions};
 use std::sync::Arc;
 use std::time::Instant;
 use vqa::{Backend, EvalRequest, InitialState, NoisyStatevectorBackend, StatevectorBackend};
@@ -219,8 +219,12 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let circ = workloads::rotation_heavy_ansatz(n, 2);
         let params = workloads::ansatz_params(&circ);
         let ham = workloads::zz_ring_hamiltonian(n);
-        let mut backend = NoisyStatevectorBackend::new(workloads::bench_noise_model(), 0, 7)
-            .with_trajectories(16);
+        let mut backend = NoisyStatevectorBackend::with_policy(
+            workloads::bench_noise_model(),
+            0,
+            SeedPolicy::new(7),
+        )
+        .with_trajectories(16);
         records.push(time_workload("noisy_eval/trajectories/16", 8, || {
             std::hint::black_box(backend.evaluate(
                 &circ,
@@ -280,48 +284,6 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
                             InitialState::Basis(0),
                             Arc::clone(&ham),
                         ))
-                        .unwrap()
-                })
-                .collect();
-            executor.resume();
-            std::hint::black_box(qexec::wait_all(&handles).unwrap());
-        }));
-    }
-    {
-        // Multi-worker throughput (BENCH_exec.json): the 4-client slate again, but the
-        // 32 jobs spread round-robin over 4 identically configured backends on a
-        // `workers(4)` executor, so every slate's per-backend batches execute
-        // concurrently.  Compared against `exec/jobs/4clients_32x12q` (one backend, one
-        // worker — kept as the perf-gate anchor for the serial path) this bounds the
-        // scaling of the partitioned dispatch path; results stay bit-identical by the
-        // schedule-independence contract.
-        let circ = Arc::new(
-            qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build(),
-        );
-        let base = workloads::ansatz_params(&circ);
-        let ham = Arc::new(workloads::tfim_hamiltonian(n));
-        let mut builder = Executor::builder().workers(4);
-        for b in 0..4 {
-            builder = builder.register(format!("w{b}"), StatevectorBackend::with_shots(0));
-        }
-        let executor = builder.start();
-        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
-        records.push(time_workload("exec/jobs/4workers_32x12q", 8, || {
-            executor.pause();
-            let handles: Vec<_> = (0..32)
-                .map(|i| {
-                    let params: Vec<f64> = base.iter().map(|p| p + 0.001 * i as f64).collect();
-                    let opts = SubmitOptions::new().backend(format!("w{}", i % 4));
-                    clients[i % clients.len()]
-                        .submit_with(
-                            EvalJob::new(
-                                Arc::clone(&circ),
-                                params,
-                                InitialState::Basis(0),
-                                Arc::clone(&ham),
-                            ),
-                            &opts,
-                        )
                         .unwrap()
                 })
                 .collect();

@@ -7,10 +7,9 @@
 
 use crate::eigen::symmetric_eigen;
 use crate::kmeans::kmeans;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric affinity (similarity) matrix over N items.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimilarityMatrix {
     values: Vec<Vec<f64>>,
 }

@@ -17,10 +17,9 @@
 use qop::{Pauli, PauliOp, PauliString};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a molecular benchmark family.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MoleculeSpec {
     /// Molecule name (e.g. `"LiH"`).
     pub name: String,

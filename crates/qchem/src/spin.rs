@@ -6,7 +6,6 @@
 //! or the transverse field `h`), matching how the paper builds its physics applications.
 
 use qop::{Pauli, PauliOp, PauliString};
-use serde::{Deserialize, Serialize};
 
 /// Builds the open-boundary Heisenberg XXZ chain
 /// `H = J Σ_i (X_i X_{i+1} + Y_i Y_{i+1} + Δ · Z_i Z_{i+1})`.
@@ -59,7 +58,7 @@ pub fn transverse_field_ising(num_sites: usize, j: f64, h: f64) -> PauliOp {
 }
 
 /// Which spin model a family sweeps.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SpinModel {
     /// Heisenberg XXZ chain; the sweep parameter is the anisotropy `Δ`.
     HeisenbergXxz {
@@ -74,7 +73,7 @@ pub enum SpinModel {
 }
 
 /// A family of spin-chain VQA tasks obtained by sweeping one model parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpinChainFamily {
     /// The model being swept.
     pub model: SpinModel,

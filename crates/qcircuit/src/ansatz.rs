@@ -5,10 +5,9 @@
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::gate::{Angle, Gate};
-use serde::{Deserialize, Serialize};
 
 /// Entanglement pattern for the hardware-efficient ansatz.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Entanglement {
     /// CX between neighbouring qubits `(0,1), (1,2), …, (n-2,n-1)`.
     Linear,
@@ -34,7 +33,7 @@ pub enum Entanglement {
 /// assert_eq!(circuit.num_parameters(), (2 + 1) * 2 * 4);
 /// assert_eq!(ansatz.num_parameters(), circuit.num_parameters());
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HardwareEfficientAnsatz {
     num_qubits: usize,
     reps: usize,

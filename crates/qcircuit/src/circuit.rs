@@ -2,7 +2,6 @@
 
 use crate::error::CircuitError;
 use crate::gate::{Angle, Gate};
-use serde::{Deserialize, Serialize};
 
 /// A parameterized quantum circuit: an ordered list of gates on a fixed-size register.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.num_parameters(), 1);
 /// assert_eq!(c.num_entangling_gates(), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Circuit {
     num_qubits: usize,
     gates: Vec<Gate>,

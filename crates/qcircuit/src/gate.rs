@@ -7,14 +7,13 @@
 //! statevector and Pauli-propagation simulators.
 
 use qop::PauliString;
-use serde::{Deserialize, Serialize};
 
 /// How a rotation gate obtains its angle.
 ///
 /// Angles are either fixed at circuit-construction time or bound to an optimizer
 /// parameter `θ[index]`, optionally scaled by a multiplier (QAOA cost layers use the term
 /// coefficient as the multiplier).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Angle {
     /// A constant angle in radians.
     Fixed(f64),
@@ -78,7 +77,7 @@ impl Angle {
 }
 
 /// A quantum gate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Gate {
     /// Hadamard on one qubit.
     H(usize),

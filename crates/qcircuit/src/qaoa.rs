@@ -9,10 +9,9 @@
 use crate::circuit::Circuit;
 use crate::gate::{Angle, Gate};
 use qop::{Pauli, PauliOp};
-use serde::{Deserialize, Serialize};
 
 /// Which parameterization the QAOA circuit uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QaoaStyle {
     /// Standard QAOA: one `γ` and one `β` per layer (`2p` parameters).
     Standard,
@@ -35,7 +34,7 @@ pub enum QaoaStyle {
 /// let ma = QaoaAnsatz::new(&cost, 2, QaoaStyle::MultiAngle).unwrap();
 /// assert_eq!(ma.num_parameters(), (3 + 3) * 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QaoaAnsatz {
     cost: PauliOp,
     layers: usize,

@@ -10,12 +10,11 @@
 use crate::circuit::Circuit;
 use crate::gate::{Angle, Gate};
 use qop::{Pauli, PauliString};
-use serde::{Deserialize, Serialize};
 
 /// UCCSD ansatz specification for `num_spin_orbitals` qubits (Jordan–Wigner: one qubit per
 /// spin orbital) and `num_electrons` electrons occupying the lowest orbitals in the
 /// Hartree–Fock reference.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UccsdAnsatz {
     num_spin_orbitals: usize,
     num_electrons: usize,

@@ -63,10 +63,11 @@ pub enum ExecError {
         /// The quarantined backend's registry name.
         backend: String,
     },
-    /// The backend driver panicked while executing the job (the payload is the panic
-    /// message).  Validation makes this unreachable for well-formed jobs; it is the
-    /// safety net that turns any residual driver panic into a per-job error instead of
-    /// a crashed service.
+    /// The backend driver failed while executing the job: it panicked (the payload is
+    /// the panic message) or broke the one-result-per-request contract of
+    /// `evaluate_batch`.  Validation makes this unreachable for well-formed jobs on the
+    /// workspace drivers; it is the safety net that turns any residual driver fault
+    /// into a per-job error instead of a crashed service.
     Execution(String),
     /// A parameter is NaN or infinite.  Non-finite parameters poison every amplitude
     /// they touch and can stall iterative optimizers silently, so the service boundary
@@ -272,7 +273,7 @@ impl fmt::Display for ExecError {
                 f,
                 "backend {backend:?} is quarantined after a driver panic and no failover applied"
             ),
-            ExecError::Execution(msg) => write!(f, "the backend driver panicked: {msg}"),
+            ExecError::Execution(msg) => write!(f, "the backend driver failed: {msg}"),
             ExecError::NonFiniteParameter { index } => {
                 write!(f, "parameter {index} is NaN or infinite")
             }

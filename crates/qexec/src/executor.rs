@@ -1,5 +1,5 @@
 //! The executor: backend registry, fair scheduler, admission control, supervision,
-//! and the worker.
+//! and the scheduler thread that runs every driver call.
 
 use crate::error::ExecError;
 use crate::fault::TransientFault;
@@ -9,7 +9,6 @@ use qop::PauliOp;
 use qrng::StreamId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -393,7 +392,6 @@ pub struct ExecutorBuilder {
     retry_limit: u32,
     observability: Option<bool>,
     obs_ring_capacity: Option<usize>,
-    workers: Option<usize>,
 }
 
 impl Default for ExecutorBuilder {
@@ -407,7 +405,6 @@ impl Default for ExecutorBuilder {
             retry_limit: DEFAULT_RETRY_LIMIT,
             observability: None,
             obs_ring_capacity: None,
-            workers: None,
         }
     }
 }
@@ -490,24 +487,8 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Number of execution worker threads (default: the `QEXEC_WORKERS` environment
-    /// variable, or 1).  Each registered backend is owned by exactly one worker
-    /// (backend `i` lives on worker `i % workers`), so drivers never migrate and never
-    /// need internal synchronization; the scheduler partitions every slate across the
-    /// workers by backend.  Clamped to `[1, number of backends]` — more workers than
-    /// backends would leave the excess idle.
-    ///
-    /// Results are **bit-identical across worker counts**: since the counter-based
-    /// `qrng` rework every job's stochastic draws are keyed by its own stream, so how
-    /// the slate is partitioned (or raced) between workers cannot change any result —
-    /// see the crate-level schedule-independence contract.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Spawns the scheduler (and its execution worker threads) and returns the running
-    /// executor.
+    /// Spawns the scheduler thread — the executor's only thread, which owns every
+    /// registered driver and makes every driver call — and returns the running executor.
     ///
     /// # Panics
     ///
@@ -534,15 +515,6 @@ impl ExecutorBuilder {
             .unwrap_or(usize::MAX)
             .max(1);
         let per_client_cap = self.per_client_cap.unwrap_or(global_cap).max(1);
-        let workers = self
-            .workers
-            .or_else(|| {
-                std::env::var("QEXEC_WORKERS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-            })
-            .unwrap_or(1)
-            .clamp(1, self.backends.len());
         let mut drivers = Vec::with_capacity(self.backends.len());
         let mut meta = Vec::with_capacity(self.backends.len());
         for (name, backend, caps) in self.backends {
@@ -579,7 +551,7 @@ impl ExecutorBuilder {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("qexec-scheduler".into())
-            .spawn(move || worker_loop(&worker_shared, drivers, workers))
+            .spawn(move || worker_loop(&worker_shared, drivers))
             .expect("spawning the executor scheduler thread failed");
         Executor {
             shared,
@@ -917,8 +889,7 @@ impl ExecClient {
         let uid = self.shared.next_uid.fetch_add(1, Ordering::Relaxed);
         // The job's draw stream: explicit submit option first, then the job's own
         // builder stream, then the uid-derived default.  Resolved here — once, at
-        // admission — so retries, failovers, and any worker partitioning all execute
-        // with the same stream.
+        // admission — so retries and failovers execute with the same stream.
         let stream = opts
             .rng_stream
             .or(job.rng_stream)
@@ -1128,7 +1099,7 @@ fn handle_panic(
 /// disposed of without touching the driver.
 fn ensure_healthy(
     shared: &Shared,
-    drivers: &mut [Option<Box<dyn Backend + Send>>],
+    drivers: &mut [Box<dyn Backend + Send>],
     backend: usize,
 ) -> bool {
     let due_failures = {
@@ -1151,12 +1122,7 @@ fn ensure_healthy(
         return false;
     };
     shared.obs.counters().inc(event::CANARY_PROBES);
-    let passed = supervisor::canary(
-        drivers[backend]
-            .as_mut()
-            .expect("backend owned by this worker")
-            .as_mut(),
-    );
+    let passed = supervisor::canary(drivers[backend].as_mut());
     let mut q = shared.queue.lock().unwrap();
     if passed {
         q.health[backend] = Health::Healthy;
@@ -1180,56 +1146,92 @@ fn currently_healthy(shared: &Shared, backend: usize) -> bool {
     )
 }
 
+/// Stamps the dispatch point on a job's span.  The scheduler thread is the only
+/// execution thread, so the span's `worker` label is always 0.
+fn mark_dispatched(g: &QueuedJob) {
+    if let Some(span) = g.state.span() {
+        span.set_worker(0);
+        span.mark_exec();
+    }
+}
+
+/// Submits `group` — `Evaluate` jobs, in slate order — to `backend` as exactly one
+/// `evaluate_batch` call under full panic supervision.  This is the only place a
+/// driver's batch entry point is called: a slate portion passes its whole evaluation
+/// group, a failover dispatch a group of one.  Every request carries its job's pinned
+/// stream, so a job's result is the same in either shape and on a retry.
+fn run_evaluations(
+    shared: &Shared,
+    drivers: &mut [Box<dyn Backend + Send>],
+    backend: usize,
+    group: &[QueuedJob],
+    retry_out: &mut Vec<QueuedJob>,
+) {
+    let free_refs: Vec<Vec<&PauliOp>> = group
+        .iter()
+        .map(|g| g.job.free_ops.iter().map(|op| op.as_ref()).collect())
+        .collect();
+    let requests: Vec<EvalRequest<'_>> = group
+        .iter()
+        .zip(&free_refs)
+        .map(|(g, free)| EvalRequest {
+            circuit: &g.job.circuit,
+            params: &g.job.params,
+            initial: &g.job.initial,
+            charged_op: &g.job.charged_op,
+            free_ops: free,
+            stream: Some(g.stream),
+        })
+        .collect();
+    // The whole group hits the driver as one batch; stamp every member.
+    group.iter().for_each(mark_dispatched);
+    let driver = &mut drivers[backend];
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        driver.evaluate_batch(&requests)
+    }));
+    shared.meta[backend]
+        .shots
+        .store(driver.shots_used(), Ordering::SeqCst);
+    match outcome {
+        Ok(results) if results.len() == requests.len() => {
+            for (g, result) in group.iter().zip(results) {
+                g.state.complete(Ok(result));
+            }
+        }
+        // `vqa::Backend` is a public trait: a driver that breaks the one-result-per-
+        // request contract must fail its own group, not strand the unmatched handles
+        // (or take the scheduler down with an out-of-range index).
+        Ok(results) => {
+            let msg = format!(
+                "backend `{}` returned {} results for a batch of {} requests",
+                shared.meta[backend].name,
+                results.len(),
+                requests.len()
+            );
+            for g in group {
+                g.state.complete(Err(ExecError::Execution(msg.clone())));
+            }
+        }
+        Err(payload) => handle_panic(shared, payload, backend, group, retry_out),
+    }
+}
+
 /// Executes one job on an explicit (possibly failover) backend, with full panic
-/// supervision on that backend.  The request carries the job's pinned stream, so the
-/// result is the same whether the job runs here, in a slate batch, or on a retry.
+/// supervision on that backend.
 fn run_single(
     shared: &Shared,
-    drivers: &mut [Option<Box<dyn Backend + Send>>],
+    drivers: &mut [Box<dyn Backend + Send>],
     backend: usize,
     g: &QueuedJob,
     retry_out: &mut Vec<QueuedJob>,
-    worker: usize,
 ) {
-    if let Some(span) = g.state.span() {
-        span.set_worker(worker as u64);
-        span.mark_exec();
-    }
     match g.kind {
         JobKind::Evaluate => {
-            let free_refs: Vec<&PauliOp> = g.job.free_ops.iter().map(|op| op.as_ref()).collect();
-            let request = EvalRequest {
-                circuit: &g.job.circuit,
-                params: &g.job.params,
-                initial: &g.job.initial,
-                charged_op: &g.job.charged_op,
-                free_ops: &free_refs,
-                stream: Some(g.stream),
-            };
-            let driver = drivers[backend]
-                .as_mut()
-                .expect("backend owned by this worker");
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                driver.evaluate_batch(std::slice::from_ref(&request))
-            }));
-            shared.meta[backend].shots.store(
-                drivers[backend]
-                    .as_ref()
-                    .expect("backend owned by this worker")
-                    .shots_used(),
-                Ordering::SeqCst,
-            );
-            match outcome {
-                Ok(mut results) => g.state.complete(Ok(results.remove(0))),
-                Err(payload) => {
-                    handle_panic(shared, payload, backend, std::slice::from_ref(g), retry_out);
-                }
-            }
+            run_evaluations(shared, drivers, backend, std::slice::from_ref(g), retry_out);
         }
         JobKind::Probe => {
-            let driver = drivers[backend]
-                .as_mut()
-                .expect("backend owned by this worker");
+            mark_dispatched(g);
+            let driver = &mut drivers[backend];
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 driver.probe(
                     &g.job.circuit,
@@ -1252,169 +1254,13 @@ fn run_single(
     }
 }
 
-/// A message from the scheduler to a pool execution worker.  Each worker owns a
-/// disjoint subset of the drivers (backend `i` lives on worker `i % workers`); the
-/// scheduler routes all per-backend work to the owner, so no driver is ever shared.
-enum WorkerMsg {
-    /// Execute one backend's portion of a slate under the canonical grouping.
-    Wave {
-        backend: usize,
-        jobs: Vec<QueuedJob>,
-        reply: Sender<WaveReply>,
-    },
-    /// Execute one job on an explicit backend (failover dispatch after the wave).
-    Single {
-        backend: usize,
-        job: QueuedJob,
-        reply: Sender<WaveReply>,
-    },
-    /// Reset the shot counter of an owned backend and acknowledge.
-    ResetShots {
-        backend: usize,
-        ack: Arc<(Mutex<bool>, Condvar)>,
-    },
-}
-
-/// A worker's report after a [`WorkerMsg::Wave`] or [`WorkerMsg::Single`].
-struct WaveReply {
-    backend: usize,
-    /// Jobs that earned a retry (transient fault with retries left).
-    retries: Vec<QueuedJob>,
-    /// Jobs that could not run because the backend is (or became) quarantined; the
-    /// scheduler disposes of them after the wave barrier (failover or fail fast).
-    quarantined: Vec<QueuedJob>,
-}
-
-/// The execution side of the service: either the drivers held inline by the scheduler
-/// thread (`workers = 1`, no extra threads — the default), or a set of execution
-/// worker threads each owning a disjoint subset of the drivers.
-enum DriverPool {
-    Inline(Vec<Option<Box<dyn Backend + Send>>>),
-    Threads {
-        senders: Vec<Sender<WorkerMsg>>,
-        handles: Vec<JoinHandle<()>>,
-    },
-}
-
-impl DriverPool {
-    fn build(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, workers: usize) -> Self {
-        if workers <= 1 {
-            return DriverPool::Inline(drivers.into_iter().map(Some).collect());
-        }
-        let n = drivers.len();
-        let mut slots: Vec<Vec<Option<Box<dyn Backend + Send>>>> = (0..workers)
-            .map(|_| (0..n).map(|_| None).collect())
-            .collect();
-        for (i, driver) in drivers.into_iter().enumerate() {
-            slots[i % workers][i] = Some(driver);
-        }
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (w, owned) in slots.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            let shared = Arc::clone(shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("qexec-pool-{w}"))
-                .spawn(move || pool_worker_loop(&shared, owned, &rx, w))
-                .expect("spawning a qexec pool worker failed");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        DriverPool::Threads { senders, handles }
-    }
-
-    /// Routes a shot-counter reset to whoever owns the backend's driver.
-    fn reset_shots(&mut self, shared: &Shared, backend: usize, ack: Arc<(Mutex<bool>, Condvar)>) {
-        match self {
-            DriverPool::Inline(drivers) => {
-                let driver = drivers[backend].as_mut().expect("backend owned inline");
-                driver.reset_shots();
-                shared.meta[backend]
-                    .shots
-                    .store(driver.shots_used(), Ordering::SeqCst);
-                let (done, cv) = &*ack;
-                *done.lock().unwrap() = true;
-                cv.notify_all();
-            }
-            DriverPool::Threads { senders, .. } => {
-                let workers = senders.len();
-                senders[backend % workers]
-                    .send(WorkerMsg::ResetShots { backend, ack })
-                    .expect("pool worker alive");
-            }
-        }
-    }
-}
-
-impl Drop for DriverPool {
-    fn drop(&mut self) {
-        if let DriverPool::Threads { senders, handles } = self {
-            // Closing the channels ends each worker's run loop after it drains any
-            // in-flight messages (including pending shot-reset acks); join so every
-            // driver is dropped before the executor reports shutdown complete.
-            senders.clear();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-/// The run loop of a pool execution worker: serves wave/single/reset messages over its
-/// owned drivers until the scheduler drops the sending side at shutdown.
-fn pool_worker_loop(
-    shared: &Shared,
-    mut drivers: Vec<Option<Box<dyn Backend + Send>>>,
-    rx: &Receiver<WorkerMsg>,
-    worker: usize,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Wave {
-                backend,
-                jobs,
-                reply,
-            } => {
-                let r = execute_backend_wave(shared, &mut drivers, backend, jobs, worker);
-                let _ = reply.send(r);
-            }
-            WorkerMsg::Single {
-                backend,
-                job,
-                reply,
-            } => {
-                let mut retries = Vec::new();
-                run_single(shared, &mut drivers, backend, &job, &mut retries, worker);
-                let _ = reply.send(WaveReply {
-                    backend,
-                    retries,
-                    quarantined: Vec::new(),
-                });
-            }
-            WorkerMsg::ResetShots { backend, ack } => {
-                let driver = drivers[backend]
-                    .as_mut()
-                    .expect("backend owned by this worker");
-                driver.reset_shots();
-                shared.meta[backend]
-                    .shots
-                    .store(driver.shots_used(), Ordering::SeqCst);
-                let (done, cv) = &*ack;
-                *done.lock().unwrap() = true;
-                cv.notify_all();
-            }
-        }
-    }
-}
-
 /// Disposes of one job whose target backend is quarantined: execute it on a healthy
 /// capability-compatible standby if the submission opted into failover, otherwise fail
 /// fast with [`ExecError::BackendQuarantined`] (no retry — retrying against the same
-/// quarantined target would just spin).  Runs on the scheduler thread after the wave
-/// barrier; the actual execution is routed to the standby's owning worker.
-fn dispose_after_wave(
+/// quarantined target would just spin).
+fn dispose_quarantined(
     shared: &Shared,
-    pool: &mut DriverPool,
+    drivers: &mut [Box<dyn Backend + Send>],
     job: QueuedJob,
     retry_out: &mut Vec<QueuedJob>,
 ) {
@@ -1431,24 +1277,7 @@ fn dispose_after_wave(
             if let Some(span) = job.state.span() {
                 span.set_backend(&shared.meta[idx].name);
             }
-            match pool {
-                DriverPool::Inline(drivers) => {
-                    run_single(shared, drivers, idx, &job, retry_out, 0);
-                }
-                DriverPool::Threads { senders, .. } => {
-                    let workers = senders.len();
-                    let (tx, rx) = channel();
-                    senders[idx % workers]
-                        .send(WorkerMsg::Single {
-                            backend: idx,
-                            job,
-                            reply: tx,
-                        })
-                        .expect("pool worker alive");
-                    let reply = rx.recv().expect("pool worker replies");
-                    retry_out.extend(reply.retries);
-                }
-            }
+            run_single(shared, drivers, idx, &job, retry_out);
             return;
         }
     }
@@ -1460,156 +1289,71 @@ fn dispose_after_wave(
 /// Executes one backend's portion of a slate under the **canonical grouping**: every
 /// `Evaluate` job of the portion — in slate order — forms exactly one `evaluate_batch`
 /// submission, then each `Probe` runs singly, also in slate order.  The grouping is a
-/// function of the backend's job set alone, not of how the slate happened to be
-/// partitioned across workers, so a driver observes the identical call sequence at any
-/// worker count (which is what keeps fault-injection points and results aligned
-/// between serial and multi-worker runs).
-fn execute_backend_wave(
+/// function of the backend's job set alone, so a driver's call sequence (and with it
+/// every fault-injection point) depends only on which jobs the slate holds for it.
+/// Jobs that could not run because the backend is (or became) quarantined are pushed
+/// to `quarantined` for [`dispose_quarantined`].
+fn execute_backend_portion(
     shared: &Shared,
-    drivers: &mut [Option<Box<dyn Backend + Send>>],
+    drivers: &mut [Box<dyn Backend + Send>],
     backend: usize,
     jobs: Vec<QueuedJob>,
-    worker: usize,
-) -> WaveReply {
-    let mut reply = WaveReply {
-        backend,
-        retries: Vec::new(),
-        quarantined: Vec::new(),
-    };
-    if jobs.is_empty() {
-        return reply;
-    }
+    retry_out: &mut Vec<QueuedJob>,
+    quarantined: &mut Vec<QueuedJob>,
+) {
     if shared.obs.enabled() {
-        shared.obs.labeled().inc(&format!("worker{worker}_slates"));
+        shared.obs.labeled().inc("worker0_slates");
     }
     if !ensure_healthy(shared, drivers, backend) {
-        reply.quarantined = jobs;
-        return reply;
+        quarantined.extend(jobs);
+        return;
     }
     let (evals, probes): (Vec<QueuedJob>, Vec<QueuedJob>) =
         jobs.into_iter().partition(|g| g.kind == JobKind::Evaluate);
     if !evals.is_empty() {
-        let free_refs: Vec<Vec<&PauliOp>> = evals
-            .iter()
-            .map(|g| g.job.free_ops.iter().map(|op| op.as_ref()).collect())
-            .collect();
-        let requests: Vec<EvalRequest<'_>> = evals
-            .iter()
-            .zip(&free_refs)
-            .map(|(g, free)| EvalRequest {
-                circuit: &g.job.circuit,
-                params: &g.job.params,
-                initial: &g.job.initial,
-                charged_op: &g.job.charged_op,
-                free_ops: free,
-                stream: Some(g.stream),
-            })
-            .collect();
-        // The whole group hits the driver as one batch; stamp every member.
-        for g in &evals {
-            if let Some(span) = g.state.span() {
-                span.set_worker(worker as u64);
-                span.mark_exec();
-            }
-        }
-        let driver = drivers[backend]
-            .as_mut()
-            .expect("backend owned by this worker");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            driver.evaluate_batch(&requests)
-        }));
-        shared.meta[backend].shots.store(
-            drivers[backend]
-                .as_ref()
-                .expect("backend owned by this worker")
-                .shots_used(),
-            Ordering::SeqCst,
-        );
-        match outcome {
-            Ok(results) => {
-                for (g, result) in evals.iter().zip(results) {
-                    g.state.complete(Ok(result));
-                }
-            }
-            Err(payload) => handle_panic(shared, payload, backend, &evals, &mut reply.retries),
-        }
+        run_evaluations(shared, drivers, backend, &evals, retry_out);
     }
     for g in probes {
         // A panic in the evaluation batch (or an earlier probe) may have quarantined
-        // the backend mid-wave; the rest of the portion must not touch the corrupted
-        // driver.
+        // the backend mid-portion; the rest must not touch the corrupted driver.
         if !currently_healthy(shared, backend) {
-            reply.quarantined.push(g);
+            quarantined.push(g);
             continue;
         }
-        run_single(shared, drivers, backend, &g, &mut reply.retries, worker);
+        run_single(shared, drivers, backend, &g, retry_out);
     }
-    reply
 }
 
-/// Executes one slate across the driver pool in two waves.
-///
-/// **Wave 1** partitions the slate by backend and runs every backend's portion under
-/// the canonical grouping — concurrently on the owning workers when the pool has
-/// threads, inline in backend order otherwise — then barriers on all portions and
-/// merges their outcomes in backend order.  **Wave 2** disposes of jobs whose backend
-/// was quarantined (failover to a healthy standby or fail fast), sequentially on the
-/// scheduler thread, so failover placement never depends on worker timing.
-///
-/// Because every job's stochastic draws are keyed by its own pinned stream and every
-/// driver sees a partition-independent call sequence, results are bit-identical at any
-/// worker count.  Returns the jobs that earned a retry (re-queued for a later slate).
-fn run_slate(shared: &Shared, pool: &mut DriverPool, slate: Vec<QueuedJob>) -> Vec<QueuedJob> {
+/// Executes one slate: partitions it by backend, runs every backend's portion under
+/// the canonical grouping in backend order, then disposes of the jobs whose backend
+/// was quarantined (failover to a healthy standby, or fail fast) — after every portion
+/// has run, so failover placement sees the slate's final health picture.  Returns the
+/// jobs that earned a retry (re-queued for a later slate).
+fn run_slate(
+    shared: &Shared,
+    drivers: &mut [Box<dyn Backend + Send>],
+    slate: Vec<QueuedJob>,
+) -> Vec<QueuedJob> {
     let mut per_backend: Vec<Vec<QueuedJob>> = (0..shared.meta.len()).map(|_| Vec::new()).collect();
     for job in slate {
         per_backend[job.backend].push(job);
     }
     let mut retry_out = Vec::new();
     let mut quarantined: Vec<QueuedJob> = Vec::new();
-    match pool {
-        DriverPool::Inline(drivers) => {
-            for (backend, jobs) in per_backend.into_iter().enumerate() {
-                if jobs.is_empty() {
-                    continue;
-                }
-                let reply = execute_backend_wave(shared, drivers, backend, jobs, 0);
-                retry_out.extend(reply.retries);
-                quarantined.extend(reply.quarantined);
-            }
-        }
-        DriverPool::Threads { senders, .. } => {
-            let workers = senders.len();
-            let (tx, rx) = channel();
-            let mut outstanding = 0usize;
-            for (backend, jobs) in per_backend.into_iter().enumerate() {
-                if jobs.is_empty() {
-                    continue;
-                }
-                senders[backend % workers]
-                    .send(WorkerMsg::Wave {
-                        backend,
-                        jobs,
-                        reply: tx.clone(),
-                    })
-                    .expect("pool worker alive");
-                outstanding += 1;
-            }
-            drop(tx);
-            let mut replies: Vec<WaveReply> = Vec::with_capacity(outstanding);
-            for _ in 0..outstanding {
-                replies.push(rx.recv().expect("pool worker replies"));
-            }
-            // The barrier: every backend's wave has finished.  Merge in backend order
-            // so the retry queue and wave-2 dispositions are schedule-independent.
-            replies.sort_by_key(|r| r.backend);
-            for reply in replies {
-                retry_out.extend(reply.retries);
-                quarantined.extend(reply.quarantined);
-            }
+    for (backend, jobs) in per_backend.into_iter().enumerate() {
+        if !jobs.is_empty() {
+            execute_backend_portion(
+                shared,
+                drivers,
+                backend,
+                jobs,
+                &mut retry_out,
+                &mut quarantined,
+            );
         }
     }
     for job in quarantined {
-        dispose_after_wave(shared, pool, job, &mut retry_out);
+        dispose_quarantined(shared, drivers, job, &mut retry_out);
     }
     retry_out
 }
@@ -1669,10 +1413,8 @@ fn sweep_expired(shared: &Shared, q: &mut QueueState) {
 }
 
 /// The scheduler loop: builds slates, assigns sequence numbers, serves controls, and
-/// drives the pool.  With `workers = 1` it also executes everything itself (the pool
-/// is inline); with more workers it dispatches waves and barriers on their replies.
-fn worker_loop(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, workers: usize) {
-    let mut pool = DriverPool::build(shared, drivers, workers);
+/// executes every slate itself on the drivers it owns.
+fn worker_loop(shared: &Shared, mut drivers: Vec<Box<dyn Backend + Send>>) {
     loop {
         let slate = {
             let mut q = shared.queue.lock().unwrap();
@@ -1680,7 +1422,14 @@ fn worker_loop(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, work
                 while let Some(control) = q.controls.pop_front() {
                     match control {
                         Control::ResetShots { backend, ack } => {
-                            pool.reset_shots(shared, backend, ack);
+                            let driver = &mut drivers[backend];
+                            driver.reset_shots();
+                            shared.meta[backend]
+                                .shots
+                                .store(driver.shots_used(), Ordering::SeqCst);
+                            let (done, cv) = &*ack;
+                            *done.lock().unwrap() = true;
+                            cv.notify_all();
                         }
                     }
                 }
@@ -1742,7 +1491,7 @@ fn worker_loop(shared: &Arc<Shared>, drivers: Vec<Box<dyn Backend + Send>>, work
             shared.space_cv.notify_all();
             slate
         };
-        let retry_jobs = run_slate(shared, &mut pool, slate);
+        let retry_jobs = run_slate(shared, &mut drivers, slate);
         shared
             .obs
             .counters()

@@ -403,7 +403,7 @@ impl JobHandle {
     /// Registers a callback to run exactly once when the job completes (with the same
     /// result [`JobHandle::wait`] returns).  If the job has already completed, the
     /// callback runs inline before this returns; otherwise it runs on the completing
-    /// thread — scheduler or worker — so it must be short and must not block (push
+    /// thread — the scheduler, or a caller cancelling the job — so it must be short and must not block (push
     /// into a channel, bump a counter).  This is the push-notification primitive the
     /// network server uses to stream out-of-order completions without a thread or a
     /// poll per in-flight job.

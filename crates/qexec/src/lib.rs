@@ -27,14 +27,12 @@
 //! *slate*, partitions it by backend, and executes each backend's evaluation jobs as
 //! one `evaluate_batch` submission (probes run singly after) — so concurrent clients'
 //! work coalesces into the big batches the compiled scratch-pool engine is built for,
-//! while no client can starve another.  [`ExecutorBuilder::workers`] (or the
-//! `QEXEC_WORKERS` environment variable) spreads the backends across that many
-//! execution worker threads, each owning a disjoint driver subset; the scheduler
-//! dispatches every backend's portion of the slate to its owner and barriers on the
-//! replies, so multi-backend slates execute concurrently without changing any result.
-//! [`Executor::pause`] / [`Executor::resume`] let cooperating clients assemble one
-//! fair-ordered slate deterministically (the TreeVQA controller does this every round
-//! phase).
+//! while no client can starve another.  The scheduler thread is the executor's only
+//! thread: it owns every registered driver and runs the backends' portions of a slate
+//! one after another in registration order (splitting work across threads is the
+//! drivers' business, decided in one module: `qop::par`).  [`Executor::pause`] / [`Executor::resume`] let
+//! cooperating clients assemble one fair-ordered slate deterministically (the TreeVQA
+//! controller does this every round phase).
 //!
 //! # The robustness contract
 //!
@@ -87,11 +85,8 @@
 //! ([`SubmitOptions::rng_stream`], [`EvalJob::with_rng_stream`], or the default stream
 //! derived from the submission id, readable via [`JobHandle::rng_stream`]) — a pure
 //! function of `(root seed, stream, draw index)`, independent of whatever executed
-//! before.  Consequences, each asserted by `tests/tests/schedule_independence.rs` and
-//! exercised at `QEXEC_WORKERS` ∈ {1, 2, 4} in CI:
+//! before.  Consequences, each asserted by `tests/tests/schedule_independence.rs`:
 //!
-//! * **Worker counts don't matter** — the slate partitioning across execution workers
-//!   (and their real-time interleaving) cannot change any result.
 //! * **Submission interleaving doesn't matter** — a job pinned to a stream returns the
 //!   same result no matter which other jobs surround it in the slate.
 //! * **Retries and failovers don't matter** — re-executions reuse the pinned stream,
@@ -287,7 +282,10 @@ mod tests {
     fn capability_negotiation_selects_and_rejects() {
         let executor = Executor::builder()
             .register("exact", StatevectorBackend::new())
-            .register("sampled", SampledBackend::new(128, 7))
+            .register(
+                "sampled",
+                SampledBackend::with_policy(128, SeedPolicy::new(7)),
+            )
             .start();
         let shots_cap = BackendCaps {
             shots: true,

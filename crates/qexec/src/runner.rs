@@ -8,7 +8,7 @@
 //! with other clients.  Every candidate job draws from its own stream pinned at
 //! submission (see the crate-level schedule-independence contract), so a run is a pure
 //! function of the configuration and root seed — reproducible bit-for-bit across fresh
-//! executors, any worker count, and any co-tenant clients sharing the service.
+//! executors and any co-tenant clients sharing the service.
 
 use crate::error::ExecError;
 use crate::executor::Executor;

@@ -1,7 +1,5 @@
 //! Weighted undirected graphs and exact MaxCut utilities.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected weighted graph stored as an edge list.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.num_edges(), 2);
 /// assert!((g.total_weight() - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WeightedGraph {
     num_nodes: usize,
     edges: Vec<(usize, usize, f64)>,

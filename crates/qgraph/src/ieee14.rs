@@ -11,7 +11,6 @@
 use crate::graph::{edge_weight_variance, WeightedGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Branch list of the IEEE 14-bus test case: `(from_bus, to_bus, reactance_x_pu)` with
 /// 1-based bus numbering as in the original data.
@@ -58,7 +57,7 @@ pub fn ieee14_base_graph() -> WeightedGraph {
 /// `[load_min, load_max]`; each edge responds to the load scale with its own sensitivity,
 /// so different instances are genuinely different MaxCut problems (not scalar multiples of
 /// one another), while narrower load ranges yield more similar instances.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ieee14Family {
     /// Lower end of the load-scale range.
     pub load_min: f64,

@@ -7,10 +7,9 @@
 //! (greedy heavy-edge matching) used by the initializer in the `vqa` crate.
 
 use crate::graph::WeightedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Result of one pooling (coarsening) pass.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PooledGraph {
     /// The coarsened graph.
     pub graph: WeightedGraph,

@@ -24,7 +24,7 @@
 //! the submit frame, so a job pinned to a [`qrng::StreamId`] draws the same
 //! randomness whether it runs in-process or on a server three hops away.  The
 //! schedule-independence contract (PR 9) does the rest — results are bit-identical
-//! regardless of which connection, worker, or interleaving carried the job.
+//! regardless of which connection or interleaving carried the job.
 //!
 //! ```no_run
 //! use qexec::{EvalJob, Executor};

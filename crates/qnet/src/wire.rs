@@ -5,8 +5,8 @@
 //! before a single payload byte is buffered, every length field inside a payload is
 //! checked against the bytes actually remaining before any allocation, and every decode
 //! failure is a structured [`WireError`] — never a panic, never an unbounded
-//! allocation.  Encoding is hand-rolled over `std::io::{Read, Write}` (the vendored
-//! serde is an API stand-in, not a serializer) with all integers little-endian and
+//! allocation.  Encoding is hand-rolled over `std::io::{Read, Write}` (no serializer
+//! crate is available offline) with all integers little-endian and
 //! `f64`s as raw IEEE-754 bits, so floating-point payloads round-trip bit-exactly —
 //! the loopback bit-identity contract starts here.
 //!

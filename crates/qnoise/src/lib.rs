@@ -26,8 +26,7 @@
 //! ## Seeding contract
 //!
 //! Trajectory `i` of stream seed `s` is fully determined by `(s, i)` — independent of
-//! batch size, chunk size (the `vqa` crate's `VQA_BATCH_CHUNK`), worker count, and of which other
-//! trajectories are sampled: every trajectory draws from its own RNG seeded with
+//! batch size and of which other trajectories are sampled: every trajectory draws from its own RNG seeded with
 //! [`trajectory_seed`]`(s, i)`.  The draw stream *within* a trajectory consumes one
 //! uniform per nonzero channel per noise site, in site order, so a schedule is also
 //! independent of how many errors actually fire.  Changing the noise model (adding or
@@ -38,8 +37,7 @@
 //!
 //! The trajectory count defaults to the `QNOISE_TRAJECTORIES` environment variable
 //! (read once per process, default [`DEFAULT_TRAJECTORIES`]); see the workspace README's
-//! "Tuning" section for how it interacts with `QSIM_PAR_THRESHOLD` and
-//! `VQA_BATCH_CHUNK`.
+//! "Tuning" section for how it interacts with `QSIM_PAR_THRESHOLD`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

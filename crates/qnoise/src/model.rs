@@ -9,10 +9,9 @@
 //! channel below).
 
 use qop::Pauli;
-use serde::{Deserialize, Serialize};
 
 /// One elementary single-qubit Pauli error channel attached to a gate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PauliChannel {
     /// Depolarizing channel of strength `p`: each of `X`, `Y`, `Z` with probability
     /// `p/3`.  Attenuates every non-identity Pauli observable by `1 − 4p/3`.
@@ -114,7 +113,7 @@ pub fn readout_attenuation(r: f64, weight: u32) -> f64 {
 /// Pauli patterns) plus each `two_qubit_local` channel on every touched qubit.  Readout
 /// error is not a gate channel: it attenuates measured expectations per term weight at
 /// readout time ([`readout_attenuation`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PauliNoiseModel {
     /// Human-readable model name.
     pub name: String,

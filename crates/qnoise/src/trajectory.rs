@@ -17,7 +17,7 @@ use rand::Rng;
 ///
 /// This is the crate's **seeding contract**: a trajectory's insertion schedule depends
 /// only on `(seed, trajectory)` (plus the circuit and model it is sampled for) — never
-/// on batch size, chunk size, worker count, or which other trajectories run.  Since the
+/// on batch size or which other trajectories run.  Since the
 /// workspace-wide counter-based RNG landed, this is exactly [`qrng::mix`] — the same
 /// SplitMix64-finalizer block function every stochastic consumer keys its streams with —
 /// so trajectory seeds recorded under the original contract are unchanged.

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of shards.  Enough to separate the handful of threads the workspace
-/// runs (worker, clients, rayon pool leaders) without bloating snapshots.
+/// runs (scheduler, clients, rayon pool leaders) without bloating snapshots.
 const NUM_SHARDS: usize = 8;
 
 /// One counter slot, padded to a cache line so adjacent events in the same shard
@@ -121,8 +121,7 @@ mod tests {
 }
 
 /// Dynamically labeled counters, for label sets unknowable at compile time
-/// (e.g. one slate tally per execution worker, where the worker count is a
-/// runtime knob).  A mutex-held sorted map: strictly for low-rate events — one
+/// (e.g. one request tally per network connection).  A mutex-held sorted map: strictly for low-rate events — one
 /// lock per increment — where the static [`Counters`] table cannot apply.
 #[derive(Debug, Default)]
 pub struct LabeledCounters {

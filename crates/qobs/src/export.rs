@@ -1,8 +1,7 @@
 //! Renderers for [`ObsSnapshot`]: human-readable table, JSON, Prometheus text.
 //!
-//! All three are hand-rendered strings (the workspace's vendored `serde` is a
-//! no-op stand-in), following the same convention as the repository's
-//! `BENCH_*.json` writers: stable key order, no trailing whitespace, so
+//! All three are hand-rendered strings, following the same convention as the
+//! repository's `BENCH_*.json` writers: stable key order, no trailing whitespace, so
 //! outputs diff cleanly across runs.
 
 use crate::histogram::HistogramSnapshot;

@@ -85,7 +85,7 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a [`Histogram`], with quantile estimation and merge.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts; see the module docs for the bucket → range mapping.
     pub buckets: [u64; NUM_BUCKETS],

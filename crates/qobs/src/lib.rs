@@ -23,7 +23,7 @@
 //!   dropped, it never blocks the hot path) and simultaneously feed the
 //!   queue/exec/end-to-end histograms.
 //! * [`Registry`] — bundles the above behind one handle, snapshots into the
-//!   serde-friendly [`ObsSnapshot`], and renders through [`export`] as a
+//!   plain-data [`ObsSnapshot`], and renders through [`export`] as a
 //!   human-readable table, a JSON document, or Prometheus-style exposition text.
 //!
 //! ## Enablement model
@@ -47,9 +47,8 @@
 //! observation in the process, so spans serialize as small integers and are
 //! immune to wall-clock steps.
 //!
-//! The crate has no dependencies beyond the workspace's vendored no-op `serde`
-//! (the derives are markers; JSON is rendered by hand in [`export`]), keeping it
-//! at the very bottom of the dependency graph where `qsim` and `vqa` can use it.
+//! The crate has no dependencies (JSON is rendered by hand in [`export`]), keeping
+//! it at the very bottom of the dependency graph where `qsim` and `vqa` can use it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

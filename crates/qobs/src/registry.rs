@@ -52,7 +52,7 @@ impl Registry {
     }
 
     /// The (always-live) dynamically labeled counters — events whose label set
-    /// is a runtime knob, like the executor's per-worker slate tallies.
+    /// is only known at run time, like a server's per-connection request tallies.
     pub fn labeled(&self) -> &LabeledCounters {
         &self.labeled
     }
@@ -97,7 +97,7 @@ impl Registry {
 }
 
 /// Span-store totals inside an [`ObsSnapshot`].
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpanSummary {
     /// Spans opened.
     pub started: u64,
@@ -126,7 +126,7 @@ impl SpanSummary {
 
 /// A point-in-time copy of a [`Registry`], ready for the [`crate::export`]
 /// renderers (or any other consumer).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ObsSnapshot {
     /// Whether span recording was on.
     pub enabled: bool,

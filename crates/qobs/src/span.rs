@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Terminal state of a job span, matching the executor's completion paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// The backend produced a result.
     Completed,
@@ -77,7 +77,7 @@ impl Outcome {
 }
 
 /// Identity labels attached to a span at submission.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpanLabels {
     /// Submitting client's id.
     pub client: u64,
@@ -87,13 +87,14 @@ pub struct SpanLabels {
     pub priority: i64,
     /// Job kind label (e.g. `evaluate` / `probe`).
     pub kind: &'static str,
-    /// Index of the execution worker that ran the job, stamped at dispatch
-    /// (`None` for jobs that never reached a worker).
+    /// Index of the execution thread that ran the job, stamped at dispatch
+    /// (`None` for jobs that were never dispatched; `qexec` executes on its one
+    /// scheduler thread, so it stamps `Some(0)`).
     pub worker: Option<u64>,
 }
 
 /// An immutable record of a finished span.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FinishedSpan {
     /// Store-unique span id, in start order.
     pub id: u64,
@@ -190,7 +191,7 @@ impl Span {
         self.labels.lock().unwrap().backend = name.to_string();
     }
 
-    /// Label the execution worker that ran (or is running) the job.
+    /// Label the execution thread that ran (or is running) the job.
     pub fn set_worker(&self, worker: u64) {
         self.labels.lock().unwrap().worker = Some(worker);
     }

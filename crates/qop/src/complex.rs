@@ -4,7 +4,6 @@
 //! small, well-tested `Complex64` type with exactly the operations the simulators and the
 //! Lanczos solver need: arithmetic, conjugation, magnitude, and polar construction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert!((c.re - 5.0).abs() < 1e-12);
 /// assert!((c.im - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

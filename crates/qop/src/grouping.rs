@@ -9,10 +9,9 @@
 
 use crate::op::PauliOp;
 use crate::pauli::{Pauli, PauliString};
-use serde::{Deserialize, Serialize};
 
 /// A group of mutually qubit-wise-commuting terms from a [`PauliOp`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QwcGroup {
     /// Indices into the original operator's term list.
     pub term_indices: Vec<usize>,

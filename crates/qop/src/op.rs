@@ -13,12 +13,11 @@ use crate::par::{self, SendPtr, MIN_PAR_INDICES};
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One term of a [`PauliOp`]: a real coefficient times a Pauli string.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PauliTerm {
     /// The Pauli string.
     pub string: PauliString,
@@ -51,7 +50,7 @@ impl PauliTerm {
 /// let psi = Statevector::zero_state(1);
 /// assert!((h.expectation(&psi) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PauliOp {
     num_qubits: usize,
     terms: Vec<PauliTerm>,

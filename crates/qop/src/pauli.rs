@@ -7,7 +7,6 @@
 //! transverse-field Ising chain simulated through Pauli propagation).
 
 use crate::complex::Complex64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single-qubit Pauli operator.
@@ -21,7 +20,7 @@ use std::fmt;
 /// // X·Y = iZ
 /// assert_eq!(phase, 1);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Pauli {
     /// Identity.
     I,
@@ -133,7 +132,7 @@ impl fmt::Display for Pauli {
 /// assert_eq!(zz.weight(), 2);
 /// assert_eq!(zz.pauli_at(0), Pauli::Z);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PauliString {
     x_mask: u64,
     z_mask: u64,

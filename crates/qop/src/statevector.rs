@@ -21,7 +21,6 @@
 //! stay layout-independent.
 
 use crate::complex::Complex64;
-use serde::{Deserialize, Serialize};
 
 /// A dense n-qubit statevector with `2^n` complex amplitudes in split re/im storage.
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(psi.num_qubits(), 2);
 /// assert!((psi.probability(0b10) - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Statevector {
     re: Vec<f64>,
     im: Vec<f64>,
@@ -166,9 +165,8 @@ impl Statevector {
     ///
     /// Asserts the equal-length lane invariant: the kernels' unsafe parallel paths
     /// index both lanes up to `dim()` through raw pointers, so any construction path
-    /// that could bypass the constructors (deserialization of corrupted data, once a
-    /// real serde replaces the vendored marker stub) must fail loudly here rather than
-    /// hand the kernels mismatched lanes.
+    /// that could bypass the constructors must fail loudly here rather than hand the
+    /// kernels mismatched lanes.
     #[inline]
     pub fn lanes(&self) -> (&[f64], &[f64]) {
         assert_eq!(self.re.len(), self.im.len(), "re/im lanes out of sync");

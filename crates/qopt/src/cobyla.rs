@@ -8,10 +8,9 @@
 //! substitution note.
 
 use crate::{IterationStats, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// COBYLA configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CobylaConfig {
     /// Initial trust-region radius (also the initial simplex edge length).
     pub initial_radius: f64,

@@ -30,10 +30,8 @@ pub use cobyla::{Cobyla, CobylaConfig};
 pub use nelder_mead::{NelderMead, NelderMeadConfig};
 pub use spsa::{Spsa, SpsaConfig};
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics reported by one optimizer iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationStats {
     /// How many times the objective function was evaluated during this iteration.
     pub evaluations: usize,
@@ -106,8 +104,8 @@ pub trait Optimizer {
 /// Which optimizer a VQA run should use, with its configuration.
 ///
 /// This enum exists so higher-level crates can store the optimizer choice in plain-data
-/// experiment configurations (it is `Serialize`/`Deserialize`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// experiment configurations.
+#[derive(Clone, Debug, PartialEq)]
 pub enum OptimizerSpec {
     /// Simultaneous Perturbation Stochastic Approximation.
     Spsa(SpsaConfig),
@@ -123,10 +121,10 @@ impl OptimizerSpec {
         OptimizerSpec::Spsa(SpsaConfig::default())
     }
 
-    /// Builds a fresh optimizer instance from a raw RNG seed (thin wrapper over
-    /// [`OptimizerSpec::build_with_policy`] with `qrng::SeedPolicy::legacy`).
+    /// Builds a fresh optimizer instance rooted at `seed`
+    /// ([`OptimizerSpec::build_with_policy`] with `qrng::SeedPolicy::new(seed)`).
     pub fn build(&self, seed: u64) -> Box<dyn Optimizer + Send> {
-        self.build_with_policy(qrng::SeedPolicy::legacy(seed))
+        self.build_with_policy(qrng::SeedPolicy::new(seed))
     }
 
     /// Builds a fresh optimizer instance with a typed seeding policy.  Stochastic

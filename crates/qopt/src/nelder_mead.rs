@@ -15,10 +15,9 @@
 //! evaluations per iteration.
 
 use crate::{IterationStats, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Nelder–Mead coefficients.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NelderMeadConfig {
     /// Initial simplex edge length.
     pub initial_step: f64,

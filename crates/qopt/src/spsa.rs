@@ -9,10 +9,9 @@
 use crate::{IterationStats, Optimizer};
 use qrng::{CounterRng, SeedPolicy, StreamId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// SPSA gain-sequence configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpsaConfig {
     /// Gain numerator `a` of the update step size.
     pub a: f64,
@@ -81,12 +80,10 @@ pub struct Spsa {
 }
 
 impl Spsa {
-    /// Creates a new SPSA instance from a raw RNG seed.
-    ///
-    /// Thin wrapper over [`Spsa::with_policy`] with [`SeedPolicy::legacy`]; prefer the
-    /// typed form in new code.
+    /// Creates a new SPSA instance rooted at `seed` ([`Spsa::with_policy`] with
+    /// `SeedPolicy::new(seed)`).
     pub fn new(config: SpsaConfig, seed: u64) -> Self {
-        Self::with_policy(config, SeedPolicy::legacy(seed))
+        Self::with_policy(config, SeedPolicy::new(seed))
     }
 
     /// Creates a new SPSA instance drawing from `policy`'s default optimizer stream.

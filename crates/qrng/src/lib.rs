@@ -3,9 +3,9 @@
 //! Every stochastic consumer in this workspace (shot sampling, noise trajectories,
 //! SPSA perturbations) draws from this crate so that **a draw's value is a pure
 //! function of `(root seed, stream, counter)`** — never of what executed before it.
-//! That is the property that lets the execution service run slates on any number of
-//! workers, in any order, with retries and failover, and still produce bit-identical
-//! results (the "schedule-independent determinism" contract in `qexec`).
+//! That is the property that lets the execution service run slates in any order, with
+//! retries and failover, and still produce bit-identical results (the
+//! "schedule-independent determinism" contract in `qexec`).
 //!
 //! The design follows the counter-mode DRBG construction (Philox/Threefry-style: a
 //! stateless block function over a key and a counter) with SplitMix64's finalizer as
@@ -21,9 +21,8 @@
 //!             └─ counter 0, 1, 2, …      — the draws
 //! ```
 //!
-//! * [`SeedPolicy`] wraps the root seed.  It replaces the raw `u64 seed` constructor
-//!   parameters that used to be threaded through `SampledBackend::new` and friends;
-//!   [`SeedPolicy::legacy`] wraps an old raw seed unchanged for migration.
+//! * [`SeedPolicy`] wraps the root seed (the typed form of what used to be raw
+//!   `u64 seed` constructor parameters).
 //! * [`StreamId`] is an opaque derived key: [`StreamId::for_job`] from an executor
 //!   job id, [`StreamId::named`] from a label, [`StreamId::substream`] for
 //!   independent lanes (e.g. trajectory seeds vs. shot noise within one evaluation).
@@ -84,7 +83,7 @@ pub const fn mix(key: u64, counter: u64) -> u64 {
 /// Total [`CounterRng`] draws performed by this process (relaxed, monotone).
 ///
 /// Take deltas around a workload to compare the draw *work* of two schedules; the
-/// schedule-independence suite asserts the deltas match across worker counts.
+/// schedule-independence suite asserts the deltas match across submission orders.
 pub fn total_draws() -> u64 {
     TOTAL_DRAWS.load(Ordering::Relaxed)
 }
@@ -95,7 +94,7 @@ pub fn total_draws() -> u64 {
 /// Streams with distinct derivations are computationally independent; equality is
 /// exact key equality (two jobs given the same explicit stream intentionally share
 /// draws — that is how a retry reproduces its first attempt bit-for-bit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StreamId(u64);
 
 impl StreamId {
@@ -154,7 +153,7 @@ impl StreamId {
 /// Replaces raw `u64 seed` constructor parameters across the workspace.  Two
 /// instances with the same policy and the same stream draw identically — on any
 /// thread, in any order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SeedPolicy {
     root: u64,
 }
@@ -163,15 +162,6 @@ impl SeedPolicy {
     /// A policy rooted at `root`.
     pub const fn new(root: u64) -> Self {
         SeedPolicy { root }
-    }
-
-    /// Wraps a seed that used to be passed as a raw `u64` constructor parameter.
-    ///
-    /// Identical to [`SeedPolicy::new`]; the name marks migration call sites so the
-    /// deprecated-style `u64` wrappers (`SampledBackend::new(shots, seed)`, …) read
-    /// as intentional.
-    pub const fn legacy(seed: u64) -> Self {
-        SeedPolicy { root: seed }
     }
 
     /// The root seed.
@@ -309,7 +299,7 @@ mod tests {
 
     #[test]
     fn same_policy_same_stream_is_bit_identical_anywhere() {
-        let policy = SeedPolicy::legacy(1234);
+        let policy = SeedPolicy::new(1234);
         let stream = StreamId::for_job(17);
         let mut x = policy.rng(stream);
         let mut y = policy.rng(stream);

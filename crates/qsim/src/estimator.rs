@@ -15,10 +15,9 @@
 use crate::shots::ShotLedger;
 use qop::{group_qwc, PauliOp, PauliString, Statevector, TermBasis};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How measurement sampling noise is generated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplingMethod {
     /// Exact expectation values (no sampling noise).
     Exact,
@@ -29,7 +28,7 @@ pub enum SamplingMethod {
 }
 
 /// Configuration of the shot estimator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EstimatorConfig {
     /// Shots allocated to each Pauli term of the measured Hamiltonian.
     pub shots_per_pauli: u64,

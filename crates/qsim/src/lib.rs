@@ -36,8 +36,8 @@
 //! smaller registers stay serial because thread fan-out would cost more than the kernel.
 //! Tune or disable this with the `QSIM_PAR_THRESHOLD` environment variable (an amplitude
 //! count; `0` forces serial execution, useful for profiling and determinism studies), and
-//! cap the worker count with `RAYON_NUM_THREADS`.  The same threshold steers the `vqa`
-//! batch runner: registers *below* it are data-parallelized **across** the scratch-pool
+//! cap the thread count with `RAYON_NUM_THREADS`.  The same threshold steers batches
+//! (`qop::par::map_states`): registers *below* it are data-parallelized **across** the
 //! states of a batch instead of within one state.  Optimizer inner loops should compile
 //! once and drive [`CompiledCircuit::execute_into`] with a reused scratch state (the
 //! `run_circuit*` wrappers compile on *every* call and allocate, so they are for

@@ -18,11 +18,10 @@
 
 use qcircuit::Circuit;
 use qop::{PauliOp, Statevector, TermBasis};
-use serde::{Deserialize, Serialize};
 
 /// Per-backend noise parameters (synthetic calibrations in the ballpark of the paper's
 /// IBM devices).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NoiseModel {
     /// Human-readable backend name.
     pub name: String,
@@ -101,7 +100,7 @@ impl NoiseModel {
 }
 
 /// Gate-count profile of a circuit, used to evaluate the analytic attenuation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CircuitNoiseProfile {
     /// Number of single-qubit gates.
     pub single_qubit_gates: usize,

@@ -10,12 +10,11 @@
 
 use qcircuit::{Circuit, Gate};
 use qop::{Complex64, PauliOp, PauliString, PauliTerm};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Configuration of the Pauli-propagation simulator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PauliPropagatorConfig {
     /// Strings with Pauli weight above this cap are discarded (paper default: 8).
     pub max_weight: u32,
@@ -37,7 +36,7 @@ impl Default for PauliPropagatorConfig {
 }
 
 /// Heisenberg-picture simulator: computes `⟨b|U†(θ) H U(θ)|b⟩` without a statevector.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PauliPropagator {
     config: PauliPropagatorConfig,
 }

@@ -6,8 +6,6 @@
 //! `iterations × evals_per_iteration × 4096 × M`.  [`ShotLedger`] accumulates exactly that
 //! quantity; every backend charges it on each expectation-value evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// Default shots per Pauli term per evaluation, matching the paper (Section 7.3).
 pub const DEFAULT_SHOTS_PER_PAULI: u64 = 4096;
 
@@ -22,7 +20,7 @@ pub const DEFAULT_SHOTS_PER_PAULI: u64 = 4096;
 /// ledger.charge_evaluation(4096, 15); // one evaluation of a 15-term Hamiltonian
 /// assert_eq!(ledger.total(), 4096 * 15);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ShotLedger {
     total: u64,
     evaluations: u64,

@@ -1,10 +1,9 @@
 //! TreeVQA configuration.
 
 use qopt::OptimizerSpec;
-use serde::{Deserialize, Serialize};
 
 /// When and how clusters are allowed to split.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SplitPolicy {
     /// The paper's adaptive policy (Section 5.2.2–5.2.3): after a warm-up phase, monitor
     /// the mixed loss and every member loss over a sliding window; split when the mixed
@@ -40,7 +39,7 @@ impl SplitPolicy {
 }
 
 /// Configuration of a TreeVQA run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeVqaConfig {
     /// Global shot budget `S_max` (Algorithm 1 line 4); the run stops once the backend has
     /// charged at least this many shots.
@@ -60,7 +59,6 @@ pub struct TreeVqaConfig {
     /// deadline this far from its submission, so a phase stuck behind a congested or
     /// stalled executor surfaces `DeadlineExceeded` instead of wedging the controller.
     /// `None` (the default) submits without deadlines.
-    #[serde(default)]
     pub phase_timeout_ms: Option<u64>,
     /// Base RNG seed (optimizers and spectral-clustering k-means derive their seeds from
     /// it deterministically).

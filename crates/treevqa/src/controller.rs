@@ -13,12 +13,11 @@ use cluster::{spectral_bipartition, SimilarityMatrix};
 use qexec::{wait_all, EvalJob, ExecClient, ExecError, Executor, JobHandle};
 use qop::PauliOp;
 use qopt::Optimizer;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vqa::VqaApplication;
 
 /// Per-task outcome of a TreeVQA run (after post-processing).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeVqaTaskOutcome {
     /// Task label.
     pub task_label: String,
@@ -33,7 +32,7 @@ pub struct TreeVqaTaskOutcome {
 }
 
 /// One application-level history row (used for shots-vs-fidelity analysis).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeVqaRecord {
     /// Controller round index.
     pub round: usize,
@@ -48,7 +47,7 @@ pub struct TreeVqaRecord {
 }
 
 /// Result of a TreeVQA run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeVqaResult {
     /// Post-processed per-task outcomes, in application task order.
     pub per_task: Vec<TreeVqaTaskOutcome>,

@@ -5,12 +5,11 @@
 //! values decides whether the cluster has stalled (`|slope| < ε`) or a member is being
 //! actively harmed (`slope_i > 0`), either of which triggers a split.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A fixed-length sliding window of loss values with an incremental linear-regression
 /// slope estimate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SlopeMonitor {
     capacity: usize,
     values: VecDeque<f64>,

@@ -5,10 +5,8 @@
 //! is recorded for reporting — in particular the *Tree Critical Depth* used by the
 //! hyperparameter study (Section 9.1) — and for debugging split behaviour.
 
-use serde::{Deserialize, Serialize};
-
 /// One node of the execution tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeNode {
     /// Node id (index into the tree's node list).
     pub id: usize,
@@ -27,7 +25,7 @@ pub struct TreeNode {
 }
 
 /// The TreeVQA execution tree.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecutionTree {
     nodes: Vec<TreeNode>,
 }

@@ -19,13 +19,13 @@
 //!   per request — never re-walked;
 //! * a pool of scratch slots (grown on demand, reused across calls) holds one
 //!   statevector and one readout vector per in-flight request;
-//! * for registers **below** the [`qsim::parallel_threshold`] amplitude count, the batch
-//!   is data-parallelized *across* the pool states (one thread per state, with every
-//!   kernel inside a worker pinned serial via `qop::par::serial_scope`); at or above the
-//!   threshold each state is executed serially in the batch while the gate and readout
-//!   kernels parallelize *within* the state.  One knob (`QSIM_PAR_THRESHOLD`) picks the
-//!   regime, every kernel gates on the register dimension alone, and the scope pin
-//!   guarantees the two levels of parallelism never nest.
+//! * where the batch is split across threads is not decided here: each chunk's states
+//!   go through [`qop::par::map_states`], which runs registers **below** the
+//!   [`qsim::parallel_threshold`] amplitude count side by side when the chunk as a whole
+//!   crosses it (kernels pinned serial), and otherwise one after another while the gate
+//!   and readout kernels parallelize *within* the state.  One knob
+//!   (`QSIM_PAR_THRESHOLD`) picks the regime and every kernel gates on the register
+//!   dimension alone.
 //!
 //! # One readout per state
 //!
@@ -43,18 +43,16 @@
 //! regime its slate landed in: requests are charged and (for the sampled backend)
 //! noise-sampled in request order, readouts gate on the register dimension only, and
 //! contraction is always serial.  Memory is bounded by chunking: at most
-//! [`batch_chunk`] scratch slots are live at once (`VQA_BATCH_CHUNK`, default 16).
+//! [`batch_chunk`] scratch slots are live at once.
 
 use crate::task::InitialState;
 use qcircuit::Circuit;
-use qop::par::SendPtr;
 use qop::{PauliOp, Statevector, TermBasis};
 use qrng::{CounterRng, SeedPolicy, StreamId};
 use qsim::{
-    attenuate_readout, attenuation_factor, CircuitNoiseProfile, CompiledCircuit, NoiseModel,
-    PauliPropagator, PauliPropagatorConfig, ShotLedger,
+    attenuate_readout, attenuation_factor, BatchTables, CircuitNoiseProfile, CompiledCircuit,
+    NoiseModel, PauliPropagator, PauliPropagatorConfig, ShotLedger,
 };
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -244,18 +242,10 @@ pub trait Backend {
 }
 
 /// Maximum number of scratch statevectors live at once in a batched evaluation; larger
-/// batches are processed in chunks of this size (request order is preserved).  Tune with
-/// the `VQA_BATCH_CHUNK` environment variable (read once per process, minimum 1).
+/// batches are processed in chunks of this size (request order is preserved).  Each
+/// chunk shares one binding of the compiled circuit's diagonal passes.
 pub fn batch_chunk() -> usize {
-    use std::sync::OnceLock;
-    static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| {
-        std::env::var("VQA_BATCH_CHUNK")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(16)
-    })
+    16
 }
 
 /// A tiny most-recently-used cache, searched by a caller-supplied entry predicate.
@@ -499,8 +489,8 @@ pub(crate) struct ScratchPool {
 }
 
 impl ScratchPool {
-    /// Makes at least `count` scratch slots of the right register size available.
-    fn ensure(&mut self, count: usize, num_qubits: usize) {
+    /// `count` scratch slots of the right register size (grown on demand).
+    pub(crate) fn slots(&mut self, count: usize, num_qubits: usize) -> &mut [Scratch] {
         self.slots.retain(|s| s.state.num_qubits() == num_qubits);
         while self.slots.len() < count {
             self.slots.push(Scratch {
@@ -508,73 +498,18 @@ impl ScratchPool {
                 values: Vec::new(),
             });
         }
+        &mut self.slots[..count]
     }
 
-    /// Direct access for single-state callers (grown on demand).
+    /// Direct access for single-state callers.
     pub(crate) fn slot(&mut self, num_qubits: usize) -> &mut Scratch {
-        self.ensure(1, num_qubits);
-        &mut self.slots[0]
+        &mut self.slots(1, num_qubits)[0]
     }
 
     /// Frees every pooled slot (quarantine recovery: a mid-kernel unwind may have left
     /// a scratch state partially written; the pool regrows on demand).
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
-    }
-}
-
-/// Runs `work(i, slot_i)` for `i in 0..count` over the scratch pool, choosing between
-/// across-state parallelism (small registers, large batches: one worker per scratch
-/// slot, kernels pinned serial via `qop::par::serial_scope`) and the serial loop whose
-/// kernels parallelize within each state — the same `QSIM_PAR_THRESHOLD`-driven policy
-/// described in the module docs.  Results come back in index order.
-///
-/// This is the shared engine under every dense batched backend: the exact/sampled
-/// backends map indices to batch requests, the trajectory-noise backend maps them to
-/// (request, trajectory) pairs.
-pub(crate) fn run_indexed_chunk<T, F>(
-    count: usize,
-    num_qubits: usize,
-    pool: &mut ScratchPool,
-    work: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Scratch) -> T + Sync,
-{
-    pool.ensure(count, num_qubits);
-    let dim = 1usize << num_qubits;
-    let threshold = qsim::parallel_threshold();
-    let across_states = count >= 2
-        && threshold != 0
-        && dim < threshold
-        && count * dim >= threshold
-        && rayon::current_num_threads() > 1;
-    if across_states {
-        let slots = SendPtr(pool.slots.as_mut_ptr());
-        (0..count)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|i| {
-                // Workers own their threads.  Every kernel `work` reaches gates on the
-                // register dimension, which is below the threshold here, so it is
-                // serial already; the scope pin makes "the two parallelism levels
-                // cannot nest" a guarantee rather than a consequence.
-                qop::par::serial_scope(|| {
-                    // SAFETY: each index i is visited by exactly one worker and maps to
-                    // the distinct pool entry i, which outlives the parallel region.
-                    let slot = unsafe { &mut *slots.add(i) };
-                    work(i, slot)
-                })
-            })
-            .collect()
-    } else {
-        pool.slots
-            .iter_mut()
-            .take(count)
-            .enumerate()
-            .map(|(i, slot)| work(i, slot))
-            .collect()
     }
 }
 
@@ -586,6 +521,20 @@ pub(crate) fn uniform_circuit<'a>(requests: &[EvalRequest<'a>]) -> Option<&'a Ci
         .iter()
         .all(|r| std::ptr::eq(r.circuit, first) || r.circuit == first)
         .then_some(first)
+}
+
+/// Prepares `|ψ(θ)⟩` for `req` in `slot` and reads it out through `basis`: the one way
+/// an ideal dense execution becomes a vector of per-string values.
+fn run_request(
+    compiled: &CompiledCircuit,
+    tables: Option<&BatchTables>,
+    basis: &TermBasis,
+    req: &EvalRequest<'_>,
+    slot: &mut Scratch,
+) {
+    req.initial.prepare_into(&mut slot.state);
+    compiled.execute_in_place_with_insertions(req.params, &mut slot.state, &[], tables);
+    measure(basis, slot);
 }
 
 /// What every dense driver in this module owns: compiled circuits, term bases and
@@ -606,9 +555,7 @@ impl DenseCore {
             .circuits
             .get_or_insert_with(req.circuit, CompiledCircuit::compile);
         let slot = self.pool.slot(req.circuit.num_qubits());
-        req.initial.prepare_into(&mut slot.state);
-        compiled.execute_in_place(req.params, &mut slot.state);
-        measure(&basis, slot);
+        run_request(compiled, None, &basis, req, slot);
         (basis, slot)
     }
 
@@ -644,7 +591,10 @@ impl DenseCore {
             .circuits
             .get_or_insert_with(circuit, CompiledCircuit::compile);
         let mut results = Vec::with_capacity(requests.len());
-        for (c, chunk) in requests.chunks(batch_chunk()).enumerate() {
+        for (chunk, chunk_bases) in requests
+            .chunks(batch_chunk())
+            .zip(bases.chunks(batch_chunk()))
+        {
             // Bind the diagonal passes once for the whole chunk when the chunk's
             // bindings resolve them identically (always for fixed-angle layers; for QAOA
             // batches, whenever only non-diagonal parameters vary between candidates).
@@ -652,18 +602,13 @@ impl DenseCore {
             // unaffected.
             let params_list: Vec<&[f64]> = chunk.iter().map(|r| r.params).collect();
             let tables = compiled.prepare_batch_tables(&params_list);
-            let first = c * batch_chunk();
-            results.extend(run_indexed_chunk(
-                chunk.len(),
-                compiled.num_qubits(),
-                &mut self.pool,
+            let slots = self.pool.slots(chunk.len(), compiled.num_qubits());
+            results.extend(qop::par::map_states(
+                slots,
+                1 << compiled.num_qubits(),
                 |i, slot| {
-                    let req = &chunk[i];
-                    req.initial.prepare_into(&mut slot.state);
-                    compiled.execute_in_place_cached(req.params, &mut slot.state, &tables);
-                    let basis = &bases[first + i];
-                    measure(basis, slot);
-                    finish(basis, &slot.values)
+                    run_request(compiled, Some(&tables), &chunk_bases[i], &chunk[i], slot);
+                    finish(&chunk_bases[i], &slot.values)
                 },
             ));
         }
@@ -842,14 +787,6 @@ pub struct SampledBackend {
 }
 
 impl SampledBackend {
-    /// Creates a sampled backend from a raw RNG seed.
-    ///
-    /// Thin wrapper over [`SampledBackend::with_policy`] with
-    /// [`SeedPolicy::legacy`]; prefer the typed form in new code.
-    pub fn new(shots_per_pauli: u64, seed: u64) -> Self {
-        Self::with_policy(shots_per_pauli, SeedPolicy::legacy(seed))
-    }
-
     /// Creates a sampled backend with a typed seeding policy.
     pub fn with_policy(shots_per_pauli: u64, policy: SeedPolicy) -> Self {
         SampledBackend {
@@ -1006,14 +943,6 @@ pub struct NoisyBackend {
 }
 
 impl NoisyBackend {
-    /// Creates a noisy backend from a raw RNG seed.
-    ///
-    /// Thin wrapper over [`NoisyBackend::with_policy`] with
-    /// [`SeedPolicy::legacy`]; prefer the typed form in new code.
-    pub fn new(model: NoiseModel, layers: usize, shots_per_pauli: u64, seed: u64) -> Self {
-        Self::with_policy(model, layers, shots_per_pauli, SeedPolicy::legacy(seed))
-    }
-
     /// Creates a noisy backend with a typed seeding policy.
     pub fn with_policy(
         model: NoiseModel,
@@ -1327,9 +1256,9 @@ mod tests {
                 stream: None,
             })
             .collect();
-        let mut batched = SampledBackend::new(256, 42);
+        let mut batched = SampledBackend::with_policy(256, SeedPolicy::new(42));
         let results = batched.evaluate_batch(&requests);
-        let mut serial = SampledBackend::new(256, 42);
+        let mut serial = SampledBackend::with_policy(256, SeedPolicy::new(42));
         for (c, r) in candidates.iter().zip(&results) {
             let (charged, _) = serial.evaluate(&circuit, c, &InitialState::Basis(0), &h1, &[]);
             assert_eq!(charged, r.charged, "batched sampling must match serial");
@@ -1376,7 +1305,7 @@ mod tests {
     #[test]
     fn sampled_backend_is_noisy_but_unbiased() {
         let (circuit, params, h1, _) = demo_setup();
-        let mut backend = SampledBackend::new(256, 7);
+        let mut backend = SampledBackend::with_policy(256, SeedPolicy::new(7));
         let exact = {
             let state = prepare_state(&circuit, &params, &InitialState::Basis(0));
             h1.expectation(&state)
@@ -1405,7 +1334,7 @@ mod tests {
             h1.expectation(&state)
         };
         let model = NoiseModel::by_name("mumbai").unwrap();
-        let mut backend = NoisyBackend::new(model, 5, 0, 3);
+        let mut backend = NoisyBackend::with_policy(model, 5, 0, SeedPolicy::new(3));
         // shots_per_pauli = 0 disables sampling noise in the analytic sampler, isolating
         // the attenuation effect.
         let (noisy, _) = backend.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[]);

@@ -249,6 +249,7 @@ mod tests {
     use crate::{NoisyStatevectorBackend, StatevectorBackend};
     use qcircuit::{Entanglement, HardwareEfficientAnsatz};
     use qnoise::PauliNoiseModel;
+    use qrng::SeedPolicy;
 
     fn demo() -> (Circuit, Vec<f64>, PauliOp) {
         let circuit = HardwareEfficientAnsatz::new(3, 1, Entanglement::Linear).build();
@@ -288,14 +289,16 @@ mod tests {
             .0;
         let model = PauliNoiseModel::depolarizing(0.004, 0.012);
         let k = 6000;
-        let noisy = NoisyStatevectorBackend::new(model.clone(), 0, 11)
+        let noisy = NoisyStatevectorBackend::with_policy(model.clone(), 0, SeedPolicy::new(11))
             .with_trajectories(k)
             .evaluate(&circuit, &params, &InitialState::Basis(0), &h, &[])
             .0;
-        let mitigated =
-            ZneBackend::new(NoisyStatevectorBackend::new(model, 0, 11).with_trajectories(k))
-                .evaluate(&circuit, &params, &InitialState::Basis(0), &h, &[])
-                .0;
+        let mitigated = ZneBackend::new(
+            NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(11))
+                .with_trajectories(k),
+        )
+        .evaluate(&circuit, &params, &InitialState::Basis(0), &h, &[])
+        .0;
         assert!(
             (mitigated - ideal).abs() < (noisy - ideal).abs(),
             "ZNE {mitigated} should beat raw noisy {noisy} against ideal {ideal}"

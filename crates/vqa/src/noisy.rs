@@ -15,7 +15,7 @@
 //! compiled program — exactly the shape the PR 2 batch engine was built for.  The
 //! backend flattens a batch of requests into (request, trajectory) work items and drives
 //! them through the same scratch-state pool and across/within-state parallel policy as
-//! the exact backends ([`crate::backend::run_indexed_chunk`]).  Because all K
+//! the exact backends ([`qop::par::map_states`]).  Because all K
 //! trajectories of a request share one parameter vector, the compiled circuit's
 //! diagonal passes are bound **once per request** ([`qsim::CompiledCircuit::prepare_batch_tables`])
 //! and reused by every trajectory — for QAOA-shaped ansätze this removes the whole
@@ -23,7 +23,7 @@
 //!
 //! # Determinism
 //!
-//! Results are deterministic and independent of batching/chunking/worker count — and,
+//! Results are deterministic and independent of batching/chunking/thread count — and,
 //! since the counter-based `qrng` rework, of execution *order* too.  Each request's
 //! randomness is keyed by its draw stream (its pinned [`EvalRequest::stream`], or the
 //! backend's evaluation-order fallback stream for direct trait callers): the trajectory
@@ -34,8 +34,8 @@
 //! runs, which is what lets the backend advertise `retry_safe`.
 
 use crate::backend::{
-    batch_chunk, free_values, measure, resolve_stream, run_indexed_chunk, uniform_circuit, Backend,
-    BackendCaps, CircuitCache, EvalRequest, EvalResult, ObservableCache, ScratchPool,
+    batch_chunk, free_values, measure, resolve_stream, uniform_circuit, Backend, BackendCaps,
+    CircuitCache, EvalRequest, EvalResult, ObservableCache, ScratchPool,
 };
 use crate::task::InitialState;
 use qcircuit::Circuit;
@@ -82,17 +82,12 @@ pub struct NoisyStatevectorBackend {
 }
 
 impl NoisyStatevectorBackend {
-    /// Creates a trajectory-noise backend.
+    /// Creates a trajectory-noise backend with a typed seeding policy.
     ///
     /// The trajectory count defaults to [`qnoise::default_trajectories`] (the
     /// `QNOISE_TRAJECTORIES` knob); shot charging follows the paper's per-Pauli-term
     /// model, and the returned backend reports exact trajectory means (no shot
     /// sampling — opt in with [`NoisyStatevectorBackend::with_shot_sampling`]).
-    pub fn new(model: PauliNoiseModel, shots_per_pauli: u64, seed: u64) -> Self {
-        Self::with_policy(model, shots_per_pauli, SeedPolicy::legacy(seed))
-    }
-
-    /// Creates a trajectory-noise backend with a typed seeding policy.
     pub fn with_policy(model: PauliNoiseModel, shots_per_pauli: u64, policy: SeedPolicy) -> Self {
         NoisyStatevectorBackend {
             model,
@@ -168,7 +163,7 @@ impl NoisyStatevectorBackend {
         // One term basis per request (one cache lookup per run of equal operator sets),
         // and per request one accumulator per *distinct string*, summed in trajectory
         // order (chunk iteration preserves flat item order, so the sums are independent
-        // of chunk size and worker count).
+        // of chunk size and thread count).
         let bases = self.observables.for_batch(requests);
         let mut sums: Vec<Vec<f64>> = bases
             .iter()
@@ -187,22 +182,21 @@ impl NoisyStatevectorBackend {
                 plan.sampler
                     .sample_into(eval_seeds[req_idx], traj, &mut schedules[slot]);
             }
-            let readouts: Vec<Vec<f64>> =
-                run_indexed_chunk(chunk_len, num_qubits, &mut self.pool, |i, slot| {
-                    let req_idx = (chunk_start + i) / k;
-                    let req = &requests[req_idx];
-                    req.initial.prepare_into(&mut slot.state);
-                    plan.compiled.execute_in_place_with_insertions(
-                        req.params,
-                        &mut slot.state,
-                        &schedules[i],
-                        Some(&tables[req_idx]),
-                    );
-                    measure(&bases[req_idx], slot);
-                    std::mem::take(&mut slot.values)
-                });
-            for (i, readout) in readouts.into_iter().enumerate() {
-                for (sum, v) in sums[(chunk_start + i) / k].iter_mut().zip(readout) {
+            let slots = self.pool.slots(chunk_len, num_qubits);
+            qop::par::map_states(slots, 1 << num_qubits, |i, slot| {
+                let req_idx = (chunk_start + i) / k;
+                let req = &requests[req_idx];
+                req.initial.prepare_into(&mut slot.state);
+                plan.compiled.execute_in_place_with_insertions(
+                    req.params,
+                    &mut slot.state,
+                    &schedules[i],
+                    Some(&tables[req_idx]),
+                );
+                measure(&bases[req_idx], slot);
+            });
+            for (i, slot) in slots.iter().enumerate() {
+                for (sum, v) in sums[(chunk_start + i) / k].iter_mut().zip(&slot.values) {
                     *sum += v;
                 }
             }
@@ -345,8 +339,12 @@ mod tests {
     #[test]
     fn zero_rate_trajectories_match_exact_backend_bitwise() {
         let (circuit, params, h1, h2) = demo();
-        let mut noisy =
-            NoisyStatevectorBackend::new(PauliNoiseModel::noiseless(), 100, 9).with_trajectories(3);
+        let mut noisy = NoisyStatevectorBackend::with_policy(
+            PauliNoiseModel::noiseless(),
+            100,
+            SeedPolicy::new(9),
+        )
+        .with_trajectories(3);
         let mut exact = StatevectorBackend::with_shots(100);
         let (nc, nf) = noisy.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[&h2]);
         let (ec, ef) = exact.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[&h2]);
@@ -378,10 +376,12 @@ mod tests {
                 })
                 .collect();
             let mut batched =
-                NoisyStatevectorBackend::new(model.clone(), 50, 4).with_trajectories(7);
+                NoisyStatevectorBackend::with_policy(model.clone(), 50, SeedPolicy::new(4))
+                    .with_trajectories(7);
             let results = batched.evaluate_batch(&requests);
             let mut serial =
-                NoisyStatevectorBackend::new(model.clone(), 50, 4).with_trajectories(7);
+                NoisyStatevectorBackend::with_policy(model.clone(), 50, SeedPolicy::new(4))
+                    .with_trajectories(7);
             for (c, r) in candidates.iter().zip(&results) {
                 let (charged, free) =
                     serial.evaluate(&circuit, c, &InitialState::Basis(0), &h1, &free_ops);
@@ -400,8 +400,12 @@ mod tests {
         circ.push(Gate::H(0));
         let x = PauliOp::from_labels(1, &[("X", 1.0)]);
         let k = 20_000;
-        let mut backend = NoisyStatevectorBackend::new(PauliNoiseModel::depolarizing(p, 0.0), 0, 5)
-            .with_trajectories(k);
+        let mut backend = NoisyStatevectorBackend::with_policy(
+            PauliNoiseModel::depolarizing(p, 0.0),
+            0,
+            SeedPolicy::new(5),
+        )
+        .with_trajectories(k);
         let (value, _) = backend.evaluate(&circ, &[], &InitialState::Basis(0), &x, &[]);
         let expected = 1.0 - 4.0 * p / 3.0;
         // Each trajectory contributes ±1-ish; the mean's σ ≈ √(p/k) ≪ 0.02.
@@ -417,7 +421,8 @@ mod tests {
         let r = 0.04;
         let h = PauliOp::from_labels(3, &[("III", -2.0), ("ZII", 1.0), ("ZZZ", 0.5)]);
         let model = PauliNoiseModel::noiseless().with_readout(r);
-        let mut noisy = NoisyStatevectorBackend::new(model, 0, 1).with_trajectories(2);
+        let mut noisy =
+            NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(1)).with_trajectories(2);
         let (nv, _) = noisy.evaluate(&circuit, &params, &InitialState::Basis(0), &h, &[]);
         let state_terms = {
             let mut s = qop::Statevector::zero_state(3);
@@ -437,7 +442,8 @@ mod tests {
     fn probe_reports_ideal_energy_under_noise() {
         let (circuit, params, h1, _) = demo();
         let model = PauliNoiseModel::depolarizing(0.1, 0.2).with_readout(0.05);
-        let mut noisy = NoisyStatevectorBackend::new(model, 0, 5).with_trajectories(4);
+        let mut noisy =
+            NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(5)).with_trajectories(4);
         let mut exact = StatevectorBackend::with_shots(0);
         let p_noisy = noisy.probe(&circuit, &params, &InitialState::Basis(0), &h1);
         let p_exact = exact.probe(&circuit, &params, &InitialState::Basis(0), &h1);

@@ -8,10 +8,9 @@
 //! with the task/application vocabulary (and feed [`crate::metrics`]).
 
 use qopt::OptimizerSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a (single- or multi-task) VQA run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VqaRunConfig {
     /// Maximum optimizer iterations per task.
     pub max_iterations: usize,
@@ -37,7 +36,7 @@ impl Default for VqaRunConfig {
 }
 
 /// One point of a run's convergence history.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationRecord {
     /// Optimizer iteration index (0-based).
     pub iteration: usize,
@@ -52,7 +51,7 @@ pub struct IterationRecord {
 }
 
 /// Result of optimizing one task.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VqaRunResult {
     /// Label of the task this result belongs to.
     pub task_label: String,
@@ -69,7 +68,7 @@ pub struct VqaRunResult {
 }
 
 /// Result of the conventional baseline over a whole application.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BaselineRunResult {
     /// Per-task results, in task order.
     pub per_task: Vec<VqaRunResult>,

@@ -8,10 +8,9 @@
 
 use qcircuit::Circuit;
 use qop::{ground_energy, LanczosOptions, PauliOp, Statevector};
-use serde::{Deserialize, Serialize};
 
 /// How the reference (initial) quantum state of the ansatz is prepared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InitialState {
     /// A computational basis state (e.g. the Hartree–Fock determinant).
     Basis(u64),
@@ -52,7 +51,7 @@ impl InitialState {
 }
 
 /// One VQA task: a Hamiltonian plus bookkeeping metadata.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VqaTask {
     /// Human-readable label, e.g. `"LiH @ 1.43 Å"`.
     pub label: String,
@@ -111,7 +110,7 @@ impl VqaTask {
 }
 
 /// A VQA application: a family of related tasks sharing one ansatz and one initial state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VqaApplication {
     /// Application name (used in experiment reports).
     pub name: String,

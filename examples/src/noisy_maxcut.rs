@@ -14,7 +14,7 @@
 //! ```
 
 use qcircuit::{QaoaAnsatz, QaoaStyle};
-use qexec::{run_single_vqa, EvalJob, Executor, SubmitOptions};
+use qexec::{run_single_vqa, EvalJob, Executor, SeedPolicy, SubmitOptions};
 use qgraph::{maxcut_cost_hamiltonian, Ieee14Family};
 use qnoise::PauliNoiseModel;
 use qopt::{OptimizerSpec, SpsaConfig};
@@ -91,8 +91,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // scratch-pool engine.
     let tree_vqa = TreeVqa::try_new(application.clone(), config)?;
     let noisy_exec = Executor::single(
-        NoisyStatevectorBackend::new(model.clone(), qsim::DEFAULT_SHOTS_PER_PAULI, 5)
-            .with_trajectories(trajectories),
+        NoisyStatevectorBackend::with_policy(
+            model.clone(),
+            qsim::DEFAULT_SHOTS_PER_PAULI,
+            SeedPolicy::new(5),
+        )
+        .with_trajectories(trajectories),
     );
     let noisy = tree_vqa.run_with_initial(&noisy_exec, &initial_point)?;
 
@@ -130,19 +134,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .register("ideal", StatevectorBackend::with_shots(0))
         .register(
             "noisy",
-            NoisyStatevectorBackend::new(model.clone(), 0, 13).with_trajectories(4 * trajectories),
+            NoisyStatevectorBackend::with_policy(model.clone(), 0, SeedPolicy::new(13))
+                .with_trajectories(4 * trajectories),
         )
         .register(
             "zne",
             ZneBackend::new(
-                NoisyStatevectorBackend::new(model, 0, 13).with_trajectories(4 * trajectories),
+                NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(13))
+                    .with_trajectories(4 * trajectories),
             ),
         )
         .start();
     let client = study_exec.client();
 
     let opt_exec = Executor::single(
-        NoisyStatevectorBackend::new(device_model(), 0, 7).with_trajectories(trajectories),
+        NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(7))
+            .with_trajectories(trajectories),
     );
     let noisy_run = run_single_vqa(
         &application.tasks[idx],

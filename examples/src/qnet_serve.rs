@@ -20,7 +20,7 @@
 //! ```
 
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
-use qexec::{run_single_vqa, EvalJob, Executor, StreamId, SubmitOptions};
+use qexec::{run_single_vqa, EvalJob, Executor, SeedPolicy, StreamId, SubmitOptions};
 use qnet::{NetClient, NetServer};
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
@@ -55,19 +55,21 @@ fn main() {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     treevqa_examples::enable_observability();
 
-    // The served executor: three backend families, two execution workers.
+    // The served executor: three backend families.
     let noise = PauliNoiseModel::ibm_like("qnet-serve", 0.02, 0.05, 0.01, 0.01);
     let executor = Arc::new(
         Executor::builder()
             .register("exact", StatevectorBackend::with_shots(64))
-            .register("sampled", SampledBackend::new(256, 42))
+            .register(
+                "sampled",
+                SampledBackend::with_policy(256, SeedPolicy::new(42)),
+            )
             .register(
                 "noisy",
-                NoisyStatevectorBackend::new(noise, 50, 3)
+                NoisyStatevectorBackend::with_policy(noise, 50, SeedPolicy::new(3))
                     .with_trajectories(4)
                     .with_shot_sampling(),
             )
-            .workers(2)
             .observability(true)
             .start(),
     );
@@ -76,10 +78,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .observability(true)
         .bind(qnet::addr_from_env())?;
     println!(
-        "qnet_serve: serving backends {:?} on {} ({} workers)",
+        "qnet_serve: serving backends {:?} on {}",
         backends,
-        server.local_addr(),
-        2
+        server.local_addr()
     );
 
     // Phase 1 — load generator: CONNS remote connections, each shipping its wave as

@@ -14,7 +14,7 @@
 
 use qchem::SpinChainFamily;
 use qcircuit::{Entanglement, HardwareEfficientAnsatz};
-use qexec::{run_baseline, Executor};
+use qexec::{run_baseline, Executor, SeedPolicy};
 use qopt::{OptimizerSpec, SpsaConfig};
 use qsim::NoiseModel;
 use treevqa::{TreeVqa, TreeVqaConfig};
@@ -103,11 +103,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let model = NoiseModel::by_name("cairo").ok_or("unknown noise model \"cairo\"")?;
     compare("noisy", &application, move || {
-        Box::new(NoisyBackend::new(
+        Box::new(NoisyBackend::with_policy(
             model.clone(),
             2,
             qsim::DEFAULT_SHOTS_PER_PAULI,
-            23,
+            SeedPolicy::new(23),
         )) as Box<dyn Backend + Send>
     })?;
     Ok(())

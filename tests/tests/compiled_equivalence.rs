@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
+use qrng::SeedPolicy;
 use qsim::{reference, CompiledCircuit};
 use vqa::{Backend, EvalRequest, InitialState, SampledBackend, StatevectorBackend};
 
@@ -266,9 +267,9 @@ proptest! {
                 stream: None,
             })
             .collect();
-        let mut batched = SampledBackend::new(128, seed);
+        let mut batched = SampledBackend::with_policy(128, SeedPolicy::new(seed));
         let results = batched.evaluate_batch(&requests);
-        let mut serial = SampledBackend::new(128, seed);
+        let mut serial = SampledBackend::with_policy(128, SeedPolicy::new(seed));
         for (candidate, result) in candidates.iter().zip(&results) {
             let (c_serial, _) = serial.evaluate(
                 &circuit,

@@ -6,14 +6,16 @@
 //! pinned at admission ([`qexec::JobHandle::rng_stream`]), so re-evaluating any job
 //! with its stream on a fresh identically-configured backend reproduces its result
 //! exactly, in any order, for exact, sampled, and trajectory-noise backends.  CI runs
-//! this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}` × `QEXEC_WORKERS ∈ {1, 2, 4}`;
-//! `force_parallel_workers` below defaults a plain local run to 4 rayon workers so the
-//! across-state parallel batch paths are exercised even on a single-core box.  (The
+//! this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}`; `force_parallel_workers` below
+//! defaults a plain local run to 4 rayon workers so the across-state parallel batch
+//! paths are exercised even on a single-core box.  (The
 //! dedicated schedule-independence property suite lives in
 //! `tests/tests/schedule_independence.rs`.)
 
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
-use qexec::{wait_all, EvalJob, ExecError, Executor, JobHandle, StreamId, SubmitOptions};
+use qexec::{
+    wait_all, EvalJob, ExecError, Executor, JobHandle, SeedPolicy, StreamId, SubmitOptions,
+};
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
 use std::sync::Arc;
@@ -156,10 +158,16 @@ fn sampled_backend_results_are_stream_keyed() {
     let circuit = demo_circuit(4);
     let (charged, free) = demo_ops(4);
     let executor = Executor::builder()
-        .register(qexec::DEFAULT_BACKEND, SampledBackend::new(256, 42))
+        .register(
+            qexec::DEFAULT_BACKEND,
+            SampledBackend::with_policy(256, SeedPolicy::new(42)),
+        )
         .start();
     let executed = run_clients(&executor, 4, 3, &circuit, &charged, &free);
-    assert_stream_replay_bit_identical(&executed, &mut SampledBackend::new(256, 42));
+    assert_stream_replay_bit_identical(
+        &executed,
+        &mut SampledBackend::with_policy(256, SeedPolicy::new(42)),
+    );
 }
 
 #[test]
@@ -169,7 +177,7 @@ fn noisy_trajectory_backend_matches_stream_replay() {
     let (charged, free) = demo_ops(3);
     let model = PauliNoiseModel::ibm_like("exec-test", 0.02, 0.05, 0.01, 0.01);
     let make = || {
-        NoisyStatevectorBackend::new(model.clone(), 50, 4)
+        NoisyStatevectorBackend::with_policy(model.clone(), 50, SeedPolicy::new(4))
             .with_trajectories(5)
             .with_shot_sampling()
     };
@@ -184,7 +192,7 @@ fn noisy_trajectory_backend_matches_stream_replay() {
 fn large_batches_cross_the_parallel_threshold_and_stay_replayable() {
     force_parallel_workers();
     // 17 candidates × 2^11 amplitudes crosses the default QSIM_PAR_THRESHOLD of 2^14,
-    // so the across-state parallel pool engages under multi-worker runs.
+    // so the across-state parallel pool engages under multi-threaded runs.
     let circuit = demo_circuit(11);
     let (charged, free) = demo_ops(11);
     let executor = Executor::builder()
@@ -284,7 +292,10 @@ fn cancellation_removes_queued_jobs_and_preserves_the_replay_of_the_rest() {
     let circuit = demo_circuit(3);
     let (charged, free) = demo_ops(3);
     let executor = Executor::builder()
-        .register(qexec::DEFAULT_BACKEND, SampledBackend::new(128, 9))
+        .register(
+            qexec::DEFAULT_BACKEND,
+            SampledBackend::with_policy(128, SeedPolicy::new(9)),
+        )
         .paused()
         .start();
     let client = executor.client();
@@ -309,7 +320,7 @@ fn cancellation_removes_queued_jobs_and_preserves_the_replay_of_the_rest() {
     assert_eq!(cancelled.sequence(), None);
     // Cancellation cannot disturb the survivors: each replays bit-identically from its
     // own stream on a fresh backend.
-    let mut replay = SampledBackend::new(128, 9);
+    let mut replay = SampledBackend::with_policy(128, SeedPolicy::new(9));
     for (params, result, stream) in [
         (0.1, &r1, first.rng_stream()),
         (0.3, &r3, third.rng_stream()),
@@ -410,7 +421,7 @@ fn treevqa_runs_are_deterministic_across_executors() {
                 ..config.clone()
             },
         );
-        let executor = Executor::single(SampledBackend::new(128, 7));
+        let executor = Executor::single(SampledBackend::with_policy(128, SeedPolicy::new(7)));
         tree.run(&executor).expect("well-formed application")
     };
     let a = run(3);
@@ -441,7 +452,7 @@ fn runner_reruns_bit_identically_on_fresh_executors() {
     // fresh executor — new scheduler, new uids, new streams derived the same way —
     // reproduces the whole optimizer trajectory bit-for-bit.
     let run = || {
-        let executor = Executor::single(SampledBackend::new(128, 21));
+        let executor = Executor::single(SampledBackend::with_policy(128, SeedPolicy::new(21)));
         qexec::run_single_vqa(
             &task,
             &ansatz,

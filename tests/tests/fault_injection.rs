@@ -13,7 +13,7 @@
 
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::fault::{FaultKind, FaultPlan, FaultyBackend};
-use qexec::{BackendHealth, EvalJob, ExecError, Executor, JobHandle, SubmitOptions};
+use qexec::{BackendHealth, EvalJob, ExecError, Executor, JobHandle, SeedPolicy, SubmitOptions};
 use qop::PauliOp;
 use std::sync::Arc;
 use std::time::Duration;
@@ -514,7 +514,7 @@ fn sampled_backend_retries_bit_identically() {
     let executor = Executor::builder()
         .register(
             qexec::DEFAULT_BACKEND,
-            FaultyBackend::new(SampledBackend::new(256, 42), plan),
+            FaultyBackend::new(SampledBackend::with_policy(256, SeedPolicy::new(42)), plan),
         )
         .paused()
         .start();
@@ -540,7 +540,7 @@ fn sampled_backend_retries_bit_identically() {
     assert_eq!(executor.stats().retries, 3);
     // Each result is bit-identical to evaluating the same job + stream on a fresh,
     // fault-free backend.
-    let mut replay = SampledBackend::new(256, 42);
+    let mut replay = SampledBackend::with_policy(256, SeedPolicy::new(42));
     for (salt, (handle, result)) in handles.iter().zip(&results).enumerate() {
         let job = demo_job(&circuit, &charged, &free, salt);
         let free_refs: Vec<&PauliOp> = job.free_ops.iter().map(|op| op.as_ref()).collect();

@@ -9,7 +9,7 @@
 //! 2. **Loopback transparency** — a job submitted through a real TCP connection
 //!    produces results bit-identical to the same job submitted through a local
 //!    [`qexec::ExecClient`], including the total `qrng` draw count, for exact,
-//!    sampled, and noisy-trajectory backends across worker counts.  The whole
+//!    sampled, and noisy-trajectory backends.  The whole
 //!    `vqa`-level driver ([`qexec::run_single_vqa`]) runs remotely unchanged and
 //!    reproduces the local trajectory bit-for-bit.
 //! 3. **Service behavior** — concurrent connections all complete with per-connection
@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 use qexec::{
-    run_single_vqa, EvalJob, ExecError, Executor, StreamId, SubmitOptions, CAPABILITY_NAMES,
-    MAX_JOB_QUBITS,
+    run_single_vqa, EvalJob, ExecError, Executor, SeedPolicy, StreamId, SubmitOptions,
+    CAPABILITY_NAMES, MAX_JOB_QUBITS,
 };
 use qnet::wire::{self, ControlKind, Frame, SubmitFrame, WireError};
 use qnet::{NetClient, NetServer};
@@ -376,13 +376,16 @@ fn backend_factories() -> Vec<(&'static str, BackendFactory)> {
         ),
         (
             "sampled",
-            Box::new(|| Box::new(SampledBackend::new(256, 42)) as Box<dyn Backend + Send>),
+            Box::new(|| {
+                Box::new(SampledBackend::with_policy(256, SeedPolicy::new(42)))
+                    as Box<dyn Backend + Send>
+            }),
         ),
         (
             "noisy-trajectory",
             Box::new(move || {
                 Box::new(
-                    NoisyStatevectorBackend::new(model.clone(), 50, 3)
+                    NoisyStatevectorBackend::with_policy(model.clone(), 50, SeedPolicy::new(3))
                         .with_trajectories(5)
                         .with_shot_sampling(),
                 ) as Box<dyn Backend + Send>
@@ -424,16 +427,16 @@ fn to_bits(r: &EvalResult) -> Bits {
     )
 }
 
-fn build_executor(make: &dyn Fn() -> Box<dyn Backend + Send>, workers: usize) -> Executor {
-    let mut builder = Executor::builder().workers(workers);
+fn build_executor(make: &dyn Fn() -> Box<dyn Backend + Send>) -> Executor {
+    let mut builder = Executor::builder();
     for b in 0..BACKENDS {
         builder = builder.register_boxed(format!("b{b}"), make());
     }
     builder.start()
 }
 
-fn run_local(make: &dyn Fn() -> Box<dyn Backend + Send>, workers: usize) -> (Vec<Bits>, u64) {
-    let executor = build_executor(make, workers);
+fn run_local(make: &dyn Fn() -> Box<dyn Backend + Send>) -> (Vec<Bits>, u64) {
+    let executor = build_executor(make);
     let client = executor.client();
     let draws_before = qrng::total_draws();
     let handles: Vec<_> = loopback_jobs()
@@ -448,12 +451,8 @@ fn run_local(make: &dyn Fn() -> Box<dyn Backend + Send>, workers: usize) -> (Vec
     (results, qrng::total_draws() - draws_before)
 }
 
-fn run_remote(
-    make: &dyn Fn() -> Box<dyn Backend + Send>,
-    workers: usize,
-    batch: bool,
-) -> (Vec<Bits>, u64) {
-    let executor = Arc::new(build_executor(make, workers));
+fn run_remote(make: &dyn Fn() -> Box<dyn Backend + Send>, batch: bool) -> (Vec<Bits>, u64) {
+    let executor = Arc::new(build_executor(make));
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&executor)).expect("bind loopback");
     let client = NetClient::connect(server.local_addr()).expect("connect loopback");
     let draws_before = qrng::total_draws();
@@ -485,25 +484,20 @@ fn run_remote(
 }
 
 /// A job submitted over TCP is bit-identical to the same job submitted in-process —
-/// results *and* total RNG draw count — for every backend family, across worker
-/// counts.  This is the loopback transparency contract: the network layer adds no
-/// observable behavior to execution.
+/// results *and* total RNG draw count — for every backend family.  This is the
+/// loopback transparency contract: the network layer adds no observable behavior to
+/// execution.
 #[test]
 fn loopback_results_are_bit_identical_to_local() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for (family, make) in backend_factories() {
-        let (baseline, baseline_draws) = run_local(make.as_ref(), 1);
-        for workers in [1usize, 2, 4] {
-            let (remote, remote_draws) = run_remote(make.as_ref(), workers, false);
-            assert_eq!(
-                remote, baseline,
-                "{family} remote results diverged at workers={workers}"
-            );
-            assert_eq!(
-                remote_draws, baseline_draws,
-                "{family} remote draw count diverged at workers={workers}"
-            );
-        }
+        let (baseline, baseline_draws) = run_local(make.as_ref());
+        let (remote, remote_draws) = run_remote(make.as_ref(), false);
+        assert_eq!(remote, baseline, "{family} remote results diverged");
+        assert_eq!(
+            remote_draws, baseline_draws,
+            "{family} remote draw count diverged"
+        );
     }
 }
 
@@ -515,7 +509,7 @@ fn batched_remote_submission_is_bit_identical() {
     let (_, make) = backend_factories().remove(1);
     // Batch submissions use default options (no per-job backend routing), so the
     // local baseline must match: default backend, same pinned streams.
-    let executor = build_executor(make.as_ref(), 2);
+    let executor = build_executor(make.as_ref());
     let client = executor.client();
     let draws_before = qrng::total_draws();
     let jobs: Vec<EvalJob> = loopback_jobs().into_iter().map(|(job, _)| job).collect();
@@ -527,7 +521,7 @@ fn batched_remote_submission_is_bit_identical() {
     let baseline_draws = qrng::total_draws() - draws_before;
     drop(executor);
 
-    let (remote, remote_draws) = run_remote(make.as_ref(), 2, true);
+    let (remote, remote_draws) = run_remote(make.as_ref(), true);
     assert_eq!(remote, baseline, "batched remote results diverged");
     assert_eq!(remote_draws, baseline_draws, "batched draw count diverged");
 }
@@ -615,7 +609,6 @@ fn concurrent_connections_all_complete_with_per_connection_accounting() {
     const PER_CONN: usize = 8;
     let executor = Arc::new(
         Executor::builder()
-            .workers(2)
             .register("sv", StatevectorBackend::with_shots(64))
             .start(),
     );

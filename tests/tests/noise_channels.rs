@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate};
 use qnoise::{PauliChannel, PauliNoiseModel, TrajectorySampler};
 use qop::{PauliOp, PauliString, Statevector};
+use qrng::SeedPolicy;
 use qsim::CompiledCircuit;
 use vqa::{Backend, EvalRequest, InitialState, NoisyStatevectorBackend, StatevectorBackend};
 
@@ -139,7 +140,7 @@ proptest! {
         let circuit = circuit_from_gates(n, gates);
         let charged = PauliOp::from_labels(n, &[("ZZIII", -1.0), ("IXIXI", 0.4), ("IIIII", 0.3)]);
         let tracking = PauliOp::from_labels(n, &[("ZIIIZ", 0.9)]);
-        let mut noisy = NoisyStatevectorBackend::new(zero_rate_model(), 32, 11)
+        let mut noisy = NoisyStatevectorBackend::with_policy(zero_rate_model(), 32, SeedPolicy::new(11))
             .with_trajectories(3);
         let mut exact = StatevectorBackend::with_shots(32);
         let (nc, nf) = noisy.evaluate(
@@ -202,10 +203,10 @@ proptest! {
                     stream: None,
                 })
                 .collect();
-            let mut batched = NoisyStatevectorBackend::new(model.clone(), 16, 23)
+            let mut batched = NoisyStatevectorBackend::with_policy(model.clone(), 16, SeedPolicy::new(23))
                 .with_trajectories(5);
             let results = batched.evaluate_batch(&requests);
-            let mut serial = NoisyStatevectorBackend::new(model.clone(), 16, 23)
+            let mut serial = NoisyStatevectorBackend::with_policy(model.clone(), 16, SeedPolicy::new(23))
                 .with_trajectories(5);
             for (c, r) in candidates.iter().zip(&results) {
                 let (charged_serial, _) =
@@ -249,10 +250,10 @@ proptest! {
                 stream: None,
             })
             .collect();
-        let mut batched = NoisyStatevectorBackend::new(model.clone(), 8, 31)
+        let mut batched = NoisyStatevectorBackend::with_policy(model.clone(), 8, SeedPolicy::new(31))
             .with_trajectories(3);
         let results = batched.evaluate_batch(&requests);
-        let mut serial = NoisyStatevectorBackend::new(model, 8, 31).with_trajectories(3);
+        let mut serial = NoisyStatevectorBackend::with_policy(model, 8, SeedPolicy::new(31)).with_trajectories(3);
         for (c, r) in candidates.iter().zip(&results) {
             let (charged_serial, _) =
                 serial.evaluate(&circuit, c, &InitialState::Basis(0), &charged, &[]);
@@ -271,7 +272,8 @@ fn trajectory_averages_match_analytic_channels() {
     circ.push(Gate::H(0));
     let x = PauliOp::from_labels(1, &[("X", 1.0)]);
     let model = PauliNoiseModel::noiseless().with_single_qubit_channel(PauliChannel::Dephasing(p));
-    let mut backend = NoisyStatevectorBackend::new(model, 0, 5).with_trajectories(20_000);
+    let mut backend = NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(5))
+        .with_trajectories(20_000);
     let (value, _) = backend.evaluate(&circ, &[], &InitialState::Basis(0), &x, &[]);
     let expected = 1.0 - 2.0 * p;
     assert!(
@@ -286,8 +288,12 @@ fn trajectory_averages_match_analytic_channels() {
     circ.push(Gate::H(0));
     circ.push(Gate::S(0));
     let y = PauliOp::from_labels(1, &[("Y", 1.0)]);
-    let mut backend = NoisyStatevectorBackend::new(PauliNoiseModel::depolarizing(p, 0.0), 0, 7)
-        .with_trajectories(20_000);
+    let mut backend = NoisyStatevectorBackend::with_policy(
+        PauliNoiseModel::depolarizing(p, 0.0),
+        0,
+        SeedPolicy::new(7),
+    )
+    .with_trajectories(20_000);
     let (value, _) = backend.evaluate(&circ, &[], &InitialState::Basis(0), &y, &[]);
     let expected = (1.0 - 4.0 * p / 3.0) * (1.0 - 4.0 * p / 3.0);
     assert!(
@@ -302,8 +308,12 @@ fn trajectory_averages_match_analytic_channels() {
     bell.push(Gate::H(0));
     bell.push(Gate::Cx(0, 1));
     let zz = PauliOp::from_labels(2, &[("ZZ", 1.0)]);
-    let mut backend = NoisyStatevectorBackend::new(PauliNoiseModel::depolarizing(0.0, p2), 0, 9)
-        .with_trajectories(12_000);
+    let mut backend = NoisyStatevectorBackend::with_policy(
+        PauliNoiseModel::depolarizing(0.0, p2),
+        0,
+        SeedPolicy::new(9),
+    )
+    .with_trajectories(12_000);
     let (value, _) = backend.evaluate(&bell, &[], &InitialState::Basis(0), &zz, &[]);
     let expected = qnoise::uniform_depolarizing_attenuation(p2, 2);
     assert!(
@@ -318,7 +328,8 @@ fn trajectory_averages_match_analytic_channels() {
     let z = PauliOp::from_labels(1, &[("Z", 1.0)]);
     let model = PauliNoiseModel::noiseless()
         .with_single_qubit_channel(PauliChannel::AmplitudeDampingTwirled(gamma));
-    let mut backend = NoisyStatevectorBackend::new(model, 0, 13).with_trajectories(12_000);
+    let mut backend = NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(13))
+        .with_trajectories(12_000);
     let (value, _) = backend.evaluate(&circ, &[], &InitialState::Basis(0), &z, &[]);
     let expected = -(1.0 - gamma);
     assert!(
@@ -376,7 +387,8 @@ fn readout_error_attenuates_terms_by_weight() {
     let op = PauliOp::from_labels(2, &[("II", -1.0), ("ZZ", 0.8)]);
     let r = 0.05;
     let model = PauliNoiseModel::noiseless().with_readout(r);
-    let mut backend = NoisyStatevectorBackend::new(model, 0, 3).with_trajectories(2);
+    let mut backend =
+        NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(3)).with_trajectories(2);
     let (value, _) = backend.evaluate(&bell, &[], &InitialState::Basis(0), &op, &[]);
     // ⟨ZZ⟩ = 1 on the Bell pair; the identity term is untouched.
     let expected = -1.0 + 0.8 * qnoise::readout_attenuation(r, 2);

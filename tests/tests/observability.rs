@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::fault::{FaultPlan, FaultyBackend};
 use qexec::qobs;
-use qexec::{AdmissionPolicy, EvalJob, ExecError, Executor, JobHandle, SubmitOptions};
+use qexec::{AdmissionPolicy, EvalJob, ExecError, Executor, JobHandle, SeedPolicy, SubmitOptions};
 use qop::PauliOp;
 use std::sync::Arc;
 use std::time::Duration;
@@ -300,7 +300,7 @@ fn traced_run(on: bool) -> Vec<ResolutionBits> {
     let executor = Executor::builder()
         .register(
             "faulty",
-            FaultyBackend::new(SampledBackend::new(64, 7), plan),
+            FaultyBackend::new(SampledBackend::with_policy(64, SeedPolicy::new(7)), plan),
         )
         .observability(on)
         .start();

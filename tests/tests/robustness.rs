@@ -438,3 +438,117 @@ fn individual_cancel_races_the_worker() {
     }
     executor.wait_idle();
 }
+
+// ---------------------------------------------------------------------------
+// Drivers that break the one-result-per-request contract
+// ---------------------------------------------------------------------------
+
+/// A third-party driver whose `evaluate_batch` returns the wrong number of results:
+/// `results.len() = requests.len() + delta`, clamped at zero when `delta` is
+/// `isize::MIN`.
+struct MiscountingBackend {
+    inner: StatevectorBackend,
+    delta: isize,
+}
+
+impl vqa::Backend for MiscountingBackend {
+    fn evaluate(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        charged_op: &PauliOp,
+        free_ops: &[&PauliOp],
+    ) -> (f64, Vec<f64>) {
+        self.inner
+            .evaluate(circuit, params, initial, charged_op, free_ops)
+    }
+
+    fn evaluate_batch(&mut self, requests: &[vqa::EvalRequest<'_>]) -> Vec<vqa::EvalResult> {
+        let mut results = self.inner.evaluate_batch(requests);
+        let wanted = requests.len().saturating_add_signed(self.delta);
+        let filler = results[0].clone();
+        results.resize(wanted, filler);
+        results
+    }
+
+    fn probe(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        op: &PauliOp,
+    ) -> f64 {
+        self.inner.probe(circuit, params, initial, op)
+    }
+
+    fn shots_used(&self) -> u64 {
+        self.inner.shots_used()
+    }
+
+    fn reset_shots(&mut self) {
+        self.inner.reset_shots();
+    }
+
+    fn shots_per_pauli(&self) -> u64 {
+        self.inner.shots_per_pauli()
+    }
+
+    fn name(&self) -> &'static str {
+        "miscounting"
+    }
+}
+
+/// A driver returning `n − 1`, `0` or `n + 1` results for a batch of `n` fails exactly
+/// that batch with a structured error naming the backend and both counts — no handle
+/// is left waiting for a result that never comes, no job is handed another job's
+/// value, and the scheduler survives to serve the next backend.
+#[test]
+fn wrong_result_count_fails_the_batch_and_the_service_survives() {
+    const N: usize = 3;
+    let patience = Duration::from_secs(20);
+    let circuit = demo_circuit(3);
+    let op = demo_op(3);
+    for (delta, returned) in [(-1, N - 1), (isize::MIN, 0), (1, N + 1)] {
+        let executor = Executor::builder()
+            .paused()
+            .register(
+                "bad",
+                MiscountingBackend {
+                    inner: StatevectorBackend::new(),
+                    delta,
+                },
+            )
+            .register("good", StatevectorBackend::new())
+            .start();
+        let client = executor.client();
+        let to = |backend: &str| SubmitOptions::new().backend(backend);
+        let handles: Vec<JobHandle> = (0..N)
+            .map(|i| {
+                client
+                    .submit_with(demo_job(&circuit, &op, i), &to("bad"))
+                    .unwrap()
+            })
+            .collect();
+        executor.resume();
+        for handle in &handles {
+            match handle.wait_timeout(patience) {
+                Some(Err(ExecError::Execution(msg))) => assert!(
+                    msg.contains("`bad`")
+                        && msg.contains(&format!("{returned} results"))
+                        && msg.contains(&format!("{N} requests")),
+                    "unhelpful miscount error: {msg}"
+                ),
+                Some(other) => panic!("{returned} results for {N} requests resolved as {other:?}"),
+                None => panic!("a handle hangs when the driver returns {returned} of {N} results"),
+            }
+        }
+        let after = client
+            .submit_with(demo_job(&circuit, &op, N), &to("good"))
+            .unwrap();
+        assert!(
+            matches!(after.wait_timeout(patience), Some(Ok(_))),
+            "the scheduler did not survive a driver returning {returned} of {N} results"
+        );
+    }
+}

@@ -2,14 +2,15 @@
 //! bit-identical under any schedule**.
 //!
 //! Every job pins its own counter-based `qrng` stream, so nothing about the realized
-//! execution — worker count, slate partitioning, submission interleaving, retries,
-//! failovers — may change any result or the total number of RNG draws.  The properties
-//! here randomize the submission order and sweep `workers ∈ {1, 2, 4}` over a
-//! four-backend executor, for exact, sampled, and noisy-trajectory backends, and
-//! demand bit-identical per-job results plus an identical `qrng::total_draws` delta
-//! against the single-worker in-order baseline.  A further scenario injects transient
-//! faults (rescued by retries) and a permanently dead backend (rescued by failover)
-//! and demands the survivors still match the undisturbed baseline bit-for-bit.
+//! execution — slate composition, submission interleaving, retries, failovers — may
+//! change any result or the total number of RNG draws.  The properties here randomize
+//! the submission order over a four-backend executor, for exact, sampled, and
+//! noisy-trajectory backends, and demand bit-identical per-job results plus an
+//! identical `qrng::total_draws` delta against the in-order baseline.  A further
+//! scenario injects transient faults (rescued by retries) and a permanently dead
+//! backend (rescued by failover) and demands the survivors still match the undisturbed
+//! baseline bit-for-bit, and another pins the canonical grouping itself: the call
+//! sequence each driver observes.
 //!
 //! The last two scenarios close the hole the small registers above leave open: on a
 //! 12-qubit register (4096 amplitudes, 23-term TFIM) the *same* stream-pinned request
@@ -21,7 +22,7 @@
 use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::fault::{FaultKind, FaultPlan, FaultyBackend};
-use qexec::{EvalJob, Executor, StreamId, SubmitOptions};
+use qexec::{EvalJob, Executor, SeedPolicy, StreamId, SubmitOptions};
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
 use rand::Rng;
@@ -73,13 +74,16 @@ fn backend_factories() -> Vec<(&'static str, BackendFactory)> {
         ),
         (
             "sampled",
-            Box::new(|| Box::new(SampledBackend::new(256, 42)) as Box<dyn Backend + Send>),
+            Box::new(|| {
+                Box::new(SampledBackend::with_policy(256, SeedPolicy::new(42)))
+                    as Box<dyn Backend + Send>
+            }),
         ),
         (
             "noisy-trajectory",
             Box::new(move || {
                 Box::new(
-                    NoisyStatevectorBackend::new(model.clone(), 50, 3)
+                    NoisyStatevectorBackend::with_policy(model.clone(), 50, SeedPolicy::new(3))
                         .with_trajectories(5)
                         .with_shot_sampling(),
                 ) as Box<dyn Backend + Send>
@@ -122,17 +126,13 @@ fn bits(r: &vqa::EvalResult) -> Bits {
 }
 
 /// Runs the standard scenario — `JOBS` stream-pinned jobs spread round-robin over
-/// `BACKENDS` identically configured backends — submitting in `order`, on an executor
-/// with `workers` execution threads.  Returns per-job result bits (indexed by job id,
-/// not submission position) and the run's `qrng::total_draws` delta.
-fn run_scenario(
-    make: &dyn Fn() -> Box<dyn Backend + Send>,
-    workers: usize,
-    order: &[usize],
-) -> (Vec<Bits>, u64) {
+/// `BACKENDS` identically configured backends — submitting in `order`.  Returns
+/// per-job result bits (indexed by job id, not submission position) and the run's
+/// `qrng::total_draws` delta.
+fn run_scenario(make: &dyn Fn() -> Box<dyn Backend + Send>, order: &[usize]) -> (Vec<Bits>, u64) {
     let circuit = demo_circuit(3);
     let (charged, free) = demo_ops(3);
-    let mut builder = Executor::builder().workers(workers).paused();
+    let mut builder = Executor::builder().paused();
     for b in 0..BACKENDS {
         builder = builder.register_boxed(format!("b{b}"), make());
     }
@@ -175,43 +175,40 @@ fn shuffled_order(seed: u64) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Worker counts, slate partitionings, and submission interleavings never change
-    /// any result or the total number of RNG draws, for every backend family.
+    /// Submission interleavings never change any result or the total number of RNG
+    /// draws, for every backend family.
     #[test]
     fn results_and_draw_counts_are_schedule_independent(shuffle_seed in 0u64..u64::MAX) {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let in_order: Vec<usize> = (0..JOBS).collect();
         let shuffled = shuffled_order(shuffle_seed);
         for (family, make) in backend_factories() {
-            let (baseline, baseline_draws) = run_scenario(make.as_ref(), 1, &in_order);
-            for workers in [1usize, 2, 4] {
-                for order in [&in_order, &shuffled] {
-                    let (results, draws) = run_scenario(make.as_ref(), workers, order);
-                    prop_assert_eq!(
-                        &results,
-                        &baseline,
-                        "{} results diverged at workers={} order={:?}",
-                        family,
-                        workers,
-                        order
-                    );
-                    prop_assert_eq!(
-                        draws,
-                        baseline_draws,
-                        "{} draw count diverged at workers={}",
-                        family,
-                        workers
-                    );
-                }
+            let (baseline, baseline_draws) = run_scenario(make.as_ref(), &in_order);
+            for order in [&in_order, &shuffled] {
+                let (results, draws) = run_scenario(make.as_ref(), order);
+                prop_assert_eq!(
+                    &results,
+                    &baseline,
+                    "{} results diverged at order={:?}",
+                    family,
+                    order
+                );
+                prop_assert_eq!(
+                    draws,
+                    baseline_draws,
+                    "{} draw count diverged at order={:?}",
+                    family,
+                    order
+                );
             }
         }
     }
 }
 
 /// Retry and failover perturbations leave every surviving result bit-identical to the
-/// undisturbed single-worker baseline: the re-executions reuse each job's pinned
-/// stream, and the standby backends are configured identically — so supervision
-/// machinery is invisible in the results.
+/// undisturbed baseline: the re-executions reuse each job's pinned stream, and the
+/// standby backends are configured identically — so supervision machinery is invisible
+/// in the results.
 #[test]
 fn retries_and_failovers_do_not_disturb_results() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -222,51 +219,185 @@ fn retries_and_failovers_do_not_disturb_results() {
     let circuit = demo_circuit(3);
     let (charged, free) = demo_ops(3);
     let in_order: Vec<usize> = (0..JOBS).collect();
-    let make_clean = || Box::new(SampledBackend::new(256, 42)) as Box<dyn Backend + Send>;
-    let (baseline, _) = run_scenario(&make_clean, 1, &in_order);
+    let make_clean = || {
+        Box::new(SampledBackend::with_policy(256, SeedPolicy::new(42))) as Box<dyn Backend + Send>
+    };
+    let (baseline, _) = run_scenario(&make_clean, &in_order);
 
-    for workers in [1usize, 2, 4] {
-        let mut builder = Executor::builder().workers(workers).paused();
-        for b in 0..BACKENDS {
-            // b0's first batch faults transiently (rescued by the retry budget); b3 is
-            // permanently dead, including its canary probes (rescued by failover).
-            let plan = match b {
-                0 => FaultPlan::new(1).with_fault_at(0, Some(FaultKind::Transient)),
-                3 => FaultPlan::new(2).with_panic_rate(1.0),
-                _ => FaultPlan::new(3),
-            };
-            builder = builder.register_boxed(
+    let mut builder = Executor::builder().paused();
+    for b in 0..BACKENDS {
+        // b0's first batch faults transiently (rescued by the retry budget); b3 is
+        // permanently dead, including its canary probes (rescued by failover).
+        let plan = match b {
+            0 => FaultPlan::new(1).with_fault_at(0, Some(FaultKind::Transient)),
+            3 => FaultPlan::new(2).with_panic_rate(1.0),
+            _ => FaultPlan::new(3),
+        };
+        builder = builder.register_boxed(
+            format!("b{b}"),
+            Box::new(FaultyBackend::new(
+                SampledBackend::with_policy(256, SeedPolicy::new(42)),
+                plan,
+            )),
+        );
+    }
+    let executor = builder.start();
+    let client = executor.client();
+    let mut handles = Vec::new();
+    for i in 0..JOBS {
+        let job = scenario_job(&circuit, &charged, &free, i);
+        let opts = SubmitOptions::new()
+            .backend(format!("b{}", i % BACKENDS))
+            .retries(2)
+            .failover(true);
+        handles.push(client.submit_with(job, &opts).expect("well-formed job"));
+    }
+    executor.resume();
+    for (i, handle) in handles.iter().enumerate() {
+        let r = handle.wait().expect("retries/failover rescue every job");
+        assert_eq!(
+            bits(&r),
+            baseline[i],
+            "job {i} diverged from the undisturbed baseline"
+        );
+    }
+    let stats = executor.stats();
+    assert!(stats.retries > 0, "the transient fault should have retried");
+    assert!(
+        stats.failovers > 0,
+        "the dead backend should have failed over"
+    );
+}
+
+/// One driver call, as a [`RecordingBackend`] saw it: jobs are identified by their
+/// first parameter, which [`grouping_job`] sets to the job id.
+#[derive(Clone, Debug, PartialEq)]
+enum Call {
+    Batch(Vec<usize>),
+    Probe(usize),
+}
+
+/// An exact backend that logs the shape of every call the executor makes on it.
+struct RecordingBackend {
+    inner: StatevectorBackend,
+    log: Arc<Mutex<Vec<Call>>>,
+}
+
+impl Backend for RecordingBackend {
+    fn evaluate(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        charged_op: &PauliOp,
+        free_ops: &[&PauliOp],
+    ) -> (f64, Vec<f64>) {
+        self.inner
+            .evaluate(circuit, params, initial, charged_op, free_ops)
+    }
+
+    fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<vqa::EvalResult> {
+        let ids = requests.iter().map(|r| r.params[0] as usize).collect();
+        self.log.lock().unwrap().push(Call::Batch(ids));
+        self.inner.evaluate_batch(requests)
+    }
+
+    fn probe(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        op: &PauliOp,
+    ) -> f64 {
+        self.log
+            .lock()
+            .unwrap()
+            .push(Call::Probe(params[0] as usize));
+        self.inner.probe(circuit, params, initial, op)
+    }
+
+    fn shots_used(&self) -> u64 {
+        self.inner.shots_used()
+    }
+
+    fn reset_shots(&mut self) {
+        self.inner.reset_shots();
+    }
+
+    fn shots_per_pauli(&self) -> u64 {
+        self.inner.shots_per_pauli()
+    }
+
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+}
+
+/// Job `i` of the grouping scenario: its id rides in the first parameter.
+fn grouping_job(circuit: &Arc<Circuit>, charged: &Arc<PauliOp>, i: usize) -> EvalJob {
+    let mut params = vec![0.1; circuit.num_parameters()];
+    params[0] = i as f64;
+    EvalJob::new(
+        Arc::clone(circuit),
+        params,
+        InitialState::Basis(0),
+        Arc::clone(charged),
+    )
+}
+
+/// The canonical grouping, stated as the call sequence a driver observes: whatever the
+/// submission order, each backend of a slate receives **one** `evaluate_batch` holding
+/// its evaluation jobs in slate order, then its probes one by one in slate order.
+#[test]
+fn each_driver_sees_one_batch_then_its_probes_in_slate_order() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = demo_circuit(3);
+    let (charged, _) = demo_ops(3);
+    // Every third job is a probe, so each backend gets a mix of both kinds.
+    let is_probe = |i: usize| i % 3 == 2;
+    let in_order: Vec<usize> = (0..JOBS).collect();
+    for order in [in_order, shuffled_order(0xC0FFEE)] {
+        let logs: Vec<Arc<Mutex<Vec<Call>>>> = (0..BACKENDS).map(|_| Arc::default()).collect();
+        let mut builder = Executor::builder().paused();
+        for (b, log) in logs.iter().enumerate() {
+            builder = builder.register(
                 format!("b{b}"),
-                Box::new(FaultyBackend::new(SampledBackend::new(256, 42), plan)),
+                RecordingBackend {
+                    inner: StatevectorBackend::with_shots(64),
+                    log: Arc::clone(log),
+                },
             );
         }
         let executor = builder.start();
         let client = executor.client();
-        let mut handles = Vec::new();
-        for i in 0..JOBS {
-            let job = scenario_job(&circuit, &charged, &free, i);
-            let opts = SubmitOptions::new()
-                .backend(format!("b{}", i % BACKENDS))
-                .retries(2)
-                .failover(true);
-            handles.push(client.submit_with(job, &opts).expect("well-formed job"));
-        }
+        let handles: Vec<_> = order
+            .iter()
+            .map(|&i| {
+                let job = grouping_job(&circuit, &charged, i);
+                let opts = SubmitOptions::new().backend(format!("b{}", i % BACKENDS));
+                if is_probe(i) {
+                    client.submit_probe_with(job, &opts)
+                } else {
+                    client.submit_with(job, &opts)
+                }
+                .expect("well-formed job")
+            })
+            .collect();
         executor.resume();
-        for (i, handle) in handles.iter().enumerate() {
-            let r = handle.wait().expect("retries/failover rescue every job");
+        for handle in &handles {
+            handle.wait().expect("job executes");
+        }
+        for (b, log) in logs.iter().enumerate() {
+            // One client, so slate order is submission order.
+            let mine = || order.iter().copied().filter(move |i| i % BACKENDS == b);
+            let mut expected = vec![Call::Batch(mine().filter(|&i| !is_probe(i)).collect())];
+            expected.extend(mine().filter(|&i| is_probe(i)).map(Call::Probe));
             assert_eq!(
-                bits(&r),
-                baseline[i],
-                "job {i} diverged from the undisturbed baseline at workers={workers}"
+                *log.lock().unwrap(),
+                expected,
+                "backend b{b} saw a different call sequence for submission order {order:?}"
             );
         }
-        let stats = executor.stats();
-        assert!(stats.retries > 0, "the transient fault should have retried");
-        assert!(
-            stats.failovers > 0,
-            "the dead backend should have failed over"
-        );
-        drop(executor);
     }
 }
 

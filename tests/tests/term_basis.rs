@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qnoise::PauliNoiseModel;
 use qop::{Complex64, PauliOp, PauliString, Statevector, TermBasis};
-use qrng::StreamId;
+use qrng::{SeedPolicy, StreamId};
 use qsim::NoiseModel;
 use std::sync::Mutex;
 use vqa::{
@@ -401,21 +401,32 @@ fn dense_backends() -> Vec<(&'static str, BackendFactory)> {
         ),
         (
             "sampled",
-            Box::new(|| Box::new(SampledBackend::new(256, 42)) as Box<dyn Backend>),
+            Box::new(|| {
+                Box::new(SampledBackend::with_policy(256, SeedPolicy::new(42))) as Box<dyn Backend>
+            }),
         ),
         (
             "noisy",
             Box::new(move || {
-                Box::new(NoisyBackend::new(device.clone(), 2, 256, 42)) as Box<dyn Backend>
+                Box::new(NoisyBackend::with_policy(
+                    device.clone(),
+                    2,
+                    256,
+                    SeedPolicy::new(42),
+                )) as Box<dyn Backend>
             }),
         ),
         (
             "noisy-trajectory",
             Box::new(move || {
                 Box::new(
-                    NoisyStatevectorBackend::new(trajectory.clone(), 50, 3)
-                        .with_trajectories(3)
-                        .with_shot_sampling(),
+                    NoisyStatevectorBackend::with_policy(
+                        trajectory.clone(),
+                        50,
+                        SeedPolicy::new(3),
+                    )
+                    .with_trajectories(3)
+                    .with_shot_sampling(),
                 ) as Box<dyn Backend>
             }),
         ),
@@ -584,7 +595,7 @@ fn shot_sampling_draws_depend_only_on_the_charged_operator() {
         .count() as u64;
     let mut values = Vec::new();
     for free_ops in [&[][..], &free[..]] {
-        let mut backend = SampledBackend::new(512, 9);
+        let mut backend = SampledBackend::with_policy(512, SeedPolicy::new(9));
         let before = qrng::total_draws();
         let result = backend
             .evaluate_batch(&[EvalRequest {
