@@ -10,8 +10,7 @@
 //!
 //! where `<id>` is one of `tab1 fig4 fig6 fig7 fig8 fig9 fig10 fig11 tab2 fig12 fig13
 //! fig14`.  Each experiment prints a human-readable summary and writes machine-readable
-//! CSV under `results/`.  See EXPERIMENTS.md for the paper-vs-measured discussion and the
-//! scaling notes.
+//! CSV under `results/`.  The `treevqa_bench` library docs give the scaling notes.
 
 use qchem::{MoleculeSpec, SpinChainFamily};
 use qexec::{Executor, SeedPolicy};

@@ -5,10 +5,10 @@
 //! holds the pieces those experiments share: benchmark-application builders, the
 //! TreeVQA-vs-baseline comparison runner, and CSV output helpers.
 //!
-//! All experiments are scaled down relative to the paper (see DESIGN.md §3.7 and
-//! EXPERIMENTS.md): iteration counts, task counts and register sizes are reduced so the
-//! whole suite runs on a laptop, while the comparisons (who wins, by roughly what factor,
-//! how trends move with size/precision/similarity) keep their shape.
+//! All experiments are scaled down relative to the paper: iteration counts, task counts
+//! and register sizes are reduced so the whole suite runs on a laptop, while the
+//! comparisons (who wins, by roughly what factor, how trends move with
+//! size/precision/similarity) keep their shape.
 
 pub mod quick;
 pub mod workloads;

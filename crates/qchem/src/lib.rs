@@ -4,8 +4,9 @@
 //! (Table 1 and Section 7.1):
 //!
 //! * [`MoleculeSpec`] — synthetic molecular Hamiltonian families (H₂, LiH, BeH₂, HF,
-//!   C₂H₂) whose coefficients vary smoothly with bond length; the documented substitution
-//!   for PySCF/Qiskit-Nature electronic-structure input (DESIGN.md §3.1).
+//!   C₂H₂) whose coefficients vary smoothly with bond length; the substitution for
+//!   PySCF/Qiskit-Nature electronic-structure input (rationale in the `molecule`
+//!   module docs).
 //! * [`heisenberg_xxz`] / [`transverse_field_ising`] / [`SpinChainFamily`] — exact
 //!   spin-chain models, including the 25-site Ising chain of the large-scale study.
 //!

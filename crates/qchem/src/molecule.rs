@@ -2,8 +2,8 @@
 //!
 //! The paper derives its chemistry benchmarks (H₂, LiH, BeH₂, HF, C₂H₂) from
 //! PySCF/Qiskit-Nature electronic-structure integrals in the STO-3G basis.  Reproducing a
-//! quantum-chemistry package is out of scope, so this module implements the documented
-//! substitution (DESIGN.md §3.1): a deterministic generator that, for each molecule,
+//! quantum-chemistry package is out of scope, so this module implements a
+//! substitution: a deterministic generator that, for each molecule,
 //! produces a **fixed Pauli-term structure** whose coefficients vary **smoothly with the
 //! bond length**, with the identity coefficient following a Morse-like dissociation curve
 //! anchored at the paper's equilibrium geometry.
@@ -12,7 +12,8 @@
 //! distance and therefore strongly overlapping ground states (paper Section 3) — is
 //! preserved by construction, which is what matters for reproducing the branching
 //! behaviour and the shot-reduction trends.  Qubit counts are scaled down relative to the
-//! paper so exact reference ground states stay cheap (see the table in DESIGN.md).
+//! paper so exact reference ground states stay cheap (see [`MoleculeSpec`]'s
+//! constructors for the sizes used).
 
 use qop::{Pauli, PauliOp, PauliString};
 use rand::rngs::StdRng;

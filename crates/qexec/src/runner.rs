@@ -69,7 +69,7 @@ pub fn run_single_vqa<S: JobSubmitter>(
     for iteration in 0..config.max_iterations {
         // Drive the optimizer's propose/observe phases, submitting each phase's
         // candidates (SPSA's ± pair, a simplex build, …) as one run of jobs; the
-        // executor batches consecutive same-backend jobs, so the dense drivers prepare
+        // executor batches consecutive same-backend jobs, so the dense driver prepares
         // the phase's states concurrently exactly as the historical batched runner did.
         let (stats, shots) = drive_optimizer_iteration(
             client,

@@ -4,8 +4,7 @@
 //! constraints) from a simplex of `n + 1` interpolation points and minimizes it inside a
 //! shrinking trust region.  VQA objectives are unconstrained, so this implementation keeps
 //! the defining ingredients — simplex-based linear interpolation, trust-region step,
-//! radius management — and drops the constraint machinery.  See DESIGN.md §3 for the
-//! substitution note.
+//! radius management — and drops the constraint machinery.
 
 use crate::{IterationStats, Optimizer};
 

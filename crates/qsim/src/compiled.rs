@@ -782,7 +782,7 @@ impl CompiledCircuit {
     /// batches of noise simulation), the pass's bound terms — and on the tabulated path
     /// its `O(√dim)` low/high phase tables — are computed once here instead of once per
     /// execution.  Executing with the returned tables via
-    /// [`CompiledCircuit::execute_in_place_cached`] is arithmetic-identical to
+    /// [`CompiledCircuit::execute_in_place_with_insertions`] is arithmetic-identical to
     /// [`CompiledCircuit::execute_in_place`]: the same binding and table-construction
     /// code runs, just once.
     pub fn prepare_batch_tables(&self, params_list: &[&[f64]]) -> BatchTables {
@@ -806,17 +806,6 @@ impl CompiledCircuit {
             }
         }
         BatchTables { per_op }
-    }
-
-    /// [`CompiledCircuit::execute_in_place`] with pre-bound diagonal tables from
-    /// [`CompiledCircuit::prepare_batch_tables`].
-    pub fn execute_in_place_cached(
-        &self,
-        params: &[f64],
-        state: &mut Statevector,
-        tables: &BatchTables,
-    ) {
-        self.execute_full(params, state, Some(tables), &[]);
     }
 
     /// Executes the compiled circuit while replaying a pre-sampled Pauli error stream:
@@ -1399,7 +1388,12 @@ mod tests {
         for (params, label) in [(&a, "a"), (&b, "b")] {
             let mut cached = Statevector::zero_state(n);
             let mut fresh = Statevector::zero_state(n);
-            compiled.execute_in_place_cached(params.as_slice(), &mut cached, &tables);
+            compiled.execute_in_place_with_insertions(
+                params.as_slice(),
+                &mut cached,
+                &[],
+                Some(&tables),
+            );
             compiled.execute_in_place(params.as_slice(), &mut fresh);
             assert_bit_identical(&cached, &fresh, &format!("binding {label}"));
         }

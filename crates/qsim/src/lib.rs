@@ -1,6 +1,6 @@
 //! # qsim — quantum-execution simulators for the TreeVQA reproduction
 //!
-//! Three execution paths, mirroring the paper's simulation framework (Section 7.4):
+//! Three simulators, mirroring the paper's simulation framework (Section 7.4):
 //!
 //! * [`run_circuit`] — exact dense statevector simulation (Qiskit Aer's
 //!   `StatevectorSimulator` role).
@@ -10,7 +10,7 @@
 //!   for large systems (the `PauliPropagation` role).
 //!
 //! Analytic hardware-noise models ([`NoiseModel`]) stand in for density-matrix noise
-//! simulation; see DESIGN.md for the substitution rationale.
+//! simulation; the `noise` module docs give the substitution rationale.
 //!
 //! ## The compile/execute split
 //!
@@ -22,7 +22,7 @@
 //! with a new parameter vector ([`CompiledCircuit::execute_in_place`] /
 //! [`CompiledCircuit::execute_into`]) re-binds those slots in O(ops) without re-walking
 //! the gate list, which is what lets one compiled circuit be amortized over a whole batch
-//! of parameter vectors (see the `vqa` crate's batched backends).  [`run_circuit`] /
+//! of parameter vectors (see the `vqa` crate's dense driver).  [`run_circuit`] /
 //! [`run_circuit_in_place`] are thin wrappers that compile on the fly; the pre-fusion
 //! per-gate interpreter survives as [`interpret_circuit_in_place`] for benches and
 //! equivalence tests.
@@ -39,10 +39,12 @@
 //! cap the thread count with `RAYON_NUM_THREADS`.  The same threshold steers batches
 //! (`qop::par::map_states`): registers *below* it are data-parallelized **across** the
 //! states of a batch instead of within one state.  Optimizer inner loops should compile
-//! once and drive [`CompiledCircuit::execute_into`] with a reused scratch state (the
-//! `run_circuit*` wrappers compile on *every* call and allocate, so they are for
-//! one-shot use); the original unoptimized kernels are kept in [`mod@reference`] as the
-//! correctness and speedup baseline.
+//! once and execute in place on a reused scratch state ([`CompiledCircuit::execute_into`],
+//! or [`CompiledCircuit::execute_in_place_with_insertions`] for pre-bound diagonal
+//! tables and noise trajectories — what the `vqa` dense driver calls); the `run_circuit*`
+//! wrappers compile on *every* call, so they are for one-shot use.  The original
+//! unoptimized kernels are kept in [`mod@reference`] as the correctness and speedup
+//! baseline.
 //!
 //! ## Execution profiling
 //!
@@ -77,5 +79,5 @@ pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};
 pub use simulator::{
     apply_cx, apply_cz, apply_gate, apply_pauli_rotation, apply_pauli_string, apply_single_qubit,
     interpret_circuit_in_place, parallel_threshold, reference, run_circuit, run_circuit_in_place,
-    run_circuit_into, rx_matrix, ry_matrix, rz_matrix, Matrix2,
+    rx_matrix, ry_matrix, rz_matrix, Matrix2,
 };

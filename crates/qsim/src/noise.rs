@@ -64,8 +64,8 @@ impl NoiseModel {
     ///
     /// The relative ordering (Cairo/Hanoi better than Kolkata/Auckland/Mumbai) follows the
     /// publicly reported calibration ballpark for those devices; exact numbers are not
-    /// reproducible without IBM's historical calibration data, which is the documented
-    /// substitution in DESIGN.md.
+    /// reproducible without IBM's historical calibration data (the substitution the
+    /// module docs describe).
     pub fn synthetic_backends() -> Vec<NoiseModel> {
         let mk = |name: &str, p1: f64, p2: f64, ro: f64| NoiseModel {
             name: name.to_string(),

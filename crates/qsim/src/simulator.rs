@@ -19,8 +19,8 @@
 //! * **No allocation.**  Pauli rotations `exp(-iθ/2 P)` exploit that a Pauli string acts
 //!   on the computational basis as the involution `b ↔ b ^ x_mask`: each `(b, b')` pair is
 //!   rotated in place by a 2×2 update, instead of cloning the full state per gate.
-//!   [`run_circuit_in_place`] / [`run_circuit_into`] let callers drive a whole circuit
-//!   without a single allocation, which the backend layers in `vqa` use to keep optimizer
+//!   The same holds for a whole compiled circuit: [`crate::CompiledCircuit`] executes in
+//!   place on a caller-owned state, which is how the `vqa` dense driver keeps optimizer
 //!   inner loops allocation-free.
 //! * **Split re/im lanes (SoA).**  The statevector stores real and imaginary parts in
 //!   separate `f64` arrays (see [`Statevector`]), and every serial kernel walks them in
@@ -120,21 +120,6 @@ pub fn interpret_circuit_in_place(circuit: &Circuit, params: &[f64], state: &mut
     for gate in circuit.gates() {
         apply_gate(state, gate, params);
     }
-}
-
-/// Executes `circuit` starting from `initial`, writing the result into `scratch`.
-///
-/// `scratch`'s allocation is reused whenever its dimension already matches, making this
-/// the zero-allocation building block for optimizer inner loops that evaluate one ansatz
-/// at many parameter vectors (see `vqa::StatevectorBackend`).
-pub fn run_circuit_into(
-    circuit: &Circuit,
-    params: &[f64],
-    initial: &Statevector,
-    scratch: &mut Statevector,
-) {
-    scratch.clone_from(initial);
-    run_circuit_in_place(circuit, params, scratch);
 }
 
 /// Applies a single gate in place.
@@ -1084,22 +1069,6 @@ mod tests {
             .collect();
         let out = run_circuit(&circ, &params, &Statevector::zero_state(4));
         assert!(close(out.norm(), 1.0));
-    }
-
-    #[test]
-    fn run_circuit_into_reuses_scratch_and_matches() {
-        use qcircuit::{Entanglement, HardwareEfficientAnsatz};
-        let circ = HardwareEfficientAnsatz::new(5, 2, Entanglement::Circular).build();
-        let params: Vec<f64> = (0..circ.num_parameters())
-            .map(|i| (i as f64).cos())
-            .collect();
-        let initial = Statevector::zero_state(5);
-        let expected = run_circuit(&circ, &params, &initial);
-        let mut scratch = Statevector::zero_state(5);
-        let buffer_before = scratch.re().as_ptr();
-        run_circuit_into(&circ, &params, &initial, &mut scratch);
-        assert_eq!(buffer_before, scratch.re().as_ptr(), "scratch reallocated");
-        assert!(close(expected.overlap(&scratch), 1.0));
     }
 
     fn max_diff(a: &Statevector, b: &Statevector) -> f64 {

@@ -8,50 +8,23 @@
 //! shots) on the same prepared state — plus a **batch** form, [`Backend::evaluate_batch`],
 //! that takes a whole slice of [`EvalRequest`]s at once.
 //!
-//! # Batched execution
+//! # Drivers
 //!
-//! Derivative-free optimizers emit *batches* of parameter vectors (SPSA's ± pair, a
-//! simplex build, every active TreeVQA cluster's candidates in one controller round), and
-//! all of those bind different `θ` to the **same** ansatz.  The dense backends exploit
-//! that shape:
-//!
-//! * the circuit is lowered once through a cached [`qsim::CompiledCircuit`] and re-bound
-//!   per request — never re-walked;
-//! * a pool of scratch slots (grown on demand, reused across calls) holds one
-//!   statevector and one readout vector per in-flight request;
-//! * where the batch is split across threads is not decided here: each chunk's states
-//!   go through [`qop::par::map_states`], which runs registers **below** the
-//!   [`qsim::parallel_threshold`] amplitude count side by side when the chunk as a whole
-//!   crosses it (kernels pinned serial), and otherwise one after another while the gate
-//!   and readout kernels parallelize *within* the state.  One knob
-//!   (`QSIM_PAR_THRESHOLD`) picks the regime and every kernel gates on the register
-//!   dimension alone.
-//!
-//! # One readout per state
-//!
-//! A request's observables `[charged, free…]` are different coefficient vectors over
-//! (nearly) the same Pauli strings — the paper's term padding, Section 5.2.1.  Every
-//! dense driver therefore measures a prepared state through one cached
-//! [`qop::TermBasis`] (the `ObservableCache`, an LRU beside the compiled-circuit cache):
-//! each *distinct* string is evaluated once per state by the fused block kernels, and
-//! the charged and free values are contracted from that one vector of per-string values
-//! with a serial fold in term order.  The single `measure` helper below is the only
-//! place a driver reads a state out.
-//!
-//! Batched evaluation is **bit-identical** to the serial loop, and a request's result is
-//! a function of the request alone — not of batch size, chunking, or which parallel
-//! regime its slate landed in: requests are charged and (for the sampled backend)
-//! noise-sampled in request order, readouts gate on the register dimension only, and
-//! contraction is always serial.  Memory is bounded by chunking: at most
-//! [`batch_chunk`] scratch slots are live at once.
+//! Three implementations live in this crate.  All dense execution — exact,
+//! shot-sampled, analytically attenuated, trajectory-noisy — is **one** driver,
+//! [`crate::Dense`], whose four public names differ only in the readout stage that ends
+//! its pipeline; this module holds what that pipeline is built from (the
+//! circuit and observable caches, the scratch pool, the single `measure` readout).
+//! [`PauliPropagationBackend`] never forms a dense state, and
+//! [`crate::ZneBackend`] wraps any `Backend`.
 
 use crate::task::InitialState;
 use qcircuit::Circuit;
 use qop::{PauliOp, Statevector, TermBasis};
-use qrng::{CounterRng, SeedPolicy, StreamId};
+use qrng::StreamId;
 use qsim::{
-    attenuate_readout, attenuation_factor, BatchTables, CircuitNoiseProfile, CompiledCircuit,
-    NoiseModel, PauliPropagator, PauliPropagatorConfig, ShotLedger,
+    attenuation_factor, CircuitNoiseProfile, NoiseModel, PauliPropagator, PauliPropagatorConfig,
+    ShotLedger,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,11 +163,10 @@ pub trait Backend {
     /// Evaluates a whole batch of requests, in request order.
     ///
     /// The default implementation is a serial loop over [`Backend::evaluate`], so every
-    /// backend supports batching; the dense statevector backends override it with a
-    /// compiled-circuit + scratch-pool implementation that prepares the batch's states
-    /// concurrently (see the module docs).  Implementations must preserve request-order
-    /// semantics (shot charging, RNG consumption) so batched and serial execution yield
-    /// identical results.
+    /// backend supports batching; the dense driver overrides it with its
+    /// compiled-circuit + scratch-pool pipeline ([`crate::Dense`]).  Implementations
+    /// must preserve request-order semantics (shot charging, RNG consumption) so batched
+    /// and serial execution yield identical results.
     fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
         default_serial_batch(self, requests)
     }
@@ -336,7 +308,7 @@ static OBSERVABLE_TALLY: Tally = Tally::new();
 /// actually evaluated, per readout.
 static STRING_TALLY: Tally = Tally::new();
 
-/// Default cache depth of the dense backends: enough for every folding of a ZNE ladder
+/// Default cache depth of the dense driver: enough for every folding of a ZNE ladder
 /// up to seven scales plus the unfolded probe circuit.  A mitigation wrapper rotating
 /// through more circuits per logical evaluation than the capacity minus one would turn
 /// every access into a miss (recompiling per scale), so `ZneBackend::with_scales`
@@ -344,8 +316,8 @@ static STRING_TALLY: Tally = Tally::new();
 /// amortization.
 pub(crate) const DEFAULT_CIRCUIT_CACHE_CAPACITY: usize = 8;
 
-/// Capacity of the dense backends' LRU caches: compiled circuits, noise plans, and the
-/// observable (term-basis) cache.
+/// Capacity of the dense driver's LRU caches: compiled circuits (with the readout
+/// stage's per-circuit plan) and the observable (term-basis) cache.
 ///
 /// Tune with the `VQA_COMPILED_CACHE` environment variable (read once per process,
 /// minimum 1, default [`struct@std::sync::OnceLock`]-cached 8): raise it when a workload
@@ -414,7 +386,7 @@ impl<V> Lru<(Circuit, V)> {
     }
 }
 
-/// The dense backends' observable cache: one [`TermBasis`] per ordered operator set
+/// The dense driver's observable cache: one [`TermBasis`] per ordered operator set
 /// `[charged, free…]`, same LRU shape and capacity as the compiled-circuit cache.
 ///
 /// Entries are found by structural equality ([`TermBasis::is_basis_of`]), so jobs that
@@ -501,11 +473,6 @@ impl ScratchPool {
         &mut self.slots[..count]
     }
 
-    /// Direct access for single-state callers.
-    pub(crate) fn slot(&mut self, num_qubits: usize) -> &mut Scratch {
-        &mut self.slots(1, num_qubits)[0]
-    }
-
     /// Frees every pooled slot (quarantine recovery: a mid-kernel unwind may have left
     /// a scratch state partially written; the pool regrows on demand).
     pub(crate) fn clear(&mut self) {
@@ -513,241 +480,15 @@ impl ScratchPool {
     }
 }
 
-/// The shared circuit of a batch, if all requests reference the same one (pointer
-/// equality short-circuits the structural comparison).
-pub(crate) fn uniform_circuit<'a>(requests: &[EvalRequest<'a>]) -> Option<&'a Circuit> {
-    let first = requests.first()?.circuit;
-    requests
-        .iter()
-        .all(|r| std::ptr::eq(r.circuit, first) || r.circuit == first)
-        .then_some(first)
+/// Whether two requests run the same circuit (pointer equality short-circuits the
+/// structural comparison).
+pub(crate) fn same_circuit(a: &EvalRequest<'_>, b: &EvalRequest<'_>) -> bool {
+    std::ptr::eq(a.circuit, b.circuit) || a.circuit == b.circuit
 }
 
-/// Prepares `|ψ(θ)⟩` for `req` in `slot` and reads it out through `basis`: the one way
-/// an ideal dense execution becomes a vector of per-string values.
-fn run_request(
-    compiled: &CompiledCircuit,
-    tables: Option<&BatchTables>,
-    basis: &TermBasis,
-    req: &EvalRequest<'_>,
-    slot: &mut Scratch,
-) {
-    req.initial.prepare_into(&mut slot.state);
-    compiled.execute_in_place_with_insertions(req.params, &mut slot.state, &[], tables);
-    measure(basis, slot);
-}
-
-/// What every dense driver in this module owns: compiled circuits, term bases and
-/// scratch slots — and the two ways a request becomes a readout.
-#[derive(Debug, Default)]
-struct DenseCore {
-    circuits: CircuitCache<CompiledCircuit>,
-    observables: ObservableCache,
-    pool: ScratchPool,
-}
-
-impl DenseCore {
-    /// Prepares `|ψ(θ)⟩` for `req` in the first scratch slot and reads it out; returns
-    /// the request's basis and the slot holding the per-string values.
-    fn run_one(&mut self, req: &EvalRequest<'_>) -> (Arc<TermBasis>, &mut Scratch) {
-        let basis = self.observables.get(req.charged_op, req.free_ops);
-        let compiled = self
-            .circuits
-            .get_or_insert_with(req.circuit, CompiledCircuit::compile);
-        let slot = self.pool.slot(req.circuit.num_qubits());
-        run_request(compiled, None, &basis, req, slot);
-        (basis, slot)
-    }
-
-    /// The ideal value of `op` on the prepared state (what every dense driver's
-    /// `probe` reports).
-    fn probe(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        op: &PauliOp,
-    ) -> f64 {
-        let (basis, slot) = self.run_one(&EvalRequest::unpinned(circuit, params, initial, op, &[]));
-        basis.op_value(0, &slot.values)
-    }
-
-    /// Runs a batch of same-circuit requests in chunks of [`batch_chunk`], preparing
-    /// each request's state in its own scratch slot, reading it out, and reducing the
-    /// readout with `finish` (inside the potentially parallel region — readouts are
-    /// state-sized work).  Results are returned in request order.
-    fn run_batch<T, F>(
-        &mut self,
-        circuit: &Circuit,
-        requests: &[EvalRequest<'_>],
-        finish: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&TermBasis, &[f64]) -> T + Sync,
-    {
-        let bases = self.observables.for_batch(requests);
-        let compiled = self
-            .circuits
-            .get_or_insert_with(circuit, CompiledCircuit::compile);
-        let mut results = Vec::with_capacity(requests.len());
-        for (chunk, chunk_bases) in requests
-            .chunks(batch_chunk())
-            .zip(bases.chunks(batch_chunk()))
-        {
-            // Bind the diagonal passes once for the whole chunk when the chunk's
-            // bindings resolve them identically (always for fixed-angle layers; for QAOA
-            // batches, whenever only non-diagonal parameters vary between candidates).
-            // Arithmetic-identical to per-request binding, so batched-equals-serial is
-            // unaffected.
-            let params_list: Vec<&[f64]> = chunk.iter().map(|r| r.params).collect();
-            let tables = compiled.prepare_batch_tables(&params_list);
-            let slots = self.pool.slots(chunk.len(), compiled.num_qubits());
-            results.extend(qop::par::map_states(
-                slots,
-                1 << compiled.num_qubits(),
-                |i, slot| {
-                    run_request(compiled, Some(&tables), &chunk_bases[i], &chunk[i], slot);
-                    finish(&chunk_bases[i], &slot.values)
-                },
-            ));
-        }
-        results
-    }
-
-    /// Drops every rebuildable structure (see [`Backend::recover`]).
-    fn recover(&mut self) {
-        self.circuits.clear();
-        self.observables.clear();
-        self.pool.clear();
-    }
-}
-
-/// Exact statevector backend: no sampling noise, but shots are still charged according to
-/// the paper's cost model.  This is the configuration behind all noiseless results.
-#[derive(Debug)]
-pub struct StatevectorBackend {
-    shots_per_pauli: u64,
-    ledger: ShotLedger,
-    core: DenseCore,
-}
-
-impl StatevectorBackend {
-    /// Creates a backend with the paper's default of 4096 shots per Pauli term.
-    pub fn new() -> Self {
-        Self::with_shots(qsim::DEFAULT_SHOTS_PER_PAULI)
-    }
-
-    /// Creates a backend with an explicit shots-per-Pauli constant.
-    pub fn with_shots(shots_per_pauli: u64) -> Self {
-        StatevectorBackend {
-            shots_per_pauli,
-            ledger: ShotLedger::new(),
-            core: DenseCore::default(),
-        }
-    }
-}
-
-impl Default for StatevectorBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot state preparation (kept for tests and ad-hoc callers; the backends use their
-/// compiled-circuit cache and scratch pool to avoid per-evaluation work).
-#[cfg(test)]
-fn prepare_state(circuit: &Circuit, params: &[f64], initial: &InitialState) -> Statevector {
-    let init = initial.prepare(circuit.num_qubits());
-    qsim::run_circuit(circuit, params, &init)
-}
-
-impl Backend for StatevectorBackend {
-    fn evaluate(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        charged_op: &PauliOp,
-        free_ops: &[&PauliOp],
-    ) -> (f64, Vec<f64>) {
-        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
-        let (basis, slot) = self.core.run_one(&request);
-        self.ledger
-            .charge_evaluation(self.shots_per_pauli, charged_op.num_terms());
-        (
-            basis.op_value(0, &slot.values),
-            free_values(&basis, &slot.values),
-        )
-    }
-
-    fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
-        let Some(circuit) = uniform_circuit(requests) else {
-            // Mixed-circuit batches take the serial path (each request still runs
-            // through the compiled cache via `evaluate`).
-            return default_serial_batch(self, requests);
-        };
-        let exact = self.core.run_batch(circuit, requests, |basis, values| {
-            (basis.op_value(0, values), free_values(basis, values))
-        });
-        requests
-            .iter()
-            .zip(exact)
-            .map(|(req, (charged, free))| {
-                self.ledger
-                    .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-                EvalResult {
-                    charged,
-                    free,
-                    shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-                }
-            })
-            .collect()
-    }
-
-    fn probe(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        op: &PauliOp,
-    ) -> f64 {
-        self.core.probe(circuit, params, initial, op)
-    }
-
-    fn shots_used(&self) -> u64 {
-        self.ledger.total()
-    }
-
-    fn reset_shots(&mut self) {
-        self.ledger.reset();
-    }
-
-    fn shots_per_pauli(&self) -> u64 {
-        self.shots_per_pauli
-    }
-
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            batch: true,
-            // Exact evaluation holds no cross-request state: retries are bit-identical.
-            retry_safe: true,
-            ..BackendCaps::default()
-        }
-    }
-
-    fn recover(&mut self) {
-        self.core.recover();
-    }
-}
-
-/// The one serial batch loop: the [`Backend::evaluate_batch`] trait default delegates
-/// here, and overriding implementations reuse it for their fallback paths (mixed-circuit
-/// batches), so the request-order semantics live in exactly one place.
+/// The one serial batch loop: the [`Backend::evaluate_batch`] trait default for drivers
+/// without a batch path of their own, and [`crate::ZneBackend`]'s mixed-circuit
+/// fallback.  Stream-blind: it goes through [`Backend::evaluate`].
 pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
     backend: &mut B,
     requests: &[EvalRequest<'_>],
@@ -765,299 +506,6 @@ pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
             }
         })
         .collect()
-}
-
-/// Shot-sampled statevector backend: the charged observable receives per-term binomial
-/// sampling noise matching the allotted shots; tracking observables remain exact.
-///
-/// Sampling noise is drawn from counter-based `qrng` streams: each request's draws are
-/// keyed by `(seed policy, request stream)`, where the stream is the request's
-/// [`EvalRequest::stream`] if pinned (the execution service pins one per job) or the
-/// instance's next evaluation-order stream otherwise.  A request's noise therefore
-/// never depends on what executed before it — the property behind the executor's
-/// schedule-independent determinism and this backend's `retry_safe` capability.
-#[derive(Debug)]
-pub struct SampledBackend {
-    shots_per_pauli: u64,
-    ledger: ShotLedger,
-    policy: SeedPolicy,
-    /// Evaluation-order fallback counter, advanced only by stream-less requests.
-    evals_issued: u64,
-    core: DenseCore,
-}
-
-impl SampledBackend {
-    /// Creates a sampled backend with a typed seeding policy.
-    pub fn with_policy(shots_per_pauli: u64, policy: SeedPolicy) -> Self {
-        SampledBackend {
-            shots_per_pauli,
-            ledger: ShotLedger::new(),
-            policy,
-            evals_issued: 0,
-            core: DenseCore::default(),
-        }
-    }
-
-    /// The backend's seeding policy.
-    pub fn seed_policy(&self) -> SeedPolicy {
-        self.policy
-    }
-
-    /// Evaluates one request end to end (used by both the serial and the
-    /// mixed-circuit fallback paths, so streams are honored everywhere).
-    fn eval_one(&mut self, req: &EvalRequest<'_>) -> EvalResult {
-        let mut rng = self
-            .policy
-            .rng(resolve_stream(&mut self.evals_issued, req.stream));
-        let (basis, slot) = self.core.run_one(req);
-        self.ledger
-            .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-        let charged = qsim::analytic_sampled_from_expectations(
-            req.charged_op,
-            &basis.op_term_values(0, &slot.values),
-            self.shots_per_pauli,
-            &mut rng,
-        );
-        EvalResult {
-            charged,
-            free: free_values(&basis, &slot.values),
-            shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-        }
-    }
-}
-
-impl Backend for SampledBackend {
-    fn evaluate(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        charged_op: &PauliOp,
-        free_ops: &[&PauliOp],
-    ) -> (f64, Vec<f64>) {
-        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
-        let result = self.eval_one(&request);
-        (result.charged, result.free)
-    }
-
-    fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
-        let Some(circuit) = uniform_circuit(requests) else {
-            // Mixed-circuit fallback: the per-request path honors pinned streams too.
-            return requests.iter().map(|r| self.eval_one(r)).collect();
-        };
-        // Resolve every request's draw stream up front, in request order, so
-        // stream-less requests consume fallback streams exactly as the serial loop
-        // would — while stream-carrying requests stay order-independent.
-        let keys: Vec<u64> = requests
-            .iter()
-            .map(|r| {
-                self.policy
-                    .key(resolve_stream(&mut self.evals_issued, r.stream))
-            })
-            .collect();
-        // The exact per-term expectations (the state-sized work) are computed inside the
-        // potentially parallel batch region; the Gaussian noise draws afterwards are
-        // keyed per request, so they are identical whether the batch is chunked,
-        // parallel, reordered, or replayed serially.
-        let exact = self.core.run_batch(circuit, requests, |basis, values| {
-            (basis.op_term_values(0, values), free_values(basis, values))
-        });
-        requests
-            .iter()
-            .zip(exact)
-            .zip(keys)
-            .map(|((req, (terms, free)), key)| {
-                self.ledger
-                    .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-                let charged = qsim::analytic_sampled_from_expectations(
-                    req.charged_op,
-                    &terms,
-                    self.shots_per_pauli,
-                    &mut CounterRng::new(key),
-                );
-                EvalResult {
-                    charged,
-                    free,
-                    shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-                }
-            })
-            .collect()
-    }
-
-    fn probe(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        op: &PauliOp,
-    ) -> f64 {
-        self.core.probe(circuit, params, initial, op)
-    }
-
-    fn shots_used(&self) -> u64 {
-        self.ledger.total()
-    }
-
-    fn reset_shots(&mut self) {
-        self.ledger.reset();
-    }
-
-    fn shots_per_pauli(&self) -> u64 {
-        self.shots_per_pauli
-    }
-
-    fn name(&self) -> &'static str {
-        "sampled"
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        // Retry-safe since the counter-based rework: a request's draws are keyed by
-        // its stream, so re-executing it cannot shift any other request's draws.
-        BackendCaps {
-            batch: true,
-            shots: true,
-            retry_safe: true,
-            ..BackendCaps::default()
-        }
-    }
-
-    fn recover(&mut self) {
-        self.core.recover();
-    }
-}
-
-/// Noisy backend: the analytic device-noise attenuation of `qsim::noise` is applied to the
-/// charged observable on top of shot sampling; tracking observables are attenuated but not
-/// sampled.
-#[derive(Debug)]
-pub struct NoisyBackend {
-    shots_per_pauli: u64,
-    ledger: ShotLedger,
-    policy: SeedPolicy,
-    /// Evaluation-order fallback counter, advanced only by stream-less requests.
-    evals_issued: u64,
-    model: NoiseModel,
-    /// Ansatz repetitions used for the per-layer depolarizing channel.
-    layers: usize,
-    core: DenseCore,
-}
-
-impl NoisyBackend {
-    /// Creates a noisy backend with a typed seeding policy.
-    pub fn with_policy(
-        model: NoiseModel,
-        layers: usize,
-        shots_per_pauli: u64,
-        policy: SeedPolicy,
-    ) -> Self {
-        NoisyBackend {
-            shots_per_pauli,
-            ledger: ShotLedger::new(),
-            policy,
-            evals_issued: 0,
-            model,
-            layers,
-            core: DenseCore::default(),
-        }
-    }
-
-    /// The backend's noise model.
-    pub fn model(&self) -> &NoiseModel {
-        &self.model
-    }
-
-    fn eval_one(&mut self, req: &EvalRequest<'_>) -> EvalResult {
-        let mut rng = self
-            .policy
-            .rng(resolve_stream(&mut self.evals_issued, req.stream));
-        let profile = CircuitNoiseProfile::from_circuit(req.circuit, self.layers);
-        let (basis, slot) = self.core.run_one(req);
-        self.ledger
-            .charge_evaluation(self.shots_per_pauli, req.charged_op.num_terms());
-        // Shot noise is the *difference* between a sampled and the exact estimate of the
-        // charged observable on the ideal state; adding it on top of the attenuated
-        // value keeps the variance model simple and unbiased.
-        let sampled = qsim::analytic_sampled_from_expectations(
-            req.charged_op,
-            &basis.op_term_values(0, &slot.values),
-            self.shots_per_pauli,
-            &mut rng,
-        );
-        let shot_noise = sampled - basis.op_value(0, &slot.values);
-        // Attenuate the readout once per distinct string; every operator contracted
-        // from it afterwards is its analytic noisy expectation.
-        attenuate_readout(&basis, &mut slot.values, &self.model, &profile);
-        EvalResult {
-            charged: basis.op_value(0, &slot.values) + shot_noise,
-            free: free_values(&basis, &slot.values),
-            shots: self.shots_per_pauli * req.charged_op.num_terms() as u64,
-        }
-    }
-}
-
-impl Backend for NoisyBackend {
-    fn evaluate(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        charged_op: &PauliOp,
-        free_ops: &[&PauliOp],
-    ) -> (f64, Vec<f64>) {
-        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
-        let result = self.eval_one(&request);
-        (result.charged, result.free)
-    }
-
-    fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
-        // No parallel fast path, but route through `eval_one` (rather than the trait's
-        // stream-blind serial default) so pinned draw streams are honored.
-        requests.iter().map(|r| self.eval_one(r)).collect()
-    }
-
-    fn probe(
-        &mut self,
-        circuit: &Circuit,
-        params: &[f64],
-        initial: &InitialState,
-        op: &PauliOp,
-    ) -> f64 {
-        // Probes report the *ideal* energy of the prepared state: fidelity metrics measure
-        // how good the optimized state is, independent of readout-time attenuation.
-        self.core.probe(circuit, params, initial, op)
-    }
-
-    fn shots_used(&self) -> u64 {
-        self.ledger.total()
-    }
-
-    fn reset_shots(&mut self) {
-        self.ledger.reset();
-    }
-
-    fn shots_per_pauli(&self) -> u64 {
-        self.shots_per_pauli
-    }
-
-    fn name(&self) -> &'static str {
-        "noisy"
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        // No batched fast path (`evaluate_batch` is a serial stream-aware loop, so
-        // `batch` stays unset).  Retry-safe since the counter-based rework: shot noise
-        // is keyed per request stream, never by what executed before.
-        BackendCaps {
-            shots: true,
-            noise: true,
-            retry_safe: true,
-            ..BackendCaps::default()
-        }
-    }
-
-    fn recover(&mut self) {
-        self.core.recover();
-    }
 }
 
 /// Pauli-propagation backend for large registers (no dense state is ever formed).
@@ -1178,7 +626,16 @@ impl Backend for PauliPropagationBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NoisyBackend, NoisyStatevectorBackend, SampledBackend, StatevectorBackend};
     use qcircuit::{Entanglement, HardwareEfficientAnsatz};
+    use qrng::SeedPolicy;
+
+    /// `⟨op⟩` on `U(θ)|0…0⟩` through the one-shot interpreted simulator: the reference
+    /// the drivers are held to.
+    fn ideal(circuit: &Circuit, params: &[f64], op: &PauliOp) -> f64 {
+        let zero = Statevector::zero_state(circuit.num_qubits());
+        op.expectation(&qsim::run_circuit(circuit, params, &zero))
+    }
 
     fn demo_setup() -> (Circuit, Vec<f64>, PauliOp, PauliOp) {
         let circuit = HardwareEfficientAnsatz::new(3, 1, Entanglement::Linear).build();
@@ -1197,9 +654,8 @@ mod tests {
         let (charged, free) =
             backend.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[&h2]);
         assert_eq!(backend.shots_used(), 1000 * h1.num_terms() as u64);
-        let state = prepare_state(&circuit, &params, &InitialState::Basis(0));
-        assert!((charged - h1.expectation(&state)).abs() < 1e-12);
-        assert!((free[0] - h2.expectation(&state)).abs() < 1e-12);
+        assert!((charged - ideal(&circuit, &params, &h1)).abs() < 1e-12);
+        assert!((free[0] - ideal(&circuit, &params, &h2)).abs() < 1e-12);
         backend.reset_shots();
         assert_eq!(backend.shots_used(), 0);
         assert_eq!(backend.name(), "statevector");
@@ -1266,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_circuit_batches_fall_back_to_the_serial_path() {
+    fn mixed_circuit_batches_split_into_runs_of_equal_circuits() {
         let (circuit_a, params, h1, _) = demo_setup();
         let circuit_b = HardwareEfficientAnsatz::new(3, 2, Entanglement::Circular).build();
         let params_b: Vec<f64> = (0..circuit_b.num_parameters()).map(|_| 0.05).collect();
@@ -1291,25 +747,72 @@ mod tests {
         let mut backend = StatevectorBackend::with_shots(10);
         let results = backend.evaluate_batch(&requests);
         assert_eq!(results.len(), 2);
-        let expected_a =
-            h1.expectation(&prepare_state(&circuit_a, &params, &InitialState::Basis(0)));
-        let expected_b = h1.expectation(&prepare_state(
-            &circuit_b,
-            &params_b,
-            &InitialState::Basis(0),
-        ));
+        let expected_a = ideal(&circuit_a, &params, &h1);
+        let expected_b = ideal(&circuit_b, &params_b, &h1);
         assert!((results[0].charged - expected_a).abs() < 1e-12);
         assert!((results[1].charged - expected_b).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mixed_circuit_batches_with_pinned_streams_match_one_by_one_evaluation() {
+        let (circuit_a, params, h1, h2) = demo_setup();
+        let circuit_b = HardwareEfficientAnsatz::new(3, 2, Entanglement::Circular).build();
+        let params_b: Vec<f64> = (0..circuit_b.num_parameters())
+            .map(|i| 0.05 + 0.03 * i as f64)
+            .collect();
+        let free_ops = [&h2];
+        let initial = InitialState::Basis(0b101);
+        // Runs of 2, 1 and 1 requests; the last run revisits the first circuit.
+        let requests: Vec<EvalRequest<'_>> = [true, true, false, true]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(first, k)| EvalRequest {
+                circuit: if first { &circuit_a } else { &circuit_b },
+                params: if first { &params } else { &params_b },
+                initial: &initial,
+                charged_op: &h1,
+                free_ops: &free_ops,
+                stream: Some(StreamId::for_job(k)),
+            })
+            .collect();
+        let device = NoiseModel::by_name("mumbai").unwrap();
+        let channels = qnoise::PauliNoiseModel::ibm_like("test", 0.02, 0.05, 0.01, 0.01);
+        let stages: [Box<dyn Fn() -> Box<dyn Backend>>; 2] = [
+            Box::new(move || {
+                Box::new(NoisyBackend::with_policy(
+                    device.clone(),
+                    2,
+                    128,
+                    SeedPolicy::new(8),
+                ))
+            }),
+            Box::new(move || {
+                Box::new(
+                    NoisyStatevectorBackend::with_policy(channels.clone(), 128, SeedPolicy::new(8))
+                        .with_trajectories(5)
+                        .with_shot_sampling(),
+                )
+            }),
+        ];
+        for make in stages {
+            let mut batched = make();
+            let results = batched.evaluate_batch(&requests);
+            let mut shots = 0;
+            for (req, result) in requests.iter().zip(&results) {
+                let alone = make().evaluate_batch(std::slice::from_ref(req)).remove(0);
+                assert_eq!(alone.charged.to_bits(), result.charged.to_bits());
+                assert_eq!(alone.free[0].to_bits(), result.free[0].to_bits());
+                shots += alone.shots;
+            }
+            assert_eq!(batched.shots_used(), shots, "{}", batched.name());
+        }
     }
 
     #[test]
     fn sampled_backend_is_noisy_but_unbiased() {
         let (circuit, params, h1, _) = demo_setup();
         let mut backend = SampledBackend::with_policy(256, SeedPolicy::new(7));
-        let exact = {
-            let state = prepare_state(&circuit, &params, &InitialState::Basis(0));
-            h1.expectation(&state)
-        };
+        let exact = ideal(&circuit, &params, &h1);
         let n = 64;
         let mean: f64 = (0..n)
             .map(|_| {
@@ -1329,16 +832,13 @@ mod tests {
     #[test]
     fn noisy_backend_attenuates_relative_to_ideal() {
         let (circuit, params, h1, _) = demo_setup();
-        let ideal = {
-            let state = prepare_state(&circuit, &params, &InitialState::Basis(0));
-            h1.expectation(&state)
-        };
+        let exact = ideal(&circuit, &params, &h1);
         let model = NoiseModel::by_name("mumbai").unwrap();
         let mut backend = NoisyBackend::with_policy(model, 5, 0, SeedPolicy::new(3));
         // shots_per_pauli = 0 disables sampling noise in the analytic sampler, isolating
         // the attenuation effect.
         let (noisy, _) = backend.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[]);
-        assert!(noisy.abs() <= ideal.abs() + 1e-9);
+        assert!(noisy.abs() <= exact.abs() + 1e-9);
         assert_eq!(backend.name(), "noisy");
     }
 

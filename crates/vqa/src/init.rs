@@ -5,10 +5,10 @@
 //!   Clifford circuit), and a greedy coordinate-descent search over that discrete space is
 //!   evaluated **classically** — no execution shots are ever charged.  The original CAFQA
 //!   uses a stabilizer simulator for scalability; at this reproduction's register sizes the
-//!   exact statevector plays that role (see DESIGN.md §3.5).
+//!   exact statevector plays that role.
 //! * [`red_qaoa_initial_point`] — a Red-QAOA-style initializer (paper Section 8.8): QAOA
 //!   parameters are derived from a pooled (coarsened) graph and shared by all isomorphic
-//!   instances of the family (DESIGN.md §3.6).
+//!   instances of the family.
 
 use crate::task::InitialState;
 use qcircuit::{Circuit, QaoaAnsatz};

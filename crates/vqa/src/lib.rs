@@ -3,14 +3,18 @@
 //! Sits between the simulators (`qsim`) and TreeVQA (`treevqa`):
 //!
 //! * [`VqaTask`] / [`VqaApplication`] — the paper's task/application terminology.
-//! * [`Backend`] — one trait over all execution substrates (exact, shot-sampled,
-//!   analytically noisy, trajectory-noisy, Pauli propagation), with explicit shot
+//! * [`Backend`] — one trait over all execution substrates, with explicit shot
 //!   accounting and a batched submission form ([`Backend::evaluate_batch`] over
-//!   [`EvalRequest`]s) that the dense backends implement with a compiled-circuit cache
-//!   and a data-parallel scratch-state pool.
-//! * [`NoisyStatevectorBackend`] — stochastic Pauli-trajectory noise simulation
-//!   (`qnoise` channels replayed through the compiled batch engine) and [`ZneBackend`],
-//!   the zero-noise-extrapolation mitigation wrapper any backend can opt into.
+//!   [`EvalRequest`]s).
+//! * One dense driver, [`Dense`], behind four names that differ only in the readout
+//!   stage ending its pipeline: [`StatevectorBackend`] (exact), [`SampledBackend`]
+//!   (shot noise), [`NoisyBackend`] (analytic attenuation) and
+//!   [`NoisyStatevectorBackend`] (stochastic Pauli-trajectory simulation of `qnoise`
+//!   channels).  The pipeline — compiled-circuit cache, one term-basis readout per
+//!   state, a data-parallel scratch-state pool, batches split into runs of equal
+//!   circuits — is described on [`Dense`].
+//! * [`PauliPropagationBackend`] for registers too large for a dense state, and
+//!   [`ZneBackend`], the zero-noise-extrapolation wrapper any backend can opt into.
 //! * [`VqaRunConfig`] / [`VqaRunResult`] / [`BaselineRunResult`] — plain-data run
 //!   configuration and result records.  The drivers that produce them live in the
 //!   `qexec` execution service (`qexec::run_single_vqa` / `qexec::run_baseline`), which
@@ -23,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 mod backend;
+mod dense;
 mod init;
 pub mod metrics;
 mod mitigation;
@@ -32,9 +37,9 @@ mod task;
 
 pub use backend::{
     batch_chunk, circuit_cache_capacity, circuit_cache_stats, observable_cache_stats,
-    observable_dedup_stats, Backend, BackendCaps, EvalRequest, EvalResult, NoisyBackend,
-    PauliPropagationBackend, SampledBackend, StatevectorBackend,
+    observable_dedup_stats, Backend, BackendCaps, EvalRequest, EvalResult, PauliPropagationBackend,
 };
+pub use dense::{Dense, NoisyBackend, SampledBackend, StatevectorBackend};
 pub use init::{cafqa_initialize, red_qaoa_initial_point, CafqaResult};
 pub use mitigation::{MitigationError, ZneBackend};
 pub use noisy::NoisyStatevectorBackend;

@@ -7,7 +7,7 @@
 //! [`Backend`].
 
 use crate::backend::{
-    default_serial_batch, uniform_circuit, Backend, CircuitCache, EvalRequest, EvalResult,
+    default_serial_batch, same_circuit, Backend, CircuitCache, EvalRequest, EvalResult,
 };
 use crate::task::InitialState;
 use qcircuit::Circuit;
@@ -25,11 +25,15 @@ use qop::PauliOp;
 ///
 /// Batches stay batched: [`ZneBackend::evaluate_batch`] submits one inner batch per
 /// scale (each uniform in its folded circuit), so the wrapper rides the inner backend's
-/// scratch-pool parallelism.  Note the inner backend therefore consumes its noise
-/// streams scale-major within a batch, whereas a serial loop over
-/// [`ZneBackend::evaluate`] consumes them request-major: mitigated values are unbiased
-/// either way, but draw-level reproducibility holds per call shape (unlike the dense
-/// backends, whose batched results are bit-identical to serial).
+/// scratch-pool parallelism.  The scales must see **independent** noise — Richardson
+/// coefficients sum to one, so three copies of one noise sample extrapolate to that
+/// sample, unmitigated — hence scale `i` of a request with a pinned
+/// [`EvalRequest::stream`] runs on `stream.substream(i)`.  Stream-less requests take the
+/// inner backend's evaluation-order streams, consumed scale-major within a batch,
+/// whereas a serial loop over [`ZneBackend::evaluate`] consumes them request-major:
+/// mitigated values are unbiased either way, but draw-level reproducibility of
+/// stream-less requests holds per call shape (unlike the dense driver, whose batched
+/// results are bit-identical to serial).
 ///
 /// Probes pass through **unfolded**: fidelity metrics measure the prepared state, which
 /// folding leaves unchanged by construction.
@@ -50,7 +54,7 @@ impl<B: Backend> ZneBackend<B> {
     ///
     /// Ladders that fit the compiled-circuit cache capacity minus one (see
     /// [`crate::circuit_cache_capacity`], default 8 → seven scales) stay fully
-    /// amortized by the dense backends; longer ladders still compute correctly but
+    /// amortized by the dense driver; longer ladders still compute correctly but
     /// recompile per scale unless the `VQA_COMPILED_CACHE` knob is raised.
     pub fn try_with_scales(inner: B, scales: Vec<usize>) -> Result<Self, MitigationError> {
         if scales.is_empty() {
@@ -83,16 +87,6 @@ impl<B: Backend> ZneBackend<B> {
         }
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwraps the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
     /// The folding scales in use.
     pub fn scales(&self) -> &[usize] {
         &self.scales
@@ -101,28 +95,16 @@ impl<B: Backend> ZneBackend<B> {
     /// Richardson-extrapolates per-scale results into one mitigated [`EvalResult`]
     /// (borrowed rows: the batch path re-groups by request without cloning).
     fn combine(&self, per_scale: &[&EvalResult]) -> EvalResult {
-        let points: Vec<(f64, f64)> = self
-            .scales
-            .iter()
-            .zip(per_scale)
-            .map(|(&s, r)| (s as f64, r.charged))
-            .collect();
-        let charged = richardson_extrapolate(&points);
-        let num_free = per_scale[0].free.len();
-        let free = (0..num_free)
-            .map(|i| {
-                let pts: Vec<(f64, f64)> = self
-                    .scales
-                    .iter()
-                    .zip(per_scale)
-                    .map(|(&s, r)| (s as f64, r.free[i]))
-                    .collect();
-                richardson_extrapolate(&pts)
-            })
-            .collect();
+        let extrapolate = |value: &dyn Fn(&EvalResult) -> f64| {
+            let scaled = self.scales.iter().zip(per_scale);
+            let points: Vec<(f64, f64)> = scaled.map(|(&s, r)| (s as f64, value(r))).collect();
+            richardson_extrapolate(&points)
+        };
         EvalResult {
-            charged,
-            free,
+            charged: extrapolate(&|r| r.charged),
+            free: (0..per_scale[0].free.len())
+                .map(|i| extrapolate(&|r| r.free[i]))
+                .collect(),
             shots: per_scale.iter().map(|r| r.shots).sum(),
         }
     }
@@ -137,50 +119,38 @@ impl<B: Backend> Backend for ZneBackend<B> {
         charged_op: &PauliOp,
         free_ops: &[&PauliOp],
     ) -> (f64, Vec<f64>) {
-        let scales = &self.scales;
-        let folded = self.folded.get_or_insert_with(circuit, |c| {
-            scales.iter().map(|&s| fold_gates(c, s)).collect()
-        });
-        let mut per_scale = Vec::with_capacity(folded.len());
-        for fc in folded {
-            let before = self.inner.shots_used();
-            let (charged, free) = self
-                .inner
-                .evaluate(fc, params, initial, charged_op, free_ops);
-            per_scale.push(EvalResult {
-                charged,
-                free,
-                shots: self.inner.shots_used() - before,
-            });
-        }
-        let rows: Vec<&EvalResult> = per_scale.iter().collect();
-        let combined = self.combine(&rows);
-        (combined.charged, combined.free)
+        let request = EvalRequest::unpinned(circuit, params, initial, charged_op, free_ops);
+        let result = self.evaluate_batch(&[request]).remove(0);
+        (result.charged, result.free)
     }
 
     fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
-        if requests.is_empty() {
+        let Some(first) = requests.first() else {
             return Vec::new();
-        }
-        // The hot path (TreeVQA submits one uniform-circuit batch per round) hits the
-        // same folded-circuit cache as `evaluate`, so the inner backend sees stable
-        // circuit allocations and its own compiled cache keeps hitting.  Mixed-circuit
-        // batches fall back to the serial loop, whose per-request `evaluate` calls also
-        // go through the cache.
-        let Some(circuit) = uniform_circuit(requests) else {
-            return default_serial_batch(self, requests);
         };
+        // The hot path (TreeVQA submits one uniform-circuit batch per round) keeps
+        // hitting the folded-circuit cache, so the inner backend sees stable circuit
+        // allocations and its own compiled cache keeps hitting.  Mixed-circuit batches
+        // fall back to the serial loop, one uniform batch of one per request.
+        if !requests.iter().all(|r| same_circuit(r, first)) {
+            return default_serial_batch(self, requests);
+        }
         let scales = &self.scales;
-        let folded = self.folded.get_or_insert_with(circuit, |c| {
+        let folded = self.folded.get_or_insert_with(first.circuit, |c| {
             scales.iter().map(|&s| fold_gates(c, s)).collect()
         });
-        // One inner batch per scale; each is uniform in its folded circuit.
-        let per_scale: Vec<Vec<EvalResult>> = folded
-            .iter()
-            .map(|fc| {
+        // One inner batch per scale; each is uniform in its folded circuit and draws on
+        // its own substream of every pinned stream.
+        let per_scale: Vec<Vec<EvalResult>> = (0u64..)
+            .zip(folded)
+            .map(|(i, fc)| {
                 let scaled: Vec<EvalRequest<'_>> = requests
                     .iter()
-                    .map(|r| EvalRequest { circuit: fc, ..*r })
+                    .map(|r| EvalRequest {
+                        circuit: fc,
+                        stream: r.stream.map(|s| s.substream(i)),
+                        ..*r
+                    })
                     .collect();
                 self.inner.evaluate_batch(&scaled)
             })
@@ -246,10 +216,10 @@ impl std::error::Error for MitigationError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NoisyStatevectorBackend, StatevectorBackend};
+    use crate::{NoisyStatevectorBackend, SampledBackend, StatevectorBackend};
     use qcircuit::{Entanglement, HardwareEfficientAnsatz};
     use qnoise::PauliNoiseModel;
-    use qrng::SeedPolicy;
+    use qrng::{SeedPolicy, StreamId};
 
     fn demo() -> (Circuit, Vec<f64>, PauliOp) {
         let circuit = HardwareEfficientAnsatz::new(3, 1, Entanglement::Linear).build();
@@ -320,6 +290,48 @@ mod tests {
         let results = zne.evaluate_batch(&requests);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].shots, 3 * 7 * h.num_terms() as u64);
+    }
+
+    #[test]
+    fn pinned_streams_draw_independent_noise_at_every_scale() {
+        // The executor pins one stream per job.  Were every scale to draw on it, the
+        // three scales would carry one shot-noise sample and — Richardson coefficients
+        // summing to one — extrapolate to exactly that sample.
+        let (circuit, params, h) = demo();
+        let sampled = || SampledBackend::with_policy(64, SeedPolicy::new(5));
+        let request = |job: u64| EvalRequest {
+            circuit: &circuit,
+            params: &params,
+            initial: &InitialState::Basis(0),
+            charged_op: &h,
+            free_ops: &[],
+            stream: Some(StreamId::for_job(job)),
+        };
+        let charged = |backend: &mut dyn Backend, job: u64| {
+            backend.evaluate_batch(&[request(job)]).remove(0).charged
+        };
+        let single = charged(&mut sampled(), 9);
+        let mitigated = charged(&mut ZneBackend::new(sampled()), 9);
+        assert!(
+            (mitigated - single).abs() > 1e-6,
+            "ZNE {mitigated} reproduces the single sample {single}"
+        );
+        assert_eq!(
+            mitigated.to_bits(),
+            charged(&mut ZneBackend::new(sampled()), 9).to_bits(),
+            "a pinned stream reproduces its draws"
+        );
+        // Mitigation amplifies shot noise by Σcᵢ² ≈ 5.2 for scales 1/3/5.
+        let variance = |backend: &mut dyn Backend| {
+            let values: Vec<f64> = (0..200).map(|job| charged(backend, job)).collect();
+            let mean = values.iter().sum::<f64>() / values.len() as f64;
+            values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64
+        };
+        let (raw, zne) = (
+            variance(&mut sampled()),
+            variance(&mut ZneBackend::new(sampled())),
+        );
+        assert!(zne > 2.5 * raw, "ZNE variance {zne} vs unmitigated {raw}");
     }
 
     #[test]

@@ -269,7 +269,7 @@ proptest! {
         for params in &bindings {
             let mut cached = Statevector::zero_state(n);
             let mut fresh = Statevector::zero_state(n);
-            compiled.execute_in_place_cached(params, &mut cached, &tables);
+            compiled.execute_in_place_with_insertions(params, &mut cached, &[], Some(&tables));
             compiled.execute_in_place(params, &mut fresh);
             assert_bit_identical(&cached, &fresh);
             let naive = reference::run_circuit(&circ, params, &Statevector::zero_state(n));

@@ -1,5 +1,5 @@
 //! Property and differential tests of the cached term basis (`qop::TermBasis`) and of
-//! the dense drivers' single readout path built on it.
+//! the dense driver's single readout path built on it.
 //!
 //! Kernel level: random operator sets — fully shared, partly shared and disjoint string
 //! sets; identity terms; duplicate strings inside an unsimplified operator; zero
@@ -10,9 +10,10 @@
 //! A table of golden bits recorded from the pre-basis kernels pins "bit-identical to
 //! the single-string serial kernel" to the code that was replaced, not just to itself.
 //!
-//! Driver level: `evaluate` ≡ `evaluate_batch` ≡ `probe` bits for all four dense
-//! backends, cache hit ≡ miss ≡ `recover()`-then-rebuild, agreement with
-//! `qsim::reference`, and unchanged `qrng::total_draws` deltas.
+//! Driver level: `evaluate` ≡ `evaluate_batch` ≡ `probe` bits for every readout stage of
+//! the dense driver, cache hit ≡ miss ≡ `recover()`-then-rebuild, agreement with
+//! `qsim::reference`, unchanged `qrng::total_draws` deltas — and a golden table of
+//! the bits the per-driver code produced before the stages shared one pipeline.
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
@@ -390,10 +391,12 @@ fn tfim_family(num_qubits: usize, members: usize) -> Vec<PauliOp> {
 
 type BackendFactory = Box<dyn Fn() -> Box<dyn Backend>>;
 
-/// The four dense backends, identically configured per call.
+/// The dense driver's four readout stages (the trajectory stage with and without shot
+/// sampling), identically configured per call.
 fn dense_backends() -> Vec<(&'static str, BackendFactory)> {
     let device = NoiseModel::by_name("mumbai").expect("synthetic backend");
     let trajectory = PauliNoiseModel::ibm_like("term-basis", 0.02, 0.05, 0.01, 0.01);
+    let plain = trajectory.clone();
     vec![
         (
             "statevector",
@@ -430,6 +433,15 @@ fn dense_backends() -> Vec<(&'static str, BackendFactory)> {
                 ) as Box<dyn Backend>
             }),
         ),
+        (
+            "noisy-trajectory-plain",
+            Box::new(move || {
+                Box::new(
+                    NoisyStatevectorBackend::with_policy(plain.clone(), 50, SeedPolicy::new(3))
+                        .with_trajectories(4),
+                ) as Box<dyn Backend>
+            }),
+        ),
     ]
 }
 
@@ -440,6 +452,98 @@ fn bits(r: &EvalResult) -> (u64, Vec<u64>, u64) {
         r.shots,
     )
 }
+
+/// One word per result list: every charged bit, free bit and shot count, folded with
+/// `qrng::mix` (which is not a draw).
+fn digest(results: &[EvalResult]) -> u64 {
+    results.iter().fold(0, |h, r| {
+        let h = qrng::mix(h, r.charged.to_bits());
+        let h = r.free.iter().fold(h, |h, v| qrng::mix(h, v.to_bits()));
+        qrng::mix(h, r.shots)
+    })
+}
+
+/// `(digest, qrng draws)` of each of the four entry points a driver's bits are pinned on.
+type Golden = [(u64, u64); 4];
+
+/// The [`Golden`] of one driver, each entry point on a fresh backend: `evaluate`; a
+/// uniform `evaluate_batch` of 5 with pinned and unpinned streams mixed; a mixed-circuit
+/// batch (runs of 2, 1, 1 and 2 requests, streams mixed likewise); `probe`.
+fn golden_scenarios(
+    make: &BackendFactory,
+    circuit: &Circuit,
+    sets: &[(&PauliOp, &[&PauliOp]); 3],
+) -> Golden {
+    let other = HardwareEfficientAnsatz::new(circuit.num_qubits(), 1, Entanglement::Linear).build();
+    let initial = InitialState::Basis(1);
+    let params: Vec<Vec<f64>> = (0..6)
+        .flat_map(|k| [params_for(circuit, k), params_for(&other, k)])
+        .collect();
+    let request = |k: usize, use_other: bool| {
+        let (charged_op, free_ops) = sets[k % sets.len()];
+        EvalRequest {
+            circuit: if use_other { &other } else { circuit },
+            params: &params[2 * k + use_other as usize],
+            initial: &initial,
+            charged_op,
+            free_ops,
+            stream: (k % 3 != 1).then(|| StreamId::for_job(40 + k as u64)),
+        }
+    };
+    let uniform: Vec<EvalRequest<'_>> = (0..5).map(|k| request(k, false)).collect();
+    let mixed: Vec<EvalRequest<'_>> = [false, false, true, false, true, true]
+        .into_iter()
+        .enumerate()
+        .map(|(k, use_other)| request(k, use_other))
+        .collect();
+    let measured = |run: &dyn Fn(&mut dyn Backend) -> Vec<EvalResult>| {
+        let mut backend = make();
+        let before = qrng::total_draws();
+        let results = run(backend.as_mut());
+        (digest(&results), qrng::total_draws() - before)
+    };
+    [
+        measured(&|backend| {
+            let (charged_op, free_ops) = sets[0];
+            let (charged, free) =
+                backend.evaluate(circuit, &params[0], &initial, charged_op, free_ops);
+            let shots = backend.shots_used();
+            vec![EvalResult {
+                charged,
+                free,
+                shots,
+            }]
+        }),
+        measured(&|backend| backend.evaluate_batch(&uniform)),
+        measured(&|backend| backend.evaluate_batch(&mixed)),
+        measured(&|backend| {
+            let charged = backend.probe(&other, &params[3], &initial, sets[2].0);
+            vec![EvalResult {
+                charged,
+                free: Vec::new(),
+                shots: backend.shots_used(),
+            }]
+        }),
+    ]
+}
+
+/// [`golden_scenarios`] of every [`dense_backends`] entry at 3 and 9 qubits, recorded
+/// at one kernel thread on commit `4e84870` — the last one with a driver struct, an
+/// `impl Backend` and a batch body per entry.  The single dense driver that replaced
+/// them must not move a bit, a shot or a draw.
+#[rustfmt::skip]
+const GOLDEN_DRIVERS: &[(&str, usize, Golden)] = &[
+    ("statevector", 3, [(0x3cd3d2b386e73239, 0), (0x7605d435e47d9f5f, 0), (0x7c0fb993dc6b91a5, 0), (0x4f3ffbf9cf1dc253, 0)]),
+    ("sampled", 3, [(0x7460fc5596d692f8, 10), (0x9493c4ba97f522a4, 50), (0xda9c889f6c3d1d81, 60), (0x4f3ffbf9cf1dc253, 0)]),
+    ("noisy", 3, [(0xd76459dd14e39e43, 10), (0xec40bf2e84cdec71, 50), (0xe4422c1f02c33a32, 60), (0x4f3ffbf9cf1dc253, 0)]),
+    ("noisy-trajectory", 3, [(0xb89b2d15fec19730, 172), (0xd45682e70a146281, 863), (0x7fa4b7df6f5a1897, 817), (0x4f3ffbf9cf1dc253, 0)]),
+    ("noisy-trajectory-plain", 3, [(0x6384a15aa606f5db, 216), (0x45b0e42020d825d7, 1083), (0x757426c1f2421a1d, 1009), (0x4f3ffbf9cf1dc253, 0)]),
+    ("statevector", 9, [(0x933de8b7dda8cf0c, 0), (0xa501a9a490d09a8d, 0), (0xaa4b4165b9d4ac50, 0), (0xa5bcf0e9f3c52cc6, 0)]),
+    ("sampled", 9, [(0x1fcba2349c6ff9d8, 34), (0xb08580963ad2b8bc, 170), (0xe863e0b7bc867923, 204), (0xa5bcf0e9f3c52cc6, 0)]),
+    ("noisy", 9, [(0xaf52f06fc8f472c9, 34), (0x938fb8385ac69c07, 170), (0x2dc597221ea00120, 204), (0xa5bcf0e9f3c52cc6, 0)]),
+    ("noisy-trajectory", 9, [(0x68510f904bb7fb6c, 522), (0x9afe3cabc1ad8bc4, 2614), (0xf97ae0b9c750aaab, 2540), (0xa5bcf0e9f3c52cc6, 0)]),
+    ("noisy-trajectory-plain", 9, [(0x04f3e5e42f37a3e8, 650), (0x46af424bd0757c4b, 3260), (0x7e4583e22e6f668d, 3115), (0xa5bcf0e9f3c52cc6, 0)]),
+];
 
 /// For every dense backend and register size on both sides of `SIGN_BLOCK`: a
 /// stream-pinned request gives the same bits through `evaluate_batch` of one, inside
@@ -541,6 +645,18 @@ fn drivers_agree_across_entry_points_cache_states_and_recovery() {
                 probe.to_bits(),
                 ideal.to_bits(),
                 "{name} {num_qubits}q: probe"
+            );
+
+            // And the bits themselves are the ones the per-driver code produced.
+            let golden = GOLDEN_DRIVERS
+                .iter()
+                .find(|(n, q, _)| (*n, *q) == (name, num_qubits))
+                .map(|g| g.2);
+            assert_eq!(
+                Some(golden_scenarios(&make, &circuit, &sets)),
+                golden,
+                "{name} {num_qubits}q: [evaluate, uniform batch, mixed-circuit batch, probe] \
+                 as (digest, draws)"
             );
         }
 
