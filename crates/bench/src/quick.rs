@@ -71,9 +71,37 @@ fn time_workload(id: &str, iters: usize, mut f: impl FnMut()) -> QuickRecord {
     }
 }
 
+/// `count` candidate parameter vectors stepping away from `base`: an optimizer batch.
+fn candidates_around(base: &[f64], count: usize) -> Vec<Vec<f64>> {
+    (0..count)
+        .map(|k| base.iter().map(|p| p + 0.01 * k as f64).collect())
+        .collect()
+}
+
+/// One stream-less request per candidate, all binding `circ` and charging `ham`.
+fn candidate_requests<'a>(
+    circ: &'a qcircuit::Circuit,
+    candidates: &'a [Vec<f64>],
+    ham: &'a qop::PauliOp,
+) -> Vec<EvalRequest<'a>> {
+    candidates
+        .iter()
+        .map(|candidate| EvalRequest {
+            circuit: circ,
+            params: candidate,
+            initial: &InitialState::Basis(0),
+            charged_op: ham,
+            free_ops: &[],
+            stream: None,
+        })
+        .collect()
+}
+
 /// Runs the deterministic quick suite: one 12-qubit representative per kernel family of
 /// `BENCH_kernels.json`, the compiled-execution and batched-evaluation workloads of
-/// `BENCH_batch.json`, and the 16-trajectory noisy evaluation of `BENCH_noise.json`.
+/// `BENCH_batch.json` and the 16-trajectory noisy evaluation of `BENCH_noise.json` —
+/// the last two also at 14 qubits, the one register size of the end-to-end benchmark
+/// where a single state fills the `map_states` threshold.
 ///
 /// Iteration counts are fixed so a full run takes a few seconds; ids match the criterion
 /// benches exactly so the perf gate can line records up against the baselines.
@@ -191,27 +219,20 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             std::hint::black_box(&scratch);
         }));
     }
-    {
+    // The second id is the same batch on 2^14-amplitude registers, where any two
+    // states clear the `map_states` threshold on their own.
+    for (id, n, iters) in [
+        ("evaluate/batched/8", n, 30),
+        ("evaluate/batched/14q_8", 14, 3),
+    ] {
         let circ =
             qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build();
         let base = workloads::ansatz_params(&circ);
         let ham = workloads::tfim_hamiltonian(n);
-        let candidates: Vec<Vec<f64>> = (0..8)
-            .map(|k| base.iter().map(|p| p + 0.01 * k as f64).collect())
-            .collect();
+        let candidates = candidates_around(&base, 8);
         let mut backend = StatevectorBackend::with_shots(0);
-        records.push(time_workload("evaluate/batched/8", 30, || {
-            let requests: Vec<EvalRequest<'_>> = candidates
-                .iter()
-                .map(|candidate| EvalRequest {
-                    circuit: &circ,
-                    params: candidate,
-                    initial: &InitialState::Basis(0),
-                    charged_op: &ham,
-                    free_ops: &[],
-                    stream: None,
-                })
-                .collect();
+        records.push(time_workload(id, iters, || {
+            let requests = candidate_requests(&circ, &candidates, &ham);
             std::hint::black_box(backend.evaluate_batch(&requests));
         }));
     }
@@ -233,6 +254,26 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
                 &ham,
                 &[],
             ));
+        }));
+    }
+    {
+        // The end-to-end benchmark's `tree_maxcut14_noisy` slate in miniature: a batch of
+        // 3 requests × 4 trajectories of a one-layer multi-angle-QAOA-shaped circuit on
+        // 2^14 amplitudes — 12 rollouts in one chunk.
+        let n = 14;
+        let circ = workloads::rotation_heavy_ansatz(n, 1);
+        let base = workloads::ansatz_params(&circ);
+        let ham = workloads::zz_ring_hamiltonian(n);
+        let candidates = candidates_around(&base, 3);
+        let mut backend = NoisyStatevectorBackend::with_policy(
+            workloads::bench_noise_model(),
+            0,
+            SeedPolicy::new(7),
+        )
+        .with_trajectories(4);
+        records.push(time_workload("noisy_eval/trajectories/14q_k4", 3, || {
+            let requests = candidate_requests(&circ, &candidates, &ham);
+            std::hint::black_box(backend.evaluate_batch(&requests));
         }));
     }
     {

@@ -37,29 +37,23 @@
 //!
 //! # Determinism contracts
 //!
-//! * **Serial path** (registers below [`crate::parallel_threshold`], one kernel thread,
-//!   or inside `par::serial_scope`): per-string values are bit-identical to the former
-//!   single-string serial kernel, and [`TermBasis::op_value`] is bit-identical to the
-//!   former serial `Σ_k c_k ⟨P_k⟩` fold.
-//! * **Parallel path**: gated on the register dimension **alone** — never on the number
-//!   of strings or operators — as a single range-split region per state.  Each worker
-//!   runs the same block kernels on its sub-range and the per-piece partials are
-//!   combined in piece order, so values are deterministic for a fixed thread count.
-//! * Contraction is always a serial left fold in term order.  Together with the gating
-//!   rule this makes a result a function of `(operators, state, thread count)` only —
-//!   not of how many other states were evaluated beside it.
+//! * A readout is one serial pass per group over the whole register, at any thread
+//!   count: per-string values are bit-identical to the former single-string serial
+//!   kernel, and [`TermBasis::op_value`] is bit-identical to the former serial
+//!   `Σ_k c_k ⟨P_k⟩` fold.
+//! * Contraction is always a serial left fold in term order.  Together this makes a
+//!   result a function of `(operators, state)` only — not of the thread count, and not
+//!   of how many other states were evaluated beside it ([`crate::par::map_states`]
+//!   spreads whole states over the threads, never one state's amplitudes).
 
 use crate::complex::Complex64;
 use crate::lanes::{i_power, low_sign_table, parity_sign, LANES, SIGN_BLOCK, SIGN_BLOCK_BITS};
 use crate::op::PauliOp;
-use crate::par::{self, MIN_PAR_INDICES};
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
 use crate::with_lane_perm;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 
 /// One term of an operator expressed over a [`TermBasis`]: the index of its Pauli
 /// string among the basis's distinct strings, and its coefficient.
@@ -319,47 +313,6 @@ impl TermBasis {
         values.clear();
         values.resize(self.strings.len(), 0.0);
         let (re, im) = psi.lanes();
-        let dim = re.len();
-        let pieces = if par::use_parallel(dim) {
-            (dim / MIN_PAR_INDICES).clamp(1, rayon::current_num_threads())
-        } else {
-            1
-        };
-        if pieces < 2 {
-            self.evaluate_range(re, im, 0..dim, values);
-        } else {
-            // One parallel region per state.  Pieces are whole 512-amplitude units, so
-            // every sub-range is block-aligned for the diagonal kernel (256 amplitudes)
-            // and for every pair kernel (256 pairs).
-            let unit = 2 * SIGN_BLOCK;
-            let units = dim / unit;
-            let partials: Vec<Vec<f64>> = (0..pieces)
-                .into_par_iter()
-                .with_min_len(1)
-                .map(|piece| {
-                    let start = piece * units / pieces * unit;
-                    let end = (piece + 1) * units / pieces * unit;
-                    let mut partial = vec![0.0; self.strings.len()];
-                    self.evaluate_range(re, im, start..end, &mut partial);
-                    partial
-                })
-                .collect();
-            let (first, rest) = partials.split_first().expect("at least two pieces");
-            values.copy_from_slice(first);
-            for partial in rest {
-                for (v, p) in values.iter_mut().zip(partial) {
-                    *v += p;
-                }
-            }
-        }
-        if let Some(slot) = self.pinned_identity {
-            values[slot] = 1.0;
-        }
-    }
-
-    /// Runs every group's kernel over the amplitude range `range` (the whole register,
-    /// or a 512-aligned piece of it), writing each string's (partial) value to its slot.
-    fn evaluate_range(&self, re: &[f64], im: &[f64], range: Range<usize>, values: &mut [f64]) {
         // Per-block products shared by a group's strings: |ψ_b|² of the diagonal group
         // (in `d`), the pair products d/e of an off-diagonal one.
         let (mut d, mut e): (Block, Block) = ([0.0; SIGN_BLOCK], [0.0; SIGN_BLOCK]);
@@ -373,19 +326,21 @@ impl TermBasis {
                     pairs_tiny(re, im, group, (&mut d, &mut e), values);
                 }
             }
-            return;
-        }
-        let largest = self.groups().map(<[Member]>::len).max().unwrap_or(0);
-        let mut acc = vec![[0.0f64; LANES]; largest];
-        for group in self.groups() {
-            let acc = &mut acc[..group.len()];
-            acc.fill([0.0; LANES]);
-            if group[0].x == 0 {
-                diagonal_blocks(re, im, range.clone(), group, &mut d, acc, values);
-            } else {
-                let pairs = range.start / 2..range.end / 2;
-                pair_blocks(re, im, pairs, group, (&mut d, &mut e), acc, values);
+        } else {
+            let largest = self.groups().map(<[Member]>::len).max().unwrap_or(0);
+            let mut acc = vec![[0.0f64; LANES]; largest];
+            for group in self.groups() {
+                let acc = &mut acc[..group.len()];
+                acc.fill([0.0; LANES]);
+                if group[0].x == 0 {
+                    diagonal_blocks(re, im, group, &mut d, acc, values);
+                } else {
+                    pair_blocks(re, im, group, (&mut d, &mut e), acc, values);
+                }
             }
+        }
+        if let Some(slot) = self.pinned_identity {
+            values[slot] = 1.0;
         }
     }
 
@@ -494,20 +449,19 @@ fn pairs_tiny(
     );
 }
 
-/// The fused diagonal kernel over `range` (a multiple of [`SIGN_BLOCK`] amplitudes):
-/// one `|ψ_b|²` per block, every string's sign table applied to it.  The sign factors
+/// The fused diagonal kernel over a register of at least [`SIGN_BLOCK`] amplitudes: one
+/// `|ψ_b|²` per block, every string's sign table applied to it.  The sign factors
 /// through a 256-entry low table (a contiguous multiplier stream) with the high-bit
 /// sign hoisted per block.
 fn diagonal_blocks(
     re: &[f64],
     im: &[f64],
-    range: Range<usize>,
     group: &[Member],
     p: &mut Block,
     acc: &mut [[f64; LANES]],
     values: &mut [f64],
 ) {
-    for b in range.step_by(SIGN_BLOCK) {
+    for b in (0..re.len()).step_by(SIGN_BLOCK) {
         let (r, i) = (&re[b..b + SIGN_BLOCK], &im[b..b + SIGN_BLOCK]);
         for ((p, r), i) in p.iter_mut().zip(r).zip(i) {
             *p = r * r + i * i;
@@ -527,7 +481,7 @@ fn diagonal_blocks(
     }
 }
 
-/// The fused off-diagonal kernel of one `x_mask` group over the pair range `pairs`.
+/// The fused off-diagonal kernel of one `x_mask` group.
 ///
 /// Uses the involution-pair identity: the `b` and `b ⊕ x` contributions are complex
 /// conjugates, so each pair contributes `2·Re(conj(ψ_{i1}) · phase · ψ_{i0})`.  Pairs
@@ -539,7 +493,6 @@ fn diagonal_blocks(
 fn pair_blocks(
     re: &[f64],
     im: &[f64],
-    pairs: Range<usize>,
     group: &[Member],
     (d, e): (&mut Block, &mut Block),
     acc: &mut [[f64; LANES]],
@@ -550,7 +503,7 @@ fn pair_blocks(
     let pivot = pbit.trailing_zeros();
     let xl = x & (pbit - 1);
     let block = pbit.min(SIGN_BLOCK);
-    for u in pairs.step_by(block) {
+    for u in (0..re.len() / 2).step_by(block) {
         // Pair-space offset `u` ↦ the 2^(pivot+1)-amplitude block it lives in and its
         // offset inside that block's lower half.
         let base = (u >> pivot) << (pivot + 1);

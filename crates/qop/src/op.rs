@@ -9,10 +9,8 @@
 use crate::basis::TermBasis;
 use crate::complex::Complex64;
 use crate::lanes::{i_power, parity_sign};
-use crate::par::{self, SendPtr, MIN_PAR_INDICES};
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -291,12 +289,10 @@ impl PauliOp {
     /// overwritten).
     ///
     /// The kernel runs in *gather* form: `out[b] = Σ_k c_k · phase_k(b ^ x_k) · ψ[b ^ x_k]`,
-    /// so every output amplitude is owned by exactly one loop iteration.  That makes each
-    /// output index independent — the loop is branch-free and parallelizes over output
-    /// chunks for registers at or above [`crate::parallel_threshold`] amplitudes — and all
-    /// terms are accumulated in one pass over the state, instead of one scatter pass per
-    /// term.  Per-term phases are hoisted as `coeff · i^num_y`, leaving only a parity
-    /// sign per (term, index) in the split-lane inner loop.
+    /// so every output amplitude is owned by exactly one loop iteration: the loop is
+    /// branch-free and all terms are accumulated in one pass over the state, instead of
+    /// one scatter pass per term.  Per-term phases are hoisted as `coeff · i^num_y`,
+    /// leaving only a parity sign per (term, index) in the split-lane inner loop.
     ///
     /// # Panics
     ///
@@ -308,7 +304,6 @@ impl PauliOp {
             self.num_qubits,
             "output register size mismatch"
         );
-        let dim = psi.dim();
         // Per-term constants, hoisted out of the amplitude loop: `(x, z, cg)` with
         // `cg = coeff · i^num_y` (the index-independent part of the phase).
         let prepared: Vec<(usize, u64, Complex64)> = self
@@ -336,35 +331,18 @@ impl PauliOp {
             Complex64::new(acc_re, acc_im)
         };
         let (ore, oim) = out.lanes_mut();
-        if par::use_parallel(dim * self.terms.len().max(1)) {
-            let rptr = SendPtr(ore.as_mut_ptr());
-            let iptr = SendPtr(oim.as_mut_ptr());
-            (0..dim)
-                .into_par_iter()
-                .with_min_len(MIN_PAR_INDICES)
-                .for_each(|b| {
-                    let v = gather(b);
-                    // SAFETY: each output index is written by exactly one worker.
-                    unsafe {
-                        *rptr.add(b) = v.re;
-                        *iptr.add(b) = v.im;
-                    }
-                });
-        } else {
-            for (b, (r, i)) in ore.iter_mut().zip(oim.iter_mut()).enumerate() {
-                let v = gather(b);
-                *r = v.re;
-                *i = v.im;
-            }
+        for (b, (r, i)) in ore.iter_mut().zip(oim.iter_mut()).enumerate() {
+            let v = gather(b);
+            *r = v.re;
+            *i = v.im;
         }
     }
 
     /// The expectation value `⟨ψ|H|ψ⟩` (exact, no shot noise).
     ///
     /// A thin wrapper over a transient [`TermBasis`]: every term's string is evaluated
-    /// by the fused block kernels (parallel over amplitude ranges when the register
-    /// reaches [`crate::parallel_threshold`] — the gate is the dimension alone, never
-    /// the term count) and the result is the serial fold `Σ_k c_k ⟨P_k⟩` in term order.
+    /// by the fused block kernels and the result is the serial fold `Σ_k c_k ⟨P_k⟩` in
+    /// term order.
     /// Callers evaluating the same operator (or operator set) on many states should
     /// build the [`TermBasis`] once instead.
     ///
@@ -386,9 +364,7 @@ impl PauliOp {
     ///
     /// Two branch-free paths: diagonal strings (`x_mask == 0`) reduce to
     /// `Σ_b |ψ_b|² · (-1)^popcount(b & z_mask)`, and general strings accumulate
-    /// `Re⟨ψ_{b⊕x}| i^{n_Y} (-1)^popcount(b & z) |ψ_b⟩` pairwise.  Large registers are
-    /// split into per-thread amplitude ranges (deterministic reduction order for a fixed
-    /// thread count).
+    /// `Re⟨ψ_{b⊕x}| i^{n_Y} (-1)^popcount(b & z) |ψ_b⟩` pairwise.
     pub fn string_expectation(string: &PauliString, psi: &Statevector) -> f64 {
         let basis = TermBasis::of_strings(string.num_qubits(), vec![*string]);
         let mut values = Vec::new();

@@ -163,10 +163,10 @@ impl Statevector {
 
     /// Both lanes at once, immutably.
     ///
-    /// Asserts the equal-length lane invariant: the kernels' unsafe parallel paths
-    /// index both lanes up to `dim()` through raw pointers, so any construction path
-    /// that could bypass the constructors must fail loudly here rather than hand the
-    /// kernels mismatched lanes.
+    /// Asserts the equal-length lane invariant: kernels size their walk from one lane
+    /// and index the other with it (`qsim::apply_cx` moves runs of both through raw
+    /// pointers), so any construction path that could bypass the constructors must fail
+    /// loudly here rather than hand the kernels mismatched lanes.
     #[inline]
     pub fn lanes(&self) -> (&[f64], &[f64]) {
         assert_eq!(self.re.len(), self.im.len(), "re/im lanes out of sync");

@@ -37,9 +37,7 @@ use crate::simulator::{
     ry_matrix, rz_matrix, Matrix2,
 };
 use qcircuit::{Angle, Circuit, Gate};
-use qop::par::{use_parallel, SendPtr, MIN_PAR_INDICES};
 use qop::{Complex64, PauliString, Statevector};
-use rayon::prelude::*;
 
 const IDENTITY_2: Matrix2 = [
     [Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)],
@@ -275,7 +273,6 @@ impl DiagonalPass {
     /// dominate.
     fn execute_direct(&self, bound: &[BoundPhase], state: &mut Statevector) {
         let global = self.global;
-        let dim = state.dim();
         let (re, im) = state.lanes_mut();
         // Four independent accumulators: a single product chain of K dependent complex
         // multiplies is latency-bound (each multiply waits on the last); interleaving
@@ -298,28 +295,11 @@ impl DiagonalPass {
             }
             (acc0 * acc1) * (acc2 * acc3)
         };
-        if use_parallel(dim) {
-            let rp = SendPtr(re.as_mut_ptr());
-            let ip = SendPtr(im.as_mut_ptr());
-            (0..dim)
-                .into_par_iter()
-                .with_min_len(MIN_PAR_INDICES)
-                .for_each(|b| {
-                    let p = phase_of(b);
-                    // SAFETY: each b is visited exactly once.
-                    unsafe {
-                        let (r, i) = (*rp.add(b), *ip.add(b));
-                        *rp.add(b) = p.re * r - p.im * i;
-                        *ip.add(b) = p.re * i + p.im * r;
-                    }
-                });
-        } else {
-            for (b, (r, i)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let p = phase_of(b);
-                let (x, y) = (*r, *i);
-                *r = p.re * x - p.im * y;
-                *i = p.re * y + p.im * x;
-            }
+        for (b, (r, i)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+            let p = phase_of(b);
+            let (x, y) = (*r, *i);
+            *r = p.re * x - p.im * y;
+            *i = p.re * y + p.im * x;
         }
     }
 
@@ -391,9 +371,12 @@ impl DiagonalPass {
         let s = *s;
         let block = 1usize << s;
         let (re, im) = state.lanes_mut();
-        // One contiguous 2^s block of amplitudes per high-table entry; blocks are
-        // disjoint, so the parallel path splits over them.
-        let apply_block = |h: usize, r_block: &mut [f64], i_block: &mut [f64]| {
+        // One contiguous 2^s block of amplitudes per high-table entry.
+        for (h, (r_block, i_block)) in re
+            .chunks_exact_mut(block)
+            .zip(im.chunks_exact_mut(block))
+            .enumerate()
+        {
             apply_tabulated_block(
                 r_block,
                 i_block,
@@ -404,30 +387,6 @@ impl DiagonalPass {
                 span_terms,
                 h << s,
             );
-        };
-        if use_parallel(re.len()) {
-            let rp = SendPtr(re.as_mut_ptr());
-            let ip = SendPtr(im.as_mut_ptr());
-            (0..high_re.len())
-                .into_par_iter()
-                .with_min_len((MIN_PAR_INDICES >> s).max(1))
-                .for_each(|h| {
-                    // SAFETY: block h covers indices [h·2^s, (h+1)·2^s), disjoint across
-                    // workers and in bounds (dim = high_len · 2^s).
-                    unsafe {
-                        let r_block = std::slice::from_raw_parts_mut(rp.add(h << s), block);
-                        let i_block = std::slice::from_raw_parts_mut(ip.add(h << s), block);
-                        apply_block(h, r_block, i_block);
-                    }
-                });
-        } else {
-            for (h, (r_block, i_block)) in re
-                .chunks_exact_mut(block)
-                .zip(im.chunks_exact_mut(block))
-                .enumerate()
-            {
-                apply_block(h, r_block, i_block);
-            }
         }
     }
 

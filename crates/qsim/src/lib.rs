@@ -29,19 +29,17 @@
 //!
 //! ## Performance and the parallelism threshold knob
 //!
-//! The dense gate kernels are branch-free, allocation-free and data-parallel (see the
-//! design notes on [`run_circuit`]'s module).  Parallelism is gated on register size:
-//! statevectors with at least [`parallel_threshold`] amplitudes (default `2^14`, i.e.
-//! 14 qubits) are processed by multiple threads via `rayon`-style chunked iteration, while
-//! smaller registers stay serial because thread fan-out would cost more than the kernel.
-//! Tune or disable this with the `QSIM_PAR_THRESHOLD` environment variable (an amplitude
-//! count; `0` forces serial execution, useful for profiling and determinism studies), and
-//! cap the thread count with `RAYON_NUM_THREADS`.  The same threshold steers batches
-//! (`qop::par::map_states`): registers *below* it are data-parallelized **across** the
-//! states of a batch instead of within one state.  Optimizer inner loops should compile
-//! once and execute in place on a reused scratch state ([`CompiledCircuit::execute_into`],
-//! or [`CompiledCircuit::execute_in_place_with_insertions`] for pre-bound diagonal
-//! tables and noise trajectories — what the `vqa` dense driver calls); the `run_circuit*`
+//! The dense gate kernels are branch-free, allocation-free and vectorized (see the
+//! design notes on [`run_circuit`]'s module), and each is one serial pass over its state:
+//! nothing in this crate spawns a thread.  The stack parallelizes **across** states
+//! instead — `qop::par::map_states` hands whole executions of a batch to the threads
+//! once the chunk holds at least [`parallel_threshold`] amplitudes in total (default
+//! `2^14`; the `QSIM_PAR_THRESHOLD` environment variable overrides it, `0` = never
+//! spawn).  A result's bits do not depend on the thread count.  Optimizer inner loops
+//! should compile once and execute in place on a reused scratch state
+//! ([`CompiledCircuit::execute_into`], or
+//! [`CompiledCircuit::execute_in_place_with_insertions`] for pre-bound diagonal tables
+//! and noise trajectories — what the `vqa` dense driver calls); the `run_circuit*`
 //! wrappers compile on *every* call, so they are for one-shot use.  The original
 //! unoptimized kernels are kept in [`mod@reference`] as the correctness and speedup
 //! baseline.

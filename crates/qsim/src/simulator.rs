@@ -30,10 +30,13 @@
 //!   4-chunk is a constant lane shuffle — so the butterfly updates are contiguous
 //!   homogeneous FMA streams the compiler autovectorizes (AVX2 via the pinned
 //!   `target-cpu`), instead of interleaved complex shuffles that defeat it.
-//! * **Data parallelism.**  For registers at or above [`parallel_threshold`] amplitudes
-//!   the kernels split the pair-index range across threads (disjoint index sets, so the
-//!   updates are race-free).  Small registers stay serial: thread fan-out costs more than
-//!   the update itself below the threshold.
+//! * **One body per kernel, no threads.**  Every kernel here is a single serial,
+//!   vectorized pass over its state.  The stack's parallelism is *across* states —
+//!   [`qop::par::map_states`] hands whole executions (prepare → ops → readout) to the
+//!   threads — so a kernel's result is the same bits at any thread count.  Splitting one
+//!   kernel's index range over threads is deliberately absent: measured at 2^14–2^22
+//!   amplitudes on 2 threads it lost to this serial body in every gate kernel (ROADMAP.md
+//!   records the bar a within-state path must clear).
 //!
 //! The original straightforward kernels are retained in [`reference`] on **interleaved**
 //! `Complex64` storage (converting at entry/exit), so the equivalence suites pin the
@@ -42,16 +45,12 @@
 
 use qcircuit::{Circuit, Gate};
 use qop::lanes::{i_power, parity_sign, SignTable, LANES, SIGN_BLOCK};
-// The parallel policy (threshold knob, worker gate, Send pointer wrapper) is shared with
-// the expectation kernels and lives in `qop::par`; `SendPtr` is the Sync wrapper for the
-// disjoint-index lane writes.
-use qop::par::{use_parallel, SendPtr, MIN_PAR_INDICES};
 use qop::with_lane_perm;
 use qop::{Complex64, PauliString, Statevector};
-use rayon::prelude::*;
 
-// One knob governs both the gate kernels here and the expectation kernels in `qop`:
-// `QSIM_PAR_THRESHOLD` amplitudes (default 2^14), read once per process.
+// The stack's one parallel knob (`QSIM_PAR_THRESHOLD`: amplitudes in a chunk of states
+// before `qop::par::map_states` spreads it over the threads), re-exported for callers
+// that reach the simulation stack through this crate.
 pub use qop::parallel_threshold;
 
 /// Executes `circuit` with bound parameter values `params`, starting from `initial`.
@@ -203,9 +202,9 @@ fn insert_zero_bit(k: usize, pos: usize) -> usize {
 /// Branch-free two-level walk: the outer level ranges over blocks of `2^(q+1)` contiguous
 /// amplitudes, the inner level over the `2^q` offsets inside a block; `i0 = block + off`
 /// and `i1 = i0 | bit` form the update pair directly, so no index test is ever executed.
-/// The serial inner loop runs 4 lanes at a time over the split re/im arrays — eight
-/// scalar matrix constants against four contiguous f64 streams, which vectorizes to
-/// straight FMA code.
+/// The inner loop runs 4 lanes at a time over the split re/im arrays — eight scalar
+/// matrix constants against four contiguous f64 streams, which vectorizes to straight
+/// FMA code.
 pub fn apply_single_qubit(state: &mut Statevector, q: usize, m: &Matrix2) {
     let dim = state.dim();
     let bit = 1usize << q;
@@ -218,31 +217,7 @@ pub fn apply_single_qubit(state: &mut Statevector, q: usize, m: &Matrix2) {
     let (m10r, m10i) = (m[1][0].re, m[1][0].im);
     let (m11r, m11i) = (m[1][1].re, m[1][1].im);
     let (re, im) = state.lanes_mut();
-    if use_parallel(dim) {
-        let rp = SendPtr(re.as_mut_ptr());
-        let ip = SendPtr(im.as_mut_ptr());
-        (0..dim / 2)
-            .into_par_iter()
-            .with_min_len(MIN_PAR_INDICES)
-            .for_each(|k| {
-                let i0 = insert_zero_bit(k, q);
-                let i1 = i0 | bit;
-                // SAFETY: `insert_zero_bit` is injective over k and never sets `bit`, so
-                // every (i0, i1) pair is disjoint from every other thread's pairs.
-                unsafe {
-                    let r0 = *rp.add(i0);
-                    let i0v = *ip.add(i0);
-                    let r1 = *rp.add(i1);
-                    let i1v = *ip.add(i1);
-                    *rp.add(i0) = (m00r * r0 - m00i * i0v) + (m01r * r1 - m01i * i1v);
-                    *ip.add(i0) = (m00r * i0v + m00i * r0) + (m01r * i1v + m01i * r1);
-                    *rp.add(i1) = (m10r * r0 - m10i * i0v) + (m11r * r1 - m11i * i1v);
-                    *ip.add(i1) = (m10r * i0v + m10i * r0) + (m11r * i1v + m11i * r1);
-                }
-            });
-        return;
-    }
-    single_qubit_serial(
+    single_qubit_lanes(
         re,
         im,
         bit,
@@ -250,12 +225,12 @@ pub fn apply_single_qubit(state: &mut Statevector, q: usize, m: &Matrix2) {
     );
 }
 
-/// Serial single-qubit body.  A separate function on purpose: taking the lanes as two
-/// `&mut [f64]` **parameters** gives LLVM `noalias` guarantees between them (reborrows
-/// of two fields of one struct do not), which is what lets the flat four-stream zip
-/// below autovectorize; a zip-of-chunks formulation, or this same loop written inline
-/// against the struct's lanes, compiles to scalar code.
-fn single_qubit_serial(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
+/// Body of [`apply_single_qubit`].  A separate function on purpose: taking the lanes as
+/// two `&mut [f64]` **parameters** gives LLVM `noalias` guarantees between them
+/// (reborrows of two fields of one struct do not), which is what lets the flat
+/// four-stream zip below autovectorize; a zip-of-chunks formulation, or this same loop
+/// written inline against the struct's lanes, compiles to scalar code.
+fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
     let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
     for (rb, ib) in re
         .chunks_exact_mut(bit << 1)
@@ -279,39 +254,14 @@ fn single_qubit_serial(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8])
     }
 }
 
-/// Enumerates the `dim/4` basis indices with the control bit **set** and the target bit
-/// **clear** by double bit-insertion, then hands each to `f` (serial or parallel).
-#[inline]
-fn for_each_controlled_pair<F>(dim: usize, control: usize, target: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let cbit = 1usize << control;
-    let (lo, hi) = if control < target {
-        (control, target)
-    } else {
-        (target, control)
-    };
-    let quarter = dim / 4;
-    if use_parallel(dim) {
-        (0..quarter)
-            .into_par_iter()
-            .with_min_len(MIN_PAR_INDICES)
-            .for_each(|k| f(insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit));
-    } else {
-        for k in 0..quarter {
-            f(insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit);
-        }
-    }
-}
-
 /// Applies CX with the given control and target.
 ///
 /// Iterates only the quarter of indices with the control bit set and the target bit clear
-/// (the swap partners), rather than scanning and testing all `2^n` indices.  Serially,
-/// the swap set decomposes into contiguous runs of `2^min(control, target)` indices
-/// (everything below the lower qubit bit is free), so each run is one pair of
-/// `swap_nonoverlapping` lane memmoves instead of per-index swaps.
+/// (the swap partners, enumerated by double bit-insertion), rather than scanning and
+/// testing all `2^n` indices.  The swap set decomposes into contiguous runs of
+/// `2^min(control, target)` indices (everything below the lower qubit bit is free), so
+/// each run is one pair of `swap_nonoverlapping` lane memmoves instead of per-index
+/// swaps.
 pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
     assert_ne!(control, target, "CX control and target must differ");
     let dim = state.dim();
@@ -325,20 +275,13 @@ pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
     let hi = control.max(target);
     let cbit = 1usize << control;
     let run = 1usize << lo;
-    if use_parallel(dim) || run < LANES {
-        // Parallel execution, or serial runs of 1–2 elements where per-run setup would
-        // dominate: per-pair lane swaps over the enumerated quarter
-        // (for_each_controlled_pair self-selects serial vs parallel).
-        let rp = SendPtr(re.as_mut_ptr());
-        let ip = SendPtr(im.as_mut_ptr());
-        for_each_controlled_pair(dim, control, target, |i0| {
-            // SAFETY: i0 has the target bit clear and each i0 is produced exactly once,
-            // so the (i0, i0|tbit) swap pairs are pairwise disjoint.
-            unsafe {
-                std::ptr::swap(rp.add(i0), rp.add(i0 | tbit));
-                std::ptr::swap(ip.add(i0), ip.add(i0 | tbit));
-            }
-        });
+    if run < LANES {
+        // Runs of 1–2 elements, where per-run setup would dominate: per-pair lane swaps.
+        for k in 0..dim / 4 {
+            let i0 = insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit;
+            re.swap(i0, i0 | tbit);
+            im.swap(i0, i0 | tbit);
+        }
         return;
     }
     let mut k = 0usize;
@@ -365,9 +308,8 @@ pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
 
 /// Applies CZ with the given control and target (symmetric).
 ///
-/// Iterates only the quarter of indices with both bits set; serially those decompose
-/// into contiguous runs of `2^min(control, target)` indices negated as straight lane
-/// sweeps.
+/// Iterates only the quarter of indices with both bits set; those decompose into
+/// contiguous runs of `2^min(control, target)` indices negated as straight lane sweeps.
 pub fn apply_cz(state: &mut Statevector, control: usize, target: usize) {
     assert_ne!(control, target, "CZ control and target must differ");
     let dim = state.dim();
@@ -377,19 +319,6 @@ pub fn apply_cz(state: &mut Statevector, control: usize, target: usize) {
         "CZ qubits ({control}, {target}) out of range for {dim} amplitudes"
     );
     let (re, im) = state.lanes_mut();
-    if use_parallel(dim) {
-        let rp = SendPtr(re.as_mut_ptr());
-        let ip = SendPtr(im.as_mut_ptr());
-        for_each_controlled_pair(dim, control, target, |i0| {
-            let i = i0 | tbit;
-            // SAFETY: each index with both bits set is produced exactly once.
-            unsafe {
-                *rp.add(i) = -*rp.add(i);
-                *ip.add(i) = -*ip.add(i);
-            }
-        });
-        return;
-    }
     let lo = control.min(target);
     let hi = control.max(target);
     let cbit = 1usize << control;
@@ -419,54 +348,15 @@ pub fn apply_cz(state: &mut Statevector, control: usize, target: usize) {
 /// `(cos θ/2, −i·sin θ/2·conj(i^num_y), −i·sin θ/2·i^num_y)`; the plain Pauli
 /// application passes `(0, conj(i^num_y), i^num_y)` — the phase table of the old
 /// interleaved kernel factored into one hoisted complex constant per side and a ±1 sign
-/// stream, which is what lets the serial inner loop vectorize.
+/// stream, which is what lets the inner loop vectorize.
+///
+/// Walks blocks of `2^(pivot+1)` amplitudes: within a block, `i0 = base + off` and
+/// `i1 = base + 2^pivot + (off ^ xl)`, where `xl` is `x_mask` with its pivot bit removed
+/// (the pivot is x's highest bit, so x spans only the block).  The sign of the block base
+/// is hoisted; the low-bit signs stream from the table; the partner access is a constant
+/// 4-lane shuffle.  The lanes arrive as `noalias` slice parameters (see
+/// [`single_qubit_lanes`]).
 fn pair_update(
-    state: &mut Statevector,
-    x_mask: u64,
-    z_mask: u64,
-    c: f64,
-    g01: Complex64,
-    g10: Complex64,
-) {
-    let dim = state.dim();
-    let pivot = (63 - x_mask.leading_zeros()) as usize;
-    let x = x_mask as usize;
-    let (re, im) = state.lanes_mut();
-
-    if use_parallel(dim) {
-        let rp = SendPtr(re.as_mut_ptr());
-        let ip = SendPtr(im.as_mut_ptr());
-        (0..dim / 2)
-            .into_par_iter()
-            .with_min_len(MIN_PAR_INDICES)
-            .for_each(|k| {
-                let i0 = insert_zero_bit(k, pivot);
-                let i1 = i0 ^ x;
-                let s = parity_sign(i0 as u64 & z_mask);
-                // SAFETY: i0 never has the pivot bit, i1 always does, and ^x_mask is an
-                // involution, so pairs are pairwise disjoint across threads.
-                unsafe {
-                    let (r0, v0) = (*rp.add(i0), *ip.add(i0));
-                    let (r1, v1) = (*rp.add(i1), *ip.add(i1));
-                    *rp.add(i0) = c * r0 + s * (g01.re * r1 - g01.im * v1);
-                    *ip.add(i0) = c * v0 + s * (g01.re * v1 + g01.im * r1);
-                    *rp.add(i1) = c * r1 + s * (g10.re * r0 - g10.im * v0);
-                    *ip.add(i1) = c * v1 + s * (g10.re * v0 + g10.im * r0);
-                }
-            });
-        return;
-    }
-
-    pair_update_serial(re, im, x_mask, z_mask, c, g01, g10);
-}
-
-/// Serial body of [`pair_update`], walking blocks of `2^(pivot+1)` amplitudes: within a
-/// block, `i0 = base + off` and `i1 = base + 2^pivot + (off ^ xl)`, where `xl` is
-/// `x_mask` with its pivot bit removed (the pivot is x's highest bit, so x spans only
-/// the block).  The sign of the block base is hoisted; the low-bit signs stream from the
-/// table; the partner access is a constant 4-lane shuffle.  Separate function so the
-/// lanes arrive as `noalias` slice parameters (see [`single_qubit_serial`]).
-fn pair_update_serial(
     re: &mut [f64],
     im: &mut [f64],
     x_mask: u64,
@@ -592,32 +482,14 @@ pub fn apply_pauli_rotation(state: &mut Statevector, string: &PauliString, theta
         return;
     }
     let (s, co) = (theta / 2.0).sin_cos();
-    let dim = state.dim();
     let x_mask = string.x_mask();
     let z_mask = string.z_mask();
+    let (re, im) = state.lanes_mut();
 
     if x_mask == 0 {
         // Diagonal: amplitude b picks up exp(-iθ/2 · (-1)^popcount(b & z)), i.e. is
         // multiplied by (cos θ/2, −sin θ/2 · sgn_b).
-        let (re, im) = state.lanes_mut();
-        if use_parallel(dim) {
-            let rp = SendPtr(re.as_mut_ptr());
-            let ip = SendPtr(im.as_mut_ptr());
-            (0..dim)
-                .into_par_iter()
-                .with_min_len(MIN_PAR_INDICES)
-                .for_each(|b| {
-                    let t = s * parity_sign(b as u64 & z_mask);
-                    // SAFETY: each b is visited exactly once.
-                    unsafe {
-                        let (r, i) = (*rp.add(b), *ip.add(b));
-                        *rp.add(b) = co * r + t * i;
-                        *ip.add(b) = co * i - t * r;
-                    }
-                });
-        } else {
-            diag_phase_serial(re, im, z_mask, co, s);
-        }
+        diag_phase_lanes(re, im, z_mask, co, s);
         return;
     }
 
@@ -628,7 +500,8 @@ pub fn apply_pauli_rotation(state: &mut Statevector, string: &PauliString, theta
     let g = i_power((x_mask & z_mask).count_ones());
     let minus_i_sin = Complex64::new(0.0, -s);
     pair_update(
-        state,
+        re,
+        im,
         x_mask,
         z_mask,
         co,
@@ -637,10 +510,10 @@ pub fn apply_pauli_rotation(state: &mut Statevector, string: &PauliString, theta
     );
 }
 
-/// Serial diagonal sign pass: multiplies amplitude `b`'s lanes by
+/// Diagonal sign pass: multiplies amplitude `b`'s lanes by
 /// `(−1)^popcount(b & z)` streamed from a [`SignTable`] (noalias slice parameters, flat
-/// zip — see [`single_qubit_serial`]).
-fn diag_sign_serial(re: &mut [f64], im: &mut [f64], z_mask: u64) {
+/// zip — see [`single_qubit_lanes`]).
+fn diag_sign_lanes(re: &mut [f64], im: &mut [f64], z_mask: u64) {
     let dim = re.len();
     if dim < SIGN_BLOCK {
         for (b, (r, i)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
@@ -665,10 +538,10 @@ fn diag_sign_serial(re: &mut [f64], im: &mut [f64], z_mask: u64) {
     }
 }
 
-/// Serial diagonal phase pass: multiplies amplitude `b` by `(co, −s·sgn_b)` with the
+/// Diagonal phase pass: multiplies amplitude `b` by `(co, −s·sgn_b)` with the
 /// sign streamed from a [`SignTable`].  The flat three-stream zip (both lanes plus the
 /// contiguous ±1 table slice) is the shape the vectorizer widens to 4 lanes.
-fn diag_phase_serial(re: &mut [f64], im: &mut [f64], z_mask: u64, co: f64, s: f64) {
+fn diag_phase_lanes(re: &mut [f64], im: &mut [f64], z_mask: u64, co: f64, s: f64) {
     let dim = re.len();
     if dim < SIGN_BLOCK {
         for (b, (r, i)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
@@ -702,39 +575,21 @@ fn diag_phase_serial(re: &mut [f64], im: &mut [f64], z_mask: u64, co: f64, s: f6
 /// The kernel is the θ-free specialization of [`apply_pauli_rotation`]: `P` maps basis
 /// states by the involution `b ↔ b ^ x_mask` with a phase `i^num_y · (−1)^popcount(b & z)`
 /// — so diagonal strings are one sign pass and general strings are one disjoint-pair
-/// swap-with-phase pass (`pair_update` with `c = 0`), parallelized above
-/// [`parallel_threshold`] like every other kernel.  The application is phase-exact
+/// swap-with-phase pass (`pair_update` with `c = 0`).  The application is phase-exact
 /// (including the `i^num_y` factor), so inserted errors compose exactly with per-gate
 /// reference simulation, not just up to global phase.
 pub fn apply_pauli_string(state: &mut Statevector, string: &PauliString) {
     if string.is_identity() {
         return;
     }
-    let dim = state.dim();
     let x_mask = string.x_mask();
     let z_mask = string.z_mask();
+    let (re, im) = state.lanes_mut();
 
     if x_mask == 0 {
         // Diagonal: amplitude b picks up (−1)^popcount(b & z).  Multiplying both lanes
         // by the ±1 sign is exact and branch-free.
-        let (re, im) = state.lanes_mut();
-        if use_parallel(dim) {
-            let rp = SendPtr(re.as_mut_ptr());
-            let ip = SendPtr(im.as_mut_ptr());
-            (0..dim)
-                .into_par_iter()
-                .with_min_len(MIN_PAR_INDICES)
-                .for_each(|b| {
-                    let s = parity_sign(b as u64 & z_mask);
-                    // SAFETY: each b is visited exactly once.
-                    unsafe {
-                        *rp.add(b) *= s;
-                        *ip.add(b) *= s;
-                    }
-                });
-        } else {
-            diag_sign_serial(re, im, z_mask);
-        }
+        diag_sign_lanes(re, im, z_mask);
         return;
     }
 
@@ -742,7 +597,7 @@ pub fn apply_pauli_string(state: &mut Statevector, string: &PauliString) {
     // phase0 = i^num_y · (−1)^popcount(b0 & z); since P² = I the return phase is
     // conj(phase0).  pair_update with c = 0 is exactly that swap-with-phase.
     let g = i_power((x_mask & z_mask).count_ones());
-    pair_update(state, x_mask, z_mask, 0.0, g.conj(), g);
+    pair_update(re, im, x_mask, z_mask, 0.0, g.conj(), g);
 }
 
 pub mod reference {

@@ -695,6 +695,38 @@ mod tests {
         }
     }
 
+    /// A bad request fails the same way whether its chunk ran on the calling thread (a
+    /// batch of one) or was spread over threads (two 13-qubit rollouts together reach the
+    /// `qop::par::map_states` threshold whenever there are ≥ 2 threads): the client sees
+    /// the kernel's own panic message, not the parallel runtime's.
+    #[test]
+    fn a_bad_request_panics_with_the_same_message_in_any_batch() {
+        let circuit = HardwareEfficientAnsatz::new(13, 1, Entanglement::Linear).build();
+        let too_short = vec![0.1; circuit.num_parameters() - 1];
+        let op = PauliOp::from_labels(13, &[("ZZIIIIIIIIIII", 1.0)]);
+        let message = |batch: usize| {
+            let request = EvalRequest {
+                circuit: &circuit,
+                params: &too_short,
+                initial: &InitialState::Basis(0),
+                charged_op: &op,
+                free_ops: &[],
+                stream: None,
+            };
+            let payload = std::panic::catch_unwind(|| {
+                StatevectorBackend::new().evaluate_batch(&vec![request; batch])
+            })
+            .expect_err("a parameter vector shorter than the circuit's must not evaluate");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("an index panic carries a formatted message")
+        };
+        let alone = message(1);
+        assert!(alone.contains("index"), "unexpected panic: {alone}");
+        assert_eq!(message(2), alone);
+    }
+
     #[test]
     fn sampled_batch_reproduces_the_serial_rng_stream() {
         let (circuit, params, h1, _) = demo_setup();

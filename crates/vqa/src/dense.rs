@@ -239,19 +239,20 @@ fn plan_for<'a, R: Readout>(
 ///   stage's Pauli insertions, if any) and measured through the request's cached
 ///   [`qop::TermBasis`] — each *distinct* Pauli string once per state (the paper's term
 ///   padding, Section 5.2.1);
-/// * where a chunk is split across threads is not decided here: its states go through
-///   [`qop::par::map_states`], which runs registers **below** the
-///   [`qsim::parallel_threshold`] side by side when the chunk as a whole crosses it,
-///   and otherwise one after another while the kernels parallelize *within* the state;
+/// * whether a chunk is spread over threads is not decided here: its items go through
+///   [`qop::par::map_states`] — the stack's one parallel region — which hands whole
+///   rollouts to the threads once the chunk holds [`qsim::parallel_threshold`]
+///   amplitudes in total, and otherwise runs them one after another on the calling
+///   thread; every kernel a rollout reaches is the same serial code either way;
 /// * per-string values are summed over a request's rollouts in rollout order, the stage
 ///   reduces them, free operators are contracted from the reduced readout with a serial
 ///   fold in term order, and shots are charged in request order.
 ///
 /// [`Backend::evaluate`] is a batch of one stream-less request; [`Backend::probe`] is one
 /// ideal rollout read out as-is.  A request's result is therefore a function of the
-/// request alone — not of batch size, chunking, entry point, execution order or which
-/// parallel regime its chunk landed in — which is what lets every stage advertise
-/// `retry_safe`.
+/// request alone — not of batch size, chunking, entry point, execution order, thread
+/// count or whether its chunk was spread over threads — which is what lets every stage
+/// advertise `retry_safe`.
 #[derive(Debug)]
 pub struct Dense<R: Readout> {
     pub(crate) readout: R,

@@ -12,12 +12,11 @@
 //! baseline bit-for-bit, and another pins the canonical grouping itself: the call
 //! sequence each driver observes.
 //!
-//! The last two scenarios close the hole the small registers above leave open: on a
-//! 12-qubit register (4096 amplitudes, 23-term TFIM) the *same* stream-pinned request
-//! must return the same bits in a driver batch of 1, 8 and 17 and in executor slates of
-//! those sizes, at 1, 2 and 4 kernel threads — batch size decides whether the dense
-//! drivers run states side by side or one at a time, and that choice must not reach
-//! the result.
+//! The last two scenarios close the hole the small registers above leave open: on 12-
+//! and 14-qubit registers (TFIM clusters) the *same* stream-pinned request must return
+//! the same bits in a driver batch of 1, 8 and 17 and in executor slates of those sizes,
+//! **and** at 1, 2 and 4 threads — batch size and thread count decide whether the dense
+//! drivers run states side by side or one at a time, and neither may reach the result.
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
@@ -401,23 +400,24 @@ fn each_driver_sees_one_batch_then_its_probes_in_slate_order() {
     }
 }
 
-/// The register size at which batch size used to leak into results: 12 qubits is below
-/// the kernel threshold (so batches of ≥ 4 run states side by side, kernels pinned
-/// serial) while a 23-term operator on it used to cross the old `terms × dim` gate (so
-/// a batch of one summed per-thread partials instead).
-const BIG_QUBITS: usize = 12;
+/// The register sizes of the last two scenarios, one on each side of the default
+/// `qop::par::map_states` threshold (2^14 amplitudes in a chunk): at 12 qubits a batch of
+/// one runs on the calling thread and a batch of ≥ 4 is spread over the threads, at 14
+/// qubits any two rollouts are.
+const BIG_QUBITS: [usize; 2] = [12, 14];
 const BATCH_SIZES: [usize; 3] = [1, 8, 17];
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// The 12-site TFIM cluster shape: a charged mixed Hamiltonian and two members over the
-/// same 23 strings.
-fn tfim_cluster() -> (Arc<PauliOp>, Vec<Arc<PauliOp>>) {
-    let member = |h: f64| qchem::transverse_field_ising(BIG_QUBITS, 1.0, h);
+/// The TFIM cluster shape: a charged mixed Hamiltonian and two members over the same
+/// `2n − 1` strings.
+fn tfim_cluster(num_qubits: usize) -> (Arc<PauliOp>, Vec<Arc<PauliOp>>) {
+    let member = |h: f64| qchem::transverse_field_ising(num_qubits, 1.0, h);
     let (a, b) = (member(0.6), member(1.1));
     let mixed = PauliOp::mixed(&[&a, &b]);
     (Arc::new(mixed), vec![Arc::new(a), Arc::new(b)])
 }
 
-fn with_kernel_threads(threads: usize, body: impl FnOnce()) {
+fn with_threads(threads: usize, body: impl FnOnce()) {
     let configure = |n| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(n)
@@ -430,89 +430,98 @@ fn with_kernel_threads(threads: usize, body: impl FnOnce()) {
     configure(0);
 }
 
-/// The same request returns the same bits in a driver batch of 1, 8 and 17, at every
-/// kernel thread count, for every backend family.
+/// The same request returns the same bits in a driver batch of 1, 8 and 17 and at
+/// every thread count, for every backend family.
 #[test]
 fn results_do_not_depend_on_batch_size() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let circuit = demo_circuit(BIG_QUBITS);
-    let (charged, free) = tfim_cluster();
-    let free_refs: Vec<&PauliOp> = free.iter().map(|op| op.as_ref()).collect();
-    let params: Vec<f64> = (0..circuit.num_parameters())
-        .map(|p| 0.05 * p as f64 + 0.3)
-        .collect();
-    let request = EvalRequest {
-        circuit: &circuit,
-        params: &params,
-        initial: &InitialState::Basis(0),
-        charged_op: &charged,
-        free_ops: &free_refs,
-        stream: Some(StreamId::named("batch-size")),
-    };
-    for threads in [1usize, 2, 4] {
-        with_kernel_threads(threads, || {
-            for (family, make) in backend_factories() {
-                let mut seen: Vec<Bits> = Vec::new();
-                for size in BATCH_SIZES {
-                    let results = make().evaluate_batch(&vec![request; size]);
-                    assert_eq!(results.len(), size);
-                    seen.extend(results.iter().map(bits));
-                }
-                let odd = seen.iter().find(|other| **other != seen[0]);
-                assert!(
-                    odd.is_none(),
-                    "{family} at {threads} kernel threads: the request's bits depend on \
-                     the batch it was evaluated in: {:x?} vs {odd:x?}",
-                    seen[0]
-                );
+    for num_qubits in BIG_QUBITS {
+        let circuit = demo_circuit(num_qubits);
+        let (charged, free) = tfim_cluster(num_qubits);
+        let free_refs: Vec<&PauliOp> = free.iter().map(|op| op.as_ref()).collect();
+        let params: Vec<f64> = (0..circuit.num_parameters())
+            .map(|p| 0.05 * p as f64 + 0.3)
+            .collect();
+        let request = EvalRequest {
+            circuit: &circuit,
+            params: &params,
+            initial: &InitialState::Basis(0),
+            charged_op: &charged,
+            free_ops: &free_refs,
+            stream: Some(StreamId::named("batch-size")),
+        };
+        for (family, make) in backend_factories() {
+            // (threads, batch size, bits) of every result, compared across all of them.
+            let mut seen: Vec<(usize, usize, Bits)> = Vec::new();
+            for threads in THREAD_COUNTS {
+                with_threads(threads, || {
+                    for size in BATCH_SIZES {
+                        let results = make().evaluate_batch(&vec![request; size]);
+                        assert_eq!(results.len(), size);
+                        seen.extend(results.iter().map(|r| (threads, size, bits(r))));
+                    }
+                });
             }
-        });
+            let odd = seen.iter().find(|other| other.2 != seen[0].2);
+            assert!(
+                odd.is_none(),
+                "{family} at {num_qubits} qubits: the request's bits depend on the \
+                 (threads, batch size) it was evaluated at: {:x?} vs {odd:x?}",
+                seen[0]
+            );
+        }
     }
 }
 
 /// The same job returns the same bits whatever the size of the executor slate it was
-/// coalesced into.
+/// coalesced into and whatever the thread count.
 #[test]
 fn results_do_not_depend_on_slate_size() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let circuit = demo_circuit(BIG_QUBITS);
-    let (charged, free) = tfim_cluster();
-    let params: Vec<f64> = (0..circuit.num_parameters())
-        .map(|p| 0.05 * p as f64 + 0.3)
-        .collect();
-    for threads in [1usize, 2, 4] {
-        with_kernel_threads(threads, || {
-            for (family, make) in backend_factories() {
-                let mut seen: Vec<Bits> = Vec::new();
-                for size in BATCH_SIZES {
-                    let executor = Executor::builder()
-                        .paused()
-                        .register_boxed("b0", make())
-                        .start();
-                    let client = executor.client();
-                    let handles: Vec<_> = (0..size)
-                        .map(|_| {
-                            let job = EvalJob::new(
-                                Arc::clone(&circuit),
-                                params.clone(),
-                                InitialState::Basis(0),
-                                Arc::clone(&charged),
-                            )
-                            .with_free_ops(free.clone())
-                            .with_rng_stream(StreamId::named("slate-size"));
-                            client.submit(job).expect("well-formed job")
-                        })
-                        .collect();
-                    executor.resume();
-                    for handle in handles {
-                        seen.push(bits(&handle.wait().expect("job executes")));
+    for num_qubits in BIG_QUBITS {
+        let circuit = demo_circuit(num_qubits);
+        let (charged, free) = tfim_cluster(num_qubits);
+        let params: Vec<f64> = (0..circuit.num_parameters())
+            .map(|p| 0.05 * p as f64 + 0.3)
+            .collect();
+        for (family, make) in backend_factories() {
+            let mut seen: Vec<(usize, usize, Bits)> = Vec::new();
+            for threads in THREAD_COUNTS {
+                with_threads(threads, || {
+                    for size in BATCH_SIZES {
+                        let executor = Executor::builder()
+                            .paused()
+                            .register_boxed("b0", make())
+                            .start();
+                        let client = executor.client();
+                        let handles: Vec<_> = (0..size)
+                            .map(|_| {
+                                let job = EvalJob::new(
+                                    Arc::clone(&circuit),
+                                    params.clone(),
+                                    InitialState::Basis(0),
+                                    Arc::clone(&charged),
+                                )
+                                .with_free_ops(free.clone())
+                                .with_rng_stream(StreamId::named("slate-size"));
+                                client.submit(job).expect("well-formed job")
+                            })
+                            .collect();
+                        executor.resume();
+                        for handle in handles {
+                            let result = handle.wait().expect("job executes");
+                            seen.push((threads, size, bits(&result)));
+                        }
                     }
-                }
-                assert!(
-                    seen.iter().all(|other| *other == seen[0]),
-                    "{family} at {threads} kernel threads: the job's bits depend on its slate"
-                );
+                });
             }
-        });
+            let odd = seen.iter().find(|other| other.2 != seen[0].2);
+            assert!(
+                odd.is_none(),
+                "{family} at {num_qubits} qubits: the job's bits depend on the \
+                 (threads, slate size) it ran at: {:x?} vs {odd:x?}",
+                seen[0]
+            );
+        }
     }
 }
