@@ -1,11 +1,10 @@
 //! Generates `BENCH_exec.json`: execution-service throughput baselines (submission
 //! overhead and batched jobs/s at 12 qubits) plus the fairness check across 4 clients.
 //!
-//! The throughput records come from the same deterministic quick-bench harness the CI
-//! perf gate runs (`treevqa_bench::quick::run_quick_suite`, ids prefixed `exec/`), so
-//! the checked-in medians line up one-to-one with every later quick run and the
-//! `perf_gate` binary can gate regressions of the service path exactly like the kernel
-//! and batch baselines.  Run on a quiet machine and commit the result:
+//! The throughput records come from the same deterministic quick-bench harness CI runs
+//! (`treevqa_bench::quick::run_quick_suite`, ids prefixed `exec/`), so the checked-in
+//! medians line up id for id with every later quick run *on the same host*.  Run on a
+//! quiet machine and commit the result:
 //!
 //! ```text
 //! cargo run --release -p treevqa_bench --bin exec_bench

@@ -1,11 +1,10 @@
 //! Generates `BENCH_exec_overload.json`: admission-control and load-shedding
 //! baselines for the execution service's bounded queues.
 //!
-//! The throughput records come from the same deterministic quick-bench harness the CI
-//! perf gate runs (`treevqa_bench::quick::run_quick_suite`, ids prefixed
-//! `exec/overload/`), so the checked-in medians line up one-to-one with every later
-//! quick run and the `perf_gate` binary gates regressions of the admission path
-//! exactly like the kernel and batch baselines.  The scenario section replays a fixed
+//! The throughput records come from the same deterministic quick-bench harness CI runs
+//! (`treevqa_bench::quick::run_quick_suite`, ids prefixed `exec/overload/`), so the
+//! checked-in medians line up id for id with every later quick run *on the same
+//! host*.  The scenario section replays a fixed
 //! overload burst — 256 submissions into a 64-deep `Reject` queue on a paused executor
 //! — and asserts the exact accept/reject split before recording it.  Run on a quiet
 //! machine and commit the result:

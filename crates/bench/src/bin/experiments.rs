@@ -15,9 +15,10 @@
 use qchem::{MoleculeSpec, SpinChainFamily};
 use qexec::{Executor, SeedPolicy};
 use qgraph::Ieee14Family;
+use qnoise::PauliNoiseModel;
 use qop::{ground_state, LanczosOptions};
 use qopt::{CobylaConfig, OptimizerSpec};
-use qsim::{NoiseModel, PauliPropagatorConfig};
+use qsim::PauliPropagatorConfig;
 use treevqa::{SplitPolicy, TreeVqa, TreeVqaConfig};
 use treevqa_bench::*;
 use vqa::{
@@ -311,7 +312,7 @@ fn fig9() {
                 };
                 let backend = PauliPropagationBackend::new(config, qsim::DEFAULT_SHOTS_PER_PAULI);
                 if noisy {
-                    Box::new(backend.with_noise(NoiseModel::depolarizing_layer(0.01), 1))
+                    Box::new(backend.with_layer_depolarizing(0.01, 1))
                 } else {
                     Box::new(backend)
                 }
@@ -439,7 +440,7 @@ fn tab2() {
     let app = molecule_application(&molecule, 4, 5);
     let optimizer = OptimizerSpec::Cobyla(CobylaConfig::default());
     let mut rows = Vec::new();
-    for model in NoiseModel::synthetic_backends() {
+    for model in PauliNoiseModel::synthetic_backends() {
         let config = ComparisonConfig {
             iterations: 100,
             optimizer: optimizer.clone(),
@@ -450,7 +451,6 @@ fn tab2() {
         let comparison = run_comparison_with_backends(&app, &zeros, &config, &mut || {
             Box::new(NoisyBackend::with_policy(
                 model_for_backend.clone(),
-                5,
                 qsim::DEFAULT_SHOTS_PER_PAULI,
                 SeedPolicy::new(29),
             )) as Box<dyn Backend + Send>

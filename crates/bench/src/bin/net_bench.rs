@@ -2,11 +2,10 @@
 //! trip (wire + framing + demultiplexing cost per request) and served jobs/s as the
 //! 32-job 12-qubit slate fans out over 1, 4, and 16 connections.
 //!
-//! The records come from the same deterministic quick-bench harness the CI perf gate
-//! runs (`treevqa_bench::quick::run_quick_suite`, ids prefixed `net/`), so the
-//! checked-in medians line up one-to-one with every later quick run and the
-//! `perf_gate` binary gates regressions of the serving path exactly like the kernel
-//! and execution-service baselines.  Run on a quiet machine and commit the result:
+//! The records come from the same deterministic quick-bench harness CI runs
+//! (`treevqa_bench::quick::run_quick_suite`, ids prefixed `net/`), so the checked-in
+//! medians line up id for id with every later quick run *on the same host*.  Run on a
+//! quiet machine and commit the result:
 //!
 //! ```text
 //! cargo run --release -p treevqa_bench --bin net_bench

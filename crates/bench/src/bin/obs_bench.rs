@@ -9,8 +9,8 @@
 //! within 5% of the untraced submit→complete path.
 //!
 //! Only the traced record enters the `"throughput"` array — the untraced twin is
-//! already gated through `BENCH_exec.json`, and the perf-gate scanner must not see
-//! the same id in two baseline files.  Run on a quiet machine and commit the result:
+//! already recorded in `BENCH_exec.json`, and one id belongs in one baseline file.  Run
+//! on a quiet machine and commit the result:
 //!
 //! ```text
 //! cargo run --release -p treevqa_bench --bin obs_bench

@@ -1,7 +1,7 @@
 //! Deterministic quick-bench runner: times the fixed workload subset of
 //! [`treevqa_bench::quick`] and writes `target/bench_quick.json` (override the path with
-//! the first CLI argument).  Pair with the `perf_gate` binary to compare against the
-//! checked-in `BENCH_*.json` baselines.
+//! the first CLI argument).  The ids match the checked-in `BENCH_*.json` records, which
+//! are comparable only with runs on the host that recorded them.
 
 fn main() {
     let path = std::env::args()

@@ -1,18 +1,13 @@
-//! Deterministic quick-bench mode and the CI perf-regression gate.
+//! Deterministic quick-bench mode.
 //!
 //! `cargo run --release -p treevqa_bench --bin quick_bench` runs a fixed subset of the
 //! criterion benchmark workloads (same builders, see [`crate::workloads`]) with **fixed**
 //! iteration counts and sample counts — no adaptive calibration, no RNG — and writes
-//! `target/bench_quick.json` in the `BENCH_*.json` record schema.
-//!
-//! `cargo run --release -p treevqa_bench --bin perf_gate` then compares that file
-//! against the checked-in `BENCH_kernels.json` / `BENCH_batch.json` / `BENCH_noise.json`
-//! / `BENCH_exec.json` / `BENCH_exec_overload.json` / `BENCH_obs.json` /
-//! `BENCH_net.json` baselines.  The tolerance is deliberately generous — CI hosts differ from the
-//! baseline-recording host — so the gate only fails on a throughput regression larger
-//! than [`DEFAULT_TOLERANCE`] (override with the `PERF_GATE_TOLERANCE` environment
-//! variable, a fraction in `(0, 1)`).  The workflow uploads the quick JSON as an
-//! artifact on every run, so the perf trajectory accumulates even when the gate passes.
+//! `target/bench_quick.json` in the `BENCH_*.json` record schema.  CI runs it and
+//! uploads the file on every run, so a perf trajectory accumulates per host; nothing
+//! compares it against the checked-in `BENCH_*.json` files, which were recorded on other
+//! hosts — the regression gate is the repository benchmark (`BENCHMARK.json`), which
+//! runs parent and change on one host.
 
 use crate::workloads;
 use qexec::{AdmissionPolicy, EvalJob, Executor, SeedPolicy, SubmitOptions};
@@ -104,7 +99,7 @@ fn candidate_requests<'a>(
 /// where a single state fills the `map_states` threshold.
 ///
 /// Iteration counts are fixed so a full run takes a few seconds; ids match the criterion
-/// benches exactly so the perf gate can line records up against the baselines.
+/// benches exactly so records line up with the checked-in baselines id for id.
 pub fn run_quick_suite() -> Vec<QuickRecord> {
     let n = 12;
     let mut records = Vec::new();
@@ -584,116 +579,6 @@ pub fn records_to_json(records: &[QuickRecord]) -> String {
     out
 }
 
-/// Extracts `(id, median_ns)` pairs from any of the `BENCH_*.json` files (the kernel and
-/// batch files are record arrays, the noise file nests records under `"throughput"`; this
-/// scanner only relies on the `"id": "…"` / `"median_ns": N` field pairing those share).
-pub fn parse_median_records(json: &str) -> Vec<(String, f64)> {
-    parse_records(json)
-        .into_iter()
-        .map(|(id, median, _)| (id, median))
-        .collect()
-}
-
-/// Like [`parse_median_records`] but also captures the optional `min_ns` field, which
-/// the perf gate prefers for the quick run (see [`compare_against_baselines`]).
-pub fn parse_records(json: &str) -> Vec<(String, f64, Option<f64>)> {
-    fn leading_number(s: &str) -> Option<f64> {
-        let num: String = s
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-            .collect();
-        num.parse::<f64>().ok()
-    }
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(idx) = rest.find("\"id\":") {
-        rest = &rest[idx + 5..];
-        let Some(open) = rest.find('"') else { break };
-        let Some(close) = rest[open + 1..].find('"') else {
-            break;
-        };
-        let id = rest[open + 1..open + 1 + close].to_string();
-        rest = &rest[open + 1 + close..];
-        // The median (and, when present, min) fields follow their id within the same
-        // record, before the record's closing brace.
-        let Some(midx) = rest.find("\"median_ns\":") else {
-            break;
-        };
-        let tail = &rest[midx + 12..];
-        let record_end = tail.find('}').unwrap_or(tail.len());
-        let min = tail[..record_end]
-            .find("\"min_ns\":")
-            .and_then(|i| leading_number(&tail[i + 9..record_end]));
-        if let Some(v) = leading_number(tail) {
-            out.push((id, v, min));
-        }
-        rest = tail;
-    }
-    out
-}
-
-/// Default allowed throughput regression (25%): the gate fails only when the quick run's
-/// throughput on a workload drops below 75% of the checked-in baseline's.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
-
-/// One row of the perf-gate comparison.
-#[derive(Clone, Debug)]
-pub struct GateRow {
-    /// Benchmark id.
-    pub id: String,
-    /// Quick-run median, ns.
-    pub quick_ns: f64,
-    /// Checked-in baseline median, ns.
-    pub baseline_ns: f64,
-    /// `baseline / quick`: > 1 means the quick run is faster than the baseline.
-    pub throughput_ratio: f64,
-    /// Whether this row violates the tolerance.
-    pub regressed: bool,
-}
-
-/// Compares quick records against baseline `(id, median_ns)` pairs.
-///
-/// The quick side is judged by its **fastest** sample (`min(min_ns, median_ns)`), not
-/// its median: CI boxes share hosts, and interference inflates most samples of a run by
-/// large, correlated factors — but the minimum over nine samples is a stable estimate
-/// of the machine's clean per-iteration time, which is what a code regression actually
-/// moves.  Returns the matched rows; ids missing from every baseline are skipped (new
-/// workloads gate nothing until their baseline is checked in).
-pub fn compare_against_baselines(
-    quick: &[QuickRecord],
-    baselines: &[(String, f64)],
-    tolerance: f64,
-) -> Vec<GateRow> {
-    quick
-        .iter()
-        .filter_map(|q| {
-            let baseline_ns = baselines
-                .iter()
-                .find(|(id, _)| *id == q.id)
-                .map(|(_, ns)| *ns)?;
-            let quick_ns = q.min_ns.min(q.median_ns);
-            let throughput_ratio = baseline_ns / quick_ns;
-            Some(GateRow {
-                id: q.id.clone(),
-                quick_ns,
-                baseline_ns,
-                throughput_ratio,
-                regressed: throughput_ratio < 1.0 - tolerance,
-            })
-        })
-        .collect()
-}
-
-/// The gate tolerance: `PERF_GATE_TOLERANCE` (a fraction in `(0, 1)`) or the default.
-pub fn gate_tolerance() -> f64 {
-    std::env::var("PERF_GATE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|t| *t > 0.0 && *t < 1.0)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,69 +596,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_array_schema() {
-        let json = r#"[
-  {"id": "a/fast/12q", "median_ns": 123.5, "mean_ns": 130.0, "samples": 10},
-  {"id": "b/naive/12q", "median_ns": 999.0, "mean_ns": 1000.0, "samples": 10}
-]"#;
-        let records = parse_median_records(json);
+    fn records_serialize_as_an_array_in_the_bench_schema() {
+        let json = records_to_json(&[record("x/fast/12q", 42.0), record("y/fast/12q", 7.0)]);
         assert_eq!(
-            records,
-            vec![
-                ("a/fast/12q".to_string(), 123.5),
-                ("b/naive/12q".to_string(), 999.0)
-            ]
-        );
-    }
-
-    #[test]
-    fn parses_nested_noise_schema() {
-        let json = r#"{
-  "throughput": [
-    {"id": "noisy_eval/trajectories/16", "median_ns": 5.5e6, "mean_ns": 6e6, "samples": 10}
-  ],
-  "quality": {"instance": "ieee14"}
-}"#;
-        let records = parse_median_records(json);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].0, "noisy_eval/trajectories/16");
-        assert!((records[0].1 - 5.5e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let baselines = vec![("k".to_string(), 100.0)];
-        // 20% slower: within the 25% default tolerance.
-        let rows = compare_against_baselines(&[record("k", 125.0)], &baselines, 0.25);
-        assert!(!rows[0].regressed);
-        // 50% throughput loss: regression.
-        let rows = compare_against_baselines(&[record("k", 200.0)], &baselines, 0.25);
-        assert!(rows[0].regressed);
-        // Faster than baseline never fails.
-        let rows = compare_against_baselines(&[record("k", 50.0)], &baselines, 0.25);
-        assert!(!rows[0].regressed && rows[0].throughput_ratio > 1.9);
-    }
-
-    #[test]
-    fn unmatched_ids_are_skipped() {
-        let rows = compare_against_baselines(
-            &[record("brand-new-workload", 10.0)],
-            &[("other".to_string(), 100.0)],
-            0.25,
-        );
-        assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let records = vec![record("x/fast/12q", 42.0), record("y/fast/12q", 7.0)];
-        let parsed = parse_median_records(&records_to_json(&records));
-        assert_eq!(
-            parsed,
-            vec![
-                ("x/fast/12q".to_string(), 42.0),
-                ("y/fast/12q".to_string(), 7.0)
-            ]
+            json,
+            "[\n  {\"id\": \"x/fast/12q\", \"median_ns\": 42.0, \"mean_ns\": 42.0, \
+             \"min_ns\": 42.0, \"max_ns\": 42.0, \"samples\": 1, \"iters_per_sample\": 1},\n  \
+             {\"id\": \"y/fast/12q\", \"median_ns\": 7.0, \"mean_ns\": 7.0, \"min_ns\": 7.0, \
+             \"max_ns\": 7.0, \"samples\": 1, \"iters_per_sample\": 1}\n]\n"
         );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The criterion benches (`benches/kernels.rs`, `benches/batch.rs`, `benches/noise.rs`)
 //! and the deterministic quick-bench mode ([`crate::quick`]) must measure **the same**
-//! states, strings, Hamiltonians and ansätze — otherwise the CI perf gate would compare
-//! apples to oranges against the checked-in `BENCH_*.json` baselines.  Every workload
-//! they share is built here and nowhere else.
+//! states, strings, Hamiltonians and ansätze — otherwise a quick run and the checked-in
+//! `BENCH_*.json` record of the same id would not be the same measurement.  Every
+//! workload they share is built here and nowhere else.
 
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliOp, PauliString, Statevector};

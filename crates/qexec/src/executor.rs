@@ -470,7 +470,7 @@ impl ExecutorBuilder {
     /// executor, overriding the process-wide `QOBS` environment default
     /// ([`qobs::enabled`]).  Event counters (and thus [`Executor::stats`]) are always
     /// live regardless — when disabled, the per-job tracing cost is one branch on an
-    /// absent span handle, verified ~free by the perf gate.  Tracing never changes
+    /// absent span handle.  Tracing never changes
     /// results: span recording is entirely off the driver path, so enabled and disabled
     /// runs are bit-identical.
     pub fn observability(mut self, enabled: bool) -> Self {

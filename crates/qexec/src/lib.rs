@@ -74,7 +74,7 @@
 //! client/backend/priority — feeding queue/exec/end-to-end latency histograms and a
 //! bounded ring of finished spans.  Recording sits entirely off the driver path, so
 //! traced and untraced runs produce bit-identical results (asserted by
-//! `tests/tests/observability.rs`); disabled overhead is guarded by the perf gate.
+//! `tests/tests/observability.rs`); disabled, the cost is one branch per job.
 //! Render snapshots through [`qobs::export`] as a summary table, JSON, or
 //! Prometheus-style text — the `exec_trace` example bin shows all three.
 //!

@@ -1,13 +1,23 @@
-//! # qnoise — stochastic Pauli-channel noise simulation and error mitigation
+//! # qnoise — the device-noise model, its two readouts, and error mitigation
 //!
-//! The reproduction's original noise story was purely analytic (`qsim::NoiseModel`
-//! attenuates expectation values term by term).  This crate adds the *trajectory* story:
-//! per-gate Pauli error channels simulated by **stochastic trajectory sampling on the
-//! statevector** — never a density matrix.  Each trajectory is a seeded random Pauli
-//! insertion stream replayed through a [`qsim::CompiledCircuit`], so the
-//! compile-once/bind-many split is reused verbatim and K trajectories of one parameter
-//! binding become one `vqa::Backend::evaluate_batch`-shaped workload that
-//! data-parallelizes across scratch states (see `vqa::NoisyStatevectorBackend`).
+//! This crate owns the workspace's one description of device noise, [`PauliNoiseModel`]:
+//! per-gate Pauli error channels plus readout bit flips, charged at the
+//! [`qsim::NoiseSite`]s a [`qsim::CompiledCircuit`] records.  A model is read two ways
+//! over that one site list:
+//!
+//! * **by trajectories** ([`TrajectorySampler`]) — stochastic trajectory sampling on the
+//!   statevector, never a density matrix.  Each trajectory is a seeded random Pauli
+//!   insertion stream replayed through the compiled circuit, so the
+//!   compile-once/bind-many split is reused verbatim and K trajectories of one parameter
+//!   binding become one `vqa::Backend::evaluate_batch`-shaped workload that
+//!   data-parallelizes across scratch states (`vqa::NoisyStatevectorBackend`); the
+//!   trajectory mean is an unbiased estimate of the density-matrix expectation;
+//! * **analytically** ([`PauliNoiseModel::mean_field_attenuation`]) — one factor per
+//!   Pauli-term weight from the channels' closed-form attenuations, spread evenly over
+//!   the register.  One ideal execution per evaluation and a *deterministic* noisy
+//!   landscape, which is what the paper's device study (Section 8.7, Table 2; the
+//!   calibrations are [`PauliNoiseModel::synthetic_backends`]) needs from a stand-in for
+//!   a density-matrix simulator (`vqa::NoisyBackend`).
 //!
 //! ## The pieces
 //!
@@ -50,7 +60,7 @@ pub use model::{
     readout_attenuation, uniform_depolarizing_attenuation, PauliChannel, PauliNoiseModel,
 };
 pub use trajectory::{trajectory_seed, TrajectorySampler};
-pub use zne::{fold_gates, fold_global, richardson_extrapolate, DEFAULT_ZNE_SCALES};
+pub use zne::{fold_gates, richardson_extrapolate, DEFAULT_ZNE_SCALES};
 
 /// Default trajectory count when `QNOISE_TRAJECTORIES` is unset.
 pub const DEFAULT_TRAJECTORIES: usize = 64;

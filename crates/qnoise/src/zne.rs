@@ -41,33 +41,6 @@ pub fn fold_gates(circuit: &Circuit, scale: usize) -> Circuit {
     folded
 }
 
-/// Globally folds the whole circuit: `C ↦ C·(C†·C)^((scale−1)/2)` via
-/// [`Circuit::inverse`].
-///
-/// The standard alternative to [`fold_gates`]: same ideal unitary and same `scale`×
-/// total noise-site count, but errors are amplified at the *circuit* level rather than
-/// per gate, which changes how coherent (non-Pauli) error components scale.  For the
-/// pure Pauli channels of this crate the two foldings have identical first-order
-/// statistics; [`fold_gates`] is the default in `vqa::ZneBackend` because it keeps each
-/// site's amplification exactly local.
-///
-/// # Panics
-///
-/// Panics if `scale` is even or zero.
-pub fn fold_global(circuit: &Circuit, scale: usize) -> Circuit {
-    assert!(
-        scale % 2 == 1,
-        "global-folding scale must be odd, got {scale}"
-    );
-    let mut folded = circuit.clone();
-    let inverse = circuit.inverse();
-    for _ in 0..scale / 2 {
-        folded.extend(&inverse);
-        folded.extend(circuit);
-    }
-    folded
-}
-
 /// Richardson extrapolation to zero: evaluates at `x = 0` the unique polynomial through
 /// the `(scale, value)` points, via Lagrange weights `wᵢ = Π_{j≠i} xⱼ/(xⱼ − xᵢ)`.
 ///
@@ -140,28 +113,6 @@ mod tests {
     #[should_panic]
     fn even_scale_panics() {
         fold_gates(&Circuit::new(1), 2);
-    }
-
-    #[test]
-    fn global_folding_preserves_the_unitary_and_site_count() {
-        let mut circ = Circuit::new(2);
-        circ.push(Gate::H(0));
-        circ.push(Gate::Rz(0, Angle::param(0)));
-        circ.push(Gate::Cx(0, 1));
-        let params = [0.61];
-        let base = qsim::run_circuit(&circ, &params, &Statevector::zero_state(2));
-        for scale in [1usize, 3, 5] {
-            let folded = fold_global(&circ, scale);
-            assert_eq!(folded.num_gates(), scale * circ.num_gates());
-            let out = qsim::run_circuit(&folded, &params, &Statevector::zero_state(2));
-            let diff = out
-                .to_amplitudes()
-                .iter()
-                .zip(base.to_amplitudes())
-                .map(|(a, b)| (*a - b).norm())
-                .fold(0.0, f64::max);
-            assert!(diff < 1e-12, "global scale {scale}: {diff}");
-        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! re-binds, and until this crate existed neither could say where the time went:
 //! `Executor::stats()` was seven ad-hoc counters behind the queue lock and nothing
 //! recorded which gate sequences were hot.  `qobs` supplies the missing primitives,
-//! built so that the *disabled* configuration costs nothing measurable (it is
-//! guarded by the repository's perf gate) and the *enabled* configuration stays
-//! under a few percent on the `exec_bench` workloads:
+//! built so that the *disabled* configuration costs nothing measurable (one branch
+//! per site) and the *enabled* configuration stays under a few percent on the
+//! `exec_bench` workloads:
 //!
 //! * [`Counters`] — a sharded set of named atomic event counters.  Each thread
 //!   increments its own cache-line-padded shard with a relaxed `fetch_add`, so

@@ -8,11 +8,7 @@
 //! [`Optimizer`]: each logical iteration unfolds as one or more candidate batches (the
 //! initial simplex, the reflection, then expansion *or* contraction, then a possible
 //! shrink batch), visiting exactly the candidates the classic sequential algorithm
-//! would.  With [`NelderMeadConfig::speculative_batch`] the reflection, expansion and
-//! contraction candidates are proposed as **one** batch instead — the decision logic is
-//! unchanged (trajectories are identical), but all three states can be prepared
-//! concurrently by a batched backend at the cost of charging up to two extra
-//! evaluations per iteration.
+//! would.
 
 use crate::{IterationStats, Optimizer};
 
@@ -29,11 +25,6 @@ pub struct NelderMeadConfig {
     pub contraction: f64,
     /// Shrink coefficient (σ).
     pub shrink: f64,
-    /// Propose the reflection/expansion/contraction candidates as one speculative batch
-    /// (better batching at the cost of up to two extra objective evaluations per
-    /// iteration).  Off by default, which reproduces the classic sequential algorithm's
-    /// evaluation count exactly.
-    pub speculative_batch: bool,
 }
 
 impl Default for NelderMeadConfig {
@@ -44,7 +35,6 @@ impl Default for NelderMeadConfig {
             expansion: 2.0,
             contraction: 0.5,
             shrink: 0.5,
-            speculative_batch: false,
         }
     }
 }
@@ -57,7 +47,7 @@ enum Phase {
     Build {
         points: Vec<Vec<f64>>,
     },
-    /// The sequential reflection probe.
+    /// The reflection probe.
     Reflect {
         centroid: Vec<f64>,
         worst_point: Vec<f64>,
@@ -65,15 +55,6 @@ enum Phase {
         best_value: f64,
         second_worst_value: f64,
         reflected: Vec<f64>,
-    },
-    /// Speculative mode: reflection, expansion and contraction as one batch.
-    Speculative {
-        worst_value: f64,
-        best_value: f64,
-        second_worst_value: f64,
-        reflected: Vec<f64>,
-        expanded: Vec<f64>,
-        contracted: Vec<f64>,
     },
     /// Expansion probe after a winning reflection.
     Expand {
@@ -152,12 +133,6 @@ impl Optimizer for NelderMead {
             Phase::Idle => {}
             Phase::Build { points } | Phase::Shrink { points } => return points.clone(),
             Phase::Reflect { reflected, .. } => return vec![reflected.clone()],
-            Phase::Speculative {
-                reflected,
-                expanded,
-                contracted,
-                ..
-            } => return vec![reflected.clone(), expanded.clone(), contracted.clone()],
             Phase::Expand { expanded, .. } => return vec![expanded.clone()],
             Phase::Contract { contracted, .. } => return vec![contracted.clone()],
         }
@@ -195,20 +170,6 @@ impl Optimizer for NelderMead {
         }
 
         let reflected = lerp(&centroid, &worst.0, -self.config.reflection);
-        if self.config.speculative_batch {
-            let expanded = lerp(&centroid, &worst.0, -self.config.expansion);
-            let contracted = lerp(&centroid, &worst.0, self.config.contraction);
-            let batch = vec![reflected.clone(), expanded.clone(), contracted.clone()];
-            self.phase = Phase::Speculative {
-                worst_value: worst.1,
-                best_value,
-                second_worst_value,
-                reflected,
-                expanded,
-                contracted,
-            };
-            return batch;
-        }
         let batch = vec![reflected.clone()];
         self.phase = Phase::Reflect {
             centroid,
@@ -258,37 +219,6 @@ impl Optimizer for NelderMead {
                     self.phase = Phase::Contract {
                         contracted,
                         worst_value,
-                    };
-                    None
-                }
-            }
-            Phase::Speculative {
-                worst_value,
-                best_value,
-                second_worst_value,
-                reflected,
-                expanded,
-                contracted,
-            } => {
-                let (f_reflected, f_expanded, f_contracted) = (values[0], values[1], values[2]);
-                self.evals_acc += 3;
-                let w = worst_idx(&self.simplex);
-                if f_reflected < best_value {
-                    self.simplex[w] = if f_expanded < f_reflected {
-                        (expanded, f_expanded)
-                    } else {
-                        (reflected, f_reflected)
-                    };
-                    self.finish(params)
-                } else if f_reflected < second_worst_value {
-                    self.simplex[w] = (reflected, f_reflected);
-                    self.finish(params)
-                } else if f_contracted < worst_value {
-                    self.simplex[w] = (contracted, f_contracted);
-                    self.finish(params)
-                } else {
-                    self.phase = Phase::Shrink {
-                        points: self.shrink_points(),
                     };
                     None
                 }
@@ -404,31 +334,6 @@ mod tests {
         };
         opt.step(&mut params, &mut counting_obj);
         assert!(count >= 2, "simplex should be rebuilt after reset");
-    }
-
-    #[test]
-    fn speculative_batch_follows_the_same_trajectory() {
-        // Speculation evaluates extra candidates but must make identical decisions.
-        let mut sequential = NelderMead::new(NelderMeadConfig::default());
-        let mut speculative = NelderMead::new(NelderMeadConfig {
-            speculative_batch: true,
-            ..Default::default()
-        });
-        let mut p1 = vec![1.1, -0.6, 0.3];
-        let mut p2 = p1.clone();
-        let mut obj = |p: &[f64]| {
-            p.iter()
-                .enumerate()
-                .map(|(i, x)| (x - 0.1 * i as f64).powi(2))
-                .sum()
-        };
-        for _ in 0..60 {
-            let s1 = sequential.step(&mut p1, &mut obj);
-            let s2 = speculative.step(&mut p2, &mut obj);
-            assert_eq!(p1, p2, "speculation must not change the trajectory");
-            assert_eq!(s1.loss, s2.loss);
-            assert!(s2.evaluations >= s1.evaluations);
-        }
     }
 
     #[test]

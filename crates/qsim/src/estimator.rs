@@ -4,69 +4,21 @@
 //! expectation value an experimentalist would obtain from a finite number of measurement
 //! shots.  Two sampling models are provided:
 //!
-//! * [`SamplingMethod::Exact`] — no sampling noise (the paper's noiseless statevector
-//!   runs, which still *charge* shots for cost accounting).
-//! * [`SamplingMethod::Analytic`] — per-term Gaussian sampling noise with the exact
+//! * [`analytic_sampled_expectation`] — per-term Gaussian sampling noise with the exact
 //!   binomial variance `(1 − ⟨P⟩²)/s`.  Statistically equivalent to measuring each term
-//!   with `s` shots, at a fraction of the simulation cost.
-//! * [`SamplingMethod::Multinomial`] — true bitstring sampling per qubit-wise-commuting
-//!   group (slower; used in tests to validate the analytic model).
+//!   with `s` shots, at a fraction of the simulation cost; the `vqa` dense driver's
+//!   sampling stages call its noise half, [`analytic_sampled_from_expectations`], on the
+//!   readout they already hold.
+//! * [`multinomial_sampled_expectation`] — true bitstring sampling per
+//!   qubit-wise-commuting group (slower; the oracle the analytic model is tested
+//!   against).
+//!
+//! Neither charges shots: the paper's cost accounting (`shots_per_pauli × num_terms` per
+//! evaluation, whatever the sampling model — Section 7.3) is the caller's
+//! [`crate::ShotLedger`].
 
-use crate::shots::ShotLedger;
 use qop::{group_qwc, PauliOp, PauliString, Statevector, TermBasis};
 use rand::Rng;
-
-/// How measurement sampling noise is generated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SamplingMethod {
-    /// Exact expectation values (no sampling noise).
-    Exact,
-    /// Gaussian noise with the exact per-term binomial variance.
-    Analytic,
-    /// True multinomial bitstring sampling per qubit-wise-commuting group.
-    Multinomial,
-}
-
-/// Configuration of the shot estimator.
-#[derive(Clone, Copy, Debug)]
-pub struct EstimatorConfig {
-    /// Shots allocated to each Pauli term of the measured Hamiltonian.
-    pub shots_per_pauli: u64,
-    /// Sampling model.
-    pub method: SamplingMethod,
-}
-
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        EstimatorConfig {
-            shots_per_pauli: crate::shots::DEFAULT_SHOTS_PER_PAULI,
-            method: SamplingMethod::Exact,
-        }
-    }
-}
-
-/// Estimates `⟨ψ|H|ψ⟩` under the configured sampling model, charging the ledger.
-///
-/// The shot charge is always `shots_per_pauli × num_terms`, independent of the sampling
-/// model, because the paper's cost accounting is defined that way (Section 7.3).
-pub fn estimate_expectation<R: Rng>(
-    op: &PauliOp,
-    state: &Statevector,
-    config: &EstimatorConfig,
-    ledger: &mut ShotLedger,
-    rng: &mut R,
-) -> f64 {
-    ledger.charge_evaluation(config.shots_per_pauli, op.num_terms());
-    match config.method {
-        SamplingMethod::Exact => op.expectation(state),
-        SamplingMethod::Analytic => {
-            analytic_sampled_expectation(op, state, config.shots_per_pauli, rng)
-        }
-        SamplingMethod::Multinomial => {
-            multinomial_sampled_expectation(op, state, config.shots_per_pauli, rng)
-        }
-    }
-}
 
 /// Per-term Gaussian model: each Pauli expectation `⟨P⟩` is replaced by the sample mean of
 /// `s` ±1 outcomes, approximated by `N(⟨P⟩, (1 − ⟨P⟩²)/s)` and clamped to `[-1, 1]`.
@@ -236,20 +188,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1234)
-    }
-
-    #[test]
-    fn exact_method_matches_operator_expectation() {
-        let op = PauliOp::from_labels(2, &[("ZZ", 0.7), ("XI", -0.3)]);
-        let psi = Statevector::uniform_superposition(2);
-        let mut ledger = ShotLedger::new();
-        let cfg = EstimatorConfig {
-            shots_per_pauli: 4096,
-            method: SamplingMethod::Exact,
-        };
-        let e = estimate_expectation(&op, &psi, &cfg, &mut ledger, &mut rng());
-        assert!((e - op.expectation(&psi)).abs() < 1e-12);
-        assert_eq!(ledger.total(), 4096 * 2);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! * [`run_circuit`] — exact dense statevector simulation (Qiskit Aer's
 //!   `StatevectorSimulator` role).
-//! * [`estimate_expectation`] — finite-shot estimation layered on the exact state, with
-//!   a [`ShotLedger`] that implements the paper's shot-cost accounting.
+//! * [`analytic_sampled_expectation`] — finite-shot estimation layered on the exact
+//!   state, beside a [`ShotLedger`] that implements the paper's shot-cost accounting.
 //! * [`PauliPropagator`] — Heisenberg-picture Pauli propagation with weight truncation
 //!   for large systems (the `PauliPropagation` role).
 //!
-//! Analytic hardware-noise models ([`NoiseModel`]) stand in for density-matrix noise
-//! simulation; the `noise` module docs give the substitution rationale.
+//! Device noise is not modelled here: the `qnoise` crate owns the model, and this crate
+//! keeps only the mechanics it binds to — a compiled circuit's [`NoiseSite`] table and
+//! the [`PauliInsertion`]s replayed between its ops.
 //!
 //! ## The compile/execute split
 //!
@@ -58,7 +59,6 @@
 
 mod compiled;
 mod estimator;
-mod noise;
 mod pauliprop;
 pub mod profile;
 mod shots;
@@ -66,11 +66,8 @@ mod simulator;
 
 pub use compiled::{BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion};
 pub use estimator::{
-    analytic_sampled_expectation, analytic_sampled_from_expectations, estimate_expectation,
-    exact_term_expectations, multinomial_sampled_expectation, EstimatorConfig, SamplingMethod,
-};
-pub use noise::{
-    attenuate_readout, attenuation_factor, noisy_expectation, CircuitNoiseProfile, NoiseModel,
+    analytic_sampled_expectation, analytic_sampled_from_expectations, exact_term_expectations,
+    multinomial_sampled_expectation,
 };
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};
 pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};

@@ -22,10 +22,7 @@ use crate::task::InitialState;
 use qcircuit::Circuit;
 use qop::{PauliOp, Statevector, TermBasis};
 use qrng::StreamId;
-use qsim::{
-    attenuation_factor, CircuitNoiseProfile, NoiseModel, PauliPropagator, PauliPropagatorConfig,
-    ShotLedger,
-};
+use qsim::{PauliPropagator, PauliPropagatorConfig, ShotLedger};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -511,7 +508,8 @@ pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
 /// Pauli-propagation backend for large registers (no dense state is ever formed).
 ///
 /// Only basis-state initial states are supported; optionally applies the per-layer
-/// depolarizing attenuation of the large-scale noisy study.  Uses the trait's default
+/// depolarizing attenuation of the large-scale noisy study
+/// ([`PauliPropagationBackend::with_layer_depolarizing`]).  Uses the trait's default
 /// (serial) batch implementation: the propagator is Heisenberg-picture, so there is no
 /// shared prepared state to amortize.
 #[derive(Debug)]
@@ -519,7 +517,8 @@ pub struct PauliPropagationBackend {
     propagator: PauliPropagator,
     shots_per_pauli: u64,
     ledger: ShotLedger,
-    noise: Option<(NoiseModel, usize)>,
+    /// `(rate, layers)` of the per-layer depolarizing channel; `None` = ideal.
+    layer_depolarizing: Option<(f64, usize)>,
 }
 
 impl PauliPropagationBackend {
@@ -529,34 +528,45 @@ impl PauliPropagationBackend {
             propagator: PauliPropagator::new(config),
             shots_per_pauli,
             ledger: ShotLedger::new(),
-            noise: None,
+            layer_depolarizing: None,
         }
     }
 
-    /// Adds a per-layer depolarizing noise model (Section 8.4's noisy configuration).
-    pub fn with_noise(mut self, model: NoiseModel, layers: usize) -> Self {
-        self.noise = Some((model, layers));
+    /// Section 8.4's noisy configuration: a depolarizing layer of strength `rate` on every
+    /// qubit after each of the ansatz' `layers` repetitions, so evaluations see every
+    /// term of weight `w` damped by `(1 − rate)^(layers·w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside `[0, 1]`.
+    pub fn with_layer_depolarizing(mut self, rate: f64, layers: usize) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "depolarizing rate {rate} outside [0, 1]"
+        );
+        self.layer_depolarizing = Some((rate, layers));
         self
     }
 
-    fn expectation(&self, circuit: &Circuit, params: &[f64], op: &PauliOp, basis: u64) -> f64 {
-        match &self.noise {
-            None => self.propagator.expectation(circuit, params, op, basis),
-            Some((model, layers)) => {
-                // Attenuate each term according to its weight before propagation; the
-                // depolarizing layer commutes with the (unitary) propagation for this
-                // analytic model.
-                let profile = CircuitNoiseProfile::from_circuit(circuit, *layers);
-                let mut damped = PauliOp::zero(op.num_qubits());
-                for t in op.terms() {
-                    damped.add_term(
-                        t.string,
-                        t.coefficient * attenuation_factor(model, &profile, t.string.weight()),
-                    );
-                }
-                self.propagator.expectation(circuit, params, &damped, basis)
-            }
+    /// What evaluations report: `op` with every term damped for its weight — the
+    /// depolarizing layer commutes with the (unitary) propagation for this analytic
+    /// model, so damping the observable up front is damping the result.
+    fn damped_expectation(
+        &self,
+        circuit: &Circuit,
+        params: &[f64],
+        op: &PauliOp,
+        basis: u64,
+    ) -> f64 {
+        let Some((rate, layers)) = self.layer_depolarizing else {
+            return self.propagator.expectation(circuit, params, op, basis);
+        };
+        let mut damped = PauliOp::zero(op.num_qubits());
+        for t in op.terms() {
+            let exponent = layers as f64 * f64::from(t.string.weight());
+            damped.add_term(t.string, t.coefficient * (1.0 - rate).powf(exponent));
         }
+        self.propagator.expectation(circuit, params, &damped, basis)
     }
 }
 
@@ -574,10 +584,10 @@ impl Backend for PauliPropagationBackend {
             .expect("the Pauli-propagation backend requires a basis-state initial state");
         self.ledger
             .charge_evaluation(self.shots_per_pauli, charged_op.num_terms());
-        let charged = self.expectation(circuit, params, charged_op, basis);
+        let charged = self.damped_expectation(circuit, params, charged_op, basis);
         let free = free_ops
             .iter()
-            .map(|op| self.expectation(circuit, params, op, basis))
+            .map(|op| self.damped_expectation(circuit, params, op, basis))
             .collect();
         (charged, free)
     }
@@ -592,7 +602,9 @@ impl Backend for PauliPropagationBackend {
         let basis = initial
             .basis_index()
             .expect("the Pauli-propagation backend requires a basis-state initial state");
-        self.expectation(circuit, params, op, basis)
+        // Probes report the ideal value, whatever noise evaluations carry (as every
+        // other driver's do): fidelity measures the optimized state, not the device.
+        self.propagator.expectation(circuit, params, op, basis)
     }
 
     fn shots_used(&self) -> u64 {
@@ -616,7 +628,7 @@ impl Backend for PauliPropagationBackend {
         // cross-request state, so retries (and half-failed batch re-executions) cannot
         // perturb any other job.
         BackendCaps {
-            noise: self.noise.is_some(),
+            noise: self.layer_depolarizing.is_some(),
             retry_safe: true,
             ..BackendCaps::default()
         }
@@ -627,7 +639,8 @@ impl Backend for PauliPropagationBackend {
 mod tests {
     use super::*;
     use crate::{NoisyBackend, NoisyStatevectorBackend, SampledBackend, StatevectorBackend};
-    use qcircuit::{Entanglement, HardwareEfficientAnsatz};
+    use qcircuit::{Angle, Entanglement, Gate, HardwareEfficientAnsatz};
+    use qnoise::PauliNoiseModel;
     use qrng::SeedPolicy;
 
     /// `⟨op⟩` on `U(θ)|0…0⟩` through the one-shot interpreted simulator: the reference
@@ -807,13 +820,12 @@ mod tests {
                 stream: Some(StreamId::for_job(k)),
             })
             .collect();
-        let device = NoiseModel::by_name("mumbai").unwrap();
-        let channels = qnoise::PauliNoiseModel::ibm_like("test", 0.02, 0.05, 0.01, 0.01);
+        let device = PauliNoiseModel::by_name("mumbai").unwrap();
+        let channels = PauliNoiseModel::ibm_like("test", 0.02, 0.05, 0.01, 0.01);
         let stages: [Box<dyn Fn() -> Box<dyn Backend>>; 2] = [
             Box::new(move || {
                 Box::new(NoisyBackend::with_policy(
                     device.clone(),
-                    2,
                     128,
                     SeedPolicy::new(8),
                 ))
@@ -865,13 +877,48 @@ mod tests {
     fn noisy_backend_attenuates_relative_to_ideal() {
         let (circuit, params, h1, _) = demo_setup();
         let exact = ideal(&circuit, &params, &h1);
-        let model = NoiseModel::by_name("mumbai").unwrap();
-        let mut backend = NoisyBackend::with_policy(model, 5, 0, SeedPolicy::new(3));
+        let model = PauliNoiseModel::by_name("mumbai").unwrap();
+        let mut backend = NoisyBackend::with_policy(model, 0, SeedPolicy::new(3));
         // shots_per_pauli = 0 disables sampling noise in the analytic sampler, isolating
         // the attenuation effect.
         let (noisy, _) = backend.evaluate(&circuit, &params, &InitialState::Basis(0), &h1, &[]);
         assert!(noisy.abs() <= exact.abs() + 1e-9);
         assert_eq!(backend.name(), "noisy");
+    }
+
+    /// The two noisy stages are two readouts of one model over one site list: where the
+    /// mean field is exact (one qubit: nothing to spread) the attenuation table, the
+    /// analytic stage and the trajectory mean all report the channel's own value.
+    #[test]
+    fn analytic_and_trajectory_stages_read_one_model() {
+        let (p, m) = (0.05, 6);
+        let mut circuit = Circuit::new(1);
+        for _ in 0..m {
+            circuit.push(Gate::Ry(0, Angle::Fixed(0.3)));
+        }
+        let x = PauliOp::from_labels(1, &[("X", 1.0)]);
+        let exact = ideal(&circuit, &[], &x);
+        let channel = (1.0 - 4.0 * p / 3.0f64).powi(m);
+
+        let model = PauliNoiseModel::depolarizing(p, 0.0);
+        let compiled = qsim::CompiledCircuit::compile(&circuit);
+        let table = model.mean_field_attenuation(compiled.noise_sites(), 1);
+        assert!((table[1] - channel).abs() < 1e-12);
+
+        let initial = InitialState::Basis(0);
+        let mut analytic = NoisyBackend::with_policy(model.clone(), 0, SeedPolicy::new(1));
+        let (value, _) = analytic.evaluate(&circuit, &[], &initial, &x, &[]);
+        assert!((value - exact * channel).abs() < 1e-12);
+
+        let k = 20_000;
+        let mut trajectories =
+            NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(5)).with_trajectories(k);
+        let (mean, _) = trajectories.evaluate(&circuit, &[], &initial, &x, &[]);
+        // Every trajectory reads ±⟨X⟩, so the mean's σ ≤ 1/√k ≈ 0.007.
+        assert!(
+            (mean - value).abs() < 0.03,
+            "trajectory mean {mean} vs analytic {value}"
+        );
     }
 
     #[test]
@@ -891,6 +938,46 @@ mod tests {
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
         assert!((fa[0] - fb[0]).abs() < 1e-7);
         assert_eq!(dense.shots_used(), prop.shots_used());
+    }
+
+    #[test]
+    fn layer_depolarizing_damps_evaluations_per_term_weight_and_spares_probes() {
+        let (circuit, params, h1, h2) = demo_setup();
+        let (rate, layers) = (0.01, 2);
+        let initial = InitialState::Basis(0b101);
+        let mut ideal_prop = PauliPropagationBackend::new(PauliPropagatorConfig::default(), 10);
+        let mut noisy_prop = PauliPropagationBackend::new(PauliPropagatorConfig::default(), 10)
+            .with_layer_depolarizing(rate, layers);
+        assert!(!ideal_prop.capabilities().noise);
+        assert!(noisy_prop.capabilities().noise);
+
+        // One term at a time, charged and free alike: exactly (1 − rate)^(layers·w).
+        for term in h1.terms().iter().chain(h2.terms()) {
+            let mut op = PauliOp::zero(3);
+            op.add_term(term.string, term.coefficient);
+            let factor = (1.0 - rate).powi(layers as i32 * term.string.weight() as i32);
+            let (clean, clean_free) = ideal_prop.evaluate(&circuit, &params, &initial, &op, &[&op]);
+            let (damped, damped_free) =
+                noisy_prop.evaluate(&circuit, &params, &initial, &op, &[&op]);
+            assert!(clean.abs() > 1e-3, "term {} carries no signal", term.string);
+            assert!((damped - factor * clean).abs() < 1e-12);
+            assert!((damped_free[0] - factor * clean_free[0]).abs() < 1e-12);
+        }
+        assert_eq!(noisy_prop.shots_used(), ideal_prop.shots_used());
+
+        let probed = noisy_prop.probe(&circuit, &params, &initial, &h1);
+        let undamped = ideal_prop.probe(&circuit, &params, &initial, &h1);
+        // (Not bit-equal: the propagator sums over a `HashMap`, in per-instance order.)
+        assert!((probed - undamped).abs() < 1e-12);
+        let (evaluated, _) = noisy_prop.evaluate(&circuit, &params, &initial, &h1, &[]);
+        assert!((evaluated - probed).abs() > 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn layer_depolarizing_rejects_a_rate_that_is_no_probability() {
+        let _ = PauliPropagationBackend::new(PauliPropagatorConfig::default(), 10)
+            .with_layer_depolarizing(1.5, 1);
     }
 
     #[test]

@@ -14,12 +14,10 @@ use crate::backend::{
 };
 use crate::task::InitialState;
 use qcircuit::Circuit;
+use qnoise::PauliNoiseModel;
 use qop::{PauliOp, TermBasis};
 use qrng::{CounterRng, SeedPolicy, StreamId};
-use qsim::{
-    attenuate_readout, BatchTables, CircuitNoiseProfile, CompiledCircuit, NoiseModel,
-    PauliInsertion, ShotLedger,
-};
+use qsim::{BatchTables, CompiledCircuit, PauliInsertion, ShotLedger};
 use std::fmt::Debug;
 
 /// How the dense driver turns a request's measured per-string readout into its charged
@@ -38,7 +36,7 @@ pub trait Readout {
     }
 
     /// Derives the per-circuit plan (on a circuit-cache miss).
-    fn plan(&self, circuit: &Circuit, compiled: &CompiledCircuit) -> Self::Plan;
+    fn plan(&self, compiled: &CompiledCircuit) -> Self::Plan;
 
     /// Rollouts executed per request.
     fn rollouts(&self, _plan: &Self::Plan) -> usize {
@@ -93,7 +91,7 @@ impl Readout for Exact {
 
     const NAME: &'static str = "statevector";
 
-    fn plan(&self, _: &Circuit, _: &CompiledCircuit) {}
+    fn plan(&self, _: &CompiledCircuit) {}
 
     fn charged(
         &self,
@@ -127,7 +125,7 @@ impl Readout for Sampled {
         }
     }
 
-    fn plan(&self, _: &Circuit, _: &CompiledCircuit) {}
+    fn plan(&self, _: &CompiledCircuit) {}
 
     fn charged(
         &self,
@@ -142,19 +140,19 @@ impl Readout for Sampled {
     }
 }
 
-/// Attenuating readout: every string is damped by the `qsim::noise` device model for its
-/// weight and the circuit's gate counts; the charged operator additionally carries shot
-/// noise.
+/// Attenuating readout: the analytic reading of a [`PauliNoiseModel`] — every string is
+/// damped by the model's mean-field attenuation for its weight over the circuit's noise
+/// sites (the sites the trajectory stage samples errors at); the charged operator
+/// additionally carries shot noise.
 #[derive(Debug)]
 pub struct Attenuated {
     policy: SeedPolicy,
-    model: NoiseModel,
-    /// Ansatz repetitions used for the per-layer depolarizing channel.
-    layers: usize,
+    model: PauliNoiseModel,
 }
 
 impl Readout for Attenuated {
-    type Plan = CircuitNoiseProfile;
+    /// [`PauliNoiseModel::mean_field_attenuation`]: the factor per term weight.
+    type Plan = Vec<f64>;
 
     const NAME: &'static str = "noisy";
 
@@ -166,13 +164,14 @@ impl Readout for Attenuated {
         }
     }
 
-    fn plan(&self, circuit: &Circuit, _: &CompiledCircuit) -> CircuitNoiseProfile {
-        CircuitNoiseProfile::from_circuit(circuit, self.layers)
+    fn plan(&self, compiled: &CompiledCircuit) -> Vec<f64> {
+        self.model
+            .mean_field_attenuation(compiled.noise_sites(), compiled.num_qubits())
     }
 
     fn charged(
         &self,
-        profile: &CircuitNoiseProfile,
+        attenuation: &Vec<f64>,
         basis: &TermBasis,
         values: &mut [f64],
         op: &PauliOp,
@@ -184,7 +183,9 @@ impl Readout for Attenuated {
         // value keeps the variance model simple and unbiased.
         let shot_noise = sampled(basis, values, op, shots_per_pauli, self.policy.rng(stream))
             - basis.op_value(0, values);
-        attenuate_readout(basis, values, &self.model, profile);
+        for (value, string) in values.iter_mut().zip(basis.strings()) {
+            *value *= attenuation[string.weight() as usize];
+        }
         basis.op_value(0, values) + shot_noise
     }
 }
@@ -212,7 +213,7 @@ fn plan_for<'a, R: Readout>(
 ) -> &'a (CompiledCircuit, R::Plan) {
     plans.get_or_insert_with(circuit, |c| {
         let compiled = CompiledCircuit::compile(c);
-        let plan = readout.plan(c, &compiled);
+        let plan = readout.plan(&compiled);
         (compiled, plan)
     })
 }
@@ -476,24 +477,16 @@ impl Dense<Sampled> {
     }
 }
 
-/// Noisy backend — the dense driver with the attenuating readout: the analytic
-/// device-noise attenuation of `qsim::noise` is applied to the charged observable on top
-/// of shot sampling; tracking observables are attenuated but not sampled.
+/// Noisy backend — the dense driver with the attenuating readout: the mean-field
+/// attenuation of a `qnoise` device model is applied to the charged observable on top of
+/// shot sampling; tracking observables are attenuated but not sampled.  One ideal rollout
+/// per request and a deterministic noisy landscape — the model's cheap readout, where
+/// [`crate::NoisyStatevectorBackend`] simulates the same model by trajectories.
 pub type NoisyBackend = Dense<Attenuated>;
 
 impl Dense<Attenuated> {
     /// Creates a noisy backend with a typed seeding policy.
-    pub fn with_policy(
-        model: NoiseModel,
-        layers: usize,
-        shots_per_pauli: u64,
-        policy: SeedPolicy,
-    ) -> Self {
-        let readout = Attenuated {
-            policy,
-            model,
-            layers,
-        };
-        Dense::with_readout(shots_per_pauli, readout)
+    pub fn with_policy(model: PauliNoiseModel, shots_per_pauli: u64, policy: SeedPolicy) -> Self {
+        Dense::with_readout(shots_per_pauli, Attenuated { policy, model })
     }
 }

@@ -8,12 +8,14 @@
 //!   [`EvalRequest`]s).
 //! * One dense driver, [`Dense`], behind four names that differ only in the readout
 //!   stage ending its pipeline: [`StatevectorBackend`] (exact), [`SampledBackend`]
-//!   (shot noise), [`NoisyBackend`] (analytic attenuation) and
-//!   [`NoisyStatevectorBackend`] (stochastic Pauli-trajectory simulation of `qnoise`
+//!   (shot noise), and the two readouts of a `qnoise::PauliNoiseModel` —
+//!   [`NoisyBackend`] (its analytic mean-field attenuation) and
+//!   [`NoisyStatevectorBackend`] (stochastic Pauli-trajectory simulation of its
 //!   channels).  The pipeline — compiled-circuit cache, one term-basis readout per
 //!   state, a data-parallel scratch-state pool, batches split into runs of equal
 //!   circuits — is described on [`Dense`].
-//! * [`PauliPropagationBackend`] for registers too large for a dense state, and
+//! * [`PauliPropagationBackend`] for registers too large for a dense state (its only
+//!   noise is Section 8.4's per-layer depolarizing damping), and
 //!   [`ZneBackend`], the zero-noise-extrapolation wrapper any backend can opt into.
 //! * [`VqaRunConfig`] / [`VqaRunResult`] / [`BaselineRunResult`] — plain-data run
 //!   configuration and result records.  The drivers that produce them live in the

@@ -1,13 +1,13 @@
 //! The stochastic-trajectory readout stage of the dense driver.
 //!
-//! Where [`crate::NoisyBackend`] *analytically attenuates* expectations (cheap, but
-//! blind to how errors actually propagate through the circuit), this stage **simulates
-//! the noise**: each evaluation averages K stochastic Pauli trajectories, and each
-//! trajectory is one ideal compiled execution with a pre-sampled Pauli error stream
-//! replayed between compiled ops (`qnoise::TrajectorySampler` over
-//! [`qsim::CompiledCircuit::noise_sites`]).  No density matrix is ever formed: memory
-//! stays one statevector per in-flight trajectory, and the trajectory average is an
-//! unbiased estimate of the density-matrix expectation.
+//! Where [`crate::NoisyBackend`] reads a `qnoise::PauliNoiseModel` *analytically* (its
+//! mean-field attenuation: cheap, but blind to how errors actually propagate through
+//! the circuit), this stage **simulates the same model**: each evaluation averages K
+//! stochastic Pauli trajectories, and each trajectory is one ideal compiled execution
+//! with a pre-sampled Pauli error stream replayed between compiled ops
+//! (`qnoise::TrajectorySampler` over [`qsim::CompiledCircuit::noise_sites`]).  No
+//! density matrix is ever formed: memory stays one statevector per in-flight trajectory,
+//! and the trajectory average is an unbiased estimate of the density-matrix expectation.
 //!
 //! K trajectories of one parameter binding are embarrassingly parallel rollouts of one
 //! compiled program — exactly the `(request, rollout)` items the [`crate::dense`]
@@ -26,7 +26,6 @@
 
 use crate::backend::BackendCaps;
 use crate::dense::{sampled, Dense, Readout};
-use qcircuit::Circuit;
 use qnoise::{readout_attenuation, PauliNoiseModel, TrajectorySampler};
 use qop::{PauliOp, TermBasis};
 use qrng::{SeedPolicy, StreamId};
@@ -57,7 +56,7 @@ impl Readout for Trajectories {
         }
     }
 
-    fn plan(&self, _: &Circuit, compiled: &CompiledCircuit) -> TrajectorySampler {
+    fn plan(&self, compiled: &CompiledCircuit) -> TrajectorySampler {
         TrajectorySampler::new(compiled, &self.model)
     }
 
@@ -147,7 +146,7 @@ impl Dense<Trajectories> {
 mod tests {
     use super::*;
     use crate::{Backend, EvalRequest, InitialState, StatevectorBackend};
-    use qcircuit::{Entanglement, Gate, HardwareEfficientAnsatz};
+    use qcircuit::{Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 
     fn demo() -> (Circuit, Vec<f64>, PauliOp, PauliOp) {
         let circuit = HardwareEfficientAnsatz::new(3, 1, Entanglement::Linear).build();

@@ -2,9 +2,9 @@
 //!
 //! The paper's physics benchmarks build a "landscape" by sweeping a model parameter
 //! (Section 7.1).  This example sweeps the transverse field of an 8-site Ising chain
-//! across its quantum phase transition, runs TreeVQA on a noiseless backend and on a
-//! synthetic noisy backend (Section 8.7's setting), and reports how the shot savings and
-//! accuracy compare.
+//! across its quantum phase transition, runs TreeVQA on a noiseless backend and on the
+//! analytic readout of a synthetic device calibration (`qnoise::PauliNoiseModel`, Section
+//! 8.7's setting), and reports how the shot savings and accuracy compare.
 //!
 //! Run with:
 //!
@@ -15,8 +15,8 @@
 use qchem::SpinChainFamily;
 use qcircuit::{Entanglement, HardwareEfficientAnsatz};
 use qexec::{run_baseline, Executor, SeedPolicy};
+use qnoise::PauliNoiseModel;
 use qopt::{OptimizerSpec, SpsaConfig};
-use qsim::NoiseModel;
 use treevqa::{TreeVqa, TreeVqaConfig};
 use vqa::{
     metrics, Backend, InitialState, NoisyBackend, StatevectorBackend, VqaApplication, VqaRunConfig,
@@ -101,11 +101,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(StatevectorBackend::new()) as Box<dyn Backend + Send>
     })?;
 
-    let model = NoiseModel::by_name("cairo").ok_or("unknown noise model \"cairo\"")?;
+    let model = PauliNoiseModel::by_name("cairo").ok_or("unknown noise model \"cairo\"")?;
     compare("noisy", &application, move || {
         Box::new(NoisyBackend::with_policy(
             model.clone(),
-            2,
             qsim::DEFAULT_SHOTS_PER_PAULI,
             SeedPolicy::new(23),
         )) as Box<dyn Backend + Send>

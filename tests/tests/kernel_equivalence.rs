@@ -1,34 +1,18 @@
 //! Property tests pinning the optimized simulation kernels to the retained naive
 //! reference implementations.
 //!
-//! The branch-free/in-place/parallel kernels in `qsim` and `qop` must be bit-for-bit
+//! The branch-free/in-place kernels in `qsim` and `qop` must be bit-for-bit
 //! *algorithmically* equivalent to the originals (up to floating-point associativity), so
 //! every property here demands agreement to 1e-12 on random circuits, random Pauli
-//! rotations, and random Hamiltonians.  The 14-qubit properties run above the default
-//! `QSIM_PAR_THRESHOLD` of 2^14 amplitudes, so they exercise the multi-threaded kernel
-//! paths against the serial references.
+//! rotations, and random Hamiltonians.  Each kernel is one serial vectorized body (only
+//! `qop::par::map_states`, which nothing here reaches, spawns threads); the 14-qubit
+//! properties are this suite's large-register coverage: every block size, lane
+//! permutation and sign-table path a 2^14-amplitude state reaches.
 
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
 use qsim::{reference, run_circuit};
-
-/// Forces the kernels' parallel paths even on single-core CI machines (the vendored
-/// rayon honors this like the real global-pool configuration).
-fn force_parallel_workers() {
-    // Honor the CI matrix's RAYON_NUM_THREADS (1 pins every kernel serial, 2/4 vary
-    // the worker partitioning); default to 4 so a plain local `cargo test` still
-    // drives the parallel paths on a single-core box.
-    let threads = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .ok();
-}
 
 /// A dense, structured, normalized state: every amplitude distinct so index or phase
 /// mix-ups cannot cancel.
@@ -135,18 +119,16 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases for the 14-qubit properties: each touches 2^14 amplitudes per gate and
-    // exists to drive the *parallel* kernel paths (dim == the default threshold).
+    // Fewer cases for the 14-qubit properties: each touches 2^14 amplitudes per gate.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Parallel gate kernels (at/above the default threshold) match the serial reference.
+    /// Gate kernels on a 14-qubit register match the naive reference.
     #[test]
-    fn parallel_gate_kernels_agree_with_reference(
+    fn gate_kernels_agree_with_reference_at_14_qubits(
         gates in proptest::collection::vec(arb_gate(14), 1..10),
         rotation in arb_pauli_label(14),
         theta in -3.2f64..3.2,
     ) {
-        force_parallel_workers();
         let n = 14;
         let circuit = circuit_from_gates(n, gates);
         let initial = dense_state(n);
@@ -158,24 +140,23 @@ proptest! {
         prop_assert!(max_amplitude_diff(&fast, &naive) < 1e-12);
     }
 
-    /// Parallel Hamiltonian expectation (term-parallel with per-string fast paths) equals
-    /// the serial naive sum.
+    /// Hamiltonian expectation on a 14-qubit register (the term-basis readout with its
+    /// per-string fast paths) equals the naive per-term sum.
     #[test]
-    fn parallel_expectation_equals_serial(
+    fn expectation_equals_naive_sum_at_14_qubits(
         terms in proptest::collection::vec((arb_pauli_label(14), -1.0f64..1.0), 2..10),
     ) {
-        force_parallel_workers();
         let psi = dense_state(14);
         let refs: Vec<(&str, f64)> = terms.iter().map(|(l, c)| (l.as_str(), *c)).collect();
         let op = PauliOp::from_labels(14, &refs);
-        let parallel = op.expectation(&psi);
-        let serial: f64 = op
+        let fast = op.expectation(&psi);
+        let naive_sum: f64 = op
             .terms()
             .iter()
             .map(|t| t.coefficient * PauliOp::string_expectation_naive(&t.string, &psi))
             .sum();
-        prop_assert!((parallel - serial).abs() < 1e-10, "{parallel} vs {serial}");
-        // Per-term expectations take the same parallel path and must agree term-by-term.
+        prop_assert!((fast - naive_sum).abs() < 1e-10, "{fast} vs {naive_sum}");
+        // Per-term expectations take the same path and must agree term-by-term.
         let per_term = op.term_expectations(&psi);
         for (t, e) in op.terms().iter().zip(per_term) {
             let naive = PauliOp::string_expectation_naive(&t.string, &psi);

@@ -5,31 +5,16 @@
 //! to split re/im `f64` lanes.  The reference kernels in `qsim::reference` deliberately
 //! stayed on interleaved storage (converting at entry/exit), so every property here
 //! compares two genuinely different memory layouts — an index or lane mix-up cannot
-//! cancel out.  All agreements are demanded to 1e-12 per amplitude; the suites run in
-//! CI under `RAYON_NUM_THREADS ∈ {1, 2, 4}` so both the serial 4-wide-chunked paths and
-//! the partitioned parallel paths are pinned.
+//! cancel out.  All agreements are demanded to 1e-12 per amplitude.  Every kernel
+//! reached here is one serial vectorized body — nothing in this suite opens a parallel
+//! region (`qop::par::map_states` is the only one and sits above these entry points) —
+//! so the thread count cannot matter; the 14-qubit property is the large-register
+//! coverage of the 4-wide-chunked paths.
 
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliString, Statevector};
 use qsim::{reference, run_circuit, CompiledCircuit, PauliInsertion};
-
-/// Forces the kernels' parallel paths even on single-core CI machines (the vendored
-/// rayon honors this like the real global-pool configuration).
-fn force_parallel_workers() {
-    // Honor the CI matrix's RAYON_NUM_THREADS (1 pins every kernel serial, 2/4 vary
-    // the worker partitioning); default to 4 so a plain local `cargo test` still
-    // drives the parallel paths on a single-core box.
-    let threads = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .ok();
-}
 
 /// A dense, structured, normalized state: every amplitude distinct so index or phase
 /// mix-ups cannot cancel.
@@ -138,7 +123,6 @@ proptest! {
     fn soa_circuits_match_interleaved_reference(
         gates in proptest::collection::vec(arb_gate_all_kinds(6), 1..32),
     ) {
-        force_parallel_workers();
         let n = 6;
         let circuit = circuit_from_gates(n, gates);
         let initial = dense_state(n);
@@ -194,7 +178,6 @@ proptest! {
         gates in proptest::collection::vec(arb_gate_all_kinds(5), 4..24),
         raw_sites in proptest::collection::vec((0usize..64, arb_pauli_label(5)), 1..5),
     ) {
-        force_parallel_workers();
         let n = 5;
         let circuit = circuit_from_gates(n, gates);
         let compiled = CompiledCircuit::compile(&circuit);
@@ -225,7 +208,6 @@ proptest! {
         gates in proptest::collection::vec(arb_gate_all_kinds(5), 1..16),
         label in arb_pauli_label(5),
     ) {
-        force_parallel_workers();
         let n = 5;
         let circuit = circuit_from_gates(n, gates);
         let compiled = CompiledCircuit::compile(&circuit);
@@ -245,8 +227,7 @@ proptest! {
 
 proptest! {
     // Fewer cases for the expensive properties (tabulated diagonal tables need ≥8
-    // qubits; the 14-qubit circuits drive the parallel kernel paths at the default
-    // threshold).
+    // qubits; the 14-qubit circuits touch 2^14 amplitudes per gate).
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Diagonal batch tables: cached execution is bit-identical to uncached and matches
@@ -257,7 +238,6 @@ proptest! {
         beta_a in -3.0f64..3.0,
         beta_b in -3.0f64..3.0,
     ) {
-        force_parallel_workers();
         let n = 9;
         let circ = qaoa_circuit(n);
         let compiled = CompiledCircuit::compile(&circ);
@@ -277,13 +257,12 @@ proptest! {
         }
     }
 
-    /// 14-qubit circuits cross the default parallel threshold: the partitioned parallel
-    /// split-lane kernels match the serial interleaved reference.
+    /// Large registers: the split-lane kernels match the interleaved reference on
+    /// 14-qubit circuits.
     #[test]
-    fn parallel_soa_kernels_match_reference(
+    fn soa_kernels_match_reference_at_14_qubits(
         gates in proptest::collection::vec(arb_gate_all_kinds(14), 1..8),
     ) {
-        force_parallel_workers();
         let n = 14;
         let circuit = circuit_from_gates(n, gates);
         let initial = dense_state(n);
