@@ -60,9 +60,9 @@ pub enum AdmissionPolicy {
     Reject,
     /// Block the submitting thread until queue space frees up (jobs draining,
     /// cancellation, or deadline expiry).  Submitting against a full queue on a
-    /// *paused* executor blocks until someone resumes it — callers holding a pause
-    /// (e.g. inside [`ExecClient::submit_all`]) must size capacity for their largest
-    /// group, or the group deadlocks against its own pause.
+    /// *paused* executor blocks until someone resumes it.  A group
+    /// ([`ExecClient::submit_group`]) waits for room for all of its jobs; one larger
+    /// than a bound could wait forever and is refused with [`ExecError::Overloaded`].
     Block,
     /// Evict the queued job that matters least — lowest priority first, then the one
     /// expiring soonest, then the newest — completing it with
@@ -169,7 +169,7 @@ enum Control {
 }
 
 /// Lifecycle of a client's queue slot: slots are reused so a long-lived executor
-/// serving many short-lived clients (every TreeVQA run registers a handful) does not
+/// serving many short-lived clients (every TreeVQA run, every connection) does not
 /// accumulate dead queues.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -308,14 +308,6 @@ impl Shared {
         if runnable {
             self.work_cv.notify_all();
         }
-    }
-
-    /// Pauses scheduling for the lifetime of the returned guard (panic-safe: the
-    /// matching resume happens in `Drop`, so an unwinding caller cannot leave a shared
-    /// executor permanently paused).
-    pub(crate) fn pause_guard(&self) -> PauseGuard<'_> {
-        self.pause();
-        PauseGuard { shared: self }
     }
 
     /// Cancels every job queued under one client slot.
@@ -718,8 +710,8 @@ impl Executor {
 
     /// Pauses scheduling: queued and newly submitted jobs accumulate but do not
     /// execute.  Jobs already picked into a slate finish.  Pausing lets a set of
-    /// clients assemble one fair-ordered slate (the TreeVQA controller does this every
-    /// round phase so all clusters' candidates land in a single batched submission).
+    /// clients assemble one fair-ordered slate deterministically.  One client needs no
+    /// pause for that: [`ExecClient::submit_group`] enqueues a group atomically.
     ///
     /// Pauses **nest**: each `pause` must be matched by one [`Executor::resume`], and
     /// scheduling restarts only when every pause has been resumed — so independent
@@ -742,7 +734,10 @@ impl Executor {
     /// drops, including on unwind — prefer this over manual pause/resume pairs wherever
     /// a panic in between would otherwise leave a shared executor paused forever.
     pub fn scoped_pause(&self) -> PauseGuard<'_> {
-        self.shared.pause_guard()
+        self.shared.pause();
+        PauseGuard {
+            shared: &self.shared,
+        }
     }
 
     /// Blocks until no jobs are queued, retrying, or executing.  On a paused executor
@@ -792,43 +787,20 @@ impl ExecClient {
     /// capabilities, already-expired deadlines) happens here, before queueing —
     /// malformed input never reaches a driver.
     pub fn submit_with(&self, job: EvalJob, opts: &SubmitOptions) -> Result<JobHandle, ExecError> {
-        self.enqueue(job, opts, JobKind::Evaluate)
+        self.submit_one(job, opts, false)
     }
 
-    /// Submits every job of an iterator (in order, to the default backend at default
-    /// priority) and returns their handles.
-    ///
-    /// The jobs are enqueued **atomically with respect to scheduling**: the executor is
-    /// paused while they are queued, so the worker cannot race ahead and split the
-    /// group across several slates — a phase's jobs always coalesce into one batched
-    /// driver submission (nesting makes this compose with an explicit
-    /// [`Executor::pause`]).  On a rejected job, exactly the already-queued jobs of
-    /// this call are cancelled before the error is returned, so a failed group
-    /// submission never leaves orphaned work consuming the backend's RNG stream —
-    /// jobs the client queued outside this call are untouched.
-    ///
-    /// Under [`AdmissionPolicy::Block`], queue capacity must fit the whole group: the
-    /// pause this call holds prevents the drain a blocked submission would wait for.
+    /// Submits every job of an iterator as one group
+    /// ([`ExecClient::submit_group`]) to the default backend at default priority.
     pub fn submit_all(
         &self,
         jobs: impl IntoIterator<Item = EvalJob>,
     ) -> Result<Vec<JobHandle>, ExecError> {
-        let _pause = self.shared.pause_guard();
-        let mut handles = Vec::new();
-        for job in jobs {
-            match self.submit(job) {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    // The pause guarantees none of this call's jobs started, so each
-                    // cancel succeeds and only this group is withdrawn.
-                    for handle in &handles {
-                        handle.cancel();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(handles)
+        self.submit_group(
+            jobs.into_iter()
+                .map(|job| (job, SubmitOptions::default(), false))
+                .collect(),
+        )
     }
 
     /// Cancels every job still queued under this client (jobs already executing are
@@ -850,15 +822,192 @@ impl ExecClient {
         job: EvalJob,
         opts: &SubmitOptions,
     ) -> Result<JobHandle, ExecError> {
-        self.enqueue(job, opts, JobKind::Probe)
+        self.submit_one(job, opts, true)
     }
 
-    fn enqueue(
+    /// A group of one.
+    fn submit_one(
         &self,
         job: EvalJob,
         opts: &SubmitOptions,
-        kind: JobKind,
+        probe: bool,
     ) -> Result<JobHandle, ExecError> {
+        let mut handles = self.submit_group(vec![(job, opts.clone(), probe)])?;
+        Ok(handles.pop().expect("one handle per admitted job"))
+    }
+
+    /// Submits a group of `(job, options, probe)` entries **atomically**: every entry
+    /// is validated before the queue is touched, and admission for the whole group is
+    /// decided — and all of it enqueued, in entry order — under one hold of the queue
+    /// lock.  The scheduler therefore sees all of the group or none of it: the jobs
+    /// land in one slate (their evaluations coalesce into one batched driver
+    /// submission per backend) without anyone pausing the executor.
+    ///
+    /// On a refusal nothing is enqueued and the refusing error is returned: the first
+    /// invalid entry's validation error, or [`ExecError::Overloaded`] when the group
+    /// does not fit.  A group larger than the per-client or the global queue bound can
+    /// never fit and is `Overloaded` under every [`AdmissionPolicy`].  One that can:
+    /// `Reject` refuses it unless there is room for all of it now, `Block` waits for
+    /// that room, and `ShedLowestPriority` evicts one queued job per missing place
+    /// provided each matters less than the group's least important entry (and evicts
+    /// nothing otherwise).
+    pub fn submit_group(
+        &self,
+        entries: Vec<(EvalJob, SubmitOptions, bool)>,
+    ) -> Result<Vec<JobHandle>, ExecError> {
+        let shared = &*self.shared;
+        let backends = entries
+            .iter()
+            .map(|(job, opts, _)| self.validate_entry(job, opts))
+            .collect::<Result<Vec<usize>, ExecError>>()?;
+        let count = entries.len();
+        let refuse = || {
+            shared.obs.counters().add(event::REJECTED, count as u64);
+            Err(ExecError::Overloaded)
+        };
+        if count > shared.per_client_cap.min(shared.global_cap) {
+            return refuse();
+        }
+        let first_uid = shared.next_uid.fetch_add(count as u64, Ordering::Relaxed);
+        let group: Vec<QueuedJob> = entries
+            .into_iter()
+            .zip(backends)
+            .zip(first_uid..)
+            .map(|(((job, opts, probe), backend), uid)| QueuedJob {
+                uid,
+                priority: opts.priority,
+                kind: if probe {
+                    JobKind::Probe
+                } else {
+                    JobKind::Evaluate
+                },
+                backend,
+                require: opts.require,
+                retries_left: opts.retries.min(shared.retry_limit),
+                failover: opts.failover,
+                // The job's draw stream: explicit submit option first, then the job's
+                // own builder stream, then the uid-derived default.  Resolved here —
+                // once, at admission — so retries and failovers execute with the same
+                // stream.
+                stream: opts
+                    .rng_stream
+                    .or(job.rng_stream)
+                    .unwrap_or_else(|| StreamId::for_job(uid)),
+                job,
+                state: Arc::new(JobState::default()),
+            })
+            .collect();
+        let handles = group
+            .iter()
+            .map(|queued| JobHandle {
+                state: Arc::clone(&queued.state),
+                shared: Arc::downgrade(&self.shared),
+                uid: queued.uid,
+                stream: queued.stream,
+            })
+            .collect();
+        // The entry a shedding queue would give up first: queued work is evicted only
+        // in favour of all of the group.
+        let weakest = group
+            .iter()
+            .reduce(|w, j| if sheds_before(j, w) { j } else { w });
+
+        let mut q = shared.queue.lock().unwrap();
+        // Queued jobs, as `(client, position)`, that shedding gives up for the group.
+        let mut victims: Vec<(usize, usize)> = Vec::new();
+        // Admission control: both bounds must hold before the group enters its queue.
+        loop {
+            if q.shutdown {
+                return Err(ExecError::ShutDown);
+            }
+            let own_victims = victims.iter().filter(|v| v.0 == self.id).count();
+            let client_full = q.queues[self.id].len() - own_victims + count > shared.per_client_cap;
+            let global_full = q.pending - victims.len() + count > shared.global_cap;
+            if !client_full && !global_full {
+                break;
+            }
+            match shared.policy {
+                AdmissionPolicy::Reject => return refuse(),
+                AdmissionPolicy::Block => q = shared.space_cv.wait(q).unwrap(),
+                AdmissionPolicy::ShedLowestPriority => {
+                    // Victim scope is the saturated bound: this client's queue if it is
+                    // the one at capacity, any queue when the global bound is.
+                    let scope = if client_full {
+                        self.id..self.id + 1
+                    } else {
+                        0..q.queues.len()
+                    };
+                    let victim = scope
+                        .flat_map(|ci| (0..q.queues[ci].len()).map(move |pos| (ci, pos)))
+                        .filter(|at| !victims.contains(at))
+                        .reduce(|v, at| {
+                            if sheds_before(&q.queues[at.0][at.1], &q.queues[v.0][v.1]) {
+                                at
+                            } else {
+                                v
+                            }
+                        });
+                    match (victim, weakest) {
+                        (Some(at), Some(weakest))
+                            if sheds_before(&q.queues[at.0][at.1], weakest) =>
+                        {
+                            victims.push(at);
+                        }
+                        // The group matters least; shedding queued work for it would be
+                        // strictly worse.
+                        _ => return refuse(),
+                    }
+                }
+            }
+        }
+        // Highest position first, so the positions still to come stay valid.
+        victims.sort_unstable_by(|a, b| b.cmp(a));
+        let shed: Vec<QueuedJob> = victims
+            .iter()
+            .map(|&(ci, pos)| q.queues[ci].remove(pos).expect("index in range"))
+            .collect();
+        q.pending -= shed.len();
+        if !shed.is_empty() {
+            shared.obs.counters().add(event::SHED, shed.len() as u64);
+            q.reclaim_retired();
+        }
+        // Admission succeeded: open the lifecycle spans (submissions refused above get
+        // counters only — they never became jobs).  The `enabled` guard keeps label
+        // construction (a name clone) off the disabled path entirely.
+        if shared.obs.enabled() {
+            for queued in &group {
+                // The registry rides along so the completion funnel can label failures
+                // by wire error code even when the span ring is full.
+                queued.state.attach_obs(Arc::clone(&shared.obs));
+                if let Some(span) = shared.obs.start_span(qobs::SpanLabels {
+                    client: self.id as u64,
+                    backend: shared.meta[queued.backend].name.clone(),
+                    priority: i64::from(queued.priority),
+                    kind: match queued.kind {
+                        JobKind::Evaluate => "evaluate",
+                        JobKind::Probe => "probe",
+                    },
+                    worker: None,
+                }) {
+                    queued.state.attach_span(span);
+                }
+            }
+        }
+        q.pending += group.len();
+        q.queues[self.id].extend(group);
+        drop(q);
+        shared.work_cv.notify_one();
+        for job in shed {
+            // The completion funnel closes the victim's span with a `shed` terminal
+            // event (post-admission `Overloaded`).
+            job.state.complete(Err(ExecError::Overloaded));
+        }
+        Ok(handles)
+    }
+
+    /// Checks one entry against the registry and the job's own shapes; returns the
+    /// index of the backend it targets.
+    fn validate_entry(&self, job: &EvalJob, opts: &SubmitOptions) -> Result<usize, ExecError> {
         let backend = match &opts.backend {
             Some(name) => self.shared.backend_index(name)?,
             None => 0,
@@ -885,121 +1034,7 @@ impl ExecClient {
         if job.deadline.is_some_and(|d| d <= Instant::now()) {
             return Err(ExecError::DeadlineExceeded);
         }
-        let state = Arc::new(JobState::default());
-        let uid = self.shared.next_uid.fetch_add(1, Ordering::Relaxed);
-        // The job's draw stream: explicit submit option first, then the job's own
-        // builder stream, then the uid-derived default.  Resolved here — once, at
-        // admission — so retries and failovers execute with the same stream.
-        let stream = opts
-            .rng_stream
-            .or(job.rng_stream)
-            .unwrap_or_else(|| StreamId::for_job(uid));
-        let queued = QueuedJob {
-            uid,
-            priority: opts.priority,
-            kind,
-            backend,
-            require: opts.require,
-            retries_left: opts.retries.min(self.shared.retry_limit),
-            failover: opts.failover,
-            stream,
-            job,
-            state: Arc::clone(&state),
-        };
-        let mut q = self.shared.queue.lock().unwrap();
-        if q.shutdown {
-            return Err(ExecError::ShutDown);
-        }
-        // Admission control: both bounds must hold before the job enters its queue.
-        loop {
-            let client_full = q.queues[self.id].len() >= self.shared.per_client_cap;
-            let global_full = q.pending >= self.shared.global_cap;
-            if !client_full && !global_full {
-                break;
-            }
-            match self.shared.policy {
-                AdmissionPolicy::Reject => {
-                    self.shared.obs.counters().inc(event::REJECTED);
-                    return Err(ExecError::Overloaded);
-                }
-                AdmissionPolicy::Block => {
-                    q = self.shared.space_cv.wait(q).unwrap();
-                    if q.shutdown {
-                        return Err(ExecError::ShutDown);
-                    }
-                }
-                AdmissionPolicy::ShedLowestPriority => {
-                    // Victim scope is the saturated bound: this client's queue if it is
-                    // the one at capacity, any queue when the global bound is.
-                    let scope: Vec<usize> = if client_full {
-                        vec![self.id]
-                    } else {
-                        (0..q.queues.len()).collect()
-                    };
-                    let mut victim: Option<(usize, usize)> = None;
-                    for ci in scope {
-                        for pos in 0..q.queues[ci].len() {
-                            let better = match victim {
-                                None => true,
-                                Some((vci, vpos)) => {
-                                    sheds_before(&q.queues[ci][pos], &q.queues[vci][vpos])
-                                }
-                            };
-                            if better {
-                                victim = Some((ci, pos));
-                            }
-                        }
-                    }
-                    match victim {
-                        Some((vci, vpos)) if sheds_before(&q.queues[vci][vpos], &queued) => {
-                            let shed = q.queues[vci].remove(vpos).expect("index in range");
-                            q.pending -= 1;
-                            self.shared.obs.counters().inc(event::SHED);
-                            q.reclaim_retired();
-                            // The completion funnel closes the victim's span with a
-                            // `shed` terminal event (post-admission `Overloaded`).
-                            shed.state.complete(Err(ExecError::Overloaded));
-                        }
-                        _ => {
-                            // The newcomer matters least; shedding a queued job for it
-                            // would be strictly worse.
-                            self.shared.obs.counters().inc(event::REJECTED);
-                            return Err(ExecError::Overloaded);
-                        }
-                    }
-                }
-            }
-        }
-        // Admission succeeded: open the lifecycle span (submissions refused above get
-        // counters only — they never became jobs).  The `enabled` guard keeps label
-        // construction (a name clone) off the disabled path entirely.
-        if self.shared.obs.enabled() {
-            // The registry rides along so the completion funnel can label failures by
-            // wire error code even when the span ring is full.
-            state.attach_obs(Arc::clone(&self.shared.obs));
-            if let Some(span) = self.shared.obs.start_span(qobs::SpanLabels {
-                client: self.id as u64,
-                backend: self.shared.meta[backend].name.clone(),
-                priority: i64::from(opts.priority),
-                kind: match kind {
-                    JobKind::Evaluate => "evaluate",
-                    JobKind::Probe => "probe",
-                },
-                worker: None,
-            }) {
-                state.attach_span(span);
-            }
-        }
-        q.queues[self.id].push_back(queued);
-        q.pending += 1;
-        drop(q);
-        self.shared.work_cv.notify_one();
-        Ok(JobHandle {
-            state,
-            shared: Arc::downgrade(&self.shared),
-            uid,
-            stream,
-        })
+        Ok(backend)
     }
 }
 

@@ -30,9 +30,18 @@
 //! while no client can starve another.  The scheduler thread is the executor's only
 //! thread: it owns every registered driver and runs the backends' portions of a slate
 //! one after another in registration order (splitting work across threads is the
-//! drivers' business, decided in one module: `qop::par`).  [`Executor::pause`] / [`Executor::resume`] let
-//! cooperating clients assemble one fair-ordered slate deterministically (the TreeVQA
-//! controller does this every round phase).
+//! drivers' business, decided in one module: `qop::par`).
+//!
+//! A client that wants several jobs in **one** slate submits them as a group:
+//! [`ExecClient::submit_group`] validates every entry, decides admission for all of
+//! them and enqueues them under one hold of the queue lock, so the scheduler sees all
+//! of the group or none of it — nothing is enqueued on a refusal, and no pause is
+//! taken.  It is the only place more than one job is enqueued per call:
+//! [`ExecClient::submit_all`], [`JobSubmitter::submit_job_group`], the `qnet` server's
+//! batch frames and — through [`run_phase`] — every optimizer phase of
+//! [`run_single_vqa`] and of the TreeVQA controller end there.  [`Executor::pause`] /
+//! [`Executor::resume`] remain for *several* clients that want to assemble one
+//! fair-ordered slate deterministically (the test suites do).
 //!
 //! # The robustness contract
 //!
@@ -145,9 +154,7 @@ pub use submit::{CompletionHandle, JobSubmitter};
 // dependency on the RNG crate.
 pub use qrng;
 pub use qrng::{SeedPolicy, StreamId};
-pub use runner::{
-    drive_optimizer_iteration, drive_optimizer_iteration_with, run_baseline, run_single_vqa,
-};
+pub use runner::{run_baseline, run_phase, run_single_vqa, PhaseRequest};
 pub use supervisor::BackendHealth;
 
 // Re-exported so executor callers can name capabilities and run records without a direct

@@ -1,14 +1,20 @@
-//! Single-task VQA execution and the conventional (baseline) multi-task runner, driven
-//! through an executor client.
+//! Single-task VQA execution, the conventional (baseline) multi-task runner, and the
+//! phase bridge every optimizer loop in the workspace drives its evaluations through.
 //!
-//! These are the paper's baseline drivers, reworked from threading a `&mut dyn Backend`
-//! by hand onto the job API: every optimizer phase's candidates ([`qopt::Optimizer`]'s
-//! propose/observe protocol) are submitted as owned jobs to an [`ExecClient`] and the
-//! values observed from their handles, so the same loop transparently shares an executor
-//! with other clients.  Every candidate job draws from its own stream pinned at
-//! submission (see the crate-level schedule-independence contract), so a run is a pure
-//! function of the configuration and root seed — reproducible bit-for-bit across fresh
-//! executors and any co-tenant clients sharing the service.
+//! An optimizer phase ([`qopt::Optimizer`]'s propose/observe protocol) is one group:
+//! [`run_phase`] turns the candidates of any number of optimizers into owned jobs, hands
+//! them to a [`JobSubmitter`] as **one** `submit_job_group`, and gives each optimizer its
+//! results back.  [`run_single_vqa`] calls it with one optimizer, the TreeVQA controller
+//! with every active cluster; both therefore run unchanged against an in-process
+//! [`crate::ExecClient`] and a `qnet::NetClient`.
+//!
+//! Every candidate job draws from its own stream pinned at submission (see the
+//! crate-level schedule-independence contract).  The default stream derives from the
+//! executor-wide submission id, so a run is a pure function of the configuration and
+//! root seed — reproducible bit for bit — on a fresh executor or one the driver has to
+//! itself; next to co-tenant clients the ids a run receives depend on how their
+//! submissions interleave, and only jobs with pinned streams
+//! ([`crate::SubmitOptions::rng_stream`]) repeat.
 
 use crate::error::ExecError;
 use crate::executor::Executor;
@@ -17,9 +23,10 @@ use crate::submit::{CompletionHandle, JobSubmitter};
 use qcircuit::Circuit;
 use qop::PauliOp;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vqa::{
-    Backend, BaselineRunResult, InitialState, IterationRecord, VqaApplication, VqaRunConfig,
-    VqaRunResult, VqaTask,
+    Backend, BaselineRunResult, EvalResult, InitialState, IterationRecord, VqaApplication,
+    VqaRunConfig, VqaRunResult, VqaTask,
 };
 
 /// Runs conventional VQA on a single task through an executor client.
@@ -67,20 +74,23 @@ pub fn run_single_vqa<S: JobSubmitter>(
     };
 
     for iteration in 0..config.max_iterations {
-        // Drive the optimizer's propose/observe phases, submitting each phase's
-        // candidates (SPSA's ± pair, a simplex build, …) as one run of jobs; the
-        // executor batches consecutive same-backend jobs, so the dense driver prepares
-        // the phase's states concurrently exactly as the historical batched runner did.
-        let (stats, shots) = drive_optimizer_iteration(
-            client,
-            optimizer.as_mut(),
-            &mut params,
-            &ansatz,
-            initial,
-            &hamiltonian,
-            &[],
-        )?;
-        cumulative_shots += shots;
+        // Loop the optimizer's propose/observe phases (SPSA's ± pair, a simplex
+        // build, …) until the iteration completes.
+        let stats = loop {
+            let request = PhaseRequest {
+                candidates: optimizer.propose(&params),
+                charged_op: Arc::clone(&hamiltonian),
+                free_ops: Vec::new(),
+            };
+            let results = run_phase(client, &ansatz, initial, vec![request], None)?
+                .pop()
+                .expect("one result set per request");
+            cumulative_shots += results.iter().map(|r| r.shots).sum::<u64>();
+            let values: Vec<f64> = results.iter().map(|r| r.charged).collect();
+            if let Some(stats) = optimizer.observe(&mut params, &values) {
+                break stats;
+            }
+        };
 
         if iteration % record_every == 0 || iteration + 1 == config.max_iterations {
             let exact_energy = probe(client, &params)?;
@@ -146,72 +156,72 @@ pub fn run_baseline(
     })
 }
 
-/// Drives one optimizer iteration against an executor client: proposes candidate
-/// batches, submits them as jobs for `charged_op` (with optional free tracking
-/// observables shared by every candidate), and observes the values, looping phases until
-/// the iteration completes.
-///
-/// This is the propose/observe ↔ job-submission bridge shared by [`run_single_vqa`] and
-/// ad-hoc optimization loops; the TreeVQA controller uses the same protocol but spreads
-/// its clusters' phases across clients to interleave them fairly.
-pub fn drive_optimizer_iteration<S: JobSubmitter>(
-    client: &S,
-    optimizer: &mut dyn qopt::Optimizer,
-    params: &mut Vec<f64>,
-    ansatz: &Arc<Circuit>,
-    initial: &InitialState,
-    charged_op: &Arc<PauliOp>,
-    free_ops: &[Arc<PauliOp>],
-) -> Result<(qopt::IterationStats, u64), ExecError> {
-    drive_optimizer_iteration_with(
-        client, optimizer, params, ansatz, initial, charged_op, free_ops, None,
-    )
+/// One optimizer's share of a phase: the candidate parameter vectors it proposed, the
+/// observable they are scored on (charged shots), and the observables tracked alongside
+/// at no shot cost.
+pub struct PhaseRequest {
+    /// Candidate parameter vectors, one job each.
+    pub candidates: Vec<Vec<f64>>,
+    /// The observable every candidate is charged for.
+    pub charged_op: Arc<PauliOp>,
+    /// Free tracking observables shared by every candidate.
+    pub free_ops: Vec<Arc<PauliOp>>,
 }
 
-/// [`drive_optimizer_iteration`] with a per-phase timeout: every job of a phase
-/// carries a deadline `phase_timeout` from its submission, so a phase queued behind a
-/// congested (or stalled) executor fails with [`ExecError::DeadlineExceeded`] instead
-/// of wedging the optimization loop.  `None` submits without deadlines.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_optimizer_iteration_with<S: JobSubmitter>(
+/// Runs one phase: every request's candidates become jobs on `ansatz` from `initial`,
+/// all of them are submitted as **one** group — one scheduler slate, one batched driver
+/// submission — and the results come back per request, in candidate order.
+///
+/// With a `timeout` the phase fails as a unit with [`ExecError::DeadlineExceeded`]
+/// instead of wedging its caller behind a congested or stalled executor: every job
+/// carries the phase's deadline (an in-process scheduler drops the expired ones), and
+/// every wait is bounded by what is left of it (a job's deadline does not cross the
+/// wire, so a remote caller relies on this half).
+pub fn run_phase<S: JobSubmitter>(
     client: &S,
-    optimizer: &mut dyn qopt::Optimizer,
-    params: &mut Vec<f64>,
     ansatz: &Arc<Circuit>,
     initial: &InitialState,
-    charged_op: &Arc<PauliOp>,
-    free_ops: &[Arc<PauliOp>],
-    phase_timeout: Option<std::time::Duration>,
-) -> Result<(qopt::IterationStats, u64), ExecError> {
-    let mut shots = 0u64;
-    loop {
-        let candidates = optimizer.propose(params);
-        let deadline = phase_timeout.map(|t| std::time::Instant::now() + t);
-        let jobs: Vec<EvalJob> = candidates
-            .iter()
-            .map(|candidate| {
+    requests: Vec<PhaseRequest>,
+    timeout: Option<Duration>,
+) -> Result<Vec<Vec<EvalResult>>, ExecError> {
+    let deadline = timeout.map(|t| Instant::now() + t);
+    let sizes: Vec<usize> = requests.iter().map(|r| r.candidates.len()).collect();
+    let jobs: Vec<EvalJob> = requests
+        .into_iter()
+        .flat_map(|request| {
+            let PhaseRequest {
+                candidates,
+                charged_op,
+                free_ops,
+            } = request;
+            candidates.into_iter().map(move |candidate| {
                 let mut job = EvalJob::new(
                     Arc::clone(ansatz),
-                    candidate.clone(),
+                    candidate,
                     *initial,
-                    Arc::clone(charged_op),
+                    Arc::clone(&charged_op),
                 )
-                .with_free_ops(free_ops.to_vec());
-                if let Some(d) = deadline {
-                    job = job.with_deadline(d);
-                }
+                .with_free_ops(free_ops.clone());
+                job.deadline = deadline;
                 job
             })
-            .collect();
-        let handles = client.submit_job_group(jobs)?;
-        let mut values = Vec::with_capacity(handles.len());
-        for handle in &handles {
-            let result = handle.wait()?;
-            shots += result.shots;
-            values.push(result.charged);
-        }
-        if let Some(stats) = optimizer.observe(params, &values) {
-            return Ok((stats, shots));
-        }
-    }
+        })
+        .collect();
+    let handles = client.submit_job_group(jobs)?;
+    let mut handles = handles.iter();
+    sizes
+        .into_iter()
+        .map(|size| {
+            handles
+                .by_ref()
+                .take(size)
+                .map(|handle| match deadline {
+                    None => handle.wait(),
+                    Some(deadline) => handle
+                        .wait_timeout(deadline.saturating_duration_since(Instant::now()))
+                        .unwrap_or(Err(ExecError::DeadlineExceeded)),
+                })
+                .collect()
+        })
+        .collect()
 }

@@ -50,11 +50,13 @@ pub trait JobSubmitter {
     ) -> Result<Self::Handle, ExecError>;
 
     /// Submits a group of jobs (default backend, default priority) that should
-    /// coalesce into one batched slate where the transport supports it.  On a
-    /// rejected job, already-submitted jobs of the group are withdrawn before the
-    /// error returns.  The default implementation submits sequentially with no
-    /// coalescing guarantee; [`ExecClient`] pauses the executor around the group and
-    /// `qnet` ships the group as one batch frame.
+    /// coalesce into one batched slate where the transport supports it.  The default
+    /// implementation submits sequentially with no coalescing guarantee.
+    /// [`ExecClient`] enqueues the group atomically ([`ExecClient::submit_group`]: one
+    /// slate, and nothing enqueued on a refusal) and `qnet` ships it as one batch
+    /// frame to the same call; there a refusal the client could not see locally
+    /// resolves every returned handle with the refusing error instead of failing this
+    /// call.
     fn submit_job_group(&self, jobs: Vec<EvalJob>) -> Result<Vec<Self::Handle>, ExecError> {
         jobs.into_iter()
             .map(|job| self.submit_job(job, &SubmitOptions::default()))

@@ -7,10 +7,10 @@
 //! demultiplexer thread reads response frames and routes each to its pending request
 //! by id, so any number of threads can share one client and any number of requests
 //! can be in flight, completing out of order.  Because [`NetClient`] implements
-//! [`qexec::JobSubmitter`], the `vqa`-level drivers ([`qexec::run_single_vqa`],
-//! [`qexec::drive_optimizer_iteration`]) run against a remote executor unchanged —
-//! and, by the schedule-independence contract, produce bit-identical results doing
-//! so.
+//! [`qexec::JobSubmitter`], the drivers built on [`qexec::run_phase`]
+//! ([`qexec::run_single_vqa`], the TreeVQA controller's `run_on`) run against a remote
+//! executor unchanged — and, by the schedule-independence contract, produce
+//! bit-identical results doing so.
 //!
 //! Connection failure is structural: if the server shuts down, refuses the
 //! connection at capacity, or the transport drops, every pending and future request
@@ -138,11 +138,12 @@ impl NetClient {
         self.submit_inner(job, opts, true)
     }
 
-    /// Submits a group of jobs as **one batch frame**: the server pauses its executor
-    /// around the group, so the jobs coalesce into a single scheduling slate exactly
-    /// like a local [`qexec::ExecClient::submit_all`].  Per-job refusals resolve
-    /// through the returned handles (the server withdraws the group's accepted jobs
-    /// first); this call itself only fails if nothing could be sent.
+    /// Submits a group of jobs as **one batch frame**, which the server hands to
+    /// [`qexec::ExecClient::submit_group`]: the jobs are enqueued atomically and land
+    /// in a single scheduling slate exactly like a local
+    /// [`qexec::ExecClient::submit_all`].  A group the server refuses enqueues nothing
+    /// and resolves every returned handle with the refusing error; this call itself
+    /// fails only on a job that does not validate or if nothing could be sent.
     pub fn submit_group(&self, jobs: Vec<EvalJob>) -> Result<Vec<RemoteHandle>, ExecError> {
         for job in &jobs {
             job.validate()?;

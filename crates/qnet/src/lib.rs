@@ -17,8 +17,9 @@
 //!   dropped connections; shutdown drains in-flight work before closing.
 //! * [`client`] — a [`NetClient`] with the local client's blocking submit/handle
 //!   API ([`RemoteHandle`]`::{wait, wait_timeout, try_result}`), backed by a
-//!   demultiplexer thread.  It implements [`qexec::JobSubmitter`], so `vqa`-level
-//!   drivers run against a remote executor unchanged.
+//!   demultiplexer thread.  It implements [`qexec::JobSubmitter`], so the drivers
+//!   built on it — `qexec::run_single_vqa`, the TreeVQA controller — run against a
+//!   remote executor unchanged.
 //!
 //! Determinism crosses the wire: [`qexec::SubmitOptions::rng_stream`] is part of
 //! the submit frame, so a job pinned to a [`qrng::StreamId`] draws the same

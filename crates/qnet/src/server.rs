@@ -461,131 +461,89 @@ fn handle_frame(
     frame: Frame,
 ) -> bool {
     match frame {
-        Frame::Submit(entry) => {
-            submit_one(shared, conn_id, client, tx, entry);
-            true
-        }
+        Frame::Submit(entry) => submit_entries(shared, conn_id, client, tx, vec![entry]),
         Frame::SubmitBatch(entries) => {
             shared.obs.counters().inc(event::BATCHES);
-            // Pause around the group so it coalesces into one scheduling slate,
-            // exactly like a local `submit_all`; on a refused entry the group's
-            // accepted jobs are withdrawn (their frames report the cancellation) and
-            // the remaining entries are refused with the same error.
-            let pause = shared.executor.scoped_pause();
-            let mut failed: Option<ExecError> = None;
-            let mut accepted: Vec<qexec::JobHandle> = Vec::new();
-            for entry in entries {
-                if let Some(err) = &failed {
-                    shared.obs.counters().inc(if entry.probe {
-                        event::PROBES
-                    } else {
-                        event::SUBMITS
-                    });
-                    let _ = tx.send(Frame::from_exec_error(entry.request_id, err));
-                    continue;
-                }
-                match submit_one_inner(shared, conn_id, client, tx, entry) {
-                    Ok(handle) => accepted.push(handle),
-                    Err(err) => {
-                        for handle in &accepted {
-                            // Still queued (the pause holds the scheduler off), so
-                            // each cancel succeeds and its completion callback
-                            // reports the withdrawal on the wire.
-                            handle.cancel();
-                        }
-                        accepted.clear();
-                        failed = Some(err);
-                    }
-                }
-            }
-            drop(pause);
-            true
+            submit_entries(shared, conn_id, client, tx, entries);
         }
         // Result / Error / Control frames flow server → client only.
-        Frame::Result { .. } | Frame::Error { .. } | Frame::Control(_) => false,
+        Frame::Result { .. } | Frame::Error { .. } | Frame::Control(_) => return false,
     }
+    true
 }
 
-fn submit_one(
+/// Submits the entries of one frame as one group ([`ExecClient::submit_group`]: one
+/// slate, all or nothing) and pushes each entry's completion through the writer.  A
+/// refused group — validation, unknown backend, admission control — answers every
+/// entry with the refusing error: a structured error frame, not a drop.
+fn submit_entries(
     shared: &Arc<ServerShared>,
     conn_id: u64,
     client: &ExecClient,
     tx: &Sender<Frame>,
-    entry: SubmitFrame,
+    entries: Vec<SubmitFrame>,
 ) {
-    let _ = submit_one_inner(shared, conn_id, client, tx, entry);
-}
-
-/// Submits one entry, pushing its completion (or refusal) through the writer.
-/// Returns the handle so the batch path can withdraw accepted jobs on a later
-/// refusal.
-fn submit_one_inner(
-    shared: &Arc<ServerShared>,
-    conn_id: u64,
-    client: &ExecClient,
-    tx: &Sender<Frame>,
-    entry: SubmitFrame,
-) -> Result<qexec::JobHandle, ExecError> {
-    let SubmitFrame {
-        request_id,
-        probe,
-        opts,
-        job,
-    } = entry;
+    let counters = shared.obs.counters();
+    let mut request_ids = Vec::with_capacity(entries.len());
+    let mut group = Vec::with_capacity(entries.len());
+    for entry in entries {
+        counters.inc(if entry.probe {
+            event::PROBES
+        } else {
+            event::SUBMITS
+        });
+        request_ids.push(entry.request_id);
+        group.push((entry.job, entry.opts, entry.probe));
+    }
+    if shared.obs.enabled() {
+        shared
+            .obs
+            .labeled()
+            .add(&format!("conn{conn_id}_requests"), group.len() as u64);
+    }
     // Refuse work that races past a shutdown's queued-job withdrawal: once the
     // drain has started, a late submission must not re-arm the inflight count.
-    if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = tx.send(Frame::from_exec_error(request_id, &ExecError::ShutDown));
-        return Err(ExecError::ShutDown);
-    }
-    shared
-        .obs
-        .counters()
-        .inc(if probe { event::PROBES } else { event::SUBMITS });
-    if shared.obs.enabled() {
-        shared.obs.labeled().inc(&format!("conn{conn_id}_requests"));
-    }
-    let submitted = if probe {
-        client.submit_probe_with(job, &opts)
+    let submitted = if shared.shutdown.load(Ordering::SeqCst) {
+        Err(ExecError::ShutDown)
     } else {
-        client.submit_with(job, &opts)
+        client.submit_group(group)
     };
-    match submitted {
-        Ok(handle) => {
-            shared.inflight_inc();
-            let tx = tx.clone();
-            let shared = Arc::clone(shared);
-            handle.on_complete(move |result| {
-                let frame = match result {
-                    Ok(result) => Frame::Result {
-                        request_id,
-                        result: result.clone(),
-                    },
-                    Err(err) => {
-                        // Queued jobs withdrawn by a server shutdown surface as
-                        // `ShutDown` on the wire, not as an inexplicable
-                        // cancellation the client never asked for.
-                        let err = if matches!(err, ExecError::Cancelled)
-                            && shared.shutdown.load(Ordering::SeqCst)
-                        {
-                            &ExecError::ShutDown
-                        } else {
-                            err
-                        };
-                        Frame::from_exec_error(request_id, err)
-                    }
-                };
-                let _ = tx.send(frame);
-                shared.inflight_dec();
-            });
-            Ok(handle)
-        }
+    let handles = match submitted {
+        Ok(handles) => handles,
         Err(err) => {
-            // Submission-time refusals (validation, unknown backend, admission
-            // control) answer immediately — a structured error frame, not a drop.
-            let _ = tx.send(Frame::from_exec_error(request_id, &err));
-            Err(err)
+            for request_id in request_ids {
+                let _ = tx.send(Frame::from_exec_error(request_id, &err));
+            }
+            return;
         }
+    };
+    for (request_id, handle) in request_ids.into_iter().zip(handles) {
+        shared.inflight_inc();
+        let tx = tx.clone();
+        let shared = Arc::clone(shared);
+        handle.on_complete(move |result| {
+            let frame = match result {
+                Ok(result) => Frame::Result {
+                    request_id,
+                    result: result.clone(),
+                },
+                Err(err) => {
+                    // Queued jobs withdrawn by a server shutdown surface as
+                    // `ShutDown` on the wire, not as an inexplicable
+                    // cancellation the client never asked for.
+                    let err = if matches!(err, ExecError::Cancelled)
+                        && shared.shutdown.load(Ordering::SeqCst)
+                    {
+                        &ExecError::ShutDown
+                    } else {
+                        err
+                    };
+                    Frame::from_exec_error(request_id, err)
+                }
+            };
+            let _ = tx.send(frame);
+            shared.inflight_dec();
+        });
     }
 }
 

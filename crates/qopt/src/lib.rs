@@ -1,10 +1,10 @@
 //! # qopt — classical optimizers for variational quantum algorithms
 //!
 //! The paper's evaluations use SPSA (default) and COBYLA (optimizer-agnosticism study,
-//! Section 8.6, and the noisy study, Section 8.7).  This crate provides both, plus
-//! Nelder–Mead as an extra derivative-free baseline, behind a single step-wise
-//! [`Optimizer`] trait so the VQA loop (and TreeVQA's controller) can monitor the loss
-//! after *every* iteration — which is exactly what the sliding-window split monitor needs.
+//! Section 8.6, and the noisy study, Section 8.7).  This crate provides both behind a
+//! single step-wise [`Optimizer`] trait so the VQA loop (and TreeVQA's controller) can
+//! monitor the loss after *every* iteration — which is exactly what the sliding-window
+//! split monitor needs.
 //!
 //! ```
 //! use qopt::{Optimizer, Spsa, SpsaConfig};
@@ -23,11 +23,9 @@
 #![warn(rust_2018_idioms)]
 
 mod cobyla;
-mod nelder_mead;
 mod spsa;
 
 pub use cobyla::{Cobyla, CobylaConfig};
-pub use nelder_mead::{NelderMead, NelderMeadConfig};
 pub use spsa::{Spsa, SpsaConfig};
 
 /// Statistics reported by one optimizer iteration.
@@ -50,8 +48,8 @@ pub struct IterationStats {
 /// after a rejected trust-region step) and `Some(stats)` once the iteration is complete
 /// and `params` has been updated in place.
 ///
-/// Derivative-free optimizers naturally emit batches — SPSA's ± perturbation pair, a
-/// simplex's reflection/expansion candidates, an initial simplex — and the propose form
+/// Derivative-free optimizers naturally emit batches — SPSA's ± perturbation pair,
+/// COBYLA's initial simplex — and the propose form
 /// exposes exactly those batches so the execution layer can evaluate all candidates of a
 /// phase concurrently.  Phases replay the classic serial algorithms *exactly*: driving
 /// an optimizer through propose/observe visits the same candidates in the same order as
@@ -111,8 +109,6 @@ pub enum OptimizerSpec {
     Spsa(SpsaConfig),
     /// COBYLA-style linear-approximation trust-region optimizer.
     Cobyla(CobylaConfig),
-    /// Nelder–Mead simplex.
-    NelderMead(NelderMeadConfig),
 }
 
 impl OptimizerSpec {
@@ -134,7 +130,6 @@ impl OptimizerSpec {
         match self {
             OptimizerSpec::Spsa(cfg) => Box::new(Spsa::with_policy(cfg.clone(), policy)),
             OptimizerSpec::Cobyla(cfg) => Box::new(Cobyla::new(cfg.clone())),
-            OptimizerSpec::NelderMead(cfg) => Box::new(NelderMead::new(cfg.clone())),
         }
     }
 
@@ -143,7 +138,6 @@ impl OptimizerSpec {
         match self {
             OptimizerSpec::Spsa(_) => "SPSA",
             OptimizerSpec::Cobyla(_) => "COBYLA",
-            OptimizerSpec::NelderMead(_) => "NelderMead",
         }
     }
 }
@@ -185,7 +179,6 @@ mod tests {
                 ..Default::default()
             }),
             OptimizerSpec::Cobyla(CobylaConfig::default()),
-            OptimizerSpec::NelderMead(NelderMeadConfig::default()),
         ] {
             let end = run(&spec, 4, 300, 11);
             assert!(
@@ -202,10 +195,6 @@ mod tests {
         assert_eq!(
             OptimizerSpec::Cobyla(CobylaConfig::default()).name(),
             "COBYLA"
-        );
-        assert_eq!(
-            OptimizerSpec::NelderMead(NelderMeadConfig::default()).name(),
-            "NelderMead"
         );
     }
 

@@ -7,23 +7,17 @@
 //! harmed by the joint trajectory.
 //!
 //! Clusters expose the optimizer's propose/observe phases directly
-//! ([`VqaCluster::propose`] / [`VqaCluster::observe`]): the controller submits every
-//! active cluster's candidate parameter vectors as jobs through the cluster's own
-//! execution-service client (one coalesced slate per round phase) and hands each
-//! cluster back its results.  A test-only `step` helper drives the same phase protocol
-//! against a bare `vqa::Backend` so the monitor/split logic stays unit-testable without
-//! an executor.
+//! ([`VqaCluster::propose`] / [`VqaCluster::observe`]): the controller hands every active
+//! cluster's proposal to `qexec::run_phase` — one group, one slate per round phase — and
+//! gives each cluster back its results.
 
 use crate::config::SplitPolicy;
 use crate::monitor::SlopeMonitor;
-#[cfg(test)]
-use qcircuit::Circuit;
+use qexec::PhaseRequest;
 use qop::PauliOp;
 use qopt::Optimizer;
 use std::sync::Arc;
 use vqa::EvalResult;
-#[cfg(test)]
-use vqa::{Backend, EvalRequest, InitialState};
 
 /// Outcome of one cluster optimization step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,18 +125,6 @@ impl VqaCluster {
         &self.mixed_hamiltonian
     }
 
-    /// The mixed Hamiltonian's shared allocation (jobs submitted to the execution
-    /// service `Arc`-share it instead of cloning the operator per candidate).
-    pub fn mixed_hamiltonian_arc(&self) -> &Arc<PauliOp> {
-        &self.mixed_hamiltonian
-    }
-
-    /// The member Hamiltonians, in `task_indices` order (shared allocations, ready to
-    /// attach to jobs as free tracking observables).
-    pub fn member_hamiltonians(&self) -> &[Arc<PauliOp>] {
-        &self.member_hamiltonians
-    }
-
     /// Optimizer iterations executed by this cluster.
     pub fn iterations(&self) -> usize {
         self.iterations
@@ -165,11 +147,16 @@ impl VqaCluster {
     }
 
     /// Begins (or continues) one optimizer iteration: returns the candidate parameter
-    /// vectors whose mixed-Hamiltonian losses the controller must supply to
-    /// [`VqaCluster::observe`].  The batch shape follows the optimizer's phase protocol
-    /// (SPSA's ± pair, a simplex build, …).
-    pub fn propose(&mut self) -> Vec<Vec<f64>> {
-        self.optimizer.propose(&self.params)
+    /// vectors, scored on the mixed Hamiltonian with every member Hamiltonian tracked
+    /// free, whose results the controller must supply to [`VqaCluster::observe`].  The
+    /// batch shape follows the optimizer's phase protocol (SPSA's ± pair, a simplex
+    /// build, …).
+    pub fn propose(&mut self) -> PhaseRequest {
+        PhaseRequest {
+            candidates: self.optimizer.propose(&self.params),
+            charged_op: Arc::clone(&self.mixed_hamiltonian),
+            free_ops: self.member_hamiltonians.clone(),
+        }
     }
 
     /// Consumes one phase's evaluation results (in candidate order).  Each result's
@@ -214,54 +201,6 @@ impl VqaCluster {
         self.shots_acc = 0;
 
         Some(self.split_decision(policy, max_cluster_iterations, min_split_size))
-    }
-
-    /// Performs one optimizer iteration (Algorithm 2 lines 5–10) and evaluates the split
-    /// condition (line 11), driving the propose/observe phases against a bare driver
-    /// with one batched submission per phase.
-    ///
-    /// Test-only: production cluster stepping goes through the execution service (the
-    /// controller submits each phase's candidates as jobs via the cluster's
-    /// `qexec::ExecClient`), and only `qexec` consumes the `Backend` driver interface.
-    /// This in-process drive exists so the cluster's monitor/split logic is unit-testable
-    /// without standing up an executor.
-    #[cfg(test)]
-    pub(crate) fn step(
-        &mut self,
-        ansatz: &Circuit,
-        initial: &InitialState,
-        backend: &mut dyn Backend,
-        policy: &SplitPolicy,
-        max_cluster_iterations: usize,
-        min_split_size: usize,
-    ) -> StepOutcome {
-        loop {
-            let candidates = self.propose();
-            let members: Vec<&PauliOp> = self
-                .member_hamiltonians
-                .iter()
-                .map(|h| h.as_ref())
-                .collect();
-            let requests: Vec<EvalRequest<'_>> = candidates
-                .iter()
-                .map(|candidate| EvalRequest {
-                    circuit: ansatz,
-                    params: candidate,
-                    initial,
-                    charged_op: self.mixed_hamiltonian.as_ref(),
-                    free_ops: &members,
-                    stream: None,
-                })
-                .collect();
-            let results = backend.evaluate_batch(&requests);
-            drop(requests);
-            drop(members);
-            if let Some(outcome) =
-                self.observe(&results, policy, max_cluster_iterations, min_split_size)
-            {
-                return outcome;
-            }
-        }
     }
 
     /// Evaluates the split condition without stepping (exposed for tests).
@@ -373,13 +312,14 @@ impl VqaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::{Entanglement, HardwareEfficientAnsatz};
+    use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
+    use qexec::{Executor, JobSubmitter};
     use qopt::{OptimizerSpec, SpsaConfig};
-    use vqa::StatevectorBackend;
+    use vqa::{InitialState, StatevectorBackend};
 
-    fn make_cluster(hams: Vec<PauliOp>, window: usize) -> (VqaCluster, Circuit) {
+    fn make_cluster(hams: Vec<PauliOp>, window: usize) -> (VqaCluster, Arc<Circuit>) {
         let n = hams[0].num_qubits();
-        let ansatz = HardwareEfficientAnsatz::new(n, 1, Entanglement::Linear).build();
+        let ansatz = Arc::new(HardwareEfficientAnsatz::new(n, 1, Entanglement::Linear).build());
         let params = vec![0.0; ansatz.num_parameters()];
         let task_indices = (0..hams.len()).collect();
         let hams: Vec<Arc<PauliOp>> = hams.into_iter().map(Arc::new).collect();
@@ -390,6 +330,26 @@ mod tests {
         .build(3);
         let cluster = VqaCluster::new(0, 1, task_indices, hams, params, optimizer, window);
         (cluster, ansatz)
+    }
+
+    /// One optimizer iteration (Algorithm 2 lines 5–10) and its split decision (line
+    /// 11), the way the controller runs it for every active cluster at once.
+    fn step(
+        cluster: &mut VqaCluster,
+        ansatz: &Arc<Circuit>,
+        client: &impl JobSubmitter,
+        policy: &SplitPolicy,
+        max_cluster_iterations: usize,
+    ) -> StepOutcome {
+        loop {
+            let request = cluster.propose();
+            let results =
+                qexec::run_phase(client, ansatz, &InitialState::Basis(0), vec![request], None)
+                    .unwrap();
+            if let Some(outcome) = cluster.observe(&results[0], policy, max_cluster_iterations, 2) {
+                return outcome;
+            }
+        }
     }
 
     #[test]
@@ -407,22 +367,18 @@ mod tests {
         let a = qchem::transverse_field_ising(3, 1.0, 0.4);
         let b = qchem::transverse_field_ising(3, 1.0, 0.5);
         let (mut cluster, ansatz) = make_cluster(vec![a, b], 4);
-        let mut backend = StatevectorBackend::with_shots(64);
+        let executor = Executor::single(StatevectorBackend::with_shots(64));
         let policy = SplitPolicy::Never;
         for _ in 0..5 {
-            let outcome = cluster.step(
-                &ansatz,
-                &InitialState::Basis(0),
-                &mut backend,
-                &policy,
-                100,
-                2,
-            );
+            let outcome = step(&mut cluster, &ansatz, &executor.client(), &policy, 100);
             assert_eq!(outcome, StepOutcome::Continue);
         }
         assert_eq!(cluster.iterations(), 5);
         assert!(cluster.shots_used() > 0);
-        assert_eq!(cluster.shots_used(), backend.shots_used());
+        assert_eq!(
+            Ok(cluster.shots_used()),
+            executor.shots_used(qexec::DEFAULT_BACKEND)
+        );
         assert!(cluster.latest_member_losses().iter().all(|v| v.is_finite()));
         assert!(cluster.latest_mixed_loss().is_some());
     }
@@ -447,18 +403,12 @@ mod tests {
         let a = PauliOp::from_labels(2, &[("ZZ", -1.0)]);
         let b = PauliOp::from_labels(2, &[("ZZ", -0.9)]);
         let (mut cluster, ansatz) = make_cluster(vec![a, b], 3);
-        let mut backend = StatevectorBackend::with_shots(16);
+        let executor = Executor::single(StatevectorBackend::with_shots(16));
+        let client = executor.client();
         let policy = SplitPolicy::ForcedSingle { at_fraction: 0.5 };
         let mut split_at = None;
         for i in 0..20 {
-            let outcome = cluster.step(
-                &ansatz,
-                &InitialState::Basis(0),
-                &mut backend,
-                &policy,
-                20,
-                2,
-            );
+            let outcome = step(&mut cluster, &ansatz, &client, &policy, 20);
             if outcome == StepOutcome::SplitRequested {
                 split_at = Some(i + 1);
                 break;
@@ -473,7 +423,8 @@ mod tests {
         let a = PauliOp::from_labels(2, &[("ZZ", -1.0), ("XI", 0.2)]);
         let b = PauliOp::from_labels(2, &[("ZZ", -0.7), ("IX", 0.1)]);
         let (mut cluster, ansatz) = make_cluster(vec![a, b], 3);
-        let mut backend = StatevectorBackend::with_shots(16);
+        let executor = Executor::single(StatevectorBackend::with_shots(16));
+        let client = executor.client();
         let policy = SplitPolicy::Adaptive {
             warmup_iterations: 3,
             window_size: 3,
@@ -481,15 +432,7 @@ mod tests {
         };
         let mut requested = false;
         for _ in 0..10 {
-            if cluster.step(
-                &ansatz,
-                &InitialState::Basis(0),
-                &mut backend,
-                &policy,
-                100,
-                2,
-            ) == StepOutcome::SplitRequested
-            {
+            if step(&mut cluster, &ansatz, &client, &policy, 100) == StepOutcome::SplitRequested {
                 requested = true;
                 break;
             }
@@ -506,17 +449,11 @@ mod tests {
             .map(|i| PauliOp::from_labels(2, &[("ZZ", -1.0 - 0.1 * i as f64)]))
             .collect();
         let (mut cluster, ansatz) = make_cluster(hams, 3);
-        let mut backend = StatevectorBackend::with_shots(8);
+        let executor = Executor::single(StatevectorBackend::with_shots(8));
+        let client = executor.client();
         // A couple of steps so that params move away from zero.
         for _ in 0..3 {
-            cluster.step(
-                &ansatz,
-                &InitialState::Basis(0),
-                &mut backend,
-                &SplitPolicy::Never,
-                100,
-                2,
-            );
+            step(&mut cluster, &ansatz, &client, &SplitPolicy::Never, 100);
         }
         let parent_params = cluster.params().to_vec();
         let mut make_opt =

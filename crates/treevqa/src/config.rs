@@ -56,9 +56,11 @@ pub struct TreeVqaConfig {
     /// Record an application-level history row every this many controller rounds.
     pub record_every: usize,
     /// Optional per-phase timeout in milliseconds: every round-phase job carries a
-    /// deadline this far from its submission, so a phase stuck behind a congested or
+    /// deadline this far from its submission and the controller waits no longer than
+    /// that for the phase (a job's deadline does not cross a `qnet` connection; the
+    /// bounded wait does the work there), so a phase stuck behind a congested or
     /// stalled executor surfaces `DeadlineExceeded` instead of wedging the controller.
-    /// `None` (the default) submits without deadlines.
+    /// `None` (the default) submits without deadlines and waits without bound.
     pub phase_timeout_ms: Option<u64>,
     /// Base RNG seed (optimizers and spectral-clustering k-means derive their seeds from
     /// it deterministically).

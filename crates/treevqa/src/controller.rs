@@ -10,7 +10,9 @@ use crate::cluster::{StepOutcome, VqaCluster};
 use crate::config::{SplitPolicy, TreeVqaConfig};
 use crate::tree::ExecutionTree;
 use cluster::{spectral_bipartition, SimilarityMatrix};
-use qexec::{wait_all, EvalJob, ExecClient, ExecError, Executor, JobHandle};
+use qexec::{
+    run_phase, CompletionHandle, EvalJob, ExecError, Executor, JobSubmitter, SubmitOptions,
+};
 use qop::PauliOp;
 use qopt::Optimizer;
 use std::sync::Arc;
@@ -99,11 +101,11 @@ impl TreeVqaResult {
     }
 }
 
-/// The TreeVQA wrapper: construct it around a [`VqaApplication`], then [`TreeVqa::run`]
-/// it against a [`qexec::Executor`] — every active cluster becomes its own executor
-/// client, so each controller round's candidates flow through the service's fair
-/// round-robin scheduler and coalesce into the batched submissions the compiled
-/// scratch-pool engine is built for.
+/// The TreeVQA wrapper: construct it around a [`VqaApplication`], then run it on anything
+/// that accepts jobs — [`TreeVqa::run`] on a [`qexec::Executor`], [`TreeVqa::run_on`] on
+/// any [`qexec::JobSubmitter`] (a client of a shared executor, or a `qnet::NetClient` to
+/// one behind a socket).  Each controller round phase goes out as one group of jobs, so
+/// all active clusters' candidates reach the driver as one batched submission.
 ///
 /// # Examples
 ///
@@ -211,26 +213,42 @@ impl TreeVqa {
     /// Runs TreeVQA starting from all-zero ansatz parameters, submitting every
     /// evaluation as jobs to `executor`'s default backend.
     pub fn run(&self, executor: &Executor) -> Result<TreeVqaResult, ExecError> {
-        let zeros = vec![0.0; self.application.num_parameters()];
-        self.run_with_initial(executor, &zeros)
+        self.run_on(&executor.client())
     }
 
-    /// Runs TreeVQA starting from the given ansatz parameters (e.g. a CAFQA or Red-QAOA
-    /// warm start).
-    ///
-    /// Every cluster owns its own [`ExecClient`]: each controller round phase, all
-    /// active clusters submit their candidates while the executor is paused, and one
-    /// resume releases the whole round as a fair round-robin slate — the service
-    /// coalesces it into batched driver submissions exactly as the old hand-assembled
-    /// mega-batches did, but clusters no longer need to know about each other (and
-    /// other executor clients can interleave fairly with the controller).
-    ///
-    /// Returns an error if `initial_params` does not match the ansatz parameter count,
-    /// or if any submission is rejected (malformed application shapes surface here as
-    /// structured [`ExecError`]s instead of panics deep in a simulator kernel).
+    /// [`TreeVqa::run_on_with_initial`] through a new client of `executor`.
     pub fn run_with_initial(
         &self,
         executor: &Executor,
+        initial_params: &[f64],
+    ) -> Result<TreeVqaResult, ExecError> {
+        self.run_on_with_initial(&executor.client(), initial_params)
+    }
+
+    /// Runs TreeVQA starting from all-zero ansatz parameters, submitting every
+    /// evaluation through `submitter`.
+    pub fn run_on<S: JobSubmitter>(&self, submitter: &S) -> Result<TreeVqaResult, ExecError> {
+        let zeros = vec![0.0; self.application.num_parameters()];
+        self.run_on_with_initial(submitter, &zeros)
+    }
+
+    /// Runs TreeVQA starting from the given ansatz parameters (e.g. a CAFQA or Red-QAOA
+    /// warm start), submitting every evaluation through `submitter`.
+    ///
+    /// Each controller round phase, the candidates of every active cluster go out as one
+    /// group ([`qexec::run_phase`]): the service enqueues it atomically, so the whole
+    /// phase is one scheduler slate and one batched driver submission, and clusters do
+    /// not need to know about each other.  The run is the same sequence of submissions
+    /// on every transport — over a `qnet::NetClient` it is bit-identical to in-process.
+    ///
+    /// Returns an error if `initial_params` does not match the ansatz parameter count,
+    /// if any submission is rejected (malformed application shapes surface here as
+    /// structured [`ExecError`]s instead of panics deep in a simulator kernel), or — with
+    /// [`TreeVqaConfig::phase_timeout_ms`] set — with [`ExecError::DeadlineExceeded`] if
+    /// a round phase does not complete in time.
+    pub fn run_on_with_initial<S: JobSubmitter>(
+        &self,
+        submitter: &S,
         initial_params: &[f64],
     ) -> Result<TreeVqaResult, ExecError> {
         if initial_params.len() != self.application.num_parameters() {
@@ -250,10 +268,6 @@ impl TreeVqa {
             .iter()
             .map(|t| Arc::new(t.hamiltonian.clone()))
             .collect();
-        // The controller's own client for uncharged probes (history records and
-        // post-processing); clusters get one client each.
-        let probe_client = executor.client();
-
         let mut tree = ExecutionTree::new();
         let root_id = tree.add_node(None, (0..num_tasks).collect());
         let make_optimizer = |seed_base: u64, node_id: usize, spec: &qopt::OptimizerSpec| {
@@ -269,7 +283,7 @@ impl TreeVqa {
             self.window_size(),
         );
         let mut clusters: Vec<VqaCluster> = vec![root];
-        let mut clients: Vec<ExecClient> = vec![executor.client()];
+        let phase_timeout = cfg.phase_timeout_ms.map(std::time::Duration::from_millis);
 
         let mut per_task_best = vec![f64::INFINITY; num_tasks];
         let mut history: Vec<TreeVqaRecord> = Vec::new();
@@ -291,14 +305,12 @@ impl TreeVqa {
                 break;
             }
 
-            // Step every active cluster once (Algorithm 1 lines 5–8).  Each cluster
-            // submits its proposed candidates through its own client while the executor
-            // is paused; the resume releases the whole phase as one fair-ordered slate,
-            // which the service executes as one batched driver submission — one
-            // compiled ansatz shared across the round, states prepared concurrently.
-            // With SPSA every cluster completes in a single phase (2 jobs per cluster);
-            // the simplex optimizers may keep a subset of clusters active for further
-            // phases.
+            // Step every active cluster once (Algorithm 1 lines 5–8).  A phase is one
+            // group: all active clusters' candidates are enqueued atomically, so the
+            // service executes them as one batched driver submission — one compiled
+            // ansatz shared across the round, states prepared concurrently.  With SPSA
+            // every cluster completes in a single phase (2 jobs per cluster); COBYLA
+            // may keep a subset of clusters active for further phases.
             let mut split_requests: Vec<usize> = Vec::new();
             let mut active: Vec<usize> = clusters
                 .iter()
@@ -307,65 +319,19 @@ impl TreeVqa {
                 .map(|(idx, _)| idx)
                 .collect();
             while !active.is_empty() {
-                // RAII pause: released at the end of the block even if a propose()
-                // panics, so a shared executor can never be left paused by this run.
-                let pause = executor.scoped_pause();
-                // One deadline for the whole phase when configured: every cluster's
-                // jobs expire together, so a stalled phase fails as a unit with
-                // `DeadlineExceeded` instead of wedging the controller.
-                let phase_deadline = self
-                    .config
-                    .phase_timeout_ms
-                    .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-                let submitted: Result<Vec<(usize, Vec<JobHandle>)>, ExecError> = active
-                    .iter()
-                    .map(|&idx| {
-                        let candidates = clusters[idx].propose();
-                        let mixed = Arc::clone(clusters[idx].mixed_hamiltonian_arc());
-                        let members = clusters[idx].member_hamiltonians().to_vec();
-                        let handles =
-                            clients[idx].submit_all(candidates.iter().map(|candidate| {
-                                let mut job = EvalJob::new(
-                                    Arc::clone(&ansatz),
-                                    candidate.clone(),
-                                    app.initial_state,
-                                    Arc::clone(&mixed),
-                                )
-                                .with_free_ops(members.clone());
-                                if let Some(deadline) = phase_deadline {
-                                    job = job.with_deadline(deadline);
-                                }
-                                job
-                            }))?;
-                        Ok((idx, handles))
-                    })
-                    .collect();
-                if submitted.is_err() {
-                    // A rejected submission aborts the run: cancel every active
-                    // cluster's already-queued jobs while the phase pause still
-                    // guarantees none started, so no orphaned work executes (and
-                    // consumes a shared backend's RNG stream) after we return.
-                    for &idx in &active {
-                        clients[idx].cancel_queued();
-                    }
-                }
-                // Release the phase pause before waiting (and before error
-                // propagation): the slate is fully assembled.
-                drop(pause);
-                let submitted = submitted?;
-
-                // Hand each cluster its phase results.  The scheduler interleaves the
-                // clusters' jobs round-robin; on deterministic backends per-candidate
-                // results are order-independent so trajectories match the historical
-                // cluster-major loop exactly, while on stochastic backends the noise
-                // stream maps to evaluations in the scheduled (equally valid) order —
-                // still bit-reproducible via the serial-replay contract.
+                let requests = active.iter().map(|&idx| clusters[idx].propose()).collect();
+                let phase = run_phase(
+                    submitter,
+                    &ansatz,
+                    &app.initial_state,
+                    requests,
+                    phase_timeout,
+                )?;
                 let mut still_active = Vec::new();
-                for (idx, handles) in submitted {
-                    let results = wait_all(&handles)?;
+                for (idx, results) in active.into_iter().zip(&phase) {
                     total_shots += results.iter().map(|r| r.shots).sum::<u64>();
                     match clusters[idx].observe(
-                        &results,
+                        results,
                         &cfg.split_policy,
                         cfg.max_cluster_iterations,
                         cfg.min_split_size,
@@ -383,7 +349,6 @@ impl TreeVqa {
             split_requests.sort_unstable();
             for &idx in split_requests.iter().rev() {
                 let parent = clusters.remove(idx);
-                clients.remove(idx);
                 let labels = self.partition_labels(&parent);
                 tree.finalize_node(
                     parent.node_id,
@@ -403,19 +368,17 @@ impl TreeVqa {
                     self.window_size(),
                 );
                 // Now that the children exist we know their task lists; refresh the tree
-                // nodes with them.  Each child registers as a fresh executor client.
+                // nodes with them.
                 Self::set_node_tasks(&mut tree, left_id, left.task_indices.clone());
                 Self::set_node_tasks(&mut tree, right_id, right.task_indices.clone());
                 clusters.push(left);
-                clients.push(executor.client());
                 clusters.push(right);
-                clients.push(executor.client());
             }
 
             // Periodic history recording with uncharged probes (metrics only).
             if round % cfg.record_every == 0 {
                 self.record_round(
-                    &probe_client,
+                    submitter,
                     &ansatz,
                     &task_hams,
                     &clusters,
@@ -429,7 +392,7 @@ impl TreeVqa {
 
         // Final record (captures the state at termination).
         self.record_round(
-            &probe_client,
+            submitter,
             &ansatz,
             &task_hams,
             &clusters,
@@ -452,15 +415,18 @@ impl TreeVqa {
         // every surviving cluster state and keep the best.  Probe jobs charge no shots.
         let mut per_task = Vec::with_capacity(num_tasks);
         for (task_idx, task) in app.tasks.iter().enumerate() {
-            let handles: Vec<JobHandle> = clusters
+            let handles: Vec<S::Handle> = clusters
                 .iter()
                 .map(|cluster| {
-                    probe_client.submit_probe(EvalJob::new(
-                        Arc::clone(&ansatz),
-                        cluster.params().to_vec(),
-                        app.initial_state,
-                        Arc::clone(&task_hams[task_idx]),
-                    ))
+                    submitter.submit_probe_job(
+                        EvalJob::new(
+                            Arc::clone(&ansatz),
+                            cluster.params().to_vec(),
+                            app.initial_state,
+                            Arc::clone(&task_hams[task_idx]),
+                        ),
+                        &SubmitOptions::default(),
+                    )
                 })
                 .collect::<Result<_, _>>()?;
             let mut best_energy = f64::INFINITY;
@@ -515,9 +481,9 @@ impl TreeVqa {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn record_round(
+    fn record_round<S: JobSubmitter>(
         &self,
-        probe_client: &ExecClient,
+        submitter: &S,
         ansatz: &Arc<qcircuit::Circuit>,
         task_hams: &[Arc<PauliOp>],
         clusters: &[VqaCluster],
@@ -529,15 +495,18 @@ impl TreeVqa {
         let app = &self.application;
         // Submit every cluster-member probe first, then wait: the whole record becomes
         // one scheduler slate instead of one round trip per member.
-        let mut probes: Vec<(usize, JobHandle)> = Vec::new();
+        let mut probes: Vec<(usize, S::Handle)> = Vec::new();
         for cluster in clusters {
             for &task_idx in &cluster.task_indices {
-                let handle = probe_client.submit_probe(EvalJob::new(
-                    Arc::clone(ansatz),
-                    cluster.params().to_vec(),
-                    app.initial_state,
-                    Arc::clone(&task_hams[task_idx]),
-                ))?;
+                let handle = submitter.submit_probe_job(
+                    EvalJob::new(
+                        Arc::clone(ansatz),
+                        cluster.params().to_vec(),
+                        app.initial_state,
+                        Arc::clone(&task_hams[task_idx]),
+                    ),
+                    &SubmitOptions::default(),
+                )?;
                 probes.push((task_idx, handle));
             }
         }

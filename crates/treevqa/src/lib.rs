@@ -7,7 +7,10 @@
 //!
 //! * [`TreeVqa`] — the central controller (Algorithm 1): owns the execution tree, steps
 //!   clusters, performs spectral-clustering splits, enforces the shot budget, and
-//!   post-processes the final states.
+//!   post-processes the final states.  It is a plain [`qexec::JobSubmitter`] client —
+//!   every round phase is one job group through `qexec::run_phase` — so the same run
+//!   drives an in-process executor ([`TreeVqa::run`]) or a remote one
+//!   ([`TreeVqa::run_on`] with a `qnet::NetClient`) with identical results.
 //! * [`VqaCluster`] — the per-cluster optimization unit (Algorithm 2): mixed-Hamiltonian
 //!   construction, shared-parameter optimization, sliding-window slope monitoring.
 //! * [`TreeVqaConfig`] / [`SplitPolicy`] — hyperparameters, including the forced-split and

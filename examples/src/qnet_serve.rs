@@ -9,7 +9,9 @@
 //! `vqa` driver ([`qexec::run_single_vqa`]) against the remote executor — the same
 //! generic entry point local code uses, no network-specific driver — and, because
 //! randomness is counter-based and stream-pinned, an identical local run reproduces
-//! its energy bit-for-bit (the example asserts this).  The run ends with the
+//! its energy bit-for-bit (the example asserts this).  A sixth connection then runs
+//! the paper's workload — a small TreeVQA, every round phase one batch frame — through
+//! [`treevqa::TreeVqa::run_on`], again equal to a local rerun.  The run ends with the
 //! server's own metrics (connections, frames, bytes, per-connection request
 //! counters) and the executor's observability summary.
 //!
@@ -25,9 +27,10 @@ use qnet::{NetClient, NetServer};
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
 use std::sync::Arc;
+use treevqa::{SplitPolicy, TreeVqa, TreeVqaConfig};
 use vqa::{
-    InitialState, NoisyStatevectorBackend, SampledBackend, StatevectorBackend, VqaRunConfig,
-    VqaTask,
+    InitialState, NoisyStatevectorBackend, SampledBackend, StatevectorBackend, VqaApplication,
+    VqaRunConfig, VqaTask,
 };
 
 const QUBITS: usize = 4;
@@ -178,6 +181,43 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "remote and local runs must be bit-identical"
     );
     println!("    local rerun matches bit-for-bit ✓");
+
+    // Phase 3 — the paper's workload over the wire: the TreeVQA controller is a plain
+    // `JobSubmitter` client, so it takes the connection where it would take a local
+    // client.  Each round phase travels as one batch frame and runs as one slate.
+    let tasks: Vec<VqaTask> = [0.4, 0.5, 0.9, 1.0]
+        .iter()
+        .map(|&h| {
+            let ham = qchem::transverse_field_ising(QUBITS, 1.0, h);
+            VqaTask::with_computed_reference(format!("TFIM h={h}"), h, ham)
+        })
+        .collect();
+    let app = VqaApplication::new("tfim-remote", tasks, ansatz, InitialState::Basis(0));
+    let tree_vqa = TreeVqa::new(
+        app,
+        TreeVqaConfig {
+            max_cluster_iterations: iterations,
+            split_policy: SplitPolicy::ForcedSingle { at_fraction: 0.5 },
+            ..Default::default()
+        },
+    );
+    println!("\n  [remote TreeVQA: 4 tasks, {iterations} iterations per cluster]");
+    let client = NetClient::connect(addr)?;
+    let remote = tree_vqa.run_on(&client)?;
+    drop(client);
+    println!(
+        "    remote run: {} shots, {} splits, min fidelity {:.4}",
+        remote.total_shots,
+        remote.tree.num_splits(),
+        remote.min_fidelity().unwrap_or(f64::NAN)
+    );
+    let local = tree_vqa.run(&local_executor)?;
+    assert_eq!(
+        format!("{remote:?}"),
+        format!("{local:?}"),
+        "remote and local TreeVQA runs must be identical"
+    );
+    println!("    local rerun matches field for field ✓");
 
     // Wind down: drain, then print both metric surfaces.
     server.shutdown();

@@ -476,3 +476,42 @@ fn runner_reruns_bit_identically_on_fresh_executors() {
     assert_eq!(first.shots_used, second.shots_used);
     assert_eq!(first.final_energy.to_bits(), second.final_energy.to_bits());
 }
+
+/// What the pinned run ([`treevqa_tests::pinned_treevqa`]) produced at the commit before
+/// the controller moved onto `qexec::JobSubmitter`: the refactor changed who assembles a
+/// round phase, not one submitted job.
+const GOLDEN_TOTAL_SHOTS: u64 = 115_200;
+const GOLDEN_ENERGY_BITS: [u64; 4] = [
+    13835290669445260266,
+    13835458640499801954,
+    13837057712173155418,
+    13837503552990461698,
+];
+const GOLDEN_SPLITS: usize = 1;
+const GOLDEN_LEAF_TASKS: [&[usize]; 2] = [&[2, 3], &[0, 1]];
+const GOLDEN_HISTORY_ROWS: usize = 10;
+const GOLDEN_LAST_ROW_SHOTS: u64 = 115_200;
+
+#[test]
+fn treevqa_run_matches_the_golden_recorded_before_the_group_refactor() {
+    force_parallel_workers();
+    let result = treevqa_tests::pinned_treevqa()
+        .run(&treevqa_tests::pinned_executor())
+        .expect("well-formed application");
+    let energy_bits: Vec<u64> = result.per_task.iter().map(|t| t.energy.to_bits()).collect();
+    let leaf_tasks: Vec<Vec<usize>> = result
+        .tree
+        .leaves()
+        .iter()
+        .map(|n| n.task_indices.clone())
+        .collect();
+    assert_eq!(result.total_shots, GOLDEN_TOTAL_SHOTS);
+    assert_eq!(energy_bits, GOLDEN_ENERGY_BITS);
+    assert_eq!(result.tree.num_splits(), GOLDEN_SPLITS);
+    assert_eq!(leaf_tasks, GOLDEN_LEAF_TASKS);
+    assert_eq!(result.history.len(), GOLDEN_HISTORY_ROWS);
+    assert_eq!(
+        result.history.last().map(|r| r.cumulative_shots),
+        Some(GOLDEN_LAST_ROW_SHOTS)
+    );
+}

@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 use qexec::{
-    run_single_vqa, EvalJob, ExecError, Executor, SeedPolicy, StreamId, SubmitOptions,
-    CAPABILITY_NAMES, MAX_JOB_QUBITS,
+    run_single_vqa, AdmissionPolicy, EvalJob, ExecError, Executor, SeedPolicy, StreamId,
+    SubmitOptions, CAPABILITY_NAMES, MAX_JOB_QUBITS,
 };
 use qnet::wire::{self, ControlKind, Frame, SubmitFrame, WireError};
 use qnet::{NetClient, NetServer};
@@ -32,10 +32,12 @@ use qrng::CounterRng;
 use rand::Rng as _;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use treevqa::{SplitPolicy, TreeVqa, TreeVqaConfig, TreeVqaResult};
+use treevqa_tests::{pinned_application, pinned_config, pinned_executor, pinned_treevqa};
 use vqa::{
-    Backend, BackendCaps, EvalResult, InitialState, NoisyStatevectorBackend, SampledBackend,
-    StatevectorBackend, VqaRunConfig, VqaTask,
+    Backend, BackendCaps, EvalRequest, EvalResult, InitialState, NoisyStatevectorBackend,
+    SampledBackend, StatevectorBackend, VqaRunConfig, VqaTask,
 };
 
 /// Tests that execute jobs or generate fuzz frames (and therefore advance the
@@ -585,6 +587,187 @@ fn vqa_driver_runs_remotely_bit_identical() {
     }
 }
 
+/// Runs `tree` on `executor`, in-process or through a loopback connection to it.
+fn run_tree(tree: &TreeVqa, executor: Executor, remote: bool) -> Result<TreeVqaResult, ExecError> {
+    let executor = Arc::new(executor);
+    if remote {
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&executor)).expect("bind loopback");
+        let client = NetClient::connect(server.local_addr()).expect("connect loopback");
+        tree.run_on(&client)
+    } else {
+        tree.run(&executor)
+    }
+}
+
+/// The paper's workload over the wire: a whole TreeVQA run through a loopback
+/// `NetClient` equals the in-process run field for field.  The backend is stochastic on
+/// purpose — its default streams derive from submission ids, so the two runs agree only
+/// if the controller submits the same jobs in the same order on both transports (the
+/// exact backend of `vqa_driver_runs_remotely_bit_identical` cannot see that).
+#[test]
+fn treevqa_runs_remotely_bit_identical() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = pinned_treevqa();
+    let local = run_tree(&tree, pinned_executor(), false).expect("local run");
+    let remote = run_tree(&tree, pinned_executor(), true).expect("remote run");
+    assert!(local.tree.num_splits() > 0, "the pinned run must split");
+    // `Debug` prints every field, and an `f64` as its shortest round-trip decimal: equal
+    // text is equal bits.
+    assert_eq!(format!("{remote:?}"), format!("{local:?}"));
+}
+
+/// `TreeVqaConfig::phase_timeout_ms` bounds a round phase on both transports: behind an
+/// executor that never schedules, the run fails with `DeadlineExceeded` instead of
+/// waiting.  In-process the scheduler drops the expired jobs; a job's deadline does not
+/// cross the wire, so remotely it is the phase's bounded wait that fires.
+#[test]
+fn treevqa_phase_timeout_fails_a_stalled_run_on_both_transports() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = TreeVqa::new(
+        pinned_application(),
+        TreeVqaConfig {
+            phase_timeout_ms: Some(50),
+            ..pinned_config()
+        },
+    );
+    for remote in [false, true] {
+        let stalled = Executor::builder()
+            .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(64))
+            .paused()
+            .start();
+        let started = Instant::now();
+        let outcome = run_tree(&tree, stalled, remote);
+        assert_eq!(
+            outcome.map(|_| ()),
+            Err(ExecError::DeadlineExceeded),
+            "remote = {remote}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the timeout must fire promptly (remote = {remote})"
+        );
+    }
+}
+
+/// An exact backend that logs the size of every `evaluate_batch` call.
+struct BatchSizes {
+    inner: StatevectorBackend,
+    sizes: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Backend for BatchSizes {
+    fn evaluate(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        charged_op: &PauliOp,
+        free_ops: &[&PauliOp],
+    ) -> (f64, Vec<f64>) {
+        self.inner
+            .evaluate(circuit, params, initial, charged_op, free_ops)
+    }
+
+    fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
+        self.sizes.lock().unwrap().push(requests.len());
+        self.inner.evaluate_batch(requests)
+    }
+
+    fn probe(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        op: &PauliOp,
+    ) -> f64 {
+        self.inner.probe(circuit, params, initial, op)
+    }
+
+    fn shots_used(&self) -> u64 {
+        self.inner.shots_used()
+    }
+
+    fn reset_shots(&mut self) {
+        self.inner.reset_shots();
+    }
+
+    fn shots_per_pauli(&self) -> u64 {
+        self.inner.shots_per_pauli()
+    }
+
+    fn name(&self) -> &'static str {
+        "batch-sizes"
+    }
+}
+
+/// Slate shape: every round phase of a run that grows to three clusters reaches the
+/// driver as exactly **one** `evaluate_batch` call holding every active cluster's SPSA
+/// pair — in-process and over loopback.  `qexec.jobs_per_slate_mean` and
+/// `vqa.batch_calls` rest on this.
+#[test]
+fn every_round_phase_reaches_the_driver_as_one_batch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut app = pinned_application();
+    app.tasks.truncate(3);
+    let tree = TreeVqa::new(
+        app,
+        TreeVqaConfig {
+            max_cluster_iterations: 12,
+            // No first-step calibration: every phase is a cluster's ± pair.
+            optimizer: qopt::OptimizerSpec::Spsa(qopt::SpsaConfig {
+                calibrate_first_step: None,
+                ..Default::default()
+            }),
+            // Splits as soon as the window fills: 3 tasks → 2 + 1 → 1 + 1 + 1.
+            split_policy: SplitPolicy::Adaptive {
+                warmup_iterations: 3,
+                window_size: 3,
+                epsilon_split: 1e6,
+            },
+            ..pinned_config()
+        },
+    );
+    for remote in [false, true] {
+        let sizes: Arc<Mutex<Vec<usize>>> = Arc::default();
+        let executor = Executor::single(BatchSizes {
+            inner: StatevectorBackend::with_shots(64),
+            sizes: Arc::clone(&sizes),
+        });
+        let result = run_tree(&tree, executor, remote).expect("well-formed application");
+        let nodes = result.tree.nodes();
+        assert_eq!(
+            result.tree.leaves().len(),
+            3,
+            "the run must reach 3 clusters"
+        );
+        // A cluster steps in the rounds from the one after its parent split (round 1
+        // for the root) for as many rounds as it ran iterations.
+        let mut first_round = vec![1usize; nodes.len()];
+        for node in nodes {
+            if let Some(parent) = node.parent {
+                first_round[node.id] = first_round[parent] + nodes[parent].iterations;
+            }
+        }
+        let last_round = nodes
+            .iter()
+            .map(|n| first_round[n.id] + n.iterations)
+            .max()
+            .unwrap();
+        let expected: Vec<usize> = (1..last_round)
+            .map(|round| {
+                let active = nodes
+                    .iter()
+                    .filter(|n| {
+                        (first_round[n.id]..first_round[n.id] + n.iterations).contains(&round)
+                    })
+                    .count();
+                2 * active
+            })
+            .collect();
+        assert_eq!(*sizes.lock().unwrap(), expected, "remote = {remote}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Service behavior.
 // ---------------------------------------------------------------------------
@@ -786,6 +969,115 @@ fn hostile_jobs_refused_with_matching_codes_remote_and_local() {
             other => panic!("expected a refusal, got {other:?}"),
         }
     }
+    server.shutdown();
+}
+
+/// A refused *group* reports its cause, remote ≡ local: nothing of it is enqueued, so
+/// every entry of the batch frame resolves with the error that refused it — the one the
+/// local `submit_all` returns — where the accepted prefix used to come back `Cancelled`.
+#[test]
+fn refused_group_reports_its_cause_on_every_entry_remote_and_local() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let executor = Arc::new(Executor::single(StatevectorBackend::with_shots(64)));
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&executor)).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+    let group = || -> Vec<EvalJob> {
+        let mut jobs: Vec<EvalJob> = loopback_jobs()
+            .into_iter()
+            .take(3)
+            .map(|(job, _)| job)
+            .collect();
+        jobs[1].params[1] = f64::NAN;
+        jobs
+    };
+    let expected = ExecError::NonFiniteParameter { index: 1 };
+    assert_eq!(
+        executor.client().submit_all(group()).map(|_| ()),
+        Err(expected.clone()),
+        "local refusal"
+    );
+
+    // Raw frames: `NetClient` would refuse the job before sending it.
+    let frame = Frame::SubmitBatch(
+        group()
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| SubmitFrame {
+                request_id: i as u64,
+                probe: false,
+                opts: SubmitOptions::default(),
+                job,
+            })
+            .collect(),
+    );
+    wire::write_frame(&mut stream, &frame, wire::DEFAULT_MAX_FRAME).expect("write batch");
+    let mut answered = Vec::new();
+    for _ in 0..3 {
+        match wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("refusal arrives") {
+            Frame::Error {
+                request_id,
+                code,
+                aux0,
+                aux1,
+                text,
+            } => {
+                assert_eq!(Frame::to_exec_error(code, aux0, aux1, text), expected);
+                answered.push(request_id);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, [0, 1, 2]);
+    executor.wait_idle();
+    assert_eq!(
+        executor.shots_used(qexec::DEFAULT_BACKEND),
+        Ok(0),
+        "nothing of either refused group ran"
+    );
+    server.shutdown();
+}
+
+/// A batch frame larger than a `Block` executor's queue used to wait for room while
+/// holding the pause that kept the queue from draining — wedging its connection and
+/// leaving the served executor paused for every other one.  Now every entry resolves
+/// `Overloaded` and the next connection's job still runs.
+#[test]
+fn oversized_batch_under_block_is_refused_and_the_executor_keeps_serving() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let executor = Arc::new(
+        Executor::builder()
+            .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(64))
+            .queue_capacity(2)
+            .admission(AdmissionPolicy::Block)
+            .start(),
+    );
+    let server = NetServer::bind("127.0.0.1:0", executor).expect("bind loopback");
+    let patience = Duration::from_secs(10);
+
+    let a = NetClient::connect(server.local_addr()).expect("connect a");
+    let jobs: Vec<EvalJob> = loopback_jobs()
+        .into_iter()
+        .take(4)
+        .map(|(job, _)| job)
+        .collect();
+    for handle in a.submit_group(jobs).expect("the frame is sent") {
+        assert_eq!(
+            handle.wait_timeout(patience),
+            Some(Err(ExecError::Overloaded)),
+            "every entry of the oversized group must resolve with a structured error"
+        );
+    }
+
+    let b = NetClient::connect(server.local_addr()).expect("connect b");
+    let (job, _) = loopback_jobs().swap_remove(0);
+    let result = b.submit(job).expect("submit").wait_timeout(patience);
+    assert!(
+        matches!(result, Some(Ok(_))),
+        "the executor must not be left paused: {result:?}"
+    );
+    drop((a, b));
     server.shutdown();
 }
 

@@ -228,6 +228,57 @@ fn shedding_evicts_lowest_priority_and_rejects_unimportant_newcomers() {
     high.wait().expect("admitted newcomer completes");
 }
 
+/// Shedding treats a group as a unit: it evicts one queued job per missing place when
+/// each of them matters less than the group's least important entry, and evicts nothing
+/// for a group it then has to refuse.
+#[test]
+fn shedding_admits_a_group_whole_or_sheds_nothing() {
+    let circuit = demo_circuit(3);
+    let op = demo_op(3);
+    let executor = Executor::builder()
+        .register(qexec::DEFAULT_BACKEND, StatevectorBackend::new())
+        .queue_capacity(3)
+        .admission(AdmissionPolicy::ShedLowestPriority)
+        .paused()
+        .start();
+    let client = executor.client();
+    let group = |salt: usize, priorities: [Priority; 2]| {
+        priorities
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| (demo_job(&circuit, &op, salt + j), priority_opts(p), false))
+            .collect::<Vec<_>>()
+    };
+    let queued: Vec<JobHandle> = [0, 5, 1]
+        .iter()
+        .enumerate()
+        .map(|(j, &p)| {
+            client
+                .submit_with(demo_job(&circuit, &op, j), &priority_opts(p))
+                .unwrap()
+        })
+        .collect();
+    // Two places missing; the priority-0 and priority-1 jobs both matter less than the
+    // group's weaker entry (3).
+    let admitted = client
+        .submit_group(group(10, [9, 3]))
+        .expect("both victims matter less than the whole group");
+    assert_eq!(queued[0].wait().unwrap_err(), ExecError::Overloaded);
+    assert_eq!(queued[2].wait().unwrap_err(), ExecError::Overloaded);
+    // Queue: 5, 9, 3.  The next group's weaker entry (2) matters less than all of them.
+    assert_eq!(
+        client.submit_group(group(20, [9, 2])).unwrap_err(),
+        ExecError::Overloaded
+    );
+    let stats = executor.stats();
+    assert_eq!(stats.shed, 2, "nothing is shed for a refused group");
+    assert_eq!(stats.rejected, 2, "both entries of the refused group count");
+    executor.resume();
+    for handle in admitted.iter().chain(&queued[1..2]) {
+        handle.wait().expect("surviving job completes");
+    }
+}
+
 /// `Block` applies backpressure instead of failing: a submitter against a full queue
 /// parks until the worker drains space, and every admitted job still completes.
 #[test]
@@ -252,6 +303,82 @@ fn block_policy_parks_submitters_until_space_drains() {
     for handle in &handles {
         handle.wait().expect("blocked-then-admitted job completes");
     }
+    assert_eq!(executor.stats().rejected, 0);
+}
+
+/// A group larger than the queue bound can never be admitted whole.  Under `Block` it
+/// used to wait for space while holding the pause that kept the queue from draining;
+/// now it is refused, and nothing of it is left queued.
+#[test]
+fn group_larger_than_the_queue_is_overloaded_under_block() {
+    let circuit = demo_circuit(3);
+    let op = demo_op(3);
+    let executor = Executor::builder()
+        .register(qexec::DEFAULT_BACKEND, StatevectorBackend::new())
+        .queue_capacity(2)
+        .admission(AdmissionPolicy::Block)
+        .start();
+    let jobs: Vec<EvalJob> = (0..4).map(|j| demo_job(&circuit, &op, j)).collect();
+    let client = executor.client();
+    // On a helper thread, so a submission that wedges fails this test, not the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(client.submit_all(jobs).map(|_| ())));
+    let refused = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the submission must return, not wedge");
+    assert_eq!(refused, Err(ExecError::Overloaded));
+    assert_eq!(
+        executor.stats().rejected,
+        4,
+        "every entry counts as refused"
+    );
+    // Nothing was enqueued and no pause was left behind: the executor is idle and a
+    // later job runs.
+    executor.wait_idle();
+    let later = executor.client().submit(demo_job(&circuit, &op, 9));
+    later.unwrap().wait().expect("the executor still serves");
+}
+
+/// A group that fits the bound but not the queue as it stands waits — unpaused, so the
+/// queue can drain — and is then admitted whole: its jobs run back to back in one slate.
+#[test]
+fn group_behind_a_full_queue_is_admitted_once_it_drains_under_block() {
+    let circuit = demo_circuit(3);
+    let op = demo_op(3);
+    let executor = Executor::builder()
+        .register(qexec::DEFAULT_BACKEND, StatevectorBackend::new())
+        .queue_capacity(2)
+        .admission(AdmissionPolicy::Block)
+        .paused()
+        .start();
+    let client = executor.client();
+    let plugs = client
+        .submit_all((0..2).map(|j| demo_job(&circuit, &op, j)))
+        .expect("an empty queue of two takes a group of two");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submitter = {
+        let client = client.clone();
+        let jobs: Vec<EvalJob> = (2..4).map(|j| demo_job(&circuit, &op, j)).collect();
+        std::thread::spawn(move || tx.send(client.submit_all(jobs)))
+    };
+    assert!(
+        rx.recv_timeout(Duration::from_millis(50)).is_err(),
+        "the queue is full and paused: the group must still be waiting"
+    );
+    executor.resume();
+    let group = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the drain frees room for the group")
+        .expect("a group that fits is admitted, not refused");
+    submitter.join().unwrap().unwrap();
+    for handle in plugs.iter().chain(&group) {
+        handle.wait().expect("admitted jobs complete");
+    }
+    assert_eq!(
+        (group[0].sequence(), group[1].sequence()),
+        (Some(2), Some(3)),
+        "the group runs whole, after the queue it waited for"
+    );
     assert_eq!(executor.stats().rejected, 0);
 }
 
