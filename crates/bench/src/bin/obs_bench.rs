@@ -3,7 +3,7 @@
 //!
 //! Runs the deterministic quick suite and pairs the fully-traced 4-client slate
 //! workload (`exec/obs/jobs_on/32x12q` — builder-enabled span recording plus the
-//! process-wide `qobs` flag, so the `qsim` pattern profiler ticks too) against its
+//! process-wide `qobs` flag, so the `vqa` cache counters tick too) against its
 //! untraced twin (`exec/jobs/4clients_32x12q`, baselined in `BENCH_exec.json`).  The
 //! derived overhead percentage is the acceptance budget: full tracing must stay
 //! within 5% of the untraced submit→complete path.

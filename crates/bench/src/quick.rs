@@ -112,6 +112,20 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         }));
     }
     {
+        // Qubit 0 puts both halves of every pair in one 4-lane chunk.
+        let gate = qcircuit::Gate::Rx(0, qcircuit::Angle::Fixed(0.7));
+        let mut state = workloads::dense_state(n);
+        records.push(time_workload("single_qubit_rx/fast/12q_q0", 2000, || {
+            qsim::apply_gate(&mut state, &gate, &[])
+        }));
+    }
+    {
+        let mut state = workloads::dense_state(n);
+        records.push(time_workload("cx/fast/12q_q01", 4000, || {
+            qsim::apply_cx(&mut state, 0, 1)
+        }));
+    }
+    {
         let ladder: Vec<qcircuit::Gate> =
             (0..n - 1).map(|q| qcircuit::Gate::Cx(q, q + 1)).collect();
         let mut state = workloads::dense_state(n);
@@ -204,6 +218,18 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         }
     }
     {
+        // The readout of one X-string group on the lowest pivot.
+        let mut x0 = qop::PauliOp::zero(n);
+        x0.add_term(qop::PauliString::from_masks(1, 0, n), 1.0);
+        let basis = qop::TermBasis::new(&[&x0]);
+        let state = workloads::dense_state(n);
+        let mut values = Vec::new();
+        records.push(time_workload("expectation/basis/x0/12q", 2000, || {
+            basis.evaluate(&state, &mut values);
+            std::hint::black_box(&values);
+        }));
+    }
+    {
         let circ = workloads::rotation_heavy_ansatz(n, 2);
         let params = workloads::ansatz_params(&circ);
         let compiled = qsim::CompiledCircuit::compile(&circ);
@@ -211,6 +237,12 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let mut scratch = qop::Statevector::zero_state(n);
         records.push(time_workload("circuit_exec/compiled/12q", 150, || {
             compiled.execute_into(&params, &initial, &mut scratch);
+            std::hint::black_box(&scratch);
+        }));
+        // The dense driver's entry: the same circuit started from a basis state, its
+        // leading single-qubit layer written by doubling (the product prefix).
+        records.push(time_workload("circuit_exec/from_basis/12q", 150, || {
+            compiled.execute_from_basis(0, &params, &mut scratch, &[], None);
             std::hint::black_box(&scratch);
         }));
     }
@@ -330,7 +362,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
     {
         // Tracing overhead (BENCH_obs.json): the 4-client slate workload again with
         // full observability on — the builder flag turns on span recording for this
-        // executor, and the process-wide flag makes the qsim pattern profiler tick
+        // executor, and the process-wide flag makes the vqa cache counters tick
         // too.  The median, compared against `exec/jobs/4clients_32x12q` above, bounds
         // the fully-enabled tracing cost (the obs_bench binary records the pair and
         // the derived overhead percentage).

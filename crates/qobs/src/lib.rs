@@ -39,9 +39,8 @@
 //! 2. **Process-wide** — [`enabled()`] reads the `QOBS` environment variable once
 //!    (any value other than `0`/`false`/empty turns it on) with a programmatic
 //!    override via [`set_enabled`].  Library-layer instruments that have no
-//!    registry to hang off — the `qsim` gate-pattern profiler, the `vqa`
-//!    compiled-cache counters — consult this flag, as does `qexec`'s builder for
-//!    its default.
+//!    registry to hang off — the `vqa` compiled-cache counters — consult this
+//!    flag, as does `qexec`'s builder for its default.
 //!
 //! Timestamps come from [`now_ns`]: monotonic nanoseconds since the first
 //! observation in the process, so spans serialize as small integers and are
@@ -80,9 +79,8 @@ static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
 ///
 /// Reads the `QOBS` environment variable once per process (`1`/`true`/anything
 /// except `0`, `false`, or the empty string enables), unless [`set_enabled`] has
-/// forced a value.  Library-level instruments (the `qsim` pattern profiler, the
-/// `vqa` cache counters) check this; the `qexec` builder uses it as the default
-/// for its per-executor flag.
+/// forced a value.  Library-level instruments (the `vqa` cache counters) check
+/// this; the `qexec` builder uses it as the default for its per-executor flag.
 pub fn enabled() -> bool {
     match FORCED.load(Ordering::Relaxed) {
         1 => true,

@@ -47,7 +47,7 @@
 //!   spreads whole states over the threads, never one state's amplitudes).
 
 use crate::complex::Complex64;
-use crate::lanes::{i_power, low_sign_table, parity_sign, LANES, SIGN_BLOCK, SIGN_BLOCK_BITS};
+use crate::lanes::{i_power, low_sign_table, parity_sign, LANES, SIGN_BLOCK};
 use crate::op::PauliOp;
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
@@ -72,15 +72,22 @@ struct Member {
     /// The string's X mask: `0` for a diagonal string; strings of equal `x` form a
     /// group and share one pass over the state.
     x: usize,
-    /// The string's full Z mask.
-    z: u64,
     /// `i^{n_Y}`, the index-independent phase (1 for diagonal strings).
     g: Complex64,
-    /// The factored sign stream of the Z bits the kernel walks: those below the pivot
-    /// for an off-diagonal string on a register of at least [`SIGN_BLOCK`] amplitudes
-    /// (the bits above it are hoisted per block as `parity_sign(base & z)`), all of
-    /// them otherwise.
+    /// The factored sign stream the kernel walks: over amplitude indices for a diagonal
+    /// string; over *pair* indices for an off-diagonal one, whose pair `u` has the
+    /// pivot-clear index `i0` = `u` with a zero bit inserted at the pivot, so
+    /// `(−1)^popcount(i0 & z)` is the parity of `u` against `z` with its pivot bit
+    /// removed ([`pair_space_mask`]).
     signs: Signs,
+}
+
+/// `z` with the pivot bit of `pbit` removed and the bits above it moved down one: the
+/// mask whose parity against a pair index equals `z`'s against the pair's pivot-clear
+/// amplitude index.
+fn pair_space_mask(z: u64, pbit: usize) -> u64 {
+    let below = pbit as u64 - 1;
+    (z & below) | ((z >> 1) & !below)
 }
 
 /// `sign(j) = parity_sign(j & high_mask) · low[j & 255]`: the [`crate::lanes::SignTable`]
@@ -209,7 +216,6 @@ impl TermBasis {
         op_ends: Vec<usize>,
         pin_identity: bool,
     ) -> Self {
-        let tiny = num_qubits < SIGN_BLOCK_BITS;
         let mut pinned_identity = None;
         let mut members = Vec::with_capacity(strings.len());
         for (slot, string) in strings.iter().enumerate() {
@@ -218,15 +224,14 @@ impl TermBasis {
                 pinned_identity = Some(slot);
                 continue;
             }
-            let walked = if x == 0 || tiny {
+            let walked = if x == 0 {
                 z
             } else {
-                z & (pivot_bit(x) as u64 - 1)
+                pair_space_mask(z, pivot_bit(x))
             };
             members.push(Member {
                 slot,
                 x,
-                z,
                 g: i_power((string.x_mask() & z).count_ones()),
                 signs: Signs::new(walked),
             });
@@ -444,7 +449,7 @@ fn pairs_tiny(
     tiny_sums(
         group,
         pairs,
-        |m, u| m.signs.low[i0_of(u)] * (m.g.re * d[u] - m.g.im * e[u]),
+        |m, u| m.signs.low[u] * (m.g.re * d[u] - m.g.im * e[u]),
         |m, sum| values[m.slot] = 2.0 * sum,
     );
 }
@@ -485,11 +490,15 @@ fn diagonal_blocks(
 ///
 /// Uses the involution-pair identity: the `b` and `b ⊕ x` contributions are complex
 /// conjugates, so each pair contributes `2·Re(conj(ψ_{i1}) · phase · ψ_{i0})`.  Pairs
-/// are walked in blocks of `min(2^pivot, 256)`: with `i0 = base + off` (pivot bit
-/// clear) and `i1 = base + 2^pivot + (off ^ xl)`, the partner lane within an aligned
-/// 4-chunk is a constant shuffle by `xl & 3` (monomorphized via [`with_lane_perm!`]).
-/// The pair products `d`/`e` are computed once per block; every string of the group
-/// then folds them with its own sign stream into its own 4-lane accumulators.
+/// are walked in blocks of 256 (fewer only on a 256-amplitude register): the pair
+/// products `d`/`e` of a whole block are computed first, then every string of the group
+/// folds them, with its own pair-space sign stream, into its own accumulators — four
+/// lanes for pivot ≥ 2, one serial chain in pair order for pivot < 2, the fold orders of
+/// the single-string kernel.  Pair `u` is `(i0, i1)` with `i0 = base + off` (pivot bit
+/// clear) and `i1 = base + 2^pivot + (off ^ xl)`; within an aligned 4-chunk the partner
+/// is a constant shuffle by `xl & 3` (monomorphized via [`with_lane_perm!`]), and for
+/// pivot < 2 both sides of four pairs sit in one 8-amplitude window
+/// ([`window_products`]).
 fn pair_blocks(
     re: &[f64],
     im: &[f64],
@@ -502,77 +511,110 @@ fn pair_blocks(
     let pbit = pivot_bit(x);
     let pivot = pbit.trailing_zeros();
     let xl = x & (pbit - 1);
-    let block = pbit.min(SIGN_BLOCK);
-    for u in (0..re.len() / 2).step_by(block) {
-        // Pair-space offset `u` ↦ the 2^(pivot+1)-amplitude block it lives in and its
-        // offset inside that block's lower half.
-        let base = (u >> pivot) << (pivot + 1);
-        let ob = u & (pbit - 1);
-        let (r_lo, r_hi) = re[base..base + (pbit << 1)].split_at(pbit);
-        let (i_lo, i_hi) = im[base..base + (pbit << 1)].split_at(pbit);
-        if block >= LANES {
-            let xlh = xl & !(LANES - 1);
-            // Explicit 4-wide chunks staged through fixed-size `[f64; 4]` windows (the
-            // shape the vectorizer turns into 4-lane register blocks); the `off ^ xl`
-            // partner permutation is a compile-time shuffle per `with_lane_perm!` arm.
-            macro_rules! products {
-                ($m:literal) => {{
-                    for k in (0..block).step_by(LANES) {
-                        // off/pb are 4-aligned and < pbit (the half-slice length), so
-                        // every window is in bounds and the try_into calls cannot fail.
-                        let off = ob + k;
-                        let pb = off ^ xlh;
-                        let rl: &[f64; LANES] = (&r_lo[off..off + LANES]).try_into().unwrap();
-                        let il: &[f64; LANES] = (&i_lo[off..off + LANES]).try_into().unwrap();
-                        let rh: &[f64; LANES] = (&r_hi[pb..pb + LANES]).try_into().unwrap();
-                        let ih: &[f64; LANES] = (&i_hi[pb..pb + LANES]).try_into().unwrap();
-                        for j in 0..LANES {
-                            let (r0, i0) = (rl[j], il[j]);
-                            let (r1, i1) = (rh[j ^ $m], ih[j ^ $m]);
-                            d[k + j] = r1 * r0 + i1 * i0;
-                            e[k + j] = r1 * i0 - i1 * r0;
+    let pairs = re.len() / 2;
+    let block = pairs.min(SIGN_BLOCK);
+    for u0 in (0..pairs).step_by(block) {
+        if pbit >= LANES {
+            // One half-block of `min(2^pivot, block)` pairs at a time.
+            let half = pbit.min(block);
+            for k0 in (0..block).step_by(half) {
+                // Pair-space offset `u` ↦ the 2^(pivot+1)-amplitude block it lives in
+                // and its offset inside that block's lower half.
+                let u = u0 + k0;
+                let base = (u >> pivot) << (pivot + 1);
+                let ob = u & (pbit - 1);
+                let (r_lo, r_hi) = re[base..base + (pbit << 1)].split_at(pbit);
+                let (i_lo, i_hi) = im[base..base + (pbit << 1)].split_at(pbit);
+                let (d, e) = (&mut d[k0..k0 + half], &mut e[k0..k0 + half]);
+                let xlh = xl & !(LANES - 1);
+                // Explicit 4-wide chunks staged through fixed-size `[f64; 4]` windows
+                // (the shape the vectorizer turns into 4-lane register blocks); the
+                // `off ^ xl` partner permutation is a compile-time shuffle per
+                // `with_lane_perm!` arm.
+                macro_rules! products {
+                    ($m:literal) => {{
+                        for k in (0..half).step_by(LANES) {
+                            // off/pb are 4-aligned and < pbit (the half-slice length),
+                            // and k < half, so every window is in bounds and the
+                            // try_into calls cannot fail.
+                            let off = ob + k;
+                            let pb = off ^ xlh;
+                            let rl: &[f64; LANES] = (&r_lo[off..off + LANES]).try_into().unwrap();
+                            let il: &[f64; LANES] = (&i_lo[off..off + LANES]).try_into().unwrap();
+                            let rh: &[f64; LANES] = (&r_hi[pb..pb + LANES]).try_into().unwrap();
+                            let ih: &[f64; LANES] = (&i_hi[pb..pb + LANES]).try_into().unwrap();
+                            let dk: &mut [f64; LANES] = (&mut d[k..k + LANES]).try_into().unwrap();
+                            let ek: &mut [f64; LANES] = (&mut e[k..k + LANES]).try_into().unwrap();
+                            for j in 0..LANES {
+                                let (r0, i0) = (rl[j], il[j]);
+                                let (r1, i1) = (rh[j ^ $m], ih[j ^ $m]);
+                                dk[j] = r1 * r0 + i1 * i0;
+                                ek[j] = r1 * i0 - i1 * r0;
+                            }
                         }
-                    }
-                }};
+                    }};
+                }
+                with_lane_perm!(xl & (LANES - 1), products);
             }
-            with_lane_perm!(xl & (LANES - 1), products);
         } else {
-            // pivot < 2: half-blocks narrower than one lane chunk.
-            for off in 0..block {
-                let partner = off ^ xl;
-                let (r0, i0) = (r_lo[off], i_lo[off]);
-                let (r1, i1) = (r_hi[partner], i_hi[partner]);
-                d[off] = r1 * r0 + i1 * i0;
-                e[off] = r1 * i0 - i1 * r0;
+            let amps = 2 * u0..2 * (u0 + block);
+            let (re, im) = (&re[amps.clone()], &im[amps]);
+            let (d, e) = (&mut d[..block], &mut e[..block]);
+            match x {
+                1 => window_products::<1>(re, im, d, e),
+                2 => window_products::<2>(re, im, d, e),
+                _ => window_products::<3>(re, im, d, e),
             }
         }
         for (m, acc) in group.iter().zip(acc.iter_mut()) {
-            // Sign of the bits above the pivot (hoisted for the whole 2^(pivot+1)
-            // block) times the table's per-256 high factor.
+            // The sign of the pair-index bits above the block, hoisted.
             let signs = &m.signs;
-            let mid = parity_sign(base as u64 & m.z) * signs.block_sign(ob);
+            let hs = signs.block_sign(u0);
             let g = m.g;
-            if block >= LANES {
+            if pbit >= LANES {
                 for ((sg, d4), e4) in signs.low[..block]
                     .chunks_exact(LANES)
                     .zip(d.chunks_exact(LANES))
                     .zip(e.chunks_exact(LANES))
                 {
                     for j in 0..LANES {
-                        let s = mid * sg[j];
+                        let s = hs * sg[j];
                         acc[j] += s * (g.re * d4[j] - g.im * e4[j]);
                     }
                 }
             } else {
-                for off in 0..block {
-                    let s = mid * signs.low[off];
-                    acc[0] += s * (g.re * d[off] - g.im * e[off]);
+                for ((sg, d), e) in signs.low[..block].iter().zip(&d[..]).zip(&e[..]) {
+                    let s = hs * sg;
+                    acc[0] += s * (g.re * d - g.im * e);
                 }
             }
         }
     }
     for (m, acc) in group.iter().zip(acc.iter()) {
         values[m.slot] = 2.0 * ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+    }
+}
+
+/// The pair products of the X masks `X ∈ {1, 2, 3}` (pivot < 2) over a run of
+/// amplitudes: every 8-amplitude window holds four whole pairs, whose sides are gathered
+/// by constant shuffles — pair `k` of a window is `(i0, i1)` with `i0` = `k` with a zero
+/// bit inserted at the pivot and `i1 = i0 ^ X`.
+fn window_products<const X: usize>(re: &[f64], im: &[f64], d: &mut [f64], e: &mut [f64]) {
+    const W: usize = 2 * LANES;
+    let pbit = if X >= 2 { 2 } else { 1 };
+    let i0: [usize; LANES] = std::array::from_fn(|k| ((k & !(pbit - 1)) << 1) | (k & (pbit - 1)));
+    for (((r, i), d), e) in re
+        .chunks_exact(W)
+        .zip(im.chunks_exact(W))
+        .zip(d.chunks_exact_mut(LANES))
+        .zip(e.chunks_exact_mut(LANES))
+    {
+        for k in 0..LANES {
+            let (r0, v0) = (r[i0[k]], i[i0[k]]);
+            let (r1, v1) = (r[i0[k] ^ X], i[i0[k] ^ X]);
+            d[k] = r1 * r0 + v1 * v0;
+            e[k] = r1 * v0 - v1 * r0;
+        }
     }
 }
 

@@ -23,6 +23,16 @@
 //! past earlier ops that touch disjoint qubits (and, for diagonal gates, past other
 //! diagonal ops), so interleaved per-qubit layers still fuse.
 //!
+//! Compilation also records the circuit's **product prefix**: the leading run of fused
+//! single-qubit chains on pairwise-distinct qubits (the first rotation layer of a
+//! hardware-efficient ansatz, the Hadamard layer of QAOA).  Applied to a basis state,
+//! that run only builds a product state, so [`CompiledCircuit::execute_from_basis`]
+//! writes it by doubling — each chain's gate kernel run on the sub-cube of indices the
+//! chains so far have touched — in about three passes' worth of arithmetic instead of
+//! one pass per chain, with every amplitude (zero signs included) the bits the full
+//! passes produce.  The prefix stops at the first Pauli insertion of a noise
+//! trajectory; the op loop resumes at the first op it does not cover.
+//!
 //! # Parameter slots
 //!
 //! Compilation never resolves [`Angle::Param`] references: each fused op records which
@@ -33,8 +43,8 @@
 //! of parameter vectors (see `vqa`'s batched backends).
 
 use crate::simulator::{
-    apply_cx, apply_cz, apply_pauli_rotation, apply_pauli_string, apply_single_qubit, rx_matrix,
-    ry_matrix, rz_matrix, Matrix2,
+    apply_cx, apply_cz, apply_pauli_rotation, apply_pauli_string, apply_single_qubit,
+    apply_single_qubit_subcube, for_each_run, rx_matrix, ry_matrix, rz_matrix, submasks, Matrix2,
 };
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliString, Statevector};
@@ -588,10 +598,10 @@ pub struct CompiledCircuit {
     stats: CompileStats,
     /// One entry per source gate (identity rotations excluded), in source order.
     noise_sites: Vec<NoiseSite>,
-    /// Shared pattern-profiler entry (`None` when profiling is off, so the
-    /// per-execution cost is one branch; clones share the entry, so executions of a
-    /// cached compiled circuit aggregate under one pattern).
-    profile: Option<std::sync::Arc<crate::profile::PatternEntry>>,
+    /// Length of the product prefix: the leading run of [`CompiledOp::Fused1Q`] ops on
+    /// pairwise-distinct qubits, which [`CompiledCircuit::execute_from_basis`] writes
+    /// by doubling instead of one pass per op.
+    prefix: usize,
 }
 
 impl Clone for OpEntry {
@@ -654,43 +664,31 @@ impl CompiledCircuit {
             diagonal_passes: 0,
             diagonal_gates_batched: 0,
         };
-        let mut kinds = crate::profile::OpKindCounts::default();
         for entry in &ops {
             match &entry.op {
-                CompiledOp::Fused1Q(f) => {
-                    kinds.fused_1q += 1;
-                    if f.gates >= 2 {
-                        stats.fused_chains += 1;
-                    }
-                }
-                CompiledOp::Cx(..) => kinds.cx += 1,
-                CompiledOp::Cz(..) => kinds.cz += 1,
-                CompiledOp::Rotation(..) => kinds.rotation += 1,
+                CompiledOp::Fused1Q(f) if f.gates >= 2 => stats.fused_chains += 1,
                 CompiledOp::Diagonal(d) => {
-                    kinds.diagonal += 1;
                     stats.diagonal_passes += 1;
                     stats.diagonal_gates_batched += d.gates;
                 }
+                _ => {}
             }
         }
-        let profile = crate::profile::register(
-            ops.iter().map(|entry| match &entry.op {
-                CompiledOp::Fused1Q(_) => 'u',
-                CompiledOp::Cx(..) => 'x',
-                CompiledOp::Cz(..) => 'z',
-                CompiledOp::Rotation(..) => 'r',
-                CompiledOp::Diagonal(_) => 'd',
-            }),
-            circuit.num_qubits(),
-            source_gates,
-            kinds,
-        );
+        let mut touched = 0u64;
+        let prefix = ops
+            .iter()
+            .take_while(|entry| {
+                let fresh = matches!(entry.op, CompiledOp::Fused1Q(_)) && touched & entry.mask == 0;
+                touched |= entry.mask;
+                fresh
+            })
+            .count();
         CompiledCircuit {
             num_qubits: circuit.num_qubits(),
             ops,
             stats,
             noise_sites,
-            profile,
+            prefix,
         }
     }
 
@@ -718,7 +716,7 @@ impl CompiledCircuit {
     /// Panics if the register sizes differ or a parameter slot is out of range for
     /// `params`.
     pub fn execute_in_place(&self, params: &[f64], state: &mut Statevector) {
-        self.execute_full(params, state, None, &[]);
+        self.execute_full(params, state, None, &[], None);
     }
 
     /// Executes starting from `initial`, writing into `scratch` (the zero-allocation
@@ -789,7 +787,109 @@ impl CompiledCircuit {
         insertions: &[PauliInsertion],
         tables: Option<&BatchTables>,
     ) {
-        self.execute_full(params, state, tables, insertions);
+        self.execute_full(params, state, tables, insertions, None);
+    }
+
+    /// Overwrites `state` with the circuit applied to the basis state `|basis⟩`,
+    /// replaying `insertions` and using `tables` as
+    /// [`CompiledCircuit::execute_in_place_with_insertions`] does.
+    ///
+    /// Bit-identical to [`Statevector::set_basis_state`] followed by that call, zero
+    /// signs included, but the product prefix — the leading single-qubit chains on
+    /// distinct qubits, up to the first insertion — costs about three passes over the
+    /// state however many qubits it covers (see the module docs), instead of one
+    /// preparation pass plus one pass per chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `basis` is out of range for the register, and as
+    /// [`CompiledCircuit::execute_in_place_with_insertions`] does.
+    pub fn execute_from_basis(
+        &self,
+        basis: u64,
+        params: &[f64],
+        state: &mut Statevector,
+        insertions: &[PauliInsertion],
+        tables: Option<&BatchTables>,
+    ) {
+        self.execute_full(params, state, tables, insertions, Some(basis));
+    }
+
+    /// Writes ops `[0, len)` of the product prefix applied to `|basis⟩` into `state`,
+    /// every amplitude of it.
+    ///
+    /// After the chains on the qubit set `S` have run on a basis state, the full passes
+    /// would have left each amplitude a value that depends only on its `S` bits and on
+    /// whether its other bits agree with `basis`: `v(s)` where they do, `z(s)` — a
+    /// signed zero — where they do not.  So this keeps just two copies: `v(s)` at the
+    /// agreeing index, and `z(s)` one qubit away from it, on the qubit of the next chain
+    /// (or, after the last chain, on any qubit outside `S`).  Each chain then copies
+    /// `z(s)` to where its next `z` copies belong and runs the gate kernel itself on the
+    /// sub-cube those indices span ([`apply_single_qubit_subcube`]) — the very pairs
+    /// the full pass would update, with the very inputs it would see — so every value,
+    /// zero signs included, is the full pass's.  Sub-cubes double per chain, so the
+    /// whole prefix costs about three full passes of arithmetic; when the prefix leaves
+    /// qubits untouched, a final copy pass spreads `z` over the disagreeing indices.
+    fn write_product_prefix(
+        &self,
+        basis: u64,
+        len: usize,
+        params: &[f64],
+        state: &mut Statevector,
+    ) {
+        assert!((basis as usize) < state.dim(), "basis index out of range");
+        if len == 0 {
+            state.set_basis_state(basis);
+            return;
+        }
+        let chain = |k: usize| match &self.ops[k].op {
+            CompiledOp::Fused1Q(f) => f,
+            _ => unreachable!("the product prefix holds single-qubit chains only"),
+        };
+        let all = state.dim() - 1;
+        let b = basis as usize;
+        let covered = (0..len).fold(0, |acc, k| acc | (1usize << chain(k).qubit));
+        // The qubit the `z` copies sit on after the last chain.
+        let spare = (covered != all).then(|| 1usize << (!covered & all).trailing_zeros());
+        let (re, im) = state.lanes_mut();
+        let z_at = b ^ (1usize << chain(0).qubit);
+        (re[b], im[b], re[z_at], im[z_at]) = (1.0, 0.0, 0.0, 0.0);
+        let mut done = 0usize;
+        for k in 0..len {
+            let bit = 1usize << chain(k).qubit;
+            let next = (k + 1 < len)
+                .then(|| 1usize << chain(k + 1).qubit)
+                .or(spare);
+            if let Some(next) = next {
+                // z(s) sits at the agreeing index with `bit` flipped; copy it to both
+                // values of `bit` with `next` flipped.
+                let (re, im) = state.lanes_mut();
+                for_each_run(done, b & !done, |at, run| {
+                    let src = at ^ bit..(at ^ bit) + run;
+                    for dst in [at ^ next, at ^ next ^ bit] {
+                        re.copy_within(src.clone(), dst);
+                        im.copy_within(src.clone(), dst);
+                    }
+                });
+            }
+            let cube = done | bit | next.unwrap_or(0);
+            let matrix = chain(k).bound_matrix(params);
+            apply_single_qubit_subcube(state, bit, &matrix, cube, b & !cube);
+            done |= bit;
+        }
+        if let Some(spare) = spare {
+            // Every index that disagrees with `basis` outside `covered` holds z(s).
+            let outside = all & !covered;
+            let (v_at, z_at) = (b & outside, (b & outside) ^ spare);
+            let (re, im) = state.lanes_mut();
+            for pattern in submasks(outside).filter(|&p| p != v_at && p != z_at) {
+                for_each_run(covered, z_at, |at, run| {
+                    let dst = (at & covered) | pattern;
+                    re.copy_within(at..at + run, dst);
+                    im.copy_within(at..at + run, dst);
+                });
+            }
+        }
     }
 
     fn execute_full(
@@ -798,10 +898,8 @@ impl CompiledCircuit {
         state: &mut Statevector,
         tables: Option<&BatchTables>,
         insertions: &[PauliInsertion],
+        basis: Option<u64>,
     ) {
-        if let Some(profile) = &self.profile {
-            profile.record_execution();
-        }
         assert_eq!(
             self.num_qubits,
             state.num_qubits(),
@@ -822,8 +920,26 @@ impl CompiledCircuit {
                 "batch tables were prepared for a different compiled circuit"
             );
         }
+        let start = match basis {
+            Some(basis) => {
+                // The prefix stops at the op after which the first insertion fires.
+                let len = insertions
+                    .first()
+                    .map_or(self.prefix, |p| self.prefix.min(p.after_op + 1));
+                self.write_product_prefix(basis, len, params, state);
+                len
+            }
+            None => 0,
+        };
         let mut cursor = 0usize;
-        for (i, entry) in self.ops.iter().enumerate() {
+        let mut fire_before = |state: &mut Statevector, op: usize| {
+            while cursor < insertions.len() && insertions[cursor].after_op < op {
+                apply_pauli_string(state, &insertions[cursor].string);
+                cursor += 1;
+            }
+        };
+        fire_before(state, start);
+        for (i, entry) in self.ops.iter().enumerate().skip(start) {
             let bound = tables.and_then(|t| t.per_op.get(i).and_then(Option::as_ref));
             match &entry.op {
                 CompiledOp::Fused1Q(f) => {
@@ -850,10 +966,7 @@ impl CompiledCircuit {
                     None => pass.execute(params, state),
                 },
             }
-            while cursor < insertions.len() && insertions[cursor].after_op == i {
-                apply_pauli_string(state, &insertions[cursor].string);
-                cursor += 1;
-            }
+            fire_before(state, i + 1);
         }
         assert_eq!(
             cursor,
@@ -1361,6 +1474,27 @@ mod tests {
         let c = [0.9, 0.3];
         let tables = compiled.prepare_batch_tables(&[&a, &c]);
         assert_eq!(tables.num_bound(), 0);
+    }
+
+    #[test]
+    fn product_prefix_is_the_leading_layer_on_distinct_qubits() {
+        use qcircuit::{Entanglement, HardwareEfficientAnsatz};
+        // The benchmark's 12-qubit ansatz: the Ry·Rz layer, then CX ladders.
+        let hea = HardwareEfficientAnsatz::new(12, 2, Entanglement::Circular).build();
+        let hea = CompiledCircuit::compile(&hea);
+        assert_eq!((hea.prefix, hea.num_ops()), (12, 60));
+        // A chain that cannot join the layer ends it; so does a second chain on a qubit.
+        let mut circ = Circuit::new(3);
+        circ.push(Gate::H(0));
+        circ.push(Gate::Cx(0, 1));
+        circ.push(Gate::H(2));
+        assert_eq!(CompiledCircuit::compile(&circ).prefix, 1);
+        let mut circ = Circuit::new(3);
+        circ.push(Gate::H(1));
+        circ.push(Gate::Rx(2, Angle::param(0)));
+        circ.push(Gate::Cx(1, 2));
+        circ.push(Gate::H(1));
+        assert_eq!(CompiledCircuit::compile(&circ).prefix, 2);
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! with a new parameter vector ([`CompiledCircuit::execute_in_place`] /
 //! [`CompiledCircuit::execute_into`]) re-binds those slots in O(ops) without re-walking
 //! the gate list, which is what lets one compiled circuit be amortized over a whole batch
-//! of parameter vectors (see the `vqa` crate's dense driver).  [`run_circuit`] /
-//! [`run_circuit_in_place`] are thin wrappers that compile on the fly; the pre-fusion
-//! per-gate interpreter survives as [`interpret_circuit_in_place`] for benches and
-//! equivalence tests.
+//! of parameter vectors (see the `vqa` crate's dense driver).  Starting from a basis
+//! state, [`CompiledCircuit::execute_from_basis`] writes the circuit's leading layer of
+//! single-qubit chains directly instead of executing it, with the same bits.
+//! [`run_circuit`] / [`run_circuit_in_place`] are thin wrappers that compile on the fly;
+//! the pre-fusion per-gate interpreter survives as [`interpret_circuit_in_place`] for
+//! benches and equivalence tests.
 //!
 //! ## Performance and the parallelism threshold knob
 //!
@@ -44,15 +46,6 @@
 //! wrappers compile on *every* call, so they are for one-shot use.  The original
 //! unoptimized kernels are kept in [`mod@reference`] as the correctness and speedup
 //! baseline.
-//!
-//! ## Execution profiling
-//!
-//! With process-wide observability on (`QOBS=1`, see [`qobs::enabled`]), every
-//! [`CompiledCircuit::compile`] registers the circuit's op-kind *pattern signature* in
-//! the process-wide [`profile`] table and every execution bumps the pattern's shared
-//! counter — one relaxed atomic add per execution, zero cost when off.
-//! [`profile::snapshot`] reports patterns hottest-first with per-op-kind execution
-//! counts, the data feed for profile-guided superop compilation (see ROADMAP).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -60,7 +53,6 @@
 mod compiled;
 mod estimator;
 mod pauliprop;
-pub mod profile;
 mod shots;
 mod simulator;
 

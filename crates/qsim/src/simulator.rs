@@ -30,6 +30,18 @@
 //!   4-chunk is a constant lane shuffle — so the butterfly updates are contiguous
 //!   homogeneous FMA streams the compiler autovectorizes (AVX2 via the pinned
 //!   `target-cpu`), instead of interleaved complex shuffles that defeat it.
+//! * **Full width on the low qubits too.**  A pair whose two halves sit inside one
+//!   4-lane chunk (qubits 0 and 1, an X mask below 4) or one 8-lane window (CX/CZ with
+//!   `min(control, target) < 3`) would leave the generic walk one- and two-element
+//!   half-blocks; those kernels get bodies that update whole chunks or windows with
+//!   constant lane shuffles, evaluating each amplitude with the same expression, in the
+//!   same order, as the per-pair form — the same bits, pinned by recorded digests in
+//!   `tests/tests/kernel_equivalence.rs`.  On qubits ≥ 4 a 1q pass is bound by the FP
+//!   ports, not by memory: at 12 qubits, 2 048 pairs × 28 vector FP ops ÷ 4 lanes ÷ 2
+//!   ports ≈ 7.2k cycles, about 2 µs on the 2-vCPU reference host.  Fusing 1q chains
+//!   into 4×4 two-qubit ops would add arithmetic rather than remove passes; the waste
+//!   was in the low-qubit bodies and in the leading product layer
+//!   ([`crate::CompiledCircuit::execute_from_basis`]).
 //! * **One body per kernel, no threads.**  Every kernel here is a single serial,
 //!   vectorized pass over its state.  The stack's parallelism is *across* states —
 //!   [`qop::par::map_states`] hands whole executions (prepare → ops → readout) to the
@@ -212,47 +224,154 @@ pub fn apply_single_qubit(state: &mut Statevector, q: usize, m: &Matrix2) {
         bit < dim,
         "qubit index {q} out of range for {dim} amplitudes"
     );
-    let (m00r, m00i) = (m[0][0].re, m[0][0].im);
-    let (m01r, m01i) = (m[0][1].re, m[0][1].im);
-    let (m10r, m10i) = (m[1][0].re, m[1][0].im);
-    let (m11r, m11i) = (m[1][1].re, m[1][1].im);
     let (re, im) = state.lanes_mut();
-    single_qubit_lanes(
-        re,
-        im,
-        bit,
-        &[m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i],
-    );
+    single_qubit_lanes(re, im, bit, &lane_matrix(m));
+}
+
+/// `m` flattened to the `[m00, m01, m10, m11]` (re, im) order the lane bodies read.
+fn lane_matrix(m: &Matrix2) -> [f64; 8] {
+    [
+        m[0][0].re, m[0][0].im, m[0][1].re, m[0][1].im, m[1][0].re, m[1][0].im, m[1][1].re,
+        m[1][1].im,
+    ]
+}
+
+/// Applies `m` on qubit `bit` to one sub-cube of the index space only: the amplitudes
+/// `fixed | s` for every submask `s` of `mask` (`bit` is one of `mask`'s bits, `fixed`
+/// shares none).  Every pair of the sub-cube is updated by the same per-pair expression
+/// as [`apply_single_qubit`], so on a state whose value at an index depends only on the
+/// index's `mask` bits the sub-cube comes out exactly as the full pass would leave it —
+/// the building block of [`crate::CompiledCircuit`]'s product-prefix start.
+pub(crate) fn apply_single_qubit_subcube(
+    state: &mut Statevector,
+    bit: usize,
+    m: &Matrix2,
+    mask: usize,
+    fixed: usize,
+) {
+    debug_assert!(mask & bit != 0 && mask & fixed == 0);
+    let m = lane_matrix(m);
+    let (re, im) = state.lanes_mut();
+    if bit < 1 << mask.trailing_ones() {
+        for_each_run(mask, fixed, |at, run| {
+            single_qubit_lanes(&mut re[at..at + run], &mut im[at..at + run], bit, &m);
+        });
+    } else {
+        for_each_run(mask & !bit, fixed, |lo, run| {
+            let (r_lo, r_hi) = re[lo..lo + bit + run].split_at_mut(bit);
+            let (i_lo, i_hi) = im[lo..lo + bit + run].split_at_mut(bit);
+            pair_lanes(&mut r_lo[..run], &mut i_lo[..run], r_hi, i_hi, &m);
+        });
+    }
+}
+
+/// Calls `f(start, run)` for the contiguous runs that make up the indices `fixed | s`,
+/// `s` a submask of `mask` (`fixed` shares no bit with `mask`): a run spans `mask`'s
+/// lowest unbroken stretch of bits, the rest of `mask` enumerates the runs.
+pub(crate) fn for_each_run(mask: usize, fixed: usize, mut f: impl FnMut(usize, usize)) {
+    let run = 1usize << mask.trailing_ones();
+    for s in submasks(mask & !(run - 1)) {
+        f(fixed | s, run);
+    }
+}
+
+/// Every submask of `mask`, in increasing order.
+pub(crate) fn submasks(mask: usize) -> impl Iterator<Item = usize> {
+    let mut next = Some(0usize);
+    std::iter::from_fn(move || {
+        let s = next?;
+        next = (s != mask).then(|| s.wrapping_sub(mask) & mask);
+        Some(s)
+    })
 }
 
 /// Body of [`apply_single_qubit`].  A separate function on purpose: taking the lanes as
 /// two `&mut [f64]` **parameters** gives LLVM `noalias` guarantees between them
 /// (reborrows of two fields of one struct do not), which is what lets the flat
-/// four-stream zip below autovectorize; a zip-of-chunks formulation, or this same loop
-/// written inline against the struct's lanes, compiles to scalar code.
+/// four-stream zip of [`pair_lanes`] autovectorize; a zip-of-chunks formulation, or the
+/// same loop written inline against the struct's lanes, compiles to scalar code.
+///
+/// Qubits 0 and 1 (`bit ∈ {1, 2}`) put both halves of every pair inside one 4-lane
+/// chunk, so the half-blocks the generic walk zips are one or two elements long; they
+/// get [`single_qubit_in_chunk`] instead, which keeps the full vector width.
 fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
-    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
-    for (rb, ib) in re
-        .chunks_exact_mut(bit << 1)
-        .zip(im.chunks_exact_mut(bit << 1))
-    {
-        let (r_lo, r_hi) = rb.split_at_mut(bit);
-        let (i_lo, i_hi) = ib.split_at_mut(bit);
-        for (((r0, i0), r1), i1) in r_lo
-            .iter_mut()
-            .zip(i_lo.iter_mut())
-            .zip(r_hi.iter_mut())
-            .zip(i_hi.iter_mut())
-        {
-            let (x0, y0) = (*r0, *i0);
-            let (x1, y1) = (*r1, *i1);
-            *r0 = (m00r * x0 - m00i * y0) + (m01r * x1 - m01i * y1);
-            *i0 = (m00r * y0 + m00i * x0) + (m01r * y1 + m01i * x1);
-            *r1 = (m10r * x0 - m10i * y0) + (m11r * x1 - m11i * y1);
-            *i1 = (m10r * y0 + m10i * x0) + (m11r * y1 + m11i * x1);
+    match bit {
+        1 if re.len() >= LANES => single_qubit_in_chunk::<1>(re, im, m),
+        2 => single_qubit_in_chunk::<2>(re, im, m),
+        _ => {
+            for (rb, ib) in re
+                .chunks_exact_mut(bit << 1)
+                .zip(im.chunks_exact_mut(bit << 1))
+            {
+                let (r_lo, r_hi) = rb.split_at_mut(bit);
+                let (i_lo, i_hi) = ib.split_at_mut(bit);
+                pair_lanes(r_lo, i_lo, r_hi, i_hi, m);
+            }
         }
     }
 }
+
+/// The 2×2 update of the pairs `(lo[j], hi[j])`: four contiguous f64 streams against
+/// eight scalar matrix constants, which vectorizes to straight FMA-free mul/add code
+/// (Rust never contracts `a * b + c`).
+fn pair_lanes(
+    r_lo: &mut [f64],
+    i_lo: &mut [f64],
+    r_hi: &mut [f64],
+    i_hi: &mut [f64],
+    m: &[f64; 8],
+) {
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+    for (((r0, i0), r1), i1) in r_lo
+        .iter_mut()
+        .zip(i_lo.iter_mut())
+        .zip(r_hi.iter_mut())
+        .zip(i_hi.iter_mut())
+    {
+        let (x0, y0) = (*r0, *i0);
+        let (x1, y1) = (*r1, *i1);
+        *r0 = (m00r * x0 - m00i * y0) + (m01r * x1 - m01i * y1);
+        *i0 = (m00r * y0 + m00i * x0) + (m01r * y1 + m01i * x1);
+        *r1 = (m10r * x0 - m10i * y0) + (m11r * x1 - m11i * y1);
+        *i1 = (m10r * y0 + m10i * x0) + (m11r * y1 + m11i * x1);
+    }
+}
+
+/// [`single_qubit_lanes`] for `BIT ∈ {1, 2}`: each 4-lane chunk holds two whole pairs,
+/// so the chunk is updated at once — every lane reads its pair's two inputs (a constant
+/// broadcast shuffle) and its own matrix row, and evaluates the same expression, in the
+/// same order, as [`pair_lanes`] does for that lane's side of the pair.
+fn single_qubit_in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+    // Lane j is side `j & BIT` of the pair (j & !BIT, j | BIT): row 0 or row 1 of m.
+    let row = |lo: f64, hi: f64| -> [f64; LANES] {
+        std::array::from_fn(|j| if j & BIT == 0 { lo } else { hi })
+    };
+    let (ar, ai, br, bi) = (
+        row(m00r, m10r),
+        row(m00i, m10i),
+        row(m01r, m11r),
+        row(m01i, m11i),
+    );
+    for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+        let rc: &mut [f64; LANES] = rc.try_into().expect("exact chunk");
+        let ic: &mut [f64; LANES] = ic.try_into().expect("exact chunk");
+        let mut nr = [0.0; LANES];
+        let mut ni = [0.0; LANES];
+        for j in 0..LANES {
+            let (x0, y0) = (rc[j & !BIT], ic[j & !BIT]);
+            let (x1, y1) = (rc[j | BIT], ic[j | BIT]);
+            nr[j] = (ar[j] * x0 - ai[j] * y0) + (br[j] * x1 - bi[j] * y1);
+            ni[j] = (ar[j] * y0 + ai[j] * x0) + (br[j] * y1 + bi[j] * x1);
+        }
+        *rc = nr;
+        *ic = ni;
+    }
+}
+
+/// Width of the windows the short-run CX/CZ bodies permute: two 4-lane chunks, so every
+/// qubit below 3 is a lane position inside one window.
+const WINDOW: usize = 2 * LANES;
 
 /// Applies CX with the given control and target.
 ///
@@ -261,7 +380,9 @@ fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) 
 /// testing all `2^n` indices.  The swap set decomposes into contiguous runs of
 /// `2^min(control, target)` indices (everything below the lower qubit bit is free), so
 /// each run is one pair of `swap_nonoverlapping` lane memmoves instead of per-index
-/// swaps.
+/// swaps.  Runs shorter than 8 amplitudes (`min(control, target) < 3`) would make the
+/// per-run setup dominate; there a constant lane permutation moves whole 8-lane windows
+/// at a time.
 pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
     assert_ne!(control, target, "CX control and target must differ");
     let dim = state.dim();
@@ -275,12 +396,17 @@ pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
     let hi = control.max(target);
     let cbit = 1usize << control;
     let run = 1usize << lo;
-    if run < LANES {
-        // Runs of 1–2 elements, where per-run setup would dominate: per-pair lane swaps.
-        for k in 0..dim / 4 {
-            let i0 = insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit;
-            re.swap(i0, i0 | tbit);
-            im.swap(i0, i0 | tbit);
+    if run < WINDOW {
+        if dim >= WINDOW {
+            cx_short_runs(re, control, target);
+            cx_short_runs(im, control, target);
+        } else {
+            // Registers of 2 qubits: per-pair lane swaps.
+            for k in 0..dim / 4 {
+                let i0 = insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit;
+                re.swap(i0, i0 | tbit);
+                im.swap(i0, i0 | tbit);
+            }
         }
         return;
     }
@@ -306,10 +432,106 @@ pub fn apply_cx(state: &mut Statevector, control: usize, target: usize) {
     }
 }
 
+/// CX on one lane array for `min(control, target) < 3` (at least [`WINDOW`] amplitudes):
+/// the qubits below 3 are lane positions inside a window, so every case is a constant
+/// lane permutation — inside each window, or between two windows `2^target` apart — over
+/// a plain walk of the windows.  Moves only, so the bits are those of the per-pair swaps.
+fn cx_short_runs(v: &mut [f64], control: usize, target: usize) {
+    match (control, target) {
+        (0, 1) => permute_windows::<1, 2>(v),
+        (0, 2) => permute_windows::<1, 4>(v),
+        (1, 0) => permute_windows::<2, 1>(v),
+        (1, 2) => permute_windows::<2, 4>(v),
+        (2, 0) => permute_windows::<4, 1>(v),
+        (2, 1) => permute_windows::<4, 2>(v),
+        // Control inside the window, target above it: swap the control lanes of the
+        // windows in the target-clear half of each block with their partners.
+        (0..=2, _) => {
+            let tbit = 1usize << target;
+            for block in v.chunks_exact_mut(tbit << 1) {
+                let (lo, hi) = block.split_at_mut(tbit);
+                match control {
+                    0 => swap_window_lanes::<1>(lo, hi),
+                    1 => swap_window_lanes::<2>(lo, hi),
+                    _ => swap_window_lanes::<4>(lo, hi),
+                }
+            }
+        }
+        // Target inside the window, control above it: permute every window of the
+        // control-set half of each block.
+        _ => {
+            let cbit = 1usize << control;
+            for block in v.chunks_exact_mut(cbit << 1) {
+                let set = &mut block[cbit..];
+                match target {
+                    0 => permute_windows::<0, 1>(set),
+                    1 => permute_windows::<0, 2>(set),
+                    _ => permute_windows::<0, 4>(set),
+                }
+            }
+        }
+    }
+}
+
+/// Within every window of `v`, swaps lane `j` with lane `j ^ T` where `j` has all of the
+/// bits of `C` set (`C = 0`: every lane).
+fn permute_windows<const C: usize, const T: usize>(v: &mut [f64]) {
+    for w in v.chunks_exact_mut(WINDOW) {
+        let w: &mut [f64; WINDOW] = w.try_into().expect("exact chunk");
+        let a = *w;
+        *w = std::array::from_fn(|j| if j & C == C { a[j ^ T] } else { a[j] });
+    }
+}
+
+/// Swaps lane `j` of each window of `lo` with lane `j` of the matching window of `hi`,
+/// for the lanes `j` with bit `C` set.
+fn swap_window_lanes<const C: usize>(lo: &mut [f64], hi: &mut [f64]) {
+    for (a, b) in lo.chunks_exact_mut(WINDOW).zip(hi.chunks_exact_mut(WINDOW)) {
+        let a: &mut [f64; WINDOW] = a.try_into().expect("exact chunk");
+        let b: &mut [f64; WINDOW] = b.try_into().expect("exact chunk");
+        let (x, y) = (*a, *b);
+        *a = std::array::from_fn(|j| if j & C != 0 { y[j] } else { x[j] });
+        *b = std::array::from_fn(|j| if j & C != 0 { x[j] } else { y[j] });
+    }
+}
+
+/// Negates lane `j` of every window of `v` where `j` has all of the bits of `M` set.
+fn negate_windows<const M: usize>(v: &mut [f64]) {
+    for w in v.chunks_exact_mut(WINDOW) {
+        let w: &mut [f64; WINDOW] = w.try_into().expect("exact chunk");
+        let a = *w;
+        *w = std::array::from_fn(|j| if j & M == M { -a[j] } else { a[j] });
+    }
+}
+
+/// CZ on one lane array for `min(control, target) < 3` (at least [`WINDOW`]
+/// amplitudes): a constant lane-sign pattern per window — on every window when both
+/// qubits are lanes, on the windows of the upper half of each `2^(hi+1)` block when only
+/// the lower one is.  Negations only.
+fn cz_short_runs(v: &mut [f64], lo: usize, hi: usize) {
+    match (lo, hi) {
+        (0, 1) => negate_windows::<3>(v),
+        (0, 2) => negate_windows::<5>(v),
+        (1, 2) => negate_windows::<6>(v),
+        _ => {
+            let hbit = 1usize << hi;
+            for block in v.chunks_exact_mut(hbit << 1) {
+                let set = &mut block[hbit..];
+                match lo {
+                    0 => negate_windows::<1>(set),
+                    1 => negate_windows::<2>(set),
+                    _ => negate_windows::<4>(set),
+                }
+            }
+        }
+    }
+}
+
 /// Applies CZ with the given control and target (symmetric).
 ///
 /// Iterates only the quarter of indices with both bits set; those decompose into
-/// contiguous runs of `2^min(control, target)` indices negated as straight lane sweeps.
+/// contiguous runs of `2^min(control, target)` indices negated as straight lane sweeps
+/// (8-lane windows with a constant sign pattern when the runs are shorter than that).
 pub fn apply_cz(state: &mut Statevector, control: usize, target: usize) {
     assert_ne!(control, target, "CZ control and target must differ");
     let dim = state.dim();
@@ -323,6 +545,11 @@ pub fn apply_cz(state: &mut Statevector, control: usize, target: usize) {
     let hi = control.max(target);
     let cbit = 1usize << control;
     let run = 1usize << lo;
+    if run < WINDOW && dim >= WINDOW {
+        cz_short_runs(re, lo, hi);
+        cz_short_runs(im, lo, hi);
+        return;
+    }
     let mut k = 0usize;
     while k < dim / 4 {
         let i = (insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit) | tbit;
@@ -370,6 +597,15 @@ fn pair_update(
     let pbit = 1usize << pivot;
     let x = x_mask as usize;
     let xl = x & (pbit - 1);
+    if pbit < LANES && dim >= LANES {
+        // pivot < 2: both halves of every pair sit inside one 4-lane chunk.
+        match x {
+            1 => pair_update_in_chunk::<1>(re, im, z_mask, c, g01, g10),
+            2 => pair_update_in_chunk::<2>(re, im, z_mask, c, g01, g10),
+            _ => pair_update_in_chunk::<3>(re, im, z_mask, c, g01, g10),
+        }
+        return;
+    }
     if dim < SIGN_BLOCK {
         // Below one table block, the table fill (a 2 KiB array init) would dominate
         // the kernel's own work; update the pairs with direct parity signs.
@@ -392,79 +628,108 @@ fn pair_update(
     }
     let z_low = z_mask & (pbit as u64 - 1);
     let table = SignTable::new(z_low, pbit);
+    let xlh = xl & !(LANES - 1);
     let mut base = 0usize;
     while base < dim {
         let base_sign = parity_sign(base as u64 & z_mask);
         let (r_lo, r_hi) = re[base..base + (pbit << 1)].split_at_mut(pbit);
         let (i_lo, i_hi) = im[base..base + (pbit << 1)].split_at_mut(pbit);
-        if pbit >= LANES {
-            let xlh = xl & !(LANES - 1);
-            // Explicit 4-wide chunks: all eight streams are staged through fixed-size
-            // `[f64; 4]` arrays (loads, compute, whole-array stores) so the vectorizer
-            // sees straight-line 4-lane register blocks, and the `off ^ xl` partner
-            // permutation is a compile-time shuffle per `with_lane_perm!` arm.  An
-            // element-indexed formulation of the same loop compiles to scalar code.
-            macro_rules! body {
-                ($m:literal) => {{
-                    let mut ob = 0usize;
-                    while ob < pbit {
-                        let oe = pbit.min(ob + SIGN_BLOCK);
-                        let mid = base_sign * table.block_sign(ob as u64);
-                        let mut off = ob;
-                        while off < oe {
-                            // off/pb are 4-aligned and < pbit (the half-slice length);
-                            // lo8 is 4-aligned and < 256, so every window below is in
-                            // bounds and the try_into calls cannot fail.
-                            let pb = off ^ xlh;
-                            let lo8 = off & (SIGN_BLOCK - 1);
-                            let sg: &[f64; LANES] =
-                                (&table.low()[lo8..lo8 + LANES]).try_into().unwrap();
-                            let rl: &mut [f64; LANES] =
-                                (&mut r_lo[off..off + LANES]).try_into().unwrap();
-                            let il: &mut [f64; LANES] =
-                                (&mut i_lo[off..off + LANES]).try_into().unwrap();
-                            let rh: &mut [f64; LANES] =
-                                (&mut r_hi[pb..pb + LANES]).try_into().unwrap();
-                            let ih: &mut [f64; LANES] =
-                                (&mut i_hi[pb..pb + LANES]).try_into().unwrap();
-                            let mut nrl = [0.0; LANES];
-                            let mut nil = [0.0; LANES];
-                            let mut nrh = [0.0; LANES];
-                            let mut nih = [0.0; LANES];
-                            for j in 0..LANES {
-                                let s = mid * sg[j];
-                                let (r0, v0) = (rl[j], il[j]);
-                                let (r1, v1) = (rh[j ^ $m], ih[j ^ $m]);
-                                nrl[j] = c * r0 + s * (g01.re * r1 - g01.im * v1);
-                                nil[j] = c * v0 + s * (g01.re * v1 + g01.im * r1);
-                                nrh[j ^ $m] = c * r1 + s * (g10.re * r0 - g10.im * v0);
-                                nih[j ^ $m] = c * v1 + s * (g10.re * v0 + g10.im * r0);
-                            }
-                            *rl = nrl;
-                            *il = nil;
-                            *rh = nrh;
-                            *ih = nih;
-                            off += LANES;
+        // Explicit 4-wide chunks: all eight streams are staged through fixed-size
+        // `[f64; 4]` arrays (loads, compute, whole-array stores) so the vectorizer sees
+        // straight-line 4-lane register blocks, and the `off ^ xl` partner permutation
+        // is a compile-time shuffle per `with_lane_perm!` arm.  An element-indexed
+        // formulation of the same loop compiles to scalar code.
+        macro_rules! body {
+            ($m:literal) => {{
+                let mut ob = 0usize;
+                while ob < pbit {
+                    let oe = pbit.min(ob + SIGN_BLOCK);
+                    let mid = base_sign * table.block_sign(ob as u64);
+                    let mut off = ob;
+                    while off < oe {
+                        // off/pb are 4-aligned and < pbit (the half-slice length); lo8
+                        // is 4-aligned and < 256, so every window below is in bounds
+                        // and the try_into calls cannot fail.
+                        let pb = off ^ xlh;
+                        let lo8 = off & (SIGN_BLOCK - 1);
+                        let sg: &[f64; LANES] =
+                            (&table.low()[lo8..lo8 + LANES]).try_into().unwrap();
+                        let rl: &mut [f64; LANES] =
+                            (&mut r_lo[off..off + LANES]).try_into().unwrap();
+                        let il: &mut [f64; LANES] =
+                            (&mut i_lo[off..off + LANES]).try_into().unwrap();
+                        let rh: &mut [f64; LANES] = (&mut r_hi[pb..pb + LANES]).try_into().unwrap();
+                        let ih: &mut [f64; LANES] = (&mut i_hi[pb..pb + LANES]).try_into().unwrap();
+                        let mut nrl = [0.0; LANES];
+                        let mut nil = [0.0; LANES];
+                        let mut nrh = [0.0; LANES];
+                        let mut nih = [0.0; LANES];
+                        for j in 0..LANES {
+                            let s = mid * sg[j];
+                            let (r0, v0) = (rl[j], il[j]);
+                            let (r1, v1) = (rh[j ^ $m], ih[j ^ $m]);
+                            nrl[j] = c * r0 + s * (g01.re * r1 - g01.im * v1);
+                            nil[j] = c * v0 + s * (g01.re * v1 + g01.im * r1);
+                            nrh[j ^ $m] = c * r1 + s * (g10.re * r0 - g10.im * v0);
+                            nih[j ^ $m] = c * v1 + s * (g10.re * v0 + g10.im * r0);
                         }
-                        ob = oe;
+                        *rl = nrl;
+                        *il = nil;
+                        *rh = nrh;
+                        *ih = nih;
+                        off += LANES;
                     }
-                }};
-            }
-            with_lane_perm!(xl & (LANES - 1), body);
-        } else {
-            // Scalar tail: pivot < 2 leaves half-blocks narrower than one lane chunk.
-            for off in 0..pbit {
-                let s = base_sign * table.lane(off);
-                let partner = off ^ xl;
-                let (r0, v0) = (r_lo[off], i_lo[off]);
-                let (r1, v1) = (r_hi[partner], i_hi[partner]);
-                r_lo[off] = c * r0 + s * (g01.re * r1 - g01.im * v1);
-                i_lo[off] = c * v0 + s * (g01.re * v1 + g01.im * r1);
-                r_hi[partner] = c * r1 + s * (g10.re * r0 - g10.im * v0);
-                i_hi[partner] = c * v1 + s * (g10.re * v0 + g10.im * r0);
-            }
+                    ob = oe;
+                }
+            }};
         }
+        with_lane_perm!(xl & (LANES - 1), body);
         base += pbit << 1;
+    }
+}
+
+/// [`pair_update`] for the X masks `X ∈ {1, 2, 3}` (pivot < 2): each 4-lane chunk holds
+/// two whole pairs, so the chunk is updated at once.  Lane `j` reads its partner `j ^ X`
+/// (a constant shuffle), its side's phase (`g01` on the pivot-clear side, `g10` on the
+/// other) and the sign of its pair's pivot-clear index — the chunk's hoisted high sign
+/// times a constant per-lane one — and evaluates the same expression, in the same order,
+/// as the per-pair form.
+fn pair_update_in_chunk<const X: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    z_mask: u64,
+    c: f64,
+    g01: Complex64,
+    g10: Complex64,
+) {
+    let pbit = if X >= 2 { 2 } else { 1 };
+    let side = |j: usize, lo: f64, hi: f64| if j & pbit == 0 { lo } else { hi };
+    let gr: [f64; LANES] = std::array::from_fn(|j| side(j, g01.re, g10.re));
+    let gi: [f64; LANES] = std::array::from_fn(|j| side(j, g01.im, g10.im));
+    let lane_sign: [f64; LANES] = std::array::from_fn(|j| {
+        let i0 = if j & pbit == 0 { j } else { j ^ X };
+        parity_sign(i0 as u64 & z_mask)
+    });
+    let z_high = z_mask & !(LANES as u64 - 1);
+    for (k, (rc, ic)) in re
+        .chunks_exact_mut(LANES)
+        .zip(im.chunks_exact_mut(LANES))
+        .enumerate()
+    {
+        let rc: &mut [f64; LANES] = rc.try_into().expect("exact chunk");
+        let ic: &mut [f64; LANES] = ic.try_into().expect("exact chunk");
+        let chunk_sign = parity_sign((k * LANES) as u64 & z_high);
+        let mut nr = [0.0; LANES];
+        let mut ni = [0.0; LANES];
+        for j in 0..LANES {
+            let s = chunk_sign * lane_sign[j];
+            let (r0, v0) = (rc[j], ic[j]);
+            let (r1, v1) = (rc[j ^ X], ic[j ^ X]);
+            nr[j] = c * r0 + s * (gr[j] * r1 - gi[j] * v1);
+            ni[j] = c * v0 + s * (gr[j] * v1 + gi[j] * r1);
+        }
+        *rc = nr;
+        *ic = ni;
     }
 }
 

@@ -191,7 +191,9 @@ impl Readout for Attenuated {
 }
 
 /// Prepares `|ψ(θ)⟩` for `req` in `slot`, replaying `insertions`, and reads it out through
-/// `basis`: the one way a dense execution becomes a vector of per-string values.
+/// `basis`: the one way a dense execution becomes a vector of per-string values.  A
+/// basis-state start writes the circuit's leading product layer directly
+/// ([`CompiledCircuit::execute_from_basis`], the same bits as preparing and executing).
 fn rollout(
     compiled: &CompiledCircuit,
     tables: Option<&BatchTables>,
@@ -200,8 +202,14 @@ fn rollout(
     insertions: &[PauliInsertion],
     slot: &mut Scratch,
 ) {
-    req.initial.prepare_into(&mut slot.state);
-    compiled.execute_in_place_with_insertions(req.params, &mut slot.state, insertions, tables);
+    let (params, state) = (req.params, &mut slot.state);
+    match *req.initial {
+        InitialState::Basis(b) => compiled.execute_from_basis(b, params, state, insertions, tables),
+        InitialState::UniformSuperposition => {
+            req.initial.prepare_into(state);
+            compiled.execute_in_place_with_insertions(params, state, insertions, tables);
+        }
+    }
     measure(basis, slot);
 }
 

@@ -7,9 +7,8 @@
 //! deliberately unmeetable deadline so the expiry path fires too.  At the end the
 //! example prints the same snapshot through all three `qobs` exporters — summary
 //! table, JSON, Prometheus text — plus the labeled counters (`worker0_slates`: the
-//! backend portions the scheduler thread executed), how many spans carry the dispatch
-//! (`worker`) label, and the `qsim` compiled-pattern profile that the ROADMAP's
-//! profile-guided superop work will consume.
+//! backend portions the scheduler thread executed) and how many spans carry the
+//! dispatch (`worker`) label.
 //!
 //! Run with:
 //!
@@ -161,9 +160,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "    {dispatched} of {} recorded job spans carry a worker label",
         recorded.len()
     );
-
-    // The compiled-pattern profile all those executions fed (hottest first).
-    print!("{}", qsim::profile::render_table(8));
 
     // The drivers' derived-data caches and the readout deduplication, as tallied under
     // the same process-wide flag.

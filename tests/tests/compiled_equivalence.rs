@@ -283,6 +283,114 @@ proptest! {
     }
 }
 
+/// A circuit whose leading single-qubit layer touches a random subset of the register in
+/// random order (constant-only chains included), then a random tail of every gate kind;
+/// a basis index; a parameter vector mixing the special angles `0, ±π/2, π` with
+/// generic ones; and a sorted insertion schedule anywhere in the op list — all drawn
+/// from `seed`.
+fn prefix_case(n: usize, seed: u64) -> (Circuit, u64, Vec<f64>, Vec<qsim::PauliInsertion>) {
+    use std::f64::consts::{FRAC_PI_2, PI};
+    let mut counter = 0u64;
+    let mut draw = |bound: u64| {
+        counter += 1;
+        qrng::mix(seed, counter) % bound
+    };
+    let mut circuit = Circuit::new(n);
+    let mut qubits: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        qubits.swap(i, draw(i as u64 + 1) as usize);
+    }
+    qubits.truncate(draw(n as u64) as usize + 1);
+    let constant_only = draw(4) == 0;
+    for &q in &qubits {
+        for _ in 0..=draw(3) {
+            let slot = Angle::param(draw(NUM_PARAMS as u64) as usize);
+            circuit.push(match draw(if constant_only { 6 } else { 9 }) {
+                0 => Gate::H(q),
+                1 => Gate::X(q),
+                2 => Gate::Y(q),
+                3 => Gate::Z(q),
+                4 => Gate::S(q),
+                5 => Gate::Sdg(q),
+                6 => Gate::Rx(q, slot),
+                7 => Gate::Ry(q, slot),
+                _ => Gate::Rz(q, slot),
+            });
+        }
+    }
+    let labels = ['I', 'X', 'Y', 'Z'];
+    for _ in 0..draw(12) {
+        let q = draw(n as u64) as usize;
+        let q2 = (q + 1 + draw(n.max(2) as u64 - 1) as usize) % n;
+        circuit.push(match draw(6) {
+            0 if n > 1 => Gate::Cx(q, q2),
+            1 if n > 1 => Gate::Cz(q, q2),
+            2 => Gate::PauliRotation(
+                PauliString::from_label(
+                    &(0..n).map(|_| labels[draw(4) as usize]).collect::<String>(),
+                )
+                .unwrap(),
+                Angle::param(draw(NUM_PARAMS as u64) as usize),
+            ),
+            3 => Gate::H(q),
+            _ => Gate::Ry(q, Angle::Fixed(0.3 + draw(100) as f64 * 0.05)),
+        });
+    }
+    let basis = draw(1 << n);
+    let params = (0..NUM_PARAMS)
+        .map(|_| match draw(6) {
+            0 => 0.0,
+            1 => FRAC_PI_2,
+            2 => -FRAC_PI_2,
+            3 => PI,
+            _ => draw(1000) as f64 * 0.0063 - 3.15,
+        })
+        .collect();
+    let ops = CompiledCircuit::compile(&circuit).num_ops();
+    let mut insertions: Vec<qsim::PauliInsertion> = (0..draw(4))
+        .map(|_| qsim::PauliInsertion {
+            after_op: draw(ops as u64) as usize,
+            string: PauliString::from_masks(draw(1 << n), draw(1 << n), n),
+        })
+        .collect();
+    insertions.sort_by_key(|p| p.after_op);
+    (circuit, basis, params, insertions)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Starting from a basis state through the product prefix is bit-identical, zero
+    /// signs included, to preparing the basis state and executing every op — on 1–14
+    /// qubits, with insertions before, inside and after the prefix, with or without
+    /// batch tables, into a state whose stale contents must all be overwritten.
+    #[test]
+    fn basis_start_through_the_product_prefix_is_bit_identical(
+        n in 1usize..15,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (circuit, basis, params, insertions) = prefix_case(n, seed);
+        let compiled = CompiledCircuit::compile(&circuit);
+        let tables = compiled.prepare_batch_tables(&[&params]);
+        let tables = (seed & 1 == 1).then_some(&tables);
+        let mut expected = Statevector::zero_state(n);
+        expected.set_basis_state(basis);
+        compiled.execute_in_place_with_insertions(&params, &mut expected, &insertions, tables);
+        let mut got = dense_state(n);
+        compiled.execute_from_basis(basis, &params, &mut got, &insertions, tables);
+        for (lane, a, b) in [("re", expected.re(), got.re()), ("im", expected.im(), got.im())] {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{} qubits, basis {}, amplitude {} {}: {} vs {}",
+                    n, basis, i, lane, x, y
+                );
+            }
+        }
+    }
+}
+
 /// One deterministic end-to-end check that the `run_circuit` wrapper (now compiled) and
 /// the retained per-gate interpreter agree on an ansatz with every fusion pattern.
 #[test]

@@ -165,6 +165,142 @@ proptest! {
     }
 }
 
+/// Folds one 64-bit word into an FNV-1a-style digest.
+fn fold(h: u64, bits: u64) -> u64 {
+    (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds every amplitude's `to_bits()`, zero signs included, re lane then im lane.
+fn fold_state(h: u64, psi: &Statevector) -> u64 {
+    psi.re()
+        .iter()
+        .chain(psi.im())
+        .fold(h, |h, x| fold(h, x.to_bits()))
+}
+
+/// Bit digests of the kernels whose bodies sit inside one 4-lane chunk or one 8-lane
+/// window (`[1q on q ∈ {0, 1, 2}, CX on every pair with lo < 3, CZ likewise, Pauli
+/// rotations and strings with pivot < 2, single-string readouts for pivots 0–7]`), each
+/// on a fresh copy of [`dense_state`].
+fn low_qubit_kernel_digests(n: usize) -> [u64; 5] {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    let base = dense_state(n);
+    let all = (1u64 << n) - 1;
+    let c = Complex64::new;
+    let m2 = |x: &qsim::Matrix2, y: &qsim::Matrix2| -> qsim::Matrix2 {
+        let e = |r: usize, k: usize| x[r][0] * y[0][k] + x[r][1] * y[1][k];
+        [[e(0, 0), e(0, 1)], [e(1, 0), e(1, 1)]]
+    };
+    // A generic fused chain, and Y: exact zeros and a negative entry, so products of
+    // zero signs are pinned too.
+    let generic = m2(
+        &qsim::rz_matrix(0.3),
+        &m2(&qsim::ry_matrix(1.1), &qsim::rx_matrix(-0.4)),
+    );
+    let y = [[c(0.0, 0.0), c(0.0, -1.0)], [c(0.0, 1.0), c(0.0, 0.0)]];
+    let mut single = SEED;
+    for q in 0..3.min(n) {
+        for m in [&generic, &y] {
+            let mut psi = base.clone();
+            qsim::apply_single_qubit(&mut psi, q, m);
+            single = fold_state(single, &psi);
+        }
+    }
+    let (mut cx, mut cz) = (SEED, SEED);
+    for lo in 0..3.min(n) {
+        for hi in lo + 1..n {
+            for (control, target) in [(lo, hi), (hi, lo)] {
+                let mut psi = base.clone();
+                qsim::apply_cx(&mut psi, control, target);
+                cx = fold_state(cx, &psi);
+                let mut psi = base.clone();
+                qsim::apply_cz(&mut psi, control, target);
+                cz = fold_state(cz, &psi);
+            }
+        }
+    }
+    let mut pairs = SEED;
+    for x in [1u64, 2, 3] {
+        for z in [0u64, 1, 2, 3, 0b101, all] {
+            let string = PauliString::from_masks(x, z & all, n);
+            let mut psi = base.clone();
+            qsim::apply_pauli_rotation(&mut psi, &string, 0.77);
+            pairs = fold_state(pairs, &psi);
+            let mut psi = base.clone();
+            qsim::apply_pauli_string(&mut psi, &string);
+            pairs = fold_state(pairs, &psi);
+        }
+    }
+    let mut readout = SEED;
+    for pivot in 0..8.min(n) {
+        let top = 1u64 << pivot;
+        for xl in [0u64, 1, 2, 3, 5, top - 1] {
+            for z in [0u64, 1, 0b110, 0b1011_0101, all] {
+                let string = PauliString::from_masks(top | (xl & (top - 1)), z & all, n);
+                let value = PauliOp::string_expectation(&string, &base);
+                readout = fold(readout, value.to_bits());
+            }
+        }
+    }
+    [single, cx, cz, pairs, readout]
+}
+
+/// The low-qubit kernel bodies produce the bits their per-pair forms produced: digests
+/// recorded from the per-pair kernels (identical in debug and release builds) at 3, 8,
+/// 12 and 14 qubits — below and above one sign block, and the benchmark's registers.
+#[test]
+fn low_qubit_kernels_keep_their_recorded_bits() {
+    const RECORDED: [(usize, [u64; 5]); 4] = [
+        (
+            3,
+            [
+                0xeda6_9492_ad17_f202,
+                0x66a4_394c_c80e_6d7d,
+                0x8f30_0481_2c27_46b1,
+                0x0bf5_b590_5c52_ee25,
+                0x74cf_4860_34f8_5a1f,
+            ],
+        ),
+        (
+            8,
+            [
+                0xdee1_72be_d525_3f70,
+                0x0bb3_28b3_5446_0d51,
+                0xf62c_7fc7_d42e_4bbd,
+                0x37d9_3fa4_197a_e4fd,
+                0x6c10_354e_826c_844d,
+            ],
+        ),
+        (
+            12,
+            [
+                0x73b0_3ecc_f5e8_199e,
+                0x11a6_e04d_9e54_9d8d,
+                0xdd4b_e8e4_e380_9fc5,
+                0xc125_5c1c_1904_6629,
+                0xff83_86c1_40d3_3a2d,
+            ],
+        ),
+        (
+            14,
+            [
+                0xfc6c_02bf_7722_942d,
+                0x5a75_638e_448b_17e5,
+                0x8f2a_a02e_5263_9485,
+                0xdef7_7a45_f4f3_ec88,
+                0x94c1_6814_671d_5e29,
+            ],
+        ),
+    ];
+    let kinds = ["1q", "cx", "cz", "pauli pivot<2", "readout pivot<8"];
+    for (n, expected) in RECORDED {
+        let got = low_qubit_kernel_digests(n);
+        for ((kind, got), expected) in kinds.iter().zip(got).zip(expected) {
+            assert_eq!(got, expected, "{kind} digest at {n} qubits: {got:#018x}");
+        }
+    }
+}
+
 /// `H|ψ⟩` in gather form (and its allocation-reusing variant) matches the original
 /// scatter implementation, including on the Lanczos-style repeated-application path.
 #[test]

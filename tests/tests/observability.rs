@@ -404,46 +404,3 @@ proptest! {
         prop_assert_eq!(hist.snapshot().quantile(q), Some(v));
     }
 }
-
-/// The qsim pattern profiler: force-enabled, every compile registers a signature and
-/// every execution ticks it; per-kind op executions scale with the execution count.
-/// (This test owns the process-wide flag; the executor tests above use per-registry
-/// builder flags precisely so they stay independent of it.)
-#[test]
-fn pattern_profiler_counts_executions() {
-    qobs::set_enabled(true);
-    qsim::profile::reset();
-    // A distinctive shape so parallel tests cannot collide with the signature.
-    let circuit = HardwareEfficientAnsatz::new(7, 3, Entanglement::Circular).build();
-    let compiled = qsim::CompiledCircuit::compile(&circuit);
-    let params: Vec<f64> = (0..circuit.num_parameters())
-        .map(|i| 0.01 * i as f64)
-        .collect();
-    for _ in 0..5 {
-        let mut state = qop::Statevector::basis_state(7, 0);
-        compiled.execute_in_place(&params, &mut state);
-    }
-    // A cache-style clone shares the same profile entry.
-    let clone = compiled.clone();
-    let mut state = qop::Statevector::basis_state(7, 0);
-    clone.execute_in_place(&params, &mut state);
-
-    let stats = qsim::profile::snapshot()
-        .into_iter()
-        .find(|s| s.num_qubits == 7)
-        .expect("the compiled pattern must be registered");
-    qobs::set_enabled(false);
-    assert_eq!(stats.compiles, 1);
-    assert_eq!(stats.executions, 6);
-    assert_eq!(stats.source_gates, compiled.stats().source_gates);
-    assert_eq!(
-        stats.op_executions.total(),
-        6 * stats.op_counts.total(),
-        "per-kind op executions scale with the execution count"
-    );
-    assert!(
-        stats.signature.starts_with("q7|"),
-        "signature {:?}",
-        stats.signature
-    );
-}
