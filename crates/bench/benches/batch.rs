@@ -1,10 +1,10 @@
-//! Criterion benchmarks for PR 2's execution engine: the fused [`CompiledCircuit`]
-//! against the per-gate interpreter, and batched backend evaluation against the serial
-//! evaluate loop at several batch sizes.
+//! Criterion benchmarks for the execution engine: the fused [`CompiledCircuit`] on two
+//! ansätze, and batched backend evaluation against the serial evaluate loop at several
+//! batch sizes.
 //!
-//! Running `cargo bench -p treevqa_bench --bench batch` prints the compiled-vs-interpreted
-//! and batched-vs-serial speedup tables and writes the machine-readable
-//! `BENCH_batch.json` summary at the workspace root.
+//! Running `cargo bench -p treevqa_bench --bench batch` prints the batched-vs-serial
+//! speedup table and writes the machine-readable `BENCH_batch.json` summary at the
+//! workspace root.
 
 use criterion::{criterion_group, Criterion};
 use qcircuit::{Entanglement, HardwareEfficientAnsatz};
@@ -15,9 +15,8 @@ use vqa::{Backend, EvalRequest, InitialState, StatevectorBackend};
 
 const COMPILED_QUBITS: [usize; 3] = [12, 16, 18];
 
-/// Fused compiled execution vs the retained per-gate interpreter on the
-/// rotation-heavy ansatz (the ISSUE's headline fusion comparison).
-fn bench_compiled_vs_interpreted(c: &mut Criterion) {
+/// Fused compiled execution on the rotation-heavy ansatz.
+fn bench_compiled(c: &mut Criterion) {
     for n in COMPILED_QUBITS {
         let circ = rotation_heavy_ansatz(n, 2);
         let params = ansatz_params(&circ);
@@ -30,18 +29,10 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
                 std::hint::black_box(&scratch);
             })
         });
-        let mut scratch = Statevector::zero_state(n);
-        c.bench_function(&format!("circuit_exec/interpreted/{n}q"), |b| {
-            b.iter(|| {
-                scratch.clone_from(&initial);
-                qsim::interpret_circuit_in_place(&circ, &params, &mut scratch);
-                std::hint::black_box(&scratch);
-            })
-        });
     }
 }
 
-/// Compilation also pays on the standard hardware-efficient ansatz (Ry·Rz chains fuse).
+/// Compiled execution of the standard hardware-efficient ansatz (Ry·Rz chains fuse).
 fn bench_compiled_hea(c: &mut Criterion) {
     let n = 14;
     let circ = HardwareEfficientAnsatz::new(n, 3, Entanglement::Circular).build();
@@ -52,14 +43,6 @@ fn bench_compiled_hea(c: &mut Criterion) {
     c.bench_function(&format!("hea_exec/compiled/{n}q"), |b| {
         b.iter(|| {
             compiled.execute_into(&params, &initial, &mut scratch);
-            std::hint::black_box(&scratch);
-        })
-    });
-    let mut scratch = Statevector::zero_state(n);
-    c.bench_function(&format!("hea_exec/interpreted/{n}q"), |b| {
-        b.iter(|| {
-            scratch.clone_from(&initial);
-            qsim::interpret_circuit_in_place(&circ, &params, &mut scratch);
             std::hint::black_box(&scratch);
         })
     });
@@ -123,28 +106,13 @@ fn configure() -> Criterion {
 criterion_group! {
     name = batch_benches;
     config = configure();
-    targets = bench_compiled_vs_interpreted, bench_compiled_hea, bench_batched_vs_serial
+    targets = bench_compiled, bench_compiled_hea, bench_batched_vs_serial
 }
 
-/// Prints the speedup tables from the recorded results.
+/// Prints the batched-vs-serial speedup table from the recorded results.
 fn print_speedups() {
     let results = criterion::all_results();
     let median = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
-    println!("\n== compiled-vs-interpreted circuit execution (median) ==");
-    for n in COMPILED_QUBITS {
-        if let (Some(fast), Some(naive)) = (
-            median(&format!("circuit_exec/compiled/{n}q")),
-            median(&format!("circuit_exec/interpreted/{n}q")),
-        ) {
-            println!("rotation-heavy ansatz    {n:>2}q  {:.2}x", naive / fast);
-        }
-    }
-    if let (Some(fast), Some(naive)) = (
-        median("hea_exec/compiled/14q"),
-        median("hea_exec/interpreted/14q"),
-    ) {
-        println!("hardware-efficient       14q  {:.2}x", naive / fast);
-    }
     println!("\n== batched-vs-serial backend evaluation (median) ==");
     for batch in BATCH_SIZES {
         if let (Some(batched), Some(serial)) = (

@@ -6,9 +6,8 @@
 //!   trajectory counts on a 12-qubit QAOA-shaped ansatz (the diagonal-pass-heavy gate
 //!   mix where the batch-table reuse matters), against the ideal single-rollout
 //!   baseline.
-//! * **Quality** — ideal vs noisy vs ZNE-mitigated energy of one optimized IEEE-14
-//!   MaxCut instance (the ISSUE's ideal/noisy/mitigated comparison), with approximation
-//!   ratios against the brute-force max cut.
+//! * **Quality** — ideal vs noisy energy of one optimized IEEE-14 MaxCut instance, with
+//!   approximation ratios against the brute-force max cut.
 //!
 //! Run with `cargo bench -p treevqa_bench --bench noise`.
 
@@ -22,7 +21,7 @@ use treevqa_bench::workloads::{
 };
 use vqa::{
     red_qaoa_initial_point, Backend, InitialState, NoisyStatevectorBackend, StatevectorBackend,
-    VqaRunConfig, VqaTask, ZneBackend,
+    VqaRunConfig, VqaTask,
 };
 
 const TRAJECTORY_COUNTS: [usize; 3] = [4, 16, 64];
@@ -61,15 +60,6 @@ fn bench_trajectory_throughput(c: &mut Criterion) {
             })
         });
     }
-    let mut zne = ZneBackend::new(
-        NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(7))
-            .with_trajectories(16),
-    );
-    c.bench_function("noisy_eval/zne_135_traj16", |b| {
-        b.iter(|| {
-            std::hint::black_box(zne.evaluate(&circ, &params, &InitialState::Basis(0), &ham, &[]));
-        })
-    });
 }
 
 fn configure() -> Criterion {
@@ -88,7 +78,7 @@ struct QualityArm {
     ratio: f64,
 }
 
-/// Ideal vs noisy vs ZNE quality on the IEEE-14 MaxCut instance: optimize ideally,
+/// Ideal vs noisy quality on the IEEE-14 MaxCut instance: optimize ideally,
 /// then estimate the optimized point on each substrate.
 fn quality_study() -> (f64, Vec<QualityArm>) {
     let graph = ieee14_base_graph();
@@ -127,22 +117,13 @@ fn quality_study() -> (f64, Vec<QualityArm>) {
         .with_trajectories(k)
         .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
         .0;
-    let zne = ZneBackend::new(
-        NoisyStatevectorBackend::with_policy(device_model(), 0, SeedPolicy::new(11))
-            .with_trajectories(k),
-    )
-    .evaluate(&ansatz, theta, &InitialState::Basis(0), &cost, &[])
-    .0;
 
     let arm = |name, energy: f64| QualityArm {
         name,
         energy,
         ratio: -energy / max_cut,
     };
-    (
-        max_cut,
-        vec![arm("ideal", ideal), arm("noisy", noisy), arm("zne", zne)],
-    )
+    (max_cut, vec![arm("ideal", ideal), arm("noisy", noisy)])
 }
 
 fn main() {
@@ -163,7 +144,7 @@ fn main() {
         }
     }
 
-    println!("\n== ideal vs noisy vs ZNE on IEEE-14 MaxCut ==");
+    println!("\n== ideal vs noisy on IEEE-14 MaxCut ==");
     let (max_cut, arms) = quality_study();
     for arm in &arms {
         println!(

@@ -143,9 +143,8 @@ impl Gate {
     /// The gate implementing this gate's inverse unitary (under every parameter binding).
     ///
     /// Every gate in the set has an in-set inverse: the Clifford basics are self-inverse
-    /// or swap with their dagger, and rotations negate their angle.  This is what makes
-    /// zero-noise-extrapolation gate folding (`g ↦ g·g†·g`) expressible as a plain
-    /// circuit transformation.
+    /// or swap with their dagger, and rotations negate their angle, so
+    /// [`crate::Circuit::inverse`] is a plain circuit transformation.
     pub fn inverse(&self) -> Gate {
         match self {
             Gate::H(_) | Gate::X(_) | Gate::Y(_) | Gate::Z(_) | Gate::Cx(..) | Gate::Cz(..) => {

@@ -1,4 +1,4 @@
-//! # qnoise — the device-noise model, its two readouts, and error mitigation
+//! # qnoise — the device-noise model and its two readouts
 //!
 //! This crate owns the workspace's one description of device noise, [`PauliNoiseModel`]:
 //! per-gate Pauli error channels plus readout bit flips, charged at the
@@ -27,11 +27,6 @@
 //! * [`TrajectorySampler`] — binds a model to a compiled circuit's
 //!   [`qsim::NoiseSite`] table once, then samples per-trajectory
 //!   [`qsim::PauliInsertion`] schedules with no re-walk of the gate list.
-//! * [`fold_gates`] / [`richardson_extrapolate`] — zero-noise extrapolation building
-//!   blocks: local gate folding (`g ↦ g·g†·g`, odd scale factors) amplifies every noise
-//!   site by exactly the scale factor, and a Richardson (Lagrange-at-zero) fit
-//!   extrapolates measured expectations back to the zero-noise limit (see
-//!   `vqa::ZneBackend` for the backend wrapper).
 //!
 //! ## Seeding contract
 //!
@@ -54,13 +49,11 @@
 
 mod model;
 mod trajectory;
-mod zne;
 
 pub use model::{
     readout_attenuation, uniform_depolarizing_attenuation, PauliChannel, PauliNoiseModel,
 };
 pub use trajectory::{trajectory_seed, TrajectorySampler};
-pub use zne::{fold_gates, richardson_extrapolate, DEFAULT_ZNE_SCALES};
 
 /// Default trajectory count when `QNOISE_TRAJECTORIES` is unset.
 pub const DEFAULT_TRAJECTORIES: usize = 64;

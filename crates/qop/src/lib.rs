@@ -3,7 +3,7 @@
 //! This crate is the numerical foundation of the workspace: complex arithmetic,
 //! single-qubit Paulis, n-qubit [`PauliString`]s in symplectic representation, weighted
 //! Pauli sums ([`PauliOp`], the Hamiltonian type), dense [`Statevector`] storage,
-//! qubit-wise-commuting term grouping, and a matrix-free Lanczos ground-state solver.
+//! and a matrix-free Lanczos ground-state solver.
 //!
 //! It replaces the roles played by Qiskit's `SparsePauliOp`/`Statevector` and SciPy's
 //! sparse eigensolvers in the paper's original evaluation stack.
@@ -28,7 +28,6 @@
 
 mod basis;
 mod complex;
-mod grouping;
 mod lanczos;
 pub mod lanes;
 mod op;
@@ -39,7 +38,6 @@ mod statevector;
 
 pub use basis::{BasisTerm, TermBasis};
 pub use complex::Complex64;
-pub use grouping::{group_qwc, measurement_rotations, num_qwc_groups, QwcGroup};
 pub use lanczos::{ground_energy, ground_state, GroundState, LanczosOptions};
 pub use op::{PauliOp, PauliTerm};
 pub use par::parallel_threshold;

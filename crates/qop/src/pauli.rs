@@ -308,8 +308,8 @@ impl PauliString {
 
     /// Returns `true` if the strings commute **qubit-wise**: on every qubit the two
     /// factors are equal or at least one is the identity.  Qubit-wise commuting terms can
-    /// be measured with the same single-qubit measurement basis (the grouping used for
-    /// shot estimation).
+    /// be measured with the same single-qubit measurement basis; the paper charges shots
+    /// per term instead (Section 7.3), so no driver groups by it.
     #[inline]
     pub fn qubit_wise_commutes(&self, other: &PauliString) -> bool {
         let support_self = self.x_mask | self.z_mask;

@@ -234,12 +234,6 @@ impl Statevector {
             .collect()
     }
 
-    /// Writes all measurement probabilities into `out`, reusing its allocation.
-    pub fn probabilities_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.re.iter().zip(&self.im).map(|(&r, &i)| r * r + i * i));
-    }
-
     /// Resets this vector to the basis state `|basis⟩` in place (no allocation).
     ///
     /// # Panics

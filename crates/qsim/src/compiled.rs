@@ -4,9 +4,9 @@
 //!
 //! # Why compile?
 //!
-//! The per-gate interpreter ([`crate::apply_gate`] in a loop) pays one full pass over the
-//! `2^n`-amplitude state per gate.  Most ansätze are dominated by two patterns that waste
-//! those passes:
+//! Applying a circuit gate by gate ([`crate::apply_gate`] in a loop) pays one full pass
+//! over the `2^n`-amplitude state per gate.  Most ansätze are dominated by two patterns
+//! that waste those passes:
 //!
 //! * **Runs of single-qubit gates on the same qubit** (`Ry·Rz` layers, basis-change
 //!   sandwiches like `H·Rz·H`).  Any such run is itself a single 2×2 unitary, so the
@@ -163,7 +163,7 @@ struct PhaseTerm {
 struct DiagonalPass {
     terms: Vec<PhaseTerm>,
     /// Accumulated global phase of the constituent gates (kept so compiled execution is
-    /// amplitude-exact against the per-gate interpreter, not just up to global phase).
+    /// amplitude-exact against gate-by-gate application, not just up to global phase).
     global: Complex64,
     /// Number of source gates folded into this pass.
     gates: usize,
@@ -629,7 +629,7 @@ fn qubit_mask(qubits: impl IntoIterator<Item = usize>) -> u64 {
 
 impl CompiledCircuit {
     /// Lowers `circuit` into fused operations.  Identity Pauli rotations (global phase
-    /// only) are dropped, matching the interpreter.
+    /// only) are dropped, matching [`crate::apply_gate`].
     pub fn compile(circuit: &Circuit) -> Self {
         let mut ops: Vec<OpEntry> = Vec::new();
         let mut source_gates = 0usize;
@@ -1016,7 +1016,7 @@ impl CompiledCircuit {
             }
             Gate::PauliRotation(string, a) => {
                 if string.is_identity() {
-                    // Global phase only; skipped by interpreter and reference alike.
+                    // Global phase only; skipped by `apply_gate` and reference alike.
                     return Lowered::Skip;
                 }
                 if string.x_mask() == 0 {
@@ -1499,7 +1499,7 @@ mod tests {
 
     #[test]
     fn expectations_survive_compilation() {
-        // End-to-end sanity: energy of a compiled HEA state equals the interpreter's.
+        // End-to-end sanity: energy of a compiled HEA state equals the reference's.
         use qcircuit::{Entanglement, HardwareEfficientAnsatz};
         let circ = HardwareEfficientAnsatz::new(4, 2, Entanglement::Linear).build();
         let params: Vec<f64> = (0..circ.num_parameters())

@@ -2,22 +2,18 @@
 //!
 //! Given the exact output state of the simulator, these estimators produce the *noisy*
 //! expectation value an experimentalist would obtain from a finite number of measurement
-//! shots.  Two sampling models are provided:
+//! shots: [`analytic_sampled_expectation`] replaces each term's exact value by per-term
+//! Gaussian sampling noise with the exact binomial variance `(1 − ⟨P⟩²)/s`.  That is
+//! statistically equivalent to measuring each term with `s` shots (the unit tests hold it
+//! to true bitstring sampling), at a fraction of the simulation cost; the `vqa` dense
+//! driver's sampling stages call its noise half, [`analytic_sampled_from_expectations`],
+//! on the readout they already hold.
 //!
-//! * [`analytic_sampled_expectation`] — per-term Gaussian sampling noise with the exact
-//!   binomial variance `(1 − ⟨P⟩²)/s`.  Statistically equivalent to measuring each term
-//!   with `s` shots, at a fraction of the simulation cost; the `vqa` dense driver's
-//!   sampling stages call its noise half, [`analytic_sampled_from_expectations`], on the
-//!   readout they already hold.
-//! * [`multinomial_sampled_expectation`] — true bitstring sampling per
-//!   qubit-wise-commuting group (slower; the oracle the analytic model is tested
-//!   against).
-//!
-//! Neither charges shots: the paper's cost accounting (`shots_per_pauli × num_terms` per
+//! It does not charge shots: the paper's cost accounting (`shots_per_pauli × num_terms` per
 //! evaluation, whatever the sampling model — Section 7.3) is the caller's
 //! [`crate::ShotLedger`].
 
-use qop::{group_qwc, PauliOp, PauliString, Statevector, TermBasis};
+use qop::{PauliOp, Statevector, TermBasis};
 use rand::Rng;
 
 /// Per-term Gaussian model: each Pauli expectation `⟨P⟩` is replaced by the sample mean of
@@ -81,98 +77,6 @@ pub fn analytic_sampled_from_expectations<R: Rng>(
     total
 }
 
-/// True sampling: rotate each qubit-wise-commuting group to its measurement basis,
-/// sample bitstrings from the exact distribution, and average the ±1 eigenvalues.
-pub fn multinomial_sampled_expectation<R: Rng>(
-    op: &PauliOp,
-    state: &Statevector,
-    shots_per_pauli: u64,
-    rng: &mut R,
-) -> f64 {
-    let groups = group_qwc(op);
-    let mut total = 0.0;
-    // Scratch buffers shared across groups: the rotated state, its probability vector and
-    // the outcome histogram are each allocated once per call, not once per group.
-    let mut rotated = state.clone();
-    let mut rotated_probs: Vec<f64> = Vec::with_capacity(state.dim());
-    let mut counts = vec![0u64; state.dim()];
-    for group in &groups {
-        // Basis-rotated probabilities: we measure each qubit in the Pauli basis demanded by
-        // the group's measurement basis. Rotating the state is equivalent to rotating each
-        // term; for simplicity we rotate the state once per group.
-        rotate_to_measurement_basis_into(state, &group.measurement_basis, &mut rotated);
-        rotated.probabilities_into(&mut rotated_probs);
-        // Draw shots_per_pauli samples for the whole group.
-        let shots = shots_per_pauli.max(1);
-        counts.fill(0);
-        for _ in 0..shots {
-            let outcome = sample_index(&rotated_probs, rng);
-            counts[outcome] += 1;
-        }
-        for &idx in &group.term_indices {
-            let term = &op.terms()[idx];
-            if term.string.is_identity() {
-                total += term.coefficient;
-                continue;
-            }
-            // After rotation, the term is diagonal: its eigenvalue on bitstring b is
-            // (-1)^{popcount(b & support)}.
-            let support: u64 = term
-                .string
-                .iter_non_identity()
-                .fold(0u64, |acc, (q, _)| acc | (1u64 << q));
-            let mut mean = 0.0;
-            for (b, &cnt) in counts.iter().enumerate() {
-                if cnt == 0 {
-                    continue;
-                }
-                let parity = ((b as u64) & support).count_ones() % 2;
-                let eig = if parity == 0 { 1.0 } else { -1.0 };
-                mean += eig * cnt as f64;
-            }
-            mean /= shots as f64;
-            total += term.coefficient * mean;
-        }
-    }
-    total
-}
-
-/// Rotates `state` into `out` so that measuring in the computational basis realizes
-/// measurement of the Paulis in `basis` (X → H, Y → S†·H applied before measurement).
-/// Applies the rotation gates directly to the reused `out` buffer — no circuit object and
-/// no statevector allocation per group.
-fn rotate_to_measurement_basis_into(
-    state: &Statevector,
-    basis: &PauliString,
-    out: &mut Statevector,
-) {
-    use qcircuit::Gate;
-    out.clone_from(state);
-    for q in 0..state.num_qubits() {
-        match basis.pauli_at(q) {
-            qop::Pauli::X => crate::simulator::apply_gate(out, &Gate::H(q), &[]),
-            qop::Pauli::Y => {
-                crate::simulator::apply_gate(out, &Gate::Sdg(q), &[]);
-                crate::simulator::apply_gate(out, &Gate::H(q), &[]);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Samples an index from a discrete probability distribution.
-fn sample_index<R: Rng>(probs: &[f64], rng: &mut R) -> usize {
-    let r: f64 = rng.random();
-    let mut acc = 0.0;
-    for (i, &p) in probs.iter().enumerate() {
-        acc += p;
-        if r < acc {
-            return i;
-        }
-    }
-    probs.len() - 1
-}
-
 /// Standard normal sample via Box–Muller.
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-12);
@@ -183,11 +87,65 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcircuit::Gate;
+    use qop::Pauli;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1234)
+    }
+
+    /// True bitstring sampling under Section 7.3's per-term cost model, the oracle the
+    /// Gaussian model is held to: each non-identity term is rotated into its own
+    /// measurement basis (X → H, Y → S†·H) and `shots_per_pauli` bitstrings are drawn
+    /// from the exact distribution; the term's estimate is the mean ±1 parity over its
+    /// support.
+    fn per_term_sampled_expectation<R: Rng>(
+        op: &PauliOp,
+        state: &Statevector,
+        shots_per_pauli: u64,
+        rng: &mut R,
+    ) -> f64 {
+        let mut total = 0.0;
+        for term in op.terms() {
+            if term.string.is_identity() {
+                total += term.coefficient;
+                continue;
+            }
+            let mut rotated = state.clone();
+            for (q, pauli) in term.string.iter_non_identity() {
+                let rotation: &[Gate] = match pauli {
+                    Pauli::X => &[Gate::H(q)],
+                    Pauli::Y => &[Gate::Sdg(q), Gate::H(q)],
+                    _ => &[],
+                };
+                for gate in rotation {
+                    crate::simulator::apply_gate(&mut rotated, gate, &[]);
+                }
+            }
+            let probs = rotated.probabilities();
+            let support = term.string.x_mask() | term.string.z_mask();
+            let mut sum = 0.0;
+            for _ in 0..shots_per_pauli {
+                let r: f64 = rng.random();
+                let mut acc = 0.0;
+                let outcome = probs
+                    .iter()
+                    .position(|&p| {
+                        acc += p;
+                        r < acc
+                    })
+                    .unwrap_or(probs.len() - 1);
+                sum += if (outcome as u64 & support).count_ones() % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
+            }
+            total += term.coefficient * sum / shots_per_pauli as f64;
+        }
+        total
     }
 
     #[test]
@@ -222,7 +180,7 @@ mod tests {
         let exact = op.expectation(&psi);
         let mut r = rng();
         let mean: f64 = (0..32)
-            .map(|_| multinomial_sampled_expectation(&op, &psi, 2048, &mut r))
+            .map(|_| per_term_sampled_expectation(&op, &psi, 2048, &mut r))
             .sum::<f64>()
             / 32.0;
         assert!((mean - exact).abs() < 0.02, "{mean} vs {exact}");
@@ -234,7 +192,7 @@ mod tests {
         let psi = Statevector::uniform_superposition(1); // <X> = 1, <Y> = 0
         let mut r = rng();
         let mean: f64 = (0..32)
-            .map(|_| multinomial_sampled_expectation(&op, &psi, 2048, &mut r))
+            .map(|_| per_term_sampled_expectation(&op, &psi, 2048, &mut r))
             .sum::<f64>()
             / 32.0;
         assert!((mean - 1.0).abs() < 0.03, "{mean}");
@@ -263,7 +221,7 @@ mod tests {
             .sum::<f64>()
             / trials as f64;
         let m: f64 = (0..trials)
-            .map(|_| multinomial_sampled_expectation(&op, &psi, 1024, &mut r))
+            .map(|_| per_term_sampled_expectation(&op, &psi, 1024, &mut r))
             .sum::<f64>()
             / trials as f64;
         assert!((a - m).abs() < 0.05, "analytic {a} vs multinomial {m}");

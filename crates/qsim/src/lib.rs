@@ -13,9 +13,9 @@
 //! keeps only the mechanics it binds to — a compiled circuit's [`NoiseSite`] table and
 //! the [`PauliInsertion`]s replayed between its ops.
 //!
-//! ## The compile/execute split
+//! ## One executor: the compile/execute split
 //!
-//! Since PR 2, circuit execution is two-phase: [`CompiledCircuit::compile`] lowers a
+//! Circuit execution is two-phase: [`CompiledCircuit::compile`] lowers a
 //! [`qcircuit::Circuit`] once — fusing runs of single-qubit gates into single 2×2
 //! unitaries (parameterized rotations included) and batching runs of diagonal gates
 //! (CZ, Z-string Pauli rotations — e.g. an entire QAOA cost layer) into one phase pass —
@@ -26,9 +26,9 @@
 //! of parameter vectors (see the `vqa` crate's dense driver).  Starting from a basis
 //! state, [`CompiledCircuit::execute_from_basis`] writes the circuit's leading layer of
 //! single-qubit chains directly instead of executing it, with the same bits.
-//! [`run_circuit`] / [`run_circuit_in_place`] are thin wrappers that compile on the fly;
-//! the pre-fusion per-gate interpreter survives as [`interpret_circuit_in_place`] for
-//! benches and equivalence tests.
+//! [`CompiledCircuit`] is the crate's only circuit executor: [`run_circuit`] is a
+//! one-shot convenience that compiles on the fly, and [`mod@reference`] is the
+//! independent oracle the equivalence suites hold it to.
 //!
 //! ## Performance and the parallelism threshold knob
 //!
@@ -42,8 +42,8 @@
 //! should compile once and execute in place on a reused scratch state
 //! ([`CompiledCircuit::execute_into`], or
 //! [`CompiledCircuit::execute_in_place_with_insertions`] for pre-bound diagonal tables
-//! and noise trajectories — what the `vqa` dense driver calls); the `run_circuit*`
-//! wrappers compile on *every* call, so they are for one-shot use.  The original
+//! and noise trajectories — what the `vqa` dense driver calls); [`run_circuit`]
+//! compiles on *every* call, so it is for one-shot use.  The original
 //! unoptimized kernels are kept in [`mod@reference`] as the correctness and speedup
 //! baseline.
 
@@ -59,12 +59,10 @@ mod simulator;
 pub use compiled::{BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion};
 pub use estimator::{
     analytic_sampled_expectation, analytic_sampled_from_expectations, exact_term_expectations,
-    multinomial_sampled_expectation,
 };
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};
 pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};
 pub use simulator::{
     apply_cx, apply_cz, apply_gate, apply_pauli_rotation, apply_pauli_string, apply_single_qubit,
-    interpret_circuit_in_place, parallel_threshold, reference, run_circuit, run_circuit_in_place,
-    rx_matrix, ry_matrix, rz_matrix, Matrix2,
+    parallel_threshold, reference, run_circuit, rx_matrix, ry_matrix, rz_matrix, Matrix2,
 };

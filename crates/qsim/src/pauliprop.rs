@@ -21,7 +21,8 @@ pub struct PauliPropagatorConfig {
     /// Strings whose absolute coefficient drops below this threshold are discarded.
     pub coefficient_threshold: f64,
     /// Hard cap on the number of retained strings (keeps memory bounded); the smallest
-    /// coefficients are dropped first when the cap is exceeded.
+    /// coefficients are dropped first when the cap is exceeded, ties broken by keeping
+    /// the lower `(x, z)` masks, so the kept set never depends on map iteration order.
     pub max_terms: usize,
 }
 
@@ -214,7 +215,7 @@ impl PauliPropagator {
         });
         if terms.len() > self.config.max_terms {
             let mut entries: Vec<((u64, u64), f64)> = terms.into_iter().collect();
-            entries.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).unwrap());
+            entries.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
             entries.truncate(self.config.max_terms);
             terms = entries.into_iter().collect();
         }
@@ -546,6 +547,31 @@ mod tests {
         let terms = prop.propagate(&circ, &params, &op);
         assert!(terms.len() <= 5_000);
         assert!(terms.iter().all(|(s, _)| s.weight() <= 4));
+    }
+
+    /// Eight equal-magnitude strings and room for four: the kept set is the four lowest
+    /// masks on every call, whatever order each call's maps iterate in.
+    #[test]
+    fn truncation_ties_keep_the_same_strings_on_every_call() {
+        let mut circ = Circuit::new(8);
+        circ.push(Gate::Z(0));
+        let mut op = PauliOp::zero(8);
+        for q in 0..8 {
+            op.add_term(PauliString::single(8, q, qop::Pauli::Z), 1.0);
+        }
+        let config = PauliPropagatorConfig {
+            max_terms: 4,
+            ..Default::default()
+        };
+        for _ in 0..16 {
+            let mut kept: Vec<u64> = PauliPropagator::new(config)
+                .propagate(&circ, &[], &op)
+                .iter()
+                .map(|(s, _)| s.z_mask())
+                .collect();
+            kept.sort_unstable();
+            assert_eq!(kept, [0b1, 0b10, 0b100, 0b1000]);
+        }
     }
 
     #[test]

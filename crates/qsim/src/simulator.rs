@@ -67,6 +67,12 @@ pub use qop::parallel_threshold;
 
 /// Executes `circuit` with bound parameter values `params`, starting from `initial`.
 ///
+/// A one-shot convenience: it compiles the circuit through [`crate::CompiledCircuit`]
+/// (the one executor) and executes the fused form on a copy of `initial`.  Hot loops
+/// that bind many parameter vectors to the *same* circuit should compile once and call
+/// [`crate::CompiledCircuit::execute_in_place`]/[`execute_into`](crate::CompiledCircuit::execute_into)
+/// directly (the `vqa` dense driver does this through a compiled-circuit cache).
+///
 /// # Examples
 ///
 /// ```
@@ -87,50 +93,16 @@ pub use qop::parallel_threshold;
 /// Panics if the circuit and state register sizes differ, or if a parameterized gate
 /// references an index beyond `params.len()`.
 pub fn run_circuit(circuit: &Circuit, params: &[f64], initial: &Statevector) -> Statevector {
+    assert_eq!(
+        circuit.num_qubits(),
+        initial.num_qubits(),
+        "circuit acts on {} qubits but the state has {}",
+        circuit.num_qubits(),
+        initial.num_qubits()
+    );
     let mut state = initial.clone();
-    run_circuit_in_place(circuit, params, &mut state);
+    crate::CompiledCircuit::compile(circuit).execute_in_place(params, &mut state);
     state
-}
-
-/// Executes `circuit` directly on `state`.
-///
-/// Since the compiled-execution refactor this is a thin wrapper that lowers the circuit
-/// through [`crate::CompiledCircuit`] and executes the fused form — a one-shot caller
-/// gets gate fusion for free.  Hot loops that bind many parameter vectors to the *same*
-/// circuit should compile once and call
-/// [`crate::CompiledCircuit::execute_in_place`]/[`execute_into`](crate::CompiledCircuit::execute_into)
-/// directly (the `vqa` backends do this through a compiled-circuit cache).
-///
-/// # Panics
-///
-/// Panics if the circuit and state register sizes differ, or if a parameterized gate
-/// references an index beyond `params.len()`.
-pub fn run_circuit_in_place(circuit: &Circuit, params: &[f64], state: &mut Statevector) {
-    assert_eq!(
-        circuit.num_qubits(),
-        state.num_qubits(),
-        "circuit acts on {} qubits but the state has {}",
-        circuit.num_qubits(),
-        state.num_qubits()
-    );
-    crate::CompiledCircuit::compile(circuit).execute_in_place(params, state);
-}
-
-/// Executes `circuit` gate by gate, with no fusion — the pre-compilation interpreter.
-///
-/// Retained as the baseline the criterion benches compare [`crate::CompiledCircuit`]
-/// against, and as an independent second implementation for the equivalence tests.
-pub fn interpret_circuit_in_place(circuit: &Circuit, params: &[f64], state: &mut Statevector) {
-    assert_eq!(
-        circuit.num_qubits(),
-        state.num_qubits(),
-        "circuit acts on {} qubits but the state has {}",
-        circuit.num_qubits(),
-        state.num_qubits()
-    );
-    for gate in circuit.gates() {
-        apply_gate(state, gate, params);
-    }
 }
 
 /// Applies a single gate in place.

@@ -10,13 +10,12 @@
 //!
 //! # Drivers
 //!
-//! Three implementations live in this crate.  All dense execution — exact,
+//! Two implementations live in this crate.  All dense execution — exact,
 //! shot-sampled, analytically attenuated, trajectory-noisy — is **one** driver,
 //! [`crate::Dense`], whose four public names differ only in the readout stage that ends
 //! its pipeline; this module holds what that pipeline is built from (the
 //! circuit and observable caches, the scratch pool, the single `measure` readout).
-//! [`PauliPropagationBackend`] never forms a dense state, and
-//! [`crate::ZneBackend`] wraps any `Backend`.
+//! [`PauliPropagationBackend`] never forms a dense state.
 
 use crate::task::InitialState;
 use qcircuit::Circuit;
@@ -164,8 +163,22 @@ pub trait Backend {
     /// compiled-circuit + scratch-pool pipeline ([`crate::Dense`]).  Implementations
     /// must preserve request-order semantics (shot charging, RNG consumption) so batched
     /// and serial execution yield identical results.
+    ///
+    /// The default is stream-blind: it goes through [`Backend::evaluate`].
     fn evaluate_batch(&mut self, requests: &[EvalRequest<'_>]) -> Vec<EvalResult> {
-        default_serial_batch(self, requests)
+        requests
+            .iter()
+            .map(|r| {
+                let before = self.shots_used();
+                let (charged, free) =
+                    self.evaluate(r.circuit, r.params, r.initial, r.charged_op, r.free_ops);
+                EvalResult {
+                    charged,
+                    free,
+                    shots: self.shots_used() - before,
+                }
+            })
+            .collect()
     }
 
     /// Evaluates `op` on the prepared state **without charging any shots**.
@@ -221,10 +234,9 @@ pub fn batch_chunk() -> usize {
 ///
 /// Optimizer loops evaluate one ansatz (and one operator set) at thousands of parameter
 /// vectors, so the common case is a permanent hit on the front entry (one equality check
-/// per lookup).  The capacity is a handful rather than one because mitigation wrappers
-/// rotate between a few fixed circuits per logical evaluation (ZNE's 1×/3×/5× gate
-/// foldings) and a TreeVQA round rotates through its active clusters' operator sets; an
-/// LRU of that depth keeps each entry's derived data amortized instead of thrashing.
+/// per lookup).  The capacity is a handful rather than one because a TreeVQA round
+/// rotates through its active clusters' operator sets; an LRU of that depth keeps each
+/// entry's derived data amortized instead of thrashing.
 #[derive(Debug)]
 pub(crate) struct Lru<E> {
     /// Most-recently-used first.
@@ -234,18 +246,14 @@ pub(crate) struct Lru<E> {
 
 impl<E> Default for Lru<E> {
     fn default() -> Self {
-        Lru::new(circuit_cache_capacity())
+        Lru {
+            entries: Vec::new(),
+            capacity: circuit_cache_capacity(),
+        }
     }
 }
 
 impl<E> Lru<E> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Lru {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Returns the entry satisfying `is_entry`, building it with `make` on a miss (and
     /// evicting the least-recently-used entry past capacity).
     fn lookup(
@@ -305,12 +313,8 @@ static OBSERVABLE_TALLY: Tally = Tally::new();
 /// actually evaluated, per readout.
 static STRING_TALLY: Tally = Tally::new();
 
-/// Default cache depth of the dense driver: enough for every folding of a ZNE ladder
-/// up to seven scales plus the unfolded probe circuit.  A mitigation wrapper rotating
-/// through more circuits per logical evaluation than the capacity minus one would turn
-/// every access into a miss (recompiling per scale), so `ZneBackend::with_scales`
-/// documents this coupling; longer ladders still compute correctly, just without the
-/// amortization.
+/// Default cache depth of the dense driver: the operator sets of eight live TreeVQA
+/// clusters.
 pub(crate) const DEFAULT_CIRCUIT_CACHE_CAPACITY: usize = 8;
 
 /// Capacity of the dense driver's LRU caches: compiled circuits (with the readout
@@ -318,10 +322,10 @@ pub(crate) const DEFAULT_CIRCUIT_CACHE_CAPACITY: usize = 8;
 ///
 /// Tune with the `VQA_COMPILED_CACHE` environment variable (read once per process,
 /// minimum 1, default [`struct@std::sync::OnceLock`]-cached 8): raise it when a workload
-/// rotates through many distinct circuits or operator sets per logical evaluation (long
-/// ZNE folding ladders, mixed-ansatz job streams through one executor backend, TreeVQA
-/// runs with more than eight live clusters), lower it to bound memory when circuits are
-/// huge.  Capacity only affects amortization, never results.
+/// rotates through many distinct circuits or operator sets (mixed-ansatz job streams
+/// through one executor backend, TreeVQA runs with more than eight live clusters), lower
+/// it to bound memory when circuits are huge.  Capacity only affects amortization, never
+/// results.
 pub fn circuit_cache_capacity() -> usize {
     use std::sync::OnceLock;
     static CAP: OnceLock<usize> = OnceLock::new();
@@ -483,28 +487,6 @@ pub(crate) fn same_circuit(a: &EvalRequest<'_>, b: &EvalRequest<'_>) -> bool {
     std::ptr::eq(a.circuit, b.circuit) || a.circuit == b.circuit
 }
 
-/// The one serial batch loop: the [`Backend::evaluate_batch`] trait default for drivers
-/// without a batch path of their own, and [`crate::ZneBackend`]'s mixed-circuit
-/// fallback.  Stream-blind: it goes through [`Backend::evaluate`].
-pub(crate) fn default_serial_batch<B: Backend + ?Sized>(
-    backend: &mut B,
-    requests: &[EvalRequest<'_>],
-) -> Vec<EvalResult> {
-    requests
-        .iter()
-        .map(|r| {
-            let before = backend.shots_used();
-            let (charged, free) =
-                backend.evaluate(r.circuit, r.params, r.initial, r.charged_op, r.free_ops);
-            EvalResult {
-                charged,
-                free,
-                shots: backend.shots_used() - before,
-            }
-        })
-        .collect()
-}
-
 /// Pauli-propagation backend for large registers (no dense state is ever formed).
 ///
 /// Only basis-state initial states are supported; optionally applies the per-layer
@@ -643,7 +625,7 @@ mod tests {
     use qnoise::PauliNoiseModel;
     use qrng::SeedPolicy;
 
-    /// `⟨op⟩` on `U(θ)|0…0⟩` through the one-shot interpreted simulator: the reference
+    /// `⟨op⟩` on `U(θ)|0…0⟩` through the one-shot `qsim::run_circuit`: the reference
     /// the drivers are held to.
     fn ideal(circuit: &Circuit, params: &[f64], op: &PauliOp) -> f64 {
         let zero = Statevector::zero_state(circuit.num_qubits());

@@ -15,8 +15,7 @@
 //!   state, a data-parallel scratch-state pool, batches split into runs of equal
 //!   circuits — is described on [`Dense`].
 //! * [`PauliPropagationBackend`] for registers too large for a dense state (its only
-//!   noise is Section 8.4's per-layer depolarizing damping), and
-//!   [`ZneBackend`], the zero-noise-extrapolation wrapper any backend can opt into.
+//!   noise is Section 8.4's per-layer depolarizing damping).
 //! * [`VqaRunConfig`] / [`VqaRunResult`] / [`BaselineRunResult`] — plain-data run
 //!   configuration and result records.  The drivers that produce them live in the
 //!   `qexec` execution service (`qexec::run_single_vqa` / `qexec::run_baseline`), which
@@ -32,7 +31,6 @@ mod backend;
 mod dense;
 mod init;
 pub mod metrics;
-mod mitigation;
 mod noisy;
 mod runner;
 mod task;
@@ -43,7 +41,6 @@ pub use backend::{
 };
 pub use dense::{Dense, NoisyBackend, SampledBackend, StatevectorBackend};
 pub use init::{cafqa_initialize, red_qaoa_initial_point, CafqaResult};
-pub use mitigation::{MitigationError, ZneBackend};
 pub use noisy::NoisyStatevectorBackend;
 pub use runner::{BaselineRunResult, IterationRecord, VqaRunConfig, VqaRunResult};
 pub use task::{InitialState, VqaApplication, VqaTask};

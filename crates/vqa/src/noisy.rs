@@ -247,8 +247,7 @@ mod tests {
             NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(1)).with_trajectories(2);
         let (nv, _) = noisy.evaluate(&circuit, &params, &InitialState::Basis(0), &h, &[]);
         let state_terms = {
-            let mut s = qop::Statevector::zero_state(3);
-            qsim::run_circuit_in_place(&circuit, &params, &mut s);
+            let s = qsim::run_circuit(&circuit, &params, &qop::Statevector::zero_state(3));
             qsim::exact_term_expectations(&h, &s)
         };
         let expected: f64 = h

@@ -1,11 +1,10 @@
-//! QAOA MaxCut on the IEEE 14-bus system under trajectory noise, with and without
-//! zero-noise extrapolation.
+//! QAOA MaxCut on the IEEE 14-bus system under trajectory noise.
 //!
 //! The noise-aware companion of `maxcut_ieee14`: the same load-scaled MaxCut family is
 //! solved by TreeVQA on an **ideal** statevector backend and on the **noisy trajectory**
 //! backend (`qnoise` Pauli channels replayed through the compiled batch engine), and one
-//! instance is then optimized noisily and re-estimated with the ZNE mitigation wrapper
-//! to show what extrapolation buys at readout.
+//! instance is then optimized noisily and its optimized point estimated on an ideal and
+//! a noisy backend of one capability-negotiated execution service.
 //!
 //! Run with:
 //!
@@ -22,7 +21,7 @@ use std::sync::Arc;
 use treevqa::{TreeVqa, TreeVqaConfig};
 use vqa::{
     red_qaoa_initial_point, BackendCaps, InitialState, NoisyStatevectorBackend, StatevectorBackend,
-    VqaApplication, VqaRunConfig, VqaTask, ZneBackend,
+    VqaApplication, VqaRunConfig, VqaTask,
 };
 
 /// A mid-tier superconducting-flavoured noise model: depolarizing per gate, twirled
@@ -117,9 +116,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         ideal.total_shots, noisy.total_shots
     );
 
-    // Mitigation study on the middle instance: optimize *under noise*, then compare the
-    // raw noisy estimate of the optimized point against its ZNE-extrapolated estimate
-    // and the ideal truth.
+    // Noise study on the middle instance: optimize *under noise*, then compare the noisy
+    // estimate of the optimized point against the ideal truth.
     let idx = graphs.len() / 2;
     let run_config = VqaRunConfig {
         max_iterations: treevqa_examples::example_iterations(80),
@@ -127,22 +125,15 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         seed: 11,
         record_every: 20,
     };
-    // One execution service owning all three estimation substrates, negotiated by
-    // capability: the optimizer targets the trajectory backend, and the three one-off
-    // estimates of the optimized point each name (or discover) their backend.
+    // One execution service owning both estimation substrates, negotiated by
+    // capability: the one-off estimates of the optimized point each name (or discover)
+    // their backend.
     let study_exec = Executor::builder()
         .register("ideal", StatevectorBackend::with_shots(0))
         .register(
             "noisy",
-            NoisyStatevectorBackend::with_policy(model.clone(), 0, SeedPolicy::new(13))
+            NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(13))
                 .with_trajectories(4 * trajectories),
-        )
-        .register(
-            "zne",
-            ZneBackend::new(
-                NoisyStatevectorBackend::with_policy(model, 0, SeedPolicy::new(13))
-                    .with_trajectories(4 * trajectories),
-            ),
         )
         .start();
     let client = study_exec.client();
@@ -190,11 +181,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(trajectory_backend, "noisy");
     let ideal_e = estimate("ideal")?;
     let noisy_e = estimate(&trajectory_backend)?;
-    let zne_e = estimate("zne")?;
 
     let (max_cut, _) = graphs[idx].max_cut_brute_force();
     println!(
-        "\n  mitigation on load={:.2} (noisy-optimized point, max-cut {max_cut:.4}):",
+        "\n  noise on load={:.2} (noisy-optimized point, max-cut {max_cut:.4}):",
         family.load_scales()[idx]
     );
     println!(
@@ -205,13 +195,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "    noisy estimate : {noisy_e:>9.4}  (cut {:>7.4})",
         -noisy_e
     );
-    println!("    ZNE estimate   : {zne_e:>9.4}  (cut {:>7.4})", -zne_e);
-    println!(
-        "    |error| noisy {:.4} -> ZNE {:.4}",
-        (noisy_e - ideal_e).abs(),
-        (zne_e - ideal_e).abs()
-    );
+    println!("    |error| noisy {:.4}", (noisy_e - ideal_e).abs());
     treevqa_examples::print_observability("noisy trajectory service", &noisy_exec);
-    treevqa_examples::print_observability("mitigation study service", &study_exec);
+    treevqa_examples::print_observability("noise study service", &study_exec);
     Ok(())
 }
