@@ -128,16 +128,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_parameterized()).count()
     }
 
-    /// The circuit implementing the inverse unitary: every gate inverted, in reverse
-    /// order.  Parameter references are preserved (multipliers negate), so the inverse of
-    /// a parameterized ansatz is itself a parameterized circuit over the same slots.
-    pub fn inverse(&self) -> Circuit {
-        Circuit {
-            num_qubits: self.num_qubits,
-            gates: self.gates.iter().rev().map(Gate::inverse).collect(),
-        }
-    }
-
     /// A simple circuit-depth estimate: the length of the longest chain of gates that
     /// share qubits (greedy per-qubit layering, the usual ASAP depth).
     pub fn depth(&self) -> usize {
@@ -206,21 +196,6 @@ mod tests {
     fn out_of_register_gate_panics() {
         let mut c = Circuit::new(2);
         c.push(Gate::H(2));
-    }
-
-    #[test]
-    fn inverse_reverses_and_inverts_gates() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::H(0));
-        c.push(Gate::S(1));
-        c.push(Gate::Rx(0, Angle::param(0)));
-        let inv = c.inverse();
-        assert_eq!(inv.num_gates(), 3);
-        assert_eq!(inv.gates()[0], Gate::Rx(0, Angle::param(0).negated()));
-        assert_eq!(inv.gates()[1], Gate::Sdg(1));
-        assert_eq!(inv.gates()[2], Gate::H(0));
-        // The inverse references the same parameter slots.
-        assert_eq!(inv.num_parameters(), c.num_parameters());
     }
 
     #[test]

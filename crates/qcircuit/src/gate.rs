@@ -62,18 +62,6 @@ impl Angle {
             Angle::Param { index, .. } => Some(index),
         }
     }
-
-    /// The angle resolving to the negation of this one under every parameter vector
-    /// (fixed angles negate their value; bound angles negate their multiplier).
-    pub fn negated(&self) -> Angle {
-        match *self {
-            Angle::Fixed(v) => Angle::Fixed(-v),
-            Angle::Param { index, multiplier } => Angle::Param {
-                index,
-                multiplier: -multiplier,
-            },
-        }
-    }
 }
 
 /// A quantum gate.
@@ -138,25 +126,6 @@ impl Gate {
     /// Returns `true` if the gate's angle is bound to an optimizer parameter.
     pub fn is_parameterized(&self) -> bool {
         matches!(self.angle(), Some(Angle::Param { .. }))
-    }
-
-    /// The gate implementing this gate's inverse unitary (under every parameter binding).
-    ///
-    /// Every gate in the set has an in-set inverse: the Clifford basics are self-inverse
-    /// or swap with their dagger, and rotations negate their angle, so
-    /// [`crate::Circuit::inverse`] is a plain circuit transformation.
-    pub fn inverse(&self) -> Gate {
-        match self {
-            Gate::H(_) | Gate::X(_) | Gate::Y(_) | Gate::Z(_) | Gate::Cx(..) | Gate::Cz(..) => {
-                self.clone()
-            }
-            Gate::S(q) => Gate::Sdg(*q),
-            Gate::Sdg(q) => Gate::S(*q),
-            Gate::Rx(q, a) => Gate::Rx(*q, a.negated()),
-            Gate::Ry(q, a) => Gate::Ry(*q, a.negated()),
-            Gate::Rz(q, a) => Gate::Rz(*q, a.negated()),
-            Gate::PauliRotation(p, a) => Gate::PauliRotation(*p, a.negated()),
-        }
     }
 }
 

@@ -39,11 +39,6 @@ impl ShotLedger {
         self.evaluations += 1;
     }
 
-    /// Charges an explicit number of shots (used by the noise-trajectory estimator).
-    pub fn charge_raw(&mut self, shots: u64) {
-        self.total += shots;
-    }
-
     /// Total shots charged so far.
     pub fn total(&self) -> u64 {
         self.total
@@ -52,12 +47,6 @@ impl ShotLedger {
     /// Number of expectation evaluations charged so far.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
-    }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &ShotLedger) {
-        self.total += other.total;
-        self.evaluations += other.evaluations;
     }
 
     /// Resets the ledger to zero.
@@ -81,14 +70,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn reset_zeroes_the_ledger() {
         let mut a = ShotLedger::new();
         a.charge_evaluation(100, 3);
-        let mut b = ShotLedger::new();
-        b.charge_evaluation(100, 7);
-        b.charge_raw(5);
-        a.merge(&b);
-        assert_eq!(a.total(), 300 + 700 + 5);
+        a.charge_evaluation(100, 7);
+        assert_eq!(a.total(), 300 + 700);
         assert_eq!(a.evaluations(), 2);
         a.reset();
         assert_eq!(a.total(), 0);

@@ -455,10 +455,10 @@ pub(crate) fn free_values(basis: &TermBasis, values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// A pool of reusable scratch slots, one per in-flight batch request.
+/// A pool of reusable scratch slots, one per in-flight execution.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
-    slots: Vec<Scratch>,
+    pub(crate) slots: Vec<Scratch>,
 }
 
 impl ScratchPool {

@@ -244,16 +244,20 @@ fn plan_for<'a, R: Readout>(
 /// * the circuit is lowered once through a cached [`qsim::CompiledCircuit`], stored
 ///   with what the stage derives from it, and re-bound per request — never re-walked;
 /// * the run is flattened into `(request, rollout)` items, processed in chunks of
-///   [`batch_chunk`] scratch slots: each item is prepared, executed (replaying the
-///   stage's Pauli insertions, if any) and measured through the request's cached
+///   [`batch_chunk`] items whose insertion schedules are sampled before any state-sized
+///   work; each chunk's *distinct* items per request — rollouts of one request with
+///   equal schedules are one item (most trajectories of a weakly noisy circuit replay
+///   the empty schedule) — take a scratch slot each and are prepared, executed
+///   (replaying the schedule) and measured through the request's cached
 ///   [`qop::TermBasis`] — each *distinct* Pauli string once per state (the paper's term
 ///   padding, Section 5.2.1);
-/// * whether a chunk is spread over threads is not decided here: its items go through
-///   [`qop::par::map_states`] — the stack's one parallel region — which hands whole
-///   rollouts to the threads once the chunk holds [`qsim::parallel_threshold`]
+/// * whether a chunk is spread over threads is not decided here: its distinct items go
+///   through [`qop::par::map_states`] — the stack's one parallel region — which hands
+///   whole rollouts to the threads once the chunk holds [`qsim::parallel_threshold`]
 ///   amplitudes in total, and otherwise runs them one after another on the calling
 ///   thread; every kernel a rollout reaches is the same serial code either way;
-/// * per-string values are summed over a request's rollouts in rollout order, the stage
+/// * per-string values are summed over a request's rollouts in rollout order — a
+///   repeated schedule adds its execution's values once per occurrence — the stage
 ///   reduces them, free operators are contracted from the reduced readout with a serial
 ///   fold in term order, and shots are charged in request order.
 ///
@@ -271,7 +275,7 @@ pub struct Dense<R: Readout> {
     evals_issued: u64,
     plans: CircuitCache<(CompiledCircuit, R::Plan)>,
     observables: ObservableCache,
-    pool: ScratchPool,
+    pub(crate) pool: ScratchPool,
 }
 
 impl<R: Readout> Dense<R> {
@@ -299,6 +303,10 @@ impl<R: Readout> Dense<R> {
         let k = readout.rollouts(plan);
         let (num_qubits, items) = (compiled.num_qubits(), requests.len() * k);
         let mut schedules: Vec<Vec<PauliInsertion>> = Vec::new();
+        // Per slot, the chunk index of the item it executes; per item, the slot its
+        // values are read from.
+        let mut reps: Vec<usize> = Vec::new();
+        let mut slot_of: Vec<usize> = Vec::new();
         // The open request's per-string sums; chunks preserve flat item order, so the
         // sums are independent of chunk size and thread count.
         let mut sums: Vec<f64> = Vec::new();
@@ -325,8 +333,32 @@ impl<R: Readout> Dense<R> {
             for (item, schedule) in (chunk_start..).zip(&mut schedules) {
                 readout.insertions(plan, streams[item / k], (item % k) as u64, schedule);
             }
-            let slots = self.pool.slots(chunk_len, num_qubits);
-            qop::par::map_states(slots, 1 << num_qubits, |i, slot| {
+            // A rollout's values are a function of its request and schedule alone, so an
+            // item whose request already holds an equal schedule in this chunk reads that
+            // execution's values instead of repeating it (the sum below adds the same
+            // numbers in the same order).
+            let mut open = 0; // `reps` index of the open request's first execution
+            reps.clear();
+            slot_of.clear();
+            for i in 0..chunk_len {
+                if (chunk_start + i) % k == 0 {
+                    open = reps.len();
+                }
+                let slot = match reps[open..]
+                    .iter()
+                    .position(|&r| schedules[r] == schedules[i])
+                {
+                    Some(pos) => open + pos,
+                    None => {
+                        reps.push(i);
+                        reps.len() - 1
+                    }
+                };
+                slot_of.push(slot);
+            }
+            let slots = self.pool.slots(reps.len(), num_qubits);
+            qop::par::map_states(slots, 1 << num_qubits, |j, slot| {
+                let i = reps[j];
                 let req_idx = (chunk_start + i) / k;
                 rollout(
                     compiled,
@@ -337,12 +369,12 @@ impl<R: Readout> Dense<R> {
                     slot,
                 );
             });
-            for (item, slot) in (chunk_start..).zip(slots) {
-                let (req_idx, nth) = (item / k, item % k);
+            for (item, &slot) in (chunk_start..).zip(&slot_of) {
+                let (req_idx, nth, values) = (item / k, item % k, &slots[slot].values);
                 if nth == 0 {
-                    std::mem::swap(&mut sums, &mut slot.values);
+                    sums.clone_from(values);
                 } else {
-                    for (sum, v) in sums.iter_mut().zip(&slot.values) {
+                    for (sum, v) in sums.iter_mut().zip(values) {
                         *sum += v;
                     }
                 }

@@ -6,15 +6,19 @@
 //! stochastic Pauli trajectories, and each trajectory is one ideal compiled execution
 //! with a pre-sampled Pauli error stream replayed between compiled ops
 //! (`qnoise::TrajectorySampler` over [`qsim::CompiledCircuit::noise_sites`]).  No
-//! density matrix is ever formed: memory stays one statevector per in-flight trajectory,
-//! and the trajectory average is an unbiased estimate of the density-matrix expectation.
+//! density matrix is ever formed: memory stays one statevector per in-flight *distinct*
+//! trajectory, and the trajectory average is an unbiased estimate of the density-matrix
+//! expectation.
 //!
 //! K trajectories of one parameter binding are embarrassingly parallel rollouts of one
 //! compiled program — exactly the `(request, rollout)` items the [`crate::dense`]
 //! pipeline is built from.  Because all K share one parameter vector, the compiled
 //! circuit's diagonal passes are bound **once per request** and reused by every
 //! trajectory — for QAOA-shaped ansätze this removes the whole cost-layer binding (and
-//! its `O(√dim)` table construction) from K−1 of the K rollouts.
+//! its `O(√dim)` table construction) from K−1 of the K rollouts.  And because a
+//! trajectory is its schedule, a request's trajectories that sampled equal schedules —
+//! at realistic error rates most of them sample the empty one — are executed and read
+//! out **once**, their values added to the average once per occurrence.
 //!
 //! # Determinism
 //!
@@ -146,7 +150,7 @@ impl Dense<Trajectories> {
 mod tests {
     use super::*;
     use crate::{Backend, EvalRequest, InitialState, StatevectorBackend};
-    use qcircuit::{Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
+    use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 
     fn demo() -> (Circuit, Vec<f64>, PauliOp, PauliOp) {
         let circuit = HardwareEfficientAnsatz::new(3, 1, Entanglement::Linear).build();
@@ -211,6 +215,86 @@ mod tests {
                 assert_eq!(free[0].to_bits(), r.free[0].to_bits());
             }
             assert_eq!(batched.shots_used(), serial.shots_used());
+        }
+    }
+
+    #[test]
+    fn equal_schedules_execute_once_and_keep_every_rollouts_bits() {
+        // One noise site (after the Ry) at p = 0.3: a request's rollouts repeat the
+        // empty schedule and each single-qubit error, so most of them collide.
+        let mut circuit = Circuit::new(2);
+        circuit.push(Gate::Ry(0, Angle::param(0)));
+        circuit.push(Gate::Cx(0, 1));
+        let h1 = PauliOp::from_labels(2, &[("ZZ", -1.0), ("XI", 0.5)]);
+        let h2 = PauliOp::from_labels(2, &[("IZ", 0.7), ("YX", 0.2)]);
+        let model = PauliNoiseModel::depolarizing(0.3, 0.0).with_readout(0.02);
+        let policy = SeedPolicy::new(21);
+        let params = [[0.4], [0.9], [1.3]];
+        let streams: Vec<StreamId> = (0..3).map(|r| StreamId::for_job(40 + r)).collect();
+        let free_ops = [&h2];
+        let requests: Vec<EvalRequest<'_>> = params
+            .iter()
+            .zip(&streams)
+            .map(|(p, &stream)| EvalRequest {
+                circuit: &circuit,
+                params: p,
+                initial: &InitialState::Basis(0),
+                charged_op: &h1,
+                free_ops: &free_ops,
+                stream: Some(stream),
+            })
+            .collect();
+        let compiled = CompiledCircuit::compile(&circuit);
+        let sampler = TrajectorySampler::new(&compiled, &model);
+        let basis = TermBasis::new(&[&h1, &h2]);
+        // K = 6 splits the last request across two chunks; K = 16 fills a chunk each.
+        for k in [6usize, 16] {
+            let mut backend = NoisyStatevectorBackend::with_policy(model.clone(), 64, policy)
+                .with_trajectories(k)
+                .with_shot_sampling();
+            let results = backend.evaluate_batch(&requests);
+            // (a) Every rollout executed: same bits.
+            let mut items: Vec<(usize, Vec<PauliInsertion>)> = Vec::new();
+            for (r, (p, &stream)) in params.iter().zip(&streams).enumerate() {
+                let (mut state, mut values) = (qop::Statevector::zero_state(2), Vec::new());
+                let mut sums: Vec<f64> = Vec::new();
+                for t in 0..k {
+                    let schedule = sampler.sample(policy.key(stream.substream(0)), t as u64);
+                    compiled.execute_from_basis(0, p, &mut state, &schedule, None);
+                    basis.evaluate(&state, &mut values);
+                    if t == 0 {
+                        sums = values.clone();
+                    } else {
+                        sums.iter_mut().zip(&values).for_each(|(s, v)| *s += v);
+                    }
+                    items.push((r, schedule));
+                }
+                let charged = backend
+                    .readout
+                    .charged(&sampler, &basis, &mut sums, &h1, 64, stream);
+                assert_eq!(charged.to_bits(), results[r].charged.to_bits(), "K {k}");
+                let free = basis.op_value(1, &sums);
+                assert_eq!(free.to_bits(), results[r].free[0].to_bits(), "K {k}");
+            }
+            // (b) One slot per distinct (request, schedule) of a chunk, not one per rollout.
+            let distinct = items
+                .chunks(crate::backend::batch_chunk())
+                .map(|chunk| {
+                    let mut seen: Vec<&(usize, Vec<PauliInsertion>)> = Vec::new();
+                    for item in chunk {
+                        if !seen.contains(&item) {
+                            seen.push(item);
+                        }
+                    }
+                    seen.len()
+                })
+                .max()
+                .unwrap();
+            assert!(
+                distinct < crate::backend::batch_chunk(),
+                "K {k}: no collision"
+            );
+            assert_eq!(backend.pool.slots.len(), distinct, "K {k}");
         }
     }
 
