@@ -58,8 +58,6 @@ pub struct FaultPlan {
     seed: u64,
     panic_rate: f64,
     transient_rate: f64,
-    delay_rate: f64,
-    delay_ms: u64,
     scripted: Vec<(u64, Option<FaultKind>)>,
 }
 
@@ -71,8 +69,6 @@ impl FaultPlan {
             seed,
             panic_rate: 0.0,
             transient_rate: 0.0,
-            delay_rate: 0.0,
-            delay_ms: 1,
             scripted: Vec::new(),
         }
     }
@@ -86,13 +82,6 @@ impl FaultPlan {
     /// Sets the per-call probability of a [`FaultKind::Transient`] fault.
     pub fn with_transient_rate(mut self, rate: f64) -> Self {
         self.transient_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the per-call probability (and duration) of a [`FaultKind::Delay`].
-    pub fn with_delay_rate(mut self, rate: f64, delay_ms: u64) -> Self {
-        self.delay_rate = rate.clamp(0.0, 1.0);
-        self.delay_ms = delay_ms;
         self
     }
 
@@ -114,8 +103,6 @@ impl FaultPlan {
             Some(FaultKind::Panic)
         } else if u < self.panic_rate + self.transient_rate {
             Some(FaultKind::Transient)
-        } else if u < self.panic_rate + self.transient_rate + self.delay_rate {
-            Some(FaultKind::Delay(self.delay_ms))
         } else {
             None
         }

@@ -403,10 +403,11 @@ impl JobHandle {
     /// Registers a callback to run exactly once when the job completes (with the same
     /// result [`JobHandle::wait`] returns).  If the job has already completed, the
     /// callback runs inline before this returns; otherwise it runs on the completing
-    /// thread — the scheduler, or a caller cancelling the job — so it must be short and must not block (push
-    /// into a channel, bump a counter).  This is the push-notification primitive the
-    /// network server uses to stream out-of-order completions without a thread or a
-    /// poll per in-flight job.
+    /// thread — the scheduler, or a caller cancelling the job — so it must be short and
+    /// must not block (append to a buffer under a short lock, bump a counter).  This is
+    /// the push-notification primitive the network server uses to encode each result
+    /// straight into its connection's outbox, without a thread or a poll per in-flight
+    /// job.
     pub fn on_complete<F>(&self, callback: F)
     where
         F: FnOnce(&Result<EvalResult, ExecError>) + Send + 'static,

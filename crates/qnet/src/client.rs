@@ -3,10 +3,12 @@
 //!
 //! A [`NetClient`] speaks the [`crate::wire`] protocol to a [`crate::NetServer`] and
 //! hands back [`RemoteHandle`]s with the same blocking surface as a local
-//! [`qexec::JobHandle`] (`wait` / `wait_timeout` / `try_result`).  A single
-//! demultiplexer thread reads response frames and routes each to its pending request
-//! by id, so any number of threads can share one client and any number of requests
-//! can be in flight, completing out of order.  Because [`NetClient`] implements
+//! [`qexec::JobHandle`] (`wait` / `wait_timeout` / `try_result`).  Each submission —
+//! one job, or a whole group as one batch frame — leaves in a single write.  A single
+//! demultiplexer thread reads response frames through a buffered reader (the server
+//! answers a group in one write, so its results usually arrive in one read) and routes
+//! each to its pending request by id, so any number of threads can share one client and
+//! any number of requests can be in flight, completing out of order.  Because [`NetClient`] implements
 //! [`qexec::JobSubmitter`], the drivers built on [`qexec::run_phase`]
 //! ([`qexec::run_single_vqa`], the TreeVQA controller's `run_on`) run against a remote
 //! executor unchanged — and, by the schedule-independence contract, produce
@@ -20,7 +22,7 @@
 use crate::wire::{self, ControlKind, Frame, SubmitFrame};
 use qexec::{CompletionHandle, EvalJob, ExecError, JobSubmitter, SubmitOptions};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -248,7 +250,7 @@ impl NetClient {
     fn write(&self, frame: &Frame) -> Result<(), ExecError> {
         let mut writer = self.shared.writer.lock().unwrap();
         wire::write_frame(&mut *writer, frame, self.shared.max_frame)
-            .and_then(|_| writer.flush().map_err(wire::WireError::Io))
+            .map(|_| ())
             .map_err(|e| ExecError::Transport(e.to_string()))
     }
 }
@@ -264,9 +266,10 @@ impl Drop for NetClient {
     }
 }
 
-fn demux_loop(mut stream: TcpStream, shared: Arc<ClientShared>) {
+fn demux_loop(stream: TcpStream, shared: Arc<ClientShared>) {
+    let mut reader = BufReader::new(stream);
     let reason = loop {
-        match wire::read_frame(&mut stream, shared.max_frame) {
+        match wire::read_frame(&mut reader, shared.max_frame) {
             Ok(Frame::Result { request_id, result }) => complete(&shared, request_id, Ok(result)),
             Ok(Frame::Error {
                 request_id,

@@ -12,9 +12,12 @@
 //! * [`server`] — a [`NetServer`] binding a `TcpListener` over an
 //!   [`std::sync::Arc`]`<`[`qexec::Executor`]`>`.  Each connection maps to one
 //!   [`qexec::ExecClient`], so the executor's fair round-robin and per-client
-//!   admission apply **per connection**.  Completions are pushed out of order as
+//!   admission apply **per connection**.  A submitted frame is one unit both ways:
+//!   a batch frame's shared circuit and operators are decoded once, and its results
+//!   leave in one write when its last job completes, out of order across frames as
 //!   request-id-tagged frames; rejections travel as structured error frames, not
-//!   dropped connections; shutdown drains in-flight work before closing.
+//!   dropped connections; a peer that stops reading is dropped once
+//!   `max_frame` bytes wait behind its unfinished write; shutdown drains in-flight work before closing.
 //! * [`client`] — a [`NetClient`] with the local client's blocking submit/handle
 //!   API ([`RemoteHandle`]`::{wait, wait_timeout, try_result}`), backed by a
 //!   demultiplexer thread.  It implements [`qexec::JobSubmitter`], so the drivers

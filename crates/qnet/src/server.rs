@@ -4,29 +4,41 @@
 //! connection to one [`ExecClient`]** — the executor's fair round-robin scheduling and
 //! per-client admission bounds therefore apply per connection, so one greedy remote
 //! caller cannot starve the others any more than a greedy in-process client could.
-//! Completions are pushed as request-id-tagged frames by a per-connection writer
-//! thread the moment each job finishes (via [`qexec::JobHandle::on_complete`]), so
-//! results stream out of order with no thread and no poll per in-flight job.
+//!
+//! A submitted frame — one job or a whole batch — is one unit in both directions.  The
+//! reader thread decodes it through a buffered reader (a frame already buffered in full
+//! costs no syscall) and submits it as one group.  Each job's completion callback
+//! ([`qexec::JobHandle::on_complete`]) encodes its result frame straight into the
+//! connection's outbox, a byte buffer under a mutex; the group's last completion flushes
+//! it, and the writer thread ships the whole group with one `write_all`.  Refusals,
+//! malformed-payload answers and control notices flush at once.  Results therefore
+//! stream out of order across groups, with no thread and no poll per in-flight job.
+//!
+//! The outbox is bounded: once more than `max_frame` bytes of frames are waiting
+//! behind a write that has not finished, or a write blocks for five seconds, the
+//! connection is dropped and its queued work cancelled — a peer that submits and never
+//! reads cannot grow server memory past about two `max_frame` buffers plus one frame's
+//! answers.  An idle connection takes any answer whole, however large.
 //!
 //! Failure is structural, mirroring the executor's own contract: every `ExecError`
 //! (validation, admission rejection, quarantine, panic) becomes a wire error frame
 //! carrying its stable code — never a dropped connection; a malformed payload is
 //! answered with [`crate::wire::CODE_MALFORMED`] and the connection survives (the
 //! length prefix keeps the stream synced); only an unframeable stream (bad magic,
-//! oversized frame, transport error) closes the connection.  `QNET_MAX_CONNS` bounds
-//! the connection count with a polite over-capacity control frame, and
-//! [`NetServer::shutdown`] drains gracefully: stop accepting, fail queued jobs with
-//! the `ShutDown` code, wait out in-flight work, notify every peer.
+//! oversized frame, transport error) or a peer that stops reading closes the
+//! connection.  `QNET_MAX_CONNS` bounds the connection count with a polite
+//! over-capacity control frame, and [`NetServer::shutdown`] drains gracefully: stop
+//! accepting, fail queued jobs with the `ShutDown` code, wait out in-flight work,
+//! notify every peer.
 
 use crate::wire::{self, ControlKind, Frame, SubmitFrame, WireError};
 use crate::{max_conns_from_env, max_frame_from_env};
 use qexec::{ExecClient, ExecError, Executor};
 use std::collections::HashMap;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -45,6 +57,7 @@ pub const NET_EVENT_NAMES: &[&str] = &[
     "batches",
     "results_sent",
     "errors_sent",
+    "writes",
 ];
 
 /// Indices into [`NET_EVENT_NAMES`] / the server registry's counters.
@@ -57,7 +70,7 @@ pub mod event {
     pub const CONNS_REJECTED: usize = 2;
     /// Frames decoded from clients.
     pub const FRAMES_IN: usize = 3;
-    /// Frames written to clients.
+    /// Frames encoded for clients (counted as they are buffered for the writer).
     pub const FRAMES_OUT: usize = 4;
     /// Bytes read from clients.
     pub const BYTES_IN: usize = 5;
@@ -71,17 +84,21 @@ pub mod event {
     pub const PROBES: usize = 9;
     /// Batch frames received.
     pub const BATCHES: usize = 10;
-    /// Successful results written.
+    /// Successful results encoded.
     pub const RESULTS_SENT: usize = 11;
-    /// Error frames written.
+    /// Error frames encoded.
     pub const ERRORS_SENT: usize = 12;
+    /// Socket writes: each carries every frame flushed since the previous one — at
+    /// least one whole group, refusal or control notice.
+    pub const WRITES: usize = 13;
 }
 
 /// Reader poll interval: how quickly an idle connection notices server shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Once a frame has started arriving, how long the rest may take.  A peer that stalls
-/// mid-frame longer than this is treated as gone (the stream would be desynced).
+/// Once a frame has started arriving, how long the rest may take, and how long one
+/// write may block.  A peer that stalls mid-frame, or stops reading, longer than this
+/// is treated as gone (the stream would be desynced, or the outbox would grow).
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configures and binds a [`NetServer`]; see [`NetServer::builder`].
@@ -217,28 +234,22 @@ impl NetServer {
             entry.client.cancel_queued();
         }
         // Drain in-flight work: every accepted submission holds an inflight tick
-        // until its completion frame is handed to a writer.
+        // until its completion frame is in its connection's outbox.
         let mut inflight = self.shared.inflight.lock().unwrap();
         while *inflight > 0 {
             inflight = self.shared.drain_cv.wait(inflight).unwrap();
         }
         drop(inflight);
         for entry in entries {
-            let _ = entry
-                .writer_tx
-                .send(Frame::Control(ControlKind::ShuttingDown));
-            let ConnEntry {
-                writer_tx,
-                stream,
-                reader,
-                writer,
-                ..
-            } = entry;
-            // Closing the channel (and the read half) lets both threads finish.
-            drop(writer_tx);
-            let _ = stream.shutdown(Shutdown::Read);
-            let _ = reader.join();
-            let _ = writer.join();
+            entry
+                .outbox
+                .send([Frame::Control(ControlKind::ShuttingDown)]);
+            // The notice is the entry's last frame: once its slot is released the
+            // writer exits after writing it.  Ending the read half ends the reader.
+            entry.outbox.release_entry();
+            let _ = entry.outbox.stream.shutdown(Shutdown::Read);
+            let _ = entry.reader.join();
+            let _ = entry.writer.join();
             self.shared.obs.counters().inc(event::CONNS_CLOSED);
         }
     }
@@ -258,8 +269,8 @@ struct ServerShared {
     shutdown: AtomicBool,
     next_conn_id: AtomicU64,
     conns: Mutex<HashMap<u64, ConnEntry>>,
-    /// Accepted submissions whose completion frame has not yet been handed to a
-    /// writer; [`NetServer::shutdown`] waits for this to reach zero.
+    /// Accepted submissions whose completion frame is not yet in its connection's
+    /// outbox; [`NetServer::shutdown`] waits for this to reach zero.
     inflight: Mutex<u64>,
     drain_cv: Condvar,
 }
@@ -280,10 +291,146 @@ impl ServerShared {
 
 struct ConnEntry {
     client: ExecClient,
-    writer_tx: Sender<Frame>,
-    stream: TcpStream,
+    outbox: Arc<Outbox>,
     reader: JoinHandle<()>,
     writer: JoinHandle<()>,
+}
+
+/// A connection's unsent response frames, encoded in place by whatever answers on the
+/// connection (completion callbacks, the reader, shutdown) and shipped by its writer
+/// thread in one `write_all` per flush.
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Signalled when `flush` is set, a producer finishes, or the outbox fails.
+    ready: Condvar,
+    /// Shut down when the outbox fails, which also ends the connection's reader.
+    stream: TcpStream,
+    /// Bytes allowed to wait behind an unfinished write before the connection is
+    /// dropped.
+    max_frame: usize,
+    obs: Arc<qobs::Registry>,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    /// Encoded frames not yet handed to the writer.
+    bytes: Vec<u8>,
+    /// `bytes` ends on a finished group or an unbatched frame.  The writer waits on
+    /// this, not on `bytes` being non-empty, so a spurious wake-up never ships half a
+    /// group.
+    flush: bool,
+    /// The writer has taken a buffer and not yet come back for the next one.
+    writing: bool,
+    /// Parties that may still append: the connection's entry (released by whoever
+    /// withdraws it — the reader on a client close, shutdown after its notice), plus
+    /// every accepted group with completions outstanding.  The writer exits when this
+    /// reaches zero.
+    producers: usize,
+    /// Overflowed, or a frame failed to encode or write: the connection is being
+    /// dropped and appends are discarded.
+    failed: bool,
+}
+
+impl Outbox {
+    fn new(stream: TcpStream, max_frame: usize, obs: Arc<qobs::Registry>) -> Outbox {
+        Outbox {
+            state: Mutex::new(OutboxState {
+                producers: 1,
+                ..OutboxState::default()
+            }),
+            ready: Condvar::new(),
+            stream,
+            max_frame,
+            obs,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state
+            .lock()
+            .expect("no thread panics while holding an outbox lock")
+    }
+
+    /// Appends `frames` and hands everything buffered to the writer at once (refusals,
+    /// malformed-payload answers, control notices).
+    fn send(&self, frames: impl IntoIterator<Item = Frame>) {
+        let mut state = self.lock();
+        if self.admit(&mut state) {
+            for frame in frames {
+                self.append(&mut state, &frame);
+            }
+        }
+        state.flush = true;
+        drop(state);
+        self.ready.notify_one();
+    }
+
+    /// Registers a group whose completions arrive through [`Outbox::complete`].
+    fn open_group(&self) {
+        self.lock().producers += 1;
+    }
+
+    /// Appends one completion of a group whose outstanding entries `remaining`
+    /// counts.  The count drops under the outbox lock, so the group's last completion
+    /// finds every other entry's frame already buffered and flushes the whole group
+    /// as one write.
+    fn complete(&self, frame: &Frame, remaining: &AtomicUsize) {
+        let mut state = self.lock();
+        if self.admit(&mut state) {
+            self.append(&mut state, frame);
+        }
+        // `Relaxed`: the outbox mutex orders every decrement of a group's count.
+        if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+            state.flush = true;
+            state.producers -= 1;
+            drop(state);
+            self.ready.notify_one();
+        }
+    }
+
+    /// The connection's entry has been withdrawn: no new groups or notices will come.
+    fn release_entry(&self) {
+        self.lock().producers -= 1;
+        self.ready.notify_one();
+    }
+
+    /// Whether the next answer — one completion, or one frame's refusal — may be
+    /// buffered.  More than `max_frame` bytes already waiting behind an unfinished
+    /// write means the peer is not reading, and the connection is dropped; an answer
+    /// that arrives while the writer is idle is taken whole, however large.
+    fn admit(&self, state: &mut OutboxState) -> bool {
+        if !state.failed && state.writing && state.bytes.len() > self.max_frame {
+            self.fail(state);
+        }
+        !state.failed
+    }
+
+    fn append(&self, state: &mut OutboxState, frame: &Frame) {
+        if state.failed {
+            return;
+        }
+        if wire::encode_frame(&mut state.bytes, frame, self.max_frame).is_err() {
+            self.fail(state);
+            return;
+        }
+        let counters = self.obs.counters();
+        counters.inc(event::FRAMES_OUT);
+        match frame {
+            Frame::Result { .. } => counters.inc(event::RESULTS_SENT),
+            Frame::Error { .. } => counters.inc(event::ERRORS_SENT),
+            Frame::Control(_) | Frame::Submit(_) | Frame::SubmitBatch(_) => {}
+        }
+    }
+
+    /// Drops the connection: discards what is buffered and shuts the socket down, so
+    /// the reader sees the close, withdraws the connection and cancels its queued
+    /// work.  Completions still in flight append into the void.
+    fn fail(&self, state: &mut OutboxState) {
+        state.failed = true;
+        state.bytes = Vec::new();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.ready.notify_one();
+    }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
@@ -326,29 +473,32 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         };
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let client = shared.executor.client();
-        let (writer_tx, writer_rx) = mpsc::channel::<Frame>();
+        let outbox = Arc::new(Outbox::new(
+            stream,
+            shared.max_frame,
+            Arc::clone(&shared.obs),
+        ));
         let writer = {
-            let shared = Arc::clone(&shared);
+            let outbox = Arc::clone(&outbox);
             std::thread::Builder::new()
                 .name(format!("qnet-conn{conn_id}-writer"))
-                .spawn(move || writer_loop(writer_stream, writer_rx, shared))
+                .spawn(move || writer_loop(writer_stream, outbox))
                 .expect("spawn qnet writer thread")
         };
         let reader = {
             let shared = Arc::clone(&shared);
             let client = client.clone();
-            let tx = writer_tx.clone();
+            let outbox = Arc::clone(&outbox);
             std::thread::Builder::new()
                 .name(format!("qnet-conn{conn_id}-reader"))
-                .spawn(move || reader_loop(reader_stream, shared, conn_id, client, tx))
+                .spawn(move || reader_loop(reader_stream, shared, conn_id, client, outbox))
                 .expect("spawn qnet reader thread")
         };
         conns.insert(
             conn_id,
             ConnEntry {
                 client,
-                writer_tx,
-                stream,
+                outbox,
                 reader,
                 writer,
             },
@@ -377,58 +527,23 @@ fn reader_loop(
     shared: Arc<ServerShared>,
     conn_id: u64,
     client: ExecClient,
-    tx: Sender<Frame>,
+    outbox: Arc<Outbox>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut reader = BufReader::new(CountingRead {
+        inner: &stream,
+        obs: &shared.obs,
+    });
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            // Shutdown owns this connection's teardown.
+            // Shutdown owns this connection's teardown, its notice and the entry's
+            // outbox slot included.
             return;
         }
-        // Poll a single byte so an idle connection re-checks the shutdown flag every
-        // interval; once a frame starts, the rest must arrive within FRAME_TIMEOUT
-        // (a stall mid-frame would leave the stream desynced — close it).
-        let mut first = [0u8; 1];
-        match (&stream).read(&mut first) {
-            Ok(0) => break,
-            Ok(_) => {
-                shared.obs.counters().inc(event::BYTES_IN);
-                let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-                let result = {
-                    let mut framed = first.as_slice().chain(CountingRead {
-                        inner: &stream,
-                        obs: &shared.obs,
-                    });
-                    wire::read_frame(&mut framed, shared.max_frame)
-                };
-                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                match result {
-                    Ok(frame) => {
-                        shared.obs.counters().inc(event::FRAMES_IN);
-                        if !handle_frame(&shared, conn_id, &client, &tx, frame) {
-                            break;
-                        }
-                    }
-                    Err(WireError::Malformed { request_id, reason }) => {
-                        // The payload arrived in full, so the stream is still
-                        // frame-synced: answer and keep serving.
-                        shared.obs.counters().inc(event::DECODE_ERRORS);
-                        let _ = tx.send(Frame::Error {
-                            request_id,
-                            code: wire::CODE_MALFORMED,
-                            aux0: 0,
-                            aux1: 0,
-                            text: reason.to_string(),
-                        });
-                    }
-                    Err(_) => {
-                        // Bad magic / version / oversized frame / transport error:
-                        // the stream cannot be trusted to be frame-aligned.
-                        shared.obs.counters().inc(event::DECODE_ERRORS);
-                        break;
-                    }
-                }
-            }
+        // Waiting a poll interval at a time lets an idle connection notice shutdown.
+        let whole = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(buffered) => wire::holds_whole_frame(buffered),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -436,18 +551,54 @@ fn reader_loop(
                 continue;
             }
             Err(_) => break,
+        };
+        // A frame that is already buffered in full decodes without touching the
+        // socket.  Otherwise the rest must arrive within FRAME_TIMEOUT: a stall
+        // mid-frame would leave the stream desynced, so it closes the connection.
+        if !whole {
+            let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
+        }
+        let result = wire::read_frame(&mut reader, shared.max_frame);
+        if !whole {
+            let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+        }
+        match result {
+            Ok(frame) => {
+                shared.obs.counters().inc(event::FRAMES_IN);
+                if !handle_frame(&shared, conn_id, &client, &outbox, frame) {
+                    break;
+                }
+            }
+            Err(WireError::Malformed { request_id, reason }) => {
+                // The payload arrived in full, so the stream is still frame-synced:
+                // answer and keep serving.
+                shared.obs.counters().inc(event::DECODE_ERRORS);
+                outbox.send([Frame::Error {
+                    request_id,
+                    code: wire::CODE_MALFORMED,
+                    aux0: 0,
+                    aux1: 0,
+                    text: reason.to_string(),
+                }]);
+            }
+            Err(_) => {
+                // Bad magic / version / oversized frame / transport error: the stream
+                // cannot be trusted to be frame-aligned.
+                shared.obs.counters().inc(event::DECODE_ERRORS);
+                break;
+            }
         }
     }
-    // Client-initiated close (EOF, protocol violation, or transport error): withdraw
-    // this connection and its queued work.  If shutdown drained the map first, it
-    // owns teardown and this is a no-op.
+    // Client-initiated close (EOF, protocol violation, transport error, or a dropped
+    // outbox): withdraw this connection and its queued work.  If shutdown drained the
+    // map first, it owns teardown and this is a no-op.
     let entry = shared.conns.lock().unwrap().remove(&conn_id);
     if let Some(entry) = entry {
         entry.client.cancel_queued();
         shared.obs.counters().inc(event::CONNS_CLOSED);
-        // Dropping the entry detaches the join handles and closes its writer
-        // channel; the writer exits once in-flight completion callbacks (which hold
-        // sender clones) finish.
+        entry.outbox.release_entry();
+        // Dropping the entry detaches the join handles; the writer exits once the
+        // completions still in flight have been written.
     }
 }
 
@@ -457,14 +608,14 @@ fn handle_frame(
     shared: &Arc<ServerShared>,
     conn_id: u64,
     client: &ExecClient,
-    tx: &Sender<Frame>,
+    outbox: &Arc<Outbox>,
     frame: Frame,
 ) -> bool {
     match frame {
-        Frame::Submit(entry) => submit_entries(shared, conn_id, client, tx, vec![entry]),
+        Frame::Submit(entry) => submit_entries(shared, conn_id, client, outbox, vec![entry]),
         Frame::SubmitBatch(entries) => {
             shared.obs.counters().inc(event::BATCHES);
-            submit_entries(shared, conn_id, client, tx, entries);
+            submit_entries(shared, conn_id, client, outbox, entries);
         }
         // Result / Error / Control frames flow server → client only.
         Frame::Result { .. } | Frame::Error { .. } | Frame::Control(_) => return false,
@@ -473,14 +624,15 @@ fn handle_frame(
 }
 
 /// Submits the entries of one frame as one group ([`ExecClient::submit_group`]: one
-/// slate, all or nothing) and pushes each entry's completion through the writer.  A
-/// refused group — validation, unknown backend, admission control — answers every
-/// entry with the refusing error: a structured error frame, not a drop.
+/// slate, all or nothing) and answers the group in one write once its last entry
+/// completes.  A refused group — validation, unknown backend, admission control —
+/// answers every entry with the refusing error at once: a structured error frame, not
+/// a drop.
 fn submit_entries(
     shared: &Arc<ServerShared>,
     conn_id: u64,
     client: &ExecClient,
-    tx: &Sender<Frame>,
+    outbox: &Arc<Outbox>,
     entries: Vec<SubmitFrame>,
 ) {
     let counters = shared.obs.counters();
@@ -509,17 +661,23 @@ fn submit_entries(
         client.submit_group(group)
     };
     let handles = match submitted {
+        Ok(handles) if handles.is_empty() => return,
         Ok(handles) => handles,
         Err(err) => {
-            for request_id in request_ids {
-                let _ = tx.send(Frame::from_exec_error(request_id, &err));
-            }
+            outbox.send(
+                request_ids
+                    .into_iter()
+                    .map(|request_id| Frame::from_exec_error(request_id, &err)),
+            );
             return;
         }
     };
+    let remaining = Arc::new(AtomicUsize::new(handles.len()));
+    outbox.open_group();
     for (request_id, handle) in request_ids.into_iter().zip(handles) {
         shared.inflight_inc();
-        let tx = tx.clone();
+        let outbox = Arc::clone(outbox);
+        let remaining = Arc::clone(&remaining);
         let shared = Arc::clone(shared);
         handle.on_complete(move |result| {
             let frame = match result {
@@ -541,47 +699,42 @@ fn submit_entries(
                     Frame::from_exec_error(request_id, err)
                 }
             };
-            let _ = tx.send(frame);
+            outbox.complete(&frame, &remaining);
             shared.inflight_dec();
         });
     }
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, shared: Arc<ServerShared>) {
-    let mut writer = BufWriter::new(stream);
-    // Blocking receive, then opportunistically drain whatever else is ready before
-    // flushing once: completions that pile up under load share a flush, while a lone
-    // result still flushes immediately.
-    'outer: while let Ok(mut frame) = rx.recv() {
-        loop {
-            let sent_event = match &frame {
-                Frame::Error { .. } => Some(event::ERRORS_SENT),
-                Frame::Result { .. } => Some(event::RESULTS_SENT),
-                _ => None,
-            };
-            match wire::write_frame(&mut writer, &frame, shared.max_frame) {
-                Ok(bytes) => {
-                    let counters = shared.obs.counters();
-                    counters.inc(event::FRAMES_OUT);
-                    counters.add(event::BYTES_OUT, bytes as u64);
-                    if let Some(ev) = sent_event {
-                        counters.inc(ev);
-                    }
-                }
-                Err(_) => break 'outer,
+/// Ships the outbox: waits for a flush, takes the buffered bytes under the lock, and
+/// writes them with one `write_all`.  A write that cannot finish within
+/// FRAME_TIMEOUT (a peer that does not read) drops the connection.
+fn writer_loop(mut stream: TcpStream, outbox: Arc<Outbox>) {
+    let _ = stream.set_write_timeout(Some(FRAME_TIMEOUT));
+    let mut out = Vec::new();
+    loop {
+        {
+            let mut state = outbox.lock();
+            state.writing = false;
+            while !state.flush && !state.failed && state.producers > 0 {
+                state = outbox
+                    .ready
+                    .wait(state)
+                    .expect("no thread panics while holding an outbox lock");
             }
-            match rx.try_recv() {
-                Ok(next) => frame = next,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    let _ = writer.flush();
-                    return;
-                }
+            if state.failed || !state.flush {
+                return;
             }
+            state.flush = false;
+            state.writing = true;
+            std::mem::swap(&mut state.bytes, &mut out);
         }
-        if writer.flush().is_err() {
-            break;
+        if stream.write_all(&out).is_err() {
+            outbox.fail(&mut outbox.lock());
+            return;
         }
+        let counters = outbox.obs.counters();
+        counters.inc(event::WRITES);
+        counters.add(event::BYTES_OUT, out.len() as u64);
+        out.clear();
     }
-    let _ = writer.flush();
 }

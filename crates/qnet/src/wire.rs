@@ -24,6 +24,11 @@
 //! [`qexec::ExecError`] code plus payload), and `Control` (over-capacity reject /
 //! shutdown notice).  Responses carry the request id of the submission they resolve,
 //! which is what lets the server stream completions out of order.
+//!
+//! The entries of a `SubmitBatch` usually share one circuit and one set of operators.
+//! The decoder keeps the previous entry's circuit and operators with the bytes each
+//! came from; an entry whose bytes repeat them shares the decoded `Arc` instead of
+//! decoding and allocating a copy.  The bytes on the wire are the same either way.
 
 use qcircuit::{Circuit, Gate};
 use qexec::{EvalJob, ExecError, SubmitOptions};
@@ -651,25 +656,61 @@ fn put_job(out: &mut Vec<u8>, job: &EvalJob) {
     }
 }
 
-fn get_job(c: &mut Cursor<'_>) -> DecodeResult<EvalJob> {
-    let circuit = get_circuit(c)?;
+/// One decoded value and the exact bytes it was decoded from.
+type Decoded<'a, T> = Option<(&'a [u8], Arc<T>)>;
+
+/// The circuit and operators of the entry decoded last in a batch frame, each with
+/// the bytes it came from (see [`get_shared`]).
+#[derive(Default)]
+struct LastJob<'a> {
+    circuit: Decoded<'a, Circuit>,
+    charged_op: Decoded<'a, PauliOp>,
+    /// The i-th free operator last seen at position i.
+    free_ops: Vec<Decoded<'a, PauliOp>>,
+}
+
+/// Decodes a value at the cursor — or, when the bytes there start with exactly the
+/// bytes `last` was decoded from, skips them and shares `last`'s value.  Sound because
+/// the encoding is deterministic and self-delimiting: every length check in a decoder
+/// is bounded by the bytes its value actually spans, so the same bytes decode to the
+/// same value (and pass the same checks) wherever they sit in the payload.  A new byte
+/// sequence is always decoded and checked in full.
+fn get_shared<'a, T>(
+    c: &mut Cursor<'a>,
+    last: &mut Decoded<'a, T>,
+    decode: impl FnOnce(&mut Cursor<'a>) -> DecodeResult<T>,
+) -> DecodeResult<Arc<T>> {
+    if let Some((bytes, value)) = last {
+        if c.buf[c.pos..].starts_with(bytes) {
+            c.pos += bytes.len();
+            return Ok(Arc::clone(value));
+        }
+    }
+    let start = c.pos;
+    let value = Arc::new(decode(c)?);
+    *last = Some((&c.buf[start..c.pos], Arc::clone(&value)));
+    Ok(value)
+}
+
+fn get_job<'a>(c: &mut Cursor<'a>, last: &mut LastJob<'a>) -> DecodeResult<EvalJob> {
+    let circuit = get_shared(c, &mut last.circuit, get_circuit)?;
     let param_count = c.len(8)?;
     let mut params = Vec::with_capacity(param_count);
     for _ in 0..param_count {
         params.push(c.f64()?);
     }
     let initial = get_initial(c)?;
-    let charged_op = get_op(c)?;
+    let charged_op = get_shared(c, &mut last.charged_op, get_op)?;
     // Each op is at least 8 bytes (register + empty term list).
     let free_count = c.len(8)?;
     let mut free_ops = Vec::with_capacity(free_count);
-    for _ in 0..free_count {
-        free_ops.push(Arc::new(get_op(c)?));
+    for i in 0..free_count {
+        if last.free_ops.len() == i {
+            last.free_ops.push(None);
+        }
+        free_ops.push(get_shared(c, &mut last.free_ops[i], get_op)?);
     }
-    Ok(
-        EvalJob::new(Arc::new(circuit), params, initial, Arc::new(charged_op))
-            .with_free_ops(free_ops),
-    )
+    Ok(EvalJob::new(circuit, params, initial, charged_op).with_free_ops(free_ops))
 }
 
 fn put_submit_entry(out: &mut Vec<u8>, entry: &SubmitFrame) {
@@ -679,11 +720,11 @@ fn put_submit_entry(out: &mut Vec<u8>, entry: &SubmitFrame) {
     put_job(out, &entry.job);
 }
 
-fn get_submit_entry(c: &mut Cursor<'_>) -> DecodeResult<SubmitFrame> {
+fn get_submit_entry<'a>(c: &mut Cursor<'a>, last: &mut LastJob<'a>) -> DecodeResult<SubmitFrame> {
     let request_id = c.u64()?;
     let probe = c.bool()?;
     let opts = get_opts(c)?;
-    let job = get_job(c)?;
+    let job = get_job(c, last)?;
     Ok(SubmitFrame {
         request_id,
         probe,
@@ -733,17 +774,16 @@ fn frame_type_and_id(frame: &Frame) -> (u8, u64) {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
+fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Submit(entry) => put_submit_entry(&mut out, entry),
+        Frame::Submit(entry) => put_submit_entry(out, entry),
         Frame::SubmitBatch(entries) => {
-            put_len(&mut out, entries.len());
+            put_len(out, entries.len());
             for entry in entries {
-                put_submit_entry(&mut out, entry);
+                put_submit_entry(out, entry);
             }
         }
-        Frame::Result { result, .. } => put_result(&mut out, result),
+        Frame::Result { result, .. } => put_result(out, result),
         Frame::Error {
             code,
             aux0,
@@ -751,20 +791,19 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             text,
             ..
         } => {
-            put_u16(&mut out, *code);
-            put_u64(&mut out, *aux0);
-            put_u64(&mut out, *aux1);
-            put_str(&mut out, text);
+            put_u16(out, *code);
+            put_u64(out, *aux0);
+            put_u64(out, *aux1);
+            put_str(out, text);
         }
         Frame::Control(kind) => put_u8(
-            &mut out,
+            out,
             match kind {
                 ControlKind::OverCapacity => 1,
                 ControlKind::ShuttingDown => 2,
             },
         ),
     }
-    out
 }
 
 fn decode_payload(frame_type: u8, request_id: u64, payload: &[u8]) -> Result<Frame, WireError> {
@@ -772,13 +811,16 @@ fn decode_payload(frame_type: u8, request_id: u64, payload: &[u8]) -> Result<Fra
     let mut c = Cursor::new(payload);
     let frame = (|c: &mut Cursor<'_>| -> DecodeResult<Frame> {
         Ok(match frame_type {
-            TYPE_SUBMIT => Frame::Submit(get_submit_entry(c)?),
+            TYPE_SUBMIT => Frame::Submit(get_submit_entry(c, &mut LastJob::default())?),
             TYPE_SUBMIT_BATCH => {
                 // Each entry is at least 9 bytes (id + probe flag) before its body.
                 let count = c.len(9)?;
                 let mut entries = Vec::with_capacity(count);
+                // A group's entries usually carry one circuit and one set of operators:
+                // each distinct one is decoded (and allocated) once per frame.
+                let mut last = LastJob::default();
                 for _ in 0..count {
-                    entries.push(get_submit_entry(c)?);
+                    entries.push(get_submit_entry(c, &mut last)?);
                 }
                 Frame::SubmitBatch(entries)
             }
@@ -806,31 +848,57 @@ fn decode_payload(frame_type: u8, request_id: u64, payload: &[u8]) -> Result<Fra
     Ok(frame)
 }
 
-/// Writes one frame, returning the bytes written (header + payload).  Refuses (with
-/// [`WireError::FrameTooLarge`]) to emit a payload above `max_frame`, so a writer can
-/// never produce a frame its symmetric reader would reject.
+/// Appends one encoded frame (header + payload) to `out`, returning its length.
+/// Refuses (with [`WireError::FrameTooLarge`], leaving `out` as it was) to encode a
+/// payload above `max_frame`, so a writer can never produce a frame its symmetric
+/// reader would reject.
+pub fn encode_frame(
+    out: &mut Vec<u8>,
+    frame: &Frame,
+    max_frame: usize,
+) -> Result<usize, WireError> {
+    let (frame_type, request_id) = frame_type_and_id(frame);
+    let start = out.len();
+    put_u32(out, MAGIC);
+    put_u8(out, VERSION);
+    put_u8(out, frame_type);
+    put_u64(out, request_id);
+    put_u32(out, 0); // payload length, patched below
+    put_payload(out, frame);
+    let payload_len = out.len() - start - HEADER_LEN;
+    if payload_len > max_frame {
+        out.truncate(start);
+        return Err(WireError::FrameTooLarge {
+            len: payload_len,
+            max: max_frame,
+        });
+    }
+    out[start + HEADER_LEN - 4..start + HEADER_LEN]
+        .copy_from_slice(&(payload_len as u32).to_le_bytes());
+    Ok(HEADER_LEN + payload_len)
+}
+
+/// Writes one frame with a single `write_all`, returning the bytes written (header +
+/// payload); see [`encode_frame`] for the size cap.
 pub fn write_frame(
     w: &mut impl Write,
     frame: &Frame,
     max_frame: usize,
 ) -> Result<usize, WireError> {
-    let payload = encode_payload(frame);
-    if payload.len() > max_frame {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len(),
-            max: max_frame,
-        });
+    let mut bytes = Vec::new();
+    let len = encode_frame(&mut bytes, frame, max_frame)?;
+    w.write_all(&bytes)?;
+    Ok(len)
+}
+
+/// Whether `buffered` starts with a whole frame: a header and all the payload it
+/// announces.
+pub(crate) fn holds_whole_frame(buffered: &[u8]) -> bool {
+    buffered.len() >= HEADER_LEN && {
+        let len = &buffered[HEADER_LEN - 4..HEADER_LEN];
+        let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+        buffered.len() - HEADER_LEN >= len
     }
-    let (frame_type, request_id) = frame_type_and_id(frame);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = VERSION;
-    header[5] = frame_type;
-    header[6..14].copy_from_slice(&request_id.to_le_bytes());
-    header[14..18].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&payload)?;
-    Ok(HEADER_LEN + payload.len())
 }
 
 /// Reads one frame, enforcing `max_frame` before buffering the payload.

@@ -200,11 +200,6 @@ impl TreeVqa {
         &self.config
     }
 
-    /// The precomputed pairwise ℓ1 distance matrix between task Hamiltonians.
-    pub fn distance_matrix(&self) -> &[Vec<f64>] {
-        &self.distances
-    }
-
     /// The Gaussian-kernel similarity matrix over all tasks (paper Figure 4c).
     pub fn similarity_matrix(&self) -> SimilarityMatrix {
         SimilarityMatrix::from_distances(&self.distances)

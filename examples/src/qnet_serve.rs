@@ -228,6 +228,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "conns_closed",
         "frames_in",
         "frames_out",
+        "writes",
         "bytes_in",
         "bytes_out",
         "submits",

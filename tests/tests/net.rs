@@ -13,10 +13,11 @@
 //!    `vqa`-level driver ([`qexec::run_single_vqa`]) runs remotely unchanged and
 //!    reproduces the local trajectory bit-for-bit.
 //! 3. **Service behavior** — concurrent connections all complete with per-connection
-//!    accounting, malformed frames answer with an error frame while the connection
-//!    survives, hostile jobs are refused with the same stable codes remotely as
-//!    locally, over-capacity connects are politely refused, and shutdown fails
-//!    in-flight work cleanly instead of hanging or dropping it.
+//!    accounting, a group is answered in one write, malformed frames answer with an
+//!    error frame while the connection survives, hostile jobs are refused with the
+//!    same stable codes remotely as locally, a peer that never reads is dropped
+//!    without stalling the others, over-capacity connects are politely refused, and
+//!    shutdown fails in-flight work cleanly instead of hanging or dropping it.
 
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
@@ -284,6 +285,189 @@ fn oversized_frames_are_refused_both_ways() {
         Err(WireError::FrameTooLarge { .. })
     ));
     assert!(buf.is_empty(), "refused frame must write nothing");
+}
+
+/// Three variants of a 3-qubit circuit; 0 and 1 differ only in their encoding's last
+/// byte (the sign of the last gate's angle).
+fn shared_decode_circuit(variant: usize) -> Arc<Circuit> {
+    let mut circuit = Circuit::new(3);
+    circuit.push(if variant == 2 { Gate::H(1) } else { Gate::H(0) });
+    circuit.push(Gate::Cx(0, 1));
+    circuit.push(Gate::Ry(
+        2,
+        Angle::Param {
+            index: 0,
+            multiplier: 1.0,
+        },
+    ));
+    circuit.push(Gate::Rz(
+        1,
+        Angle::Fixed(if variant == 1 { -0.5 } else { 0.5 }),
+    ));
+    Arc::new(circuit)
+}
+
+/// Three variants of an operator; 0 and 1 differ only in their encoding's last byte
+/// (the sign of the last coefficient).  `salt` tells the charged and free families apart.
+fn shared_decode_op(variant: usize, salt: f64) -> Arc<PauliOp> {
+    let last = if variant == 1 { -0.3 } else { 0.3 };
+    let first = if variant == 2 {
+        ("XYZ", salt)
+    } else {
+        ("ZZI", salt)
+    };
+    Arc::new(PauliOp::from_labels(3, &[first, ("IXX", last)]))
+}
+
+/// One batch entry: (circuit variant, charged variant, free variants).
+type EntrySpec = (usize, usize, &'static [usize]);
+
+fn shared_decode_entry(index: usize, &(circuit, charged, free): &EntrySpec) -> SubmitFrame {
+    SubmitFrame {
+        request_id: index as u64,
+        probe: false,
+        opts: SubmitOptions::default(),
+        job: EvalJob::new(
+            shared_decode_circuit(circuit),
+            vec![0.1 * index as f64],
+            InitialState::Basis(0),
+            shared_decode_op(charged, 1.0),
+        )
+        .with_free_ops(free.iter().map(|&v| shared_decode_op(v, 2.0)).collect()),
+    }
+}
+
+fn differing_bytes(a: &[u8], b: &[u8]) -> usize {
+    assert_eq!(a.len(), b.len());
+    a.iter().zip(b).filter(|(x, y)| x != y).count()
+}
+
+/// A batch frame decodes each distinct circuit and operator once: an entry whose bytes
+/// repeat its predecessor's circuit, charged operator or i-th free operator shares the
+/// predecessor's allocation, and anything else — down to a one-byte difference — is
+/// decoded afresh.  Either way every decoded job equals the same entry decoded alone,
+/// bit for bit, and a frame cut short or corrupted inside a repeated segment still
+/// fails cleanly or decodes to exactly the bytes it holds.
+#[test]
+fn batch_frames_decode_each_repeated_circuit_and_operator_once() {
+    let lone = |spec: &EntrySpec| encode(&Frame::Submit(shared_decode_entry(0, spec)));
+    // Variants 0 and 1 really are one byte apart, in the circuit and in each operator.
+    assert_eq!(
+        differing_bytes(&lone(&(0, 0, &[0])), &lone(&(1, 0, &[0]))),
+        1
+    );
+    assert_eq!(
+        differing_bytes(&lone(&(0, 0, &[0])), &lone(&(0, 1, &[0]))),
+        1
+    );
+    assert_eq!(
+        differing_bytes(&lone(&(0, 0, &[0])), &lone(&(0, 0, &[1]))),
+        1
+    );
+
+    let batches: [&[EntrySpec]; 5] = [
+        // Repeated.
+        &[
+            (0, 0, &[0, 1]),
+            (0, 0, &[0, 1]),
+            (0, 0, &[0, 1]),
+            (0, 0, &[0, 1]),
+        ],
+        // Alternating.
+        &[(0, 0, &[0]), (2, 2, &[2]), (0, 0, &[0]), (2, 2, &[2])],
+        // One byte apart: the circuit, then the charged operator, then a free one.
+        &[
+            (0, 0, &[0, 0]),
+            (1, 0, &[0, 0]),
+            (1, 1, &[0, 0]),
+            (1, 1, &[0, 1]),
+            (1, 1, &[0, 1]),
+        ],
+        // Free-operator counts that grow, shrink, and drop to none.
+        &[
+            (0, 0, &[0, 1]),
+            (0, 0, &[0]),
+            (0, 0, &[0, 1, 2]),
+            (0, 0, &[]),
+            (0, 0, &[0, 1]),
+        ],
+        // Everything distinct.
+        &[(0, 0, &[0]), (1, 1, &[1]), (2, 2, &[2])],
+    ];
+    for specs in batches {
+        let entries: Vec<SubmitFrame> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| shared_decode_entry(i, spec))
+            .collect();
+        let bytes = encode(&Frame::SubmitBatch(entries.clone()));
+        let Ok(Frame::SubmitBatch(decoded)) = decode(&bytes) else {
+            panic!("the batch decodes");
+        };
+        assert_eq!(decoded.len(), entries.len());
+        for (entry, got) in entries.iter().zip(&decoded) {
+            let alone = decode(&encode(&Frame::Submit(entry.clone()))).expect("lone decode");
+            assert_eq!(
+                encode(&Frame::Submit(got.clone())),
+                encode(&alone),
+                "{specs:?}: entry {} differs from its lone decoding",
+                got.request_id
+            );
+        }
+        for k in 1..decoded.len() {
+            let (prev, next) = (&decoded[k - 1].job, &decoded[k].job);
+            let (a, b) = (specs[k - 1], specs[k]);
+            assert_eq!(
+                Arc::ptr_eq(&prev.circuit, &next.circuit),
+                a.0 == b.0,
+                "{specs:?}: circuit {k}"
+            );
+            assert_eq!(
+                Arc::ptr_eq(&prev.charged_op, &next.charged_op),
+                a.1 == b.1,
+                "{specs:?}: charged operator {k}"
+            );
+            for (i, (x, y)) in prev.free_ops.iter().zip(&next.free_ops).enumerate() {
+                assert_eq!(
+                    Arc::ptr_eq(x, y),
+                    a.2[i] == b.2[i],
+                    "{specs:?}: free operator {k}.{i}"
+                );
+            }
+        }
+
+        // Cut or corrupt the frame after its first entry, where the repeated segments
+        // are.  A cut payload (header length patched to match) is malformed; a
+        // corrupted one either fails or decodes to exactly the bytes it carries, so no
+        // shared value ever stands in for bytes that differ from its own.
+        let first_end = wire::HEADER_LEN + 4 + (lone(&specs[0]).len() - wire::HEADER_LEN);
+        for cut in first_end..bytes.len() {
+            let mut cut_frame = bytes[..cut].to_vec();
+            let len = (cut - wire::HEADER_LEN) as u32;
+            cut_frame[wire::HEADER_LEN - 4..wire::HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(decode(&cut_frame), Err(WireError::Malformed { .. })),
+                "{specs:?}: payload cut at {cut} must be malformed"
+            );
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "{specs:?}: frame cut at {cut}"
+            );
+        }
+        for pos in first_end..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut corrupted = bytes.clone();
+                corrupted[pos] ^= flip;
+                if let Ok(frame) = decode(&corrupted) {
+                    assert_eq!(
+                        encode(&frame),
+                        corrupted,
+                        "{specs:?}: byte {pos} ^ {flip:#x}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Every `ExecError` variant survives the wire: `code()`/`parts()` →
@@ -845,6 +1029,187 @@ fn concurrent_connections_all_complete_with_per_connection_accounting() {
     assert_eq!(snapshot.counter("conns_closed"), CONNS as u64);
 }
 
+/// A group is one unit on the way back too: on an idle server a 64-job batch frame is
+/// answered with 64 result frames in exactly one socket write.
+#[test]
+fn one_group_is_answered_in_one_write() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let executor = Arc::new(Executor::single(StatevectorBackend::with_shots(64)));
+    let server = NetServer::bind("127.0.0.1:0", executor).expect("bind loopback");
+    let client = NetClient::connect(server.local_addr()).expect("connect");
+    let counters = || {
+        let snapshot = server.observability().snapshot();
+        (snapshot.counter("frames_out"), snapshot.counter("writes"))
+    };
+    let (job, _) = loopback_jobs().swap_remove(0);
+    client
+        .submit(job)
+        .expect("submit")
+        .wait()
+        .expect("warm-up executes");
+    spin_until(|| counters() == (1, 1), "the warm-up answer is counted");
+
+    let jobs: Vec<EvalJob> = (0..64)
+        .map(|i| loopback_jobs().swap_remove(i % JOBS).0)
+        .collect();
+    for handle in client.submit_group(jobs).expect("batch submit") {
+        handle.wait().expect("job executes");
+    }
+    spin_until(|| counters().0 == 65, "the group's answers are counted");
+    assert_eq!(counters(), (65, 2), "64 frames, one write");
+    server.shutdown();
+}
+
+/// A peer that submits and never reads cannot grow the server's memory: once its
+/// outbox holds `max_frame` bytes behind a write that cannot finish, the server drops
+/// the connection.  Other connections keep being served, and shutdown still returns.
+#[test]
+fn a_peer_that_never_reads_is_dropped_and_others_keep_being_served() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const MAX_FRAME: usize = 64 * 1024;
+    let executor = Arc::new(Executor::single(StatevectorBackend::with_shots(64)));
+    let server = NetServer::builder(Arc::clone(&executor))
+        .max_frame(MAX_FRAME)
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
+    let good = NetClient::connect_with(server.local_addr(), MAX_FRAME).expect("connect");
+    let mut hostile = TcpStream::connect(server.local_addr()).expect("connect");
+    spin_until(
+        || server.active_connections() == 2,
+        "both connections registered",
+    );
+
+    // One entry names a backend that does not exist, so the server refuses each frame
+    // whole and answers every one of its 64 entries with the 400-byte name: more bytes
+    // back than sent, and nothing to execute.
+    let name = "x".repeat(400);
+    let frame = Frame::SubmitBatch(
+        (0..64)
+            .map(|i| SubmitFrame {
+                request_id: i,
+                probe: false,
+                opts: if i == 0 {
+                    SubmitOptions::new().backend(name.clone())
+                } else {
+                    SubmitOptions::default()
+                },
+                job: loopback_jobs().swap_remove(i as usize % JOBS).0,
+            })
+            .collect(),
+    );
+    let bytes = encode(&frame);
+    assert!(bytes.len() <= MAX_FRAME);
+    // Non-blocking, so the flood notices the drop instead of blocking in a write the
+    // server will never read; a partial write resumes where it stopped, so the server
+    // only ever sees whole frames.
+    hostile.set_nonblocking(true).expect("non-blocking");
+    use std::io::Write as _;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut offset = 0;
+    while server.active_connections() == 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the server never dropped the peer"
+        );
+        match hostile.write(&bytes[offset..]) {
+            Ok(n) => offset = (offset + n) % bytes.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1))
+            }
+            Err(_) => break,
+        }
+    }
+    spin_until(
+        || server.active_connections() == 1,
+        "the peer that never reads is dropped",
+    );
+
+    let (job, _) = loopback_jobs().swap_remove(0);
+    let result = good
+        .submit(job)
+        .expect("submit")
+        .wait_timeout(Duration::from_secs(10));
+    assert!(
+        matches!(result, Some(Ok(_))),
+        "the other connection is served: {result:?}"
+    );
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown returns"
+    );
+    drop(hostile);
+}
+
+/// The outbox cap is for peers that stop reading, not for large answers: on an idle
+/// connection a refused batch whose error frames add up to more than `max_frame` comes
+/// back whole, and the connection keeps serving.
+#[test]
+fn an_idle_connection_takes_a_refusal_larger_than_max_frame_whole() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const MAX_FRAME: usize = 48 * 1024;
+    const ENTRIES: u64 = 64;
+    let executor = Arc::new(Executor::single(StatevectorBackend::with_shots(64)));
+    let server = NetServer::builder(executor)
+        .max_frame(MAX_FRAME)
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+    // One entry names a missing backend, so the server refuses the frame whole and
+    // answers each entry with the 1 000-byte name.
+    let name = "x".repeat(1000);
+    let frame = Frame::SubmitBatch(
+        (0..ENTRIES)
+            .map(|i| SubmitFrame {
+                request_id: i,
+                probe: false,
+                opts: if i == 0 {
+                    SubmitOptions::new().backend(name.clone())
+                } else {
+                    SubmitOptions::default()
+                },
+                job: loopback_jobs().swap_remove(i as usize % JOBS).0,
+            })
+            .collect(),
+    );
+    wire::write_frame(&mut stream, &frame, MAX_FRAME).expect("the batch fits max_frame");
+    let mut answered = 0;
+    for request_id in 0..ENTRIES {
+        match wire::read_frame(&mut stream, MAX_FRAME).expect("refusal arrives") {
+            Frame::Error {
+                request_id: id,
+                code,
+                text,
+                ..
+            } => {
+                assert_eq!(id, request_id);
+                assert_eq!(code, ExecError::UnknownBackend(String::new()).code());
+                assert_eq!(text, name);
+                answered += wire::HEADER_LEN + text.len();
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    assert!(answered > MAX_FRAME, "the refusal outweighs max_frame");
+
+    let (job, _) = loopback_jobs().swap_remove(0);
+    let submit = Frame::Submit(SubmitFrame {
+        request_id: 99,
+        probe: false,
+        opts: SubmitOptions::default(),
+        job,
+    });
+    wire::write_frame(&mut stream, &submit, MAX_FRAME).expect("write valid");
+    match wire::read_frame(&mut stream, MAX_FRAME).expect("result arrives") {
+        Frame::Result { request_id, .. } => assert_eq!(request_id, 99),
+        other => panic!("expected a result frame, got {other:?}"),
+    }
+    assert_eq!(server.active_connections(), 1);
+    server.shutdown();
+}
+
 /// A malformed payload answers with a `CODE_MALFORMED` error frame and the
 /// connection survives to serve a well-formed request — the stream stays
 /// frame-synced, so one bad request does not cost the client its connection.
@@ -1152,4 +1517,113 @@ fn shutdown_fails_queued_work_cleanly() {
     let (job, _) = loopback_jobs().swap_remove(5);
     assert_eq!(client.submit(job).map(|_| ()), Err(ExecError::ShutDown));
     executor.resume();
+}
+
+/// An exact backend whose every evaluation takes `delay`, and which records that one
+/// has started.
+struct Slow {
+    inner: StatevectorBackend,
+    delay: Duration,
+    started: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl Backend for Slow {
+    fn evaluate(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        charged_op: &PauliOp,
+        free_ops: &[&PauliOp],
+    ) -> (f64, Vec<f64>) {
+        self.started
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        std::thread::sleep(self.delay);
+        self.inner
+            .evaluate(circuit, params, initial, charged_op, free_ops)
+    }
+
+    fn probe(
+        &mut self,
+        circuit: &Circuit,
+        params: &[f64],
+        initial: &InitialState,
+        op: &PauliOp,
+    ) -> f64 {
+        self.inner.probe(circuit, params, initial, op)
+    }
+
+    fn shots_used(&self) -> u64 {
+        self.inner.shots_used()
+    }
+
+    fn reset_shots(&mut self) {
+        self.inner.reset_shots();
+    }
+
+    fn shots_per_pauli(&self) -> u64 {
+        self.inner.shots_per_pauli()
+    }
+
+    fn name(&self) -> &'static str {
+        "slow"
+    }
+}
+
+/// Work still executing when shutdown lands outlasts the readers' shutdown poll, yet
+/// every connection gets its result and then the shutdown notice — also a connection
+/// whose last job finished long before another connection's: a connection stays
+/// writable until shutdown has sent its notice, so each client closes with `ShutDown`,
+/// not a bare transport error.
+#[test]
+fn shutdown_notice_follows_long_in_flight_work() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let slow = |millis| {
+        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let backend = Slow {
+            inner: StatevectorBackend::with_shots(64),
+            delay: Duration::from_millis(millis),
+            started: Arc::clone(&started),
+        };
+        (backend, started)
+    };
+    let (short, short_started) = slow(200);
+    let (long, long_started) = slow(800);
+    let executor = Arc::new(
+        Executor::builder()
+            .register("short", short)
+            .register("long", long)
+            .start(),
+    );
+    let server = NetServer::bind("127.0.0.1:0", executor).expect("bind loopback");
+    let clients: Vec<NetClient> = (0..2)
+        .map(|_| NetClient::connect(server.local_addr()).expect("connect"))
+        .collect();
+    let handles: Vec<_> = clients
+        .iter()
+        .zip(["short", "long"])
+        .map(|(client, backend)| {
+            let (job, _) = loopback_jobs().swap_remove(0);
+            client
+                .submit_with(job, &SubmitOptions::new().backend(backend))
+                .expect("submit")
+        })
+        .collect();
+    spin_until(
+        || {
+            short_started.load(std::sync::atomic::Ordering::SeqCst)
+                && long_started.load(std::sync::atomic::Ordering::SeqCst)
+        },
+        "both jobs are executing",
+    );
+    server.shutdown();
+    for (client, handle) in clients.iter().zip(&handles) {
+        assert!(
+            handle.wait().is_ok(),
+            "in-flight work completes through shutdown"
+        );
+        spin_until(|| client.is_closed(), "client saw the shutdown notice");
+        let (job, _) = loopback_jobs().swap_remove(1);
+        assert_eq!(client.submit(job).map(|_| ()), Err(ExecError::ShutDown));
+    }
 }
