@@ -135,6 +135,8 @@ impl Ieee14Family {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxcut_cost_hamiltonian;
+    use qop::{ground_energy, LanczosOptions};
 
     #[test]
     fn base_graph_matches_ieee14_topology() {
@@ -189,6 +191,18 @@ mod tests {
         assert!((scales[0] - 0.8).abs() < 1e-12);
         assert!((scales[4] - 1.2).abs() < 1e-12);
         assert!((scales[2] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reference_energy_is_minus_the_brute_force_max_cut() {
+        // The cost Hamiltonians are diagonal, so `ground_energy` scans the diagonal
+        // exactly instead of iterating: the reference is −(max cut) to rounding.
+        let family = Ieee14Family::new(0.9, 1.1, 4).graphs();
+        for graph in std::iter::once(ieee14_base_graph()).chain(family) {
+            let e0 = ground_energy(&maxcut_cost_hamiltonian(&graph), &LanczosOptions::default());
+            let (max_cut, _) = graph.max_cut_brute_force();
+            assert!((e0 + max_cut).abs() < 1e-12, "{e0} vs −{max_cut}");
+        }
     }
 
     #[test]

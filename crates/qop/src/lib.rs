@@ -3,7 +3,8 @@
 //! This crate is the numerical foundation of the workspace: complex arithmetic,
 //! single-qubit Paulis, n-qubit [`PauliString`]s in symplectic representation, weighted
 //! Pauli sums ([`PauliOp`], the Hamiltonian type), dense [`Statevector`] storage,
-//! and a matrix-free Lanczos ground-state solver.
+//! and exact ground energies (a diagonal scan for `I`/`Z`-only operators, a matrix-free
+//! Lanczos solver for the rest).
 //!
 //! It replaces the roles played by Qiskit's `SparsePauliOp`/`Statevector` and SciPy's
 //! sparse eigensolvers in the paper's original evaluation stack.

@@ -2,12 +2,12 @@
 //!
 //! Given the exact output state of the simulator, these estimators produce the *noisy*
 //! expectation value an experimentalist would obtain from a finite number of measurement
-//! shots: [`analytic_sampled_expectation`] replaces each term's exact value by per-term
+//! shots: [`analytic_sampled_from_expectations`] replaces each term's exact value (from
+//! [`exact_term_expectations`], or the readout a driver already holds) by per-term
 //! Gaussian sampling noise with the exact binomial variance `(1 − ⟨P⟩²)/s`.  That is
 //! statistically equivalent to measuring each term with `s` shots (the unit tests hold it
 //! to true bitstring sampling), at a fraction of the simulation cost; the `vqa` dense
-//! driver's sampling stages call its noise half, [`analytic_sampled_from_expectations`],
-//! on the readout they already hold.
+//! driver's sampling stages call it on the readout they already hold.
 //!
 //! It does not charge shots: the paper's cost accounting (`shots_per_pauli × num_terms` per
 //! evaluation, whatever the sampling model — Section 7.3) is the caller's
@@ -16,21 +16,10 @@
 use qop::{PauliOp, Statevector, TermBasis};
 use rand::Rng;
 
-/// Per-term Gaussian model: each Pauli expectation `⟨P⟩` is replaced by the sample mean of
-/// `s` ±1 outcomes, approximated by `N(⟨P⟩, (1 − ⟨P⟩²)/s)` and clamped to `[-1, 1]`.
-pub fn analytic_sampled_expectation<R: Rng>(
-    op: &PauliOp,
-    state: &Statevector,
-    shots_per_pauli: u64,
-    rng: &mut R,
-) -> f64 {
-    let exact = exact_term_expectations(op, state);
-    analytic_sampled_from_expectations(op, &exact, shots_per_pauli, rng)
-}
-
 /// The exact per-term expectations the analytic sampler perturbs (identity terms are
-/// exactly 1).  Split out so batched backends can compute this — the expensive,
-/// state-sized stage — inside a parallel region and draw the noise serially afterwards.
+/// exactly 1).  Kept apart from the noise so batched backends can compute this — the
+/// expensive, state-sized stage — inside a parallel region and draw the noise serially
+/// afterwards.
 ///
 /// A thin wrapper over a transient [`TermBasis`]; drivers that measure the same
 /// operator set on many states keep the basis and call [`TermBasis::evaluate`] directly.
@@ -44,10 +33,10 @@ pub fn exact_term_expectations(op: &PauliOp, state: &Statevector) -> Vec<f64> {
     basis.op_term_values(0, &values)
 }
 
-/// The noise stage of [`analytic_sampled_expectation`], consuming per-term exact values
-/// from [`exact_term_expectations`].  Draws from `rng` in term order, so
-/// `analytic_sampled_from_expectations(op, &exact_term_expectations(op, state), s, rng)`
-/// consumes the RNG stream identically to the one-shot form.
+/// Per-term Gaussian model: each exact Pauli expectation `⟨P⟩` (from
+/// [`exact_term_expectations`]) is replaced by the sample mean of `s` ±1 outcomes,
+/// approximated by `N(⟨P⟩, (1 − ⟨P⟩²)/s)` and clamped to `[-1, 1]`.  Draws from `rng` in
+/// term order; identity terms and `s = 0` draw nothing.
 ///
 /// # Panics
 ///
@@ -153,14 +142,15 @@ mod tests {
         let op = PauliOp::from_labels(2, &[("ZZ", 1.0), ("XX", 0.5)]);
         let psi = Statevector::uniform_superposition(2);
         let exact = op.expectation(&psi);
+        let terms = exact_term_expectations(&op, &psi);
         let mut r = rng();
         let noisy_small: f64 = (0..64)
-            .map(|_| analytic_sampled_expectation(&op, &psi, 16, &mut r))
+            .map(|_| analytic_sampled_from_expectations(&op, &terms, 16, &mut r))
             .map(|e| (e - exact).abs())
             .sum::<f64>()
             / 64.0;
         let noisy_large: f64 = (0..64)
-            .map(|_| analytic_sampled_expectation(&op, &psi, 16384, &mut r))
+            .map(|_| analytic_sampled_from_expectations(&op, &terms, 16384, &mut r))
             .map(|e| (e - exact).abs())
             .sum::<f64>()
             / 64.0;
@@ -203,7 +193,8 @@ mod tests {
         let op = PauliOp::from_labels(2, &[("II", -3.0)]);
         let psi = Statevector::uniform_superposition(2);
         let mut r = rng();
-        let e = analytic_sampled_expectation(&op, &psi, 8, &mut r);
+        let e =
+            analytic_sampled_from_expectations(&op, &exact_term_expectations(&op, &psi), 8, &mut r);
         assert!((e + 3.0).abs() < 1e-12);
     }
 
@@ -214,10 +205,11 @@ mod tests {
         circ.push(qcircuit::Gate::Ry(0, qcircuit::Angle::Fixed(0.7)));
         circ.push(qcircuit::Gate::Cx(0, 1));
         let psi = crate::simulator::run_circuit(&circ, &[], &Statevector::zero_state(2));
+        let terms = exact_term_expectations(&op, &psi);
         let mut r = rng();
         let trials = 48;
         let a: f64 = (0..trials)
-            .map(|_| analytic_sampled_expectation(&op, &psi, 1024, &mut r))
+            .map(|_| analytic_sampled_from_expectations(&op, &terms, 1024, &mut r))
             .sum::<f64>()
             / trials as f64;
         let m: f64 = (0..trials)

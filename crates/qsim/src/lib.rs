@@ -4,8 +4,8 @@
 //!
 //! * [`run_circuit`] — exact dense statevector simulation (Qiskit Aer's
 //!   `StatevectorSimulator` role).
-//! * [`analytic_sampled_expectation`] — finite-shot estimation layered on the exact
-//!   state, beside a [`ShotLedger`] that implements the paper's shot-cost accounting.
+//! * [`analytic_sampled_from_expectations`] — finite-shot estimation layered on the
+//!   exact per-term values, beside a [`ShotLedger`] that implements the paper's shot-cost accounting.
 //! * [`PauliPropagator`] — Heisenberg-picture Pauli propagation with weight truncation
 //!   for large systems (the `PauliPropagation` role).
 //!
@@ -57,9 +57,7 @@ mod shots;
 mod simulator;
 
 pub use compiled::{BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion};
-pub use estimator::{
-    analytic_sampled_expectation, analytic_sampled_from_expectations, exact_term_expectations,
-};
+pub use estimator::{analytic_sampled_from_expectations, exact_term_expectations};
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};
 pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};
 pub use simulator::{

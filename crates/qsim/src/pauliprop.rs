@@ -9,7 +9,7 @@
 //! keeps the term count bounded, enabling 25–50-qubit simulations with controlled error.
 
 use qcircuit::{Circuit, Gate};
-use qop::{Complex64, PauliOp, PauliString, PauliTerm};
+use qop::{Complex64, PauliOp, PauliString};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -114,23 +114,6 @@ impl PauliPropagator {
             .filter(|(_, c)| c.abs() > self.config.coefficient_threshold)
             .map(|((x, z), c)| (PauliString::from_masks(x, z, n), c))
             .collect()
-    }
-
-    /// Returns the propagated observable repackaged as a [`PauliOp`] (convenience for
-    /// diagnostics and tests).
-    pub fn propagated_operator(
-        &self,
-        circuit: &Circuit,
-        params: &[f64],
-        observable: &PauliOp,
-    ) -> PauliOp {
-        let n = circuit.num_qubits();
-        let terms = self
-            .propagate(circuit, params, observable)
-            .into_iter()
-            .map(|(s, c)| PauliTerm::new(s, c))
-            .collect();
-        PauliOp::from_terms(n, terms)
     }
 
     fn apply_gate_heisenberg(

@@ -75,8 +75,9 @@ impl VqaTask {
         }
     }
 
-    /// Creates a task and computes its exact reference energy with Lanczos (only sensible
-    /// for dense-simulable register sizes).
+    /// Creates a task and computes its exact reference energy with [`ground_energy`]: an
+    /// exact scan of the diagonal for a diagonal Hamiltonian (MaxCut costs), Lanczos for
+    /// any other (only sensible for dense-simulable register sizes).
     pub fn with_computed_reference(
         label: impl Into<String>,
         parameter: f64,
@@ -167,8 +168,9 @@ impl VqaApplication {
         self.ansatz.num_parameters()
     }
 
-    /// Computes (with Lanczos) and stores the reference energy of every task that does not
-    /// have one yet.  Only call this for dense-simulable register sizes.
+    /// Computes (with [`ground_energy`]: a diagonal scan or Lanczos, see
+    /// [`VqaTask::with_computed_reference`]) and stores the reference energy of every task
+    /// that does not have one yet.  Only call this for dense-simulable register sizes.
     pub fn compute_references(&mut self) {
         let opts = LanczosOptions::default();
         for task in &mut self.tasks {
