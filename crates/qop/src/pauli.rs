@@ -193,15 +193,6 @@ impl PauliString {
         s
     }
 
-    /// Creates a string from explicit per-qubit Paulis (index = qubit).
-    pub fn from_paulis(paulis: &[Pauli]) -> Self {
-        let mut s = Self::identity(paulis.len());
-        for (q, &p) in paulis.iter().enumerate() {
-            s.set_pauli(q, p);
-        }
-        s
-    }
-
     /// Creates a string from a sparse list of `(qubit, Pauli)` pairs on `num_qubits` qubits.
     ///
     /// # Panics
@@ -324,6 +315,10 @@ impl PauliString {
     /// Returns `(product, phase)` such that `self * other = phase * product`, where
     /// `phase ∈ {1, i, -1, -i}` is returned as a [`Complex64`].
     ///
+    /// With `P = i^|x∧z| X^x Z^z`, moving `Z^z` past `X^x'` costs `(-1)^|z∧x'|`, so the
+    /// power of `i` is `|x∧z| + |x'∧z'| − |x''∧z''| + 2|z∧x'|` (mod 4) for the product
+    /// masks `x'' = x ⊕ x'`, `z'' = z ⊕ z'`.
+    ///
     /// # Panics
     ///
     /// Panics if the strings act on registers of different sizes.
@@ -332,16 +327,15 @@ impl PauliString {
             self.num_qubits, other.num_qubits,
             "cannot multiply Pauli strings on different register sizes"
         );
-        let mut k: u32 = 0; // power of i
-        for q in 0..self.num_qubits {
-            let (_, phase) = self.pauli_at(q).mul(other.pauli_at(q));
-            k = (k + phase as u32) % 4;
-        }
         let product = PauliString {
             x_mask: self.x_mask ^ other.x_mask,
             z_mask: self.z_mask ^ other.z_mask,
             num_qubits: self.num_qubits,
         };
+        let ys = |s: &PauliString| (s.x_mask & s.z_mask).count_ones();
+        let swaps = (self.z_mask & other.x_mask).count_ones();
+        // Wrapping arithmetic keeps the residue mod 4 exact.
+        let k = (ys(self) + ys(other) + 2 * swaps).wrapping_sub(ys(&product)) % 4;
         let phase = match k {
             0 => Complex64::ONE,
             1 => Complex64::I,
@@ -474,6 +468,24 @@ mod tests {
         let (p2, phase2) = y.mul(&x);
         assert_eq!(p2.label(), "Z");
         assert_eq!(phase2, -Complex64::I);
+    }
+
+    /// The popcount phase equals the product of the per-qubit phases, for every pair of
+    /// 3-qubit strings.
+    #[test]
+    fn string_multiplication_phase_is_the_product_of_qubit_phases() {
+        for a in 0..64u64 {
+            for b in 0..64u64 {
+                let p = PauliString::from_masks(a & 7, a >> 3, 3);
+                let q = PauliString::from_masks(b & 7, b >> 3, 3);
+                let k: u8 = (0..3).map(|i| p.pauli_at(i).mul(q.pauli_at(i)).1).sum();
+                let expected = [Complex64::ONE, Complex64::I, -Complex64::ONE, -Complex64::I];
+                let (product, phase) = p.mul(&q);
+                assert_eq!(phase, expected[usize::from(k % 4)], "{p} · {q}");
+                assert_eq!(product.x_mask(), p.x_mask() ^ q.x_mask());
+                assert_eq!(product.z_mask(), p.z_mask() ^ q.z_mask());
+            }
+        }
     }
 
     #[test]

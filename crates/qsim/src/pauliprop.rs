@@ -3,15 +3,23 @@
 //! This is the reproduction of the `PauliPropagation` method the paper uses for its
 //! large-scale benchmarks (Section 7.4 and 8.4): instead of evolving the `2^n`-amplitude
 //! state, the *observable* is propagated backwards through the circuit as a sum of Pauli
-//! strings.  Clifford gates permute Pauli strings (with a sign); each rotation gate splits
-//! every anticommuting string into a `cos`/`sin` pair.  Truncating strings whose weight
-//! exceeds a cap (the paper truncates above weight 8) or whose coefficient is negligible
-//! keeps the term count bounded, enabling 25–50-qubit simulations with controlled error.
+//! strings.  Truncating strings whose weight exceeds a cap (the paper truncates above
+//! weight 8) or whose coefficient is negligible keeps the term count bounded, enabling
+//! 25–50-qubit simulations with controlled error.
+//!
+//! The sum is one vector of `(x mask, z mask, coefficient)` paths with distinct masks.
+//! A Clifford gate rewrites every path's masks and sign in place (the symplectic rules
+//! in [`conjugate_clifford`]); a rotation splits each anticommuting path into a `cos`/`sin`
+//! pair, and one stable sort by masks then merges equal strings in vector order.  No step
+//! depends on a hash seed or a thread, so a propagated sum — and every expectation read
+//! from it — is a pure function of (circuit, params, observable, config), the same bits
+//! on every call.
 
 use qcircuit::{Circuit, Gate};
-use qop::{Complex64, PauliOp, PauliString};
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use qop::{Pauli, PauliOp, PauliString};
+
+/// One path of the propagated sum: its X mask, Z mask and coefficient.
+type Path = (u64, u64, f64);
 
 /// Configuration of the Pauli-propagation simulator.
 #[derive(Clone, Copy, Debug)]
@@ -22,7 +30,8 @@ pub struct PauliPropagatorConfig {
     pub coefficient_threshold: f64,
     /// Hard cap on the number of retained strings (keeps memory bounded); the smallest
     /// coefficients are dropped first when the cap is exceeded, ties broken by keeping
-    /// the lower `(x, z)` masks, so the kept set never depends on map iteration order.
+    /// the lower `(x, z)` masks — a total order, so the kept set is a function of the
+    /// coefficients alone.
     pub max_terms: usize,
 }
 
@@ -96,330 +105,134 @@ impl PauliPropagator {
         observable: &PauliOp,
     ) -> Vec<(PauliString, f64)> {
         let n = circuit.num_qubits();
-        let mut terms: HashMap<(u64, u64), f64> = HashMap::new();
-        for t in observable.terms() {
-            *terms
-                .entry((t.string.x_mask(), t.string.z_mask()))
-                .or_insert(0.0) += t.coefficient;
-        }
+        let mut paths: Vec<Path> = observable
+            .terms()
+            .iter()
+            .map(|t| (t.string.x_mask(), t.string.z_mask(), t.coefficient))
+            .collect();
+        merge_equal_strings(&mut paths);
 
         // Heisenberg evolution processes gates in reverse order: H ← G† H G for the last
         // gate first.
         for gate in circuit.gates().iter().rev() {
-            terms = self.apply_gate_heisenberg(terms, gate, params, n);
+            if let Some(angle) = gate.angle() {
+                let axis = match *gate {
+                    Gate::Rx(q, _) => PauliString::single(n, q, Pauli::X),
+                    Gate::Ry(q, _) => PauliString::single(n, q, Pauli::Y),
+                    Gate::Rz(q, _) => PauliString::single(n, q, Pauli::Z),
+                    Gate::PauliRotation(axis, _) => axis,
+                    _ => unreachable!("only rotations carry an angle"),
+                };
+                rotate(&mut paths, &axis, angle.resolve(params));
+            } else {
+                conjugate_clifford(&mut paths, gate);
+            }
+            self.truncate(&mut paths);
         }
 
-        terms
+        paths
             .into_iter()
-            .filter(|(_, c)| c.abs() > self.config.coefficient_threshold)
-            .map(|((x, z), c)| (PauliString::from_masks(x, z, n), c))
+            .filter(|&(_, _, c)| c.abs() > self.config.coefficient_threshold)
+            .map(|(x, z, c)| (PauliString::from_masks(x, z, n), c))
             .collect()
     }
 
-    fn apply_gate_heisenberg(
-        &self,
-        terms: HashMap<(u64, u64), f64>,
-        gate: &Gate,
-        params: &[f64],
-        n: usize,
-    ) -> HashMap<(u64, u64), f64> {
-        let mut out: HashMap<(u64, u64), f64> = HashMap::with_capacity(terms.len() * 2);
-        let mut insert = |x: u64, z: u64, c: f64| {
-            if c != 0.0 {
-                *out.entry((x, z)).or_insert(0.0) += c;
-            }
-        };
-
-        match gate {
-            Gate::H(q) | Gate::X(q) | Gate::Y(q) | Gate::Z(q) | Gate::S(q) | Gate::Sdg(q) => {
-                for ((x, z), c) in terms {
-                    let p = PauliString::from_masks(x, z, n);
-                    let (p2, sign) = conjugate_single_clifford(gate, *q, &p);
-                    insert(p2.x_mask(), p2.z_mask(), c * sign);
-                }
-            }
-            Gate::Cx(a, b) | Gate::Cz(a, b) => {
-                for ((x, z), c) in terms {
-                    let p = PauliString::from_masks(x, z, n);
-                    let (p2, sign) = conjugate_two_qubit_clifford(gate, *a, *b, &p);
-                    insert(p2.x_mask(), p2.z_mask(), c * sign);
-                }
-            }
-            Gate::Rx(q, angle) => {
-                let axis = PauliString::single(n, *q, qop::Pauli::X);
-                return self.apply_rotation(terms, &axis, angle.resolve(params), n);
-            }
-            Gate::Ry(q, angle) => {
-                let axis = PauliString::single(n, *q, qop::Pauli::Y);
-                return self.apply_rotation(terms, &axis, angle.resolve(params), n);
-            }
-            Gate::Rz(q, angle) => {
-                let axis = PauliString::single(n, *q, qop::Pauli::Z);
-                return self.apply_rotation(terms, &axis, angle.resolve(params), n);
-            }
-            Gate::PauliRotation(axis, angle) => {
-                return self.apply_rotation(terms, axis, angle.resolve(params), n);
-            }
-        }
-        self.truncate(out)
-    }
-
-    /// Applies the Heisenberg image of `exp(-iθ/2 Q)`:
-    /// `P → P` if `[P, Q] = 0`, else `P → cos(θ)·P + sin(θ)·(-i·P·Q)`.
-    fn apply_rotation(
-        &self,
-        terms: HashMap<(u64, u64), f64>,
-        axis: &PauliString,
-        theta: f64,
-        n: usize,
-    ) -> HashMap<(u64, u64), f64> {
-        let (sin, cos) = theta.sin_cos();
-        let mut out: HashMap<(u64, u64), f64> = HashMap::with_capacity(terms.len() * 2);
-        for ((x, z), c) in terms {
-            let p = PauliString::from_masks(x, z, n);
-            if p.commutes_with(axis) {
-                *out.entry((x, z)).or_insert(0.0) += c;
-            } else {
-                *out.entry((x, z)).or_insert(0.0) += c * cos;
-                // -i · P · Q is Hermitian with a real ±1 sign when P and Q anticommute.
-                let (prod, phase) = p.mul(axis);
-                let coeff = Complex64::new(0.0, -1.0) * phase;
-                debug_assert!(coeff.im.abs() < 1e-12);
-                *out.entry((prod.x_mask(), prod.z_mask())).or_insert(0.0) += c * sin * coeff.re;
-            }
-        }
-        self.truncate(out)
-    }
-
-    fn truncate(&self, mut terms: HashMap<(u64, u64), f64>) -> HashMap<(u64, u64), f64> {
-        terms.retain(|(x, z), c| {
-            c.abs() > self.config.coefficient_threshold
-                && (x | z).count_ones() <= self.config.max_weight
+    /// Drops paths that are too heavy or too small, then — if more than `max_terms`
+    /// remain — keeps the largest by `(|c| descending, masks ascending)`.
+    fn truncate(&self, paths: &mut Vec<Path>) {
+        let config = &self.config;
+        paths.retain(|&(x, z, c)| {
+            c.abs() > config.coefficient_threshold && (x | z).count_ones() <= config.max_weight
         });
-        if terms.len() > self.config.max_terms {
-            let mut entries: Vec<((u64, u64), f64)> = terms.into_iter().collect();
-            entries.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
-            entries.truncate(self.config.max_terms);
-            terms = entries.into_iter().collect();
+        if paths.len() > config.max_terms {
+            paths.sort_by(|a, b| {
+                b.2.abs()
+                    .total_cmp(&a.2.abs())
+                    .then((a.0, a.1).cmp(&(b.0, b.1)))
+            });
+            paths.truncate(config.max_terms);
         }
-        terms
     }
 }
 
-/// Conjugates a Pauli string by a single-qubit Clifford gate on qubit `q`:
-/// returns `(G† P G, sign)`.
-fn conjugate_single_clifford(gate: &Gate, q: usize, p: &PauliString) -> (PauliString, f64) {
-    use qop::Pauli::*;
-    let local = p.pauli_at(q);
-    if local == I {
-        return (*p, 1.0);
+/// Applies the Heisenberg image of `exp(-iθ/2 Q)`:
+/// `P → P` if `[P, Q] = 0`, else `P → cos(θ)·P + sin(θ)·(-i·P·Q)`.
+fn rotate(paths: &mut Vec<Path>, axis: &PauliString, theta: f64) {
+    let (sin, cos) = theta.sin_cos();
+    for i in 0..paths.len() {
+        let (x, z, c) = paths[i];
+        let p = PauliString::from_masks(x, z, axis.num_qubits());
+        if !p.commutes_with(axis) {
+            // P·Q = ±i·R when P and Q anticommute, so -i·P·Q = ±R with the sign Im(phase).
+            let (product, phase) = p.mul(axis);
+            paths[i].2 = c * cos;
+            paths.push((product.x_mask(), product.z_mask(), c * sin * phase.im));
+        }
     }
-    let (new_local, sign) = match gate {
-        Gate::H(_) => match local {
-            X => (Z, 1.0),
-            Z => (X, 1.0),
-            Y => (Y, -1.0),
-            I => unreachable!(),
-        },
-        Gate::X(_) => match local {
-            X => (X, 1.0),
-            Y => (Y, -1.0),
-            Z => (Z, -1.0),
-            I => unreachable!(),
-        },
-        Gate::Y(_) => match local {
-            X => (X, -1.0),
-            Y => (Y, 1.0),
-            Z => (Z, -1.0),
-            I => unreachable!(),
-        },
-        Gate::Z(_) => match local {
-            X => (X, -1.0),
-            Y => (Y, -1.0),
-            Z => (Z, 1.0),
-            I => unreachable!(),
-        },
-        // S† X S = -Y, S† Y S = X, S† Z S = Z.
-        Gate::S(_) => match local {
-            X => (Y, -1.0),
-            Y => (X, 1.0),
-            Z => (Z, 1.0),
-            I => unreachable!(),
-        },
-        Gate::Sdg(_) => match local {
-            X => (Y, 1.0),
-            Y => (X, -1.0),
-            Z => (Z, 1.0),
-            I => unreachable!(),
-        },
-        _ => unreachable!("not a single-qubit Clifford gate"),
-    };
-    let mut out = *p;
-    out.set_pauli(q, new_local);
-    (out, sign)
+    merge_equal_strings(paths);
 }
 
-/// Lookup table for two-qubit Clifford conjugation, computed once by brute force from the
-/// dense 4×4 matrices (avoiding hand-derived sign rules).
-fn two_qubit_table(kind: TwoQubitKind) -> &'static [(usize, f64); 16] {
-    static CX_TABLE: OnceLock<[(usize, f64); 16]> = OnceLock::new();
-    static CZ_TABLE: OnceLock<[(usize, f64); 16]> = OnceLock::new();
-    let cell = match kind {
-        TwoQubitKind::Cx => &CX_TABLE,
-        TwoQubitKind::Cz => &CZ_TABLE,
-    };
-    cell.get_or_init(|| build_two_qubit_table(kind))
+/// Sorts the paths by masks (stably) and sums each run of equal strings in vector order.
+fn merge_equal_strings(paths: &mut Vec<Path>) {
+    paths.sort_by_key(|&(x, z, _)| (x, z));
+    paths.dedup_by(|later, kept| {
+        let equal = (later.0, later.1) == (kept.0, kept.1);
+        if equal {
+            kept.2 += later.2;
+        }
+        equal
+    });
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TwoQubitKind {
-    Cx,
-    Cz,
-}
-
-/// Index encoding for the table: `idx = pauli_on_control * 4 + pauli_on_target` with
-/// `I=0, X=1, Y=2, Z=3`.
-fn pauli_code(p: qop::Pauli) -> usize {
-    match p {
-        qop::Pauli::I => 0,
-        qop::Pauli::X => 1,
-        qop::Pauli::Y => 2,
-        qop::Pauli::Z => 3,
+/// Conjugates every path by a Clifford gate in place, `P → G† P G`: the symplectic rule
+/// rewrites the masks, and the sign flips where the image picks up a `-1`.
+fn conjugate_clifford(paths: &mut [Path], gate: &Gate) {
+    let bit = |mask: u64, q: usize| (mask >> q) & 1;
+    match *gate {
+        // X ↔ Z, Y → −Y.
+        Gate::H(q) => map_paths(paths, |x, z| {
+            let swap = (bit(x, q) ^ bit(z, q)) << q;
+            (x ^ swap, z ^ swap, bit(x & z, q) == 1)
+        }),
+        // A Pauli gate negates the strings it anticommutes with on qubit q.
+        Gate::X(q) => map_paths(paths, |x, z| (x, z, bit(z, q) == 1)),
+        Gate::Y(q) => map_paths(paths, |x, z| (x, z, bit(x ^ z, q) == 1)),
+        Gate::Z(q) => map_paths(paths, |x, z| (x, z, bit(x, q) == 1)),
+        // S† X S = −Y, S† Y S = X; S† flips both signs (X → Y, Y → −X).
+        Gate::S(q) | Gate::Sdg(q) => {
+            let negate_z = u64::from(matches!(gate, Gate::Sdg(_)));
+            map_paths(paths, |x, z| {
+                let flip = bit(x, q) == 1 && bit(z, q) == negate_z;
+                (x, z ^ (x & (1 << q)), flip)
+            })
+        }
+        Gate::Cx(c, t) => map_paths(paths, |x, z| {
+            let (xc, zc, xt, zt) = (bit(x, c), bit(z, c), bit(x, t), bit(z, t));
+            (x ^ (xc << t), z ^ (zt << c), xc & zt & (xt ^ zc ^ 1) == 1)
+        }),
+        Gate::Cz(a, b) => map_paths(paths, |x, z| {
+            let (xa, za, xb, zb) = (bit(x, a), bit(z, a), bit(x, b), bit(z, b));
+            (x, z ^ (xb << a) ^ (xa << b), xa & xb & (za ^ zb) == 1)
+        }),
+        _ => unreachable!("rotations are not Clifford gates"),
     }
 }
 
-fn pauli_from_code(c: usize) -> qop::Pauli {
-    match c {
-        0 => qop::Pauli::I,
-        1 => qop::Pauli::X,
-        2 => qop::Pauli::Y,
-        _ => qop::Pauli::Z,
+/// Rewrites each path through `rule(x, z) → (x', z', negate)`.
+fn map_paths(paths: &mut [Path], rule: impl Fn(u64, u64) -> (u64, u64, bool)) {
+    for path in paths {
+        let (x, z, negate) = rule(path.0, path.1);
+        *path = (x, z, if negate { -path.2 } else { path.2 });
     }
-}
-
-#[allow(clippy::needless_range_loop)]
-fn build_two_qubit_table(kind: TwoQubitKind) -> [(usize, f64); 16] {
-    // Dense 4×4 matrices over basis |t c⟩ ordering where bit 0 = control, bit 1 = target
-    // (consistent with PauliString::apply_to_basis on a 2-qubit register with control=0,
-    // target=1).
-    let gate = |row: usize, col: usize| -> Complex64 {
-        let control = col & 1;
-        let target = (col >> 1) & 1;
-        let (new_control, new_target) = match kind {
-            TwoQubitKind::Cx => (control, target ^ control),
-            TwoQubitKind::Cz => (control, target),
-        };
-        let expected_row = new_control | (new_target << 1);
-        if row != expected_row {
-            return Complex64::ZERO;
-        }
-        match kind {
-            TwoQubitKind::Cx => Complex64::ONE,
-            TwoQubitKind::Cz => {
-                if control == 1 && target == 1 {
-                    -Complex64::ONE
-                } else {
-                    Complex64::ONE
-                }
-            }
-        }
-    };
-
-    let pauli_matrix = |code: usize| -> [[Complex64; 4]; 4] {
-        let s = PauliString::from_paulis(&[pauli_from_code(code & 3), pauli_from_code(code >> 2)]);
-        let mut m = [[Complex64::ZERO; 4]; 4];
-        for col in 0..4u64 {
-            let (row, phase) = s.apply_to_basis(col);
-            m[row as usize][col as usize] = phase;
-        }
-        m
-    };
-
-    let mut table = [(0usize, 0.0f64); 16];
-    for code in 0..16 {
-        // Compute G† P G (G is real and self-inverse for CX/CZ, so G† = G).
-        let p = pauli_matrix(code);
-        let mut gp = [[Complex64::ZERO; 4]; 4];
-        for r in 0..4 {
-            for c2 in 0..4 {
-                let mut acc = Complex64::ZERO;
-                for k in 0..4 {
-                    acc += gate(r, k).conj() * p[k][c2];
-                }
-                gp[r][c2] = acc;
-            }
-        }
-        let mut gpg = [[Complex64::ZERO; 4]; 4];
-        for r in 0..4 {
-            for c2 in 0..4 {
-                let mut acc = Complex64::ZERO;
-                for k in 0..4 {
-                    acc += gp[r][k] * gate(k, c2);
-                }
-                gpg[r][c2] = acc;
-            }
-        }
-        // Match against ± every candidate Pauli pair.
-        let mut found = None;
-        'outer: for cand in 0..16 {
-            let q = pauli_matrix(cand);
-            for &sign in &[1.0f64, -1.0] {
-                let mut equal = true;
-                for r in 0..4 {
-                    for c2 in 0..4 {
-                        let diff = gpg[r][c2] - q[r][c2].scale(sign);
-                        if diff.norm() > 1e-9 {
-                            equal = false;
-                            break;
-                        }
-                    }
-                    if !equal {
-                        break;
-                    }
-                }
-                if equal {
-                    found = Some((cand, sign));
-                    break 'outer;
-                }
-            }
-        }
-        table[code] =
-            found.expect("Clifford conjugation must map Pauli pairs to signed Pauli pairs");
-    }
-    table
-}
-
-/// Conjugates a Pauli string by CX or CZ acting on qubits `(a, b)` = (control, target).
-fn conjugate_two_qubit_clifford(
-    gate: &Gate,
-    a: usize,
-    b: usize,
-    p: &PauliString,
-) -> (PauliString, f64) {
-    let kind = match gate {
-        Gate::Cx(..) => TwoQubitKind::Cx,
-        Gate::Cz(..) => TwoQubitKind::Cz,
-        _ => unreachable!("not a two-qubit Clifford gate"),
-    };
-    let pc = p.pauli_at(a);
-    let pt = p.pauli_at(b);
-    if pc == qop::Pauli::I && pt == qop::Pauli::I {
-        return (*p, 1.0);
-    }
-    let code = pauli_code(pt) * 4 + pauli_code(pc);
-    let (new_code, sign) = two_qubit_table(kind)[code];
-    let mut out = *p;
-    out.set_pauli(a, pauli_from_code(new_code & 3));
-    out.set_pauli(b, pauli_from_code(new_code >> 2));
-    (out, sign)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::simulator::run_circuit;
     use qcircuit::{Angle, Entanglement, HardwareEfficientAnsatz};
-    use qop::Statevector;
+    use qop::{Complex64, Statevector};
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
@@ -430,6 +243,102 @@ mod tests {
         let init = Statevector::basis_state(circuit.num_qubits(), basis);
         let out = run_circuit(circuit, params, &init);
         op.expectation(&out)
+    }
+
+    /// A dense matrix stored by columns: `m[c][r]` is entry `(r, c)`.
+    type Dense = Vec<Vec<Complex64>>;
+
+    fn basis_vector(dim: usize, b: usize) -> Vec<Complex64> {
+        let mut v = vec![Complex64::ZERO; dim];
+        v[b] = Complex64::ONE;
+        v
+    }
+
+    /// `G` as a dense matrix: column `b` is the reference kernel applied to `|b⟩`.
+    fn dense_gate(n: usize, gate: &Gate) -> Dense {
+        (0..1usize << n)
+            .map(|b| {
+                let mut column = basis_vector(1 << n, b);
+                reference::apply_gate_amps(&mut column, gate, &[]);
+                column
+            })
+            .collect()
+    }
+
+    fn dense_pauli(p: &PauliString) -> Dense {
+        let dim = 1usize << p.num_qubits();
+        (0..dim)
+            .map(|b| {
+                let (row, phase) = p.apply_to_basis(b as u64);
+                basis_vector(dim, row as usize)
+                    .into_iter()
+                    .map(|a| a * phase)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `G† P G` by dense matrix products.
+    fn dense_heisenberg(g: &Dense, p: &Dense) -> Dense {
+        let dim = g.len();
+        let entry = |r: usize, c: usize| {
+            let mut acc = Complex64::ZERO;
+            for k in 0..dim {
+                for l in 0..dim {
+                    acc += g[r][k].conj() * p[l][k] * g[c][l];
+                }
+            }
+            acc
+        };
+        (0..dim)
+            .map(|c| (0..dim).map(|r| entry(r, c)).collect())
+            .collect()
+    }
+
+    /// Every symplectic Clifford rule against dense conjugation: each single-qubit
+    /// Clifford on the middle qubit and CX/CZ in both orders on the outer qubits of a
+    /// 3-qubit register, applied to all 64 Pauli strings (so every local Pauli and every
+    /// two-qubit Pauli appears, with spectators), image and sign.
+    #[test]
+    fn clifford_rules_match_dense_conjugation_for_every_pauli() {
+        let n = 3;
+        let gates = [
+            Gate::H(1),
+            Gate::X(1),
+            Gate::Y(1),
+            Gate::Z(1),
+            Gate::S(1),
+            Gate::Sdg(1),
+            Gate::Cx(0, 2),
+            Gate::Cx(2, 0),
+            Gate::Cz(0, 2),
+            Gate::Cz(2, 0),
+        ];
+        let prop = PauliPropagator::new(PauliPropagatorConfig::default());
+        for gate in &gates {
+            let g = dense_gate(n, gate);
+            let mut circ = Circuit::new(n);
+            circ.push(gate.clone());
+            for code in 0..64u64 {
+                let p = PauliString::from_masks(code & 7, code >> 3, n);
+                let mut op = PauliOp::zero(n);
+                op.add_term(p, 1.0);
+                let image = prop.propagate(&circ, &[], &op);
+                assert_eq!(image.len(), 1, "{gate:?} on {p}");
+                let (q, sign) = image[0];
+                assert!(sign == 1.0 || sign == -1.0, "{gate:?} on {p}: {sign}");
+                let expected = dense_heisenberg(&g, &dense_pauli(&p));
+                let got = dense_pauli(&q);
+                for (column_e, column_g) in expected.iter().zip(&got) {
+                    for (e, v) in column_e.iter().zip(column_g) {
+                        assert!(
+                            (*e - v.scale(sign)).norm() < 1e-12,
+                            "{gate:?} on {p}: got {sign} {q}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -949,8 +949,7 @@ mod tests {
 
         let probed = noisy_prop.probe(&circuit, &params, &initial, &h1);
         let undamped = ideal_prop.probe(&circuit, &params, &initial, &h1);
-        // (Not bit-equal: the propagator sums over a `HashMap`, in per-instance order.)
-        assert!((probed - undamped).abs() < 1e-12);
+        assert_eq!(probed.to_bits(), undamped.to_bits());
         let (evaluated, _) = noisy_prop.evaluate(&circuit, &params, &initial, &h1, &[]);
         assert!((evaluated - probed).abs() > 1e-3);
     }
