@@ -54,10 +54,23 @@ fn bench_pauli_propagation(c: &mut Criterion) {
     });
 }
 
+/// An 8-qubit register is one 256-amplitude tile of `PauliOp::apply_into`; 12 qubits (the
+/// end-to-end benchmark's `tree_tfim12` references) is sixteen, with cross-tile sources.
 fn bench_lanczos(c: &mut Criterion) {
-    let ham = qchem::transverse_field_ising(8, 1.0, 1.0);
-    c.bench_function("lanczos_ground_energy_tfim_8q", |b| {
-        b.iter(|| std::hint::black_box(ground_energy(&ham, &LanczosOptions::default())))
+    for n in [8, 12] {
+        let ham = qchem::transverse_field_ising(n, 1.0, 1.0);
+        c.bench_function(&format!("lanczos_ground_energy_tfim_{n}q"), |b| {
+            b.iter(|| std::hint::black_box(ground_energy(&ham, &LanczosOptions::default())))
+        });
+    }
+    let ham = qchem::transverse_field_ising(12, 1.0, 1.0);
+    let state = dense_state(12);
+    let mut out = state.zeros_like();
+    c.bench_function("pauli_op_apply/tfim/12q", |b| {
+        b.iter(|| {
+            ham.apply_into(&state, &mut out);
+            std::hint::black_box(&out);
+        })
     });
 }
 

@@ -162,6 +162,20 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             },
         ));
     }
+    {
+        // The matrix-vector product of a Lanczos step, and a whole 12-qubit reference
+        // energy (the end-to-end benchmark's `tree_tfim12` set-up runs eight).
+        let ham = qchem::transverse_field_ising(n, 1.0, 1.0);
+        let state = workloads::dense_state(n);
+        let mut out = state.zeros_like();
+        records.push(time_workload("pauli_op_apply/tfim/12q", 300, || {
+            ham.apply_into(&state, &mut out);
+            std::hint::black_box(&out);
+        }));
+        records.push(time_workload("lanczos_ground_energy_tfim_12q", 2, || {
+            std::hint::black_box(qop::ground_energy(&ham, &qop::LanczosOptions::default()));
+        }));
+    }
     // One readout per state (BENCH_kernels.json): a cluster's operator set read out
     // operator by operator (`per_op`, what the drivers did before the term basis)
     // against one fused `TermBasis` readout plus the contractions (`basis`); then what

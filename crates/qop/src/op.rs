@@ -8,9 +8,10 @@
 
 use crate::basis::TermBasis;
 use crate::complex::Complex64;
-use crate::lanes::{i_power, parity_sign};
+use crate::lanes::{i_power, low_sign_table, parity_sign, LANES, SIGN_BLOCK};
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
+use crate::with_lane_perm;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -288,11 +289,18 @@ impl PauliOp {
     /// Writes `H|ψ⟩` into `out`, reusing its allocation (any previous contents are
     /// overwritten).
     ///
-    /// The kernel runs in *gather* form: `out[b] = Σ_k c_k · phase_k(b ^ x_k) · ψ[b ^ x_k]`,
-    /// so every output amplitude is owned by exactly one loop iteration: the loop is
-    /// branch-free and all terms are accumulated in one pass over the state, instead of
-    /// one scatter pass per term.  Per-term phases are hoisted as `coeff · i^num_y`,
-    /// leaving only a parity sign per (term, index) in the split-lane inner loop.
+    /// The kernel runs in *gather* form, `out[b] = Σ_k c_k · phase_k(b ^ x_k) · ψ[b ^ x_k]`,
+    /// over tiles of `min(2^n, 256)` amplitudes with the terms as the outer loop.  A tile
+    /// `[start, start + block)` keeps two accumulator lanes on the stack; term `k` reads
+    /// the source tile at `start ^ (x_k & !(block − 1))`, lane `j` from lane
+    /// `j ^ (x_k & (block − 1))` — a constant 4-lane shuffle (monomorphized via
+    /// [`with_lane_perm!`]) of the chunk at `j ^ (x_k & !3)` — with the sign factored as
+    /// `(−1)^popcount(src_start & z_k) · low[lane]` over the memoized
+    /// [`low_sign_table`]s.  Per-term phases are hoisted as `c_k · i^num_y`, every sign is
+    /// an exact ±1, and each lane adds its terms in term order, so every output amplitude
+    /// is still the serial fold `((0 + t_0) + t_1) + …` over the terms in term order —
+    /// the bits of a per-amplitude gather (`tests/tests/kernel_equivalence.rs` holds
+    /// that reference).  Registers below 4 amplitudes take a scalar loop.
     ///
     /// # Panics
     ///
@@ -304,37 +312,80 @@ impl PauliOp {
             self.num_qubits,
             "output register size mismatch"
         );
-        // Per-term constants, hoisted out of the amplitude loop: `(x, z, cg)` with
-        // `cg = coeff · i^num_y` (the index-independent part of the phase).
-        let prepared: Vec<(usize, u64, Complex64)> = self
+        // Per-term constants, hoisted out of the amplitude loop: `(x, z, cg, low)` with
+        // `cg = coeff · i^num_y` (the index-independent part of the phase) and `low` the
+        // sign table of `z`'s low bits.
+        let prepared: Vec<(usize, u64, Complex64, &[f64; SIGN_BLOCK])> = self
             .terms
             .iter()
             .map(|t| {
                 let x = t.string.x_mask();
                 let z = t.string.z_mask();
                 let g = i_power((x & z).count_ones());
-                (x as usize, z, g.scale(t.coefficient))
+                (
+                    x as usize,
+                    z,
+                    g.scale(t.coefficient),
+                    low_sign_table(z as u8),
+                )
             })
             .collect();
         let (pre, pim) = psi.lanes();
-        let gather = |b: usize| -> Complex64 {
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
-            for &(x, z, cg) in &prepared {
-                let src = b ^ x;
-                // P|src⟩ = i^num_y · (-1)^popcount(src & z) · |b⟩.
-                let s = parity_sign(src as u64 & z);
-                let (r, i) = (pre[src], pim[src]);
-                acc_re += s * (cg.re * r - cg.im * i);
-                acc_im += s * (cg.re * i + cg.im * r);
-            }
-            Complex64::new(acc_re, acc_im)
-        };
         let (ore, oim) = out.lanes_mut();
-        for (b, (r, i)) in ore.iter_mut().zip(oim.iter_mut()).enumerate() {
-            let v = gather(b);
-            *r = v.re;
-            *i = v.im;
+        let dim = pre.len();
+        let block = dim.min(SIGN_BLOCK);
+        let (mut acc_re, mut acc_im) = ([0.0f64; SIGN_BLOCK], [0.0f64; SIGN_BLOCK]);
+        let (acc_re, acc_im) = (&mut acc_re[..block], &mut acc_im[..block]);
+        for start in (0..dim).step_by(block) {
+            acc_re.fill(0.0);
+            acc_im.fill(0.0);
+            for &(x, z, cg, low) in &prepared {
+                // P|src⟩ = i^num_y · (−1)^popcount(src & z) · |b⟩ with src = b ^ x; the
+                // tile's sources are the tile at `src_start`, lane `j` from lane `j ^ xl`.
+                let src_start = start ^ (x & !(block - 1));
+                let xl = x & (block - 1);
+                let hs = parity_sign(src_start as u64 & z);
+                let low = &low[..block];
+                let sr = &pre[src_start..src_start + block];
+                let si = &pim[src_start..src_start + block];
+                if block < LANES {
+                    for (j, (ar, ai)) in acc_re.iter_mut().zip(acc_im.iter_mut()).enumerate() {
+                        let l = j ^ xl;
+                        let s = hs * low[l];
+                        let (r, i) = (sr[l], si[l]);
+                        *ar += s * (cg.re * r - cg.im * i);
+                        *ai += s * (cg.re * i + cg.im * r);
+                    }
+                    continue;
+                }
+                let xh = xl & !(LANES - 1);
+                // Explicit 4-wide chunks through fixed-size windows; the in-chunk
+                // permutation `j ^ M` is a compile-time shuffle per arm.  `l0` is
+                // 4-aligned and below `block`, so every window is in bounds.
+                macro_rules! tile {
+                    ($m:literal) => {{
+                        for (j0, (ar, ai)) in acc_re
+                            .chunks_exact_mut(LANES)
+                            .zip(acc_im.chunks_exact_mut(LANES))
+                            .enumerate()
+                        {
+                            let l0 = (j0 * LANES) ^ xh;
+                            let s4: &[f64; LANES] = low[l0..l0 + LANES].try_into().unwrap();
+                            let r4: &[f64; LANES] = sr[l0..l0 + LANES].try_into().unwrap();
+                            let i4: &[f64; LANES] = si[l0..l0 + LANES].try_into().unwrap();
+                            for j in 0..LANES {
+                                let s = hs * s4[j ^ $m];
+                                let (r, i) = (r4[j ^ $m], i4[j ^ $m]);
+                                ar[j] += s * (cg.re * r - cg.im * i);
+                                ai[j] += s * (cg.re * i + cg.im * r);
+                            }
+                        }
+                    }};
+                }
+                with_lane_perm!(xl, tile);
+            }
+            ore[start..start + block].copy_from_slice(acc_re);
+            oim[start..start + block].copy_from_slice(acc_im);
         }
     }
 

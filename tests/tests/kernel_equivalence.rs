@@ -4,15 +4,20 @@
 //! The branch-free/in-place kernels in `qsim` and `qop` must be bit-for-bit
 //! *algorithmically* equivalent to the originals (up to floating-point associativity), so
 //! every property here demands agreement to 1e-12 on random circuits, random Pauli
-//! rotations, and random Hamiltonians.  Each kernel is one serial vectorized body (only
-//! `qop::par::map_states`, which nothing here reaches, spawns threads); the 14-qubit
-//! properties are this suite's large-register coverage: every block size, lane
+//! rotations, and random Hamiltonians.  Bodies that must keep the bits of the form they
+//! replaced are held by `to_bits`: recorded digests for the low-qubit kernels, and a
+//! per-amplitude gather for `PauliOp::apply_into`.  Each kernel is one serial vectorized
+//! body (only `qop::par::map_states`, which nothing here reaches, spawns threads); the
+//! 14-qubit properties are this suite's large-register coverage: every block size, lane
 //! permutation and sign-table path a 2^14-amplitude state reaches.
 
 use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate};
+use qop::lanes::{i_power, parity_sign};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
 use qsim::{reference, run_circuit};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A dense, structured, normalized state: every amplitude distinct so index or phase
 /// mix-ups cannot cancel.
@@ -329,4 +334,100 @@ fn apply_into_matches_naive_scatter() {
     let got = op.apply(&psi);
     let diff = max_amplitude_diff(&expected, &got);
     assert!(diff < 1e-12, "apply mismatch: {diff}");
+}
+
+/// The bit reference of the tiled `PauliOp::apply_into`: a per-amplitude gather, each
+/// output `b` the serial fold over the terms in term order of `s · cg · ψ[b ^ x]`, with
+/// `cg = c · i^num_y` and the sign `s = (−1)^popcount((b ^ x) & z)` taken by `popcount`
+/// per (term, amplitude).
+fn apply_gather_reference(op: &PauliOp, psi: &Statevector) -> Statevector {
+    let prepared: Vec<(usize, u64, Complex64)> = op
+        .terms()
+        .iter()
+        .map(|t| {
+            let (x, z) = (t.string.x_mask(), t.string.z_mask());
+            let cg = i_power((x & z).count_ones()).scale(t.coefficient);
+            (x as usize, z, cg)
+        })
+        .collect();
+    let (pre, pim) = psi.lanes();
+    let mut out = psi.zeros_like();
+    let (ore, oim) = out.lanes_mut();
+    for (b, (or, oi)) in ore.iter_mut().zip(oim.iter_mut()).enumerate() {
+        let (mut acc_re, mut acc_im) = (0.0, 0.0);
+        for &(x, z, cg) in &prepared {
+            let src = b ^ x;
+            let s = parity_sign(src as u64 & z);
+            let (r, i) = (pre[src], pim[src]);
+            acc_re += s * (cg.re * r - cg.im * i);
+            acc_im += s * (cg.re * i + cg.im * r);
+        }
+        *or = acc_re;
+        *oi = acc_im;
+    }
+    out
+}
+
+/// A random I/X/Y/Z operator on `n` qubits: random strings, one string per `x & 3` lane
+/// offset with and without the top qubit in `x` (sources in another 256-amplitude tile
+/// once `n > 8`), the identity, and the first string repeated with another coefficient.
+fn random_tiled_operator(n: usize, rng: &mut StdRng) -> PauliOp {
+    let all = (1u64 << n) - 1;
+    let top = 1u64 << (n - 1);
+    let mut masks: Vec<(u64, u64)> = Vec::new();
+    for _ in 0..12 {
+        masks.push((rng.random::<u64>() & all, rng.random::<u64>() & all));
+    }
+    for m in 0..4u64 {
+        let high = rng.random::<u64>() & !3;
+        masks.push((m & all, rng.random::<u64>() & all));
+        masks.push((((high | m) & all) | top, rng.random::<u64>() & all));
+    }
+    masks.push((0, 0));
+    masks.push(masks[0]);
+    let mut op = PauliOp::zero(n);
+    for (x, z) in masks {
+        op.add_term(
+            PauliString::from_masks(x, z, n),
+            rng.random_range(-1.0..1.0),
+        );
+    }
+    op
+}
+
+/// The tiled `apply_into` writes the gather reference's bits, zero signs included, on
+/// registers below one 4-lane chunk, inside one tile and across 2–16 tiles.
+#[test]
+fn apply_into_keeps_the_gather_bits() {
+    let mut rng = StdRng::seed_from_u64(0x7113_d5e7);
+    for n in [1usize, 2, 3, 5, 8, 9, 10, 12] {
+        for trial in 0..3 {
+            let op = random_tiled_operator(n, &mut rng);
+            let psi = if trial == 0 {
+                dense_state(n)
+            } else {
+                let dim = 1usize << n;
+                Statevector::from_lanes(
+                    (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                    (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                )
+            };
+            let expected = apply_gather_reference(&op, &psi);
+            // A stale output buffer must be overwritten, not accumulated into.
+            let mut got = psi.clone();
+            op.apply_into(&psi, &mut got);
+            for (lane, (e, g)) in [(expected.re(), got.re()), (expected.im(), got.im())]
+                .into_iter()
+                .enumerate()
+            {
+                for (b, (e, g)) in e.iter().zip(g).enumerate() {
+                    assert_eq!(
+                        e.to_bits(),
+                        g.to_bits(),
+                        "n {n}, trial {trial}, lane {lane}, index {b}: {g:e} vs {e:e}"
+                    );
+                }
+            }
+        }
+    }
 }

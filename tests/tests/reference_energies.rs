@@ -5,7 +5,9 @@
 //! `qop::ground_energy` computes with Lanczos for any operator that carries an `X` or `Y`
 //! term.  A change to the Lanczos iteration, its convergence test or the `apply` /
 //! inner-product kernels underneath moves these bits, and with them every fidelity of
-//! the spin and chemistry panels.  The 16- and 25-qubit panel (fig9) has no dense state:
+//! the spin and chemistry panels.  The registers run from below one 256-amplitude tile of
+//! `PauliOp::apply_into` (XXZ-6, LiH) through one (TFIM-8) to 4 and 16 tiles (XXZ-10,
+//! TFIM-12), so sources in another tile are pinned too.  The 16- and 25-qubit panel (fig9) has no dense state:
 //! its energies are truncated `PauliPropagator` values, a pure function of (circuit,
 //! params, observable, config).  All bits are identical in debug and release builds.
 
@@ -50,6 +52,35 @@ fn xxz6_reference_energy_keeps_its_bits() {
         "XXZ-6 Δ=1",
         &heisenberg_xxz(6, 1.0, 1.0),
         0xc023_f2d8_9180_d0fb,
+    );
+}
+
+/// The benchmark's `tree_tfim12` size: 4 096 amplitudes, sixteen 256-amplitude tiles of
+/// `PauliOp::apply_into`, at the first and last of its eight fields.
+#[test]
+fn tfim12_reference_energies_keep_their_bits() {
+    let tasks = SpinChainFamily {
+        num_sites: 12,
+        ..SpinChainFamily::tfim_benchmark()
+    }
+    .tasks(8);
+    for ((h, op), expected_h, bits) in [
+        (&tasks[0], 0.5, 0xc027_c8ba_1b07_abef),
+        (&tasks[7], 1.5, 0xc033_e10d_28bf_fce3),
+    ] {
+        assert_eq!(*h, expected_h);
+        assert_pinned(&format!("TFIM-12 h={h}"), op, bits);
+    }
+}
+
+/// Ten sites: the `YY` bonds on the upper qubits flip amplitudes between tiles, with a
+/// Y phase on each.
+#[test]
+fn xxz10_reference_energy_keeps_its_bits() {
+    assert_pinned(
+        "XXZ-10 Δ=1",
+        &heisenberg_xxz(10, 1.0, 1.0),
+        0xc031_083a_61a1_fc5d,
     );
 }
 
