@@ -1,14 +1,22 @@
-//! Deterministic quick-bench runner: times the fixed workload subset of
-//! [`treevqa_bench::quick`] and writes `target/bench_quick.json` (override the path with
-//! the first CLI argument).  The ids match the checked-in `BENCH_*.json` records, which
-//! are comparable only with runs on the host that recorded them.
+//! Deterministic quick-bench runner: times the fixed workload list of
+//! [`treevqa_bench::quick`] and writes it under its host header to
+//! `target/bench_quick.json` (override the path with the first CLI argument;
+//! `BENCH_quick.json` at the repository root is the checked-in run).  Records are
+//! comparable only with runs on the host named in the header.
+
+use treevqa_bench::quick::{run_quick_suite, to_json, Host};
 
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/bench_quick.json".to_string());
-    let records = treevqa_bench::quick::run_quick_suite();
+    let host = Host::detect();
     println!("== quick bench (deterministic mode) ==");
+    println!(
+        "host: {} ({} logical CPUs, {} rayon threads), {}, commit {}",
+        host.cpu_model, host.logical_cpus, host.rayon_threads, host.rustc, host.commit
+    );
+    let records = run_quick_suite();
     for r in &records {
         println!(
             "{:<34} median {:>12.1} ns  ({} samples x {} iters)",
@@ -18,7 +26,6 @@ fn main() {
     if let Some(parent) = std::path::Path::new(&path).parent() {
         std::fs::create_dir_all(parent).expect("failed to create output directory");
     }
-    std::fs::write(&path, treevqa_bench::quick::records_to_json(&records))
-        .expect("failed to write quick-bench JSON");
+    std::fs::write(&path, to_json(&host, &records)).expect("failed to write quick-bench JSON");
     println!("\nwrote {path} ({} workloads)", records.len());
 }

@@ -1,24 +1,57 @@
-//! Deterministic quick-bench mode.
+//! The workspace's one layer-timing harness.
 //!
-//! `cargo run --release -p treevqa_bench --bin quick_bench` runs a fixed subset of the
-//! criterion benchmark workloads (same builders, see [`crate::workloads`]) with **fixed**
-//! iteration counts and sample counts — no adaptive calibration, no RNG — and writes
-//! `target/bench_quick.json` in the `BENCH_*.json` record schema.  CI runs it and
-//! uploads the file on every run, so a perf trajectory accumulates per host; nothing
-//! compares it against the checked-in `BENCH_*.json` files, which were recorded on other
-//! hosts — the regression gate is the repository benchmark (`BENCHMARK.json`), which
-//! runs parent and change on one host.
+//! `cargo run --release -p treevqa_bench --bin quick_bench [path]` runs a fixed list of
+//! workloads (builders in [`crate::workloads`]) with **fixed** iteration and sample
+//! counts — no adaptive calibration, no RNG — and writes the records under a [`Host`]
+//! header to `path` (default `target/bench_quick.json`).  `BENCH_quick.json` at the
+//! repository root is one such run, stamped with the host that recorded it.  CI runs
+//! the suite on every push and uploads the file, so a trajectory accumulates per host;
+//! nothing compares a run against a file recorded on another host — the regression
+//! gate is the repository benchmark (`BENCHMARK.json`), which runs parent and change on
+//! one host.
+//!
+//! # Retired ids
+//!
+//! Earlier per-layer files carried ids this suite does not time, each for one reason:
+//!
+//! - `{single_qubit_rx, cx_ladder, pauli_rotation, pauli_rotation_xdense,
+//!   hamiltonian_expectation}/naive/*`: they time the `qsim::reference` test oracles,
+//!   not a product path.
+//! - the same kernels' `fast/{16,20,22}q` rows and `circuit_exec/compiled/{16,18}q`: no
+//!   dense product path runs above 14 qubits, and the 12-qubit rows time the same bodies.
+//! - `hea_exec/compiled/14q`: `evaluate/batched/14q_8` executes the same ansatz family
+//!   at 14 qubits through the driver that runs it.
+//! - `pauli_op_expectation_beh2`: the `PauliOp::expectation` kernel that
+//!   `hamiltonian_expectation/fast/12q` and `expectation/per_op/*` time.
+//! - `statevector_hea_8q_2rep`: `qsim::run_circuit` compiles and runs an 8-qubit circuit;
+//!   `circuit_exec/*` time the compiled executor at the evaluation's sizes.
+//! - `lanczos_ground_energy_tfim_8q`: a single 256-amplitude tile of
+//!   `PauliOp::apply_into`; the 12-qubit row also covers cross-tile sources.
+//! - `evaluate/{batched,serial}/{2,32}` and `noisy_eval/trajectories/{4,64}`: outer points
+//!   of size sweeps whose middle point stays.
+//! - the `*@parent` rows: a parent commit's measurement kept beside a change's, not a
+//!   workload.
+//! - the noise file's quality section (ideal vs noisy IEEE-14 MaxCut): a result, not a
+//!   timing; `examples/noisy_maxcut` prints it.
+//! - the fairness section: `fair_scheduling_interleaves_clients_round_robin` in
+//!   `tests/tests/executor.rs` holds exact round-robin order.
+//! - the 256-into-64 overload scenario: `reject_policy_fails_submissions_beyond_capacity`
+//!   in `tests/tests/robustness.rs` holds the exact accept/reject split.
+//! - the `derived` sections (jobs/s, probe round trip, tracing overhead): ratios of
+//!   records this suite keeps.
 
 use crate::workloads;
 use qexec::{AdmissionPolicy, EvalJob, Executor, SeedPolicy, SubmitOptions};
+use std::hint::black_box;
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 use vqa::{Backend, EvalRequest, InitialState, NoisyStatevectorBackend, StatevectorBackend};
 
-/// One timed quick-bench workload, in the `BENCH_*.json` record schema.
+/// One timed quick-bench workload.
 #[derive(Clone, Debug)]
 pub struct QuickRecord {
-    /// Benchmark id, matching the criterion id of the same workload.
+    /// Benchmark id, stable across runs so records line up id for id.
     pub id: String,
     /// Median per-iteration wall time over the samples, in nanoseconds.
     pub median_ns: f64,
@@ -33,6 +66,51 @@ pub struct QuickRecord {
     /// Iterations per sample (fixed per workload — the "deterministic" in
     /// deterministic mode).
     pub iters_per_sample: usize,
+}
+
+/// The machine and build a quick run was recorded on: the header of every quick-bench
+/// file, since a timing means nothing without them.
+#[derive(Clone, Debug)]
+pub struct Host {
+    /// The first `model name` of `/proc/cpuinfo`, or `"unknown"`.
+    pub cpu_model: String,
+    /// `std::thread::available_parallelism`, or 0 when it cannot be read.
+    pub logical_cpus: usize,
+    /// The threads `qop::par::map_states` spreads a chunk over.
+    pub rayon_threads: usize,
+    /// `rustc -V` of the compiler that built this binary.
+    pub rustc: String,
+    /// `git rev-parse HEAD` in the working directory, or `"unknown"`.
+    pub commit: String,
+}
+
+impl Host {
+    /// Reads the host this process runs on; every field falls back rather than fails.
+    pub fn detect() -> Host {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines().find_map(|line| {
+                    let (key, value) = line.split_once(':')?;
+                    (key.trim() == "model name").then(|| value.trim().to_string())
+                })
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let commit = Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        Host {
+            cpu_model,
+            logical_cpus: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            rayon_threads: rayon::current_num_threads(),
+            rustc: env!("QUICK_RUSTC_VERSION").to_string(),
+            commit,
+        }
+    }
 }
 
 /// Samples per workload (fixed; sample 0 is preceded by one untimed warmup pass).
@@ -92,14 +170,83 @@ fn candidate_requests<'a>(
         .collect()
 }
 
-/// Runs the deterministic quick suite: one 12-qubit representative per kernel family of
-/// `BENCH_kernels.json`, the compiled-execution and batched-evaluation workloads of
-/// `BENCH_batch.json` and the 16-trajectory noisy evaluation of `BENCH_noise.json` —
-/// the last two also at 14 qubits, the one register size of the end-to-end benchmark
-/// where a single state fills the `map_states` threshold.
+/// A Bell-pair job on 2 qubits: its evaluation costs microseconds, so a record of it
+/// times the service path around the evaluation.
+struct TinyJob(Arc<qcircuit::Circuit>, Arc<qop::PauliOp>);
+
+impl TinyJob {
+    fn new() -> Self {
+        let mut circ = qcircuit::Circuit::new(2);
+        circ.push(qcircuit::Gate::H(0));
+        circ.push(qcircuit::Gate::Cx(0, 1));
+        TinyJob(
+            Arc::new(circ),
+            Arc::new(qop::PauliOp::from_labels(2, &[("ZZ", 1.0)])),
+        )
+    }
+
+    fn job(&self) -> EvalJob {
+        EvalJob::new(
+            Arc::clone(&self.0),
+            Vec::new(),
+            InitialState::Basis(0),
+            Arc::clone(&self.1),
+        )
+    }
+}
+
+/// The slate workload's jobs: a circular HEA on `n` qubits charging a TFIM Hamiltonian,
+/// job `i` nudging every parameter by `0.001 · i`.
+struct SlateJobs {
+    circ: Arc<qcircuit::Circuit>,
+    base: Vec<f64>,
+    ham: Arc<qop::PauliOp>,
+}
+
+impl SlateJobs {
+    fn new(n: usize) -> Self {
+        let circ =
+            qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build();
+        SlateJobs {
+            base: workloads::ansatz_params(&circ),
+            circ: Arc::new(circ),
+            ham: Arc::new(workloads::tfim_hamiltonian(n)),
+        }
+    }
+
+    fn job(&self, i: usize) -> EvalJob {
+        let params: Vec<f64> = self.base.iter().map(|p| p + 0.001 * i as f64).collect();
+        EvalJob::new(
+            Arc::clone(&self.circ),
+            params,
+            InitialState::Basis(0),
+            Arc::clone(&self.ham),
+        )
+    }
+
+    /// Times 32 jobs from 4 clients, assembled under pause and released as one fair
+    /// round-robin slate, which the service coalesces into one batched driver call.
+    fn time_on(&self, id: &str, executor: &Executor) -> QuickRecord {
+        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
+        time_workload(id, 8, || {
+            executor.pause();
+            let handles: Vec<_> = (0..32)
+                .map(|i| clients[i % clients.len()].submit(self.job(i)).unwrap())
+                .collect();
+            executor.resume();
+            black_box(qexec::wait_all(&handles).unwrap());
+        })
+    }
+}
+
+/// Runs the deterministic quick suite: one 12-qubit representative per dense kernel
+/// family, the readout, compiled-execution and batched-evaluation paths (the last also
+/// at 14 qubits, the one register size of the end-to-end benchmark where a single state
+/// fills the `map_states` threshold), reference energies, Pauli propagation, a
+/// controller split and a miniature TreeVQA run, noisy evaluation, and the execution
+/// service in process and over loopback TCP.
 ///
-/// Iteration counts are fixed so a full run takes a few seconds; ids match the criterion
-/// benches exactly so records line up with the checked-in baselines id for id.
+/// Iteration counts are fixed so a full run takes seconds.
 pub fn run_quick_suite() -> Vec<QuickRecord> {
     let n = 12;
     let mut records = Vec::new();
@@ -158,7 +305,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             "hamiltonian_expectation/fast/12q",
             300,
             || {
-                std::hint::black_box(op.expectation(&state));
+                black_box(op.expectation(&state));
             },
         ));
     }
@@ -170,17 +317,89 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let mut out = state.zeros_like();
         records.push(time_workload("pauli_op_apply/tfim/12q", 300, || {
             ham.apply_into(&state, &mut out);
-            std::hint::black_box(&out);
+            black_box(&out);
         }));
         records.push(time_workload("lanczos_ground_energy_tfim_12q", 2, || {
-            std::hint::black_box(qop::ground_energy(&ham, &qop::LanczosOptions::default()));
+            black_box(qop::ground_energy(&ham, &qop::LanczosOptions::default()));
         }));
     }
-    // One readout per state (BENCH_kernels.json): a cluster's operator set read out
-    // operator by operator (`per_op`, what the drivers did before the term basis)
-    // against one fused `TermBasis` readout plus the contractions (`basis`); then what
-    // a request pays for its basis — built on an observable-cache miss (`build`),
-    // recognized on a hit (`lookup`).
+    {
+        // fig9's driver, the one product path above 14 qubits: truncated Pauli
+        // propagation of C2H2 through a 16-qubit linear HEA at fig9's truncation.
+        let ansatz =
+            qcircuit::HardwareEfficientAnsatz::new(16, 1, qcircuit::Entanglement::Linear).build();
+        let params: Vec<f64> = (0..ansatz.num_parameters())
+            .map(|i| 0.05 * i as f64)
+            .collect();
+        let ham = qchem::MoleculeSpec::c2h2().hamiltonian(1.2);
+        let prop = qsim::PauliPropagator::new(qsim::PauliPropagatorConfig {
+            max_weight: 4,
+            coefficient_threshold: 1e-6,
+            max_terms: 20_000,
+        });
+        records.push(time_workload("pauli_propagation_c2h2_16q", 4, || {
+            black_box(prop.expectation(&ansatz, &params, &ham, 0));
+        }));
+    }
+    {
+        // One controller split: the similarity matrix and spectral bipartition of a
+        // 10-task LiH application from its pairwise L1 Hamiltonian distances.
+        let molecule = qchem::MoleculeSpec::lih();
+        let hams: Vec<_> = molecule
+            .bond_lengths(10)
+            .into_iter()
+            .map(|b| molecule.hamiltonian(b))
+            .collect();
+        let distances: Vec<Vec<f64>> = hams
+            .iter()
+            .map(|a| hams.iter().map(|b| a.l1_distance(b)).collect())
+            .collect();
+        records.push(time_workload("spectral_bipartition_10_tasks", 400, || {
+            let sim = cluster::SimilarityMatrix::from_distances(&distances);
+            black_box(cluster::spectral_bipartition(&sim, 7));
+        }));
+    }
+    {
+        // A whole TreeVQA run in miniature — 30 cluster iterations over 3 H2 tasks —
+        // on a fresh executor, whose start and shutdown fall inside the timing.
+        let molecule = qchem::MoleculeSpec::h2();
+        let tasks: Vec<vqa::VqaTask> = molecule
+            .tasks(3)
+            .into_iter()
+            .map(|(bond, ham)| vqa::VqaTask::new(format!("r={bond:.3}"), bond, ham))
+            .collect();
+        let ansatz = qcircuit::HardwareEfficientAnsatz::new(
+            molecule.num_qubits,
+            1,
+            qcircuit::Entanglement::Circular,
+        )
+        .build();
+        let app = vqa::VqaApplication::new(
+            "bench",
+            tasks,
+            ansatz,
+            InitialState::Basis(molecule.hartree_fock_state()),
+        );
+        let config = treevqa::TreeVqaConfig {
+            max_cluster_iterations: 30,
+            record_every: 10,
+            ..Default::default()
+        };
+        records.push(time_workload(
+            "treevqa_30_iterations_h2_3_tasks",
+            20,
+            || {
+                let executor = Executor::single(StatevectorBackend::new());
+                let tree = treevqa::TreeVqa::new(app.clone(), config.clone());
+                black_box(tree.run(&executor).expect("well-formed"));
+            },
+        ));
+    }
+    // One readout per state: a cluster's operator set read out operator by operator
+    // (`per_op`, what the drivers did before the term basis) against one fused
+    // `TermBasis` readout plus the contractions (`basis`); then what a request pays
+    // for its basis — built on an observable-cache miss (`build`), recognized on a
+    // hit (`lookup`).
     for (name, ops, iters, plan_rows) in [
         ("tfim12_9ops", workloads::tfim12_cluster_ops(), 40, true),
         (
@@ -198,7 +417,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             iters,
             || {
                 for op in &ops {
-                    std::hint::black_box(op.expectation(&state));
+                    black_box(op.expectation(&state));
                 }
             },
         ));
@@ -210,7 +429,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             || {
                 basis.evaluate(&state, &mut values);
                 for op in 0..basis.num_ops() {
-                    std::hint::black_box(basis.op_value(op, &values));
+                    black_box(basis.op_value(op, &values));
                 }
             },
         ));
@@ -219,14 +438,14 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
                 &format!("expectation/basis/build/{name}"),
                 4000,
                 || {
-                    std::hint::black_box(qop::TermBasis::new(&refs));
+                    black_box(qop::TermBasis::new(&refs));
                 },
             ));
             records.push(time_workload(
                 &format!("expectation/basis/lookup/{name}"),
                 40000,
                 || {
-                    std::hint::black_box(basis.is_basis_of(refs.iter().copied()));
+                    black_box(basis.is_basis_of(refs.iter().copied()));
                 },
             ));
         }
@@ -240,7 +459,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let mut values = Vec::new();
         records.push(time_workload("expectation/basis/x0/12q", 2000, || {
             basis.evaluate(&state, &mut values);
-            std::hint::black_box(&values);
+            black_box(&values);
         }));
     }
     {
@@ -251,20 +470,22 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let mut scratch = qop::Statevector::zero_state(n);
         records.push(time_workload("circuit_exec/compiled/12q", 150, || {
             compiled.execute_into(&params, &initial, &mut scratch);
-            std::hint::black_box(&scratch);
+            black_box(&scratch);
         }));
         // The dense driver's entry: the same circuit started from a basis state, its
         // leading single-qubit layer written by doubling (the product prefix).
         records.push(time_workload("circuit_exec/from_basis/12q", 150, || {
             compiled.execute_from_basis(0, &params, &mut scratch, &[], None);
-            std::hint::black_box(&scratch);
+            black_box(&scratch);
         }));
     }
-    // The second id is the same batch on 2^14-amplitude registers, where any two
-    // states clear the `map_states` threshold on their own.
-    for (id, n, iters) in [
-        ("evaluate/batched/8", n, 30),
-        ("evaluate/batched/14q_8", 14, 3),
+    // An optimizer batch of 8 through `evaluate_batch`, against the same 8 candidates
+    // one `evaluate` call at a time at 12 qubits; the 14-qubit id is the same batch on
+    // 2^14-amplitude registers, where any two states clear the `map_states` threshold
+    // on their own.
+    for (batched_id, serial_id, n, iters) in [
+        ("evaluate/batched/8", Some("evaluate/serial/8"), n, 30),
+        ("evaluate/batched/14q_8", None, 14, 3),
     ] {
         let circ =
             qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build();
@@ -272,15 +493,35 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let ham = workloads::tfim_hamiltonian(n);
         let candidates = candidates_around(&base, 8);
         let mut backend = StatevectorBackend::with_shots(0);
-        records.push(time_workload(id, iters, || {
+        records.push(time_workload(batched_id, iters, || {
             let requests = candidate_requests(&circ, &candidates, &ham);
-            std::hint::black_box(backend.evaluate_batch(&requests));
+            black_box(backend.evaluate_batch(&requests));
         }));
+        if let Some(serial_id) = serial_id {
+            let mut backend = StatevectorBackend::with_shots(0);
+            records.push(time_workload(serial_id, iters, || {
+                for candidate in &candidates {
+                    black_box(backend.evaluate(
+                        &circ,
+                        candidate,
+                        &InitialState::Basis(0),
+                        &ham,
+                        &[],
+                    ));
+                }
+            }));
+        }
     }
     {
+        // 16 noise trajectories of one evaluation, against the ideal single rollout of
+        // the same circuit and Hamiltonian.
         let circ = workloads::rotation_heavy_ansatz(n, 2);
         let params = workloads::ansatz_params(&circ);
         let ham = workloads::zz_ring_hamiltonian(n);
+        let mut ideal = StatevectorBackend::with_shots(0);
+        records.push(time_workload("noisy_eval/ideal_baseline", 30, || {
+            black_box(ideal.evaluate(&circ, &params, &InitialState::Basis(0), &ham, &[]));
+        }));
         let mut backend = NoisyStatevectorBackend::with_policy(
             workloads::bench_noise_model(),
             0,
@@ -288,13 +529,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         )
         .with_trajectories(16);
         records.push(time_workload("noisy_eval/trajectories/16", 8, || {
-            std::hint::black_box(backend.evaluate(
-                &circ,
-                &params,
-                &InitialState::Basis(0),
-                &ham,
-                &[],
-            ));
+            black_box(backend.evaluate(&circ, &params, &InitialState::Basis(0), &ham, &[]));
         }));
     }
     {
@@ -314,153 +549,59 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         .with_trajectories(4);
         records.push(time_workload("noisy_eval/trajectories/14q_k4", 3, || {
             let requests = candidate_requests(&circ, &candidates, &ham);
-            std::hint::black_box(backend.evaluate_batch(&requests));
+            black_box(backend.evaluate_batch(&requests));
         }));
     }
+    let tiny = TinyJob::new();
+    let slate = SlateJobs::new(n);
     {
-        // Execution-service overhead (BENCH_exec.json): one probe-job round trip on a
-        // tiny register isolates the submit → schedule → complete → wake path; the
-        // evaluation itself is microseconds, so the record is dominated by service
-        // overhead.
-        let tiny = {
-            let mut c = qcircuit::Circuit::new(2);
-            c.push(qcircuit::Gate::H(0));
-            c.push(qcircuit::Gate::Cx(0, 1));
-            Arc::new(c)
-        };
-        let op = Arc::new(qop::PauliOp::from_labels(2, &[("ZZ", 1.0)]));
+        // Execution-service overhead: one probe-job round trip isolates the submit →
+        // schedule → complete → wake path.
         let executor = Executor::single(StatevectorBackend::with_shots(0));
         let client = executor.client();
         records.push(time_workload("exec/submit_probe/2q", 500, || {
-            let job = EvalJob::new(
-                Arc::clone(&tiny),
-                Vec::new(),
-                InitialState::Basis(0),
-                Arc::clone(&op),
-            );
-            std::hint::black_box(client.submit_probe(job).unwrap().wait().unwrap());
+            black_box(client.submit_probe(tiny.job()).unwrap().wait().unwrap());
         }));
+        // Executor jobs/s at 12q; the direct-backend counterpart is `evaluate/batched/8`,
+        // so the pair bounds the service's batching overhead.
+        records.push(slate.time_on("exec/jobs/4clients_32x12q", &executor));
     }
     {
-        // Executor jobs/s at 12q: 4 clients × 8 jobs assembled under pause and released
-        // as one fair round-robin slate, which the service coalesces into one batched
-        // driver submission — the direct-backend counterpart is `evaluate/batched/8`
-        // (BENCH_batch.json), so the two files together bound the service's batching
-        // overhead.
-        let circ = Arc::new(
-            qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build(),
-        );
-        let base = workloads::ansatz_params(&circ);
-        let ham = Arc::new(workloads::tfim_hamiltonian(n));
-        let executor = Executor::single(StatevectorBackend::with_shots(0));
-        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
-        records.push(time_workload("exec/jobs/4clients_32x12q", 8, || {
-            executor.pause();
-            let handles: Vec<_> = (0..32)
-                .map(|i| {
-                    let params: Vec<f64> = base.iter().map(|p| p + 0.001 * i as f64).collect();
-                    clients[i % clients.len()]
-                        .submit(EvalJob::new(
-                            Arc::clone(&circ),
-                            params,
-                            InitialState::Basis(0),
-                            Arc::clone(&ham),
-                        ))
-                        .unwrap()
-                })
-                .collect();
-            executor.resume();
-            std::hint::black_box(qexec::wait_all(&handles).unwrap());
-        }));
-    }
-    {
-        // Tracing overhead (BENCH_obs.json): the 4-client slate workload again with
-        // full observability on — the builder flag turns on span recording for this
-        // executor, and the process-wide flag makes the vqa cache counters tick
-        // too.  The median, compared against `exec/jobs/4clients_32x12q` above, bounds
-        // the fully-enabled tracing cost (the obs_bench binary records the pair and
-        // the derived overhead percentage).
-        let circ = Arc::new(
-            qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build(),
-        );
-        let base = workloads::ansatz_params(&circ);
-        let ham = Arc::new(workloads::tfim_hamiltonian(n));
+        // Tracing overhead: the same slate with full observability on — the builder
+        // flag records spans for this executor, and the process-wide flag makes the vqa
+        // cache counters tick too.  Its median against `exec/jobs/4clients_32x12q`
+        // bounds the fully-enabled tracing cost.
         qexec::qobs::set_enabled(true);
         let executor = Executor::builder()
             .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(0))
             .observability(true)
             .start();
-        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
-        records.push(time_workload("exec/obs/jobs_on/32x12q", 8, || {
-            executor.pause();
-            let handles: Vec<_> = (0..32)
-                .map(|i| {
-                    let params: Vec<f64> = base.iter().map(|p| p + 0.001 * i as f64).collect();
-                    clients[i % clients.len()]
-                        .submit(EvalJob::new(
-                            Arc::clone(&circ),
-                            params,
-                            InitialState::Basis(0),
-                            Arc::clone(&ham),
-                        ))
-                        .unwrap()
-                })
-                .collect();
-            executor.resume();
-            std::hint::black_box(qexec::wait_all(&handles).unwrap());
-        }));
+        records.push(slate.time_on("exec/obs/jobs_on/32x12q", &executor));
         // Force recording back off so the remaining workloads (and any executor they
         // construct) run untraced regardless of the ambient `QOBS` value.
         qexec::qobs::set_enabled(false);
     }
     {
-        // Admission-control overhead (BENCH_exec_overload.json): a paused executor
-        // whose 1-deep queue is already full, so every timed submission exercises the
-        // bounded-queue Reject fast path end to end — validate, admission scan,
-        // structured refusal — without any execution noise.
-        let tiny = {
-            let mut c = qcircuit::Circuit::new(2);
-            c.push(qcircuit::Gate::H(0));
-            c.push(qcircuit::Gate::Cx(0, 1));
-            Arc::new(c)
-        };
-        let op = Arc::new(qop::PauliOp::from_labels(2, &[("ZZ", 1.0)]));
+        // Admission-control overhead: a paused executor whose 1-deep queue is already
+        // full, so every timed submission exercises the bounded-queue Reject fast path
+        // end to end — validate, admission scan, structured refusal — without any
+        // execution noise.
         let executor = Executor::builder()
             .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(0))
             .queue_capacity(1)
             .paused()
             .start();
         let client = executor.client();
-        let _plug = client
-            .submit(EvalJob::new(
-                Arc::clone(&tiny),
-                Vec::new(),
-                InitialState::Basis(0),
-                Arc::clone(&op),
-            ))
-            .unwrap();
+        let _plug = client.submit(tiny.job()).unwrap();
         records.push(time_workload("exec/overload/reject/1cap", 2000, || {
-            let job = EvalJob::new(
-                Arc::clone(&tiny),
-                Vec::new(),
-                InitialState::Basis(0),
-                Arc::clone(&op),
-            );
-            std::hint::black_box(client.submit(job).unwrap_err());
+            black_box(client.submit(tiny.job()).unwrap_err());
         }));
     }
     {
-        // Load-shedding steady state (BENCH_exec_overload.json): an 8-deep queue under
-        // `ShedLowestPriority` with strictly escalating priorities, so once warm every
-        // timed submission admits the newcomer and evicts the current lowest-priority
-        // job — the record times the victim scan plus the evicted handle's completion.
-        let tiny = {
-            let mut c = qcircuit::Circuit::new(2);
-            c.push(qcircuit::Gate::H(0));
-            c.push(qcircuit::Gate::Cx(0, 1));
-            Arc::new(c)
-        };
-        let op = Arc::new(qop::PauliOp::from_labels(2, &[("ZZ", 1.0)]));
+        // Load-shedding steady state: an 8-deep queue under `ShedLowestPriority` with
+        // strictly escalating priorities, so once warm every timed submission admits the
+        // newcomer and evicts the current lowest-priority job — the record times the
+        // victim scan plus the evicted handle's completion.
         let executor = Executor::builder()
             .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(0))
             .queue_capacity(8)
@@ -471,34 +612,20 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let mut priority: i32 = 0;
         records.push(time_workload("exec/overload/shed/8cap", 2000, || {
             priority += 1;
-            let job = EvalJob::new(
-                Arc::clone(&tiny),
-                Vec::new(),
-                InitialState::Basis(0),
-                Arc::clone(&op),
-            );
             let opts = SubmitOptions {
                 priority,
                 ..SubmitOptions::default()
             };
-            std::hint::black_box(client.submit_with(job, &opts).unwrap());
+            black_box(client.submit_with(tiny.job(), &opts).unwrap());
         }));
     }
     {
-        // Network serving overhead (BENCH_net.json): the execution service again, but
-        // through real loopback TCP connections.  The probe round trip, compared
-        // against `exec/submit_probe/2q` above, bounds the wire cost per request
-        // (framing, codec, one socket round trip, demultiplexing); the `net/jobs/*`
-        // slates measure served jobs/s as the same 32-job 12q workload fans out over
-        // 1, 4, and 16 connections, each connection shipping its share as one batch
-        // frame (a coalesced slate server-side).
-        let tiny = {
-            let mut c = qcircuit::Circuit::new(2);
-            c.push(qcircuit::Gate::H(0));
-            c.push(qcircuit::Gate::Cx(0, 1));
-            Arc::new(c)
-        };
-        let op = Arc::new(qop::PauliOp::from_labels(2, &[("ZZ", 1.0)]));
+        // Network serving overhead: the execution service again, through real loopback
+        // TCP connections.  The probe round trip, against `exec/submit_probe/2q`,
+        // bounds the wire cost per request (framing, codec, one socket round trip,
+        // demultiplexing); the `net/jobs/*` slates measure served jobs/s as the same
+        // 32-job 12q workload fans out over 1, 4, and 16 connections, each connection
+        // shipping its share as one batch frame (a coalesced slate server-side).
         let executor = Arc::new(Executor::single(StatevectorBackend::with_shots(0)));
         let server = qnet::NetServer::bind("127.0.0.1:0", Arc::clone(&executor))
             .expect("bind loopback bench server");
@@ -506,20 +633,9 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             let client =
                 qnet::NetClient::connect(server.local_addr()).expect("connect bench client");
             records.push(time_workload("net/rtt/probe_2q", 300, || {
-                let job = EvalJob::new(
-                    Arc::clone(&tiny),
-                    Vec::new(),
-                    InitialState::Basis(0),
-                    Arc::clone(&op),
-                );
-                std::hint::black_box(client.submit_probe(job).unwrap().wait().unwrap());
+                black_box(client.submit_probe(tiny.job()).unwrap().wait().unwrap());
             }));
         }
-        let circ = Arc::new(
-            qcircuit::HardwareEfficientAnsatz::new(n, 2, qcircuit::Entanglement::Circular).build(),
-        );
-        let base = workloads::ansatz_params(&circ);
-        let ham = Arc::new(workloads::tfim_hamiltonian(n));
         for conns in [1usize, 4, 16] {
             let clients: Vec<_> = (0..conns)
                 .map(|_| qnet::NetClient::connect(server.local_addr()).expect("connect"))
@@ -533,26 +649,13 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
                         .iter()
                         .enumerate()
                         .map(|(c, client)| {
-                            let jobs: Vec<EvalJob> = (0..per_conn)
-                                .map(|i| {
-                                    let params: Vec<f64> = base
-                                        .iter()
-                                        .map(|p| p + 0.001 * (c * per_conn + i) as f64)
-                                        .collect();
-                                    EvalJob::new(
-                                        Arc::clone(&circ),
-                                        params,
-                                        InitialState::Basis(0),
-                                        Arc::clone(&ham),
-                                    )
-                                })
-                                .collect();
-                            client.submit_group(jobs).expect("batch submit")
+                            let jobs = (0..per_conn).map(|i| slate.job(c * per_conn + i));
+                            client.submit_group(jobs.collect()).expect("batch submit")
                         })
                         .collect();
                     for group in &groups {
                         for handle in group {
-                            std::hint::black_box(handle.wait().unwrap());
+                            black_box(handle.wait().unwrap());
                         }
                     }
                 },
@@ -563,65 +666,32 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
     records
 }
 
-/// Measures the fair-scheduling property itself: 4 clients × 8 jobs released as one
-/// slate must execute in exact round-robin order (client-position spread 0).  Returns
-/// `(clients, jobs_per_client, max_position_spread)` for the `BENCH_exec.json` fairness
-/// section.
-pub fn measure_fairness() -> (usize, usize, u64) {
-    let num_clients = 4usize;
-    let per_client = 8usize;
-    let circ = Arc::new(
-        qcircuit::HardwareEfficientAnsatz::new(6, 1, qcircuit::Entanglement::Linear).build(),
+/// Escapes `s` for a JSON string literal (quotes and backslashes; the suite writes no
+/// control characters).
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// Serializes a quick run: the [`Host`] header, then the `records` array, one record
+/// per line.
+pub fn to_json(host: &Host, records: &[QuickRecord]) -> String {
+    let mut out = format!(
+        "{{\n  \"host\": {{\"cpu_model\": {}, \"logical_cpus\": {}, \"rayon_threads\": {}, \
+         \"rustc\": {}, \"commit\": {}}},\n  \"records\": [\n",
+        json_str(&host.cpu_model),
+        host.logical_cpus,
+        host.rayon_threads,
+        json_str(&host.rustc),
+        json_str(&host.commit),
     );
-    let params = workloads::ansatz_params(&circ);
-    let ham = Arc::new(workloads::tfim_hamiltonian(6));
-    let executor = Executor::single(StatevectorBackend::with_shots(0));
-    executor.pause();
-    let clients: Vec<_> = (0..num_clients).map(|_| executor.client()).collect();
-    let mut handles = Vec::new();
-    for (c, client) in clients.iter().enumerate() {
-        for j in 0..per_client {
-            let handle = client
-                .submit(EvalJob::new(
-                    Arc::clone(&circ),
-                    params.clone(),
-                    InitialState::Basis(0),
-                    Arc::clone(&ham),
-                ))
-                .unwrap();
-            handles.push((c, j, handle));
-        }
-    }
-    executor.resume();
-    let mut spread = 0u64;
-    for (c, j, handle) in &handles {
-        handle.wait().unwrap();
-        let expected = (j * num_clients + c) as u64;
-        let actual = handle.sequence().expect("executed");
-        spread = spread.max(actual.abs_diff(expected));
-    }
-    (num_clients, per_client, spread)
-}
-
-/// Serializes one record as a `BENCH_*.json` object (no indentation or separator) —
-/// the single definition of the record schema, shared by [`records_to_json`] and the
-/// `exec_bench` baseline writer so the files cannot drift apart.
-pub fn record_to_json(r: &QuickRecord) -> String {
-    format!(
-        "{{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}",
-        r.id, r.median_ns, r.mean_ns, r.min_ns, r.max_ns, r.samples, r.iters_per_sample,
-    )
-}
-
-/// Serializes records in the `BENCH_*.json` array schema.
-pub fn records_to_json(records: &[QuickRecord]) -> String {
-    let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&record_to_json(r));
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
+        out.push_str(&format!(
+            "    {{\"id\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
+            json_str(&r.id), r.median_ns, r.mean_ns, r.min_ns, r.max_ns, r.samples, r.iters_per_sample,
+            if i + 1 < records.len() { "," } else { "" },
+        ));
     }
-    out.push_str("]\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -643,13 +713,30 @@ mod tests {
 
     #[test]
     fn records_serialize_as_an_array_in_the_bench_schema() {
-        let json = records_to_json(&[record("x/fast/12q", 42.0), record("y/fast/12q", 7.0)]);
+        let host = Host {
+            cpu_model: "Test \"CPU\" @ 2.0GHz".into(),
+            logical_cpus: 2,
+            rayon_threads: 2,
+            rustc: "rustc 1.79.0 (129f3b996 2024-06-10)".into(),
+            commit: "unknown".into(),
+        };
+        let json = to_json(
+            &host,
+            &[record("x/fast/12q", 42.0), record("y/fast/12q", 7.0)],
+        );
         assert_eq!(
             json,
-            "[\n  {\"id\": \"x/fast/12q\", \"median_ns\": 42.0, \"mean_ns\": 42.0, \
-             \"min_ns\": 42.0, \"max_ns\": 42.0, \"samples\": 1, \"iters_per_sample\": 1},\n  \
+            "{\n  \"host\": {\"cpu_model\": \"Test \\\"CPU\\\" @ 2.0GHz\", \"logical_cpus\": 2, \
+             \"rayon_threads\": 2, \"rustc\": \"rustc 1.79.0 (129f3b996 2024-06-10)\", \
+             \"commit\": \"unknown\"},\n  \"records\": [\n    \
+             {\"id\": \"x/fast/12q\", \"median_ns\": 42.0, \"mean_ns\": 42.0, \
+             \"min_ns\": 42.0, \"max_ns\": 42.0, \"samples\": 1, \"iters_per_sample\": 1},\n    \
              {\"id\": \"y/fast/12q\", \"median_ns\": 7.0, \"mean_ns\": 7.0, \"min_ns\": 7.0, \
-             \"max_ns\": 7.0, \"samples\": 1, \"iters_per_sample\": 1}\n]\n"
+             \"max_ns\": 7.0, \"samples\": 1, \"iters_per_sample\": 1}\n  ]\n}\n"
         );
+        // The detected host never fails: every field has a value, if only "unknown".
+        let detected = Host::detect();
+        assert!(!detected.cpu_model.is_empty() && !detected.rustc.is_empty());
+        assert!(!detected.commit.is_empty() && detected.rayon_threads >= 1);
     }
 }

@@ -1,10 +1,8 @@
 //! Shared benchmark workload builders.
 //!
-//! The criterion benches (`benches/kernels.rs`, `benches/batch.rs`, `benches/noise.rs`)
-//! and the deterministic quick-bench mode ([`crate::quick`]) must measure **the same**
-//! states, strings, Hamiltonians and ansätze — otherwise a quick run and the checked-in
-//! `BENCH_*.json` record of the same id would not be the same measurement.  Every
-//! workload they share is built here and nowhere else.
+//! The quick bench ([`crate::quick`]) and the end-to-end benchmark package build their
+//! states, strings, Hamiltonians and ansätze here, so a record of one id in
+//! `BENCH_quick.json` and every later run of that id measure the same workload.
 
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliOp, PauliString, Statevector};

@@ -6,8 +6,8 @@
 //! `Executor::stats()` was seven ad-hoc counters behind the queue lock and nothing
 //! recorded which gate sequences were hot.  `qobs` supplies the missing primitives,
 //! built so that the *disabled* configuration costs nothing measurable (one branch
-//! per site) and the *enabled* configuration stays under a few percent on the
-//! `exec_bench` workloads:
+//! per site); what the *enabled* configuration costs is timed by the quick bench's
+//! `exec/obs/jobs_on/32x12q` row against its untraced twin `exec/jobs/4clients_32x12q`:
 //!
 //! * [`Counters`] — a sharded set of named atomic event counters.  Each thread
 //!   increments its own cache-line-padded shard with a relaxed `fetch_add`, so

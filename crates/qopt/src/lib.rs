@@ -94,8 +94,9 @@ pub trait Optimizer {
     fn name(&self) -> &'static str;
 
     /// Resets internal state (iteration counters, simplex caches, pending phases) so the
-    /// optimizer can be reused for a fresh run with inherited parameters — which is what
-    /// TreeVQA's child clusters do after a split.
+    /// optimizer can be reused for a fresh run with inherited parameters.  TreeVQA's
+    /// child clusters do not call it: each child builds a fresh optimizer from its
+    /// [`OptimizerSpec`] after a split.
     fn reset(&mut self);
 }
 

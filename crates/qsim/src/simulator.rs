@@ -52,8 +52,7 @@
 //!
 //! The original straightforward kernels are retained in [`reference`] on **interleaved**
 //! `Complex64` storage (converting at entry/exit), so the equivalence suites pin the
-//! split-lane kernels against a genuinely independent layout; the `treevqa_bench`
-//! criterion benches quantify the speedup.
+//! split-lane kernels against a genuinely independent layout.
 
 use qcircuit::{Circuit, Gate};
 use qop::lanes::{i_power, parity_sign, SignTable, LANES, SIGN_BLOCK};
@@ -847,10 +846,8 @@ pub mod reference {
     //! storage at entry and back at exit ([`Statevector::to_amplitudes`] /
     //! [`Statevector::copy_from_amplitudes`]), so the reference path never depends on
     //! the SoA layout it is pinning — the equivalence suites compare two genuinely
-    //! different storage schemes.  [`run_circuit`] converts **once per circuit**, and
-    //! the criterion benches time the `*_amps` forms, so the committed naive baselines
-    //! measure the naive algorithm, not layout conversion.  Nothing but property tests
-    //! and the benches should call any of this.
+    //! different storage schemes.  [`run_circuit`] converts **once per circuit**.
+    //! Nothing but the equivalence and property tests should call any of this.
 
     use super::Matrix2;
     use qop::{Complex64, PauliString, Statevector};

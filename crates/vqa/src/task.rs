@@ -181,7 +181,7 @@ impl VqaApplication {
     }
 
     /// The minimum fidelity across all tasks for a vector of achieved energies (the
-    /// paper's aggregate acceptance criterion: every task must meet the threshold).
+    /// paper's aggregate acceptance test: every task must meet the threshold).
     ///
     /// Returns `None` if any task lacks a reference energy.
     ///

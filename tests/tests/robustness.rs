@@ -125,31 +125,34 @@ fn concurrent_client_churn_keeps_slot_table_bounded() {
 
 /// `Reject` is the default policy: a full global queue fails the submission with
 /// `Overloaded` immediately, already-accepted jobs are unaffected, and the rejection
-/// counter records every refusal.
+/// counter records every refusal.  Two bursts into a paused executor: 8 into a queue of
+/// 4, and the fixed overload scenario of 256 into 64.
 #[test]
 fn reject_policy_fails_submissions_beyond_capacity() {
     let circuit = demo_circuit(3);
     let op = demo_op(3);
-    let executor = Executor::builder()
-        .register(qexec::DEFAULT_BACKEND, StatevectorBackend::new())
-        .queue_capacity(4)
-        .paused()
-        .start();
-    let client = executor.client();
-    let handles: Vec<JobHandle> = (0..4)
-        .map(|j| client.submit(demo_job(&circuit, &op, j)).unwrap())
-        .collect();
-    for j in 4..8 {
-        assert_eq!(
-            client.submit(demo_job(&circuit, &op, j)).unwrap_err(),
-            ExecError::Overloaded,
-            "submission {j} should bounce off the full queue"
-        );
-    }
-    assert_eq!(executor.stats().rejected, 4);
-    executor.resume();
-    for handle in &handles {
-        handle.wait().expect("accepted jobs still complete");
+    for (capacity, submitted) in [(4, 8), (64, 256)] {
+        let executor = Executor::builder()
+            .register(qexec::DEFAULT_BACKEND, StatevectorBackend::new())
+            .queue_capacity(capacity)
+            .paused()
+            .start();
+        let client = executor.client();
+        let handles: Vec<JobHandle> = (0..capacity)
+            .map(|j| client.submit(demo_job(&circuit, &op, j)).unwrap())
+            .collect();
+        for j in capacity..submitted {
+            assert_eq!(
+                client.submit(demo_job(&circuit, &op, j)).unwrap_err(),
+                ExecError::Overloaded,
+                "submission {j} should bounce off the full queue of {capacity}"
+            );
+        }
+        assert_eq!(executor.stats().rejected, (submitted - capacity) as u64);
+        executor.resume();
+        for handle in &handles {
+            handle.wait().expect("accepted jobs still complete");
+        }
     }
 }
 
