@@ -10,6 +10,23 @@
 //! gate is the repository benchmark (`BENCHMARK.json`), which runs parent and change on
 //! one host.
 //!
+//! # Paired ids
+//!
+//! Records meant to be read against each other are timed by `time_pair`, whose samples
+//! alternate A, B, A, B…, so drift of the host falls on both sides alike:
+//! `evaluate/batched/8` with `evaluate/serial/8`, and `exec/jobs/4clients_32x12q` with
+//! `exec/obs/jobs_on/32x12q` (tracing off and on).
+//!
+//! # Attribution ids
+//!
+//! - `par/region/empty_2x4096`: one parallel region of the vendored rayon around empty
+//!   work — two pieces of 4096 indices — the spawn-and-join cost that
+//!   `qop::par::map_states` pays per chunk it spreads (no spawn at one rayon thread).
+//! - `expectation/basis/diag11/12q` and `expectation/basis/xfield/12q`: the two halves
+//!   of a 12-site TFIM readout, its 11 ZZ strings (one diagonal group) and its 12
+//!   single-X strings (twelve off-diagonal groups), beside the whole cluster's
+//!   `expectation/basis/tfim12_9ops` and the diagonal `expectation/basis/maxcut14_5ops`.
+//!
 //! # Retired ids
 //!
 //! Earlier per-layer files carried ids this suite does not time, each for one reason:
@@ -116,20 +133,17 @@ impl Host {
 /// Samples per workload (fixed; sample 0 is preceded by one untimed warmup pass).
 const QUICK_SAMPLES: usize = 9;
 
-fn time_workload(id: &str, iters: usize, mut f: impl FnMut()) -> QuickRecord {
-    // One untimed warmup pass populates caches and faults in the state memory.
+/// Wall time per iteration of one sample of `iters` iterations, in nanoseconds.
+fn sample(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
     for _ in 0..iters {
         f();
     }
-    let mut per_iter: Vec<f64> = (0..QUICK_SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The record of `id` from its per-iteration sample times.
+fn record(id: &str, iters: usize, mut per_iter: Vec<f64>) -> QuickRecord {
     per_iter.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = per_iter[per_iter.len() / 2];
     let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
@@ -139,9 +153,35 @@ fn time_workload(id: &str, iters: usize, mut f: impl FnMut()) -> QuickRecord {
         mean_ns: mean,
         min_ns: per_iter[0],
         max_ns: *per_iter.last().unwrap(),
-        samples: QUICK_SAMPLES,
+        samples: per_iter.len(),
         iters_per_sample: iters,
     }
+}
+
+fn time_workload(id: &str, iters: usize, mut f: impl FnMut()) -> QuickRecord {
+    // One untimed warmup pass populates caches and faults in the state memory.
+    sample(iters, &mut f);
+    let per_iter = (0..QUICK_SAMPLES).map(|_| sample(iters, &mut f)).collect();
+    record(id, iters, per_iter)
+}
+
+/// Times two workloads whose records are read against each other, their samples
+/// alternating A, B, A, B…: a slow stretch of the host lands on both records alike
+/// instead of on whichever ran during it.
+fn time_pair(
+    [id_a, id_b]: [&str; 2],
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> [QuickRecord; 2] {
+    sample(iters, &mut a);
+    sample(iters, &mut b);
+    let (mut per_a, mut per_b) = (Vec::new(), Vec::new());
+    for _ in 0..QUICK_SAMPLES {
+        per_a.push(sample(iters, &mut a));
+        per_b.push(sample(iters, &mut b));
+    }
+    [record(id_a, iters, per_a), record(id_b, iters, per_b)]
 }
 
 /// `count` candidate parameter vectors stepping away from `base`: an optimizer batch.
@@ -224,18 +264,15 @@ impl SlateJobs {
         )
     }
 
-    /// Times 32 jobs from 4 clients, assembled under pause and released as one fair
+    /// Runs 32 jobs from `clients`, assembled under pause and released as one fair
     /// round-robin slate, which the service coalesces into one batched driver call.
-    fn time_on(&self, id: &str, executor: &Executor) -> QuickRecord {
-        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
-        time_workload(id, 8, || {
-            executor.pause();
-            let handles: Vec<_> = (0..32)
-                .map(|i| clients[i % clients.len()].submit(self.job(i)).unwrap())
-                .collect();
-            executor.resume();
-            black_box(qexec::wait_all(&handles).unwrap());
-        })
+    fn run_on(&self, executor: &Executor, clients: &[qexec::ExecClient]) {
+        executor.pause();
+        let handles: Vec<_> = (0..32)
+            .map(|i| clients[i % clients.len()].submit(self.job(i)).unwrap())
+            .collect();
+        executor.resume();
+        black_box(qexec::wait_all(&handles).unwrap());
     }
 }
 
@@ -451,6 +488,30 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         }
     }
     {
+        // The two halves of the TFIM readout apart: its ZZ strings (one diagonal group)
+        // and its X field (one single-string group per qubit).
+        let tfim = qchem::transverse_field_ising(n, 1.0, 1.0);
+        let state = workloads::dense_state(n);
+        for (name, diagonal) in [("diag11", true), ("xfield", false)] {
+            let mut half = qop::PauliOp::zero(n);
+            for term in tfim.terms() {
+                if (term.string.x_mask() == 0) == diagonal {
+                    half.add_term(term.string, term.coefficient);
+                }
+            }
+            let basis = qop::TermBasis::new(&[&half]);
+            let mut values = Vec::new();
+            records.push(time_workload(
+                &format!("expectation/basis/{name}/12q"),
+                400,
+                || {
+                    basis.evaluate(&state, &mut values);
+                    black_box(&values);
+                },
+            ));
+        }
+    }
+    {
         // The readout of one X-string group on the lowest pivot.
         let mut x0 = qop::PauliOp::zero(n);
         x0.add_term(qop::PauliString::from_masks(1, 0, n), 1.0);
@@ -480,9 +541,9 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         }));
     }
     // An optimizer batch of 8 through `evaluate_batch`, against the same 8 candidates
-    // one `evaluate` call at a time at 12 qubits; the 14-qubit id is the same batch on
-    // 2^14-amplitude registers, where any two states clear the `map_states` threshold
-    // on their own.
+    // one `evaluate` call at a time at 12 qubits (samples alternating); the 14-qubit
+    // id is the same batch on 2^14-amplitude registers, where any two states clear the
+    // `map_states` threshold on their own.
     for (batched_id, serial_id, n, iters) in [
         ("evaluate/batched/8", Some("evaluate/serial/8"), n, 30),
         ("evaluate/batched/14q_8", None, 14, 3),
@@ -493,24 +554,27 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let ham = workloads::tfim_hamiltonian(n);
         let candidates = candidates_around(&base, 8);
         let mut backend = StatevectorBackend::with_shots(0);
-        records.push(time_workload(batched_id, iters, || {
+        let batched = || {
             let requests = candidate_requests(&circ, &candidates, &ham);
             black_box(backend.evaluate_batch(&requests));
-        }));
-        if let Some(serial_id) = serial_id {
-            let mut backend = StatevectorBackend::with_shots(0);
-            records.push(time_workload(serial_id, iters, || {
-                for candidate in &candidates {
-                    black_box(backend.evaluate(
-                        &circ,
-                        candidate,
-                        &InitialState::Basis(0),
-                        &ham,
-                        &[],
-                    ));
-                }
-            }));
-        }
+        };
+        let Some(serial_id) = serial_id else {
+            records.push(time_workload(batched_id, iters, batched));
+            continue;
+        };
+        let mut serial_backend = StatevectorBackend::with_shots(0);
+        let serial = || {
+            for candidate in &candidates {
+                black_box(serial_backend.evaluate(
+                    &circ,
+                    candidate,
+                    &InitialState::Basis(0),
+                    &ham,
+                    &[],
+                ));
+            }
+        };
+        records.extend(time_pair([batched_id, serial_id], iters, batched, serial));
     }
     {
         // 16 noise trajectories of one evaluation, against the ideal single rollout of
@@ -552,6 +616,15 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             black_box(backend.evaluate_batch(&requests));
         }));
     }
+    {
+        // One parallel region around empty work (see the module docs).
+        use rayon::prelude::*;
+        records.push(time_workload("par/region/empty_2x4096", 200, || {
+            (0..8192).into_par_iter().with_min_len(4096).for_each(|i| {
+                black_box(i);
+            });
+        }));
+    }
     let tiny = TinyJob::new();
     let slate = SlateJobs::new(n);
     {
@@ -563,20 +636,28 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             black_box(client.submit_probe(tiny.job()).unwrap().wait().unwrap());
         }));
         // Executor jobs/s at 12q; the direct-backend counterpart is `evaluate/batched/8`,
-        // so the pair bounds the service's batching overhead.
-        records.push(slate.time_on("exec/jobs/4clients_32x12q", &executor));
-    }
-    {
-        // Tracing overhead: the same slate with full observability on — the builder
-        // flag records spans for this executor, and the process-wide flag makes the vqa
-        // cache counters tick too.  Its median against `exec/jobs/4clients_32x12q`
-        // bounds the fully-enabled tracing cost.
-        qexec::qobs::set_enabled(true);
-        let executor = Executor::builder()
+        // so the pair bounds the service's batching overhead.  Beside it, samples
+        // alternating, the same slate with full observability on — the builder flag
+        // records spans for that executor, and the process-wide flag makes the vqa
+        // cache counters tick too — so the pair bounds the fully-enabled tracing cost.
+        let traced = Executor::builder()
             .register(qexec::DEFAULT_BACKEND, StatevectorBackend::with_shots(0))
             .observability(true)
             .start();
-        records.push(slate.time_on("exec/obs/jobs_on/32x12q", &executor));
+        let clients: Vec<_> = (0..4).map(|_| executor.client()).collect();
+        let traced_clients: Vec<_> = (0..4).map(|_| traced.client()).collect();
+        records.extend(time_pair(
+            ["exec/jobs/4clients_32x12q", "exec/obs/jobs_on/32x12q"],
+            8,
+            || {
+                qexec::qobs::set_enabled(false);
+                slate.run_on(&executor, &clients);
+            },
+            || {
+                qexec::qobs::set_enabled(true);
+                slate.run_on(&traced, &traced_clients);
+            },
+        ));
         // Force recording back off so the remaining workloads (and any executor they
         // construct) run untraced regardless of the ambient `QOBS` value.
         qexec::qobs::set_enabled(false);

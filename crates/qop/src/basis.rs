@@ -21,19 +21,35 @@
 //! Strings are partitioned into one **diagonal** group (`x_mask == 0`) and
 //! **off-diagonal** groups of equal `x_mask`:
 //!
-//! * the diagonal group shares `|ψ_b|²`: it is computed once per 256-amplitude block and
-//!   every string's sign stream (the [`crate::lanes::SignTable`] factorization, over
-//!   process-wide memoized low tables) is applied to it;
+//! * the diagonal group shares `|ψ_b|²`, and every string applies its own sign stream
+//!   to it (the [`crate::lanes::SignTable`] factorization, over process-wide memoized
+//!   low tables);
 //! * an off-diagonal group shares the involution pairing `b ↔ b ⊕ x` and with it the
-//!   pair products `d = Re(conj(ψ_{b⊕x})·ψ_b)`, `e = Im(conj(ψ_{b⊕x})·ψ_b)`, computed
-//!   once per block of pairs; each string contributes only its own sign and `i^{n_Y}`.
+//!   pair products `d = Re(conj(ψ_{b⊕x})·ψ_b)`, `e = Im(conj(ψ_{b⊕x})·ψ_b)`; each
+//!   string contributes only its own sign and `i^{n_Y}`.
 //!
-//! Every string keeps its own 4-lane accumulators, its own block order and the
-//! expression order of the single-string kernels this module replaced, so sharing the
-//! per-block products changes no bit of any per-string value (Rust never contracts
-//! `a * b + c` into an FMA).  Registers below one 256-amplitude block have nothing to
-//! hoist per block: each string there is one scalar sum in index order, and the kernels
-//! only run a few strings' sums side by side to hide the add latency.
+//! Each string's value is a chain of dependent adds into its own accumulator — four
+//! lanes over 256-amplitude blocks (one lane, in pair order, when the pivot is below 2)
+//! — and a lone chain runs at the latency of one add per step, not at the speed of the
+//! arithmetic.  So on registers of at least 256 amplitudes the readout walks the state
+//! in **passes**, each running several strings' chains side by side: up to four
+//! diagonal strings over each 4-lane chunk's `|ψ_b|²`; up to four strings of one
+//! off-diagonal group over each chunk's `d`/`e`; up to four single-string groups of
+//! pivot ≥ 2 with the same lane permutation, each over its own products; up to four
+//! pivot < 2 strings, their scalar chains interleaved.  Products are computed inside
+//! the pass that folds them; no block buffer is written and read back.
+//!
+//! No bit of any per-string value can move with the pass it lands in: every string
+//! keeps its own accumulators, its own block and chunk order and the expression of the
+//! single-string kernels this module replaced, and Rust never contracts `a * b + c`
+//! into an FMA — only the interleaving across strings differs.  (The sign multiplier
+//! `hs · low[j]` — hoisted block sign times low-table sign — is read from a memoized
+//! `[low, −low]` table instead of multiplied per element: a product of two ±1.0 is
+//! exact, so the multiplier, and every term it scales, is the same bits.)
+//!
+//! Registers below one 256-amplitude block have nothing to hoist per block: each string
+//! there is one scalar sum in index order, and the kernels only run a few strings' sums
+//! side by side to hide the add latency.
 //!
 //! # Determinism contracts
 //!
@@ -47,7 +63,7 @@
 //!   spreads whole states over the threads, never one state's amplitudes).
 
 use crate::complex::Complex64;
-use crate::lanes::{i_power, low_sign_table, parity_sign, LANES, SIGN_BLOCK};
+use crate::lanes::{i_power, signed_low_tables, LANES, SIGN_BLOCK, SIGN_BLOCK_BITS};
 use crate::op::PauliOp;
 use crate::pauli::PauliString;
 use crate::statevector::Statevector;
@@ -91,24 +107,34 @@ fn pair_space_mask(z: u64, pbit: usize) -> u64 {
 }
 
 /// `sign(j) = parity_sign(j & high_mask) · low[j & 255]`: the [`crate::lanes::SignTable`]
-/// factorization over a shared, memoized low table.
+/// factorization over shared, memoized low tables.
 struct Signs {
-    low: &'static [f64; SIGN_BLOCK],
+    /// `[low, −low]` ([`signed_low_tables`]).
+    tables: [&'static [f64; SIGN_BLOCK]; 2],
     high_mask: u64,
 }
 
 impl Signs {
     fn new(mask: u64) -> Self {
         Signs {
-            low: low_sign_table(mask as u8),
+            tables: signed_low_tables(mask as u8),
             high_mask: mask & !(SIGN_BLOCK as u64 - 1),
         }
     }
 
-    /// The hoisted per-block factor.
+    /// The low table, `low[j] = (−1)^popcount(j & mask & 255)`.
     #[inline(always)]
-    fn block_sign(&self, block_start: usize) -> f64 {
-        parity_sign(block_start as u64 & self.high_mask)
+    fn low(&self) -> &'static [f64; SIGN_BLOCK] {
+        self.tables[0]
+    }
+
+    /// The sign stream of the block starting at `block_start`: entry `j` is exactly
+    /// `hs · low[j]`, with `hs = parity_sign(block_start & high_mask)` the hoisted
+    /// per-block factor (both ±1.0, so the product is exact).
+    #[inline(always)]
+    fn block_low(&self, block_start: usize) -> &'static [f64; SIGN_BLOCK] {
+        let odd = (block_start as u64 & self.high_mask).count_ones() & 1;
+        self.tables[odd as usize]
     }
 }
 
@@ -136,8 +162,12 @@ pub struct TermBasis {
     strings: Vec<PauliString>,
     /// Slot of the identity string when it is pinned to exactly 1.0.
     pinned_identity: Option<usize>,
-    /// Every evaluated string, sorted by `x` (the diagonal group first).
+    /// Every evaluated string, in kernel-pass order: each pass is a contiguous run, and
+    /// so is each group of equal `x` (the diagonal group first).
     members: Vec<Member>,
+    /// The kernel passes of a register of at least [`SIGN_BLOCK`] amplitudes (none
+    /// below).
+    passes: Vec<Pass>,
     /// Every operator's terms, concatenated; operator `i` owns
     /// `terms[op_ends[i - 1]..op_ends[i]]`.
     terms: Vec<BasisTerm>,
@@ -237,17 +267,25 @@ impl TermBasis {
             });
         }
         members.sort_by_key(|m| m.x);
+        // The sub-block kernels walk the groups only.
+        let passes = if num_qubits >= SIGN_BLOCK_BITS {
+            plan_passes(&mut members)
+        } else {
+            Vec::new()
+        };
         TermBasis {
             num_qubits,
             strings,
             pinned_identity,
             members,
+            passes,
             terms,
             op_ends,
         }
     }
 
-    /// The kernel groups: maximal runs of members with equal `x`, diagonal first.
+    /// The kernel groups: maximal runs of members with equal `x`, diagonal first (the
+    /// sub-[`SIGN_BLOCK`] kernels walk these; larger registers walk the passes).
     fn groups(&self) -> impl Iterator<Item = &[Member]> {
         self.members.chunk_by(|a, b| a.x == b.x)
     }
@@ -318,12 +356,11 @@ impl TermBasis {
         values.clear();
         values.resize(self.strings.len(), 0.0);
         let (re, im) = psi.lanes();
-        // Per-block products shared by a group's strings: |ψ_b|² of the diagonal group
-        // (in `d`), the pair products d/e of an off-diagonal one.
-        let (mut d, mut e): (Block, Block) = ([0.0; SIGN_BLOCK], [0.0; SIGN_BLOCK]);
         if re.len() < SIGN_BLOCK {
             // Below one table block there is nothing to hoist per block: the low
-            // table alone is the whole sign, and every sum is one scalar chain.
+            // table alone is the whole sign, and every sum is one scalar chain.  The
+            // group's shared products: |ψ_b|² (in `d`), or the pair products d/e.
+            let (mut d, mut e): (Block, Block) = ([0.0; SIGN_BLOCK], [0.0; SIGN_BLOCK]);
             for group in self.groups() {
                 if group[0].x == 0 {
                     diagonal_tiny(re, im, group, &mut d, values);
@@ -332,16 +369,8 @@ impl TermBasis {
                 }
             }
         } else {
-            let largest = self.groups().map(<[Member]>::len).max().unwrap_or(0);
-            let mut acc = vec![[0.0f64; LANES]; largest];
-            for group in self.groups() {
-                let acc = &mut acc[..group.len()];
-                acc.fill([0.0; LANES]);
-                if group[0].x == 0 {
-                    diagonal_blocks(re, im, group, &mut d, acc, values);
-                } else {
-                    pair_blocks(re, im, group, (&mut d, &mut e), acc, values);
-                }
+            for pass in &self.passes {
+                pass.run(re, im, &self.members[pass.members.clone()], values);
             }
         }
         if let Some(slot) = self.pinned_identity {
@@ -421,7 +450,7 @@ fn diagonal_tiny(re: &[f64], im: &[f64], group: &[Member], p: &mut Block, values
     tiny_sums(
         group,
         p.len(),
-        |m, b| m.signs.low[b] * p[b],
+        |m, b| m.signs.low()[b] * p[b],
         |m, sum| values[m.slot] = sum,
     );
 }
@@ -449,173 +478,287 @@ fn pairs_tiny(
     tiny_sums(
         group,
         pairs,
-        |m, u| m.signs.low[u] * (m.g.re * d[u] - m.g.im * e[u]),
+        |m, u| m.signs.low()[u] * (m.g.re * d[u] - m.g.im * e[u]),
         |m, sum| values[m.slot] = 2.0 * sum,
     );
 }
 
-/// The fused diagonal kernel over a register of at least [`SIGN_BLOCK`] amplitudes: one
-/// `|ψ_b|²` per block, every string's sign table applied to it.  The sign factors
-/// through a 256-entry low table (a contiguous multiplier stream) with the high-bit
-/// sign hoisted per block.
-fn diagonal_blocks(
-    re: &[f64],
-    im: &[f64],
-    group: &[Member],
-    p: &mut Block,
-    acc: &mut [[f64; LANES]],
-    values: &mut [f64],
-) {
-    for b in (0..re.len()).step_by(SIGN_BLOCK) {
-        let (r, i) = (&re[b..b + SIGN_BLOCK], &im[b..b + SIGN_BLOCK]);
-        for ((p, r), i) in p.iter_mut().zip(r).zip(i) {
-            *p = r * r + i * i;
+/// Strings whose accumulator chains one diagonal, shared-product or low-pivot pass runs
+/// side by side.  A lone chain waits on its own add latency at every step; four
+/// interleaved chains keep the vector units busy instead.
+const K: usize = 4;
+
+/// Single-string off-diagonal groups (pivot ≥ 2) one spread pass folds side by side.
+const G: usize = 4;
+
+/// What a kernel pass folds, and so how it walks the register.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    /// Up to [`K`] diagonal strings over one `|ψ_b|²` per amplitude.
+    Diagonal,
+    /// Up to [`K`] strings of one off-diagonal group (pivot ≥ 2) over its pair
+    /// products.
+    Shared,
+    /// Up to [`G`] single-string off-diagonal groups (pivot ≥ 2) of equal lane
+    /// permutation `x & 3`, each over its own pair products.
+    Spread,
+    /// Up to [`K`] strings with `x ∈ {1, 2, 3}` (pivot < 2), one scalar chain each.
+    LowPivot,
+}
+
+/// One pass of the readout over a register of at least [`SIGN_BLOCK`] amplitudes: the
+/// members `members` (a contiguous run of [`TermBasis`]'s member order), walked once.
+struct Pass {
+    kind: Kind,
+    members: std::ops::Range<usize>,
+}
+
+/// Reorders `members`, sorted by `x`, into pass order and returns the passes.  Which
+/// string shares a pass with which changes no bit: every string keeps its own
+/// accumulators.
+fn plan_passes(members: &mut Vec<Member>) -> Vec<Pass> {
+    // Each member's pass kind, and the key of the run of members it may share a pass
+    // with: its group for a shared pass, its lane permutation for a spread one.
+    let keys: Vec<(Kind, usize)> = members
+        .chunk_by(|a, b| a.x == b.x)
+        .flat_map(|group| {
+            let x = group[0].x;
+            let key = match x {
+                0 => (Kind::Diagonal, 0),
+                1..=3 => (Kind::LowPivot, 0),
+                _ if group.len() > 1 => (Kind::Shared, x),
+                _ => (Kind::Spread, x & (LANES - 1)),
+            };
+            std::iter::repeat(key).take(group.len())
+        })
+        .collect();
+    let mut keyed: Vec<((Kind, usize), Member)> = keys.into_iter().zip(members.drain(..)).collect();
+    // `x` breaks ties, so equal-`x` members stay contiguous; slots are unique, so the
+    // order is a function of the strings alone.
+    keyed.sort_unstable_by_key(|(key, m)| (*key, m.x, m.slot));
+    let mut passes = Vec::new();
+    let mut start = 0;
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        let kind = run[0].0 .0;
+        let width = if kind == Kind::Spread { G } else { K };
+        for chunk in run.chunks(width) {
+            passes.push(Pass {
+                kind,
+                members: start..start + chunk.len(),
+            });
+            start += chunk.len();
         }
-        for (m, acc) in group.iter().zip(acc.iter_mut()) {
-            let signs = &m.signs;
-            let hs = signs.block_sign(b);
-            for (l4, p4) in signs.low.chunks_exact(LANES).zip(p.chunks_exact(LANES)) {
+    }
+    members.extend(keyed.into_iter().map(|(_, m)| m));
+    passes
+}
+
+impl Pass {
+    /// Runs the pass over `(re, im)`, its members `ms`, into their value slots:
+    /// dispatches to the kernel monomorphized for its width and lane permutation.
+    fn run(&self, re: &[f64], im: &[f64], ms: &[Member], values: &mut [f64]) {
+        macro_rules! by_width {
+            ($kernel:ident) => {
+                match ms.len() {
+                    1 => $kernel::<1>(re, im, ms, values),
+                    2 => $kernel::<2>(re, im, ms, values),
+                    3 => $kernel::<3>(re, im, ms, values),
+                    _ => $kernel::<4>(re, im, ms, values),
+                }
+            };
+        }
+        macro_rules! pairs {
+            ($m:literal) => {
+                match (self.kind, ms.len()) {
+                    (_, 1) => pair_pass::<1, 1, $m>(re, im, ms, values),
+                    (Kind::Shared, 2) => pair_pass::<1, 2, $m>(re, im, ms, values),
+                    (Kind::Shared, 3) => pair_pass::<1, 3, $m>(re, im, ms, values),
+                    (Kind::Shared, _) => pair_pass::<1, 4, $m>(re, im, ms, values),
+                    (_, 2) => pair_pass::<2, 1, $m>(re, im, ms, values),
+                    (_, 3) => pair_pass::<3, 1, $m>(re, im, ms, values),
+                    _ => pair_pass::<4, 1, $m>(re, im, ms, values),
+                }
+            };
+        }
+        match self.kind {
+            Kind::Diagonal => by_width!(diagonal_pass),
+            Kind::LowPivot => by_width!(low_pivot_pass),
+            Kind::Shared | Kind::Spread => with_lane_perm!(ms[0].x, pairs),
+        }
+    }
+}
+
+/// `(acc[0] + acc[1]) + (acc[2] + acc[3])`: the one reduction every block kernel ends
+/// a string's 4-lane accumulator with.
+///
+/// Kept out of line: inlined, its lane pairing leads the vectorizer to hold each
+/// accumulator as two half-width registers of lanes (0, 2) and (1, 3), with shuffles
+/// at every step of the fold (measured ≈ 2× slower on the diagonal pass).  The bits are
+/// the same either way.
+#[inline(never)]
+fn reduce(acc: &[f64; LANES]) -> f64 {
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// `W` diagonal strings over a register of at least [`SIGN_BLOCK`] amplitudes.  Each
+/// 4-lane chunk's `|ψ_b|²` is computed once and every string folds `(hs · low) · |ψ_b|²`
+/// into its own 4-lane accumulator; the sign factors through a 256-entry low table (a
+/// contiguous multiplier stream) with the high-bit sign `hs` hoisted per block, its
+/// products `hs · low` read from a table ([`Signs::block_low`]).
+fn diagonal_pass<const W: usize>(re: &[f64], im: &[f64], ms: &[Member], values: &mut [f64]) {
+    let ms: &[Member; W] = ms.try_into().expect("a pass holds W members");
+    let mut acc = [[0.0f64; LANES]; W];
+    for b in (0..re.len()).step_by(SIGN_BLOCK) {
+        let low: [&[f64; SIGN_BLOCK]; W] = std::array::from_fn(|w| ms[w].signs.block_low(b));
+        let (r, i) = (&re[b..b + SIGN_BLOCK], &im[b..b + SIGN_BLOCK]);
+        for (l, (r4, i4)) in r.chunks_exact(LANES).zip(i.chunks_exact(LANES)).enumerate() {
+            let p: [f64; LANES] = std::array::from_fn(|j| r4[j] * r4[j] + i4[j] * i4[j]);
+            let l = l * LANES;
+            for w in 0..W {
+                let l4: &[f64; LANES] = low[w][l..l + LANES].try_into().expect("in the table");
                 for j in 0..LANES {
-                    acc[j] += hs * l4[j] * p4[j];
+                    acc[w][j] += l4[j] * p[j];
                 }
             }
         }
     }
-    for (m, acc) in group.iter().zip(acc.iter()) {
-        values[m.slot] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (m, acc) in ms.iter().zip(&acc) {
+        values[m.slot] = reduce(acc);
     }
 }
 
-/// The fused off-diagonal kernel of one `x_mask` group.
+/// `S` off-diagonal groups of pivot ≥ 2 and lane permutation `M`, `P` strings each
+/// (one group of up to [`K`] strings, or up to [`G`] single-string groups).
 ///
 /// Uses the involution-pair identity: the `b` and `b ⊕ x` contributions are complex
 /// conjugates, so each pair contributes `2·Re(conj(ψ_{i1}) · phase · ψ_{i0})`.  Pairs
-/// are walked in blocks of 256 (fewer only on a 256-amplitude register): the pair
-/// products `d`/`e` of a whole block are computed first, then every string of the group
-/// folds them, with its own pair-space sign stream, into its own accumulators — four
-/// lanes for pivot ≥ 2, one serial chain in pair order for pivot < 2, the fold orders of
-/// the single-string kernel.  Pair `u` is `(i0, i1)` with `i0 = base + off` (pivot bit
-/// clear) and `i1 = base + 2^pivot + (off ^ xl)`; within an aligned 4-chunk the partner
-/// is a constant shuffle by `xl & 3` (monomorphized via [`with_lane_perm!`]), and for
-/// pivot < 2 both sides of four pairs sit in one 8-amplitude window
-/// ([`window_products`]).
-fn pair_blocks(
+/// are walked in blocks of 256 (fewer only on a 256-amplitude register), four at a
+/// time: pair `u` is `(i0, i1)` with `i0` = `u` with a zero bit inserted at the pivot
+/// and `i1 = i0 ^ x`, so four 4-aligned pairs are the contiguous chunks at `i0` and
+/// `(i0 + 2^pivot) ^ (xl & !3)`, the second permuted by the constant `M = xl & 3`.  A
+/// group's pair products `d = Re(conj(ψ_{i1})·ψ_{i0})`, `e = Im(…)` are computed
+/// once per chunk and folded at once, with each string's pair-space sign stream and
+/// `i^{n_Y}`, into that string's own 4-lane accumulator.
+fn pair_pass<const S: usize, const P: usize, const M: usize>(
     re: &[f64],
     im: &[f64],
-    group: &[Member],
-    (d, e): (&mut Block, &mut Block),
-    acc: &mut [[f64; LANES]],
+    ms: &[Member],
     values: &mut [f64],
 ) {
-    let x = group[0].x;
-    let pbit = pivot_bit(x);
-    let pivot = pbit.trailing_zeros();
-    let xl = x & (pbit - 1);
+    assert_eq!(ms.len(), S * P, "a pass holds S groups of P strings");
+    let strings: [[&Member; P]; S] =
+        std::array::from_fn(|s| std::array::from_fn(|p| &ms[s * P + p]));
+    // Per group: the pivot bit and the partner offset above the lane permutation.
+    let pairing: [(usize, usize); S] = std::array::from_fn(|s| {
+        let x = strings[s][0].x;
+        let pbit = pivot_bit(x);
+        (pbit, x & (pbit - 1) & !(LANES - 1))
+    });
+    let mut acc = [[[0.0f64; LANES]; P]; S];
     let pairs = re.len() / 2;
     let block = pairs.min(SIGN_BLOCK);
     for u0 in (0..pairs).step_by(block) {
-        if pbit >= LANES {
-            // One half-block of `min(2^pivot, block)` pairs at a time.
-            let half = pbit.min(block);
-            for k0 in (0..block).step_by(half) {
-                // Pair-space offset `u` ↦ the 2^(pivot+1)-amplitude block it lives in
-                // and its offset inside that block's lower half.
-                let u = u0 + k0;
-                let base = (u >> pivot) << (pivot + 1);
-                let ob = u & (pbit - 1);
-                let (r_lo, r_hi) = re[base..base + (pbit << 1)].split_at(pbit);
-                let (i_lo, i_hi) = im[base..base + (pbit << 1)].split_at(pbit);
-                let (d, e) = (&mut d[k0..k0 + half], &mut e[k0..k0 + half]);
-                let xlh = xl & !(LANES - 1);
-                // Explicit 4-wide chunks staged through fixed-size `[f64; 4]` windows
-                // (the shape the vectorizer turns into 4-lane register blocks); the
-                // `off ^ xl` partner permutation is a compile-time shuffle per
-                // `with_lane_perm!` arm.
-                macro_rules! products {
-                    ($m:literal) => {{
-                        for k in (0..half).step_by(LANES) {
-                            // off/pb are 4-aligned and < pbit (the half-slice length),
-                            // and k < half, so every window is in bounds and the
-                            // try_into calls cannot fail.
-                            let off = ob + k;
-                            let pb = off ^ xlh;
-                            let rl: &[f64; LANES] = (&r_lo[off..off + LANES]).try_into().unwrap();
-                            let il: &[f64; LANES] = (&i_lo[off..off + LANES]).try_into().unwrap();
-                            let rh: &[f64; LANES] = (&r_hi[pb..pb + LANES]).try_into().unwrap();
-                            let ih: &[f64; LANES] = (&i_hi[pb..pb + LANES]).try_into().unwrap();
-                            let dk: &mut [f64; LANES] = (&mut d[k..k + LANES]).try_into().unwrap();
-                            let ek: &mut [f64; LANES] = (&mut e[k..k + LANES]).try_into().unwrap();
-                            for j in 0..LANES {
-                                let (r0, i0) = (rl[j], il[j]);
-                                let (r1, i1) = (rh[j ^ $m], ih[j ^ $m]);
-                                dk[j] = r1 * r0 + i1 * i0;
-                                ek[j] = r1 * i0 - i1 * r0;
-                            }
-                        }
-                    }};
+        // Each string's sign stream with the sign of the pair-index bits above the block
+        // folded in.
+        let low: [[&[f64; SIGN_BLOCK]; P]; S] =
+            std::array::from_fn(|s| std::array::from_fn(|p| strings[s][p].signs.block_low(u0)));
+        for k in (0..block).step_by(LANES) {
+            let u = u0 + k;
+            for s in 0..S {
+                let (pbit, xlh) = pairing[s];
+                let i0 = u + (u & !(pbit - 1));
+                let i1 = (i0 + pbit) ^ xlh;
+                // Four pairs never straddle a half-block (`pbit ≥ 4`, `u` 4-aligned).
+                let rl: &[f64; LANES] = re[i0..i0 + LANES].try_into().expect("in range");
+                let il: &[f64; LANES] = im[i0..i0 + LANES].try_into().expect("in range");
+                let rh: &[f64; LANES] = re[i1..i1 + LANES].try_into().expect("in range");
+                let ih: &[f64; LANES] = im[i1..i1 + LANES].try_into().expect("in range");
+                let (mut d, mut e) = ([0.0f64; LANES], [0.0f64; LANES]);
+                for j in 0..LANES {
+                    let (r0, v0) = (rl[j], il[j]);
+                    let (r1, v1) = (rh[j ^ M], ih[j ^ M]);
+                    d[j] = r1 * r0 + v1 * v0;
+                    e[j] = r1 * v0 - v1 * r0;
                 }
-                with_lane_perm!(xl & (LANES - 1), products);
-            }
-        } else {
-            let amps = 2 * u0..2 * (u0 + block);
-            let (re, im) = (&re[amps.clone()], &im[amps]);
-            let (d, e) = (&mut d[..block], &mut e[..block]);
-            match x {
-                1 => window_products::<1>(re, im, d, e),
-                2 => window_products::<2>(re, im, d, e),
-                _ => window_products::<3>(re, im, d, e),
-            }
-        }
-        for (m, acc) in group.iter().zip(acc.iter_mut()) {
-            // The sign of the pair-index bits above the block, hoisted.
-            let signs = &m.signs;
-            let hs = signs.block_sign(u0);
-            let g = m.g;
-            if pbit >= LANES {
-                for ((sg, d4), e4) in signs.low[..block]
-                    .chunks_exact(LANES)
-                    .zip(d.chunks_exact(LANES))
-                    .zip(e.chunks_exact(LANES))
-                {
+                for p in 0..P {
+                    let m = strings[s][p];
+                    let g = m.g;
+                    let sg: &[f64; LANES] =
+                        low[s][p][k..k + LANES].try_into().expect("in the table");
                     for j in 0..LANES {
-                        let s = hs * sg[j];
-                        acc[j] += s * (g.re * d4[j] - g.im * e4[j]);
+                        acc[s][p][j] += sg[j] * (g.re * d[j] - g.im * e[j]);
                     }
-                }
-            } else {
-                for ((sg, d), e) in signs.low[..block].iter().zip(&d[..]).zip(&e[..]) {
-                    let s = hs * sg;
-                    acc[0] += s * (g.re * d - g.im * e);
                 }
             }
         }
     }
-    for (m, acc) in group.iter().zip(acc.iter()) {
-        values[m.slot] = 2.0 * ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+    for (strings, acc) in strings.iter().zip(&acc) {
+        for (m, acc) in strings.iter().zip(acc) {
+            values[m.slot] = 2.0 * reduce(acc);
+        }
     }
 }
 
-/// The pair products of the X masks `X ∈ {1, 2, 3}` (pivot < 2) over a run of
-/// amplitudes: every 8-amplitude window holds four whole pairs, whose sides are gathered
-/// by constant shuffles — pair `k` of a window is `(i0, i1)` with `i0` = `k` with a zero
-/// bit inserted at the pivot and `i1 = i0 ^ X`.
-fn window_products<const X: usize>(re: &[f64], im: &[f64], d: &mut [f64], e: &mut [f64]) {
-    const W: usize = 2 * LANES;
-    let pbit = if X >= 2 { 2 } else { 1 };
-    let i0: [usize; LANES] = std::array::from_fn(|k| ((k & !(pbit - 1)) << 1) | (k & (pbit - 1)));
-    for (((r, i), d), e) in re
-        .chunks_exact(W)
-        .zip(im.chunks_exact(W))
-        .zip(d.chunks_exact_mut(LANES))
-        .zip(e.chunks_exact_mut(LANES))
-    {
-        for k in 0..LANES {
-            let (r0, v0) = (r[i0[k]], i[i0[k]]);
-            let (r1, v1) = (r[i0[k] ^ X], i[i0[k] ^ X]);
-            d[k] = r1 * r0 + v1 * v0;
-            e[k] = r1 * v0 - v1 * r0;
+/// `W` strings with `x ∈ {1, 2, 3}` (pivot < 2): one serial chain per string in pair
+/// order, the chains side by side.  Every 8-amplitude window holds four whole pairs of
+/// each of these X masks ([`window_products`]); a window computes the products of the
+/// masks its strings use, then each string adds its four pair terms in order.
+fn low_pivot_pass<const W: usize>(re: &[f64], im: &[f64], ms: &[Member], values: &mut [f64]) {
+    let ms: &[Member; W] = ms.try_into().expect("a pass holds W members");
+    let used: [bool; 3] = std::array::from_fn(|k| ms.iter().any(|m| m.x == k + 1));
+    // Lanes 1–3 stay zero: the reduction is the block kernels' four-lane one.
+    let mut acc = [[0.0f64; LANES]; W];
+    let pairs = re.len() / 2;
+    let block = pairs.min(SIGN_BLOCK);
+    for u0 in (0..pairs).step_by(block) {
+        let low: [&[f64; SIGN_BLOCK]; W] = std::array::from_fn(|w| ms[w].signs.block_low(u0));
+        let amps = 2 * u0..2 * (u0 + block);
+        let (re, im) = (&re[amps.clone()], &im[amps]);
+        let windows = re.chunks_exact(2 * LANES).zip(im.chunks_exact(2 * LANES));
+        for (k, (r, i)) in windows.enumerate() {
+            let mut de = [([0.0f64; LANES], [0.0f64; LANES]); 3];
+            if used[0] {
+                de[0] = window_products::<1>(r, i);
+            }
+            if used[1] {
+                de[1] = window_products::<2>(r, i);
+            }
+            if used[2] {
+                de[2] = window_products::<3>(r, i);
+            }
+            let k = k * LANES;
+            for (m, (acc, low)) in ms.iter().zip(acc.iter_mut().zip(low)) {
+                let (d, e) = &de[m.x - 1];
+                let g = m.g;
+                let sg: &[f64; LANES] = low[k..k + LANES].try_into().expect("in the table");
+                let terms: [f64; LANES] =
+                    std::array::from_fn(|j| sg[j] * (g.re * d[j] - g.im * e[j]));
+                for t in terms {
+                    acc[0] += t;
+                }
+            }
         }
     }
+    for (m, acc) in ms.iter().zip(&acc) {
+        values[m.slot] = 2.0 * reduce(acc);
+    }
+}
+
+/// The pair products of the X mask `X ∈ {1, 2, 3}` (pivot < 2) in one 8-amplitude
+/// window, whose four whole pairs are gathered by constant shuffles — pair `k` is
+/// `(i0, i1)` with `i0` = `k` with a zero bit inserted at the pivot and `i1 = i0 ^ X`.
+#[inline(always)]
+fn window_products<const X: usize>(r: &[f64], i: &[f64]) -> ([f64; LANES], [f64; LANES]) {
+    let pbit = if X >= 2 { 2 } else { 1 };
+    let i0: [usize; LANES] = std::array::from_fn(|k| ((k & !(pbit - 1)) << 1) | (k & (pbit - 1)));
+    let (mut d, mut e) = ([0.0f64; LANES], [0.0f64; LANES]);
+    for k in 0..LANES {
+        let (r0, v0) = (r[i0[k]], i[i0[k]]);
+        let (r1, v1) = (r[i0[k] ^ X], i[i0[k] ^ X]);
+        d[k] = r1 * r0 + v1 * v0;
+        e[k] = r1 * v0 - v1 * r0;
+    }
+    (d, e)
 }
 
 #[cfg(test)]

@@ -126,6 +126,20 @@ pub fn low_sign_table(low_mask: u8) -> &'static [f64; SIGN_BLOCK] {
         .get_or_init(|| Box::new(SignTable::new(low_mask as u64, SIGN_BLOCK).low))
 }
 
+/// [`low_sign_table`] and its negation, `[low, −low]`, each memoized the same way.  A
+/// kernel that hoists a block sign `hs = ±1.0` reads its multipliers from
+/// `tables[(hs < 0) as usize]`: entry `j` is exactly `hs · low[j]` (a product of two
+/// ±1.0), so every term it forms is the same bits as with the per-element product.
+pub fn signed_low_tables(low_mask: u8) -> [&'static [f64; SIGN_BLOCK]; 2] {
+    static NEGATED: [std::sync::OnceLock<Box<[f64; SIGN_BLOCK]>>; SIGN_BLOCK] =
+        [const { std::sync::OnceLock::new() }; SIGN_BLOCK];
+    let low = low_sign_table(low_mask);
+    [
+        low,
+        NEGATED[low_mask as usize].get_or_init(|| Box::new(low.map(|l| -l))),
+    ]
+}
+
 /// Dispatches `body!(M)` with `M` the compile-time constant `m & 3`.
 ///
 /// The general Pauli kernels pair lane `off` with lane `off ^ xl`; within an aligned
@@ -179,6 +193,13 @@ mod tests {
         for mask in [0u64, 0b1, 0b1010_1100, 0xff] {
             let fresh = SignTable::new(mask, SIGN_BLOCK);
             assert_eq!(low_sign_table(mask as u8), fresh.low());
+            // The negated table holds exactly the block-sign products.
+            let [low, negated] = signed_low_tables(mask as u8);
+            for (hs, table) in [(1.0f64, low), (-1.0, negated)] {
+                for (t, l) in table.iter().zip(fresh.low()) {
+                    assert_eq!(t.to_bits(), (hs * l).to_bits());
+                }
+            }
         }
     }
 

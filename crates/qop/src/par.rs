@@ -145,14 +145,15 @@ mod tests {
     /// A register so large that any two of them clear every non-zero threshold.
     const HUGE: usize = usize::MAX / 2;
 
-    /// Whether a `map_states` over `count` registers of `dim` amplitudes left the
-    /// calling thread (every work item must give the same answer).
+    /// Whether a `map_states` over `count` registers of `dim` amplitudes opened a
+    /// region.  A region runs its first piece on the calling thread and every other
+    /// piece off it; the serial loop runs every work item on the calling thread.
     fn spawns(count: usize, dim: usize) -> bool {
         let caller = thread::current().id();
         let mut states = vec![(); count];
         let off_thread = map_states(&mut states, dim, |_, _| thread::current().id() != caller);
-        assert!(off_thread.iter().all(|&off| off == off_thread[0]));
-        off_thread[0]
+        assert!(!off_thread[0], "the calling thread runs the first piece");
+        off_thread.contains(&true)
     }
 
     /// The pin wins over any chunk size at any thread count, scopes nest, and an unwind
@@ -201,10 +202,13 @@ mod tests {
                         (i, thread::current().id() != caller)
                     });
                     assert!(states.iter().all(|&visits| visits == 1));
-                    for (i, (index, off_thread)) in seen.into_iter().enumerate() {
+                    for (i, &(index, _)) in seen.iter().enumerate() {
                         assert_eq!(index, i);
-                        assert_eq!(off_thread, across, "dim {dim}, {count} states");
                     }
+                    // State 0 is in the first piece, which the calling thread runs.
+                    assert!(!seen[0].1, "dim {dim}, {count} states");
+                    let off_thread = seen.iter().any(|&(_, off)| off);
+                    assert_eq!(off_thread, across, "dim {dim}, {count} states");
                 }
             }
             // The region owns the threads: a `map_states` inside a work item runs its

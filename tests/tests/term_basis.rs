@@ -359,6 +359,94 @@ fn a_basis_recognizes_only_its_own_operator_set() {
     );
 }
 
+/// `count` distinct strings, the `k`-th drawn by `draw(k)`; a repeat is drawn again.
+fn distinct_strings(count: usize, mut draw: impl FnMut(usize) -> PauliString) -> Vec<PauliString> {
+    let mut strings: Vec<PauliString> = Vec::with_capacity(count);
+    while strings.len() < count {
+        let s = draw(strings.len());
+        if !s.is_identity() && !strings.contains(&s) {
+            strings.push(s);
+        }
+    }
+    strings
+}
+
+/// The readout folds up to four strings' chains side by side in one pass over the
+/// register.  Every pass shape — each remainder of the pass width, diagonal passes,
+/// single- and multi-string off-diagonal groups at pivots 0, 1, 2, 3, 8 and n − 1 with
+/// every lane permutation, Y strings' complex `i^{n_Y}` — must give each string the
+/// bits of its own single-string basis (`PauliOp::string_expectation`, which
+/// `GOLDEN_STRINGS` pins to the pre-basis kernels).
+#[test]
+fn every_interleave_shape_matches_the_single_string_readout() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_kernel_threads(1);
+    let mut gen = Gen::new(0x5eed_1e4e);
+    for n in [8usize, 9, 12, 14] {
+        let mask = (1u64 << n) - 1;
+        // (On 8 qubits pivot 8 is off the register: n − 1 = 7 stands in for it.)
+        let pivots = [0, 1, 2, 3, 8.min(n - 1), n - 1];
+        // An X mask with the given pivot and random bits below it.
+        let x_at =
+            |gen: &mut Gen, pivot: usize| (1u64 << pivot) | (gen.next() & ((1 << pivot) - 1));
+        let mut sets: Vec<(String, Vec<PauliString>)> = Vec::new();
+        for count in 1..=9usize {
+            let diagonal =
+                distinct_strings(count, |_| PauliString::from_masks(0, gen.next() & mask, n));
+            sets.push((format!("{count} diagonal"), diagonal));
+            // Mostly one string per X mask: single-string groups at every pivot with
+            // mixed lane permutations (pivots 0 and 1 have only three masks between
+            // them and run as the scalar-chain pass).
+            let singles = distinct_strings(count, |k| {
+                let x = x_at(&mut gen, pivots[k % pivots.len()]);
+                PauliString::from_masks(x, gen.next() & mask, n)
+            });
+            sets.push((format!("{count} single-string groups"), singles));
+            // `count` groups of 1, 2, 3 or 5 strings each, every group with a Y.
+            let mut groups = Vec::new();
+            for g in 0..count {
+                let x = x_at(&mut gen, pivots[(g + count) % pivots.len()]);
+                let size = [1, 2, 3, 5][g % 4];
+                let group = distinct_strings(size, |k| {
+                    // The first string has a Y on the pivot: i^{n_Y} is complex or −1.
+                    let y = if k == 0 {
+                        1 << (63 - x.leading_zeros())
+                    } else {
+                        0
+                    };
+                    PauliString::from_masks(x, (gen.next() & mask) | y, n)
+                });
+                for s in group {
+                    if !groups.contains(&s) {
+                        groups.push(s);
+                    }
+                }
+            }
+            sets.push((format!("{count} mixed groups"), groups));
+        }
+        // Everything in one basis, as a padded cluster's operator set would be.
+        let all: Vec<PauliString> = sets.iter().flat_map(|(_, set)| set.clone()).collect();
+        sets.push(("every set at once".into(), all));
+        let psi = random_state(&mut gen, n);
+        for (name, strings) in &sets {
+            let mut op = PauliOp::zero(n);
+            for (k, s) in strings.iter().enumerate() {
+                op.add_term(*s, 0.1 + 0.01 * k as f64);
+            }
+            let basis = TermBasis::new(&[&op]);
+            let mut values = Vec::new();
+            basis.evaluate(&psi, &mut values);
+            for (s, v) in basis.strings().iter().zip(&values) {
+                assert_eq!(
+                    v.to_bits(),
+                    PauliOp::string_expectation(s, &psi).to_bits(),
+                    "{n}q, {name}: {s}"
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Driver level.
 // ---------------------------------------------------------------------------
