@@ -26,6 +26,13 @@
 //!   of a 12-site TFIM readout, its 11 ZZ strings (one diagonal group) and its 12
 //!   single-X strings (twelve off-diagonal groups), beside the whole cluster's
 //!   `expectation/basis/tfim12_9ops` and the diagonal `expectation/basis/maxcut14_5ops`.
+//! - `diagonal/tabulated/ieee14_14q` and `circuit_exec/qaoa_ieee14/14q`: the IEEE-14
+//!   multi-angle QAOA circuit (p = 1) of `tree_maxcut14_noisy` on tables bound once by
+//!   `prepare_batch_tables`, as the trajectory driver binds them — its cost layer alone
+//!   (one tabulated diagonal pass; 6 of its 20 ZZ terms span the split at qubit 7), and
+//!   the whole 29-op execution from `|0⟩` (`execute_from_basis`).  The cost layers of
+//!   `circuit_exec/{compiled,from_basis}/12q` and `noisy_eval/trajectories/14q_k4`
+//!   (ring and chords) put 6 of 24 and 6 of 28 terms across the split.
 //!
 //! # Retired ids
 //!
@@ -538,6 +545,32 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         records.push(time_workload("circuit_exec/from_basis/12q", 150, || {
             compiled.execute_from_basis(0, &params, &mut scratch, &[], None);
             black_box(&scratch);
+        }));
+    }
+    {
+        // The IEEE-14 QAOA of `tree_maxcut14_noisy` on tables bound once, as the
+        // trajectory driver binds them: its cost layer alone, then the whole circuit
+        // from a basis state.
+        let circ = workloads::ieee14_qaoa(1);
+        let params = workloads::ansatz_params(&circ);
+        let mut cost_layer = qcircuit::Circuit::new(circ.num_qubits());
+        for gate in circ.gates() {
+            if let qcircuit::Gate::PauliRotation(..) = gate {
+                cost_layer.push(gate.clone());
+            }
+        }
+        let mut state = workloads::dense_state(circ.num_qubits());
+        let cost = qsim::CompiledCircuit::compile(&cost_layer);
+        let tables = cost.prepare_batch_tables(&[&params]);
+        records.push(time_workload("diagonal/tabulated/ieee14_14q", 400, || {
+            cost.execute_in_place_with_insertions(&params, &mut state, &[], Some(&tables));
+            black_box(&state);
+        }));
+        let compiled = qsim::CompiledCircuit::compile(&circ);
+        let tables = compiled.prepare_batch_tables(&[&params]);
+        records.push(time_workload("circuit_exec/qaoa_ieee14/14q", 100, || {
+            compiled.execute_from_basis(0, &params, &mut state, &[], Some(&tables));
+            black_box(&state);
         }));
     }
     // An optimizer batch of 8 through `evaluate_batch`, against the same 8 candidates

@@ -173,6 +173,21 @@ pub fn maxcut14_cluster_ops() -> Vec<PauliOp> {
     )
 }
 
+/// The multi-angle QAOA circuit with `layers` layers for the first graph of the
+/// IEEE-14 MaxCut family at 4 load scales — at `layers = 1`, the circuit
+/// `tree_maxcut14_noisy` runs.  Each cost layer is 20 ZZ rotations, which compile to one
+/// tabulated diagonal pass with 6 terms across the split at qubit 7.
+pub fn ieee14_qaoa(layers: usize) -> Circuit {
+    let graph = qgraph::Ieee14Family::new(0.9, 1.1, 4).graphs().remove(0);
+    qcircuit::QaoaAnsatz::new(
+        &qgraph::maxcut_cost_hamiltonian(&graph),
+        layers,
+        qcircuit::QaoaStyle::MultiAngle,
+    )
+    .expect("MaxCut cost Hamiltonians are diagonal")
+    .build()
+}
+
 /// One 6-qubit, 62-term LiH Hamiltonian: the single-operator request of the
 /// conventional baseline.
 pub fn lih6_op() -> PauliOp {

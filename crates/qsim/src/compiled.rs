@@ -17,7 +17,13 @@
 //!   is nothing else).  Every diagonal gate multiplies amplitude `b` by
 //!   `exp(i·φ·(−1)^popcount(b & mask))` for some `(mask, φ)` pairs, so a run of `k`
 //!   diagonal gates collapses into **one** pass that applies all the phase terms at once
-//!   instead of `k` passes over the state.
+//!   instead of `k` passes over the state.  From 4 terms on 8 qubits up the pass is
+//!   *tabulated*: the register splits at `s = ⌈n/2⌉`, the terms on either side fold into
+//!   a low and a high phase table, and each term whose mask spans the split becomes two
+//!   factor streams over the low index, one per parity of its high side.  Every `2^s`
+//!   block then multiplies `high · low[j]` and its spanning terms' streams into the
+//!   amplitudes with contiguous vector loops — on IEEE-14 MaxCut, 6 of the 20 terms of a
+//!   cost layer span the split.
 //!
 //! Fusion looks *backwards* through the compiled op list and is allowed to commute a gate
 //! past earlier ops that touch disjoint qubits (and, for diagonal gates, past other
@@ -200,8 +206,27 @@ struct TabulatedTables {
     low_im: Vec<f64>,
     high_re: Vec<f64>,
     high_im: Vec<f64>,
-    /// Terms whose mask spans the split; applied per amplitude on top of the tables.
-    span_terms: Vec<BoundPhase>,
+    /// Terms whose mask spans the split, as factor streams over the low index.
+    spans: SpanStreams,
+}
+
+/// The split-spanning terms of a tabulated pass, in term order, as factor streams.
+///
+/// Term `t`'s factor at amplitude `b = h·2^s + j` is `t.1[parity(b & t.0)]`, and that
+/// parity is `parity(j & t.0) ⊕ c` with `c = parity((h << s) & t.0)` fixed per block.
+/// So each term keeps two streams over `j` — one per `c` — and each block reads, per
+/// term, the one its `c` selects.  Both factors of a bound term share their real part
+/// (`bind_term` builds `[(cos φ, sin φ), (cos φ, −sin φ)]`), so it is kept once per
+/// term and only the imaginary lane is streamed.
+#[derive(Clone, Debug, Default)]
+struct SpanStreams {
+    /// Each term's mask above the split, shifted down by `s`: `c = parity(h & high)`.
+    high: Vec<u64>,
+    /// Each term's real part, shared by both of its factors.
+    re: Vec<f64>,
+    /// Imaginary lanes, term-major: term `t`'s stream for block parity `c` is
+    /// `im[(2t + c)·2^s ..][..2^s]`.
+    im: Vec<f64>,
 }
 
 impl DiagonalPass {
@@ -318,26 +343,27 @@ impl DiagonalPass {
     ///
     /// Each table costs `O(√dim · K)` to fill — negligible against the `dim`-sized main
     /// loop — and afterwards an amplitude pays two sequential-access table loads plus one
-    /// multiply per *spanning* term (a mask with bits on both sides of the split; for
-    /// the geometrically local Hamiltonian layers that dominate real ansätze this is
-    /// O(1) terms, not O(K)).  This is what makes one batched pass decisively cheaper
-    /// than K well-pipelined per-gate passes.
+    /// multiply per *spanning* term (a mask with bits on both sides of the split: 6 of
+    /// the 20 terms of an IEEE-14 MaxCut cost layer), whose factors stream from
+    /// [`SpanStreams`] built here too.  This is what makes one batched pass decisively
+    /// cheaper than K well-pipelined per-gate passes.
     fn build_tables(&self, bound: &[BoundPhase], num_qubits: usize) -> TabulatedTables {
         let s = num_qubits.div_ceil(2);
         let low_mask = (1u64 << s) - 1;
 
         let mut low_terms: Vec<&BoundPhase> = Vec::new();
         let mut high_terms: Vec<&BoundPhase> = Vec::new();
-        let mut span_terms: Vec<BoundPhase> = Vec::new();
+        let mut span_terms: Vec<&BoundPhase> = Vec::new();
         for term in bound {
             if term.0 & !low_mask == 0 {
                 low_terms.push(term);
             } else if term.0 & low_mask == 0 {
                 high_terms.push(term);
             } else {
-                span_terms.push(*term);
+                span_terms.push(term);
             }
         }
+        let spans = Self::span_streams(&span_terms, s);
 
         let product_at = |terms: &[&BoundPhase], bits: u64| -> Complex64 {
             let mut acc = Complex64::ONE;
@@ -359,7 +385,27 @@ impl DiagonalPass {
             low_im: low.iter().map(|p| p.im).collect(),
             high_re: high.iter().map(|p| p.re).collect(),
             high_im: high.iter().map(|p| p.im).collect(),
-            span_terms,
+            spans,
+        }
+    }
+
+    /// The factor streams of the split-spanning `terms` at split `s` (see
+    /// [`SpanStreams`]).
+    fn span_streams(terms: &[&BoundPhase], s: usize) -> SpanStreams {
+        let block = 1usize << s;
+        let mut im = vec![0.0; 2 * terms.len() * block];
+        for (streams, (mask, factors)) in im.chunks_exact_mut(2 * block).zip(terms) {
+            debug_assert_eq!(factors[0].re.to_bits(), factors[1].re.to_bits());
+            let (even, odd) = streams.split_at_mut(block);
+            for (j, (e, o)) in even.iter_mut().zip(odd).enumerate() {
+                let c = ((j as u64 & mask).count_ones() & 1) as usize;
+                (*e, *o) = (factors[c].im, factors[c ^ 1].im);
+            }
+        }
+        SpanStreams {
+            high: terms.iter().map(|(mask, _)| mask >> s).collect(),
+            re: terms.iter().map(|(_, factors)| factors[0].re).collect(),
+            im,
         }
     }
 
@@ -367,8 +413,10 @@ impl DiagonalPass {
     /// `low[b & low_mask] · high[b >> s]` (· spanning terms).  Because `b` sweeps the
     /// low table **sequentially** within each `2^s` block, the split-lane main loop is a
     /// contiguous four-stream product — amplitude lanes × low-table lanes with the block's
-    /// high phase hoisted — which vectorizes; the per-amplitude popcount path survives
-    /// only for the (rare, short) spanning terms.
+    /// high phase hoisted — which vectorizes.  Spanning terms vectorize too: each block
+    /// picks every term's factor stream by the block's high-side parity (see
+    /// [`SpanStreams`]), and [`apply_spanning_block`] multiplies the picked streams into
+    /// [`SPAN_LANES`] amplitudes' phases at a time, held in registers.
     fn apply_tables(&self, tables: &TabulatedTables, state: &mut Statevector) {
         let TabulatedTables {
             s,
@@ -376,10 +424,26 @@ impl DiagonalPass {
             low_im,
             high_re,
             high_im,
-            span_terms,
+            spans,
         } = tables;
         let s = *s;
         let block = 1usize << s;
+        // `use_tabulated` admits 8 qubits and up, so a block holds at least 16 amplitudes.
+        assert_eq!(
+            block % SPAN_LANES,
+            0,
+            "tabulated block smaller than SPAN_LANES"
+        );
+        // Per block, each spanning term's stream start; on the stack up to
+        // `DIAG_STACK_TERMS` spanning terms.
+        let mut stack = [0usize; DIAG_STACK_TERMS];
+        let mut heap: Vec<usize> = Vec::new();
+        let starts: &mut [usize] = if spans.high.len() <= DIAG_STACK_TERMS {
+            &mut stack[..spans.high.len()]
+        } else {
+            heap.resize(spans.high.len(), 0);
+            &mut heap
+        };
         let (re, im) = state.lanes_mut();
         // One contiguous 2^s block of amplitudes per high-table entry.
         for (h, (r_block, i_block)) in re
@@ -387,15 +451,22 @@ impl DiagonalPass {
             .zip(im.chunks_exact_mut(block))
             .enumerate()
         {
-            apply_tabulated_block(
+            if starts.is_empty() {
+                apply_tabulated_block(r_block, i_block, low_re, low_im, high_re[h], high_im[h]);
+                continue;
+            }
+            for (t, (start, high)) in starts.iter_mut().zip(&spans.high).enumerate() {
+                let c = ((h as u64 & high).count_ones() & 1) as usize;
+                *start = (2 * t + c) << s;
+            }
+            apply_spanning_block(
                 r_block,
                 i_block,
                 low_re,
                 low_im,
-                high_re[h],
-                high_im[h],
-                span_terms,
-                h << s,
+                (high_re[h], high_im[h]),
+                spans,
+                starts,
             );
         }
     }
@@ -407,10 +478,9 @@ impl DiagonalPass {
     }
 }
 
-/// One `2^s` amplitude block of the tabulated diagonal pass: multiplies each amplitude
-/// by `high · low[j]` (· spanning terms).  A free function so the lane and table slices
-/// arrive as `noalias` parameters and the span-free four-stream zip autovectorizes.
-#[allow(clippy::too_many_arguments)]
+/// One `2^s` amplitude block of the span-free tabulated diagonal pass: multiplies each
+/// amplitude by `high · low[j]`.  A free function so the lane and table slices arrive
+/// as `noalias` parameters and the four-stream zip autovectorizes.
 fn apply_tabulated_block(
     r_block: &mut [f64],
     i_block: &mut [f64],
@@ -418,38 +488,76 @@ fn apply_tabulated_block(
     low_im: &[f64],
     hr: f64,
     hi: f64,
-    span_terms: &[BoundPhase],
-    base: usize,
 ) {
-    if span_terms.is_empty() {
-        for ((r, i), (lr, li)) in r_block
-            .iter_mut()
-            .zip(i_block.iter_mut())
-            .zip(low_re.iter().zip(low_im))
-        {
-            // p = high · low, then a *= p — two complex multiplies kept in the same
-            // operation order as the unfactored path.
-            let (pr, pi) = (lr * hr - li * hi, lr * hi + li * hr);
-            let (x, y) = (*r, *i);
-            *r = x * pr - y * pi;
-            *i = x * pi + y * pr;
+    for ((r, i), (lr, li)) in r_block
+        .iter_mut()
+        .zip(i_block.iter_mut())
+        .zip(low_re.iter().zip(low_im))
+    {
+        // p = high · low, then a *= p — two complex multiplies kept in the same
+        // operation order as the unfactored path.
+        let (pr, pi) = (lr * hr - li * hi, lr * hi + li * hr);
+        let (x, y) = (*r, *i);
+        *r = x * pr - y * pi;
+        *i = x * pi + y * pr;
+    }
+}
+
+/// Amplitudes [`apply_spanning_block`] carries through its term loop at once: their
+/// running phases stay in registers while every term's factors multiply in.
+const SPAN_LANES: usize = 16;
+
+/// One `2^s` amplitude block of the tabulated pass with split-spanning terms; `starts`
+/// holds this block's stream start per term (see [`SpanStreams`]).
+///
+/// Per run of [`SPAN_LANES`] amplitudes: `p = high · low[j]`, then `p *= f_t[j]` for
+/// every spanning term in term order, then `a *= p`.  Each amplitude sees the
+/// multiplies of the per-amplitude form in the same order, each written as the same
+/// expression as `Complex64`'s product, so every bit is that form's; each step is a
+/// fixed-width operation on split lanes, so it vectorizes.
+fn apply_spanning_block(
+    r_block: &mut [f64],
+    i_block: &mut [f64],
+    low_re: &[f64],
+    low_im: &[f64],
+    (hr, hi): (f64, f64),
+    spans: &SpanStreams,
+    starts: &[usize],
+) {
+    for (j, ((r, i), (lr, li))) in r_block
+        .chunks_exact_mut(SPAN_LANES)
+        .zip(i_block.chunks_exact_mut(SPAN_LANES))
+        .zip(
+            low_re
+                .chunks_exact(SPAN_LANES)
+                .zip(low_im.chunks_exact(SPAN_LANES)),
+        )
+        .enumerate()
+    {
+        let j = j * SPAN_LANES;
+        let mut pr = [0.0f64; SPAN_LANES];
+        let mut pi = [0.0f64; SPAN_LANES];
+        for k in 0..SPAN_LANES {
+            pr[k] = lr[k] * hr - li[k] * hi;
+            pi[k] = lr[k] * hi + li[k] * hr;
         }
-    } else {
-        for (j, ((r, i), (lr, li))) in r_block
-            .iter_mut()
-            .zip(i_block.iter_mut())
-            .zip(low_re.iter().zip(low_im))
-            .enumerate()
-        {
-            let b = base + j;
-            let mut p = Complex64::new(lr * hr - li * hi, lr * hi + li * hr);
-            for t in span_terms {
-                p *= t.1[((b as u64 & t.0).count_ones() & 1) as usize];
+        for (&fr, &at) in spans.re.iter().zip(starts) {
+            let fi = &spans.im[at + j..][..SPAN_LANES];
+            for k in 0..SPAN_LANES {
+                let (x, y) = (pr[k], pi[k]);
+                pr[k] = x * fr - y * fi[k];
+                pi[k] = x * fi[k] + y * fr;
             }
-            let (x, y) = (*r, *i);
-            *r = x * p.re - y * p.im;
-            *i = x * p.im + y * p.re;
         }
+        // a *= p, staged through arrays so it vectorizes like the steps above.
+        let (mut x, mut y) = ([0.0f64; SPAN_LANES], [0.0f64; SPAN_LANES]);
+        x.copy_from_slice(r);
+        y.copy_from_slice(i);
+        for k in 0..SPAN_LANES {
+            (x[k], y[k]) = (x[k] * pr[k] - y[k] * pi[k], x[k] * pi[k] + y[k] * pr[k]);
+        }
+        r.copy_from_slice(&x);
+        i.copy_from_slice(&y);
     }
 }
 
@@ -709,7 +817,9 @@ impl CompiledCircuit {
 
     /// Executes the compiled circuit on `state`, resolving parameter slots against
     /// `params`.  Allocation-free for circuits whose diagonal passes hold at most 64
-    /// phase terms.
+    /// phase terms and take the direct path; a tabulated pass (4 or more terms on 8 or
+    /// more qubits) builds its phase tables on every call unless
+    /// [`CompiledCircuit::prepare_batch_tables`] bound them once.
     ///
     /// # Panics
     ///

@@ -12,10 +12,10 @@
 //! permutation and sign-table path a 2^14-amplitude state reaches.
 
 use proptest::prelude::*;
-use qcircuit::{Angle, Circuit, Gate};
+use qcircuit::{Angle, Circuit, Gate, QaoaAnsatz, QaoaStyle};
 use qop::lanes::{i_power, parity_sign};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
-use qsim::{reference, run_circuit};
+use qsim::{reference, run_circuit, CompiledCircuit, PauliInsertion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -303,6 +303,212 @@ fn low_qubit_kernels_keep_their_recorded_bits() {
         for ((kind, got), expected) in kinds.iter().zip(got).zip(expected) {
             assert_eq!(got, expected, "{kind} digest at {n} qubits: {got:#018x}");
         }
+    }
+}
+
+/// A cost layer between a Hadamard wall and an Rx mixer: one diagonal Z-string
+/// rotation per mask (parameter slot `k` for mask `k`), so the layer compiles to one
+/// tabulated diagonal pass and the wall to the product prefix.
+fn diagonal_layer_circuit(n: usize, masks: &[u64]) -> Circuit {
+    let mut circuit = Circuit::new(n);
+    for q in 0..n {
+        circuit.push(Gate::H(q));
+    }
+    for (k, &mask) in masks.iter().enumerate() {
+        let string = PauliString::from_masks(0, mask, n);
+        circuit.push(Gate::PauliRotation(string, Angle::param(k)));
+    }
+    for q in 0..n {
+        circuit.push(Gate::Rx(q, Angle::param(masks.len() + q)));
+    }
+    circuit
+}
+
+/// `layers` ring-plus-chords cost layers (ZZ on `(q, q + 1)` and `(q, q + 2)` mod `n`),
+/// each followed by an Rx mixer, after a Hadamard wall.
+fn ring_and_chords_circuit(n: usize, layers: usize) -> Circuit {
+    let mut circuit = Circuit::new(n);
+    for q in 0..n {
+        circuit.push(Gate::H(q));
+    }
+    let mut slot = 0;
+    for _ in 0..layers {
+        for step in [1, 2] {
+            for q in 0..n {
+                let mask = (1u64 << q) | (1u64 << ((q + step) % n));
+                let string = PauliString::from_masks(0, mask, n);
+                circuit.push(Gate::PauliRotation(string, Angle::param(slot)));
+                slot += 1;
+            }
+        }
+        for q in 0..n {
+            circuit.push(Gate::Rx(q, Angle::param(slot)));
+            slot += 1;
+        }
+    }
+    circuit
+}
+
+/// Folds the six final states of `circuit` under `params`: `execute_in_place` from
+/// [`dense_state`] and `execute_from_basis`, each without and with bound
+/// `BatchTables`, and each entry point once more with one Pauli insertion right after
+/// the first diagonal op.
+fn diagonal_pass_digest(h: u64, circuit: &Circuit, params: &[f64]) -> u64 {
+    let n = circuit.num_qubits();
+    let compiled = CompiledCircuit::compile(circuit);
+    assert!(
+        compiled.stats().diagonal_passes >= 1,
+        "{n} qubits: no diagonal pass"
+    );
+    let tables = compiled.prepare_batch_tables(&[params]);
+    assert!(
+        tables.num_bound() >= 1,
+        "{n} qubits: no bound diagonal pass"
+    );
+    let diagonal_op = compiled
+        .noise_sites()
+        .iter()
+        .find(|site| site.entangling)
+        .expect("a cost term")
+        .op_index;
+    let all = (1u64 << n) - 1;
+    let insertion = [PauliInsertion {
+        after_op: diagonal_op,
+        string: PauliString::from_masks(0b1001_0110 & all, 0b0101_0011 & all, n),
+    }];
+    let basis = 0x2d5 & all;
+    let mut h = h;
+    for (insertions, tables) in [
+        (&[][..], None),
+        (&[][..], Some(&tables)),
+        (&insertion[..], None),
+    ] {
+        let mut psi = dense_state(n);
+        compiled.execute_in_place_with_insertions(params, &mut psi, insertions, tables);
+        h = fold_state(h, &psi);
+    }
+    for (insertions, tables) in [
+        (&[][..], None),
+        (&[][..], Some(&tables)),
+        (&insertion[..], Some(&tables)),
+    ] {
+        let mut psi = Statevector::zero_state(n);
+        compiled.execute_from_basis(basis, params, &mut psi, insertions, tables);
+        h = fold_state(h, &psi);
+    }
+    h
+}
+
+/// A parameter vector with distinct, irregular entries.
+fn spread_params(len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|i| 0.3 + 0.7 * (i as f64 * 0.61).sin())
+        .collect()
+}
+
+/// `local` with `count` split-spanning masks interleaved: weight-2 pairs across the split
+/// at `s` and weight-3 terms with two bits on either side, then one mask repeated.
+fn with_spanning_terms(local: &[u64], n: usize, s: usize, count: usize) -> Vec<u64> {
+    let mut masks = local.to_vec();
+    for k in 0..count {
+        let lo = k % s;
+        let hi = s + (k * 3) % (n - s);
+        let mut mask = (1u64 << lo) | (1u64 << hi);
+        if k % 3 == 1 {
+            mask |= 1 << ((lo + 1) % s);
+        } else if k % 3 == 2 {
+            mask |= 1 << (s + (hi - s + 1) % (n - s));
+        }
+        masks.insert(2 * k % masks.len(), mask);
+    }
+    masks.push(masks[3]);
+    masks
+}
+
+/// Digests of the tabulated diagonal pass: `[IEEE-14 multi-angle QAOA p = 1,
+/// p = 2, ring-plus-chords at 8–14 qubits, synthetic layers with 0, 1, 21 and 71
+/// split-spanning terms]` — 71 is past the 64 terms a pass keeps on the stack.
+fn tabulated_pass_digests() -> [u64; 7] {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    let graph = qgraph::ieee14_base_graph();
+    let mut ieee14 = [SEED; 2];
+    for (p, digest) in ieee14.iter_mut().enumerate() {
+        for scale in [1.0, 1.37] {
+            let cost = qgraph::maxcut_cost_hamiltonian(&graph.scaled(scale));
+            let qaoa = QaoaAnsatz::new(&cost, p + 1, QaoaStyle::MultiAngle).unwrap();
+            let params = spread_params(qaoa.num_parameters());
+            *digest = diagonal_pass_digest(*digest, &qaoa.build(), &params);
+        }
+    }
+    let mut ring = SEED;
+    for n in 8..=14 {
+        let circuit = ring_and_chords_circuit(n, 2);
+        ring = diagonal_pass_digest(ring, &circuit, &spread_params(circuit.num_parameters()));
+    }
+    // At 10 qubits the split is s = 5, at 13 it is s = 7.
+    let mut synthetic = [SEED; 4];
+    for n in [10usize, 13] {
+        let s = n.div_ceil(2);
+        let low: Vec<u64> = (0..s - 1).map(|q| 0b11 << q).collect();
+        let high: Vec<u64> = (s..n - 1).map(|q| 0b11 << q).collect();
+        let local: Vec<u64> = low.iter().chain(&high).copied().collect();
+        let mut one = local.clone();
+        one.insert(2, (1 << (s - 1)) | (1 << s));
+        let layers = [
+            (0, local.clone()),
+            (1, one),
+            (21, with_spanning_terms(&local, n, s, 20)),
+            (71, with_spanning_terms(&local, n, s, 70)),
+        ];
+        for (digest, (expected, masks)) in synthetic.iter_mut().zip(layers) {
+            let spanning = masks
+                .iter()
+                .filter(|&&m| m >> s != 0 && m & ((1 << s) - 1) != 0)
+                .count();
+            assert_eq!(spanning, expected, "spanning terms at {n} qubits");
+            let circuit = diagonal_layer_circuit(n, &masks);
+            *digest =
+                diagonal_pass_digest(*digest, &circuit, &spread_params(circuit.num_parameters()));
+        }
+    }
+    [
+        ieee14[0],
+        ieee14[1],
+        ring,
+        synthetic[0],
+        synthetic[1],
+        synthetic[2],
+        synthetic[3],
+    ]
+}
+
+/// The tabulated diagonal pass keeps its recorded bits on every split-spanning shape:
+/// digests recorded from the per-amplitude spanning-term loop (identical in debug and
+/// release builds), over both entry points with and without bound tables and with a
+/// Pauli insertion after the pass.
+#[test]
+fn tabulated_diagonal_pass_keeps_its_recorded_bits() {
+    const RECORDED: [u64; 7] = [
+        0xf61d_ba8b_1d0b_f650,
+        0xb642_27b2_3572_76b8,
+        0x53e3_0830_cc70_f5b5,
+        0x81eb_9ef0_0cfc_fbea,
+        0xe536_c032_a3d2_b751,
+        0xda1f_a954_4e34_142b,
+        0x3fab_ae9d_8728_a1fb,
+    ];
+    let kinds = [
+        "ieee14 p=1",
+        "ieee14 p=2",
+        "ring+chords 8-14q",
+        "0 spanning",
+        "1 spanning",
+        "21 spanning",
+        "71 spanning",
+    ];
+    let got = tabulated_pass_digests();
+    for ((kind, got), expected) in kinds.iter().zip(got).zip(RECORDED) {
+        assert_eq!(got, expected, "{kind} digest: {got:#018x}");
     }
 }
 
