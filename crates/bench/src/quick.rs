@@ -104,7 +104,10 @@ pub struct Host {
     pub rayon_threads: usize,
     /// `rustc -V` of the compiler that built this binary.
     pub rustc: String,
-    /// `git rev-parse HEAD` in the working directory, or `"unknown"`.
+    /// `git describe --always --dirty --abbrev=40 --exclude=*` in the working directory:
+    /// the 40-hex `HEAD` commit (no tag name, even on a tagged commit), suffixed `-dirty`
+    /// when the tree has uncommitted changes (a run recorded before its commit measures
+    /// that tree, not `HEAD`), or `"unknown"`.
     pub commit: String,
 }
 
@@ -121,7 +124,13 @@ impl Host {
             })
             .unwrap_or_else(|| "unknown".into());
         let commit = Command::new("git")
-            .args(["rev-parse", "HEAD"])
+            .args([
+                "describe",
+                "--always",
+                "--dirty",
+                "--abbrev=40",
+                "--exclude=*",
+            ])
             .output()
             .ok()
             .filter(|o| o.status.success())
@@ -851,6 +860,16 @@ mod tests {
         // The detected host never fails: every field has a value, if only "unknown".
         let detected = Host::detect();
         assert!(!detected.cpu_model.is_empty() && !detected.rustc.is_empty());
-        assert!(!detected.commit.is_empty() && detected.rayon_threads >= 1);
+        assert!(detected.rayon_threads >= 1);
+        let sha = detected
+            .commit
+            .strip_suffix("-dirty")
+            .unwrap_or(&detected.commit);
+        assert!(
+            detected.commit == "unknown"
+                || (sha.len() == 40 && sha.bytes().all(|b| b.is_ascii_hexdigit())),
+            "commit stamp {:?}",
+            detected.commit
+        );
     }
 }

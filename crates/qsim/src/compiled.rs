@@ -883,7 +883,7 @@ impl CompiledCircuit {
     /// replaying it costs one [`apply_pauli_string`] pass per *fired* error — the
     /// compiled op list is never re-walked or re-lowered.  With an empty schedule this
     /// is exactly [`CompiledCircuit::execute_in_place`] (bit-identical, same code path),
-    /// which is what pins the noise-rate-0 equivalence property.
+    /// which the `rate-zero rollout ≡ ideal` row of `tests/src/relational.rs` pins.
     ///
     /// # Panics
     ///

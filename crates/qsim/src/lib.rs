@@ -28,7 +28,8 @@
 //! single-qubit chains directly instead of executing it, with the same bits.
 //! [`CompiledCircuit`] is the crate's only circuit executor: [`run_circuit`] is a
 //! one-shot convenience that compiles on the fly, and [`mod@reference`] is the
-//! independent oracle the equivalence suites hold it to.
+//! independent oracle the relational equivalence harness (`tests/src/relational.rs`)
+//! holds it to.
 //!
 //! ## Performance and the parallelism threshold knob
 //!

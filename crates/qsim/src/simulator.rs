@@ -51,8 +51,9 @@
 //!   records the bar a within-state path must clear).
 //!
 //! The original straightforward kernels are retained in [`reference`] on **interleaved**
-//! `Complex64` storage (converting at entry/exit), so the equivalence suites pin the
-//! split-lane kernels against a genuinely independent layout.
+//! `Complex64` storage (converting at entry/exit), so the relational equivalence harness
+//! (`tests/src/relational.rs`) pins the split-lane kernels against a genuinely
+//! independent layout.
 
 use qcircuit::{Circuit, Gate};
 use qop::lanes::{i_power, parity_sign, SignTable, LANES, SIGN_BLOCK};
@@ -845,8 +846,8 @@ pub mod reference {
     //! per Pauli rotation.  The [`Statevector`] wrappers convert out of the split-lane
     //! storage at entry and back at exit ([`Statevector::to_amplitudes`] /
     //! [`Statevector::copy_from_amplitudes`]), so the reference path never depends on
-    //! the SoA layout it is pinning — the equivalence suites compare two genuinely
-    //! different storage schemes.  [`run_circuit`] converts **once per circuit**.
+    //! the SoA layout it is pinning — the rows of the relational equivalence harness
+    //! (`tests/src/relational.rs`) compare two genuinely different storage schemes.  [`run_circuit`] converts **once per circuit**.
     //! Nothing but the equivalence and property tests should call any of this.
 
     use super::Matrix2;

@@ -1,8 +1,15 @@
 //! Integration-test-only crate; tests live in the tests/ subdirectory.
 //!
-//! The one shared item is the small TreeVQA run that `tests/executor.rs` pins against a
-//! golden recorded before the controller moved onto `qexec::JobSubmitter`, and that
-//! `tests/net.rs` reruns through a loopback connection.
+//! Two shared items:
+//!
+//! * [`relational`] — the equivalence harness: every fast ≡ source pair of the stack as a
+//!   row of a table, run over seeded case domains, plus the fixtures the suites share
+//!   (`Gen`, `dense_state`, `force_parallel_workers`).
+//! * the small TreeVQA run that `tests/executor.rs` pins against a golden recorded before
+//!   the controller moved onto `qexec::JobSubmitter`, and that `tests/net.rs` reruns
+//!   through a loopback connection.
+
+pub mod relational;
 
 use qcircuit::{Entanglement, HardwareEfficientAnsatz};
 use qexec::{Executor, SeedPolicy};

@@ -6,7 +6,7 @@
 //! pinned at admission ([`qexec::JobHandle::rng_stream`]), so re-evaluating any job
 //! with its stream on a fresh identically-configured backend reproduces its result
 //! exactly, in any order, for exact, sampled, and trajectory-noise backends.  CI runs
-//! this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}`; `force_parallel_workers` below
+//! this suite under `RAYON_NUM_THREADS ∈ {1, 2, 4}`; the shared `force_parallel_workers`
 //! defaults a plain local run to 4 rayon workers so the across-state parallel batch
 //! paths are exercised even on a single-core box.  (The
 //! dedicated schedule-independence property suite lives in
@@ -20,24 +20,11 @@ use qnoise::PauliNoiseModel;
 use qop::PauliOp;
 use std::sync::Arc;
 use treevqa::{TreeVqa, TreeVqaConfig};
+use treevqa_tests::relational::force_parallel_workers;
 use vqa::{
     Backend, EvalRequest, InitialState, NoisyStatevectorBackend, SampledBackend,
     StatevectorBackend, VqaApplication, VqaTask,
 };
-
-/// Forces multiple workers even on single-core CI machines (the vendored rayon honors
-/// this like the real global-pool configuration).
-fn force_parallel_workers() {
-    let threads = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .ok();
-}
 
 fn demo_circuit(num_qubits: usize) -> Arc<Circuit> {
     Arc::new(HardwareEfficientAnsatz::new(num_qubits, 2, Entanglement::Circular).build())

@@ -1,173 +1,50 @@
-//! Property tests pinning the optimized simulation kernels to the retained naive
-//! reference implementations.
+//! The optimized simulation kernels held to the retained naive reference
+//! implementations.
 //!
-//! The branch-free/in-place kernels in `qsim` and `qop` must be bit-for-bit
-//! *algorithmically* equivalent to the originals (up to floating-point associativity), so
-//! every property here demands agreement to 1e-12 on random circuits, random Pauli
-//! rotations, and random Hamiltonians.  Bodies that must keep the bits of the form they
-//! replaced are held by `to_bits`: recorded digests for the low-qubit kernels, and a
-//! per-amplitude gather for `PauliOp::apply_into`.  Each kernel is one serial vectorized
-//! body (only `qop::par::map_states`, which nothing here reaches, spawns threads); the
-//! 14-qubit properties are this suite's large-register coverage: every block size, lane
-//! permutation and sign-table path a 2^14-amplitude state reaches.
+//! The entry tests below run rows of `treevqa_tests::relational`'s `CIRCUIT_PAIRS` and
+//! `OPERATOR_PAIRS` (gate kernels, Pauli rotations, string and operator readouts,
+//! `PauliOp::apply` against the naive forms).  Bodies that must keep the bits of the
+//! form they replaced are held here by `to_bits`: recorded digests for the low-qubit
+//! kernels and the tabulated diagonal pass, and a per-amplitude gather for
+//! `PauliOp::apply_into`.  Each kernel is one serial vectorized body (only
+//! `qop::par::map_states`, which nothing here reaches, spawns threads).
 
-use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Gate, QaoaAnsatz, QaoaStyle};
 use qop::lanes::{i_power, parity_sign};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
-use qsim::{reference, run_circuit, CompiledCircuit, PauliInsertion};
+use qsim::{CompiledCircuit, PauliInsertion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use treevqa_tests::relational::{circuits, dense_state, operators, registers};
 
-/// A dense, structured, normalized state: every amplitude distinct so index or phase
-/// mix-ups cannot cancel.
-fn dense_state(num_qubits: usize) -> Statevector {
-    let dim = 1usize << num_qubits;
-    let mut psi = Statevector::from_amplitudes(
-        (0..dim)
-            .map(|i| Complex64::new((i as f64 * 0.137).sin() + 0.3, (i as f64 * 0.291).cos()))
-            .collect(),
-    );
-    psi.normalize();
-    psi
+#[test]
+fn random_circuits_agree_with_reference() {
+    circuits(&["gate kernels ≡ reference"]);
 }
 
-fn max_amplitude_diff(a: &Statevector, b: &Statevector) -> f64 {
-    a.to_amplitudes()
-        .iter()
-        .zip(b.to_amplitudes())
-        .map(|(x, y)| (*x - y).norm())
-        .fold(0.0, f64::max)
+#[test]
+fn random_pauli_rotations_agree_with_reference() {
+    operators(&["rotation kernel ≡ naive"]);
 }
 
-/// Strategy for one random gate on an `n`-qubit register, covering every gate kind.
-fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
-    (0usize..11, 0usize..n, 0usize..n, -3.2f64..3.2).prop_map(move |(kind, q, q2, theta)| {
-        // Force distinct qubits for the two-qubit gates.
-        let q2 = if q2 == q { (q + 1) % n } else { q2 };
-        match kind {
-            0 => Gate::H(q),
-            1 => Gate::X(q),
-            2 => Gate::Y(q),
-            3 => Gate::Z(q),
-            4 => Gate::S(q),
-            5 => Gate::Sdg(q),
-            6 => Gate::Cx(q, q2),
-            7 => Gate::Cz(q, q2),
-            8 => Gate::Rx(q, Angle::Fixed(theta)),
-            9 => Gate::Ry(q, Angle::Fixed(theta)),
-            _ => Gate::Rz(q, Angle::Fixed(theta)),
-        }
-    })
+#[test]
+fn string_expectation_matches_naive() {
+    operators(&["string expectations ≡ naive"]);
 }
 
-fn arb_pauli_label(num_qubits: usize) -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        proptest::sample::select(vec!['I', 'X', 'Y', 'Z']),
-        num_qubits,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
+#[test]
+fn gate_kernels_agree_with_reference_at_14_qubits() {
+    registers(&["gate kernels ≡ reference"]);
 }
 
-fn circuit_from_gates(num_qubits: usize, gates: Vec<Gate>) -> Circuit {
-    let mut circuit = Circuit::new(num_qubits);
-    for gate in gates {
-        circuit.push(gate);
-    }
-    circuit
+#[test]
+fn expectation_equals_naive_sum_at_14_qubits() {
+    operators(&["expectation ≡ naive sum", "term expectations ≡ naive"]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The fast branch-free gate kernels agree with the naive reference on random
-    /// circuits over every gate kind, to 1e-12 per amplitude.
-    #[test]
-    fn random_circuits_agree_with_reference(
-        gates in proptest::collection::vec(arb_gate(6), 1..40),
-    ) {
-        let n = 6;
-        let circuit = circuit_from_gates(n, gates);
-        let initial = dense_state(n);
-        let fast = run_circuit(&circuit, &[], &initial);
-        let naive = reference::run_circuit(&circuit, &[], &initial);
-        prop_assert!(max_amplitude_diff(&fast, &naive) < 1e-12);
-    }
-
-    /// The in-place involution-pair Pauli-rotation kernel agrees with the naive
-    /// clone-the-state construction on random strings and angles, to 1e-12.
-    #[test]
-    fn random_pauli_rotations_agree_with_reference(
-        rotations in proptest::collection::vec((arb_pauli_label(6), -3.2f64..3.2), 1..12),
-    ) {
-        let n = 6;
-        let mut fast = dense_state(n);
-        let mut naive = fast.clone();
-        for (label, theta) in rotations {
-            let string = PauliString::from_label(&label).unwrap();
-            qsim::apply_pauli_rotation(&mut fast, &string, theta);
-            reference::apply_pauli_rotation(&mut naive, &string, theta);
-        }
-        prop_assert!(max_amplitude_diff(&fast, &naive) < 1e-12);
-    }
-
-    /// The optimized expectation kernel (diagonal fast path + pairwise gather) agrees
-    /// with the naive scan-and-apply kernel for every term shape.
-    #[test]
-    fn string_expectation_matches_naive(label in arb_pauli_label(7)) {
-        let psi = dense_state(7);
-        let string = PauliString::from_label(&label).unwrap();
-        let fast = PauliOp::string_expectation(&string, &psi);
-        let naive = PauliOp::string_expectation_naive(&string, &psi);
-        prop_assert!((fast - naive).abs() < 1e-12, "{fast} vs {naive} on {label}");
-    }
-}
-
-proptest! {
-    // Fewer cases for the 14-qubit properties: each touches 2^14 amplitudes per gate.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Gate kernels on a 14-qubit register match the naive reference.
-    #[test]
-    fn gate_kernels_agree_with_reference_at_14_qubits(
-        gates in proptest::collection::vec(arb_gate(14), 1..10),
-        rotation in arb_pauli_label(14),
-        theta in -3.2f64..3.2,
-    ) {
-        let n = 14;
-        let circuit = circuit_from_gates(n, gates);
-        let initial = dense_state(n);
-        let mut fast = run_circuit(&circuit, &[], &initial);
-        let mut naive = reference::run_circuit(&circuit, &[], &initial);
-        let string = PauliString::from_label(&rotation).unwrap();
-        qsim::apply_pauli_rotation(&mut fast, &string, theta);
-        reference::apply_pauli_rotation(&mut naive, &string, theta);
-        prop_assert!(max_amplitude_diff(&fast, &naive) < 1e-12);
-    }
-
-    /// Hamiltonian expectation on a 14-qubit register (the term-basis readout with its
-    /// per-string fast paths) equals the naive per-term sum.
-    #[test]
-    fn expectation_equals_naive_sum_at_14_qubits(
-        terms in proptest::collection::vec((arb_pauli_label(14), -1.0f64..1.0), 2..10),
-    ) {
-        let psi = dense_state(14);
-        let refs: Vec<(&str, f64)> = terms.iter().map(|(l, c)| (l.as_str(), *c)).collect();
-        let op = PauliOp::from_labels(14, &refs);
-        let fast = op.expectation(&psi);
-        let naive_sum: f64 = op
-            .terms()
-            .iter()
-            .map(|t| t.coefficient * PauliOp::string_expectation_naive(&t.string, &psi))
-            .sum();
-        prop_assert!((fast - naive_sum).abs() < 1e-10, "{fast} vs {naive_sum}");
-        // Per-term expectations take the same path and must agree term-by-term.
-        let per_term = op.term_expectations(&psi);
-        for (t, e) in op.terms().iter().zip(per_term) {
-            let naive = PauliOp::string_expectation_naive(&t.string, &psi);
-            prop_assert!((e - naive).abs() < 1e-12);
-        }
-    }
+#[test]
+fn apply_into_matches_naive_scatter() {
+    operators(&["apply ≡ naive scatter"]);
 }
 
 /// Folds one 64-bit word into an FNV-1a-style digest.
@@ -510,36 +387,6 @@ fn tabulated_diagonal_pass_keeps_its_recorded_bits() {
     for ((kind, got), expected) in kinds.iter().zip(got).zip(RECORDED) {
         assert_eq!(got, expected, "{kind} digest: {got:#018x}");
     }
-}
-
-/// `H|ψ⟩` in gather form (and its allocation-reusing variant) matches the original
-/// scatter implementation, including on the Lanczos-style repeated-application path.
-#[test]
-fn apply_into_matches_naive_scatter() {
-    let n = 8;
-    let psi = dense_state(n);
-    let op = PauliOp::from_labels(
-        n,
-        &[
-            ("ZZIIZZII", 0.7),
-            ("XIYIZXIY", -0.2),
-            ("YYYYIIYY", 0.4),
-            ("IIXXIIXX", -0.9),
-            ("ZIIIIIIZ", 1.3),
-        ],
-    );
-    // Original scatter form.
-    let mut expected = psi.zeros_like();
-    for term in op.terms() {
-        for b in 0..psi.dim() as u64 {
-            let (b2, phase) = term.string.apply_to_basis(b);
-            let contribution = phase * psi.amplitude(b) * term.coefficient;
-            expected.set_amplitude(b2, expected.amplitude(b2) + contribution);
-        }
-    }
-    let got = op.apply(&psi);
-    let diff = max_amplitude_diff(&expected, &got);
-    assert!(diff < 1e-12, "apply mismatch: {diff}");
 }
 
 /// The bit reference of the tiled `PauliOp::apply_into`: a per-amplitude gather, each

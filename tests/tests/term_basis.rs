@@ -21,6 +21,7 @@ use qnoise::PauliNoiseModel;
 use qop::{Complex64, PauliOp, PauliString, Statevector, TermBasis};
 use qrng::{SeedPolicy, StreamId};
 use std::sync::Mutex;
+use treevqa_tests::relational::Gen;
 use vqa::{
     Backend, EvalRequest, EvalResult, InitialState, NoisyBackend, NoisyStatevectorBackend,
     SampledBackend, StatevectorBackend,
@@ -37,59 +38,6 @@ fn set_kernel_threads(threads: usize) {
         .expect("the vendored pool accepts reconfiguration");
 }
 
-/// A stateless generator (`qrng::mix` does not count as a draw, so generating test
-/// inputs never disturbs the draw-count assertions).
-struct Gen {
-    seed: u64,
-    counter: u64,
-}
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen { seed, counter: 0 }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.counter += 1;
-        qrng::mix(self.seed, self.counter)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    /// Uniform in `[-1, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-    }
-}
-
-fn random_state(gen: &mut Gen, num_qubits: usize) -> Statevector {
-    let mut psi = Statevector::from_amplitudes(
-        (0..1usize << num_qubits)
-            .map(|_| Complex64::new(gen.unit(), gen.unit()))
-            .collect(),
-    );
-    psi.normalize();
-    psi
-}
-
-/// A random string whose shape exercises a particular kernel: diagonal, generic,
-/// a single X/Y (one pivot, `xl == 0`), or an X mask confined to the two lowest qubits
-/// (`pivot < 2`, the scalar tails).
-fn random_string(gen: &mut Gen, n: usize) -> PauliString {
-    let mask = (1u64 << n) - 1;
-    let (x, z) = match gen.below(5) {
-        0 => (0, gen.next() & mask),
-        1 => (gen.next() & mask, gen.next() & mask),
-        2 => (1u64 << gen.below(n as u64), gen.next() & mask),
-        3 => (gen.next() & mask & 0b11, gen.next() & mask),
-        // Same X mask as a sibling is likely: only two bits of freedom.
-        _ => (mask & 0b101, gen.next() & mask),
-    };
-    PauliString::from_masks(x, z, n)
-}
-
 /// 2–5 unsimplified operators drawn from a pool of strings: `sharing == 0` gives every
 /// operator the whole pool (fully shared), `1` a random subset (partly shared), `2` a
 /// private slice (disjoint).  Identity terms, in-operator duplicates and zero
@@ -97,9 +45,7 @@ fn random_string(gen: &mut Gen, n: usize) -> PauliString {
 fn random_operator_set(gen: &mut Gen, n: usize, sharing: u64) -> Vec<PauliOp> {
     let num_ops = 2 + gen.below(4) as usize;
     let per_op = 1 + gen.below(7) as usize;
-    let pool: Vec<PauliString> = (0..num_ops * per_op)
-        .map(|_| random_string(gen, n))
-        .collect();
+    let pool: Vec<PauliString> = (0..num_ops * per_op).map(|_| gen.string(n)).collect();
     (0..num_ops)
         .map(|k| {
             let mut op = PauliOp::zero(n);
@@ -120,7 +66,7 @@ fn random_operator_set(gen: &mut Gen, n: usize, sharing: u64) -> Vec<PauliOp> {
                 op.add_term(PauliString::identity(n), gen.unit());
             }
             if op.num_terms() == 0 {
-                op.add_term(random_string(gen, n), gen.unit());
+                op.add_term(gen.string(n), gen.unit());
             }
             op
         })
@@ -166,7 +112,7 @@ proptest! {
         let mut gen = Gen::new(seed);
         let ops = random_operator_set(&mut gen, n, sharing);
         let refs: Vec<&PauliOp> = ops.iter().collect();
-        let psi = random_state(&mut gen, n);
+        let psi = gen.state(n);
         let basis = TermBasis::new(&refs);
         prop_assert!(basis.is_basis_of(refs.iter().copied()));
         prop_assert!(basis.num_strings() <= basis.num_terms());
@@ -201,7 +147,7 @@ proptest! {
         let mut gen = Gen::new(seed);
         let ops = random_operator_set(&mut gen, n, sharing);
         let refs: Vec<&PauliOp> = ops.iter().collect();
-        let psi = random_state(&mut gen, n);
+        let psi = gen.state(n);
         let basis = TermBasis::new(&refs);
         let naive: Vec<f64> = basis
             .strings()
@@ -388,18 +334,19 @@ fn every_interleave_shape_matches_the_single_string_readout() {
         let pivots = [0, 1, 2, 3, 8.min(n - 1), n - 1];
         // An X mask with the given pivot and random bits below it.
         let x_at =
-            |gen: &mut Gen, pivot: usize| (1u64 << pivot) | (gen.next() & ((1 << pivot) - 1));
+            |gen: &mut Gen, pivot: usize| (1u64 << pivot) | (gen.next_u64() & ((1 << pivot) - 1));
         let mut sets: Vec<(String, Vec<PauliString>)> = Vec::new();
         for count in 1..=9usize {
-            let diagonal =
-                distinct_strings(count, |_| PauliString::from_masks(0, gen.next() & mask, n));
+            let diagonal = distinct_strings(count, |_| {
+                PauliString::from_masks(0, gen.next_u64() & mask, n)
+            });
             sets.push((format!("{count} diagonal"), diagonal));
             // Mostly one string per X mask: single-string groups at every pivot with
             // mixed lane permutations (pivots 0 and 1 have only three masks between
             // them and run as the scalar-chain pass).
             let singles = distinct_strings(count, |k| {
                 let x = x_at(&mut gen, pivots[k % pivots.len()]);
-                PauliString::from_masks(x, gen.next() & mask, n)
+                PauliString::from_masks(x, gen.next_u64() & mask, n)
             });
             sets.push((format!("{count} single-string groups"), singles));
             // `count` groups of 1, 2, 3 or 5 strings each, every group with a Y.
@@ -414,7 +361,7 @@ fn every_interleave_shape_matches_the_single_string_readout() {
                     } else {
                         0
                     };
-                    PauliString::from_masks(x, (gen.next() & mask) | y, n)
+                    PauliString::from_masks(x, (gen.next_u64() & mask) | y, n)
                 });
                 for s in group {
                     if !groups.contains(&s) {
@@ -427,7 +374,7 @@ fn every_interleave_shape_matches_the_single_string_readout() {
         // Everything in one basis, as a padded cluster's operator set would be.
         let all: Vec<PauliString> = sets.iter().flat_map(|(_, set)| set.clone()).collect();
         sets.push(("every set at once".into(), all));
-        let psi = random_state(&mut gen, n);
+        let psi = gen.state(n);
         for (name, strings) in &sets {
             let mut op = PauliOp::zero(n);
             for (k, s) in strings.iter().enumerate() {
