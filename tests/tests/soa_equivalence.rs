@@ -16,6 +16,11 @@ fn soa_reductions_match_interleaved_arithmetic() {
 }
 
 #[test]
+fn soa_circuits_match_interleaved_reference() {
+    circuits(&["run_circuit ≡ reference"]);
+}
+
+#[test]
 fn paired_insertions_cancel_bit_exactly() {
     circuits(&["paired insertions cancel"]);
 }
