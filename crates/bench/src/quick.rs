@@ -19,6 +19,12 @@
 //!
 //! # Attribution ids
 //!
+//! - `cx_ladder/fast/12q`: 11 CX gates, one `apply_cx` pass each — the per-gate
+//!   baseline of `cx_ring/compiled/12q`, the circular HEA's 12-CX ring compiled into one
+//!   CX run and applied as one gather.  `single_qubit_rx/fast/12q_q{0,1,2,3}` time the
+//!   low-qubit bodies beside the high-qubit `single_qubit_rx/fast/12q` (qubit 6), and
+//!   `circuit_exec/hea6/6q` the 6-qubit HEA of the two net workloads, whose rings stay
+//!   below the gather floor.
 //! - `par/region/empty_2x4096`: one parallel region of the vendored rayon around empty
 //!   work — two pieces of 4096 indices — the spawn-and-join cost that
 //!   `qop::par::map_states` pays per chunk it spreads (no spawn at one rayon thread).
@@ -311,11 +317,17 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             qsim::apply_gate(&mut state, &gate, &[])
         }));
     }
-    {
-        // Qubit 0 puts both halves of every pair in one 4-lane chunk.
-        let gate = qcircuit::Gate::Rx(0, qcircuit::Angle::Fixed(0.7));
+    // Qubits 0 and 1 put both halves of every pair in one 4-lane chunk, qubits 2 and 3
+    // in one 8- or 16-lane window: each has its own full-width body.
+    for (id, q) in [
+        ("single_qubit_rx/fast/12q_q0", 0),
+        ("single_qubit_rx/fast/12q_q1", 1),
+        ("single_qubit_rx/fast/12q_q2", 2),
+        ("single_qubit_rx/fast/12q_q3", 3),
+    ] {
+        let gate = qcircuit::Gate::Rx(q, qcircuit::Angle::Fixed(0.7));
         let mut state = workloads::dense_state(n);
-        records.push(time_workload("single_qubit_rx/fast/12q_q0", 2000, || {
+        records.push(time_workload(id, 2000, || {
             qsim::apply_gate(&mut state, &gate, &[])
         }));
     }
@@ -326,6 +338,7 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         }));
     }
     {
+        // The per-gate baseline: 11 CX passes, one `apply_cx` each.
         let ladder: Vec<qcircuit::Gate> =
             (0..n - 1).map(|q| qcircuit::Gate::Cx(q, q + 1)).collect();
         let mut state = workloads::dense_state(n);
@@ -333,6 +346,19 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
             for gate in &ladder {
                 qsim::apply_gate(&mut state, gate, &[]);
             }
+        }));
+    }
+    {
+        // The circular HEA's 12-CX ring, compiled: one CX run, applied as one gather.
+        let mut ring = qcircuit::Circuit::new(n);
+        for q in 0..n {
+            ring.push(qcircuit::Gate::Cx(q, (q + 1) % n));
+        }
+        let ring = qsim::CompiledCircuit::compile(&ring);
+        let mut state = workloads::dense_state(n);
+        records.push(time_workload("cx_ring/compiled/12q", 500, || {
+            ring.execute_in_place(&[], &mut state);
+            black_box(&state);
         }));
     }
     {
@@ -552,6 +578,20 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         // The dense driver's entry: the same circuit started from a basis state, its
         // leading single-qubit layer written by doubling (the product prefix).
         records.push(time_workload("circuit_exec/from_basis/12q", 150, || {
+            compiled.execute_from_basis(0, &params, &mut scratch, &[], None);
+            black_box(&scratch);
+        }));
+    }
+    {
+        // The 6-qubit circular HEA (2 layers) that `base_lih6_net2` and `slate_hea6_net2`
+        // run, from a basis state as the dense driver starts it: its 6-CX rings stay
+        // below the gather floor, and four of its six qubits take the low-qubit bodies.
+        let circ =
+            qcircuit::HardwareEfficientAnsatz::new(6, 2, qcircuit::Entanglement::Circular).build();
+        let params = workloads::ansatz_params(&circ);
+        let compiled = qsim::CompiledCircuit::compile(&circ);
+        let mut scratch = qop::Statevector::zero_state(6);
+        records.push(time_workload("circuit_exec/hea6/6q", 4000, || {
             compiled.execute_from_basis(0, &params, &mut scratch, &[], None);
             black_box(&scratch);
         }));

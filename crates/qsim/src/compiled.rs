@@ -24,6 +24,16 @@
 //!   block then multiplies `high · low[j]` and its spanning terms' streams into the
 //!   amplitudes with contiguous vector loops — on IEEE-14 MaxCut, 6 of the 20 terms of a
 //!   cost layer span the split.
+//! * **Runs of CX gates** (the entangling rings and ladders of hardware-efficient
+//!   ansätze).  A CX maps basis index `b` to `b ^ (bit_c(b) << t)`, a GF(2)-linear map,
+//!   so a run of them is one linear map, composed at compile time; applying it is one
+//!   gather of each lane instead of one pass per gate, and it only moves values, so every
+//!   bit is the per-gate passes'.  Registers below [`CX_GATHER_MIN_QUBITS`] (10) qubits
+//!   keep the per-gate passes: an A/B timing of a CX ring on the 2-vCPU reference host
+//!   found no gain at 8–9 qubits, and the gather at 0.35–0.46× the per-gate time from
+//!   10 to 12 qubits (0.3× at 14).  A noise trajectory whose Pauli insertion fires
+//!   *inside* a run applies that run gate by gate, so the insertion lands between the
+//!   same two CX passes as ever.
 //!
 //! Fusion looks *backwards* through the compiled op list and is allowed to commute a gate
 //! past earlier ops that touch disjoint qubits (and, for diagonal gates, past other
@@ -561,6 +571,164 @@ fn apply_spanning_block(
     }
 }
 
+/// Registers below this many qubits apply CX runs gate by gate.  Measured on the 2-vCPU
+/// reference host (A/B timing of a compiled `n`-CX ring, medians of interleaved
+/// samples): at 8 qubits per-gate 0.5–0.7 µs against a gather of 0.6 µs, at 9 0.8–1.2
+/// against 0.7–1.4, at 10 2.1–3.6 against 0.7–1.5, at 12 13–17 against 6.0–7.7, at 14
+/// 91–110 against 28–34.  A constant, like the tabulated diagonal pass's threshold, so a
+/// circuit's path is a function of the circuit alone.
+pub const CX_GATHER_MIN_QUBITS: usize = 10;
+
+/// Amplitudes of one output line of a [`CxRun`]'s gather: one 64-byte cache line of a
+/// lane.
+const CX_LINE: usize = 8;
+
+thread_local! {
+    /// The executing thread's spare lanes for [`CxRun::apply`]: the gather writes into
+    /// them and swaps them with the state's, so a thread holds one spare register
+    /// however many states it executes (the scratch pool's slots hold none).
+    static SPARE: std::cell::RefCell<Statevector> =
+        std::cell::RefCell::new(Statevector::zero_state(0));
+}
+
+/// A maximal run of two or more consecutive [`CompiledOp::Cx`] ops, composed at compile
+/// time into the one basis-index permutation it applies.
+///
+/// A CX maps index `b` to `b ^ (bit_c(b) << t)`, a GF(2)-linear map, so a run of them is
+/// one invertible linear map `F`, and its output at `j` is its input at `F⁻¹(j)`.  The
+/// run is applied as one gather of each lane, [`CX_LINE`] contiguous outputs at a time:
+/// the outputs `L + w` of line `L` read the inputs `F⁻¹(L) ^ F⁻¹(w)`.  A permutation only
+/// moves values, so the gather leaves every bit where the per-gate passes leave it.
+///
+/// The lines are visited in tiles, so the inputs stay in L1: with `W` the offsets inside
+/// a line, each tile is one coset of `U = W + F(W)` (at most 64 amplitudes, 8 lines),
+/// and its inputs — a coset of `F⁻¹(U) ⊇ W` — are at most 8 whole input lines, each read
+/// by this tile only.  Visited in index order instead, the ring's gather reads each input
+/// line eight times, far apart; in one A/B timing that took 5.3 µs against 4.5 tiled at
+/// 12 qubits, and 23.7 µs against 16.5 at 14.
+#[derive(Clone, Debug)]
+struct CxRun {
+    /// The run's ops, `[start, end)`.
+    start: usize,
+    end: usize,
+    /// `(L, F⁻¹(L))` for every output line start `L`, tile by tile.
+    lines: Vec<(u32, u32)>,
+    /// `F⁻¹(w)` for every offset `w` inside a line.
+    within: [usize; CX_LINE],
+}
+
+impl CxRun {
+    /// Every maximal run of two or more CX ops in `ops`, from [`CX_GATHER_MIN_QUBITS`]
+    /// qubits up.
+    fn find_all(ops: &[OpEntry], num_qubits: usize) -> Vec<CxRun> {
+        let mut runs = Vec::new();
+        if num_qubits < CX_GATHER_MIN_QUBITS {
+            return runs;
+        }
+        let mut start = 0;
+        while start < ops.len() {
+            let gates: Vec<(usize, usize)> = ops[start..]
+                .iter()
+                .map_while(|entry| match entry.op {
+                    CompiledOp::Cx(c, t) => Some((c, t)),
+                    _ => None,
+                })
+                .collect();
+            if gates.len() >= 2 {
+                runs.push(CxRun::compose(start, &gates, num_qubits));
+            }
+            start += gates.len().max(1);
+        }
+        runs
+    }
+
+    fn compose(start: usize, gates: &[(usize, usize)], num_qubits: usize) -> CxRun {
+        let cx = |b: usize, &(c, t): &(usize, usize)| b ^ (((b >> c) & 1) << t);
+        let forward = |b: usize| gates.iter().fold(b, cx);
+        // Each CX is its own inverse, so F⁻¹ applies the gates last to first.
+        let inverse = |b: usize| gates.iter().rev().fold(b, cx);
+        // An echelon basis of U = W + F(W), one vector per leading bit; reducing an index
+        // by it gives the canonical representative of the index's coset, its tile.
+        let mut basis = [0usize; usize::BITS as usize];
+        for mut v in (0..CX_LINE.trailing_zeros()).flat_map(|k| [1 << k, forward(1 << k)]) {
+            while v != 0 {
+                let lead = v.ilog2() as usize;
+                if basis[lead] == 0 {
+                    basis[lead] = v;
+                    break;
+                }
+                v ^= basis[lead];
+            }
+        }
+        let tile = |mut b: usize| {
+            for (lead, &v) in basis.iter().enumerate().rev() {
+                if v != 0 && (b >> lead) & 1 == 1 {
+                    b ^= v;
+                }
+            }
+            b
+        };
+        let mut lines: Vec<usize> = (0..1usize << num_qubits).step_by(CX_LINE).collect();
+        lines.sort_by_key(|&line| (tile(line), line));
+        CxRun {
+            start,
+            end: start + gates.len(),
+            lines: lines
+                .into_iter()
+                .map(|line| {
+                    let index =
+                        |b| u32::try_from(b).expect("a register holds at most 2^30 amplitudes");
+                    (index(line), index(inverse(line)))
+                })
+                .collect(),
+            within: std::array::from_fn(inverse),
+        }
+    }
+
+    /// Applies the run: gathers both lanes into the thread's spare lanes and swaps them
+    /// in.
+    fn apply(&self, state: &mut Statevector) {
+        SPARE.with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.num_qubits() != state.num_qubits() {
+                *spare = state.zeros_like();
+            }
+            let (re, im) = state.lanes();
+            let (out_re, out_im) = spare.lanes_mut();
+            gather_lines(re, im, out_re, out_im, &self.lines, &self.within);
+            std::mem::swap(state, &mut *spare);
+        });
+    }
+}
+
+/// `out[L + w] = lane[F⁻¹(L) ^ within[w]]` for both lanes and every `(L, F⁻¹(L))` of
+/// `lines` (see [`CxRun`]).  The index mask (every source is below the register size; the
+/// mask only tells the compiler) keeps the loads free of bounds checks, and staging a
+/// line's indices and values in arrays lets the compiler vectorize the index arithmetic
+/// and the stores.  Timed alone on the 2-vCPU host (12-qubit ring, six runs): 4.7–6.7 µs
+/// this way, 6.5–8.6 µs with the loads written straight into the output lines, and
+/// 3.8–5.7 µs with AVX2 hardware gathers, which would save ≈ 1 µs per ring, ≈ 2 % of a
+/// 12-qubit HEA job, for a second, unsafe body.
+fn gather_lines(
+    re: &[f64],
+    im: &[f64],
+    out_re: &mut [f64],
+    out_im: &mut [f64],
+    lines: &[(u32, u32)],
+    within: &[usize; CX_LINE],
+) {
+    let mask = re.len() - 1;
+    let im = &im[..re.len()];
+    for &(at, from) in lines {
+        let (at, from) = (at as usize, from as usize);
+        let src: [usize; CX_LINE] = std::array::from_fn(|w| (from ^ within[w]) & mask);
+        let r: [f64; CX_LINE] = std::array::from_fn(|w| re[src[w]]);
+        let i: [f64; CX_LINE] = std::array::from_fn(|w| im[src[w]]);
+        out_re[at..at + CX_LINE].copy_from_slice(&r);
+        out_im[at..at + CX_LINE].copy_from_slice(&i);
+    }
+}
+
 /// A diagonal gate lowered to phase terms, before it is merged into (or becomes) a pass.
 struct DiagonalAtom {
     terms: Vec<PhaseTerm>,
@@ -675,6 +843,9 @@ pub struct CompileStats {
     pub diagonal_passes: usize,
     /// Source gates folded into diagonal passes.
     pub diagonal_gates_batched: usize,
+    /// Runs of two or more consecutive CX ops applied as one index gather (registers of
+    /// [`CX_GATHER_MIN_QUBITS`] qubits and up; smaller registers count none).
+    pub cx_runs: usize,
 }
 
 /// A circuit lowered into fused operations; see the module docs for the pass design.
@@ -710,6 +881,9 @@ pub struct CompiledCircuit {
     /// pairwise-distinct qubits, which [`CompiledCircuit::execute_from_basis`] writes
     /// by doubling instead of one pass per op.
     prefix: usize,
+    /// The maximal runs of two or more consecutive [`CompiledOp::Cx`] ops, in op order,
+    /// each composed into one index map (empty below [`CX_GATHER_MIN_QUBITS`] qubits).
+    cx_runs: Vec<CxRun>,
 }
 
 impl Clone for OpEntry {
@@ -771,6 +945,7 @@ impl CompiledCircuit {
             fused_chains: 0,
             diagonal_passes: 0,
             diagonal_gates_batched: 0,
+            cx_runs: 0,
         };
         for entry in &ops {
             match &entry.op {
@@ -791,12 +966,15 @@ impl CompiledCircuit {
                 fresh
             })
             .count();
+        let cx_runs = CxRun::find_all(&ops, circuit.num_qubits());
+        stats.cx_runs = cx_runs.len();
         CompiledCircuit {
             num_qubits: circuit.num_qubits(),
             ops,
             stats,
             noise_sites,
             prefix,
+            cx_runs,
         }
     }
 
@@ -815,11 +993,29 @@ impl CompiledCircuit {
         self.stats
     }
 
+    /// This circuit with every CX run applied gate by gate, as registers below
+    /// [`CX_GATHER_MIN_QUBITS`] qubits apply them: the same ops, noise sites and product
+    /// prefix, with no run gathered.  It exists as the oracle the gather is held to (the
+    /// `CX run gather ≡ per-gate CX` row of `tests/src/relational.rs`).
+    pub fn with_per_gate_cx(&self) -> CompiledCircuit {
+        CompiledCircuit {
+            cx_runs: Vec::new(),
+            stats: CompileStats {
+                cx_runs: 0,
+                ..self.stats
+            },
+            ..self.clone()
+        }
+    }
+
     /// Executes the compiled circuit on `state`, resolving parameter slots against
     /// `params`.  Allocation-free for circuits whose diagonal passes hold at most 64
     /// phase terms and take the direct path; a tabulated pass (4 or more terms on 8 or
     /// more qubits) builds its phase tables on every call unless
-    /// [`CompiledCircuit::prepare_batch_tables`] bound them once.
+    /// [`CompiledCircuit::prepare_batch_tables`] bound them once.  A CX run (from
+    /// [`CX_GATHER_MIN_QUBITS`] qubits) gathers into the executing thread's spare lanes
+    /// and swaps them with `state`'s, so `state` comes back holding other buffers of the
+    /// same size; the spare is allocated on the thread's first run of a register size.
     ///
     /// # Panics
     ///
@@ -830,7 +1026,9 @@ impl CompiledCircuit {
     }
 
     /// Executes starting from `initial`, writing into `scratch` (the zero-allocation
-    /// batch building block: `scratch`'s buffer is reused when dimensions match).
+    /// batch building block: `scratch`'s buffers are reused when dimensions match, or
+    /// swapped with the thread's spare lanes by a CX run — see
+    /// [`CompiledCircuit::execute_in_place`]).
     pub fn execute_into(&self, params: &[f64], initial: &Statevector, scratch: &mut Statevector) {
         scratch.clone_from(initial);
         self.execute_in_place(params, scratch);
@@ -1042,20 +1240,45 @@ impl CompiledCircuit {
             None => 0,
         };
         let mut cursor = 0usize;
-        let mut fire_before = |state: &mut Statevector, op: usize| {
-            while cursor < insertions.len() && insertions[cursor].after_op < op {
-                apply_pauli_string(state, &insertions[cursor].string);
-                cursor += 1;
+        // Fires every insertion that fires after an op before `op`.
+        let fire_before = |state: &mut Statevector, cursor: &mut usize, op: usize| {
+            while *cursor < insertions.len() && insertions[*cursor].after_op < op {
+                apply_pauli_string(state, &insertions[*cursor].string);
+                *cursor += 1;
             }
         };
-        fire_before(state, start);
+        fire_before(state, &mut cursor, start);
+        // The first CX run at or after `start`, and the ops below `resume`, which a
+        // gathered run applied.
+        let mut next_run = self.cx_runs.partition_point(|run| run.start < start);
+        let mut resume = start;
         for (i, entry) in self.ops.iter().enumerate().skip(start) {
+            if i < resume {
+                continue;
+            }
             let bound = tables.and_then(|t| t.per_op.get(i).and_then(Option::as_ref));
             match &entry.op {
                 CompiledOp::Fused1Q(f) => {
                     apply_single_qubit(state, f.qubit, &f.bound_matrix(params));
                 }
-                CompiledOp::Cx(c, t) => apply_cx(state, *c, *t),
+                CompiledOp::Cx(c, t) => {
+                    if let Some(run) = self.cx_runs.get(next_run).filter(|r| r.start == i) {
+                        next_run += 1;
+                        // The run is one permutation unless an insertion fires strictly
+                        // inside it; then its CX ops run one by one, and the insertion
+                        // lands between them.
+                        let inside = insertions
+                            .get(cursor)
+                            .is_some_and(|p| p.after_op < run.end - 1);
+                        if !inside {
+                            run.apply(state);
+                            resume = run.end;
+                            fire_before(state, &mut cursor, run.end);
+                            continue;
+                        }
+                    }
+                    apply_cx(state, *c, *t);
+                }
                 CompiledOp::Cz(c, t) => apply_cz(state, *c, *t),
                 CompiledOp::Rotation(string, angle) => {
                     apply_pauli_rotation(state, string, angle.resolve(params));
@@ -1076,7 +1299,7 @@ impl CompiledCircuit {
                     None => pass.execute(params, state),
                 },
             }
-            fire_before(state, i + 1);
+            fire_before(state, &mut cursor, i + 1);
         }
         assert_eq!(
             cursor,

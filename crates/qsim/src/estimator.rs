@@ -52,7 +52,9 @@ pub fn analytic_sampled_from_expectations<R: Rng>(
         op.num_terms(),
         "one exact expectation per Pauli term required"
     );
-    let mut total = 0.0;
+    // −0.0, the identity of IEEE addition, as `Iterator::sum` starts: at zero shots the
+    // total is then the exact readout's `TermBasis::op_value`, zero signs included.
+    let mut total = -0.0;
     for (term, &exact) in op.terms().iter().zip(exact) {
         let sampled = if term.string.is_identity() || shots_per_pauli == 0 {
             exact

@@ -57,7 +57,9 @@ mod pauliprop;
 mod shots;
 mod simulator;
 
-pub use compiled::{BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion};
+pub use compiled::{
+    BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion, CX_GATHER_MIN_QUBITS,
+};
 pub use estimator::{analytic_sampled_from_expectations, exact_term_expectations};
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};
 pub use shots::{ShotLedger, DEFAULT_SHOTS_PER_PAULI};

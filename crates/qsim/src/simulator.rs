@@ -36,11 +36,17 @@
 //!   half-blocks; those kernels get bodies that update whole chunks or windows with
 //!   constant lane shuffles, evaluating each amplitude with the same expression, in the
 //!   same order, as the per-pair form — the same bits, pinned by recorded digests in
-//!   `tests/tests/kernel_equivalence.rs`.  On qubits ≥ 4 a 1q pass is bound by the FP
-//!   ports, not by memory: at 12 qubits, 2 048 pairs × 28 vector FP ops ÷ 4 lanes ÷ 2
-//!   ports ≈ 7.2k cycles, about 2 µs on the 2-vCPU reference host.  Fusing 1q chains
-//!   into 4×4 two-qubit ops would add arithmetic rather than remove passes; the waste
-//!   was in the low-qubit bodies and in the leading product layer
+//!   `tests/tests/kernel_equivalence.rs`.  Single-qubit gates on qubits 0–3 run
+//!   AVX-intrinsic bodies (`low_qubit`): qubits 0 and 1 combine each lane with its
+//!   partner read by one constant shuffle, qubits 2 and 3 pair whole vectors of fixed
+//!   8- and 16-lane windows (other targets keep the autovectorized per-chunk body,
+//!   `single_qubit_in_chunk`, on qubits 0 and 1); the relational row `full-width 1q
+//!   bodies ≡ former bodies` holds them to the bodies they replaced.  On qubits ≥ 4 a 1q
+//!   pass is bound by the FP ports, not by memory: at 12 qubits, 2 048 pairs × 28 vector
+//!   FP ops ÷ 4 lanes ÷ 2 ports ≈ 7.2k cycles, about 2 µs on the 2-vCPU reference host,
+//!   and qubits 0–3 now run within ≈ 15 % of that.  Fusing 1q chains into 4×4 two-qubit
+//!   ops would add arithmetic rather than remove passes; the waste was in the low-qubit
+//!   bodies and in the leading product layer
 //!   ([`crate::CompiledCircuit::execute_from_basis`]).
 //! * **One body per kernel, no threads.**  Every kernel here is a single serial,
 //!   vectorized pass over its state.  The stack's parallelism is *across* states —
@@ -263,23 +269,35 @@ pub(crate) fn submasks(mask: usize) -> impl Iterator<Item = usize> {
 /// four-stream zip of [`pair_lanes`] autovectorize; a zip-of-chunks formulation, or the
 /// same loop written inline against the struct's lanes, compiles to scalar code.
 ///
-/// Qubits 0 and 1 (`bit ∈ {1, 2}`) put both halves of every pair inside one 4-lane
-/// chunk, so the half-blocks the generic walk zips are one or two elements long; they
-/// get [`single_qubit_in_chunk`] instead, which keeps the full vector width.
+/// Qubits 0–3 (`bit ∈ {1, 2, 4, 8}`) leave the generic walk half-blocks of one to eight
+/// elements, whose loop overhead and scalar tails cost up to 5× a high-qubit pass (on
+/// qubit 0); on AVX targets they get the full-width bodies of `low_qubit` instead.
+/// Other targets keep `single_qubit_in_chunk` on qubits 0 and 1 and the walk on
+/// qubits 2 and 3.  A slice shorter than such a body's chunk or window — a 1-qubit
+/// register, or a short run of the product prefix ([`apply_single_qubit_subcube`]) —
+/// takes the generic walk, which is exact at any length.
 fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
-    match bit {
-        1 if re.len() >= LANES => single_qubit_in_chunk::<1>(re, im, m),
-        2 => single_qubit_in_chunk::<2>(re, im, m),
-        _ => {
-            for (rb, ib) in re
-                .chunks_exact_mut(bit << 1)
-                .zip(im.chunks_exact_mut(bit << 1))
-            {
-                let (r_lo, r_hi) = rb.split_at_mut(bit);
-                let (i_lo, i_hi) = ib.split_at_mut(bit);
-                pair_lanes(r_lo, i_lo, r_hi, i_hi, m);
-            }
-        }
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+    match (bit, re.len()) {
+        (1, 4..) => return low_qubit::in_chunk::<1>(re, im, m),
+        (2, 4..) => return low_qubit::in_chunk::<2>(re, im, m),
+        (4, 8..) => return low_qubit::in_window::<4>(re, im, m),
+        (8, 16..) => return low_qubit::in_window::<8>(re, im, m),
+        _ => {}
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+    match (bit, re.len()) {
+        (1, LANES..) => return single_qubit_in_chunk::<1>(re, im, m),
+        (2, LANES..) => return single_qubit_in_chunk::<2>(re, im, m),
+        _ => {}
+    }
+    for (rb, ib) in re
+        .chunks_exact_mut(bit << 1)
+        .zip(im.chunks_exact_mut(bit << 1))
+    {
+        let (r_lo, r_hi) = rb.split_at_mut(bit);
+        let (i_lo, i_hi) = ib.split_at_mut(bit);
+        pair_lanes(r_lo, i_lo, r_hi, i_hi, m);
     }
 }
 
@@ -309,10 +327,12 @@ fn pair_lanes(
     }
 }
 
-/// [`single_qubit_lanes`] for `BIT ∈ {1, 2}`: each 4-lane chunk holds two whole pairs,
-/// so the chunk is updated at once — every lane reads its pair's two inputs (a constant
-/// broadcast shuffle) and its own matrix row, and evaluates the same expression, in the
-/// same order, as [`pair_lanes`] does for that lane's side of the pair.
+/// [`single_qubit_lanes`] for `BIT ∈ {1, 2}` on targets without AVX: each 4-lane chunk
+/// holds two whole pairs, so the chunk is updated at once — every lane reads its pair's
+/// two inputs (a constant broadcast shuffle) and its own matrix row, and evaluates the
+/// same expression, in the same order, as [`pair_lanes`] does for that lane's side of
+/// the pair.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
 fn single_qubit_in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
     let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
     // Lane j is side `j & BIT` of the pair (j & !BIT, j | BIT): row 0 or row 1 of m.
@@ -338,6 +358,131 @@ fn single_qubit_in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[
         }
         *rc = nr;
         *ic = ni;
+    }
+}
+
+/// Full-width single-qubit bodies for qubits 0–3 on 4-lane AVX vectors.  Each evaluates
+/// [`pair_lanes`]' expression, operation for operation, on whole vectors — `mul`, `sub`
+/// and `add` round exactly as the scalar operators do, and nothing is contracted into an
+/// FMA — so every amplitude gets the bits of the generic walk.  Written with intrinsics
+/// because autovectorization does not keep these shapes: a plain-array rewrite of the
+/// same bodies vectorized across windows instead and ran 1.4–2.3× slower than the walk.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+mod low_qubit {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute4x64_pd,
+        _mm256_permute_pd, _mm256_set1_pd, _mm256_setr_pd, _mm256_storeu_pd, _mm256_sub_pd,
+    };
+
+    const LANES: usize = 4;
+
+    /// `a·x0 − b·y0 + (c·x1 − d·y1)` and its imaginary twin: [`pair_lanes`]' two
+    /// expressions for one side of a pair, `[a, b, c, d]` being the real and imaginary
+    /// parts of the matrix entries that multiply `x0 + i·y0` and `x1 + i·y1`.
+    ///
+    /// [`pair_lanes`]: super::pair_lanes
+    #[inline(always)]
+    fn side(row: &[__m256d; 4], [x0, y0, x1, y1]: [__m256d; 4]) -> (__m256d, __m256d) {
+        let [a, b, c, d] = *row;
+        // SAFETY: AVX is enabled for this compilation (the module's `cfg`), and these
+        // intrinsics touch registers only.
+        unsafe {
+            let (mul, add, sub) = (_mm256_mul_pd, _mm256_add_pd, _mm256_sub_pd);
+            (
+                add(sub(mul(a, x0), mul(b, y0)), sub(mul(c, x1), mul(d, y1))),
+                add(add(mul(a, y0), mul(b, x0)), add(mul(c, y1), mul(d, x1))),
+            )
+        }
+    }
+
+    /// Qubits 0 and 1 (`BIT ∈ {1, 2}`): each 4-lane chunk holds two whole pairs.  Lane
+    /// `j` computes its own side's term from its own value and the other side's term
+    /// from its partner's, read from the chunk with the pairs' halves swapped (one
+    /// in-lane `permute` for qubit 0, one `permute4x64` for qubit 1); the per-lane
+    /// matrix entries are constants.  [`pair_lanes`](super::pair_lanes) adds the pair's
+    /// clear-side term first, this body adds its own side's first: the same two terms,
+    /// and IEEE addition is commutative, so the bits are the same.  Needs a length that
+    /// is a multiple of 4.
+    ///
+    /// Measured at 12 qubits on the 2-vCPU host (one process, min of 41 samples): this
+    /// body 2.2 µs on qubits 0 and 1, against 2.0 µs for the generic walk on qubit 6 and
+    /// 9.5 µs for the walk on qubit 0.  Reading both inputs of a pair by broadcast
+    /// shuffles (four per chunk) took 2.3–2.6 µs, a de-interleave into pair-clear and
+    /// pair-set vectors and back 2.5–3.4 µs.
+    pub(super) fn in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+        assert!(re.len() == im.len() && re.len() % LANES == 0);
+        let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+        // SAFETY: AVX is enabled for this compilation (the module's `cfg`), and these
+        // intrinsics touch registers only.
+        let (row, swap) = unsafe {
+            let row = |clear: f64, set: f64| match BIT {
+                1 => _mm256_setr_pd(clear, set, clear, set),
+                _ => _mm256_setr_pd(clear, clear, set, set),
+            };
+            let row = [
+                row(m00r, m11r),
+                row(m00i, m11i),
+                row(m01r, m10r),
+                row(m01i, m10i),
+            ];
+            let swap = |v: __m256d| match BIT {
+                1 => _mm256_permute_pd::<0b0101>(v),
+                _ => _mm256_permute4x64_pd::<0b0100_1110>(v),
+            };
+            (row, swap)
+        };
+        for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+            let (r, i) = (rc.as_mut_ptr(), ic.as_mut_ptr());
+            // SAFETY: each chunk holds exactly 4 values of each lane; AVX is enabled.
+            unsafe {
+                let (a, b) = (_mm256_loadu_pd(r), _mm256_loadu_pd(i));
+                let (nr, ni) = side(&row, [a, b, swap(a), swap(b)]);
+                _mm256_storeu_pd(r, nr);
+                _mm256_storeu_pd(i, ni);
+            }
+        }
+    }
+
+    /// Qubits 2 and 3 (`BIT ∈ {4, 8}`): in each block of `2·BIT` amplitudes the
+    /// pair-clear half and the pair-set half are whole 4-lane vectors, so the pairs are
+    /// updated a vector at a time, with no shuffle, in fixed-size windows that leave no
+    /// loop tail.  Needs a length that is a multiple of `2·BIT`.
+    pub(super) fn in_window<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+        assert!(re.len() == im.len() && re.len() % (2 * BIT) == 0);
+        let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+        // SAFETY: AVX is enabled for this compilation; broadcasts touch registers only.
+        let [row0, row1] = unsafe {
+            let b = |v| _mm256_set1_pd(v);
+            [
+                [b(m00r), b(m00i), b(m01r), b(m01i)],
+                [b(m10r), b(m10i), b(m11r), b(m11i)],
+            ]
+        };
+        for (rw, iw) in re
+            .chunks_exact_mut(2 * BIT)
+            .zip(im.chunks_exact_mut(2 * BIT))
+        {
+            let (r, i) = (rw.as_mut_ptr(), iw.as_mut_ptr());
+            for k in (0..BIT).step_by(LANES) {
+                // SAFETY: `k + BIT + 4 ≤ 2·BIT`, so every access stays inside this
+                // window of both lanes; AVX is enabled.
+                unsafe {
+                    let (lo, hi) = (k, k + BIT);
+                    let v = [
+                        _mm256_loadu_pd(r.add(lo)),
+                        _mm256_loadu_pd(i.add(lo)),
+                        _mm256_loadu_pd(r.add(hi)),
+                        _mm256_loadu_pd(i.add(hi)),
+                    ];
+                    let (r0, i0) = side(&row0, v);
+                    let (r1, i1) = side(&row1, v);
+                    _mm256_storeu_pd(r.add(lo), r0);
+                    _mm256_storeu_pd(i.add(lo), i0);
+                    _mm256_storeu_pd(r.add(hi), r1);
+                    _mm256_storeu_pd(i.add(hi), i1);
+                }
+            }
+        }
     }
 }
 

@@ -408,34 +408,41 @@ impl TreeVqa {
 
         // Post-processing (Algorithm 1 lines 12–17): evaluate every task Hamiltonian on
         // every surviving cluster state and keep the best.  Probe jobs charge no shots.
-        let mut per_task = Vec::with_capacity(num_tasks);
-        for (task_idx, task) in app.tasks.iter().enumerate() {
-            let handles: Vec<S::Handle> = clusters
+        // Cluster by cluster: a cluster's state is probed for every task in a row, so a
+        // driver that keeps the state its last probe prepared (the dense driver does)
+        // prepares each cluster state once, and at most `num_tasks` probes are in flight,
+        // as in a round.  Each task keeps the first cluster with its strictly lowest value.
+        let first_node = clusters.first().map(|c| c.node_id).unwrap_or(0);
+        let mut best = vec![(f64::INFINITY, first_node); num_tasks];
+        for cluster in &clusters {
+            let handles: Vec<S::Handle> = task_hams
                 .iter()
-                .map(|cluster| {
+                .map(|ham| {
                     submitter.submit_probe_job(
                         EvalJob::new(
                             Arc::clone(&ansatz),
                             cluster.params().to_vec(),
                             app.initial_state,
-                            Arc::clone(&task_hams[task_idx]),
+                            Arc::clone(ham),
                         ),
                         &SubmitOptions::default(),
                     )
                 })
                 .collect::<Result<_, _>>()?;
-            let mut best_energy = f64::INFINITY;
-            let mut best_node = clusters.first().map(|c| c.node_id).unwrap_or(0);
-            for (cluster, handle) in clusters.iter().zip(&handles) {
+            for (handle, (best_energy, best_node)) in handles.iter().zip(&mut best) {
                 let energy = handle.wait()?.charged;
-                if energy < best_energy {
-                    best_energy = energy;
-                    best_node = cluster.node_id;
+                if energy < *best_energy {
+                    *best_energy = energy;
+                    *best_node = cluster.node_id;
                 }
             }
+        }
+        let mut per_task = Vec::with_capacity(num_tasks);
+        for (task_idx, (task, &(best_energy, best_node))) in app.tasks.iter().zip(&best).enumerate()
+        {
             // The best-so-far trajectory energy may beat the final states (SPSA is noisy);
             // the paper reports achieved accuracy, so keep the better of the two.
-            best_energy = best_energy.min(per_task_best[task_idx]);
+            let best_energy = best_energy.min(per_task_best[task_idx]);
             per_task.push(TreeVqaTaskOutcome {
                 task_label: task.label.clone(),
                 parameter: task.parameter,

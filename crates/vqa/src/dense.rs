@@ -262,7 +262,8 @@ fn plan_for<'a, R: Readout>(
 ///   fold in term order, and shots are charged in request order.
 ///
 /// [`Backend::evaluate`] is a batch of one stream-less request; [`Backend::probe`] is one
-/// ideal rollout read out as-is.  A request's result is therefore a function of the
+/// ideal rollout read out as-is — prepared only when the previous probe did not leave
+/// the same state in its slot.  A request's result is therefore a function of the
 /// request alone — not of batch size, chunking, entry point, execution order, thread
 /// count or whether its chunk was spread over threads — which is what lets every stage
 /// advertise `retry_safe`.
@@ -276,6 +277,31 @@ pub struct Dense<R: Readout> {
     plans: CircuitCache<(CompiledCircuit, R::Plan)>,
     observables: ObservableCache,
     pub(crate) pool: ScratchPool,
+    /// What the pool's slot 0 holds after a [`Backend::probe`]: the state prepared from
+    /// this circuit, these parameter bits and this initial state.  [`Dense::run`] and
+    /// [`Backend::recover`] clear it.
+    probed: Option<Probed>,
+}
+
+/// The preparation a probe left in slot 0 (see [`Dense::probe`](Backend::probe)).
+#[derive(Debug)]
+struct Probed {
+    circuit: Circuit,
+    params: Vec<f64>,
+    initial: InitialState,
+}
+
+impl Probed {
+    fn holds(&self, circuit: &Circuit, params: &[f64], initial: &InitialState) -> bool {
+        self.initial == *initial
+            && self.params.len() == params.len()
+            && self
+                .params
+                .iter()
+                .zip(params)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.circuit == *circuit
+    }
 }
 
 impl<R: Readout> Dense<R> {
@@ -288,11 +314,14 @@ impl<R: Readout> Dense<R> {
             plans: CircuitCache::default(),
             observables: ObservableCache::default(),
             pool: ScratchPool::default(),
+            probed: None,
         }
     }
 
     /// Runs requests that all reference one circuit, appending their results.
     fn run(&mut self, requests: &[EvalRequest<'_>], results: &mut Vec<EvalResult>) {
+        // The run reuses the pool's slots, slot 0 included.
+        self.probed = None;
         let streams: Vec<StreamId> = requests
             .iter()
             .map(|req| resolve_stream(&mut self.evals_issued, req.stream))
@@ -435,11 +464,28 @@ impl<R: Readout> Backend for Dense<R> {
         // fidelity metrics measure how good the optimized state is, independent of
         // simulated hardware noise.  The cache entry still carries the stage's plan, so
         // a later evaluation of the same circuit hits it unchanged.
-        let request = EvalRequest::unpinned(circuit, params, initial, op, &[]);
         let basis = self.observables.get(op, &[]);
         let (compiled, _) = plan_for(&mut self.plans, &self.readout, circuit);
         let slot = &mut self.pool.slots(1, compiled.num_qubits())[0];
-        rollout(compiled, None, &basis, &request, &[], slot);
+        // Consecutive probes of one state (the controller probes each cluster state for
+        // every member task in a row) prepare it once: only the readout differs.
+        let prepared = self
+            .probed
+            .as_ref()
+            .is_some_and(|p| p.holds(circuit, params, initial));
+        if prepared {
+            measure(&basis, slot);
+        } else {
+            // Cleared first: a rollout that unwinds leaves no claim on a half-written slot.
+            self.probed = None;
+            let request = EvalRequest::unpinned(circuit, params, initial, op, &[]);
+            rollout(compiled, None, &basis, &request, &[], slot);
+            self.probed = Some(Probed {
+                circuit: circuit.clone(),
+                params: params.to_vec(),
+                initial: *initial,
+            });
+        }
         basis.op_value(0, &slot.values)
     }
 
@@ -474,6 +520,7 @@ impl<R: Readout> Backend for Dense<R> {
         self.plans.clear();
         self.observables.clear();
         self.pool.clear();
+        self.probed = None;
     }
 }
 
@@ -528,5 +575,75 @@ impl Dense<Attenuated> {
     /// Creates a noisy backend with a typed seeding policy.
     pub fn with_policy(model: PauliNoiseModel, shots_per_pauli: u64, policy: SeedPolicy) -> Self {
         Dense::with_readout(shots_per_pauli, Attenuated { policy, model })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qcircuit::{Entanglement, HardwareEfficientAnsatz};
+    use qop::Statevector;
+
+    fn probe_bits(backend: &mut StatevectorBackend, params: &[f64], op: &PauliOp) -> u64 {
+        let circuit = HardwareEfficientAnsatz::new(4, 2, Entanglement::Circular).build();
+        backend
+            .probe(&circuit, params, &InitialState::Basis(1), op)
+            .to_bits()
+    }
+
+    /// Overwrites the state a probe left in slot 0, so a probe that reuses it reads a
+    /// different value from one that prepares its state afresh.
+    fn spoil_slot(backend: &mut StatevectorBackend) {
+        backend.pool.slots(1, 4)[0].state = Statevector::basis_state(4, 0b1010);
+    }
+
+    #[test]
+    fn consecutive_probes_of_one_state_share_its_preparation() {
+        let circuit = HardwareEfficientAnsatz::new(4, 2, Entanglement::Circular).build();
+        let params: Vec<f64> = (0..circuit.num_parameters())
+            .map(|i| 0.1 + 0.07 * i as f64)
+            .collect();
+        let ops = [
+            qchem::transverse_field_ising(4, 1.0, 0.5),
+            qchem::transverse_field_ising(4, 1.0, 1.5),
+        ];
+        let fresh = |params: &[f64], op: &PauliOp| {
+            probe_bits(&mut StatevectorBackend::with_shots(0), params, op)
+        };
+        // A run of probes of one state reads what fresh drivers read.
+        let mut backend = StatevectorBackend::with_shots(0);
+        for op in [&ops[0], &ops[1], &ops[0]] {
+            assert_eq!(probe_bits(&mut backend, &params, op), fresh(&params, op));
+        }
+        // The repeated probes read the slot: spoiled, it changes their value.
+        spoil_slot(&mut backend);
+        assert_ne!(
+            probe_bits(&mut backend, &params, &ops[1]),
+            fresh(&params, &ops[1])
+        );
+
+        // An evaluation, recover() and a one-bit change of one parameter each make the
+        // next probe prepare its state again.
+        spoil_slot(&mut backend);
+        let (initial, free) = (InitialState::Basis(1), []);
+        backend.evaluate(&circuit, &params, &initial, &ops[0], &free);
+        spoil_slot(&mut backend);
+        assert_eq!(
+            probe_bits(&mut backend, &params, &ops[1]),
+            fresh(&params, &ops[1])
+        );
+        spoil_slot(&mut backend);
+        backend.recover();
+        assert_eq!(
+            probe_bits(&mut backend, &params, &ops[1]),
+            fresh(&params, &ops[1])
+        );
+        spoil_slot(&mut backend);
+        let mut nudged = params.clone();
+        nudged[3] = f64::from_bits(nudged[3].to_bits() ^ 1);
+        assert_eq!(
+            probe_bits(&mut backend, &nudged, &ops[1]),
+            fresh(&nudged, &ops[1])
+        );
     }
 }

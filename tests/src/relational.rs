@@ -13,7 +13,12 @@
 //! * [`expectations`] — the same circuits on 1–8 qubits with an observable, read by
 //!   untruncated propagation, the dense driver and an interleaved oracle
 //!   ([`EXPECTATION_PAIRS`]);
+//! * [`cx_networks`] — circuits with maximal CX runs below and at or above
+//!   `qsim::CX_GATHER_MIN_QUBITS`, with insertions inside and right after runs
+//!   ([`CIRCUIT_PAIRS`]);
 //! * [`operators`] — states with operators and rotation sequences ([`OPERATOR_PAIRS`]);
+//! * [`single_qubit_gates`] — a 2×2 matrix on each of qubits 0–3 of every register from
+//!   1 to 14 qubits ([`GATE_PAIRS`]);
 //! * [`batches`] and [`parallel_batches`] — request batches at 4–5 qubits, and at
 //!   11 qubits × 17 candidates, the shape that crosses `qsim::parallel_threshold`
 //!   ([`BATCH_PAIRS`]).
@@ -319,6 +324,9 @@ enum Shape {
     Qaoa,
     /// Three circular hardware-efficient layers: every fusion pattern.
     Hea,
+    /// A product layer, then three bursts of CX gates — a ring, then two of 2–6 gates on
+    /// random pairs — each followed by 1–4 gates of every kind: maximal CX runs.
+    Networks,
 }
 
 /// Gate kind `kind` (0–11: `Gate`'s variants in declaration order; 12–13: Z-string
@@ -391,6 +399,29 @@ fn random_circuit(gen: &mut Gen, n: usize, shape: Shape) -> Circuit {
             }
         }
         Shape::Hea => circuit = HardwareEfficientAnsatz::new(n, 3, Entanglement::Circular).build(),
+        Shape::Networks => {
+            for q in 0..n {
+                circuit.push(Gate::Ry(q, Angle::param(q % NUM_PARAMS)));
+            }
+            for burst in 0..3 {
+                let pairs: Vec<(usize, usize)> = match burst {
+                    0 => (0..n).map(|q| (q, (q + 1) % n)).collect(),
+                    _ => (0..2 + gen.below(5))
+                        .map(|_| {
+                            let c = gen.below(n as u64) as usize;
+                            (c, (c + 1 + gen.below(n as u64 - 1) as usize) % n)
+                        })
+                        .collect(),
+                };
+                for (c, t) in pairs {
+                    circuit.push(Gate::Cx(c, t));
+                }
+                for _ in 0..=gen.below(4) {
+                    let (kind, q) = (gen.below(14), gen.below(n as u64) as usize);
+                    circuit.push(random_gate(gen, n, kind, q));
+                }
+            }
+        }
     }
     circuit
 }
@@ -571,12 +602,96 @@ pub const CIRCUIT_PAIRS: &[Pair<CircuitCase>] = &[
     ),
     // A nonzero-rate schedule is a function of (seed, trajectory) alone.
     ("noisy rollout is reproducible", rollout, rollout, Bits),
+    (
+        // The source applies every CX with `qsim::apply_cx`, the case's insertions in
+        // place; the fast side gathers every run no insertion falls strictly inside.
+        "CX run gather ≡ per-gate CX",
+        |c| execute(c, &c.insertions, false),
+        |c| {
+            let mut psi = c.initial.clone();
+            c.compiled
+                .with_per_gate_cx()
+                .execute_in_place_with_insertions(&c.params, &mut psi, &c.insertions, None);
+            Out::State(psi)
+        },
+        Bits,
+    ),
 ];
+
+/// The op ranges `[start, end)` of `c`'s maximal runs of two or more consecutive CX ops,
+/// read from its noise sites: a CX is never fused, so its site's op holds it alone.
+fn cx_runs(c: &CircuitCase) -> Vec<(usize, usize)> {
+    let mut ops: Vec<usize> = gates_and_sites(c)
+        .filter(|(gate, _)| matches!(gate, Gate::Cx(..)))
+        .map(|(_, site)| site.op_index)
+        .collect();
+    ops.dedup();
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for op in ops {
+        match runs.last_mut() {
+            Some(run) if run.1 == op => run.1 += 1,
+            _ => runs.push((op, op + 1)),
+        }
+    }
+    runs.retain(|&(start, end)| end - start >= 2);
+    runs
+}
+
+/// `c`'s non-identity gates beside their noise sites (identity rotations have none).
+fn gates_and_sites(c: &CircuitCase) -> impl Iterator<Item = (&Gate, &qsim::NoiseSite)> {
+    let gates = c.circuit.gates().iter().filter(|g| match g {
+        Gate::PauliRotation(s, _) => !s.is_identity(),
+        _ => true,
+    });
+    gates.zip(c.compiled.noise_sites())
+}
+
+/// The qubits of the product-prefix chains a basis start of `c` writes by doubling, in
+/// op order: the leading ops holding single-qubit gates only, on distinct qubits, up to
+/// the op after which the first insertion fires.
+fn prefix_chains(c: &CircuitCase) -> Vec<usize> {
+    let mut ops = vec![(0u64, true); c.compiled.num_ops()];
+    for (gate, site) in gates_and_sites(c) {
+        let op = &mut ops[site.op_index];
+        op.0 |= site.qubits.iter().fold(0, |m, q| m | 1 << q);
+        op.1 &= site.qubits.len() == 1 && !matches!(gate, Gate::PauliRotation(..));
+    }
+    let len = c.insertions.first().map_or(ops.len(), |p| p.after_op + 1);
+    let mut touched = 0;
+    let mut chains = Vec::new();
+    for &(mask, single) in ops.iter().take(len) {
+        if !single || touched & mask != 0 {
+            break;
+        }
+        touched |= mask;
+        chains.push(mask.trailing_zeros() as usize);
+    }
+    chains
+}
+
+/// Whether the basis start of `c` runs a qubit-0 chain on sub-cube runs of 2 amplitudes,
+/// shorter than the 4-lane chunk of the full-width body: qubit 1 is neither written yet
+/// nor where the chain's zero copies go (the next chain's qubit, else the lowest
+/// unwritten one).
+fn q0_chain_on_2_amplitude_runs(c: &CircuitCase) -> bool {
+    let chains = prefix_chains(c);
+    let Some(k) = chains.iter().position(|&q| q == 0) else {
+        return false;
+    };
+    let covered = chains.iter().fold(0usize, |m, q| m | 1 << q);
+    let all = (1usize << c.circuit.num_qubits()) - 1;
+    let spare = (covered != all).then(|| (!covered & all).trailing_zeros() as usize);
+    let next = chains.get(k + 1).copied().or(spare);
+    !chains[..k].contains(&1) && next != Some(1)
+}
 
 fn tally_circuits(cases: &Cases<CircuitCase>) -> Tally {
     let mut tally = Tally::default();
     for (_, c) in cases {
         tally.circuit(&c.circuit);
+        if q0_chain_on_2_amplitude_runs(c) {
+            tally.add("q0 prefix chain on 2-amplitude runs");
+        }
         if !c.insertions.is_empty() {
             tally.add("insertions");
         }
@@ -617,6 +732,7 @@ pub fn circuits(names: &[&str]) {
         tally.require("insertions", 48);
         tally.require("bound tables", 8);
         tally.require("special angle", 48);
+        tally.require("q0 prefix chain on 2-amplitude runs", 4);
         cases
     });
     check(cases, CIRCUIT_PAIRS, names);
@@ -634,6 +750,77 @@ pub fn registers(names: &[&str]) {
         tally.require("14 qubits", 8);
         tally.require("insertions", 4);
         tally.require("PauliRotation", 1);
+        cases
+    });
+    check(cases, CIRCUIT_PAIRS, names);
+}
+
+/// 30 circuits with CX runs: 18 at or above `qsim::CX_GATHER_MIN_QUBITS` (10–14 qubits)
+/// and 12 below it (8–9), hardware-efficient and `Shape::Networks`.  Two thirds of
+/// them replay one insertion strictly inside a run and one right after a run's last CX
+/// (beside their random ones); the rest replay none, so every run is gathered.
+pub fn cx_networks(names: &[&str]) {
+    static CASES: OnceLock<Cases<CircuitCase>> = OnceLock::new();
+    let cases = CASES.get_or_init(|| {
+        let cases: Cases<_> = (0..30u64)
+            .map(|k| {
+                let n = [10, 11, 12, 13, 14, 12, 8, 9, 10, 12][k as usize % 10];
+                let shape = if k % 4 == 1 {
+                    Shape::Hea
+                } else {
+                    Shape::Networks
+                };
+                let (label, mut case) = circuit_case(6000 + k, n, shape);
+                let mut gen = Gen::new(7000 + k);
+                match (k % 3, cx_runs(&case).as_slice()) {
+                    (0, _) => case.insertions.clear(),
+                    (_, [first, .., last]) => {
+                        let inside = first.0 + gen.below((first.1 - first.0 - 1) as u64) as usize;
+                        for after_op in [inside, last.1 - 1] {
+                            let string = gen.string(n);
+                            case.insertions.push(PauliInsertion { after_op, string });
+                        }
+                        case.insertions.sort_by_key(|p| p.after_op);
+                    }
+                    _ => {}
+                }
+                (label, case)
+            })
+            .collect();
+        let mut tally = tally_circuits(&cases);
+        for (_, c) in &cases {
+            let n = c.circuit.num_qubits();
+            let runs = cx_runs(c);
+            let gathered = n >= qsim::CX_GATHER_MIN_QUBITS;
+            assert_eq!(
+                c.compiled.stats().cx_runs,
+                if gathered { runs.len() } else { 0 },
+                "the compiled circuit's CX runs"
+            );
+            let floor = if gathered {
+                "at the floor"
+            } else {
+                "below the floor"
+            };
+            for &(start, end) in &runs {
+                tally.add(format!("run {floor}"));
+                tally.add(format!("run {floor} at {n} qubits"));
+                for p in &c.insertions {
+                    if (start..end - 1).contains(&p.after_op) {
+                        tally.add(format!("insertion inside a run {floor}"));
+                    } else if p.after_op == end - 1 {
+                        tally.add(format!("insertion after a run {floor}"));
+                    }
+                }
+            }
+        }
+        for n in 10..=14 {
+            tally.require(&format!("run at the floor at {n} qubits"), 2);
+        }
+        tally.require("run at the floor", 30);
+        tally.require("run below the floor", 10);
+        tally.require("insertion inside a run at the floor", 8);
+        tally.require("insertion after a run at the floor", 8);
         cases
     });
     check(cases, CIRCUIT_PAIRS, names);
@@ -881,6 +1068,124 @@ pub fn operators(names: &[&str]) {
     check(cases, OPERATOR_PAIRS, names);
 }
 
+// ---- Single-qubit gates -------------------------------------------------------------------
+
+/// A state, a qubit and a 2×2 matrix.
+pub struct GateCase {
+    psi: Statevector,
+    qubit: usize,
+    matrix: qsim::Matrix2,
+}
+
+/// The single-qubit bodies `qsim` ran on qubits 0–3 before they got full-width ones: the
+/// generic walk over `(2·bit)`-blocks, and for qubits 0 and 1 of a register of at least
+/// one 4-lane chunk a per-chunk body whose lanes read their pair's inputs by index.
+fn former_single_qubit(c: &GateCase) -> Out {
+    const LANES: usize = qop::lanes::LANES;
+    let mut psi = c.psi.clone();
+    let m = &c.matrix;
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = [
+        m[0][0].re, m[0][0].im, m[0][1].re, m[0][1].im, m[1][0].re, m[1][0].im, m[1][1].re,
+        m[1][1].im,
+    ];
+    let bit = 1usize << c.qubit;
+    let (re, im) = psi.lanes_mut();
+    if bit < LANES && re.len() >= LANES {
+        // Lane j is side `j & bit` of the pair (j & !bit, j | bit): row 0 or row 1 of m.
+        let row = |lo: f64, hi: f64| -> [f64; LANES] {
+            std::array::from_fn(|j| if j & bit == 0 { lo } else { hi })
+        };
+        let (ar, ai) = (row(m00r, m10r), row(m00i, m10i));
+        let (br, bi) = (row(m01r, m11r), row(m01i, m11i));
+        for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+            let (mut nr, mut ni) = ([0.0; LANES], [0.0; LANES]);
+            for j in 0..LANES {
+                let (x0, y0) = (rc[j & !bit], ic[j & !bit]);
+                let (x1, y1) = (rc[j | bit], ic[j | bit]);
+                nr[j] = (ar[j] * x0 - ai[j] * y0) + (br[j] * x1 - bi[j] * y1);
+                ni[j] = (ar[j] * y0 + ai[j] * x0) + (br[j] * y1 + bi[j] * x1);
+            }
+            rc.copy_from_slice(&nr);
+            ic.copy_from_slice(&ni);
+        }
+    } else {
+        for (rb, ib) in re
+            .chunks_exact_mut(2 * bit)
+            .zip(im.chunks_exact_mut(2 * bit))
+        {
+            let (r_lo, r_hi) = rb.split_at_mut(bit);
+            let (i_lo, i_hi) = ib.split_at_mut(bit);
+            for j in 0..bit {
+                let (x0, y0, x1, y1) = (r_lo[j], i_lo[j], r_hi[j], i_hi[j]);
+                r_lo[j] = (m00r * x0 - m00i * y0) + (m01r * x1 - m01i * y1);
+                i_lo[j] = (m00r * y0 + m00i * x0) + (m01r * y1 + m01i * x1);
+                r_hi[j] = (m10r * x0 - m10i * y0) + (m11r * x1 - m11i * y1);
+                i_hi[j] = (m10r * y0 + m10i * x0) + (m11r * y1 + m11i * x1);
+            }
+        }
+    }
+    Out::State(psi)
+}
+
+/// The rows over [`GateCase`]s.
+pub const GATE_PAIRS: &[Pair<GateCase>] = &[(
+    "full-width 1q bodies ≡ former bodies",
+    |c| {
+        let mut psi = c.psi.clone();
+        qsim::apply_single_qubit(&mut psi, c.qubit, &c.matrix);
+        Out::State(psi)
+    },
+    former_single_qubit,
+    Bits,
+)];
+
+/// Every qubit below 4 (and the top qubit) of every register from 1 to 14 qubits, each
+/// with a fused rotation, with Y (exact zeros and a negative entry) and with H, on a
+/// random state: 3 × 58 cases.
+pub fn single_qubit_gates(names: &[&str]) {
+    static CASES: OnceLock<Cases<GateCase>> = OnceLock::new();
+    let cases = CASES.get_or_init(|| {
+        let c = Complex64::new;
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        let fixed: [qsim::Matrix2; 2] = [
+            [[c(0.0, 0.0), c(0.0, -1.0)], [c(0.0, 1.0), c(0.0, 0.0)]],
+            [[c(h, 0.0), c(h, 0.0)], [c(h, 0.0), c(-h, 0.0)]],
+        ];
+        let mut cases: Cases<GateCase> = Vec::new();
+        let mut gen = Gen::new(8000);
+        for n in 1..=14usize {
+            let mut qubits: Vec<usize> = (0..n.min(4)).collect();
+            if n > 4 {
+                qubits.push(n - 1);
+            }
+            for qubit in qubits {
+                let fused = {
+                    let rz = qsim::rz_matrix(3.2 * gen.unit());
+                    let ry = qsim::ry_matrix(3.2 * gen.unit());
+                    let e = |r: usize, k: usize| rz[r][0] * ry[0][k] + rz[r][1] * ry[1][k];
+                    [[e(0, 0), e(0, 1)], [e(1, 0), e(1, 1)]]
+                };
+                for (kind, matrix) in [("fused", fused), ("Y", fixed[0]), ("H", fixed[1])] {
+                    let label = format!("{kind} on q{qubit} of {n} qubits");
+                    let psi = gen.state(n);
+                    cases.push((label, GateCase { psi, qubit, matrix }));
+                }
+            }
+        }
+        let mut tally = Tally::default();
+        for (_, c) in &cases {
+            tally.add(format!("q{} of {} qubits", c.qubit, c.psi.num_qubits()));
+        }
+        for n in 1..=14 {
+            for q in 0..n.min(4) {
+                tally.require(&format!("q{q} of {n} qubits"), 3);
+            }
+        }
+        cases
+    });
+    check(cases, GATE_PAIRS, names);
+}
+
 // ---- Request batches --------------------------------------------------------------------
 
 /// A circuit evaluated as batches of `sizes` candidates around `params`.
@@ -998,17 +1303,18 @@ pub const BATCH_PAIRS: &[Pair<BatchCase>] = &[
         |c| evaluate(StatevectorBackend::with_shots(32), c, false),
         Within(1e-12),
     ),
-    // The next two rows hold equal values with a zero's sign free: the exact stage sums
-    // with `Iterator::sum`, which starts from −0.0, the sampled estimator from a +0.0
-    // total, so a charged value whose products are all −0.0 reads −0.0 in one and +0.0
-    // in the other.  Every other value is bit-identical.
     (
+        // The sampled estimator and the exact readout both fold from −0.0 in term order.
         "sampled at zero shots ≡ exact",
         |c| evaluate(sampled(c, 0), c, false),
         |c| evaluate(StatevectorBackend::with_shots(0), c, false),
-        Within(f64::MIN_POSITIVE),
+        Bits,
     ),
     (
+        // Equal values with a zero's sign free: the stage adds its shot noise,
+        // `sampled − op_value` (+0.0 at zero shots), to the attenuated value, and
+        // −0.0 + +0.0 is +0.0, so a charged value the exact stage reads as −0.0 reads +0.0
+        // here.  Every other value is bit-identical.
         "attenuated at rate zero ≡ exact",
         |c| {
             let model = PauliNoiseModel::depolarizing(0.0, 0.0);

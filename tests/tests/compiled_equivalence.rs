@@ -3,7 +3,7 @@
 //! `treevqa_tests::relational`'s `CIRCUIT_PAIRS` and `BATCH_PAIRS`, where each pair's
 //! relation, domain and coverage claims live.
 
-use treevqa_tests::relational::{batches, circuits, parallel_batches, registers};
+use treevqa_tests::relational::{batches, circuits, cx_networks, parallel_batches, registers};
 
 #[test]
 fn compiled_circuits_agree_with_reference() {
@@ -25,6 +25,23 @@ fn run_circuit_wrapper_and_reference_agree() {
 fn basis_start_through_the_product_prefix_is_bit_identical() {
     circuits(&["basis start ≡ prepare + execute"]);
     registers(&["basis start ≡ prepare + execute"]);
+}
+
+/// A run of CX ops applied as one index gather leaves every bit where the per-gate
+/// passes leave it, with insertions inside, right after and away from the runs, and the
+/// circuits around the runs still agree with the reference.
+#[test]
+fn cx_runs_gather_bit_identically() {
+    cx_networks(&[
+        "CX run gather ≡ per-gate CX",
+        "compiled ≡ reference",
+        "basis start ≡ prepare + execute",
+        "paired insertions cancel",
+        "trailing insertion ≡ reference",
+        "rate-zero rollout ≡ ideal",
+    ]);
+    circuits(&["CX run gather ≡ per-gate CX"]);
+    registers(&["CX run gather ≡ per-gate CX"]);
 }
 
 #[test]

@@ -14,11 +14,15 @@
 
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::{
-    wait_all, EvalJob, ExecError, Executor, JobHandle, SeedPolicy, StreamId, SubmitOptions,
+    wait_all, CompletionHandle, EvalJob, EvalResult, ExecError, Executor, JobHandle, JobSubmitter,
+    SeedPolicy, StreamId, SubmitOptions,
 };
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Duration;
 use treevqa::{TreeVqa, TreeVqaConfig};
 use treevqa_tests::relational::force_parallel_workers;
 use vqa::{
@@ -500,5 +504,96 @@ fn treevqa_run_matches_the_golden_recorded_before_the_group_refactor() {
     assert_eq!(
         result.history.last().map(|r| r.cumulative_shots),
         Some(GOLDEN_LAST_ROW_SHOTS)
+    );
+}
+
+/// A submitter that hands every job to an [`ExecClient`](qexec::ExecClient) and records
+/// the most probe jobs ever submitted and not yet waited on.
+struct ProbeCounter {
+    inner: qexec::ExecClient,
+    in_flight: Rc<Cell<usize>>,
+    peak: Cell<usize>,
+}
+
+/// A handle of [`ProbeCounter`]: a probe leaves the in-flight count at its first result.
+struct CountedHandle {
+    inner: JobHandle,
+    probe: Cell<Option<Rc<Cell<usize>>>>,
+}
+
+impl CountedHandle {
+    fn seen(&self, result: Result<EvalResult, ExecError>) -> Result<EvalResult, ExecError> {
+        if let Some(in_flight) = self.probe.take() {
+            in_flight.set(in_flight.get() - 1);
+        }
+        result
+    }
+}
+
+impl CompletionHandle for CountedHandle {
+    fn wait(&self) -> Result<EvalResult, ExecError> {
+        self.seen(self.inner.wait())
+    }
+
+    fn wait_timeout(&self, timeout: Duration) -> Option<Result<EvalResult, ExecError>> {
+        self.inner.wait_timeout(timeout).map(|r| self.seen(r))
+    }
+
+    fn try_result(&self) -> Option<Result<EvalResult, ExecError>> {
+        self.inner.try_result().map(|r| self.seen(r))
+    }
+}
+
+impl JobSubmitter for ProbeCounter {
+    type Handle = CountedHandle;
+
+    fn submit_job(&self, job: EvalJob, opts: &SubmitOptions) -> Result<CountedHandle, ExecError> {
+        let inner = self.inner.submit_job(job, opts)?;
+        Ok(CountedHandle {
+            inner,
+            probe: Cell::new(None),
+        })
+    }
+
+    fn submit_probe_job(
+        &self,
+        job: EvalJob,
+        opts: &SubmitOptions,
+    ) -> Result<CountedHandle, ExecError> {
+        let inner = self.inner.submit_probe_job(job, opts)?;
+        self.in_flight.set(self.in_flight.get() + 1);
+        self.peak.set(self.peak.get().max(self.in_flight.get()));
+        Ok(CountedHandle {
+            inner,
+            probe: Cell::new(Some(Rc::clone(&self.in_flight))),
+        })
+    }
+}
+
+/// The controller never has more probes in flight than it has tasks: a round record
+/// probes each task once, and the final post-processing probes one cluster's state for
+/// every task before it moves on to the next cluster.  So an executor whose admission cap
+/// takes a round's probes also takes the final ones.  The pinned run ends with 2
+/// clusters of its 4 tasks, and keeps its golden bits.
+#[test]
+fn treevqa_keeps_at_most_one_probe_per_task_in_flight() {
+    force_parallel_workers();
+    let executor = treevqa_tests::pinned_executor();
+    let submitter = ProbeCounter {
+        inner: executor.client(),
+        in_flight: Rc::new(Cell::new(0)),
+        peak: Cell::new(0),
+    };
+    let result = treevqa_tests::pinned_treevqa()
+        .run_on(&submitter)
+        .expect("well-formed application");
+    let energy_bits: Vec<u64> = result.per_task.iter().map(|t| t.energy.to_bits()).collect();
+    assert_eq!(result.total_shots, GOLDEN_TOTAL_SHOTS);
+    assert_eq!(energy_bits, GOLDEN_ENERGY_BITS);
+    assert_eq!(result.tree.leaves().len(), 2);
+    assert_eq!(submitter.in_flight.get(), 0);
+    assert_eq!(
+        submitter.peak.get(),
+        treevqa_tests::pinned_application().tasks.len()
     );
 }

@@ -1,9 +1,10 @@
 //! The optimized simulation kernels held to the retained naive reference
 //! implementations.
 //!
-//! The entry tests below run rows of `treevqa_tests::relational`'s `CIRCUIT_PAIRS` and
-//! `OPERATOR_PAIRS` (gate kernels, Pauli rotations, string and operator readouts,
-//! `PauliOp::apply` against the naive forms).  Bodies that must keep the bits of the
+//! The entry tests below run rows of `treevqa_tests::relational`'s `CIRCUIT_PAIRS`,
+//! `OPERATOR_PAIRS` and `GATE_PAIRS` (gate kernels, the low-qubit single-qubit bodies,
+//! Pauli rotations, string and operator readouts, `PauliOp::apply` against the naive
+//! forms).  Bodies that must keep the bits of the
 //! form they replaced are held here by `to_bits`: recorded digests for the low-qubit
 //! kernels and the tabulated diagonal pass, and a per-amplitude gather for
 //! `PauliOp::apply_into`.  Each kernel is one serial vectorized body (only
@@ -15,11 +16,18 @@ use qop::{Complex64, PauliOp, PauliString, Statevector};
 use qsim::{CompiledCircuit, PauliInsertion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treevqa_tests::relational::{circuits, dense_state, operators, registers};
+use treevqa_tests::relational::{circuits, dense_state, operators, registers, single_qubit_gates};
 
 #[test]
 fn random_circuits_agree_with_reference() {
     circuits(&["gate kernels ≡ reference"]);
+}
+
+/// The full-width single-qubit bodies of qubits 0–3 give the bits of the bodies they
+/// replaced, on every register size from 1 to 14 qubits.
+#[test]
+fn low_qubit_single_qubit_bodies_keep_the_former_bits() {
+    single_qubit_gates(&["full-width 1q bodies ≡ former bodies"]);
 }
 
 #[test]

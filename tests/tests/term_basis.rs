@@ -562,6 +562,9 @@ fn golden_scenarios(
 /// them must not move a bit, a shot or a draw.  The result digests of the two `noisy`
 /// rows (not their draws or probes) were re-recorded when the attenuating stage began
 /// reading `qnoise::PauliNoiseModel`: its per-gate factors are the channels' closed forms.
+/// The 12-qubit rows were recorded on commit `66a25be` (debug and release agree), before
+/// CX runs became one gather: `hea(12)` carries two 12-CX rings, and its trajectory rows
+/// replay insertions inside and right after them.
 #[rustfmt::skip]
 const GOLDEN_DRIVERS: &[(&str, usize, Golden)] = &[
     ("statevector", 3, [(0x3cd3d2b386e73239, 0), (0x7605d435e47d9f5f, 0), (0x7c0fb993dc6b91a5, 0), (0x4f3ffbf9cf1dc253, 0)]),
@@ -574,18 +577,24 @@ const GOLDEN_DRIVERS: &[(&str, usize, Golden)] = &[
     ("noisy", 9, [(0x9f55837aa010cfdb, 34), (0x74373ac87f44c4b4, 170), (0x7f362d9b5c972e10, 204), (0xa5bcf0e9f3c52cc6, 0)]),
     ("noisy-trajectory", 9, [(0x68510f904bb7fb6c, 522), (0x9afe3cabc1ad8bc4, 2614), (0xf97ae0b9c750aaab, 2540), (0xa5bcf0e9f3c52cc6, 0)]),
     ("noisy-trajectory-plain", 9, [(0x04f3e5e42f37a3e8, 650), (0x46af424bd0757c4b, 3260), (0x7e4583e22e6f668d, 3115), (0xa5bcf0e9f3c52cc6, 0)]),
+    ("statevector", 12, [(0x2734aacf3cdee167, 0), (0xa8894b3060c4425d, 0), (0xf5ad14860abd04f7, 0), (0x6db2051d64604959, 0)]),
+    ("sampled", 12, [(0xd03464876cc81ce7, 46), (0x9190b384450ba474, 230), (0x6cbfe6aee7ad871d, 276), (0x6db2051d64604959, 0)]),
+    ("noisy", 12, [(0xb9575d7bc6d9e940, 46), (0xe5f65424ca7ecb00, 230), (0x11bb4e4e9ad909d9, 276), (0x6db2051d64604959, 0)]),
+    ("noisy-trajectory", 12, [(0x245a6e76a11e6c14, 697), (0xf1c8839fdc5124d5, 3486), (0x29b4dd317c1ed92c, 3396), (0x6db2051d64604959, 0)]),
+    ("noisy-trajectory-plain", 12, [(0x861c4d920e042351, 867), (0x479153d018ca8fae, 4343), (0x00295e40af02e798, 4162), (0x6db2051d64604959, 0)]),
 ];
 
-/// For every dense backend and register size on both sides of `SIGN_BLOCK`: a
-/// stream-pinned request gives the same bits through `evaluate_batch` of one, inside
-/// batches of mixed operator sets, on a cache hit, after LRU eviction and after
-/// `recover()`; `evaluate` matches its own batch form; probes agree across backends
-/// and with the exact charged value; and none of it changes how many draws are made.
+/// For every dense backend and register size on both sides of `SIGN_BLOCK` and of the CX
+/// gather floor: a stream-pinned request gives the same bits through `evaluate_batch` of
+/// one, inside batches of mixed operator sets, on a cache hit, after LRU eviction and
+/// after `recover()`; `evaluate` matches its own batch form; probes agree across
+/// backends and with the exact charged value; and none of it changes how many draws are
+/// made.
 #[test]
 fn drivers_agree_across_entry_points_cache_states_and_recovery() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     set_kernel_threads(1);
-    for num_qubits in [3usize, 9] {
+    for num_qubits in [3usize, 9, 12] {
         let circuit = hea(num_qubits);
         let family = tfim_family(num_qubits, 4);
         let free: Vec<&PauliOp> = family[1..].iter().collect();
