@@ -36,7 +36,10 @@
 //!   multi-angle QAOA circuit (p = 1) of `tree_maxcut14_noisy` on tables bound once by
 //!   `prepare_batch_tables`, as the trajectory driver binds them — its cost layer alone
 //!   (one tabulated diagonal pass; 6 of its 20 ZZ terms span the split at qubit 7), and
-//!   the whole 29-op execution from `|0⟩` (`execute_from_basis`).  The cost layers of
+//!   the whole 29-op execution from `|0⟩` (`execute_from_basis`);
+//!   `mixer/qaoa_ieee14/14q` is its 14-Rx mixer layer alone, compiled, on a dense
+//!   state (the Rx-shaped body; qubits 0–10 as one tiled run, 11–13 one pass each).
+//!   The cost layers of
 //!   `circuit_exec/{compiled,from_basis}/12q` and `noisy_eval/trajectories/14q_k4`
 //!   (ring and chords) put 6 of 24 and 6 of 28 terms across the split.
 //!
@@ -619,6 +622,18 @@ pub fn run_quick_suite() -> Vec<QuickRecord> {
         let tables = compiled.prepare_batch_tables(&[&params]);
         records.push(time_workload("circuit_exec/qaoa_ieee14/14q", 100, || {
             compiled.execute_from_basis(0, &params, &mut state, &[], Some(&tables));
+            black_box(&state);
+        }));
+        let mut mixer_layer = qcircuit::Circuit::new(circ.num_qubits());
+        for gate in circ.gates() {
+            if let qcircuit::Gate::Rx(..) = gate {
+                mixer_layer.push(gate.clone());
+            }
+        }
+        let mixer = qsim::CompiledCircuit::compile(&mixer_layer);
+        let mut state = workloads::dense_state(circ.num_qubits());
+        records.push(time_workload("mixer/qaoa_ieee14/14q", 200, || {
+            mixer.execute_in_place(&params, &mut state);
             black_box(&state);
         }));
     }

@@ -32,12 +32,15 @@
 //! lanes over 256-amplitude blocks (one lane, in pair order, when the pivot is below 2)
 //! — and a lone chain runs at the latency of one add per step, not at the speed of the
 //! arithmetic.  So on registers of at least 256 amplitudes the readout walks the state
-//! in **passes**, each running several strings' chains side by side: up to four
+//! in **passes**, each running several strings' chains side by side: up to eight
 //! diagonal strings over each 4-lane chunk's `|ψ_b|²`; up to four strings of one
 //! off-diagonal group over each chunk's `d`/`e`; up to four single-string groups of
 //! pivot ≥ 2 with the same lane permutation, each over its own products; up to four
-//! pivot < 2 strings, their scalar chains interleaved.  Products are computed inside
-//! the pass that folds them; no block buffer is written and read back.
+//! pivot < 2 strings, their scalar chains interleaved.  The off-diagonal products are
+//! computed inside the pass that folds them; the diagonal strings share one buffer per
+//! 256-amplitude block instead — its `|ψ_b|²`, computed once and folded by every
+//! diagonal string of the pass (up to 32), eight at a time, each into the accumulators
+//! it keeps across the walk.
 //!
 //! No bit of any per-string value can move with the pass it lands in: every string
 //! keeps its own accumulators, its own block and chunk order and the expression of the
@@ -483,8 +486,8 @@ fn pairs_tiny(
     );
 }
 
-/// Strings whose accumulator chains one diagonal, shared-product or low-pivot pass runs
-/// side by side.  A lone chain waits on its own add latency at every step; four
+/// Strings whose accumulator chains one shared-product or low-pivot pass runs side by
+/// side.  A lone chain waits on its own add latency at every step; four
 /// interleaved chains keep the vector units busy instead.
 const K: usize = 4;
 
@@ -494,7 +497,7 @@ const G: usize = 4;
 /// What a kernel pass folds, and so how it walks the register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
-    /// Up to [`K`] diagonal strings over one `|ψ_b|²` per amplitude.
+    /// Up to [`DIAGONAL_WALK`] diagonal strings over one `|ψ_b|²` per amplitude.
     Diagonal,
     /// Up to [`K`] strings of one off-diagonal group (pivot ≥ 2) over its pair
     /// products.
@@ -540,7 +543,11 @@ fn plan_passes(members: &mut Vec<Member>) -> Vec<Pass> {
     let mut start = 0;
     for run in keyed.chunk_by(|a, b| a.0 == b.0) {
         let kind = run[0].0 .0;
-        let width = if kind == Kind::Spread { G } else { K };
+        let width = match kind {
+            Kind::Diagonal => DIAGONAL_WALK,
+            Kind::Spread => G,
+            _ => K,
+        };
         for chunk in run.chunks(width) {
             passes.push(Pass {
                 kind,
@@ -581,7 +588,7 @@ impl Pass {
             };
         }
         match self.kind {
-            Kind::Diagonal => by_width!(diagonal_pass),
+            Kind::Diagonal => diagonal_pass(re, im, ms, values),
             Kind::LowPivot => by_width!(low_pivot_pass),
             Kind::Shared | Kind::Spread => with_lane_perm!(ms[0].x, pairs),
         }
@@ -600,31 +607,66 @@ fn reduce(acc: &[f64; LANES]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// `W` diagonal strings over a register of at least [`SIGN_BLOCK`] amplitudes.  Each
-/// 4-lane chunk's `|ψ_b|²` is computed once and every string folds `(hs · low) · |ψ_b|²`
-/// into its own 4-lane accumulator; the sign factors through a 256-entry low table (a
-/// contiguous multiplier stream) with the high-bit sign `hs` hoisted per block, its
-/// products `hs · low` read from a table ([`Signs::block_low`]).
-fn diagonal_pass<const W: usize>(re: &[f64], im: &[f64], ms: &[Member], values: &mut [f64]) {
-    let ms: &[Member; W] = ms.try_into().expect("a pass holds W members");
-    let mut acc = [[0.0f64; LANES]; W];
+/// Diagonal strings one pass carries the accumulators of, so one `|ψ_b|²` per block
+/// serves all of them.
+const DIAGONAL_WALK: usize = 32;
+
+/// Diagonal strings one chunk loop folds side by side: each string's chain takes one
+/// dependent add per chunk, so four chains leave the loop waiting on add latency, and
+/// eight keep the FP ports busy instead.
+const DIAGONAL_WAYS: usize = 8;
+
+/// Up to [`DIAGONAL_WALK`] diagonal strings over a register of at least [`SIGN_BLOCK`]
+/// amplitudes.  Each 256-amplitude block's `|ψ_b|²` is computed once into a block
+/// buffer, then folded by up to [`DIAGONAL_WAYS`] strings at a time
+/// ([`fold_diagonal`]), each into its own accumulators.
+fn diagonal_pass(re: &[f64], im: &[f64], ms: &[Member], values: &mut [f64]) {
+    let mut acc = [[0.0f64; LANES]; DIAGONAL_WALK];
+    let mut p: Block = [0.0; SIGN_BLOCK];
     for b in (0..re.len()).step_by(SIGN_BLOCK) {
-        let low: [&[f64; SIGN_BLOCK]; W] = std::array::from_fn(|w| ms[w].signs.block_low(b));
         let (r, i) = (&re[b..b + SIGN_BLOCK], &im[b..b + SIGN_BLOCK]);
-        for (l, (r4, i4)) in r.chunks_exact(LANES).zip(i.chunks_exact(LANES)).enumerate() {
-            let p: [f64; LANES] = std::array::from_fn(|j| r4[j] * r4[j] + i4[j] * i4[j]);
-            let l = l * LANES;
-            for w in 0..W {
-                let l4: &[f64; LANES] = low[w][l..l + LANES].try_into().expect("in the table");
-                for j in 0..LANES {
-                    acc[w][j] += l4[j] * p[j];
-                }
+        for ((p, r), i) in p.iter_mut().zip(r).zip(i) {
+            *p = r * r + i * i;
+        }
+        for (ms, acc) in ms.chunks(DIAGONAL_WAYS).zip(acc.chunks_mut(DIAGONAL_WAYS)) {
+            match ms.len() {
+                1 => fold_diagonal::<1>(&p, b, ms, acc),
+                2 => fold_diagonal::<2>(&p, b, ms, acc),
+                3 => fold_diagonal::<3>(&p, b, ms, acc),
+                4 => fold_diagonal::<4>(&p, b, ms, acc),
+                5 => fold_diagonal::<5>(&p, b, ms, acc),
+                6 => fold_diagonal::<6>(&p, b, ms, acc),
+                7 => fold_diagonal::<7>(&p, b, ms, acc),
+                _ => fold_diagonal::<8>(&p, b, ms, acc),
             }
         }
     }
     for (m, acc) in ms.iter().zip(&acc) {
         values[m.slot] = reduce(acc);
     }
+}
+
+/// One block of `W` diagonal strings: each folds `(hs · low) · |ψ_b|²` of the block's
+/// buffer `p` into its own 4-lane accumulator in `acc`, chunk by chunk, the sign
+/// factored through a 256-entry low table (a contiguous multiplier stream) with the
+/// high-bit sign `hs` of block `b` hoisted, its products `hs · low` read from a table
+/// ([`Signs::block_low`]).
+#[inline(always)]
+fn fold_diagonal<const W: usize>(p: &Block, b: usize, ms: &[Member], acc: &mut [[f64; LANES]]) {
+    let ms: &[Member; W] = ms.try_into().expect("W members");
+    let acc: &mut [[f64; LANES]; W] = (&mut acc[..W]).try_into().expect("W accumulators");
+    let low: [&[f64; SIGN_BLOCK]; W] = std::array::from_fn(|w| ms[w].signs.block_low(b));
+    let mut a = *acc;
+    for (l, p4) in p.chunks_exact(LANES).enumerate() {
+        let l = l * LANES;
+        for w in 0..W {
+            let l4: &[f64; LANES] = low[w][l..l + LANES].try_into().expect("in the table");
+            for j in 0..LANES {
+                a[w][j] += l4[j] * p4[j];
+            }
+        }
+    }
+    *acc = a;
 }
 
 /// `S` off-diagonal groups of pivot ≥ 2 and lane permutation `M`, `P` strings each

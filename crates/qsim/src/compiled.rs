@@ -10,9 +10,9 @@
 //!
 //! * **Runs of single-qubit gates on the same qubit** (`Ry·Rz` layers, basis-change
 //!   sandwiches like `H·Rz·H`).  Any such run is itself a single 2×2 unitary, so the
-//!   compiler fuses each maximal run into one [`apply_single_qubit`] pass — including
-//!   runs that *contain parameterized rotations*, whose 2×2 product is re-formed from the
-//!   bound parameters in O(1) at execution time.
+//!   compiler fuses each maximal run into one [`crate::apply_single_qubit`] op —
+//!   including runs that *contain parameterized rotations*, whose 2×2 product is
+//!   re-formed from the bound parameters in O(1) at execution time.
 //! * **Runs of diagonal gates** (`CZ`, Z-string Pauli rotations — a whole QAOA cost layer
 //!   is nothing else).  Every diagonal gate multiplies amplitude `b` by
 //!   `exp(i·φ·(−1)^popcount(b & mask))` for some `(mask, φ)` pairs, so a run of `k`
@@ -34,6 +34,24 @@
 //!   10 to 12 qubits (0.3× at 14).  A noise trajectory whose Pauli insertion fires
 //!   *inside* a run applies that run gate by gate, so the insertion lands between the
 //!   same two CX passes as ever.
+//!
+//! * **Runs of single-qubit ops on different qubits** (a QAOA mixer, a
+//!   hardware-efficient rotation layer).  Fusion leaves one op per qubit, and each op
+//!   was one pass over the state — at 14 qubits a 256 KiB walk out of L2 per op.  A
+//!   maximal run of consecutive single-qubit ops whose qubits all lie below
+//!   [`TILE_QUBITS`] (11) is applied tile by tile instead: every pair such an op
+//!   updates lies inside one `2^11`-amplitude tile (32 KiB of lanes, which stays in a
+//!   48 KiB L1), so each tile takes the whole run, op by op in circuit order, before
+//!   the next tile.  Every amplitude sees the same ops in the same order on the same
+//!   inputs as under one full pass per op, so no bit can move.  A run ends at an op
+//!   on a higher qubit (which runs alone, one full pass), at any other op, and at an
+//!   op after which a noise insertion fires; a lone op is a run of one, so this is the
+//!   one single-qubit path.  The run's bound matrices sit in a fixed array (at most
+//!   16 ops; a longer run is applied as several), so execution does not allocate.  In
+//!   an A/B binary at 14 qubits on the 2-vCPU reference host (interleaved samples
+//!   against one generic-body pass per op), the IEEE-14 mixer's 11 lone Rx ops on
+//!   qubits 0–10 took 0.68–0.73× that time as one tiled run, and its three full
+//!   passes on qubits 11–13 0.82–0.85×.
 //!
 //! Fusion looks *backwards* through the compiled op list and is allowed to commute a gate
 //! past earlier ops that touch disjoint qubits (and, for diagonal gates, past other
@@ -59,8 +77,9 @@
 //! of parameter vectors (see `vqa`'s batched backends).
 
 use crate::simulator::{
-    apply_cx, apply_cz, apply_pauli_rotation, apply_pauli_string, apply_single_qubit,
-    apply_single_qubit_subcube, for_each_run, rx_matrix, ry_matrix, rz_matrix, submasks, Matrix2,
+    apply_cx, apply_cz, apply_pauli_rotation, apply_pauli_string, apply_single_qubit_run,
+    apply_single_qubit_subcube, for_each_run, lane_matrix, rx_matrix, ry_matrix, rz_matrix,
+    submasks, LaneOp, Matrix2,
 };
 use qcircuit::{Angle, Circuit, Gate};
 use qop::{Complex64, PauliString, Statevector};
@@ -578,6 +597,17 @@ fn apply_spanning_block(
 /// 91–110 against 28–34.  A constant, like the tabulated diagonal pass's threshold, so a
 /// circuit's path is a function of the circuit alone.
 pub const CX_GATHER_MIN_QUBITS: usize = 10;
+
+/// Single-qubit runs on qubits below this many are applied in tiles of
+/// `2^TILE_QUBITS` amplitudes (see "Why compile?"): 2^11 amplitudes are 32 KiB of
+/// lanes, which stay in a 48 KiB L1 across the run's ops.  A constant, like
+/// [`CX_GATHER_MIN_QUBITS`], so a circuit's path is a function of the circuit alone;
+/// registers of up to 11 qubits are one tile.
+pub const TILE_QUBITS: usize = 11;
+
+/// The most ops one tiled single-qubit run binds at once (a fixed array, so execution
+/// does not allocate); a longer run is applied as several, with the same bits.
+const MAX_TILED_RUN: usize = 16;
 
 /// Amplitudes of one output line of a [`CxRun`]'s gather: one 64-byte cache line of a
 /// lane.
@@ -1252,14 +1282,20 @@ impl CompiledCircuit {
         // gathered run applied.
         let mut next_run = self.cx_runs.partition_point(|run| run.start < start);
         let mut resume = start;
+        // The bound matrices of the single-qubit run being applied.
+        let mut run = [(0, [0.0; 8]); MAX_TILED_RUN];
         for (i, entry) in self.ops.iter().enumerate().skip(start) {
             if i < resume {
                 continue;
             }
             let bound = tables.and_then(|t| t.per_op.get(i).and_then(Option::as_ref));
             match &entry.op {
-                CompiledOp::Fused1Q(f) => {
-                    apply_single_qubit(state, f.qubit, &f.bound_matrix(params));
+                CompiledOp::Fused1Q(_) => {
+                    let len = self.single_qubit_run(i, insertions.get(cursor), params, &mut run);
+                    apply_single_qubit_run(state, &run[..len]);
+                    resume = i + len;
+                    fire_before(state, &mut cursor, resume);
+                    continue;
                 }
                 CompiledOp::Cx(c, t) => {
                     if let Some(run) = self.cx_runs.get(next_run).filter(|r| r.start == i) {
@@ -1308,6 +1344,35 @@ impl CompiledCircuit {
             insertions.get(cursor).map(|p| p.after_op).unwrap_or(0),
             self.ops.len()
         );
+    }
+
+    /// Binds the single-qubit run that starts at op `start` into `run` and returns its
+    /// length: the consecutive [`CompiledOp::Fused1Q`] ops from `start` on, all on qubits
+    /// below [`TILE_QUBITS`], at most [`MAX_TILED_RUN`] of them, ending early at the op
+    /// after which `next_insertion` fires.  An op on a higher qubit is a run of one.
+    fn single_qubit_run(
+        &self,
+        start: usize,
+        next_insertion: Option<&PauliInsertion>,
+        params: &[f64],
+        run: &mut [LaneOp; MAX_TILED_RUN],
+    ) -> usize {
+        let mut len = 0;
+        for (k, entry) in self.ops.iter().enumerate().skip(start) {
+            let CompiledOp::Fused1Q(f) = &entry.op else {
+                break;
+            };
+            if len > 0 && (f.qubit >= TILE_QUBITS || run[0].0 >= TILE_QUBITS) {
+                break;
+            }
+            run[len] = (f.qubit, lane_matrix(&f.bound_matrix(params)));
+            len += 1;
+            let fires = next_insertion.is_some_and(|p| p.after_op == k);
+            if fires || len == MAX_TILED_RUN {
+                break;
+            }
+        }
+        len
     }
 
     fn classify(gate: &Gate) -> Lowered {

@@ -59,6 +59,7 @@ mod simulator;
 
 pub use compiled::{
     BatchTables, CompileStats, CompiledCircuit, NoiseSite, PauliInsertion, CX_GATHER_MIN_QUBITS,
+    TILE_QUBITS,
 };
 pub use estimator::{analytic_sampled_from_expectations, exact_term_expectations};
 pub use pauliprop::{PauliPropagator, PauliPropagatorConfig};

@@ -37,7 +37,7 @@
 //!   constant lane shuffles, evaluating each amplitude with the same expression, in the
 //!   same order, as the per-pair form — the same bits, pinned by recorded digests in
 //!   `tests/tests/kernel_equivalence.rs`.  Single-qubit gates on qubits 0–3 run
-//!   AVX-intrinsic bodies (`low_qubit`): qubits 0 and 1 combine each lane with its
+//!   AVX-intrinsic bodies (the `avx` module): qubits 0 and 1 combine each lane with its
 //!   partner read by one constant shuffle, qubits 2 and 3 pair whole vectors of fixed
 //!   8- and 16-lane windows (other targets keep the autovectorized per-chunk body,
 //!   `single_qubit_in_chunk`, on qubits 0 and 1); the relational row `full-width 1q
@@ -48,6 +48,33 @@
 //!   ops would add arithmetic rather than remove passes; the waste was in the low-qubit
 //!   bodies and in the leading product layer
 //!   ([`crate::CompiledCircuit::execute_from_basis`]).
+//! * **Structured bodies: no arithmetic on entries that are zero.**  The generic body
+//!   spends 28 vector FP ops per four pairs on any 2×2 matrix.  Each call reads the
+//!   bound matrix's zero pattern once and picks one of three shapes: **Rx-shaped**
+//!   (real diagonal, imaginary off-diagonal: a lone Rx, or Y), whose outputs are
+//!   `r0 = m00r·x0 + (−m01i)·y1`, `i0 = m00r·y0 + m01i·x1` and the same on the
+//!   pair-set side; **real** (H, X, Z, a lone Ry), `r0 = m00r·x0 + m01r·x1` and the
+//!   same for the other three; and **generic** for everything else.  A structured
+//!   body keeps the generic body's products and drops only its `0·v` terms: 12 FP ops
+//!   per four pairs.  It cannot move a bit except the sign of an exact zero output:
+//!   `t − (±0)` and `t + (±0)` are `t` for any nonzero `t`, so every output whose
+//!   surviving terms do not both vanish is the generic output, and `a − a` is `+0` in
+//!   both.  Only an output that is zero may take another sign (`−0 + −0` against
+//!   `−0 + +0`).  So a structured body multiplies its four output vectors together,
+//!   lane by lane (three multiplies and a compare), and when a lane of that product is
+//!   zero — every zero output makes it zero; products of tiny amplitudes that
+//!   underflow do too, which costs speed, never bits — it hands those four pairs and
+//!   the rest of its call to the generic form.  A dense state almost never triggers
+//!   it; a zero-rich one (a real state's imaginary lane under H or Ry, a basis state's
+//!   neighbourhood) runs at the generic speed.  The relational row `structured 1q
+//!   bodies ≡ generic body` holds all this as `Bits` from dense and basis states at
+//!   the angles that zero entries (0, ±π, 2π).  Amplitudes are finite: with an
+//!   infinite input the generic body's `0·∞` is a NaN the structured one never forms.
+//!   Only AVX builds have structured bodies; other targets run every matrix through
+//!   the generic one.  At 14 qubits a lone Rx pass took 0.71–0.87× the generic
+//!   body's time on each of qubits 0–4, 6, 10 and 13 (medians of interleaved samples in
+//!   an A/B binary, 2-vCPU host); the product prefix always runs the generic form,
+//!   since it doubles out of zero copies.
 //! * **One body per kernel, no threads.**  Every kernel here is a single serial,
 //!   vectorized pass over its state.  The stack's parallelism is *across* states —
 //!   [`qop::par::map_states`] hands whole executions (prepare → ops → readout) to the
@@ -194,24 +221,80 @@ fn insert_zero_bit(k: usize, pos: usize) -> usize {
 /// and `i1 = i0 | bit` form the update pair directly, so no index test is ever executed.
 /// The inner loop runs 4 lanes at a time over the split re/im arrays — eight scalar
 /// matrix constants against four contiguous f64 streams, which vectorizes to straight
-/// FMA code.
+/// FMA code.  The gate is a run of one op ([`apply_single_qubit_run`]), the one path
+/// every single-qubit op of the stack takes.
 pub fn apply_single_qubit(state: &mut Statevector, q: usize, m: &Matrix2) {
+    apply_single_qubit_run(state, &[(q, lane_matrix(m))]);
+}
+
+/// A bound single-qubit op as the lane bodies read it: its qubit, and its matrix
+/// flattened by [`lane_matrix`].
+pub(crate) type LaneOp = (usize, [f64; 8]);
+
+/// Applies the single-qubit ops of `run` in order.  When every op's qubit is below
+/// [`crate::TILE_QUBITS`], the state is walked in tiles of `2^TILE_QUBITS` amplitudes
+/// and the whole run is applied to one tile before the next: every pair such an op
+/// updates lies inside one tile, so each amplitude sees the same ops, in the same
+/// order, on the same inputs as under one full pass per op — the same bits — while the
+/// tile stays in L1 across the run (see the compiled-circuit docs for the measurement).
+/// Otherwise each op is one pass over the whole state.
+pub(crate) fn apply_single_qubit_run(state: &mut Statevector, run: &[LaneOp]) {
     let dim = state.dim();
-    let bit = 1usize << q;
-    assert!(
-        bit < dim,
-        "qubit index {q} out of range for {dim} amplitudes"
-    );
+    for &(q, _) in run {
+        assert!(
+            q < usize::BITS as usize && 1usize << q < dim,
+            "qubit index {q} out of range for {dim} amplitudes"
+        );
+    }
+    let tiled = run.iter().all(|&(q, _)| q < crate::TILE_QUBITS);
+    let tile = if tiled {
+        dim.min(1 << crate::TILE_QUBITS)
+    } else {
+        dim
+    };
     let (re, im) = state.lanes_mut();
-    single_qubit_lanes(re, im, bit, &lane_matrix(m));
+    for (re, im) in re.chunks_exact_mut(tile).zip(im.chunks_exact_mut(tile)) {
+        for (q, m) in run {
+            let bit = 1 << q;
+            match shape(m) {
+                RX => single_qubit_lanes::<RX>(re, im, bit, m),
+                REAL => single_qubit_lanes::<REAL>(re, im, bit, m),
+                _ => single_qubit_lanes::<GENERIC>(re, im, bit, m),
+            }
+        }
+    }
 }
 
 /// `m` flattened to the `[m00, m01, m10, m11]` (re, im) order the lane bodies read.
-fn lane_matrix(m: &Matrix2) -> [f64; 8] {
+pub(crate) fn lane_matrix(m: &Matrix2) -> [f64; 8] {
     [
         m[0][0].re, m[0][0].im, m[0][1].re, m[0][1].im, m[1][0].re, m[1][0].im, m[1][1].re,
         m[1][1].im,
     ]
+}
+
+/// The arithmetic a single-qubit body runs, read from its matrix's zero pattern (see
+/// "Structured bodies" in the module docs): every entry, [`RX`] — real diagonal and
+/// imaginary off-diagonal entries, a lone Rx or Y — or [`REAL`] — real entries, as H,
+/// X, Z and a lone Ry have.
+type Shape = u8;
+const GENERIC: Shape = 0;
+const RX: Shape = 1;
+const REAL: Shape = 2;
+
+/// The [`Shape`] of `m`.  Only the AVX bodies have structured forms; other targets run
+/// every matrix through the generic one.
+fn shape(m: &[f64; 8]) -> Shape {
+    let [_, m00i, m01r, m01i, m10r, m10i, _, m11i] = *m;
+    if !cfg!(all(target_arch = "x86_64", target_feature = "avx")) {
+        GENERIC
+    } else if m00i == 0.0 && m11i == 0.0 && m01r == 0.0 && m10r == 0.0 {
+        RX
+    } else if m00i == 0.0 && m11i == 0.0 && m01i == 0.0 && m10i == 0.0 {
+        REAL
+    } else {
+        GENERIC
+    }
 }
 
 /// Applies `m` on qubit `bit` to one sub-cube of the index space only: the amplitudes
@@ -219,7 +302,9 @@ fn lane_matrix(m: &Matrix2) -> [f64; 8] {
 /// shares none).  Every pair of the sub-cube is updated by the same per-pair expression
 /// as [`apply_single_qubit`], so on a state whose value at an index depends only on the
 /// index's `mask` bits the sub-cube comes out exactly as the full pass would leave it —
-/// the building block of [`crate::CompiledCircuit`]'s product-prefix start.
+/// the building block of [`crate::CompiledCircuit`]'s product-prefix start.  Always in
+/// the generic form: a prefix doubles out of zero copies and real values, where a
+/// structured form would meet exact zeros and hand over to the generic one anyway.
 pub(crate) fn apply_single_qubit_subcube(
     state: &mut Statevector,
     bit: usize,
@@ -232,7 +317,7 @@ pub(crate) fn apply_single_qubit_subcube(
     let (re, im) = state.lanes_mut();
     if bit < 1 << mask.trailing_ones() {
         for_each_run(mask, fixed, |at, run| {
-            single_qubit_lanes(&mut re[at..at + run], &mut im[at..at + run], bit, &m);
+            single_qubit_lanes::<GENERIC>(&mut re[at..at + run], &mut im[at..at + run], bit, &m);
         });
     } else {
         for_each_run(mask & !bit, fixed, |lo, run| {
@@ -263,26 +348,32 @@ pub(crate) fn submasks(mask: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Body of [`apply_single_qubit`].  A separate function on purpose: taking the lanes as
-/// two `&mut [f64]` **parameters** gives LLVM `noalias` guarantees between them
-/// (reborrows of two fields of one struct do not), which is what lets the flat
-/// four-stream zip of [`pair_lanes`] autovectorize; a zip-of-chunks formulation, or the
-/// same loop written inline against the struct's lanes, compiles to scalar code.
+/// Body of [`apply_single_qubit_run`] on one tile (or the whole state) in the form of
+/// [`Shape`] `S`.  Out of line on purpose: taking the lanes as two `&mut [f64]`
+/// **parameters** gives LLVM `noalias` guarantees between them (reborrows of two fields
+/// of one struct do not), which is what lets the flat four-stream zip of [`pair_lanes`]
+/// autovectorize; a zip-of-chunks formulation, or the same loop inlined against the
+/// struct's lanes or into the product prefix's closure, compiles to scalar code (the
+/// prefix ran 2.4× slower).
 ///
 /// Qubits 0–3 (`bit ∈ {1, 2, 4, 8}`) leave the generic walk half-blocks of one to eight
 /// elements, whose loop overhead and scalar tails cost up to 5× a high-qubit pass (on
-/// qubit 0); on AVX targets they get the full-width bodies of `low_qubit` instead.
-/// Other targets keep `single_qubit_in_chunk` on qubits 0 and 1 and the walk on
-/// qubits 2 and 3.  A slice shorter than such a body's chunk or window — a 1-qubit
-/// register, or a short run of the product prefix ([`apply_single_qubit_subcube`]) —
-/// takes the generic walk, which is exact at any length.
-fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
+/// qubit 0); on AVX targets they get the full-width bodies of the `avx` module instead,
+/// in every shape, and a structured shape gets that module's vector walk on the higher
+/// qubits too.  Other targets keep `single_qubit_in_chunk` on qubits 0 and 1 and the
+/// walk on qubits 2 and 3.  A slice shorter than such a body's chunk or window — a
+/// 1-qubit register, or a short run of the product prefix
+/// ([`apply_single_qubit_subcube`]) — takes the generic walk, which is exact at any
+/// length.
+#[inline(never)]
+fn single_qubit_lanes<const S: Shape>(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
     match (bit, re.len()) {
-        (1, 4..) => return low_qubit::in_chunk::<1>(re, im, m),
-        (2, 4..) => return low_qubit::in_chunk::<2>(re, im, m),
-        (4, 8..) => return low_qubit::in_window::<4>(re, im, m),
-        (8, 16..) => return low_qubit::in_window::<8>(re, im, m),
+        (1, 4..) => return avx::in_chunk::<1, S>(re, im, m),
+        (2, 4..) => return avx::in_chunk::<2, S>(re, im, m),
+        (4, 8..) => return avx::in_window::<4, S>(re, im, m),
+        (8, 16..) => return avx::in_window::<8, S>(re, im, m),
+        (16.., _) if S != GENERIC => return avx::walk::<S>(re, im, bit, m),
         _ => {}
     }
     #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
@@ -303,7 +394,8 @@ fn single_qubit_lanes(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) 
 
 /// The 2×2 update of the pairs `(lo[j], hi[j])`: four contiguous f64 streams against
 /// eight scalar matrix constants, which vectorizes to straight FMA-free mul/add code
-/// (Rust never contracts `a * b + c`).
+/// (Rust never contracts `a * b + c`).  This is the generic form every body's bits are
+/// held to.
 fn pair_lanes(
     r_lo: &mut [f64],
     i_lo: &mut [f64],
@@ -361,128 +453,307 @@ fn single_qubit_in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[
     }
 }
 
-/// Full-width single-qubit bodies for qubits 0–3 on 4-lane AVX vectors.  Each evaluates
-/// [`pair_lanes`]' expression, operation for operation, on whole vectors — `mul`, `sub`
-/// and `add` round exactly as the scalar operators do, and nothing is contracted into an
-/// FMA — so every amplitude gets the bits of the generic walk.  Written with intrinsics
-/// because autovectorization does not keep these shapes: a plain-array rewrite of the
-/// same bodies vectorized across windows instead and ran 1.4–2.3× slower than the walk.
+/// Single-qubit bodies on 4-lane AVX vectors: full-width bodies for qubits 0–3 in every
+/// shape, and the structured shapes' walk for qubits from 4 up.  The generic form
+/// evaluates [`pair_lanes`]' expression, operation for operation, on whole vectors —
+/// `mul`, `sub` and `add` round exactly as the scalar operators do, and nothing is
+/// contracted into an FMA — so every amplitude gets the bits of the generic walk; a
+/// structured form gets them by the zero-sign argument of the module docs.  Written with
+/// intrinsics because autovectorization does not keep these shapes: a plain-array
+/// rewrite of the low-qubit bodies vectorized across windows instead and ran 1.4–2.3×
+/// slower than the walk, and an iterator-zip form of the Rx body ran 1.8× slower than
+/// the generic one.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-mod low_qubit {
+mod avx {
+    use super::{Shape, GENERIC, REAL, RX};
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute4x64_pd,
-        _mm256_permute_pd, _mm256_set1_pd, _mm256_setr_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        __m256d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_setr_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_EQ_OQ,
     };
 
     const LANES: usize = 4;
 
-    /// `a·x0 − b·y0 + (c·x1 − d·y1)` and its imaginary twin: [`pair_lanes`]' two
-    /// expressions for one side of a pair, `[a, b, c, d]` being the real and imaginary
-    /// parts of the matrix entries that multiply `x0 + i·y0` and `x1 + i·y1`.
+    /// The matrix entries one side of a pair multiplies by, as lane vectors: `a + i·b`
+    /// times its own amplitude, `c + i·d` times its partner's (`m00` and `m01` on the
+    /// pair-clear side, `m11` and `m10` on the pair-set side), and `−d` for the Rx form.
+    #[derive(Clone, Copy)]
+    struct Row {
+        a: __m256d,
+        b: __m256d,
+        c: __m256d,
+        d: __m256d,
+        neg_d: __m256d,
+    }
+
+    impl Row {
+        /// The row whose lanes hold `a`, `b`, `c` and `d` as `lanes` spreads them.
+        #[inline(always)]
+        fn new([a, b, c, d]: [f64; 4], lanes: impl Fn(f64) -> __m256d) -> Row {
+            Row {
+                a: lanes(a),
+                b: lanes(b),
+                c: lanes(c),
+                d: lanes(d),
+                neg_d: lanes(-d),
+            }
+        }
+
+        /// Both sides' rows of `m` for [`pair`] in form `S`, pair-clear side first,
+        /// broadcast to every lane.
+        #[inline(always)]
+        fn pair<const S: Shape>(m: &[f64; 8]) -> [Row; 2] {
+            let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
+            // SAFETY: AVX is enabled for this compilation (the module's `cfg`);
+            // broadcasts touch registers only.
+            let splat = |x| unsafe { _mm256_set1_pd(x) };
+            let set = match S {
+                GENERIC => [m10r, m10i, m11r, m11i],
+                _ => [m11r, m11i, m10r, m10i],
+            };
+            [
+                Row::new([m00r, m00i, m01r, m01i], splat),
+                Row::new(set, splat),
+            ]
+        }
+    }
+
+    /// One side of a pair from its own amplitude `x + i·y` and its partner's
+    /// `xp + i·yp`, in form `S`.  Generic: `(a·x − b·y) + (c·xp − d·yp)` and
+    /// `(a·y + b·x) + (c·yp + d·xp)`, [`pair_lanes`]' two expressions for that side
+    /// (on the pair-set side with the two bracketed terms swapped, and IEEE addition
+    /// is commutative).  The structured forms drop the terms their shape makes `0·v`:
+    /// Rx `a·x + (−d)·yp` and `a·y + d·xp`, Real `a·x + c·xp` and `a·y + c·yp`.
     ///
     /// [`pair_lanes`]: super::pair_lanes
     #[inline(always)]
-    fn side(row: &[__m256d; 4], [x0, y0, x1, y1]: [__m256d; 4]) -> (__m256d, __m256d) {
-        let [a, b, c, d] = *row;
+    fn side<const S: Shape>(row: &Row, [x, y, xp, yp]: [__m256d; 4]) -> [__m256d; 2] {
+        let Row { a, b, c, d, neg_d } = *row;
         // SAFETY: AVX is enabled for this compilation (the module's `cfg`), and these
         // intrinsics touch registers only.
         unsafe {
             let (mul, add, sub) = (_mm256_mul_pd, _mm256_add_pd, _mm256_sub_pd);
-            (
-                add(sub(mul(a, x0), mul(b, y0)), sub(mul(c, x1), mul(d, y1))),
-                add(add(mul(a, y0), mul(b, x0)), add(mul(c, y1), mul(d, x1))),
-            )
+            match S {
+                RX => [add(mul(a, x), mul(neg_d, yp)), add(mul(a, y), mul(d, xp))],
+                REAL => [add(mul(a, x), mul(c, xp)), add(mul(a, y), mul(c, yp))],
+                _ => [
+                    add(sub(mul(a, x), mul(b, y)), sub(mul(c, xp), mul(d, yp))),
+                    add(add(mul(a, y), mul(b, x)), add(mul(c, yp), mul(d, xp))),
+                ],
+            }
         }
+    }
+
+    /// Whether a structured form's outputs `v` (two or four vectors) may hold an exact
+    /// zero: whether the product of all their lanes, taken lane by lane, is zero.  A
+    /// zero output always makes it zero; a product that underflows from nonzero
+    /// outputs (amplitudes below ≈ 2^−268) makes it zero too, which only sends those
+    /// pairs through the generic form.  One multiply per further vector and one
+    /// compare, where testing each output would take a compare and an `or` apiece.
+    #[inline(always)]
+    fn may_hold_zero<const N: usize>(v: &[__m256d; N]) -> bool {
+        // SAFETY: AVX is enabled for this compilation; register-only intrinsics.
+        unsafe {
+            let p = match *v.as_slice() {
+                [a, b] => _mm256_mul_pd(a, b),
+                [a, b, c, d] => _mm256_mul_pd(_mm256_mul_pd(a, b), _mm256_mul_pd(c, d)),
+                _ => unreachable!("two or four outputs"),
+            };
+            _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(p, _mm256_setzero_pd())) != 0
+        }
+    }
+
+    /// Both sides of four pairs, `[r0, i0, r1, i1]` from `[x0, y0, x1, y1]`, in form
+    /// `S`, on the rows [`Row::pair`] builds for it: the generic form evaluates the
+    /// pair-set side as [`pair_lanes`] writes it (`m10` times the pair-clear amplitude
+    /// first), a structured form as the pair-set amplitude's own side.
+    ///
+    /// [`pair_lanes`]: super::pair_lanes
+    #[inline(always)]
+    fn pair<const S: Shape>(rows: &[Row; 2], [x0, y0, x1, y1]: [__m256d; 4]) -> [__m256d; 4] {
+        let [r0, i0] = side::<S>(&rows[0], [x0, y0, x1, y1]);
+        let [r1, i1] = match S {
+            GENERIC => side::<S>(&rows[1], [x0, y0, x1, y1]),
+            _ => side::<S>(&rows[1], [x1, y1, x0, y0]),
+        };
+        [r0, i0, r1, i1]
     }
 
     /// Qubits 0 and 1 (`BIT ∈ {1, 2}`): each 4-lane chunk holds two whole pairs.  Lane
     /// `j` computes its own side's term from its own value and the other side's term
     /// from its partner's, read from the chunk with the pairs' halves swapped (one
     /// in-lane `permute` for qubit 0, one `permute4x64` for qubit 1); the per-lane
-    /// matrix entries are constants.  [`pair_lanes`](super::pair_lanes) adds the pair's
-    /// clear-side term first, this body adds its own side's first: the same two terms,
-    /// and IEEE addition is commutative, so the bits are the same.  Needs a length that
-    /// is a multiple of 4.
+    /// matrix entries are constants.  Needs a length that is a multiple of 4.
     ///
-    /// Measured at 12 qubits on the 2-vCPU host (one process, min of 41 samples): this
-    /// body 2.2 µs on qubits 0 and 1, against 2.0 µs for the generic walk on qubit 6 and
-    /// 9.5 µs for the walk on qubit 0.  Reading both inputs of a pair by broadcast
-    /// shuffles (four per chunk) took 2.3–2.6 µs, a de-interleave into pair-clear and
-    /// pair-set vectors and back 2.5–3.4 µs.
-    pub(super) fn in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+    /// Measured at 12 qubits on the 2-vCPU host (one process, min of 41 samples): the
+    /// generic form 2.2 µs on qubits 0 and 1, against 2.0 µs for the generic walk on
+    /// qubit 6 and 9.5 µs for the walk on qubit 0.  Reading both inputs of a pair by
+    /// broadcast shuffles (four per chunk) took 2.3–2.6 µs, a de-interleave into
+    /// pair-clear and pair-set vectors and back 2.5–3.4 µs.
+    pub(super) fn in_chunk<const BIT: usize, const S: Shape>(
+        re: &mut [f64],
+        im: &mut [f64],
+        m: &[f64; 8],
+    ) {
         assert!(re.len() == im.len() && re.len() % LANES == 0);
         let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
         // SAFETY: AVX is enabled for this compilation (the module's `cfg`), and these
         // intrinsics touch registers only.
         let (row, swap) = unsafe {
-            let row = |clear: f64, set: f64| match BIT {
+            let lanes = |clear: f64, set: f64| match BIT {
                 1 => _mm256_setr_pd(clear, set, clear, set),
                 _ => _mm256_setr_pd(clear, clear, set, set),
             };
-            let row = [
-                row(m00r, m11r),
-                row(m00i, m11i),
-                row(m01r, m10r),
-                row(m01i, m10i),
-            ];
+            let row = Row {
+                a: lanes(m00r, m11r),
+                b: lanes(m00i, m11i),
+                c: lanes(m01r, m10r),
+                d: lanes(m01i, m10i),
+                neg_d: lanes(-m01i, -m10i),
+            };
             let swap = |v: __m256d| match BIT {
                 1 => _mm256_permute_pd::<0b0101>(v),
                 _ => _mm256_permute4x64_pd::<0b0100_1110>(v),
             };
             (row, swap)
         };
-        for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
-            let (r, i) = (rc.as_mut_ptr(), ic.as_mut_ptr());
-            // SAFETY: each chunk holds exactly 4 values of each lane; AVX is enabled.
+        for k in (0..re.len()).step_by(LANES) {
+            // SAFETY: `k + 4 ≤ len`, so the chunk at `k` is in both lanes; AVX is enabled.
             unsafe {
+                let (r, i) = (re.as_mut_ptr().add(k), im.as_mut_ptr().add(k));
                 let (a, b) = (_mm256_loadu_pd(r), _mm256_loadu_pd(i));
-                let (nr, ni) = side(&row, [a, b, swap(a), swap(b)]);
-                _mm256_storeu_pd(r, nr);
-                _mm256_storeu_pd(i, ni);
+                let out = side::<S>(&row, [a, b, swap(a), swap(b)]);
+                if S != GENERIC && may_hold_zero(&out) {
+                    return chunks_generic::<BIT>(&mut re[k..], &mut im[k..], m);
+                }
+                _mm256_storeu_pd(r, out[0]);
+                _mm256_storeu_pd(i, out[1]);
             }
         }
+    }
+
+    /// The rest of a structured [`in_chunk`] call, from its first chunk that
+    /// [`may_hold_zero`], in the generic form (see [`update`]).
+    #[cold]
+    #[inline(never)]
+    fn chunks_generic<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+        in_chunk::<BIT, GENERIC>(re, im, m)
     }
 
     /// Qubits 2 and 3 (`BIT ∈ {4, 8}`): in each block of `2·BIT` amplitudes the
     /// pair-clear half and the pair-set half are whole 4-lane vectors, so the pairs are
     /// updated a vector at a time, with no shuffle, in fixed-size windows that leave no
     /// loop tail.  Needs a length that is a multiple of `2·BIT`.
-    pub(super) fn in_window<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64; 8]) {
+    pub(super) fn in_window<const BIT: usize, const S: Shape>(
+        re: &mut [f64],
+        im: &mut [f64],
+        m: &[f64; 8],
+    ) {
         assert!(re.len() == im.len() && re.len() % (2 * BIT) == 0);
-        let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = *m;
-        // SAFETY: AVX is enabled for this compilation; broadcasts touch registers only.
-        let [row0, row1] = unsafe {
-            let b = |v| _mm256_set1_pd(v);
-            [
-                [b(m00r), b(m00i), b(m01r), b(m01i)],
-                [b(m10r), b(m10i), b(m11r), b(m11i)],
-            ]
-        };
-        for (rw, iw) in re
-            .chunks_exact_mut(2 * BIT)
-            .zip(im.chunks_exact_mut(2 * BIT))
-        {
-            let (r, i) = (rw.as_mut_ptr(), iw.as_mut_ptr());
+        let rows = Row::pair::<S>(m);
+        let (r, i, len) = (re.as_mut_ptr(), im.as_mut_ptr(), re.len());
+        for window in (0..len).step_by(2 * BIT) {
             for k in (0..BIT).step_by(LANES) {
-                // SAFETY: `k + BIT + 4 ≤ 2·BIT`, so every access stays inside this
-                // window of both lanes; AVX is enabled.
+                let lo = window + k;
+                // SAFETY: `lo + BIT + 4 ≤ window + 2·BIT ≤ len`, so every access stays
+                // inside both lanes; AVX is enabled.
                 unsafe {
-                    let (lo, hi) = (k, k + BIT);
-                    let v = [
-                        _mm256_loadu_pd(r.add(lo)),
-                        _mm256_loadu_pd(i.add(lo)),
-                        _mm256_loadu_pd(r.add(hi)),
-                        _mm256_loadu_pd(i.add(hi)),
-                    ];
-                    let (r0, i0) = side(&row0, v);
-                    let (r1, i1) = side(&row1, v);
-                    _mm256_storeu_pd(r.add(lo), r0);
-                    _mm256_storeu_pd(i.add(lo), i0);
-                    _mm256_storeu_pd(r.add(hi), r1);
-                    _mm256_storeu_pd(i.add(hi), i1);
+                    if !update::<S>(&rows, r, i, lo, lo + BIT) {
+                        return pairs_generic(m, r, i, len, BIT, lo);
+                    }
                 }
             }
         }
+    }
+
+    /// A structured form on qubits from 4 up (`bit ≥ 16`): the generic walk's blocks of
+    /// `2·bit` amplitudes, each half a run of whole 4-lane vectors, with the matrix
+    /// rows broadcast once per call rather than once per block.  (The generic form on
+    /// these qubits is [`pair_lanes`]' autovectorized walk.)  Needs a length that is a
+    /// multiple of `2·bit`.
+    ///
+    /// The Rx form at 14 qubits on the 2-vCPU host, against the generic walk in one
+    /// A/B binary (medians of interleaved samples, two sessions): 6.2–6.8
+    /// against 8.3–9.1 µs on qubit 4, 6.3–6.4 against 8.3–8.4 µs on qubit 13.
+    ///
+    /// [`pair_lanes`]: super::pair_lanes
+    pub(super) fn walk<const S: Shape>(re: &mut [f64], im: &mut [f64], bit: usize, m: &[f64; 8]) {
+        assert!(bit % LANES == 0 && re.len() == im.len() && re.len() % (2 * bit) == 0);
+        let rows = Row::pair::<S>(m);
+        let (r, i) = (re.as_mut_ptr(), im.as_mut_ptr());
+        for block in (0..re.len()).step_by(2 * bit) {
+            for lo in (block..block + bit).step_by(LANES) {
+                // SAFETY: `lo + bit + 4 ≤ block + 2·bit ≤ len`, so every access stays
+                // inside both lanes; AVX is enabled.
+                unsafe {
+                    if !update::<S>(&rows, r, i, lo, lo + bit) {
+                        return pairs_generic(m, r, i, re.len(), bit, lo);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rest of a structured [`in_window`] or [`walk`] call over lanes `r` and `i`
+    /// of `len` values, from the four pairs at `lo` and `lo + bit` on, in the generic
+    /// form (see [`update`]).
+    ///
+    /// # Safety
+    ///
+    /// `r` and `i` must be valid for reads and writes of `len` `f64`, `len` a multiple
+    /// of `2·bit`, `bit` a multiple of 4, and `lo` a multiple of 4 below `len` with
+    /// bit `bit` clear.
+    #[cold]
+    #[inline(never)]
+    unsafe fn pairs_generic(
+        m: &[f64; 8],
+        r: *mut f64,
+        i: *mut f64,
+        len: usize,
+        bit: usize,
+        mut lo: usize,
+    ) {
+        let rows = Row::pair::<GENERIC>(m);
+        while lo < len {
+            update::<GENERIC>(&rows, r, i, lo, lo + bit);
+            lo += LANES;
+            // Past the end of a pair-clear half: on to the next block's.
+            if lo & bit != 0 {
+                lo += bit;
+            }
+        }
+    }
+
+    /// Loads the four pairs at `lo` and `hi` of the lanes `r` and `i`, updates them in
+    /// form `S` and stores them back, or — a structured form whose outputs
+    /// [`may_hold_zero`] — stores nothing and returns `false`.  A structured form's
+    /// outputs can differ from the generic form's only in the sign of an output that is
+    /// an exact zero, so the caller hands the rest of its call, these four pairs first,
+    /// to the generic form: out of line, so the hot loop keeps none of the generic
+    /// form's products live, and for the whole rest, so a state rich in zeros (a real
+    /// state's imaginary lane under H or Ry, a basis state's neighbourhood) runs at the
+    /// generic form's speed instead of paying both forms per vector.
+    ///
+    /// # Safety
+    ///
+    /// `r` and `i` must be valid for reads and writes of 4 `f64` at `lo` and at `hi`.
+    #[inline(always)]
+    unsafe fn update<const S: Shape>(
+        rows: &[Row; 2],
+        r: *mut f64,
+        i: *mut f64,
+        lo: usize,
+        hi: usize,
+    ) -> bool {
+        let at = [r.add(lo), i.add(lo), r.add(hi), i.add(hi)];
+        let out = pair::<S>(rows, at.map(|p| _mm256_loadu_pd(p)));
+        if S != GENERIC && may_hold_zero(&out) {
+            return false;
+        }
+        for (p, v) in at.into_iter().zip(out) {
+            _mm256_storeu_pd(p, v);
+        }
+        true
     }
 }
 

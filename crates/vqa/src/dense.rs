@@ -479,7 +479,10 @@ impl<R: Readout> Backend for Dense<R> {
             // Cleared first: a rollout that unwinds leaves no claim on a half-written slot.
             self.probed = None;
             let request = EvalRequest::unpinned(circuit, params, initial, op, &[]);
-            rollout(compiled, None, &basis, &request, &[], slot);
+            // Bound once, as the trajectory driver binds them: the cost layers' phase
+            // tables are built here, not inside the pass, and the bits are the same.
+            let tables = compiled.prepare_batch_tables(&[params]);
+            rollout(compiled, Some(&tables), &basis, &request, &[], slot);
             self.probed = Some(Probed {
                 circuit: circuit.clone(),
                 params: params.to_vec(),
@@ -581,8 +584,8 @@ impl Dense<Attenuated> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::{Entanglement, HardwareEfficientAnsatz};
-    use qop::Statevector;
+    use qcircuit::{Angle, Entanglement, Gate, HardwareEfficientAnsatz};
+    use qop::{PauliString, Statevector};
 
     fn probe_bits(backend: &mut StatevectorBackend, params: &[f64], op: &PauliOp) -> u64 {
         let circuit = HardwareEfficientAnsatz::new(4, 2, Entanglement::Circular).build();
@@ -645,5 +648,28 @@ mod tests {
             probe_bits(&mut backend, &nudged, &ops[1]),
             fresh(&nudged, &ops[1])
         );
+
+        // A probe binds its cost layers once: its value is an unbound rollout's, bit
+        // for bit, on a QAOA layer whose ZZ ring is one tabulated diagonal pass.
+        let n = 8;
+        let mut qaoa = Circuit::new(n);
+        for q in 0..n {
+            qaoa.push(Gate::H(q));
+        }
+        for q in 0..n {
+            let zz = PauliString::from_masks(0, (1 << q) | (1 << ((q + 1) % n)), n);
+            qaoa.push(Gate::PauliRotation(zz, Angle::param(0)));
+        }
+        for q in 0..n {
+            qaoa.push(Gate::Rx(q, Angle::param(1)));
+        }
+        let (params, initial) = ([0.37, -1.1], InitialState::Basis(5));
+        let op = qchem::transverse_field_ising(n, 1.0, 0.5);
+        let compiled = CompiledCircuit::compile(&qaoa);
+        assert_eq!(compiled.prepare_batch_tables(&[&params]).num_bound(), 1);
+        let mut psi = Statevector::zero_state(n);
+        compiled.execute_from_basis(5, &params, &mut psi, &[], None);
+        let probed = StatevectorBackend::with_shots(0).probe(&qaoa, &params, &initial, &op);
+        assert_eq!(probed.to_bits(), op.expectation(&psi).to_bits());
     }
 }

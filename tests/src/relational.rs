@@ -16,9 +16,13 @@
 //! * [`cx_networks`] — circuits with maximal CX runs below and at or above
 //!   `qsim::CX_GATHER_MIN_QUBITS`, with insertions inside and right after runs
 //!   ([`CIRCUIT_PAIRS`]);
+//! * [`single_qubit_runs`] — circuits with maximal single-qubit runs on registers of
+//!   one and of several `qsim::TILE_QUBITS` tiles, high qubits inside runs, and
+//!   insertions inside and right after runs ([`CIRCUIT_PAIRS`]);
 //! * [`operators`] — states with operators and rotation sequences ([`OPERATOR_PAIRS`]);
-//! * [`single_qubit_gates`] — a 2×2 matrix on each of qubits 0–3 of every register from
-//!   1 to 14 qubits ([`GATE_PAIRS`]);
+//! * [`single_qubit_gates`] — fused, Y, H and lone Rx/Ry matrices (at angles that zero
+//!   entries too) on each of qubits 0–3 and the top qubit of every register from 1 to
+//!   14 qubits, from random and basis states ([`GATE_PAIRS`]);
 //! * [`batches`] and [`parallel_batches`] — request batches at 4–5 qubits, and at
 //!   11 qubits × 17 candidates, the shape that crosses `qsim::parallel_threshold`
 //!   ([`BATCH_PAIRS`]).
@@ -327,6 +331,10 @@ enum Shape {
     /// A product layer, then three bursts of CX gates — a ring, then two of 2–6 gates on
     /// random pairs — each followed by 1–4 gates of every kind: maximal CX runs.
     Networks,
+    /// Three layers of one lone single-qubit gate of every kind on every qubit, in a
+    /// random qubit order, a CZ ring after the first and a ZZ rotation after the
+    /// second: maximal single-qubit runs, their high qubits anywhere in the run.
+    Runs,
 }
 
 /// Gate kind `kind` (0–11: `Gate`'s variants in declaration order; 12–13: Z-string
@@ -399,6 +407,32 @@ fn random_circuit(gen: &mut Gen, n: usize, shape: Shape) -> Circuit {
             }
         }
         Shape::Hea => circuit = HardwareEfficientAnsatz::new(n, 3, Entanglement::Circular).build(),
+        Shape::Runs => {
+            for layer in 0..3 {
+                let mut qubits: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    qubits.swap(i, gen.below(i as u64 + 1) as usize);
+                }
+                for q in qubits {
+                    // Kinds 0–5 are the constant gates, 8–10 the single-qubit rotations.
+                    let kind = gen.below(9);
+                    circuit.push(random_gate(
+                        gen,
+                        n,
+                        if kind < 6 { kind } else { kind + 2 },
+                        q,
+                    ));
+                }
+                match layer {
+                    0 => (0..n).for_each(|q| circuit.push(Gate::Cz(q, (q + 1) % n))),
+                    1 => {
+                        let zz = PauliString::from_masks(0, 0b11 << (n - 2), n);
+                        circuit.push(Gate::PauliRotation(zz, Angle::param(0)));
+                    }
+                    _ => {}
+                }
+            }
+        }
         Shape::Networks => {
             for q in 0..n {
                 circuit.push(Gate::Ry(q, Angle::param(q % NUM_PARAMS)));
@@ -616,7 +650,55 @@ pub const CIRCUIT_PAIRS: &[Pair<CircuitCase>] = &[
         },
         Bits,
     ),
+    (
+        // The fast side applies each maximal run of single-qubit ops below
+        // `qsim::TILE_QUBITS` tile by tile; the source ends every run after one op.
+        "tiled 1q runs ≡ one op at a time",
+        |c| execute(c, &c.insertions, false),
+        one_op_at_a_time,
+        Bits,
+    ),
 ];
+
+/// `c`'s insertions, plus an identity insertion after every op: an insertion ends a
+/// single-qubit run, so every run is one op long, and the identity changes no bit.
+fn one_op_at_a_time(c: &CircuitCase) -> Out {
+    let n = c.circuit.num_qubits();
+    let identities = (0..c.compiled.num_ops()).map(|after_op| PauliInsertion {
+        after_op,
+        string: PauliString::identity(n),
+    });
+    let mut insertions: Vec<PauliInsertion> =
+        c.insertions.iter().cloned().chain(identities).collect();
+    insertions.sort_by_key(|p| p.after_op);
+    execute(c, &insertions, false)
+}
+
+/// The op ranges `[start, end)` of `c`'s maximal runs of two or more consecutive
+/// single-qubit ops, with each op's qubit, read from its noise sites: a single-qubit op
+/// holds only gates on its one qubit.
+fn one_qubit_op_runs(c: &CircuitCase) -> Vec<(usize, usize, Vec<usize>)> {
+    let mut ops: Vec<Option<usize>> = vec![None; c.compiled.num_ops()];
+    let mut multi = vec![false; c.compiled.num_ops()];
+    for (gate, site) in gates_and_sites(c) {
+        let one = site.qubits.len() == 1 && !matches!(gate, Gate::PauliRotation(..));
+        multi[site.op_index] |= !one;
+        ops[site.op_index] = Some(site.qubits[0]);
+    }
+    let mut runs: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+    for (op, q) in ops.iter().enumerate() {
+        match (q, multi[op], runs.last_mut()) {
+            (Some(q), false, Some(run)) if run.1 == op => {
+                run.1 += 1;
+                run.2.push(*q);
+            }
+            (Some(q), false, _) => runs.push((op, op + 1, vec![*q])),
+            _ => {}
+        }
+    }
+    runs.retain(|run| run.1 - run.0 >= 2);
+    runs
+}
 
 /// The op ranges `[start, end)` of `c`'s maximal runs of two or more consecutive CX ops,
 /// read from its noise sites: a CX is never fused, so its site's op holds it alone.
@@ -821,6 +903,82 @@ pub fn cx_networks(names: &[&str]) {
         tally.require("run below the floor", 10);
         tally.require("insertion inside a run at the floor", 8);
         tally.require("insertion after a run at the floor", 8);
+        cases
+    });
+    check(cases, CIRCUIT_PAIRS, names);
+}
+
+/// 24 circuits with single-qubit runs: 18 above `qsim::TILE_QUBITS` (12–14 qubits, more
+/// than one tile) and 6 at or below it (9 and 11), `Shape::Runs`, QAOA and
+/// hardware-efficient.  Two thirds of them replay one insertion strictly inside a run
+/// and one right after a run's last op (beside their random ones); the rest replay
+/// none, so every run is applied whole.
+pub fn single_qubit_runs(names: &[&str]) {
+    static CASES: OnceLock<Cases<CircuitCase>> = OnceLock::new();
+    let cases = CASES.get_or_init(|| {
+        let tile = qsim::TILE_QUBITS;
+        let cases: Cases<_> = (0..24u64)
+            .map(|k| {
+                let n = [12, 13, 14, 12, 14, 13, 9, 11][k as usize % 8];
+                let shape = match k % 6 {
+                    1 => Shape::Qaoa,
+                    4 => Shape::Hea,
+                    _ => Shape::Runs,
+                };
+                let (label, mut case) = circuit_case(9000 + k, n, shape);
+                let mut gen = Gen::new(9500 + k);
+                match (k % 3, one_qubit_op_runs(&case).as_slice()) {
+                    (0, _) => case.insertions.clear(),
+                    (_, [first, .., last]) => {
+                        let inside = first.0 + gen.below((first.1 - first.0 - 1) as u64) as usize;
+                        for after_op in [inside, last.1 - 1] {
+                            let string = gen.string(n);
+                            case.insertions.push(PauliInsertion { after_op, string });
+                        }
+                        case.insertions.sort_by_key(|p| p.after_op);
+                    }
+                    _ => {}
+                }
+                (label, case)
+            })
+            .collect();
+        let mut tally = tally_circuits(&cases);
+        for (_, c) in &cases {
+            let n = c.circuit.num_qubits();
+            let tiles = if n > tile {
+                "several tiles"
+            } else {
+                "one tile"
+            };
+            for (start, end, qubits) in one_qubit_op_runs(c) {
+                tally.add(format!("run on {tiles}"));
+                let high = |q: &usize| *q >= tile;
+                if qubits.iter().any(high) && !qubits.iter().all(high) {
+                    tally.add("run straddling the tile");
+                }
+                if qubits[1..qubits.len() - 1].iter().any(high) {
+                    tally.add("high-qubit op inside a run");
+                }
+                for p in &c.insertions {
+                    if (start..end - 1).contains(&p.after_op) {
+                        tally.add(format!("insertion inside a run on {tiles}"));
+                    } else if p.after_op == end - 1 {
+                        tally.add(format!("insertion after a run on {tiles}"));
+                    }
+                }
+            }
+        }
+        for n in [12, 13, 14] {
+            tally.require(&format!("{n} qubits"), 4);
+        }
+        tally.require("run on several tiles", 18);
+        tally.require("run on one tile", 6);
+        tally.require("run straddling the tile", 12);
+        tally.require("high-qubit op inside a run", 6);
+        tally.require("insertion inside a run on several tiles", 8);
+        tally.require("insertion after a run on several tiles", 8);
+        tally.require("insertion inside a run on one tile", 2);
+        tally.require("special angle", 12);
         cases
     });
     check(cases, CIRCUIT_PAIRS, names);
@@ -1082,75 +1240,102 @@ pub struct GateCase {
 /// one 4-lane chunk a per-chunk body whose lanes read their pair's inputs by index.
 fn former_single_qubit(c: &GateCase) -> Out {
     const LANES: usize = qop::lanes::LANES;
+    let bit = 1usize << c.qubit;
+    if bit >= LANES || c.psi.dim() < LANES {
+        return generic_single_qubit(c);
+    }
     let mut psi = c.psi.clone();
-    let m = &c.matrix;
-    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = [
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = lane_matrix(&c.matrix);
+    let (re, im) = psi.lanes_mut();
+    // Lane j is side `j & bit` of the pair (j & !bit, j | bit): row 0 or row 1 of m.
+    let row = |lo: f64, hi: f64| -> [f64; LANES] {
+        std::array::from_fn(|j| if j & bit == 0 { lo } else { hi })
+    };
+    let (ar, ai) = (row(m00r, m10r), row(m00i, m10i));
+    let (br, bi) = (row(m01r, m11r), row(m01i, m11i));
+    for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
+        let (mut nr, mut ni) = ([0.0; LANES], [0.0; LANES]);
+        for j in 0..LANES {
+            let (x0, y0) = (rc[j & !bit], ic[j & !bit]);
+            let (x1, y1) = (rc[j | bit], ic[j | bit]);
+            nr[j] = (ar[j] * x0 - ai[j] * y0) + (br[j] * x1 - bi[j] * y1);
+            ni[j] = (ar[j] * y0 + ai[j] * x0) + (br[j] * y1 + bi[j] * x1);
+        }
+        rc.copy_from_slice(&nr);
+        ic.copy_from_slice(&ni);
+    }
+    Out::State(psi)
+}
+
+/// `m` as `[m00, m01, m10, m11]`, each (re, im).
+fn lane_matrix(m: &qsim::Matrix2) -> [f64; 8] {
+    [
         m[0][0].re, m[0][0].im, m[0][1].re, m[0][1].im, m[1][0].re, m[1][0].im, m[1][1].re,
         m[1][1].im,
-    ];
+    ]
+}
+
+/// The generic single-qubit body, one scalar pair at a time over `(2·bit)`-blocks:
+/// every one of the matrix's eight products, `0·v` terms included.
+fn generic_single_qubit(c: &GateCase) -> Out {
+    let mut psi = c.psi.clone();
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = lane_matrix(&c.matrix);
     let bit = 1usize << c.qubit;
     let (re, im) = psi.lanes_mut();
-    if bit < LANES && re.len() >= LANES {
-        // Lane j is side `j & bit` of the pair (j & !bit, j | bit): row 0 or row 1 of m.
-        let row = |lo: f64, hi: f64| -> [f64; LANES] {
-            std::array::from_fn(|j| if j & bit == 0 { lo } else { hi })
-        };
-        let (ar, ai) = (row(m00r, m10r), row(m00i, m10i));
-        let (br, bi) = (row(m01r, m11r), row(m01i, m11i));
-        for (rc, ic) in re.chunks_exact_mut(LANES).zip(im.chunks_exact_mut(LANES)) {
-            let (mut nr, mut ni) = ([0.0; LANES], [0.0; LANES]);
-            for j in 0..LANES {
-                let (x0, y0) = (rc[j & !bit], ic[j & !bit]);
-                let (x1, y1) = (rc[j | bit], ic[j | bit]);
-                nr[j] = (ar[j] * x0 - ai[j] * y0) + (br[j] * x1 - bi[j] * y1);
-                ni[j] = (ar[j] * y0 + ai[j] * x0) + (br[j] * y1 + bi[j] * x1);
-            }
-            rc.copy_from_slice(&nr);
-            ic.copy_from_slice(&ni);
-        }
-    } else {
-        for (rb, ib) in re
-            .chunks_exact_mut(2 * bit)
-            .zip(im.chunks_exact_mut(2 * bit))
-        {
-            let (r_lo, r_hi) = rb.split_at_mut(bit);
-            let (i_lo, i_hi) = ib.split_at_mut(bit);
-            for j in 0..bit {
-                let (x0, y0, x1, y1) = (r_lo[j], i_lo[j], r_hi[j], i_hi[j]);
-                r_lo[j] = (m00r * x0 - m00i * y0) + (m01r * x1 - m01i * y1);
-                i_lo[j] = (m00r * y0 + m00i * x0) + (m01r * y1 + m01i * x1);
-                r_hi[j] = (m10r * x0 - m10i * y0) + (m11r * x1 - m11i * y1);
-                i_hi[j] = (m10r * y0 + m10i * x0) + (m11r * y1 + m11i * x1);
-            }
+    for (rb, ib) in re
+        .chunks_exact_mut(2 * bit)
+        .zip(im.chunks_exact_mut(2 * bit))
+    {
+        let (r_lo, r_hi) = rb.split_at_mut(bit);
+        let (i_lo, i_hi) = ib.split_at_mut(bit);
+        for j in 0..bit {
+            let (x0, y0, x1, y1) = (r_lo[j], i_lo[j], r_hi[j], i_hi[j]);
+            r_lo[j] = (m00r * x0 - m00i * y0) + (m01r * x1 - m01i * y1);
+            i_lo[j] = (m00r * y0 + m00i * x0) + (m01r * y1 + m01i * x1);
+            r_hi[j] = (m10r * x0 - m10i * y0) + (m11r * x1 - m11i * y1);
+            i_hi[j] = (m10r * y0 + m10i * x0) + (m11r * y1 + m11i * x1);
         }
     }
     Out::State(psi)
 }
 
-/// The rows over [`GateCase`]s.
-pub const GATE_PAIRS: &[Pair<GateCase>] = &[(
-    "full-width 1q bodies ≡ former bodies",
-    |c| {
-        let mut psi = c.psi.clone();
-        qsim::apply_single_qubit(&mut psi, c.qubit, &c.matrix);
-        Out::State(psi)
-    },
-    former_single_qubit,
-    Bits,
-)];
+/// The rows over [`GateCase`]s.  The structured row holds the Rx-shaped and real bodies
+/// (a lone Rx or Y; H, X, Z, a lone Ry), which drop the generic body's `0·v` terms, to
+/// that body: the two can differ only in the sign of an exact zero output, and the
+/// bodies hand any four pairs that may hold one to the generic form, so the relation is
+/// `Bits` — on zero-rich basis states and at the angles that make entries zero.
+pub const GATE_PAIRS: &[Pair<GateCase>] = &[
+    (
+        "full-width 1q bodies ≡ former bodies",
+        apply_single_qubit,
+        former_single_qubit,
+        Bits,
+    ),
+    (
+        "structured 1q bodies ≡ generic body",
+        apply_single_qubit,
+        generic_single_qubit,
+        Bits,
+    ),
+];
+
+fn apply_single_qubit(c: &GateCase) -> Out {
+    let mut psi = c.psi.clone();
+    qsim::apply_single_qubit(&mut psi, c.qubit, &c.matrix);
+    Out::State(psi)
+}
 
 /// Every qubit below 4 (and the top qubit) of every register from 1 to 14 qubits, each
-/// with a fused rotation, with Y (exact zeros and a negative entry) and with H, on a
-/// random state: 3 × 58 cases.
+/// with a fused rotation, Y (exact zeros and a negative entry), H, and a lone Rx and Ry
+/// at each of the angles 0, ±π, 2π, π/2 and a random one, on a random state and on a
+/// basis state (zero-rich): 2 × 15 × 58 cases.
 pub fn single_qubit_gates(names: &[&str]) {
     static CASES: OnceLock<Cases<GateCase>> = OnceLock::new();
     let cases = CASES.get_or_init(|| {
         let c = Complex64::new;
         let h = std::f64::consts::FRAC_1_SQRT_2;
-        let fixed: [qsim::Matrix2; 2] = [
-            [[c(0.0, 0.0), c(0.0, -1.0)], [c(0.0, 1.0), c(0.0, 0.0)]],
-            [[c(h, 0.0), c(h, 0.0)], [c(h, 0.0), c(-h, 0.0)]],
-        ];
+        let y = [[c(0.0, 0.0), c(0.0, -1.0)], [c(0.0, 1.0), c(0.0, 0.0)]];
+        let hadamard = [[c(h, 0.0), c(h, 0.0)], [c(h, 0.0), c(-h, 0.0)]];
         let mut cases: Cases<GateCase> = Vec::new();
         let mut gen = Gen::new(8000);
         for n in 1..=14usize {
@@ -1165,20 +1350,55 @@ pub fn single_qubit_gates(names: &[&str]) {
                     let e = |r: usize, k: usize| rz[r][0] * ry[0][k] + rz[r][1] * ry[1][k];
                     [[e(0, 0), e(0, 1)], [e(1, 0), e(1, 1)]]
                 };
-                for (kind, matrix) in [("fused", fused), ("Y", fixed[0]), ("H", fixed[1])] {
-                    let label = format!("{kind} on q{qubit} of {n} qubits");
-                    let psi = gen.state(n);
-                    cases.push((label, GateCase { psi, qubit, matrix }));
+                let mut matrices = vec![
+                    ("fused".to_string(), fused),
+                    ("Y".to_string(), y),
+                    ("H".to_string(), hadamard),
+                ];
+                for angle in [0.0, PI, -PI, 2.0 * PI, FRAC_PI_2, 3.2 * gen.unit()] {
+                    matrices.push((format!("Rx({angle})"), qsim::rx_matrix(angle)));
+                    matrices.push((format!("Ry({angle})"), qsim::ry_matrix(angle)));
+                }
+                for (kind, matrix) in matrices {
+                    let dense = gen.state(n);
+                    let basis = Statevector::basis_state(n, gen.below(1 << n));
+                    for (start, psi) in [("random", dense), ("basis", basis)] {
+                        let label = format!("{kind} on q{qubit} of {n} qubits, {start} state");
+                        cases.push((label, GateCase { psi, qubit, matrix }));
+                    }
                 }
             }
         }
         let mut tally = Tally::default();
-        for (_, c) in &cases {
-            tally.add(format!("q{} of {} qubits", c.qubit, c.psi.num_qubits()));
+        for (label, c) in &cases {
+            let (n, q) = (c.psi.num_qubits(), c.qubit);
+            let start = if label.ends_with("basis state") {
+                "basis"
+            } else {
+                "random"
+            };
+            tally.add(format!("q{q} of {n} qubits"));
+            let kind = label.split(['(', ' ']).next().expect("a kind");
+            tally.add(format!("{kind} on q{q} of {n} qubits from a {start} state"));
+            if q + 1 == n {
+                tally.add(format!("{kind} on the top qubit from a {start} state"));
+            }
         }
         for n in 1..=14 {
             for q in 0..n.min(4) {
-                tally.require(&format!("q{q} of {n} qubits"), 3);
+                tally.require(&format!("q{q} of {n} qubits"), 30);
+                for start in ["random", "basis"] {
+                    for kind in ["Rx", "Ry", "H"] {
+                        let at_angles = if kind == "H" { 1 } else { 6 };
+                        let what = format!("{kind} on q{q} of {n} qubits from a {start} state");
+                        tally.require(&what, at_angles);
+                    }
+                }
+            }
+        }
+        for start in ["random", "basis"] {
+            for kind in ["Rx", "Ry", "H"] {
+                tally.require(&format!("{kind} on the top qubit from a {start} state"), 14);
             }
         }
         cases

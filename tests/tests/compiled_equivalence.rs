@@ -3,7 +3,9 @@
 //! `treevqa_tests::relational`'s `CIRCUIT_PAIRS` and `BATCH_PAIRS`, where each pair's
 //! relation, domain and coverage claims live.
 
-use treevqa_tests::relational::{batches, circuits, cx_networks, parallel_batches, registers};
+use treevqa_tests::relational::{
+    batches, circuits, cx_networks, parallel_batches, registers, single_qubit_runs,
+};
 
 #[test]
 fn compiled_circuits_agree_with_reference() {
@@ -42,6 +44,22 @@ fn cx_runs_gather_bit_identically() {
     ]);
     circuits(&["CX run gather ≡ per-gate CX"]);
     registers(&["CX run gather ≡ per-gate CX"]);
+}
+
+/// A run of single-qubit ops applied tile by tile leaves every bit where one op at a
+/// time leaves it, with insertions inside, right after and away from the runs, and the
+/// circuits around the runs still agree with the reference.
+#[test]
+fn tiled_single_qubit_runs_are_bit_identical() {
+    single_qubit_runs(&[
+        "tiled 1q runs ≡ one op at a time",
+        "compiled ≡ reference",
+        "basis start ≡ prepare + execute",
+        "paired insertions cancel",
+        "trailing insertion ≡ reference",
+    ]);
+    circuits(&["tiled 1q runs ≡ one op at a time"]);
+    registers(&["tiled 1q runs ≡ one op at a time"]);
 }
 
 #[test]

@@ -30,6 +30,14 @@ fn low_qubit_single_qubit_bodies_keep_the_former_bits() {
     single_qubit_gates(&["full-width 1q bodies ≡ former bodies"]);
 }
 
+/// The Rx-shaped and real single-qubit bodies, which drop the generic body's `0·v`
+/// terms, give its bits — zero signs included — on every qubit below 4 and the top
+/// qubit, from dense and zero-rich basis states, at the angles that zero entries.
+#[test]
+fn structured_single_qubit_bodies_keep_the_generic_bits() {
+    single_qubit_gates(&["structured 1q bodies ≡ generic body"]);
+}
+
 #[test]
 fn random_pauli_rotations_agree_with_reference() {
     operators(&["rotation kernel ≡ naive"]);
