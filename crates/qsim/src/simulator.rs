@@ -50,31 +50,31 @@
 //!   ([`crate::CompiledCircuit::execute_from_basis`]).
 //! * **Structured bodies: no arithmetic on entries that are zero.**  The generic body
 //!   spends 28 vector FP ops per four pairs on any 2×2 matrix.  Each call reads the
-//!   bound matrix's zero pattern once and picks one of three shapes: **Rx-shaped**
-//!   (real diagonal, imaginary off-diagonal: a lone Rx, or Y), whose outputs are
+//!   bound matrix's zero pattern once and picks one of two shapes: **Rx-shaped** (real
+//!   diagonal, imaginary off-diagonal: a lone Rx, or Y), whose outputs are
 //!   `r0 = m00r·x0 + (−m01i)·y1`, `i0 = m00r·y0 + m01i·x1` and the same on the
-//!   pair-set side; **real** (H, X, Z, a lone Ry), `r0 = m00r·x0 + m01r·x1` and the
-//!   same for the other three; and **generic** for everything else.  A structured
-//!   body keeps the generic body's products and drops only its `0·v` terms: 12 FP ops
-//!   per four pairs.  It cannot move a bit except the sign of an exact zero output:
-//!   `t − (±0)` and `t + (±0)` are `t` for any nonzero `t`, so every output whose
-//!   surviving terms do not both vanish is the generic output, and `a − a` is `+0` in
-//!   both.  Only an output that is zero may take another sign (`−0 + −0` against
-//!   `−0 + +0`).  So a structured body multiplies its four output vectors together,
-//!   lane by lane (three multiplies and a compare), and when a lane of that product is
-//!   zero — every zero output makes it zero; products of tiny amplitudes that
-//!   underflow do too, which costs speed, never bits — it hands those four pairs and
-//!   the rest of its call to the generic form.  A dense state almost never triggers
-//!   it; a zero-rich one (a real state's imaginary lane under H or Ry, a basis state's
-//!   neighbourhood) runs at the generic speed.  The relational row `structured 1q
-//!   bodies ≡ generic body` holds all this as `Bits` from dense and basis states at
-//!   the angles that zero entries (0, ±π, 2π).  Amplitudes are finite: with an
-//!   infinite input the generic body's `0·∞` is a NaN the structured one never forms.
-//!   Only AVX builds have structured bodies; other targets run every matrix through
-//!   the generic one.  At 14 qubits a lone Rx pass took 0.71–0.87× the generic
-//!   body's time on each of qubits 0–4, 6, 10 and 13 (medians of interleaved samples in
-//!   an A/B binary, 2-vCPU host); the product prefix always runs the generic form,
-//!   since it doubles out of zero copies.
+//!   pair-set side, and **generic** for everything else.  The Rx body keeps the
+//!   generic body's products and drops only its `0·v` terms: 12 FP ops per four pairs.
+//!   A lone Rx is the QAOA mixer's gate.  There is no real-matrix body: the HEA
+//!   circuits fuse Ry·Rz into generic matrices and H runs in the product prefix, so no
+//!   workload runs a lone real rotation on a complex state.  The Rx body cannot move a
+//!   bit except the sign of an exact zero output: `t − (±0)` and `t + (±0)` are `t`
+//!   for any nonzero `t`, so every output whose surviving terms do not both vanish is
+//!   the generic output, and `a − a` is `+0` in both.  Only an output that is zero may
+//!   take another sign (`−0 + −0` against `−0 + +0`).  So the Rx body multiplies its
+//!   four output vectors together, lane by lane (three multiplies and a compare), and
+//!   when a lane of that product is zero — every zero output makes it zero; products
+//!   of tiny amplitudes that underflow do too, which costs speed, never bits — it
+//!   hands those four pairs and the rest of its call to the generic form.  A dense
+//!   state almost never triggers it; a zero-rich one (a basis state's neighbourhood)
+//!   runs at the generic speed.  The relational row `structured 1q bodies ≡ generic
+//!   body` holds all this as `Bits` from dense and basis states at the angles that
+//!   zero entries (0, ±π, 2π).  Amplitudes are finite: with an infinite input the
+//!   generic body's `0·∞` is a NaN the Rx body never forms.  Only AVX builds have the
+//!   Rx body; other targets run every matrix through the generic one.  At 14 qubits a
+//!   lone Rx pass took 0.71–0.87× the generic body's time on each of qubits 0–4, 6, 10
+//!   and 13 (medians of interleaved samples in an A/B binary, 2-vCPU host); the
+//!   product prefix always runs the generic form, since it doubles out of zero copies.
 //! * **One body per kernel, no threads.**  Every kernel here is a single serial,
 //!   vectorized pass over its state.  The stack's parallelism is *across* states —
 //!   [`qop::par::map_states`] hands whole executions (prepare → ops → readout) to the
@@ -258,7 +258,6 @@ pub(crate) fn apply_single_qubit_run(state: &mut Statevector, run: &[LaneOp]) {
             let bit = 1 << q;
             match shape(m) {
                 RX => single_qubit_lanes::<RX>(re, im, bit, m),
-                REAL => single_qubit_lanes::<REAL>(re, im, bit, m),
                 _ => single_qubit_lanes::<GENERIC>(re, im, bit, m),
             }
         }
@@ -274,24 +273,23 @@ pub(crate) fn lane_matrix(m: &Matrix2) -> [f64; 8] {
 }
 
 /// The arithmetic a single-qubit body runs, read from its matrix's zero pattern (see
-/// "Structured bodies" in the module docs): every entry, [`RX`] — real diagonal and
-/// imaginary off-diagonal entries, a lone Rx or Y — or [`REAL`] — real entries, as H,
-/// X, Z and a lone Ry have.
+/// "Structured bodies" in the module docs): every entry, or [`RX`] — real diagonal and
+/// imaginary off-diagonal entries, a lone Rx or Y.
 type Shape = u8;
 const GENERIC: Shape = 0;
 const RX: Shape = 1;
-const REAL: Shape = 2;
 
-/// The [`Shape`] of `m`.  Only the AVX bodies have structured forms; other targets run
+/// The [`Shape`] of `m`.  Only the AVX bodies have an Rx form; other targets run
 /// every matrix through the generic one.
 fn shape(m: &[f64; 8]) -> Shape {
-    let [_, m00i, m01r, m01i, m10r, m10i, _, m11i] = *m;
-    if !cfg!(all(target_arch = "x86_64", target_feature = "avx")) {
-        GENERIC
-    } else if m00i == 0.0 && m11i == 0.0 && m01r == 0.0 && m10r == 0.0 {
+    let [_, m00i, m01r, _, m10r, _, _, m11i] = *m;
+    if cfg!(all(target_arch = "x86_64", target_feature = "avx"))
+        && m00i == 0.0
+        && m11i == 0.0
+        && m01r == 0.0
+        && m10r == 0.0
+    {
         RX
-    } else if m00i == 0.0 && m11i == 0.0 && m01i == 0.0 && m10i == 0.0 {
-        REAL
     } else {
         GENERIC
     }
@@ -303,8 +301,8 @@ fn shape(m: &[f64; 8]) -> Shape {
 /// as [`apply_single_qubit`], so on a state whose value at an index depends only on the
 /// index's `mask` bits the sub-cube comes out exactly as the full pass would leave it —
 /// the building block of [`crate::CompiledCircuit`]'s product-prefix start.  Always in
-/// the generic form: a prefix doubles out of zero copies and real values, where a
-/// structured form would meet exact zeros and hand over to the generic one anyway.
+/// the generic form: a prefix doubles out of zero copies and real values, where the
+/// Rx form would meet exact zeros and hand over to the generic one anyway.
 pub(crate) fn apply_single_qubit_subcube(
     state: &mut Statevector,
     bit: usize,
@@ -359,7 +357,7 @@ pub(crate) fn submasks(mask: usize) -> impl Iterator<Item = usize> {
 /// Qubits 0–3 (`bit ∈ {1, 2, 4, 8}`) leave the generic walk half-blocks of one to eight
 /// elements, whose loop overhead and scalar tails cost up to 5× a high-qubit pass (on
 /// qubit 0); on AVX targets they get the full-width bodies of the `avx` module instead,
-/// in every shape, and a structured shape gets that module's vector walk on the higher
+/// in both shapes, and the Rx shape gets that module's vector walk on the higher
 /// qubits too.  Other targets keep `single_qubit_in_chunk` on qubits 0 and 1 and the
 /// walk on qubits 2 and 3.  A slice shorter than such a body's chunk or window — a
 /// 1-qubit register, or a short run of the product prefix
@@ -453,19 +451,19 @@ fn single_qubit_in_chunk<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[
     }
 }
 
-/// Single-qubit bodies on 4-lane AVX vectors: full-width bodies for qubits 0–3 in every
-/// shape, and the structured shapes' walk for qubits from 4 up.  The generic form
-/// evaluates [`pair_lanes`]' expression, operation for operation, on whole vectors —
-/// `mul`, `sub` and `add` round exactly as the scalar operators do, and nothing is
-/// contracted into an FMA — so every amplitude gets the bits of the generic walk; a
-/// structured form gets them by the zero-sign argument of the module docs.  Written with
+/// Single-qubit bodies on 4-lane AVX vectors: full-width bodies for qubits 0–3 in both
+/// shapes, and the Rx shape's walk for qubits from 4 up.  The generic form evaluates
+/// [`pair_lanes`]' expression, operation for operation, on whole vectors — `mul`,
+/// `sub` and `add` round exactly as the scalar operators do, and nothing is
+/// contracted into an FMA — so every amplitude gets the bits of the generic walk; the
+/// Rx form gets them by the zero-sign argument of the module docs.  Written with
 /// intrinsics because autovectorization does not keep these shapes: a plain-array
 /// rewrite of the low-qubit bodies vectorized across windows instead and ran 1.4–2.3×
 /// slower than the walk, and an iterator-zip form of the Rx body ran 1.8× slower than
 /// the generic one.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
 mod avx {
-    use super::{Shape, GENERIC, REAL, RX};
+    use super::{Shape, GENERIC, RX};
     use std::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
         _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_setr_pd,
@@ -522,8 +520,8 @@ mod avx {
     /// `xp + i·yp`, in form `S`.  Generic: `(a·x − b·y) + (c·xp − d·yp)` and
     /// `(a·y + b·x) + (c·yp + d·xp)`, [`pair_lanes`]' two expressions for that side
     /// (on the pair-set side with the two bracketed terms swapped, and IEEE addition
-    /// is commutative).  The structured forms drop the terms their shape makes `0·v`:
-    /// Rx `a·x + (−d)·yp` and `a·y + d·xp`, Real `a·x + c·xp` and `a·y + c·yp`.
+    /// is commutative).  The Rx form drops the terms its shape makes `0·v`:
+    /// `a·x + (−d)·yp` and `a·y + d·xp`.
     ///
     /// [`pair_lanes`]: super::pair_lanes
     #[inline(always)]
@@ -535,7 +533,6 @@ mod avx {
             let (mul, add, sub) = (_mm256_mul_pd, _mm256_add_pd, _mm256_sub_pd);
             match S {
                 RX => [add(mul(a, x), mul(neg_d, yp)), add(mul(a, y), mul(d, xp))],
-                REAL => [add(mul(a, x), mul(c, xp)), add(mul(a, y), mul(c, yp))],
                 _ => [
                     add(sub(mul(a, x), mul(b, y)), sub(mul(c, xp), mul(d, yp))),
                     add(add(mul(a, y), mul(b, x)), add(mul(c, yp), mul(d, xp))),
@@ -544,7 +541,7 @@ mod avx {
         }
     }
 
-    /// Whether a structured form's outputs `v` (two or four vectors) may hold an exact
+    /// Whether the Rx form's outputs `v` (two or four vectors) may hold an exact
     /// zero: whether the product of all their lanes, taken lane by lane, is zero.  A
     /// zero output always makes it zero; a product that underflows from nonzero
     /// outputs (amplitudes below ≈ 2^−268) makes it zero too, which only sends those
@@ -566,7 +563,7 @@ mod avx {
     /// Both sides of four pairs, `[r0, i0, r1, i1]` from `[x0, y0, x1, y1]`, in form
     /// `S`, on the rows [`Row::pair`] builds for it: the generic form evaluates the
     /// pair-set side as [`pair_lanes`] writes it (`m10` times the pair-clear amplitude
-    /// first), a structured form as the pair-set amplitude's own side.
+    /// first), the Rx form as the pair-set amplitude's own side.
     ///
     /// [`pair_lanes`]: super::pair_lanes
     #[inline(always)]
@@ -632,7 +629,7 @@ mod avx {
         }
     }
 
-    /// The rest of a structured [`in_chunk`] call, from its first chunk that
+    /// The rest of an Rx-form [`in_chunk`] call, from its first chunk that
     /// [`may_hold_zero`], in the generic form (see [`update`]).
     #[cold]
     #[inline(never)]
@@ -666,7 +663,7 @@ mod avx {
         }
     }
 
-    /// A structured form on qubits from 4 up (`bit ≥ 16`): the generic walk's blocks of
+    /// The Rx form on qubits from 4 up (`bit ≥ 16`): the generic walk's blocks of
     /// `2·bit` amplitudes, each half a run of whole 4-lane vectors, with the matrix
     /// rows broadcast once per call rather than once per block.  (The generic form on
     /// these qubits is [`pair_lanes`]' autovectorized walk.)  Needs a length that is a
@@ -694,7 +691,7 @@ mod avx {
         }
     }
 
-    /// The rest of a structured [`in_window`] or [`walk`] call over lanes `r` and `i`
+    /// The rest of an Rx-form [`in_window`] or [`walk`] call over lanes `r` and `i`
     /// of `len` values, from the four pairs at `lo` and `lo + bit` on, in the generic
     /// form (see [`update`]).
     ///
@@ -725,14 +722,14 @@ mod avx {
     }
 
     /// Loads the four pairs at `lo` and `hi` of the lanes `r` and `i`, updates them in
-    /// form `S` and stores them back, or — a structured form whose outputs
-    /// [`may_hold_zero`] — stores nothing and returns `false`.  A structured form's
+    /// form `S` and stores them back, or — the Rx form whose outputs
+    /// [`may_hold_zero`] — stores nothing and returns `false`.  The Rx form's
     /// outputs can differ from the generic form's only in the sign of an output that is
     /// an exact zero, so the caller hands the rest of its call, these four pairs first,
     /// to the generic form: out of line, so the hot loop keeps none of the generic
-    /// form's products live, and for the whole rest, so a state rich in zeros (a real
-    /// state's imaginary lane under H or Ry, a basis state's neighbourhood) runs at the
-    /// generic form's speed instead of paying both forms per vector.
+    /// form's products live, and for the whole rest, so a state rich in zeros (a basis
+    /// state's neighbourhood) runs at the generic form's speed instead of paying both
+    /// forms per vector.
     ///
     /// # Safety
     ///

@@ -480,9 +480,11 @@ impl<R: Readout> Backend for Dense<R> {
             self.probed = None;
             let request = EvalRequest::unpinned(circuit, params, initial, op, &[]);
             // Bound once, as the trajectory driver binds them: the cost layers' phase
-            // tables are built here, not inside the pass, and the bits are the same.
-            let tables = compiled.prepare_batch_tables(&[params]);
-            rollout(compiled, Some(&tables), &basis, &request, &[], slot);
+            // tables are built here, not inside the pass, and the bits are the same.  A
+            // circuit without a diagonal pass has nothing to bind.
+            let tables = (compiled.stats().diagonal_passes > 0)
+                .then(|| compiled.prepare_batch_tables(&[params]));
+            rollout(compiled, tables.as_ref(), &basis, &request, &[], slot);
             self.probed = Some(Probed {
                 circuit: circuit.clone(),
                 params: params.to_vec(),

@@ -1299,11 +1299,12 @@ fn generic_single_qubit(c: &GateCase) -> Out {
     Out::State(psi)
 }
 
-/// The rows over [`GateCase`]s.  The structured row holds the Rx-shaped and real bodies
-/// (a lone Rx or Y; H, X, Z, a lone Ry), which drop the generic body's `0·v` terms, to
-/// that body: the two can differ only in the sign of an exact zero output, and the
-/// bodies hand any four pairs that may hold one to the generic form, so the relation is
-/// `Bits` — on zero-rich basis states and at the angles that make entries zero.
+/// The rows over [`GateCase`]s.  The structured row holds the Rx-shaped body (a lone Rx
+/// or Y), which drops the generic body's `0·v` terms, to that body: the two can differ
+/// only in the sign of an exact zero output, and the Rx body hands any four pairs that
+/// may hold one to the generic form, so the relation is `Bits` — on zero-rich basis
+/// states and at the angles that make entries zero.  H and the lone Ry cases run the
+/// generic body on both sides.
 pub const GATE_PAIRS: &[Pair<GateCase>] = &[
     (
         "full-width 1q bodies ≡ former bodies",
