@@ -115,8 +115,9 @@ pub struct Host {
     pub rustc: String,
     /// `git describe --always --dirty --abbrev=40 --exclude=*` in the working directory:
     /// the 40-hex `HEAD` commit (no tag name, even on a tagged commit), suffixed `-dirty`
-    /// when the tree has uncommitted changes (a run recorded before its commit measures
-    /// that tree, not `HEAD`), or `"unknown"`.
+    /// and a hash of `git diff HEAD` when the tree has uncommitted changes (a run
+    /// recorded before its commit measures that tree, not `HEAD`; see `commit_stamp`),
+    /// or `"unknown"`.
     pub commit: String,
 }
 
@@ -132,18 +133,26 @@ impl Host {
                 })
             })
             .unwrap_or_else(|| "unknown".into());
-        let commit = Command::new("git")
-            .args([
-                "describe",
-                "--always",
-                "--dirty",
-                "--abbrev=40",
-                "--exclude=*",
-            ])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        let git = |args: &[&str]| {
+            Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| o.stdout)
+        };
+        let describe = [
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ];
+        let commit = git(&describe)
+            .map(|out| {
+                let diff = git(&["diff", "HEAD"]).unwrap_or_default();
+                commit_stamp(String::from_utf8_lossy(&out).trim(), &diff)
+            })
             .unwrap_or_else(|| "unknown".into());
         Host {
             cpu_model,
@@ -153,6 +162,19 @@ impl Host {
             commit,
         }
     }
+}
+
+/// The commit stamp of a `git describe --dirty` output: a dirty one gains `-` and 12
+/// hex digits of the FNV-1a hash of `diff` (the `git diff HEAD` bytes), so two
+/// different uncommitted trees get different stamps and one tree always the same.
+fn commit_stamp(describe: &str, diff: &[u8]) -> String {
+    if !describe.ends_with("-dirty") {
+        return describe.to_string();
+    }
+    let hash = diff.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{describe}-{:012x}", hash >> 16)
 }
 
 /// Samples per workload (fixed; sample 0 is preceded by one untimed warmup pass).
@@ -916,15 +938,30 @@ mod tests {
         let detected = Host::detect();
         assert!(!detected.cpu_model.is_empty() && !detected.rustc.is_empty());
         assert!(detected.rayon_threads >= 1);
-        let sha = detected
+        let hex = |s: &str, len: usize| s.len() == len && s.bytes().all(|b| b.is_ascii_hexdigit());
+        let clean = hex(&detected.commit, 40);
+        let dirty = detected
             .commit
-            .strip_suffix("-dirty")
-            .unwrap_or(&detected.commit);
+            .split_once("-dirty-")
+            .is_some_and(|(sha, diff)| hex(sha, 40) && hex(diff, 12));
         assert!(
-            detected.commit == "unknown"
-                || (sha.len() == 40 && sha.bytes().all(|b| b.is_ascii_hexdigit())),
+            detected.commit == "unknown" || clean || dirty,
             "commit stamp {:?}",
             detected.commit
         );
+    }
+
+    #[test]
+    fn a_dirty_stamp_names_its_diff() {
+        let sha = "0123456789abcdef0123456789abcdef01234567";
+        let dirty = format!("{sha}-dirty");
+        // A clean tree keeps its bare commit.
+        assert_eq!(commit_stamp(sha, b""), sha);
+        let one = commit_stamp(&dirty, b"+a line\n");
+        assert_eq!(one, commit_stamp(&dirty, b"+a line\n"));
+        assert_ne!(one, commit_stamp(&dirty, b"+a line!\n"));
+        let (prefix, hash) = one.split_at(one.len() - 13);
+        assert_eq!(prefix, dirty);
+        assert!(hash.starts_with('-') && hash[1..].bytes().all(|b| b.is_ascii_hexdigit()));
     }
 }

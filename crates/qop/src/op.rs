@@ -147,13 +147,6 @@ impl PauliOp {
             .collect();
     }
 
-    /// Returns a simplified copy.
-    pub fn simplified(&self, tolerance: f64) -> PauliOp {
-        let mut c = self.clone();
-        c.simplify(tolerance);
-        c
-    }
-
     /// The coefficient of the identity term (0.0 if absent).
     pub fn identity_coefficient(&self) -> f64 {
         self.terms
@@ -425,15 +418,9 @@ impl PauliOp {
 
     /// The original scalar expectation kernel (scan + `apply_to_basis` + zero-amplitude
     /// test) on interleaved amplitudes, retained as the correctness baseline for property
-    /// tests and benches.  Converts out of the split-lane storage at entry; benches that
-    /// time the naive algorithm itself should pre-convert and call
-    /// [`PauliOp::string_expectation_naive_amps`].
+    /// tests.  Converts out of the split-lane storage at entry.
     pub fn string_expectation_naive(string: &PauliString, psi: &Statevector) -> f64 {
-        Self::string_expectation_naive_amps(string, &psi.to_amplitudes())
-    }
-
-    /// [`PauliOp::string_expectation_naive`] on a raw interleaved amplitude buffer.
-    pub fn string_expectation_naive_amps(string: &PauliString, amps: &[Complex64]) -> f64 {
+        let amps = psi.to_amplitudes();
         let mut acc = Complex64::ZERO;
         for b in 0..amps.len() as u64 {
             let a = amps[b as usize];

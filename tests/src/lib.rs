@@ -4,7 +4,7 @@
 //!
 //! * [`relational`] — the equivalence harness: every fast ≡ source pair of the stack as a
 //!   row of a table, run over seeded case domains, plus the fixtures the suites share
-//!   (`Gen`, `dense_state`, `force_parallel_workers`).
+//!   (`Gen`, `for_cases`, `Tally`, `dense_state`, `force_parallel_workers`).
 //! * the small TreeVQA run that `tests/executor.rs` pins against a golden recorded before
 //!   the controller moved onto `qexec::JobSubmitter`, and that `tests/net.rs` reruns
 //!   through a loopback connection.

@@ -47,6 +47,7 @@ use qrng::SeedPolicy;
 use qsim::{reference, CompiledCircuit, PauliInsertion, PauliPropagator, PauliPropagatorConfig};
 use std::collections::BTreeMap;
 use std::f64::consts::{FRAC_PI_2, PI};
+use std::panic::AssertUnwindSafe;
 use std::sync::OnceLock;
 use vqa::{
     Backend, EvalRequest, InitialState, NoisyBackend, NoisyStatevectorBackend, SampledBackend,
@@ -134,14 +135,14 @@ fn check<C>(cases: &Cases<C>, table: &[Pair<C>], names: &[&str]) {
 
 /// How often the cases of a domain cover each thing the domain claims.
 #[derive(Default)]
-struct Tally(BTreeMap<String, usize>);
+pub struct Tally(BTreeMap<String, usize>);
 
 impl Tally {
-    fn add(&mut self, what: impl Into<String>) {
+    pub fn add(&mut self, what: impl Into<String>) {
         *self.0.entry(what.into()).or_default() += 1;
     }
 
-    fn require(&self, what: &str, at_least: usize) {
+    pub fn require(&self, what: &str, at_least: usize) {
         let got = self.0.get(what).copied().unwrap_or(0);
         assert!(
             got >= at_least,
@@ -180,7 +181,7 @@ impl Tally {
 
 /// A stateless generator: a case is reproduced from its seed alone (`qrng::mix` does
 /// not count as a draw, so generating inputs never disturbs the draw-count assertions
-/// of `qrng::total_draws`).
+/// of `qrng::total_draws`, and a test that only generates inputs needs no lock).
 pub struct Gen {
     seed: u64,
     counter: u64,
@@ -243,6 +244,19 @@ impl Gen {
             op.add_term(PauliString::identity(n), self.unit());
         }
         op
+    }
+}
+
+/// Checks `property` on `cases` cases: case `i` draws from `Gen::new(qrng::mix(seed, i))`,
+/// so a failure, which names its case, reproduces from `(seed, i)` alone.
+pub fn for_cases(seed: u64, cases: usize, mut property: impl FnMut(usize, &mut Gen)) {
+    for i in 0..cases {
+        let mut gen = Gen::new(qrng::mix(seed, i as u64));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| property(i, &mut gen)));
+        if let Err(panic) = run {
+            eprintln!("failed on case {i} of {cases} (seed {seed:#x})");
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 

@@ -14,9 +14,9 @@ use qcircuit::{Angle, Circuit, Gate, QaoaAnsatz, QaoaStyle};
 use qop::lanes::{i_power, parity_sign};
 use qop::{Complex64, PauliOp, PauliString, Statevector};
 use qsim::{CompiledCircuit, PauliInsertion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use treevqa_tests::relational::{circuits, dense_state, operators, registers, single_qubit_gates};
+use treevqa_tests::relational::{
+    circuits, dense_state, operators, registers, single_qubit_gates, Gen,
+};
 
 #[test]
 fn random_circuits_agree_with_reference() {
@@ -440,26 +440,23 @@ fn apply_gather_reference(op: &PauliOp, psi: &Statevector) -> Statevector {
 /// A random I/X/Y/Z operator on `n` qubits: random strings, one string per `x & 3` lane
 /// offset with and without the top qubit in `x` (sources in another 256-amplitude tile
 /// once `n > 8`), the identity, and the first string repeated with another coefficient.
-fn random_tiled_operator(n: usize, rng: &mut StdRng) -> PauliOp {
+fn random_tiled_operator(n: usize, gen: &mut Gen) -> PauliOp {
     let all = (1u64 << n) - 1;
     let top = 1u64 << (n - 1);
     let mut masks: Vec<(u64, u64)> = Vec::new();
     for _ in 0..12 {
-        masks.push((rng.random::<u64>() & all, rng.random::<u64>() & all));
+        masks.push((gen.next_u64() & all, gen.next_u64() & all));
     }
     for m in 0..4u64 {
-        let high = rng.random::<u64>() & !3;
-        masks.push((m & all, rng.random::<u64>() & all));
-        masks.push((((high | m) & all) | top, rng.random::<u64>() & all));
+        let high = gen.next_u64() & !3;
+        masks.push((m & all, gen.next_u64() & all));
+        masks.push((((high | m) & all) | top, gen.next_u64() & all));
     }
     masks.push((0, 0));
     masks.push(masks[0]);
     let mut op = PauliOp::zero(n);
     for (x, z) in masks {
-        op.add_term(
-            PauliString::from_masks(x, z, n),
-            rng.random_range(-1.0..1.0),
-        );
+        op.add_term(PauliString::from_masks(x, z, n), gen.unit());
     }
     op
 }
@@ -468,17 +465,17 @@ fn random_tiled_operator(n: usize, rng: &mut StdRng) -> PauliOp {
 /// registers below one 4-lane chunk, inside one tile and across 2–16 tiles.
 #[test]
 fn apply_into_keeps_the_gather_bits() {
-    let mut rng = StdRng::seed_from_u64(0x7113_d5e7);
+    let mut gen = Gen::new(0x7113_d5e7);
     for n in [1usize, 2, 3, 5, 8, 9, 10, 12] {
         for trial in 0..3 {
-            let op = random_tiled_operator(n, &mut rng);
+            let op = random_tiled_operator(n, &mut gen);
             let psi = if trial == 0 {
                 dense_state(n)
             } else {
                 let dim = 1usize << n;
                 Statevector::from_lanes(
-                    (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
-                    (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                    (0..dim).map(|_| gen.unit()).collect(),
+                    (0..dim).map(|_| gen.unit()).collect(),
                 )
             };
             let expected = apply_gather_reference(&op, &psi);

@@ -19,7 +19,6 @@
 //!    without stalling the others, over-capacity connects are politely refused, and
 //!    shutdown fails in-flight work cleanly instead of hanging or dropping it.
 
-use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 use qexec::{
     run_single_vqa, AdmissionPolicy, EvalJob, ExecError, Executor, SeedPolicy, StreamId,
@@ -29,36 +28,36 @@ use qnet::wire::{self, ControlKind, Frame, SubmitFrame, WireError};
 use qnet::{NetClient, NetServer};
 use qnoise::PauliNoiseModel;
 use qop::{PauliOp, PauliString};
-use qrng::CounterRng;
-use rand::Rng as _;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use treevqa::{SplitPolicy, TreeVqa, TreeVqaConfig, TreeVqaResult};
+use treevqa_tests::relational::{for_cases, Gen, Tally};
 use treevqa_tests::{pinned_application, pinned_config, pinned_executor, pinned_treevqa};
 use vqa::{
     Backend, BackendCaps, EvalRequest, EvalResult, InitialState, NoisyStatevectorBackend,
     SampledBackend, StatevectorBackend, VqaRunConfig, VqaTask,
 };
 
-/// Tests that execute jobs or generate fuzz frames (and therefore advance the
-/// process-global `qrng::total_draws` counter) serialize on this lock, so the draw-count
-/// comparisons are not polluted by concurrent siblings.
+/// Tests that execute jobs (and therefore advance the process-global
+/// `qrng::total_draws` counter) serialize on this lock, so the draw-count comparisons are
+/// not polluted by concurrent siblings.  Fuzz frames come from `Gen`, which draws
+/// nothing, so the codec tests run unlocked.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 // ---------------------------------------------------------------------------
-// Deterministic generators (seeded, so proptest cases are reproducible).
+// Frame generators over `relational::Gen`: a case reproduces from its seed alone.
 // ---------------------------------------------------------------------------
 
-fn gen_circuit(rng: &mut CounterRng) -> Circuit {
-    let num_qubits = 2 + (rng.next_u64() % 3) as usize;
+fn gen_circuit(gen: &mut Gen) -> Circuit {
+    let num_qubits = 2 + (gen.next_u64() % 3) as usize;
     let mut circuit = Circuit::new(num_qubits);
-    let gates = rng.next_u64() % 14;
+    let gates = gen.next_u64() % 14;
     for _ in 0..gates {
-        let q = (rng.next_u64() % num_qubits as u64) as usize;
-        let q2 = (q + 1 + (rng.next_u64() % (num_qubits as u64 - 1)) as usize) % num_qubits;
-        let angle = gen_angle(rng);
-        let gate = match rng.next_u64() % 12 {
+        let q = (gen.next_u64() % num_qubits as u64) as usize;
+        let q2 = (q + 1 + (gen.next_u64() % (num_qubits as u64 - 1)) as usize) % num_qubits;
+        let angle = gen_angle(gen);
+        let gate = match gen.next_u64() % 12 {
             0 => Gate::H(q),
             1 => Gate::X(q),
             2 => Gate::Y(q),
@@ -70,125 +69,125 @@ fn gen_circuit(rng: &mut CounterRng) -> Circuit {
             8 => Gate::Rx(q, angle),
             9 => Gate::Ry(q, angle),
             10 => Gate::Rz(q, angle),
-            _ => Gate::PauliRotation(gen_pauli_string(rng, num_qubits), angle),
+            _ => Gate::PauliRotation(gen_pauli_string(gen, num_qubits), angle),
         };
         circuit.try_push(gate).expect("generated gate is in range");
     }
     circuit
 }
 
-fn gen_angle(rng: &mut CounterRng) -> Angle {
-    if rng.next_u64() % 2 == 0 {
-        Angle::Fixed(gen_f64(rng))
+fn gen_angle(gen: &mut Gen) -> Angle {
+    if gen.next_u64() % 2 == 0 {
+        Angle::Fixed(gen_f64(gen))
     } else {
         Angle::Param {
-            index: (rng.next_u64() % 6) as usize,
-            multiplier: gen_f64(rng),
+            index: (gen.next_u64() % 6) as usize,
+            multiplier: gen_f64(gen),
         }
     }
 }
 
 /// An arbitrary bit pattern as `f64` — including NaNs, infinities, and subnormals;
 /// the codec ships raw IEEE-754 bits, so all of them must survive.
-fn gen_f64(rng: &mut CounterRng) -> f64 {
-    f64::from_bits(rng.next_u64())
+fn gen_f64(gen: &mut Gen) -> f64 {
+    f64::from_bits(gen.next_u64())
 }
 
-fn gen_pauli_string(rng: &mut CounterRng, num_qubits: usize) -> PauliString {
+fn gen_pauli_string(gen: &mut Gen, num_qubits: usize) -> PauliString {
     let mask = (1u64 << num_qubits) - 1;
-    PauliString::from_masks(rng.next_u64() & mask, rng.next_u64() & mask, num_qubits)
+    PauliString::from_masks(gen.next_u64() & mask, gen.next_u64() & mask, num_qubits)
 }
 
-fn gen_op(rng: &mut CounterRng, num_qubits: usize) -> PauliOp {
+fn gen_op(gen: &mut Gen, num_qubits: usize) -> PauliOp {
     let mut op = PauliOp::zero(num_qubits);
-    for _ in 0..1 + rng.next_u64() % 4 {
-        op.add_term(gen_pauli_string(rng, num_qubits), gen_f64(rng));
+    for _ in 0..1 + gen.next_u64() % 4 {
+        op.add_term(gen_pauli_string(gen, num_qubits), gen_f64(gen));
     }
     op
 }
 
-fn gen_opts(rng: &mut CounterRng) -> SubmitOptions {
+fn gen_opts(gen: &mut Gen) -> SubmitOptions {
     let mut opts = SubmitOptions::new()
-        .priority(rng.next_u64() as i32)
+        .priority(gen.next_u64() as i32)
         .require(BackendCaps {
-            batch: rng.next_u64() % 2 == 0,
-            shots: rng.next_u64() % 2 == 0,
-            noise: rng.next_u64() % 2 == 0,
-            trajectories: rng.next_u64() % 2 == 0,
-            retry_safe: rng.next_u64() % 2 == 0,
+            batch: gen.next_u64() % 2 == 0,
+            shots: gen.next_u64() % 2 == 0,
+            noise: gen.next_u64() % 2 == 0,
+            trajectories: gen.next_u64() % 2 == 0,
+            retry_safe: gen.next_u64() % 2 == 0,
         })
-        .retries((rng.next_u64() % 4) as u32)
-        .failover(rng.next_u64() % 2 == 0);
-    if rng.next_u64() % 2 == 0 {
-        opts = opts.backend(format!("backend-{}", rng.next_u64() % 100));
+        .retries((gen.next_u64() % 4) as u32)
+        .failover(gen.next_u64() % 2 == 0);
+    if gen.next_u64() % 2 == 0 {
+        opts = opts.backend(format!("backend-{}", gen.next_u64() % 100));
     }
-    if rng.next_u64() % 2 == 0 {
-        opts = opts.rng_stream(StreamId::from_raw(rng.next_u64()));
+    if gen.next_u64() % 2 == 0 {
+        opts = opts.rng_stream(StreamId::from_raw(gen.next_u64()));
     }
     opts
 }
 
-fn gen_job(rng: &mut CounterRng) -> EvalJob {
-    let circuit = gen_circuit(rng);
+fn gen_job(gen: &mut Gen) -> EvalJob {
+    let circuit = gen_circuit(gen);
     let n = circuit.num_qubits();
-    let params: Vec<f64> = (0..rng.next_u64() % 8).map(|_| gen_f64(rng)).collect();
-    let initial = if rng.next_u64() % 2 == 0 {
-        InitialState::Basis(rng.next_u64())
+    let params: Vec<f64> = (0..gen.next_u64() % 8).map(|_| gen_f64(gen)).collect();
+    let initial = if gen.next_u64() % 2 == 0 {
+        InitialState::Basis(gen.next_u64())
     } else {
         InitialState::UniformSuperposition
     };
-    let free: Vec<Arc<PauliOp>> = (0..rng.next_u64() % 3)
-        .map(|_| Arc::new(gen_op(rng, n)))
+    let free: Vec<Arc<PauliOp>> = (0..gen.next_u64() % 3)
+        .map(|_| Arc::new(gen_op(gen, n)))
         .collect();
-    let mut job = EvalJob::new(Arc::new(circuit), params, initial, Arc::new(gen_op(rng, n)))
+    let mut job = EvalJob::new(Arc::new(circuit), params, initial, Arc::new(gen_op(gen, n)))
         .with_free_ops(free);
-    if rng.next_u64() % 2 == 0 {
-        job = job.with_rng_stream(StreamId::from_raw(rng.next_u64()));
+    if gen.next_u64() % 2 == 0 {
+        job = job.with_rng_stream(StreamId::from_raw(gen.next_u64()));
     }
     job
 }
 
-fn gen_submit_frame(rng: &mut CounterRng) -> SubmitFrame {
+fn gen_submit_frame(gen: &mut Gen) -> SubmitFrame {
     SubmitFrame {
-        request_id: rng.next_u64(),
-        probe: rng.next_u64() % 2 == 0,
-        opts: gen_opts(rng),
-        job: gen_job(rng),
+        request_id: gen.next_u64(),
+        probe: gen.next_u64() % 2 == 0,
+        opts: gen_opts(gen),
+        job: gen_job(gen),
     }
 }
 
-fn gen_text(rng: &mut CounterRng) -> String {
-    let len = rng.next_u64() % 24;
+fn gen_text(gen: &mut Gen) -> String {
+    let len = gen.next_u64() % 24;
     (0..len)
-        .map(|_| char::from_u32(0x20 + (rng.next_u64() % 0x60) as u32).unwrap())
+        .map(|_| char::from_u32(0x20 + (gen.next_u64() % 0x60) as u32).unwrap())
         .collect()
 }
 
 /// One arbitrary frame of the requested type tag (0..5).
-fn gen_frame(rng: &mut CounterRng, kind: u64) -> Frame {
+fn gen_frame(gen: &mut Gen, kind: u64) -> Frame {
     match kind {
-        0 => Frame::Submit(gen_submit_frame(rng)),
+        0 => Frame::Submit(gen_submit_frame(gen)),
         1 => Frame::SubmitBatch(
-            (0..1 + rng.next_u64() % 3)
-                .map(|_| gen_submit_frame(rng))
+            (0..1 + gen.next_u64() % 3)
+                .map(|_| gen_submit_frame(gen))
                 .collect(),
         ),
         2 => Frame::Result {
-            request_id: rng.next_u64(),
+            request_id: gen.next_u64(),
             result: EvalResult {
-                charged: gen_f64(rng),
-                free: (0..rng.next_u64() % 4).map(|_| gen_f64(rng)).collect(),
-                shots: rng.next_u64(),
+                charged: gen_f64(gen),
+                free: (0..gen.next_u64() % 4).map(|_| gen_f64(gen)).collect(),
+                shots: gen.next_u64(),
             },
         },
         3 => Frame::Error {
-            request_id: rng.next_u64(),
-            code: rng.next_u64() as u16,
-            aux0: rng.next_u64(),
-            aux1: rng.next_u64(),
-            text: gen_text(rng),
+            request_id: gen.next_u64(),
+            code: gen.next_u64() as u16,
+            aux0: gen.next_u64(),
+            aux1: gen.next_u64(),
+            text: gen_text(gen),
         },
-        _ => Frame::Control(if rng.next_u64() % 2 == 0 {
+        _ => Frame::Control(if gen.next_u64() % 2 == 0 {
             ControlKind::OverCapacity
         } else {
             ControlKind::ShuttingDown
@@ -210,52 +209,67 @@ fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
 // 1. Codec safety.
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per codec property.
+const CASES: usize = 64;
 
-    /// Every frame type survives encode → decode → re-encode bit-exactly (the
-    /// byte-level fixed point implies the value-level round trip, without needing
-    /// `PartialEq` on job payloads).
-    #[test]
-    fn codec_round_trips_every_frame_type(seed in 0u64..u64::MAX, kind in 0u64..5) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rng = CounterRng::new(qrng::mix(seed, 0x636f_6465));
-        let frame = gen_frame(&mut rng, kind);
+/// Runs `property` on [`CASES`] frames, case `i` of type tag `i % 5`, and asserts that
+/// every tag occurred.
+fn for_frames(seed: u64, mut property: impl FnMut(&mut Gen, Frame)) {
+    let mut tally = Tally::default();
+    for_cases(seed, CASES, |i, gen| {
+        let kind = i as u64 % 5;
+        tally.add(format!("kind {kind}"));
+        let frame = gen_frame(gen, kind);
+        property(gen, frame);
+    });
+    for kind in 0..5 {
+        tally.require(&format!("kind {kind}"), 1);
+    }
+}
+
+/// Every frame type survives encode → decode → re-encode bit-exactly (the byte-level
+/// fixed point implies the value-level round trip, without needing `PartialEq` on job
+/// payloads).
+#[test]
+fn codec_round_trips_every_frame_type() {
+    for_frames(0x636f_6465, |_, frame| {
         let bytes = encode(&frame);
         let decoded = decode(&bytes).expect("well-formed frame decodes");
-        prop_assert_eq!(encode(&decoded), bytes);
-    }
+        assert_eq!(encode(&decoded), bytes);
+    });
+}
 
-    /// Truncating a valid frame at any point yields an error, never a panic and
-    /// never a bogus success.
-    #[test]
-    fn truncated_frames_error_cleanly(seed in 0u64..u64::MAX, kind in 0u64..5, cut in 0.0f64..1.0) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rng = CounterRng::new(qrng::mix(seed, 0x7472_756e));
-        let bytes = encode(&gen_frame(&mut rng, kind));
-        let cut = ((bytes.len() - 1) as f64 * cut) as usize;
-        prop_assert!(decode(&bytes[..cut]).is_err());
-    }
+/// Truncating a valid frame at any point yields an error, never a panic and never a
+/// bogus success.
+#[test]
+fn truncated_frames_error_cleanly() {
+    for_frames(0x7472_756e, |gen, frame| {
+        let bytes = encode(&frame);
+        let cut = gen.below(bytes.len() as u64 - 1) as usize;
+        assert!(decode(&bytes[..cut]).is_err());
+    });
+}
 
-    /// Corrupting any single byte of a valid frame never panics the decoder (it may
-    /// still decode — a flipped payload bit can be another valid value — but it must
-    /// return, not crash).
-    #[test]
-    fn corrupted_frames_never_panic(seed in 0u64..u64::MAX, kind in 0u64..5, pos in 0.0f64..1.0, byte in 0u64..256) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rng = CounterRng::new(qrng::mix(seed, 0x636f_7272));
-        let mut bytes = encode(&gen_frame(&mut rng, kind));
-        let pos = ((bytes.len() - 1) as f64 * pos) as usize;
-        bytes[pos] = byte as u8;
+/// Corrupting any single byte of a valid frame never panics the decoder (it may still
+/// decode — a flipped payload bit can be another valid value — but it must return, not
+/// crash).
+#[test]
+fn corrupted_frames_never_panic() {
+    for_frames(0x636f_7272, |gen, frame| {
+        let mut bytes = encode(&frame);
+        let pos = gen.below(bytes.len() as u64) as usize;
+        bytes[pos] = gen.below(256) as u8;
         let _ = decode(&bytes);
-    }
+    });
+}
 
-    /// Arbitrary garbage bytes never panic the decoder.
-    #[test]
-    fn garbage_never_panics(bytes in proptest::collection::vec(0u64..256, 0..64)) {
-        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+/// Arbitrary garbage bytes never panic the decoder.
+#[test]
+fn garbage_never_panics() {
+    for_cases(0x6761_7262, CASES, |_, gen| {
+        let bytes: Vec<u8> = (0..gen.below(64)).map(|_| gen.below(256) as u8).collect();
         let _ = decode(&bytes);
-    }
+    });
 }
 
 /// A header declaring an oversized payload is refused before any allocation, and the
@@ -276,9 +290,7 @@ fn oversized_frames_are_refused_both_ways() {
         other => panic!("expected FrameTooLarge, got {other:?}"),
     }
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = CounterRng::new(1);
-    let frame = gen_frame(&mut rng, 0);
+    let frame = gen_frame(&mut Gen::new(1), 0);
     let mut buf = Vec::new();
     assert!(matches!(
         wire::write_frame(&mut buf, &frame, wire::HEADER_LEN),

@@ -10,11 +10,10 @@
 //!    resolve) and no span is orphaned (outcome tallies sum to the finished count).
 //! 2. **Histogram math** — the log₂-bucketed latency histogram preserves exact
 //!    count/sum/min/max, brackets every quantile by `[min, max]`, and merges
-//!    associatively (proptest).
+//!    associatively (randomized over `relational::Gen` cases).
 //! 3. **Bit-identity** — a traced run returns bit-identical results to an untraced
 //!    run of the same workload: recording sits entirely off the driver path.
 
-use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::fault::{FaultPlan, FaultyBackend};
 use qexec::qobs;
@@ -22,6 +21,7 @@ use qexec::{AdmissionPolicy, EvalJob, ExecError, Executor, JobHandle, SeedPolicy
 use qop::PauliOp;
 use std::sync::Arc;
 use std::time::Duration;
+use treevqa_tests::relational::{for_cases, Gen};
 use vqa::{InitialState, SampledBackend, StatevectorBackend};
 
 /// Injected faults unwind through `catch_unwind` by design; silence the default hook
@@ -345,35 +345,48 @@ fn tracing_is_bit_identical_to_untraced() {
     assert_eq!(traced, untraced);
 }
 
-proptest! {
-    /// Exact count/sum/min/max, quantiles bracketed by `[min, max]` and monotone.
-    #[test]
-    fn histogram_preserves_exact_moments(values in proptest::collection::vec(0u64..u64::MAX, 1..200usize)) {
+/// Cases per histogram property.
+const CASES: usize = 256;
+
+/// `min_len` to `max_len - 1` arbitrary values.
+fn values(gen: &mut Gen, min_len: u64, max_len: u64) -> Vec<u64> {
+    let len = min_len + gen.below(max_len - min_len);
+    (0..len).map(|_| gen.next_u64()).collect()
+}
+
+/// Exact count/sum/min/max, quantiles bracketed by `[min, max]` and monotone.
+#[test]
+fn histogram_preserves_exact_moments() {
+    for_cases(0x0b51, CASES, |_, gen| {
+        let values = values(gen, 1, 200);
         let hist = qobs::Histogram::new();
         for &v in &values {
             hist.record(v);
         }
         let snap = hist.snapshot();
-        prop_assert_eq!(snap.count, values.len() as u64);
-        prop_assert_eq!(snap.sum, values.iter().fold(0u64, |acc, &v| acc.wrapping_add(v)));
-        prop_assert_eq!(snap.min, *values.iter().min().unwrap());
-        prop_assert_eq!(snap.max, *values.iter().max().unwrap());
+        assert_eq!(snap.count, values.len() as u64);
+        assert_eq!(
+            snap.sum,
+            values.iter().fold(0u64, |acc, &v| acc.wrapping_add(v))
+        );
+        assert_eq!(snap.min, *values.iter().min().unwrap());
+        assert_eq!(snap.max, *values.iter().max().unwrap());
         let mut last = snap.min;
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             let quantile = snap.quantile(q).unwrap();
-            prop_assert!(quantile >= snap.min && quantile <= snap.max);
-            prop_assert!(quantile >= last, "quantiles must be monotone in q");
+            assert!(quantile >= snap.min && quantile <= snap.max);
+            assert!(quantile >= last, "quantiles must be monotone in q");
             last = quantile;
         }
-    }
+    });
+}
 
-    /// Merging per-shard snapshots is equivalent to recording everything into one
-    /// histogram (the property the registry relies on when aggregating).
-    #[test]
-    fn histogram_merge_equals_single_recording(
-        a in proptest::collection::vec(0u64..u64::MAX, 0..100usize),
-        b in proptest::collection::vec(0u64..u64::MAX, 0..100usize),
-    ) {
+/// Merging per-shard snapshots is equivalent to recording everything into one
+/// histogram (the property the registry relies on when aggregating).
+#[test]
+fn histogram_merge_equals_single_recording() {
+    for_cases(0x0b52, CASES, |_, gen| {
+        let (a, b) = (values(gen, 0, 100), values(gen, 0, 100));
         let whole = qobs::Histogram::new();
         let left = qobs::Histogram::new();
         let right = qobs::Histogram::new();
@@ -388,19 +401,23 @@ proptest! {
         let mut merged = left.snapshot();
         merged.merge(&right.snapshot());
         let expected = whole.snapshot();
-        prop_assert_eq!(merged.buckets, expected.buckets);
-        prop_assert_eq!(merged.count, expected.count);
-        prop_assert_eq!(merged.sum, expected.sum);
-        prop_assert_eq!(merged.min, expected.min);
-        prop_assert_eq!(merged.max, expected.max);
-    }
+        assert_eq!(merged.buckets, expected.buckets);
+        assert_eq!(merged.count, expected.count);
+        assert_eq!(merged.sum, expected.sum);
+        assert_eq!(merged.min, expected.min);
+        assert_eq!(merged.max, expected.max);
+    });
+}
 
-    /// A single recorded value is every quantile: the bucket's upper bound is clamped
-    /// back to the observed range.
-    #[test]
-    fn histogram_single_value_quantiles(v in 0u64..u64::MAX, q in 0.0f64..1.0) {
+/// A single recorded value is every quantile: the bucket's upper bound is clamped
+/// back to the observed range.
+#[test]
+fn histogram_single_value_quantiles() {
+    for_cases(0x0b53, CASES, |_, gen| {
+        let v = gen.next_u64();
+        let q = 0.5 * (gen.unit() + 1.0);
         let hist = qobs::Histogram::new();
         hist.record(v);
-        prop_assert_eq!(hist.snapshot().quantile(q), Some(v));
-    }
+        assert_eq!(hist.snapshot().quantile(q), Some(v));
+    });
 }

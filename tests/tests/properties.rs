@@ -1,151 +1,167 @@
 //! Property-based tests over the core data structures and invariants, spanning crates.
 
-use proptest::prelude::*;
 use qcircuit::{Angle, Circuit, Entanglement, Gate, HardwareEfficientAnsatz};
 use qop::{PauliOp, PauliString, Statevector};
 use qsim::run_circuit;
+use treevqa_tests::relational::{for_cases, Gen, Tally};
 
-fn arb_pauli_label(num_qubits: usize) -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        proptest::sample::select(vec!['I', 'X', 'Y', 'Z']),
-        num_qubits,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
+/// Cases per property.
+const CASES: usize = 64;
+
+fn pauli_label(gen: &mut Gen, num_qubits: usize) -> String {
+    (0..num_qubits)
+        .map(|_| ['I', 'X', 'Y', 'Z'][gen.below(4) as usize])
+        .collect()
 }
 
-fn arb_pauli_op(num_qubits: usize, max_terms: usize) -> impl Strategy<Value = PauliOp> {
-    proptest::collection::vec((arb_pauli_label(num_qubits), -1.0f64..1.0), 1..max_terms).prop_map(
-        move |terms| {
-            let refs: Vec<(&str, f64)> = terms.iter().map(|(l, c)| (l.as_str(), *c)).collect();
-            PauliOp::from_labels(num_qubits, &refs)
-        },
-    )
+/// 1 to `max_terms - 1` labelled terms with coefficients in `[-1, 1)`.
+fn pauli_op(gen: &mut Gen, num_qubits: usize, max_terms: u64) -> PauliOp {
+    let terms: Vec<(String, f64)> = (0..1 + gen.below(max_terms - 1))
+        .map(|_| (pauli_label(gen, num_qubits), gen.unit()))
+        .collect();
+    let refs: Vec<(&str, f64)> = terms.iter().map(|(l, c)| (l.as_str(), *c)).collect();
+    PauliOp::from_labels(num_qubits, &refs)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `len` angles in `[-3.2, 3.2)`.
+fn angles(gen: &mut Gen, len: usize) -> Vec<f64> {
+    (0..len).map(|_| 3.2 * gen.unit()).collect()
+}
 
-    /// Multiplying two Pauli strings always yields a phase in {1, i, -1, -i} and an
-    /// involution-compatible product (P·P = I with phase 1).
-    #[test]
-    fn pauli_string_multiplication_phases(label_a in arb_pauli_label(5), label_b in arb_pauli_label(5)) {
-        let a = PauliString::from_label(&label_a).unwrap();
-        let b = PauliString::from_label(&label_b).unwrap();
+/// Multiplying two Pauli strings always yields a phase in {1, i, -1, -i} and an
+/// involution-compatible product (P·P = I with phase 1).
+#[test]
+fn pauli_string_multiplication_phases() {
+    for_cases(0x1001, CASES, |_, gen| {
+        let a = PauliString::from_label(&pauli_label(gen, 5)).unwrap();
+        let b = PauliString::from_label(&pauli_label(gen, 5)).unwrap();
         let (_, phase) = a.mul(&b);
-        let magnitude = phase.norm();
-        prop_assert!((magnitude - 1.0).abs() < 1e-12);
+        assert!((phase.norm() - 1.0).abs() < 1e-12);
         let (self_product, self_phase) = a.mul(&a);
-        prop_assert!(self_product.is_identity());
-        prop_assert!((self_phase - qop::Complex64::ONE).norm() < 1e-12);
-    }
+        assert!(self_product.is_identity());
+        assert!((self_phase - qop::Complex64::ONE).norm() < 1e-12);
+    });
+}
 
-    /// Commutation is symmetric and consistent with the qubit-wise check (qubit-wise
-    /// commuting strings always commute globally).
-    #[test]
-    fn commutation_relations(label_a in arb_pauli_label(6), label_b in arb_pauli_label(6)) {
-        let a = PauliString::from_label(&label_a).unwrap();
-        let b = PauliString::from_label(&label_b).unwrap();
-        prop_assert_eq!(a.commutes_with(&b), b.commutes_with(&a));
+/// Commutation is symmetric and consistent with the qubit-wise check (qubit-wise
+/// commuting strings always commute globally).
+#[test]
+fn commutation_relations() {
+    for_cases(0x1002, CASES, |_, gen| {
+        let a = PauliString::from_label(&pauli_label(gen, 6)).unwrap();
+        let b = PauliString::from_label(&pauli_label(gen, 6)).unwrap();
+        assert_eq!(a.commutes_with(&b), b.commutes_with(&a));
         if a.qubit_wise_commutes(&b) {
-            prop_assert!(a.commutes_with(&b));
+            assert!(a.commutes_with(&b));
         }
-    }
+    });
+}
 
-    /// The ℓ1 coefficient distance is a metric-like quantity: non-negative, symmetric,
-    /// zero on identical operators, and satisfies the triangle inequality.
-    #[test]
-    fn l1_distance_is_metric_like(
-        a in arb_pauli_op(3, 6),
-        b in arb_pauli_op(3, 6),
-        c in arb_pauli_op(3, 6),
-    ) {
+/// The ℓ1 coefficient distance is a metric-like quantity: non-negative, symmetric,
+/// zero on identical operators, and satisfies the triangle inequality.
+#[test]
+fn l1_distance_is_metric_like() {
+    for_cases(0x1003, CASES, |_, gen| {
+        let [a, b, c] = [(); 3].map(|_| pauli_op(gen, 3, 6));
         let dab = a.l1_distance(&b);
         let dba = b.l1_distance(&a);
-        prop_assert!(dab >= 0.0);
-        prop_assert!((dab - dba).abs() < 1e-9);
-        prop_assert!(a.l1_distance(&a) < 1e-12);
+        assert!(dab >= 0.0);
+        assert!((dab - dba).abs() < 1e-9);
+        assert!(a.l1_distance(&a) < 1e-12);
         let dac = a.l1_distance(&c);
         let dcb = c.l1_distance(&b);
-        prop_assert!(dab <= dac + dcb + 1e-9);
-    }
+        assert!(dab <= dac + dcb + 1e-9);
+    });
+}
 
-    /// The mixed Hamiltonian's expectation value equals the mean of the members'
-    /// expectation values on any state (linearity, paper Section 5.2.1).
-    #[test]
-    fn mixed_hamiltonian_expectation_is_the_mean(
-        a in arb_pauli_op(3, 5),
-        b in arb_pauli_op(3, 5),
-        seed in 0u64..1000,
-    ) {
+/// The mixed Hamiltonian's expectation value equals the mean of the members'
+/// expectation values on any state (linearity, paper Section 5.2.1).
+#[test]
+fn mixed_hamiltonian_expectation_is_the_mean() {
+    for_cases(0x1004, CASES, |_, gen| {
+        let a = pauli_op(gen, 3, 5);
+        let b = pauli_op(gen, 3, 5);
         let mixed = PauliOp::mixed(&[&a, &b]);
-        // A deterministic pseudo-random product state from the seed.
+        // A random product state.
         let mut circuit = Circuit::new(3);
         for q in 0..3 {
-            let angle = (seed as f64 * 0.37 + q as f64 * 1.3).sin() * std::f64::consts::PI;
-            circuit.push(Gate::Ry(q, Angle::Fixed(angle)));
+            circuit.push(Gate::Ry(q, Angle::Fixed(gen.unit() * std::f64::consts::PI)));
         }
         let state = run_circuit(&circuit, &[], &Statevector::zero_state(3));
         let mean = 0.5 * (a.expectation(&state) + b.expectation(&state));
-        prop_assert!((mixed.expectation(&state) - mean).abs() < 1e-9);
-    }
+        assert!((mixed.expectation(&state) - mean).abs() < 1e-9);
+    });
+}
 
-    /// Circuit simulation is unitary: norms are preserved for arbitrary parameters.
-    #[test]
-    fn simulation_preserves_norm(params in proptest::collection::vec(-3.2f64..3.2, 24)) {
-        let ansatz = HardwareEfficientAnsatz::new(4, 2, Entanglement::Circular).build();
-        prop_assert_eq!(ansatz.num_parameters(), params.len());
-        let out = run_circuit(&ansatz, &params, &Statevector::zero_state(4));
-        prop_assert!((out.norm() - 1.0).abs() < 1e-9);
-    }
+/// Circuit simulation is unitary: norms are preserved for arbitrary parameters.
+#[test]
+fn simulation_preserves_norm() {
+    let ansatz = HardwareEfficientAnsatz::new(4, 2, Entanglement::Circular).build();
+    assert_eq!(ansatz.num_parameters(), 24);
+    for_cases(0x1005, CASES, |_, gen| {
+        let out = run_circuit(&ansatz, &angles(gen, 24), &Statevector::zero_state(4));
+        assert!((out.norm() - 1.0).abs() < 1e-9);
+    });
+}
 
-    /// Expectation values always lie within the operator's ℓ1-norm bounds.
-    #[test]
-    fn expectation_bounded_by_l1_norm(
-        op in arb_pauli_op(4, 8),
-        params in proptest::collection::vec(-3.2f64..3.2, 16),
-    ) {
-        let ansatz = HardwareEfficientAnsatz::new(4, 1, Entanglement::Linear).build();
-        let out = run_circuit(&ansatz, &params, &Statevector::zero_state(4));
-        let value = op.expectation(&out);
-        prop_assert!(value.abs() <= op.l1_norm() + 1e-9);
-    }
+/// Expectation values always lie within the operator's ℓ1-norm bounds.
+#[test]
+fn expectation_bounded_by_l1_norm() {
+    let ansatz = HardwareEfficientAnsatz::new(4, 1, Entanglement::Linear).build();
+    for_cases(0x1006, CASES, |_, gen| {
+        let op = pauli_op(gen, 4, 8);
+        let out = run_circuit(&ansatz, &angles(gen, 16), &Statevector::zero_state(4));
+        assert!(op.expectation(&out).abs() <= op.l1_norm() + 1e-9);
+    });
+}
 
-    /// Spectral bipartition always produces two non-empty groups covering all items.
-    #[test]
-    fn spectral_bipartition_covers_all_items(
-        points in proptest::collection::vec(0.0f64..10.0, 3..9),
-        seed in 0u64..100,
-    ) {
-        let n = points.len();
+/// Spectral bipartition always produces two non-empty groups covering all items, for
+/// every item count from 3 to 8.
+#[test]
+fn spectral_bipartition_covers_all_items() {
+    let mut tally = Tally::default();
+    for_cases(0x1007, CASES, |i, gen| {
+        let n = 3 + i % 6;
+        tally.add(format!("{n} items"));
+        let points: Vec<f64> = (0..n).map(|_| 5.0 * (gen.unit() + 1.0)).collect();
         let distances: Vec<Vec<f64>> = (0..n)
             .map(|i| (0..n).map(|j| (points[i] - points[j]).abs()).collect())
             .collect();
         let sim = cluster::SimilarityMatrix::from_distances(&distances);
-        let labels = cluster::spectral_bipartition(&sim, seed);
-        prop_assert_eq!(labels.len(), n);
+        let labels = cluster::spectral_bipartition(&sim, gen.below(100));
+        assert_eq!(labels.len(), n);
         let zeros = labels.iter().filter(|&&l| l == 0).count();
-        prop_assert!(zeros > 0 && zeros < n);
+        assert!(zeros > 0 && zeros < n);
+    });
+    for n in 3..=8 {
+        tally.require(&format!("{n} items"), 1);
     }
+}
 
-    /// The shot ledger is additive: charging in pieces equals charging at once.
-    #[test]
-    fn shot_ledger_additivity(terms in 1usize..500, evals in 1u64..20) {
+/// The shot ledger is additive: charging in pieces equals charging at once.
+#[test]
+fn shot_ledger_additivity() {
+    for_cases(0x1008, CASES, |_, gen| {
+        let terms = 1 + gen.below(499) as usize;
+        let evals = 1 + gen.below(19);
         let mut piecewise = qsim::ShotLedger::new();
         for _ in 0..evals {
             piecewise.charge_evaluation(4096, terms);
         }
-        prop_assert_eq!(piecewise.total(), 4096 * terms as u64 * evals);
-        prop_assert_eq!(piecewise.evaluations(), evals);
-    }
+        assert_eq!(piecewise.total(), 4096 * terms as u64 * evals);
+        assert_eq!(piecewise.evaluations(), evals);
+    });
+}
 
-    /// Ground-state energies from Lanczos are variational lower bounds for every state the
-    /// simulator can prepare.
-    #[test]
-    fn lanczos_energy_is_a_lower_bound(params in proptest::collection::vec(-3.2f64..3.2, 12)) {
-        let ham = qchem::transverse_field_ising(3, 1.0, 0.8);
-        let e0 = qop::ground_energy(&ham, &qop::LanczosOptions::default());
-        let ansatz = HardwareEfficientAnsatz::new(3, 1, Entanglement::Circular).build();
-        let out = run_circuit(&ansatz, &params, &Statevector::zero_state(3));
-        prop_assert!(ham.expectation(&out) >= e0 - 1e-8);
-    }
+/// Ground-state energies from Lanczos are variational lower bounds for every state the
+/// simulator can prepare.
+#[test]
+fn lanczos_energy_is_a_lower_bound() {
+    let ham = qchem::transverse_field_ising(3, 1.0, 0.8);
+    let e0 = qop::ground_energy(&ham, &qop::LanczosOptions::default());
+    let ansatz = HardwareEfficientAnsatz::new(3, 1, Entanglement::Circular).build();
+    for_cases(0x1009, CASES, |_, gen| {
+        let out = run_circuit(&ansatz, &angles(gen, 12), &Statevector::zero_state(3));
+        assert!(ham.expectation(&out) >= e0 - 1e-8);
+    });
 }

@@ -18,14 +18,13 @@
 //! **and** at 1, 2 and 4 threads — batch size and thread count decide whether the dense
 //! drivers run states side by side or one at a time, and neither may reach the result.
 
-use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qexec::fault::{FaultKind, FaultPlan, FaultyBackend};
 use qexec::{EvalJob, Executor, SeedPolicy, StreamId, SubmitOptions};
 use qnoise::PauliNoiseModel;
 use qop::PauliOp;
-use rand::Rng;
 use std::sync::{Arc, Mutex};
+use treevqa_tests::relational::{for_cases, Gen};
 use vqa::{
     Backend, EvalRequest, InitialState, NoisyStatevectorBackend, SampledBackend, StatevectorBackend,
 };
@@ -159,49 +158,38 @@ fn run_scenario(make: &dyn Fn() -> Box<dyn Backend + Send>, order: &[usize]) -> 
     (results, qrng::total_draws() - draws_before)
 }
 
-/// A deterministic Fisher–Yates shuffle of `0..JOBS` keyed by `seed` (the property's
-/// randomness source, kept reproducible through `qrng` itself).
-fn shuffled_order(seed: u64) -> Vec<usize> {
-    let mut rng = qrng::CounterRng::new(qrng::mix(seed, 0x5348_5546));
+/// A Fisher–Yates shuffle of `0..JOBS` drawn from `gen`.
+fn shuffled_order(gen: &mut Gen) -> Vec<usize> {
     let mut order: Vec<usize> = (0..JOBS).collect();
     for i in (1..order.len()).rev() {
-        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-        order.swap(i, j);
+        order.swap(i, gen.below(i as u64 + 1) as usize);
     }
     order
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Submission interleavings never change any result or the total number of RNG
-    /// draws, for every backend family.
-    #[test]
-    fn results_and_draw_counts_are_schedule_independent(shuffle_seed in 0u64..u64::MAX) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let in_order: Vec<usize> = (0..JOBS).collect();
-        let shuffled = shuffled_order(shuffle_seed);
+/// Submission interleavings never change any result or the total number of RNG draws,
+/// for every backend family.
+#[test]
+fn results_and_draw_counts_are_schedule_independent() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let in_order: Vec<usize> = (0..JOBS).collect();
+    for_cases(0x5348_5546, 4, |_, gen| {
+        let shuffled = shuffled_order(gen);
         for (family, make) in backend_factories() {
             let (baseline, baseline_draws) = run_scenario(make.as_ref(), &in_order);
             for order in [&in_order, &shuffled] {
                 let (results, draws) = run_scenario(make.as_ref(), order);
-                prop_assert_eq!(
-                    &results,
-                    &baseline,
-                    "{} results diverged at order={:?}",
-                    family,
-                    order
+                assert_eq!(
+                    &results, &baseline,
+                    "{family} results diverged at order={order:?}"
                 );
-                prop_assert_eq!(
-                    draws,
-                    baseline_draws,
-                    "{} draw count diverged at order={:?}",
-                    family,
-                    order
+                assert_eq!(
+                    draws, baseline_draws,
+                    "{family} draw count diverged at order={order:?}"
                 );
             }
         }
-    }
+    });
 }
 
 /// Retry and failover perturbations leave every surviving result bit-identical to the
@@ -355,7 +343,7 @@ fn each_driver_sees_one_batch_then_its_probes_in_slate_order() {
     // Every third job is a probe, so each backend gets a mix of both kinds.
     let is_probe = |i: usize| i % 3 == 2;
     let in_order: Vec<usize> = (0..JOBS).collect();
-    for order in [in_order, shuffled_order(0xC0FFEE)] {
+    for order in [in_order, shuffled_order(&mut Gen::new(0xC0FFEE))] {
         let logs: Vec<Arc<Mutex<Vec<Call>>>> = (0..BACKENDS).map(|_| Arc::default()).collect();
         let mut builder = Executor::builder().paused();
         for (b, log) in logs.iter().enumerate() {

@@ -15,13 +15,12 @@
 //! `qsim::reference`, unchanged `qrng::total_draws` deltas — and a golden table of
 //! the bits the per-driver code produced before the stages shared one pipeline.
 
-use proptest::prelude::*;
 use qcircuit::{Circuit, Entanglement, HardwareEfficientAnsatz};
 use qnoise::PauliNoiseModel;
 use qop::{Complex64, PauliOp, PauliString, Statevector, TermBasis};
 use qrng::{SeedPolicy, StreamId};
 use std::sync::Mutex;
-use treevqa_tests::relational::Gen;
+use treevqa_tests::relational::{for_cases, Gen, Tally};
 use vqa::{
     Backend, EvalRequest, EvalResult, InitialState, NoisyBackend, NoisyStatevectorBackend,
     SampledBackend, StatevectorBackend,
@@ -96,56 +95,74 @@ fn reference_fold(op: &PauliOp, psi: &Statevector) -> (Vec<f64>, f64) {
     (terms, value)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Cases per property.
+const CASES: usize = 96;
 
-    /// One fused readout ≡ the per-string serial reference, bit for bit, at one kernel
-    /// thread — per string, per operator term and per operator value.
-    #[test]
-    fn fused_readout_is_bit_identical_to_the_serial_reference(
-        seed in 0u64..u64::MAX,
-        n in 1usize..15,
-        sharing in 0u64..3,
-    ) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        set_kernel_threads(1);
-        let mut gen = Gen::new(seed);
-        let ops = random_operator_set(&mut gen, n, sharing);
+/// Runs `property` on [`CASES`] cases, case `i` on `n = 1 + i % 14` qubits with
+/// `sharing = i / 14 % 3`, and asserts that every pair occurred.
+fn for_sizes_and_sharings(seed: u64, mut property: impl FnMut(&mut Gen, usize, u64)) {
+    let mut tally = Tally::default();
+    for_cases(seed, CASES, |i, gen| {
+        let (n, sharing) = (1 + i % 14, (i / 14 % 3) as u64);
+        tally.add(format!("{n}q sharing {sharing}"));
+        property(gen, n, sharing);
+    });
+    for n in 1..=14 {
+        for sharing in 0..3 {
+            tally.require(&format!("{n}q sharing {sharing}"), 1);
+        }
+    }
+}
+
+/// One fused readout ≡ the per-string serial reference, bit for bit, at one kernel
+/// thread — per string, per operator term and per operator value.
+#[test]
+fn fused_readout_is_bit_identical_to_the_serial_reference() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    set_kernel_threads(1);
+    for_sizes_and_sharings(0x7b01, |gen, n, sharing| {
+        let ops = random_operator_set(gen, n, sharing);
         let refs: Vec<&PauliOp> = ops.iter().collect();
         let psi = gen.state(n);
         let basis = TermBasis::new(&refs);
-        prop_assert!(basis.is_basis_of(refs.iter().copied()));
-        prop_assert!(basis.num_strings() <= basis.num_terms());
+        assert!(basis.is_basis_of(refs.iter().copied()));
+        assert!(basis.num_strings() <= basis.num_terms());
         let mut values = Vec::new();
         basis.evaluate(&psi, &mut values);
         for (s, v) in basis.strings().iter().zip(&values) {
-            let expected = if s.is_identity() { 1.0 } else { PauliOp::string_expectation(s, &psi) };
-            prop_assert_eq!(v.to_bits(), expected.to_bits(), "{}q string {}", n, s);
+            let expected = if s.is_identity() {
+                1.0
+            } else {
+                PauliOp::string_expectation(s, &psi)
+            };
+            assert_eq!(v.to_bits(), expected.to_bits(), "{n}q string {s}");
         }
         for (k, op) in ops.iter().enumerate() {
             let (terms, value) = reference_fold(op, &psi);
-            let got: Vec<u64> = basis.op_term_values(k, &values).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = basis
+                .op_term_values(k, &values)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
             let want: Vec<u64> = terms.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, want, "{}q operator {} terms", n, k);
-            prop_assert_eq!(basis.op_value(k, &values).to_bits(), value.to_bits(), "{}q operator {}", n, k);
+            assert_eq!(got, want, "{n}q operator {k} terms");
+            let got = basis.op_value(k, &values);
+            assert_eq!(got.to_bits(), value.to_bits(), "{n}q operator {k}");
             if !op.terms().iter().any(|t| t.string.is_identity()) {
                 // Without an identity term the general-purpose wrapper is the same fold.
-                prop_assert_eq!(op.expectation(&psi).to_bits(), value.to_bits());
+                assert_eq!(op.expectation(&psi).to_bits(), value.to_bits());
             }
         }
-    }
+    });
+}
 
-    /// At every thread count the readout agrees with the naive scan-and-apply kernel,
-    /// and — one serial body per kernel — gives the same bits as at any other.
-    #[test]
-    fn fused_readout_matches_the_naive_kernel_at_any_thread_count(
-        seed in 0u64..u64::MAX,
-        n in 1usize..15,
-        sharing in 0u64..3,
-    ) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut gen = Gen::new(seed);
-        let ops = random_operator_set(&mut gen, n, sharing);
+/// At every thread count the readout agrees with the naive scan-and-apply kernel,
+/// and — one serial body per kernel — gives the same bits as at any other.
+#[test]
+fn fused_readout_matches_the_naive_kernel_at_any_thread_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for_sizes_and_sharings(0x7b02, |gen, n, sharing| {
+        let ops = random_operator_set(gen, n, sharing);
         let refs: Vec<&PauliOp> = ops.iter().collect();
         let psi = gen.state(n);
         let basis = TermBasis::new(&refs);
@@ -160,18 +177,21 @@ proptest! {
             let mut values = Vec::new();
             basis.evaluate(&psi, &mut values);
             for ((s, v), expected) in basis.strings().iter().zip(&values).zip(&naive) {
-                prop_assert!((v - expected).abs() < 1e-12, "{}q x{} {}: {} vs {}", n, threads, s, v, expected);
+                assert!(
+                    (v - expected).abs() < 1e-12,
+                    "{n}q x{threads} {s}: {v} vs {expected}"
+                );
             }
             // Deterministic for a fixed thread count.
             let mut again = Vec::new();
             basis.evaluate(&psi, &mut again);
-            prop_assert_eq!(&values, &again);
+            assert_eq!(&values, &again);
             per_threads.push(values);
         }
         set_kernel_threads(1);
-        prop_assert_eq!(&per_threads[0], &per_threads[1]);
-        prop_assert_eq!(&per_threads[0], &per_threads[2]);
-    }
+        assert_eq!(&per_threads[0], &per_threads[1]);
+        assert_eq!(&per_threads[0], &per_threads[2]);
+    });
 }
 
 /// The structured state the golden bits below were recorded on.
